@@ -3,7 +3,7 @@
 
 PY := PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH)) python
 
-.PHONY: test conformance perf-smoke perf perf-parallel compare faults-smoke faults obs-smoke rebalance-smoke
+.PHONY: test conformance perf-smoke perf perf-parallel compare faults-smoke faults obs-smoke rebalance-smoke e2e-smoke e2e
 
 # tier-1 verify: the whole default suite (perf/faults/tpcc markers
 # excluded by pytest.ini)
@@ -51,3 +51,13 @@ obs-smoke:
 rebalance-smoke:
 	$(PY) -m repro.faults --smoke --workloads adv-skewshift
 	$(PY) -m pytest tests/test_rebalance.py -q
+
+# end-to-end benchmark (BENCHMARK.json; see docs/performance.md): the smoke
+# runs every workload x both trace modes at reduced length and checks the
+# outputs; the full run records benchmarks/results/e2e.json (git-ignored)
+e2e-smoke:
+	python3 benchmarks/e2e/run.py --smoke
+
+e2e:
+	mkdir -p benchmarks/results
+	python3 benchmarks/e2e/run.py --out benchmarks/results/e2e.json

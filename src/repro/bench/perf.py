@@ -89,6 +89,24 @@ def make_block(
     return txns
 
 
+def make_contended_block(
+    num_txns: int, num_keys: int, rng: random.Random, ops_per_txn: int = 10
+) -> list[Txn]:
+    """A YCSB-shaped block: ``ops_per_txn`` skewed point operations per
+    transaction, half of them read-modify-writes — at 100 txns over 8000
+    keys Rule 1 aborts about 40 % of it."""
+    txns = []
+    for tid in range(num_txns):
+        txn = Txn(tid=tid, block_id=0, spec=TxnSpec("ops"))
+        for _ in range(ops_per_txn):
+            key = _key(int(num_keys * rng.random() ** 2))
+            txn.read_set[key] = None
+            if rng.random() < 0.5:
+                txn.record_update(key, AddValue(1))
+        txns.append(txn)
+    return txns
+
+
 def clone_txns(txns: list[Txn]) -> list[Txn]:
     """Fresh runtime records with identical read/write sets (validation
     mutates counters and statuses, so every timed run gets its own copy)."""
@@ -515,12 +533,22 @@ def bench_reorder_reuse(block_size: int, num_keys: int, repeats: int, seed: int)
     )
 
 
-def bench_false_aborts(block_size: int, num_keys: int, repeats: int, seed: int) -> dict:
-    """Per-block false-abort accounting: rebuild-per-abortee vs the shared
-    committed graph + per-abortee edge overlay."""
+def bench_false_aborts(
+    block_size: int, num_keys: int, repeats: int, seed: int, contended: bool = False
+) -> dict:
+    """Per-block false-abort accounting: rebuild-per-abortee vs one
+    :class:`~repro.core.dependencies.CommittedGraph` whose bitsets answer
+    every abortee. ``contended`` swaps the low-abort sweep block for the
+    YCSB shape (about 40 % abortees), which guards the complexity class
+    O(committed edges + sum of abortee footprints): any per-abortee pass
+    over the graph shows up there first."""
     from repro.dcc.oracle import SerializabilityOracle
 
-    block = make_block(block_size, num_keys, random.Random(seed), writes_per_txn=(3, 6))
+    rng = random.Random(seed)
+    if contended:
+        block = make_contended_block(block_size, num_keys, rng)
+    else:
+        block = make_block(block_size, num_keys, rng, writes_per_txn=(3, 6))
     HarmonyValidator().validate(block)
     _commit_survivors(block)
     naive_s = _time(
@@ -533,13 +561,12 @@ def bench_false_aborts(block_size: int, num_keys: int, repeats: int, seed: int) 
         block, indexed=False
     ) == SerializabilityOracle.count_false_aborts(block, indexed=True)
     aborted = sum(1 for t in block if t.aborted)
-    return _case(
-        "false_aborts",
-        {"block_size": block_size, "num_keys": num_keys, "aborted": aborted},
-        naive_s,
-        indexed_s,
-        checks={"counts_equal": equal, "has_aborts": aborted > 0},
-    )
+    params = {"block_size": block_size, "num_keys": num_keys, "aborted": aborted}
+    checks = {"counts_equal": equal, "has_aborts": aborted > 0}
+    if contended:
+        params["shape"] = "ycsb"
+        checks["abort_heavy"] = aborted >= 0.3 * block_size
+    return _case("false_aborts", params, naive_s, indexed_s, checks=checks)
 
 
 def bench_mvstore_gc(num_keys: int, repeats: int, seed: int) -> dict:
@@ -1467,6 +1494,7 @@ def run_perf(smoke: bool = False, out_path: str | None = None) -> dict:
         cases.append(bench_oracle_build_graph(4, 50, 2_500, repeats, seed + 9))
         cases.append(bench_materialize(20_000, 6, repeats, seed + 10))
         cases.append(bench_false_aborts(100, 900, repeats, seed + 11))
+        cases.append(bench_false_aborts(100, 8_000, repeats, seed + 11, contended=True))
         cases.append(bench_mvstore_gc(50_000, repeats, seed + 12))
         cases.append(bench_checkpoint_delta(20_000, 10, 200, repeats, seed + 13))
         cases.append(bench_federated_scan(20_000, 4, 1_024, repeats, seed + 14))
@@ -1474,6 +1502,7 @@ def run_perf(smoke: bool = False, out_path: str | None = None) -> dict:
         cases.append(bench_oracle_build_graph(6, 200, 10_000, repeats, seed + 9))
         cases.append(bench_materialize(scan_keys, 8, repeats, seed + 10))
         cases.append(bench_false_aborts(300, 3_000, repeats, seed + 11))
+        cases.append(bench_false_aborts(100, 8_000, repeats, seed + 11, contended=True))
         cases.append(bench_mvstore_gc(scan_keys, repeats, seed + 12))
         cases.append(bench_checkpoint_delta(100_000, 10, 500, repeats, seed + 13))
         cases.append(bench_federated_scan(scan_keys, 4, 2_048, repeats, seed + 14))

@@ -22,14 +22,21 @@ Two implementations share this class:
   ``repro.bench.perf`` harness measures speedups against.
 
 Both paths produce identical reader lists and edge streams.
+
+:class:`CommittedGraph` is the other half of this module: once a block is
+decided, the dependency graph of its *committed* set (per-key updater
+chains + snapshot-reader -> updater edges) is what the Rule-3 records, the
+serializability check and the false-abort oracle all reason over. It is
+built by exactly one piece of code and kept as Python-int bitsets.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
-from repro.intervals import RangeIndex, covers
+from repro.intervals import RangeIndex, SortedKeys, covers
 from repro.txn.transaction import Txn
 
 
@@ -184,3 +191,185 @@ class BlockDependencyIndex:
                     writer = by_tid[writer_tid]
                     if source > writer.max_in:
                         writer.max_in = source
+
+
+def witness_order(txn: Txn) -> tuple[int, int]:
+    """Harmony's serial witness / Rule-2 apply order: ``(min_out, tid)``."""
+    return (txn.min_out, txn.tid)
+
+
+class CommittedGraph:
+    """Dependency graph of one decided block's committed set, as bitsets.
+
+    Nodes are *positions*: the committed transactions sorted by ``order``
+    (Harmony's witness order by default; the value-based schemes pass TID
+    order). All reads are snapshot reads, so the edges are
+
+    - the per-key updater chains in ``order`` — ww/wr, consecutive updaters
+      only, always pointing to a higher position — and
+    - reader -> every updater of a key the reader point-reads or
+      range-covers (rw anti-dependency), in either direction.
+
+    ``reach[i]`` holds everything reachable from position ``i`` through
+    >= 1 edge as one Python int with bit ``j`` set for position ``j`` — so
+    "does ``a`` reach any of these" is one AND, and the whole closure of
+    an n-txn block is n ints rather than O(n^2) set members. Bit ``i`` of
+    ``reach[i]`` is set iff ``i`` lies on a cycle.
+
+    Three consumers read it: :meth:`HarmonyValidator.records_for` (Rule-3
+    reachability handed to the next block), and the oracle's
+    ``committed_is_serializable`` (:attr:`cyclic`) and
+    ``count_false_aborts`` (:meth:`closes_cycle`).
+    """
+
+    __slots__ = (
+        "order",
+        "txns",
+        "chains",
+        "point_readers",
+        "ranges",
+        "range_index",
+        "reach",
+        "_order_keys",
+        "_written_keys",
+    )
+
+    def __init__(
+        self, txns: list[Txn], order: Callable[[Txn], object] | None = None
+    ) -> None:
+        self.order = order = order or witness_order
+        #: position -> committed transaction, in ``order``
+        self.txns = committed = sorted((t for t in txns if t.committed), key=order)
+        #: key -> updater positions; ascending, i.e. already in chain order
+        self.chains: dict[object, list[int]] = {}
+        #: key -> positions that point-read it
+        self.point_readers: dict[object, list[int]] = {}
+        #: committed range reads as ``(start, end, position)``
+        self.ranges: list[tuple[object, object, int]] = []
+        chains, point_readers, ranges = self.chains, self.point_readers, self.ranges
+        for pos, txn in enumerate(committed):
+            for key in txn.write_set:
+                chain = chains.get(key)
+                if chain is None:
+                    chains[key] = [pos]
+                else:
+                    chain.append(pos)
+            for key in txn.read_set:
+                readers = point_readers.get(key)
+                if readers is None:
+                    point_readers[key] = [pos]
+                else:
+                    readers.append(pos)
+            for start, end in txn.read_ranges:
+                ranges.append((start, end, pos))
+        #: stabbing index over :attr:`ranges` (payload = position)
+        self.range_index = RangeIndex(ranges)
+        self._order_keys: list | None = None
+        self._written_keys: SortedKeys | None = None
+        self._close()
+
+    def _close(self) -> None:
+        """Collect each position's direct successors and close them into
+        ``reach``."""
+        n = len(self.txns)
+        bit = [1 << i for i in range(n)]
+        succ = [0] * n
+        point_readers = self.point_readers
+        stab = self.range_index.stab if self.ranges else None
+        for key, chain in self.chains.items():
+            updaters = 0
+            for pos in chain:
+                updaters |= bit[pos]
+            for i in range(len(chain) - 1):
+                succ[chain[i]] |= bit[chain[i + 1]]
+            for pos in point_readers.get(key, ()):
+                succ[pos] |= updaters
+            if stab is not None:
+                for pos in stab(key):
+                    succ[pos] |= updaters
+        for i in range(n):
+            succ[i] &= ~bit[i]  # a read-modify-write does not precede itself
+
+        # Propagate in reverse position order: chain edges always point to
+        # higher positions, so this is near reverse-topological; iterate to
+        # a fixpoint so backward rw edges (and any cycles) close exactly.
+        reach = list(succ)
+        changed = True
+        while changed:
+            changed = False
+            for i in range(n - 1, -1, -1):
+                acc = bits = succ[i]
+                while bits:
+                    low = bits & -bits
+                    acc |= reach[low.bit_length() - 1]
+                    bits ^= low
+                if acc != reach[i]:
+                    reach[i] = acc
+                    changed = True
+        self.reach = reach
+
+    @property
+    def cyclic(self) -> bool:
+        """Whether the committed set itself is non-serializable."""
+        return any(reach >> i & 1 for i, reach in enumerate(self.reach))
+
+    def closes_cycle(self, txn: Txn) -> bool:
+        """Would hypothetically committing ``txn`` (an abortee of the same
+        block) make the graph cyclic? Only meaningful when not
+        :attr:`cyclic`.
+
+        Nothing is copied or re-traversed: ``txn``'s in-neighbours are its
+        chain predecessor on each key it writes plus the committed readers
+        of those keys, its out-neighbours the chain successor plus every
+        committed updater of a key it reads or range-covers, and a cycle
+        exists iff some out-neighbour is, or reaches, some in-neighbour.
+        (The committed chain edge ``prev -> next`` that inserting ``txn``
+        would split stays in ``reach``; it is implied by ``prev -> txn ->
+        next``, so cycle-or-not is unchanged.)
+        """
+        order_keys = self._order_keys
+        if order_keys is None:
+            order = self.order
+            order_keys = self._order_keys = [order(t) for t in self.txns]
+        # positions < slot sort before txn (ties: txn last, as a stable
+        # sort of committed + [txn] would place it)
+        slot = bisect_right(order_keys, self.order(txn))
+        chains = self.chains
+        point_readers = self.point_readers
+        stab = self.range_index.stab if self.ranges else None
+        into = out = 0
+        for key in txn.write_set:
+            chain = chains.get(key)
+            if chain is not None:
+                idx = bisect_left(chain, slot)
+                if idx:
+                    into |= 1 << chain[idx - 1]
+                if idx < len(chain):
+                    out |= 1 << chain[idx]
+            for pos in point_readers.get(key, ()):
+                into |= 1 << pos
+            if stab is not None:
+                for pos in stab(key):
+                    into |= 1 << pos
+        if not into:
+            return False
+        for key in txn.read_set:
+            for pos in chains.get(key, ()):
+                out |= 1 << pos
+        if txn.read_ranges:
+            written = self._written_keys
+            if written is None:
+                written = self._written_keys = SortedKeys(chains)
+            for start, end in txn.read_ranges:
+                for key in written.in_range(start, end):
+                    for pos in chains[key]:
+                        out |= 1 << pos
+        if out & into:
+            return True
+        reach = self.reach
+        while out:
+            low = out & -out
+            if reach[low.bit_length() - 1] & into:
+                return True
+            out ^= low
+        return False

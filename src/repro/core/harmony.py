@@ -99,7 +99,9 @@ class HarmonyExecutor(DCCExecutor):
             inter_block=self.config.inter_block,
             update_reorder=self.config.update_reorder,
         )
-        #: committed reader/writer facts of the previous block (Rule 3)
+        #: committed reader/writer facts of the previous block (Rule 3);
+        #: immutable and replaced per block, so checkpoints hold this very
+        #: object instead of a copy
         self._prev_records = PrevBlockRecords()
 
     def prepare_block(self, block_id: int, txns: list[Txn]) -> PreparedBlock:

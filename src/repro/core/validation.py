@@ -18,10 +18,11 @@ middle transaction aborts (same as Rule 1); when the closing edge comes from
 a later block, the later transaction aborts — so every replica, regardless
 of message timing, reaches the same decision (Figure 6).
 
-The implementation keeps a :class:`CommittedRecord` per committed
-transaction of the previous block: its TID, final ``min_out``, the keys it
-wrote, and whether its write commands were read-modify-write. Validation of
-block *i* consults those records for:
+The implementation keeps a :class:`CommittedRecord` per committed updater
+of the previous block (its TID, final ``min_out`` and witness position),
+indexed by written key, next to the committed readers and the block's
+reachability closure (:class:`PrevBlockRecords`). Validation of block *i*
+consults those records for:
 
 - (ii) incoming inter-block ww/wr dependencies that close a structure on a
   current-block middle transaction, and
@@ -31,17 +32,21 @@ block *i* consults those records for:
 Performance: the hot loops run against sorted-key / interval indexes
 (``indexed=True``, the default) — range reads slice the previous block's
 written keys with two bisects, written keys stab the committed range
-readers, and the committed-block reachability closure is computed with
-per-node bitsets instead of one DFS per node. The naive quadratic paths
-are retained behind ``indexed=False`` as the differential-testing
-reference; both produce bit-identical commit/abort decisions.
+readers, and the committed-block reachability closure comes from the
+block's one :class:`~repro.core.dependencies.CommittedGraph` and *stays*
+per-position bitsets in the records (a reachability probe is a shift and a
+mask; the records are O(n) ints to build, share, checkpoint and pickle).
+The naive quadratic paths are retained behind ``indexed=False`` as the
+differential-testing reference; both produce bit-identical commit/abort
+decisions.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
-from repro.core.dependencies import BlockDependencyIndex
+from repro.core.dependencies import BlockDependencyIndex, CommittedGraph
 from repro.intervals import RangeIndex, SortedKeys, covers
 from repro.txn.transaction import AbortReason, Txn
 
@@ -50,12 +55,10 @@ NEG_INF = float("-inf")
 
 @dataclass(frozen=True)
 class CommittedRecord:
-    """What later blocks need to know about a committed transaction."""
+    """What later blocks need to know about a committed updater."""
 
     tid: int
     min_out: int
-    written_keys: frozenset
-    rmw_keys: frozenset  # written keys whose command reads the prior value
     #: position in the block's serial witness order (ascending min_out, tid)
     witness_pos: int = 0
 
@@ -64,50 +67,59 @@ class CommittedRecord:
         return self.min_out < self.tid
 
 
-@dataclass
+class FrozenDict(dict):
+    """A dict that refuses mutation once built — the containers of
+    :class:`PrevBlockRecords` are shared between the live executor, its
+    checkpoints and recovered replicas, never copied."""
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError("PrevBlockRecords containers are immutable")
+
+    __setitem__ = __delitem__ = __ior__ = _refuse
+    clear = pop = popitem = setdefault = update = _refuse
+
+    def __reduce__(self):
+        return (FrozenDict, (dict(self),))
+
+
+@dataclass(frozen=True)
 class PrevBlockRecords:
     """Committed-transaction facts of the previous block (Rule 3 inputs).
 
-    Treated as immutable once built by :meth:`HarmonyValidator.records_for`;
-    the two ``*_index`` accessors cache derived indexes on that assumption.
+    Immutable by construction: :meth:`HarmonyValidator.records_for` builds
+    a fresh one per block and the executor *replaces* its reference, so a
+    checkpoint, a recovered replica or a worker process may hold the same
+    object — ``copy.deepcopy`` returns it unchanged.
     """
 
     #: key -> committed records that wrote it
-    writers: dict = field(default_factory=dict)
-    #: key -> [(tid, witness_pos)] of committed point readers
-    readers: dict = field(default_factory=dict)
-    #: [(start, end, tid, witness_pos)] of committed range readers
-    range_readers: list = field(default_factory=list)
-    #: witness_pos -> frozenset of witness_pos reachable through the
-    #: committed block's dependency graph (reflexive)
-    reachable: dict = field(default_factory=dict)
+    writers: FrozenDict = field(default_factory=FrozenDict)
+    #: key -> witness_pos of each committed point reader
+    readers: FrozenDict = field(default_factory=FrozenDict)
+    #: (start, end, witness_pos) of each committed range read
+    range_readers: tuple = ()
+    #: witness_pos -> bitset (bit j = witness_pos j) of what it reaches
+    #: through >= 1 edge of the committed block's dependency graph
+    reachable: tuple = ()
 
     def __bool__(self) -> bool:
         return bool(self.writers or self.readers or self.range_readers)
 
+    def __deepcopy__(self, memo: dict) -> "PrevBlockRecords":
+        return self
+
     def reaches(self, from_pos: int, to_pos: int) -> bool:
-        if from_pos == to_pos:
-            return True
-        return to_pos in self.reachable.get(from_pos, ())
+        return from_pos == to_pos or bool(self.reachable[from_pos] >> to_pos & 1)
 
+    @cached_property
     def writer_key_index(self) -> SortedKeys:
-        """Sorted index over the keys the committed block wrote (cached)."""
-        index = self.__dict__.get("_writer_key_index")
-        if index is None:
-            index = SortedKeys(self.writers)
-            self._writer_key_index = index
-        return index
+        """Sorted index over the keys the committed block wrote."""
+        return SortedKeys(self.writers)
 
+    @cached_property
     def range_reader_index(self) -> RangeIndex:
-        """Stabbing index over committed range reads, payload = witness_pos
-        (cached)."""
-        index = self.__dict__.get("_range_reader_index")
-        if index is None:
-            index = RangeIndex(
-                (start, end, pos) for start, end, _tid, pos in self.range_readers
-            )
-            self._range_reader_index = index
-        return index
+        """Stabbing index over committed range reads, payload = witness_pos."""
+        return RangeIndex(self.range_readers)
 
 
 @dataclass
@@ -240,8 +252,8 @@ class HarmonyValidator:
             self._fold_inter_block_edges_naive(txns, prev, inter_doomed)
             return
 
-        writer_keys = prev.writer_key_index()
-        range_reader_index = prev.range_reader_index()
+        writer_keys = prev.writer_key_index
+        range_reader_index = prev.range_reader_index
         prev_writers = prev.writers
         prev_readers = prev.readers
         for txn in txns:
@@ -269,7 +281,7 @@ class HarmonyValidator:
             for key in txn.write_set:
                 for record in prev_writers.get(key, ()):  # ww into T
                     forward_positions.add(record.witness_pos)
-                for _tid, pos in prev_readers.get(key, ()):  # rw into T
+                for pos in prev_readers.get(key, ()):  # rw into T
                     forward_positions.add(pos)
                 for pos in range_reader_index.stab(key):
                     forward_positions.add(pos)
@@ -308,9 +320,9 @@ class HarmonyValidator:
             for key in txn.write_set:
                 for record in prev.writers.get(key, ()):  # ww into T
                     forward_positions.add(record.witness_pos)
-                for _tid, pos in prev.readers.get(key, ()):  # rw into T
+                for pos in prev.readers.get(key, ()):  # rw into T
                     forward_positions.add(pos)
-                for start, end, _tid, pos in prev.range_readers:
+                for start, end, pos in prev.range_readers:
                     if covers(start, end, key):
                         forward_positions.add(pos)
 
@@ -329,12 +341,14 @@ class HarmonyValidator:
         """Doom ``txn`` when a backward target reaches a forward source."""
         if txn.tid in inter_doomed or not backward_positions or not forward_positions:
             return
-        if any(
-            prev.reaches(target, source)
-            for target in backward_positions
-            for source in forward_positions
-        ):
-            inter_doomed.add(txn.tid)
+        forward_mask = 0
+        for source in forward_positions:
+            forward_mask |= 1 << source
+        reachable = prev.reachable
+        for target in backward_positions:
+            if (reachable[target] | 1 << target) & forward_mask:
+                inter_doomed.add(txn.tid)
+                return
 
     def _abort_ww_losers(self, txns: list[Txn], stats: ValidationStats) -> None:
         """Ablation mode (no update reordering): Aria-style ww aborts —
@@ -356,109 +370,41 @@ class HarmonyValidator:
 
     @staticmethod
     def records_for(txns: list[Txn], indexed: bool = True) -> PrevBlockRecords:
-        """Build the committed-transaction facts the next block consults."""
-        committed = sorted(
-            (t for t in txns if t.committed), key=lambda t: (t.min_out, t.tid)
-        )
-        records = PrevBlockRecords()
-        for pos, txn in enumerate(committed):
-            if txn.write_set:
-                rmw = frozenset(
-                    k for k, cmd in txn.write_set.items() if cmd.reads_value
-                )
-                record = CommittedRecord(
-                    tid=txn.tid,
-                    min_out=txn.min_out,
-                    written_keys=frozenset(txn.write_set),
-                    rmw_keys=rmw,
-                    witness_pos=pos,
-                )
-                for key in record.written_keys:
-                    records.writers.setdefault(key, []).append(record)
-            for key in txn.read_set:
-                records.readers.setdefault(key, []).append((txn.tid, pos))
-            for start, end in txn.read_ranges:
-                records.range_readers.append((start, end, txn.tid, pos))
-        records.reachable = HarmonyValidator._reachability(committed, indexed=indexed)
-        return records
+        """Build the committed-transaction facts the next block consults.
 
-    @staticmethod
-    def _reachability(
-        committed: list[Txn], indexed: bool = True
-    ) -> dict[int, frozenset]:
-        """Transitive closure over the committed block's dependency graph.
-
-        Nodes are witness positions; edges are the block's rw anti-
-        dependencies (reader -> writer) and the per-key apply chains (ww/wr
-        in Rule-2 order, which equals ascending witness position).
-
-        The indexed path finds each key's readers through a point-read map
-        plus a range stabbing index (instead of re-evaluating
-        ``txn.reads(key)`` for every (key, txn) pair), then closes the
-        graph with per-node bitsets propagated in reverse witness order —
-        near reverse-topological, since apply-chain edges always point to
-        higher positions — iterating to a fixpoint so residual backward rw
-        edges (and any cycles they form) are still closed exactly.
+        Containers and closure come from the block's
+        :class:`~repro.core.dependencies.CommittedGraph` (positions =
+        witness order); ``indexed=False`` swaps the closure for the seed's
+        per-node DFS, the differential reference.
         """
-        if not indexed:
-            return HarmonyValidator._reachability_naive(committed)
-        n = len(committed)
-        edges: dict[int, set[int]] = {i: set() for i in range(n)}
-        writers_by_key: dict[object, list[int]] = {}
-        point_readers: dict[object, list[int]] = {}
-        range_index = RangeIndex()
-        for pos, txn in enumerate(committed):
-            for key in txn.write_set:
-                writers_by_key.setdefault(key, []).append(pos)
-            for key in txn.read_set:
-                point_readers.setdefault(key, []).append(pos)
-            for start, end in txn.read_ranges:
-                range_index.add(start, end, pos)
-        for key, writer_positions in writers_by_key.items():
-            ordered = sorted(writer_positions)
-            for earlier, later in zip(ordered, ordered[1:]):
-                edges[earlier].add(later)
-            reader_positions = set(point_readers.get(key, ()))
-            reader_positions.update(range_index.stab(key))
-            for pos in reader_positions:
-                for writer_pos in writer_positions:
-                    if writer_pos != pos:
-                        edges[pos].add(writer_pos)
-
-        # Bitset closure: reach[i] = positions reachable from i via >= 1 edge.
-        succ = [0] * n
-        for i, outs in edges.items():
-            for j in outs:
-                succ[i] |= 1 << j
-        reach = list(succ)
-        changed = True
-        while changed:
-            changed = False
-            for i in range(n - 1, -1, -1):
-                acc = succ[i]
-                bits = succ[i]
-                while bits:
-                    j = (bits & -bits).bit_length() - 1
-                    acc |= reach[j]
-                    bits &= bits - 1
-                if acc != reach[i]:
-                    reach[i] = acc
-                    changed = True
-        closure: dict[int, frozenset] = {}
-        for i in range(n):
-            bits = reach[i]
-            members = []
-            while bits:
-                j = (bits & -bits).bit_length() - 1
-                members.append(j)
-                bits &= bits - 1
-            closure[i] = frozenset(members)
-        return closure
+        graph = CommittedGraph(txns)
+        committed = graph.txns
+        records = [
+            CommittedRecord(txn.tid, txn.min_out, pos) if txn.write_set else None
+            for pos, txn in enumerate(committed)
+        ]
+        return PrevBlockRecords(
+            writers=FrozenDict(
+                (key, tuple([records[pos] for pos in chain]))
+                for key, chain in graph.chains.items()
+            ),
+            readers=FrozenDict(
+                (key, tuple(positions))
+                for key, positions in graph.point_readers.items()
+            ),
+            range_readers=tuple(graph.ranges),
+            reachable=tuple(
+                graph.reach
+                if indexed
+                else HarmonyValidator._reachability_naive(committed)
+            ),
+        )
 
     @staticmethod
-    def _reachability_naive(committed: list[Txn]) -> dict[int, frozenset]:
-        """Seed implementation: per-(key, txn) ``reads`` probes and one DFS
-        per node. Retained as the differential-testing reference."""
+    def _reachability_naive(committed: list[Txn]) -> list[int]:
+        """Seed implementation of the closure: per-(key, txn) ``reads``
+        probes and one DFS per node, emitted in the builder's bitset form.
+        Retained as the differential-testing reference."""
         n = len(committed)
         edges: dict[int, set[int]] = {i: set() for i in range(n)}
         writers_by_key: dict[object, list[int]] = {}
@@ -474,7 +420,7 @@ class HarmonyValidator:
                     for writer_pos in writer_positions:
                         if writer_pos != pos:
                             edges[pos].add(writer_pos)
-        closure: dict[int, frozenset] = {}
+        closure: list[int] = []
         for start in range(n):
             seen: set[int] = set()
             stack = list(edges[start])
@@ -484,5 +430,5 @@ class HarmonyValidator:
                     continue
                 seen.add(node)
                 stack.extend(edges[node] - seen)
-            closure[start] = frozenset(seen)
+            closure.append(sum(1 << pos for pos in seen))
         return closure

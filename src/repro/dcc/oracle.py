@@ -21,16 +21,26 @@ Graph construction (multi-version semantics):
   did observe (wr);
 - range reads contribute the same edges for every key they cover.
 
-Cycle detection is an iterative three-colour DFS (no recursion limits); the
-test suite cross-checks it against :mod:`networkx`.
+Two implementations of the per-block graph, one product and one reference:
+
+- :class:`~repro.core.dependencies.CommittedGraph` builds the committed
+  set's graph once per block as reachability bitsets; the serializability
+  verdict is "no position reaches itself" and each abortee is answered by
+  masking its out-neighbours' reach against its in-neighbours — no
+  per-abortee copy, overlay or traversal.
+- :func:`block_dependency_graph` + :func:`has_cycle` (an iterative
+  three-colour DFS, no recursion limits) rebuild an adjacency dict per
+  question. They stay as the reference behind ``indexed=False``; the test
+  suite cross-checks them against :mod:`networkx` and the bitset path
+  against them.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass, field
 
-from repro.intervals import RangeIndex, SortedKeys, covers
+from repro.core.dependencies import CommittedGraph, witness_order
+from repro.intervals import SortedKeys, covers
 from repro.txn.transaction import Txn
 
 
@@ -103,109 +113,36 @@ class SerializabilityOracle:
 
     @staticmethod
     def committed_is_serializable(txns: list[Txn], chain_order=None) -> bool:
-        committed = [t for t in txns if t.committed]
-        order = chain_order or (lambda t: (t.min_out, t.tid))
-        return not has_cycle(block_dependency_graph(committed, order))
+        return not CommittedGraph(txns, chain_order).cyclic
 
     @staticmethod
     def count_false_aborts(txns: list[Txn], chain_order=None, indexed: bool = True) -> int:
         """Aborts that perfect intra-block scheduling could have avoided.
 
-        ``indexed=True`` (default) builds the committed-only graph and the
-        reader/writer indexes *once* and, per abortee, overlays only the
-        edges that hypothetically committing it would add — O(committed +
-        abortee footprint) instead of a full graph rebuild per abortee.
-        The overlay keeps the committed chain's consecutive ww edges that
-        inserting the abortee would split (``prev→next`` next to the new
-        ``prev→T→next``); those are transitively implied by the added
-        edges, so cycle-or-not is unchanged, and the count matches the
-        naive rebuild bit-for-bit (differential-tested). ``indexed=False``
-        retains the seed's per-abortee rebuild as the reference.
+        ``indexed=True`` (default) builds the block's
+        :class:`~repro.core.dependencies.CommittedGraph` once and answers
+        each abortee from its bitsets — O(edges + sum of abortee
+        footprints) per block, nothing copied or re-traversed per abortee.
+        A cyclic committed set makes every hypothetical graph cyclic, so
+        it counts no false aborts. ``indexed=False`` retains the seed's
+        per-abortee rebuild through :func:`block_dependency_graph` +
+        :func:`has_cycle` as the reference; the counts match bit-for-bit
+        (differential-tested).
         """
-        order = chain_order or (lambda t: (t.min_out, t.tid))
-        committed = [t for t in txns if t.committed]
         abortees = [t for t in txns if t.aborted]
         if not abortees:
             return 0
         if not indexed:
-            false_count = 0
-            for txn in abortees:
-                graph = block_dependency_graph(committed + [txn], order)
-                if not has_cycle(graph):
-                    false_count += 1
-            return false_count
-
-        base = block_dependency_graph(committed, order)
-        # committed writer chains per key, in chain order, plus the sort
-        # keys an abortee's insertion position bisects on
-        writers: dict[object, list[Txn]] = {}
-        for txn in committed:
-            for key in txn.write_set:
-                writers.setdefault(key, []).append(txn)
-        chains: dict[object, tuple[list, list[Txn]]] = {}
-        for key, updaters in writers.items():
-            ordered = sorted(updaters, key=order)
-            chains[key] = ([order(t) for t in ordered], ordered)
-        writer_keys = SortedKeys(writers)
-        # committed readers: point reads by key + a stabbing index of ranges
-        point_readers: dict[object, list[int]] = {}
-        range_readers = RangeIndex()
-        for txn in committed:
-            for key in txn.read_set:
-                point_readers.setdefault(key, []).append(txn.tid)
-            for start, end in txn.read_ranges:
-                range_readers.add(start, end, txn.tid)
-
-        false_count = 0
-        for txn in abortees:
-            tid = txn.tid
-            tkey = order(txn)
-            delta: dict[int, set[int]] = {tid: set()}
-
-            def _add(src: int, dst: int) -> None:
-                delta.setdefault(src, set()).add(dst)
-
-            for key in txn.write_set:
-                entry = chains.get(key)
-                if entry is not None:
-                    order_keys, ordered = entry
-                    pos = bisect_right(order_keys, tkey)
-                    if pos > 0:
-                        _add(ordered[pos - 1].tid, tid)
-                    if pos < len(ordered):
-                        _add(tid, ordered[pos].tid)
-                # snapshot readers precede the hypothetical new updater
-                seen_readers = set()
-                for rtid in point_readers.get(key, ()):
-                    if rtid not in seen_readers:
-                        seen_readers.add(rtid)
-                        _add(rtid, tid)
-                for rtid in range_readers.stab(key):
-                    if rtid not in seen_readers:
-                        seen_readers.add(rtid)
-                        _add(rtid, tid)
-            # the abortee reads before every committed updater it covers
-            reads = txn.read_set
-            for key in reads:
-                entry = chains.get(key)
-                if entry is not None:
-                    for updater in entry[1]:
-                        if updater.tid != tid:
-                            _add(tid, updater.tid)
-            for start, end in txn.read_ranges:
-                for key in writer_keys.in_range(start, end):
-                    if key not in reads:
-                        for updater in chains[key][1]:
-                            if updater.tid != tid:
-                                _add(tid, updater.tid)
-
-            merged = dict(base)
-            for node, extra in delta.items():
-                existing = merged.get(node)
-                merged[node] = (existing | extra) if existing else extra
-            if not has_cycle(merged):
-                false_count += 1
-        return false_count
+            order = chain_order or witness_order
+            committed = [t for t in txns if t.committed]
+            return sum(
+                not has_cycle(block_dependency_graph(committed + [txn], order))
+                for txn in abortees
+            )
+        graph = CommittedGraph(txns, chain_order)
+        if graph.cyclic:
+            return 0
+        return sum(not graph.closes_cycle(txn) for txn in abortees)
 
 
 @dataclass

@@ -17,7 +17,11 @@ requires flushing *dirty* state, so the durable record is a **chain**:
   the live store), and
 - one **delta** per interval: the ordered writes of every block since the
   previous chain entry (already in hand on the commit path), O(interval
-  writes) to persist instead of O(keyspace).
+  writes) to persist instead of O(keyspace). The delta isolates itself
+  from the caller with a purpose-built copy (:func:`_isolated`: fresh
+  containers, shared atoms) rather than generic ``copy.deepcopy``;
+  protocol ``meta`` values that are immutable by construction (Harmony's
+  ``PrevBlockRecords``) say so through ``__deepcopy__`` and are shared.
 
 Recovery folds the deltas onto the newest base to reconstruct ``state`` /
 ``prev_state`` / ``block_writes`` bit-identically to a full snapshot, then
@@ -66,6 +70,30 @@ class DeltaCheckpoint:
     block_id: int
     block_writes: list[tuple[int, list[tuple[object, object]]]]
     meta: dict | None = None
+
+
+#: value types that cannot be mutated in place, so a copy may share them
+_ATOMS = frozenset({int, float, bool, str, bytes, type(None), type(TOMBSTONE)})
+
+
+def _isolated(value: object) -> object:
+    """A copy of ``value`` that no later mutation of the original can reach.
+
+    Stored values are scalars or flat rows, and keys are immutable tuples:
+    atoms are shared, ``dict``/``list``/``tuple`` containers rebuilt, and
+    anything else goes through ``copy.deepcopy`` (which honours a type's
+    own ``__deepcopy__``).
+    """
+    kind = type(value)
+    if kind in _ATOMS:
+        return value
+    if kind is dict:
+        return {key: _isolated(item) for key, item in value.items()}
+    if kind is list:
+        return [_isolated(item) for item in value]
+    if kind is tuple:
+        return tuple([_isolated(item) for item in value])
+    return copy.deepcopy(value)
 
 
 def fold_writes(state: dict[object, object], writes) -> None:
@@ -245,8 +273,8 @@ class CheckpointManager:
 
         ``interval_writes`` is the ordered ``(block_id, writes)`` record of
         every block applied since the previous chain entry, ending with the
-        checkpoint block itself. Only the delta is copied — O(interval
-        writes), never O(keyspace). Every ``base_interval`` deltas the
+        checkpoint block itself. Only the delta is copied (:func:`_isolated`)
+        — O(interval writes), never O(keyspace). Every ``base_interval`` deltas the
         chain is folded into a fresh base so reconstruction and chain
         length stay bounded; the fold reuses the already-isolated delta
         copies, so compaction never touches the live store either.
@@ -264,8 +292,11 @@ class CheckpointManager:
         self._entries.append(
             DeltaCheckpoint(
                 block_id,
-                copy.deepcopy(interval_writes),
-                copy.deepcopy(meta) if meta is not None else None,
+                [
+                    (bid, [(key, _isolated(value)) for key, value in writes])
+                    for bid, writes in interval_writes
+                ],
+                _isolated(meta),
             )
         )
         self._deltas_since_base += 1

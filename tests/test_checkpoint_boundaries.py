@@ -18,10 +18,15 @@ prior usable prefix.
 
 from __future__ import annotations
 
+import dataclasses
+import pickle
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.chain.recovery import recover_node
+from repro.core.validation import PrevBlockRecords
 from repro.storage.checkpoint import Checkpoint, CheckpointManager, DeltaCheckpoint
 from repro.storage.mvstore import MVStore, TOMBSTONE
 
@@ -273,6 +278,81 @@ class TestCheckpointChain:
         )
         _assert_checkpoints_identical(recovered.latest(), full.latest())
         _assert_checkpoints_identical(delta.latest(), full.latest())
+
+
+class TestDeltaIsolation:
+    """``delta_checkpoint`` no longer runs generic ``copy.deepcopy``: the
+    interval's writes get a purpose-built isolating copy and the Rule-3
+    records are shared because they are immutable by construction. Either
+    way, nothing the caller does afterwards may reach the durable chain."""
+
+    def test_callers_buffers_cannot_reach_the_chain(self):
+        manager = CheckpointManager(2, incremental=True)
+        manager.genesis = {_key(0): 0}
+        row = {"qty": 5, "ytd": 1.5, "dist": ["a", "b"]}  # a TPC-C-style row
+        first, second = [(_key(0), 1)], [(_key(1), row), (_key(2), TOMBSTONE)]
+        interval = [(0, first), (1, second)]
+        meta = {"mark": [1]}
+        manager.delta_checkpoint(1, interval, meta=meta)
+        expected = pickle.dumps(manager.latest())
+
+        row["qty"] = 999
+        row["dist"].append("c")
+        first[0] = (_key(0), -1)
+        second.append((_key(3), 7))
+        interval.append((2, [(_key(0), 2)]))
+        meta["mark"].append(2)
+        meta["extra"] = True
+
+        latest = manager.latest()
+        assert pickle.dumps(latest) == expected
+        assert latest.state == {_key(0): 1, _key(1): {"qty": 5, "ytd": 1.5, "dist": ["a", "b"]}}
+        assert latest.block_writes[1] == (_key(2), TOMBSTONE)  # sentinel identity kept
+        assert latest.block_writes[1][1] is TOMBSTONE
+        assert latest.meta == {"mark": [1]}
+
+    def test_next_block_and_frozen_records_leave_the_recovery_point_alone(self):
+        from tests.test_recovery import build_node, feed_blocks, spec
+
+        node = build_node(checkpoint_interval=3, inter_block=True)
+        ordering = feed_blocks(node, 6)  # deltas at blocks 2 and 5
+        manager = node.engine.checkpoints
+        records = node.executor._prev_records
+        latest = manager.latest()
+        # shared, not copied: the delta holds the executor's own records
+        assert latest.meta["prev_records"] is records and records
+        expected = pickle.loads(pickle.dumps(latest))  # an independent copy
+
+        # the next block *replaces* the executor's records and keeps
+        # buffering writes; the recovery point must not notice
+        node.process_block(ordering.form_block([spec([("add", 0, 5), ("scan", 0, 9)])]))
+        assert node.executor._prev_records is not records
+        assert manager.latest() == expected
+
+        # the frozen route: stored containers refuse mutation, loudly
+        stored = manager.latest().meta["prev_records"]
+        some_key = next(iter(stored.writers))
+        with pytest.raises(TypeError):
+            stored.writers[_key(99)] = ()
+        with pytest.raises(TypeError):
+            stored.readers.pop(some_key, None)
+        with pytest.raises(TypeError):
+            stored.writers.update({})
+        with pytest.raises((TypeError, AttributeError)):
+            stored.writers[some_key].append(None)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            stored.reachable = ()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            stored.writers[some_key][0].min_out = -1
+        # ... yet still cross a process boundary intact
+        assert pickle.loads(pickle.dumps(stored)) == stored
+        assert isinstance(pickle.loads(pickle.dumps(stored)), PrevBlockRecords)
+
+        # and a recovery from that point — block 6 is re-validated against
+        # the restored records — lands where the live node is
+        recovered = recover_node(node)
+        assert recovered.executor._prev_records == node.executor._prev_records
+        assert recovered.state_hash() == node.state_hash()
 
 
 class TestCheckpointChainDifferential:

@@ -16,16 +16,21 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.dependencies import BlockDependencyIndex
+from repro.core.dependencies import BlockDependencyIndex, CommittedGraph
 from repro.core.reordering import KeyApply, apply_write_sets, derive_reservation
 from repro.core.validation import HarmonyValidator
 from repro.dcc.aria import AriaExecutor
-from repro.dcc.oracle import HistoryOracle, SerializabilityOracle
+from repro.dcc.oracle import (
+    HistoryOracle,
+    SerializabilityOracle,
+    block_dependency_graph,
+    has_cycle,
+)
 from repro.execution import OverlayView
 from repro.intervals import RangeIndex, SortedKeys, covers
 from repro.storage.mvstore import MVStore, TOMBSTONE
 from repro.txn.commands import AddValue, SetValue
-from repro.txn.transaction import Txn, TxnSpec
+from repro.txn.transaction import AbortReason, Txn, TxnSpec
 
 from tests.conftest import generic_registry, make_engine, make_txns
 
@@ -126,8 +131,47 @@ class TestValidation:
                 t.mark_committed()
         naive = HarmonyValidator.records_for(txns, indexed=False)
         fast = HarmonyValidator.records_for(txns, indexed=True)
+        # one representation on both sides: per-position bitsets
+        assert all(isinstance(bits, int) for bits in fast.reachable)
         assert naive.reachable == fast.reachable
         assert naive.writers.keys() == fast.writers.keys()
+
+    @given(txn_block(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_bitset_reaches_and_close_structure_match_membership_form(
+        self, prev_txns, data
+    ):
+        """``reaches`` / ``_close_structure`` on bitsets vs the form they
+        replaced: membership in the per-node DFS closure's sets, probed
+        for every (backward target, forward source) pair."""
+        HarmonyValidator().validate(prev_txns)
+        for t in prev_txns:
+            if not t.aborted:
+                t.mark_committed()
+        records = HarmonyValidator.records_for(prev_txns)
+        committed = CommittedGraph(prev_txns).txns
+        n = len(committed)
+        sets = [
+            {j for j in range(n) if bits >> j & 1}
+            for bits in HarmonyValidator._reachability_naive(committed)
+        ]
+
+        def reaches(a, b):
+            return a == b or b in sets[a]
+
+        for a in range(n):
+            for b in range(n):
+                assert records.reaches(a, b) == reaches(a, b)
+
+        positions = st.sets(st.integers(0, max(n - 1, 0)), max_size=n)
+        backward = data.draw(positions) if n else set()
+        forward = data.draw(positions) if n else set()
+        txn = Txn(tid=999, block_id=1, spec=TxnSpec("ops"))
+        doomed: set[int] = set()
+        HarmonyValidator._close_structure(txn, records, backward, forward, doomed)
+        assert (txn.tid in doomed) == any(
+            reaches(t, s) for t in backward for s in forward
+        )
 
 
 @st.composite
@@ -228,8 +272,6 @@ class TestFalseAbortDifferential:
     def test_counts_identical_under_arbitrary_statuses(self, txns, data):
         """Any committed/aborted split and any chain order (the value-based
         schemes use TID order) must agree between the two paths."""
-        from repro.txn.transaction import AbortReason
-
         for txn in txns:
             if data.draw(st.booleans()):
                 txn.mark_committed()
@@ -243,6 +285,62 @@ class TestFalseAbortDifferential:
                 txns, chain_order=chain_order, indexed=True
             )
             assert naive == fast
+
+    def test_heavy_abort_blocks_with_cyclic_committed_sets(self):
+        """Seeded sweep over the shapes the bitset oracle must get right:
+        range reads, blind writes, read-modify-writes of one key, >= 40 %
+        abortees under an arbitrary split (so the committed set is often
+        cyclic and the count must be 0), both chain orders. The
+        serializability verdict rides the same builder, so it is pinned
+        against the reference graph + DFS here too."""
+        rng = random.Random(20230612)
+        seen = {"cyclic": 0, "acyclic": 0, "real": 0, "false": 0}
+        for _ in range(250):
+            n = rng.randint(6, 20)
+            keys = rng.randint(4, NUM_KEYS)
+            txns = []
+            for tid in range(1, n + 1):
+                txn = Txn(tid=tid, block_id=0, spec=TxnSpec("ops"))
+                for i in rng.sample(range(keys), rng.randint(0, 3)):
+                    txn.read_set[_key(i)] = None
+                    if rng.random() < 0.5:  # read-modify-write of the same key
+                        txn.record_update(_key(i), AddValue(1))
+                if rng.random() < 0.3:
+                    start = rng.randrange(keys)
+                    txn.read_ranges.append((_key(start), _key(start + rng.randint(0, 6))))
+                for i in rng.sample(range(keys), rng.randint(0, 2)):  # blind writes
+                    txn.record_update(_key(i), SetValue(tid))
+                txn.min_out = rng.randint(1, tid + 1)  # any witness order
+                txns.append(txn)
+            aborted = set(rng.sample(range(n), rng.randint((2 * n + 4) // 5, n - 1)))
+            for i, txn in enumerate(txns):
+                if i in aborted:
+                    txn.mark_aborted(AbortReason.WAW)
+                else:
+                    txn.mark_committed()
+            committed = [t for t in txns if t.committed]
+            for chain_order in (None, lambda t: t.tid):
+                order = chain_order or (lambda t: (t.min_out, t.tid))
+                cyclic = has_cycle(block_dependency_graph(committed, order))
+                assert (
+                    SerializabilityOracle.committed_is_serializable(txns, chain_order)
+                    is not cyclic
+                )
+                naive = SerializabilityOracle.count_false_aborts(
+                    txns, chain_order=chain_order, indexed=False
+                )
+                fast = SerializabilityOracle.count_false_aborts(
+                    txns, chain_order=chain_order, indexed=True
+                )
+                assert naive == fast
+                if cyclic:
+                    assert fast == 0
+                seen["cyclic" if cyclic else "acyclic"] += 1
+                if not cyclic:
+                    seen["false"] += fast
+                    seen["real"] += len(aborted) - fast
+        # the sweep really visits every regime it claims to
+        assert all(seen.values()), seen
 
 
 class TestGcDifferential:

@@ -3,12 +3,21 @@
 
 PY := PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH)) python
 
-.PHONY: test conformance perf-smoke perf perf-parallel compare faults-smoke faults obs-smoke rebalance-smoke e2e-smoke e2e
+.PHONY: test loc conformance perf-smoke perf perf-parallel compare faults-smoke faults obs-smoke rebalance-smoke e2e-smoke e2e
 
 # tier-1 verify: the whole default suite (perf/faults/tpcc markers
 # excluded by pytest.ini)
 test:
 	$(PY) -m pytest -x -q
+
+# size ledger (informational, never fails): lines per package of src/repro,
+# their total, and tests/ — ROADMAP aim 2 tracks these
+loc:
+	@for d in src/repro/*/; do \
+		printf '%7d %s\n' "$$(cat $$d*.py | wc -l)" "$$d"; \
+	done
+	@printf '%7d src/repro total\n' "$$(find src/repro -name '*.py' | xargs cat | wc -l)"
+	@printf '%7d tests total\n' "$$(find tests -name '*.py' | xargs cat | wc -l)"
 
 # full conformance sweep: every scheme x every registered workload,
 # unsharded + sharded, including the tpcc-marked extended matrix (the

@@ -15,12 +15,13 @@ deterministic replay) and the pipeline timing model.
 """
 
 from repro.chain.block import GENESIS_HASH, Block
+from repro.chain.config import OEConfig
 from repro.chain.ledger import Ledger, TamperError
 from repro.chain.node import ReplicaNode
 from repro.chain.ordering import OrderingService
 from repro.chain.recovery import recover_node
 from repro.chain.sov import SOVBlockchain, SOVConfig
-from repro.chain.system import OEBlockchain, OEConfig, build_system
+from repro.chain.system import OEBlockchain
 
 __all__ = [
     "Block",
@@ -33,6 +34,5 @@ __all__ = [
     "SOVBlockchain",
     "SOVConfig",
     "TamperError",
-    "build_system",
     "recover_node",
 ]

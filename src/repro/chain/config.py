@@ -1,0 +1,98 @@
+"""What every Order-Execute run is configured by and reports with.
+
+:class:`OEConfig` describes one run (scheme, block shape, consensus and
+storage models, prepare backend); :func:`build_executor` turns it into the
+replica's DCC executor — HarmonyBC, AriaBC, RBC or the serial baseline;
+:func:`decision_digest` fingerprints a run's commit/abort decisions. The
+driver itself is :mod:`repro.shard.system`; this module sits below it so
+that worker processes, recovery and the fault drills can share the
+configuration without importing the driver.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass, field
+
+from repro.consensus.crypto import sha256_hex
+from repro.consensus.network import NetworkPreset
+from repro.core.harmony import HarmonyConfig, HarmonyExecutor
+from repro.dcc.aria import AriaExecutor
+from repro.dcc.rbc import RBCExecutor
+from repro.dcc.serial import SerialExecutor
+from repro.sim.costs import StorageProfile
+from repro.storage.engine import StorageEngine
+
+#: bytes shipped per transaction command in an OE block (vs the ~1.5 KB
+#: endorsed read-write sets SOV ships — the Figures 15/16 asymmetry).
+COMMAND_BYTES = 128
+
+
+def decision_digest(per_block_txns) -> str:
+    """A digest of every block's commit/abort decisions.
+
+    ``per_block_txns`` yields ``(block_id, txns)`` in block order. The
+    digest is a pure function of the decision layer (TIDs and statuses,
+    never timings), so two runs are decision-identical iff their digests
+    match.
+    """
+    parts = []
+    for block_id, txns in per_block_txns:
+        committed = ",".join(str(t.tid) for t in txns if t.committed)
+        aborted = ",".join(str(t.tid) for t in txns if t.aborted)
+        parts.append(f"{block_id}:{committed}|{aborted}")
+    return sha256_hex(";".join(parts).encode())
+
+
+@dataclass
+class OEConfig:
+    """Configuration of one Order-Execute system run."""
+
+    system: str = "harmony"  # harmony | aria | rbc | serial
+    block_size: int = 25
+    num_blocks: int = 40
+    num_replicas: int = 4
+    cores: int = 8
+    consensus: str = "kafka"  # kafka | hotstuff
+    network: NetworkPreset = NetworkPreset.DEFAULT_1G
+    profile: StorageProfile = StorageProfile.SSD
+    pool_pages: int = 48
+    checkpoint_interval: int = 10
+    #: delta-chain the durable checkpoints (False = the seed's full
+    #: deepcopy per interval, kept as the differential reference)
+    checkpoint_incremental: bool = True
+    #: delta checkpoints between base compactions of the chain
+    checkpoint_base_interval: int = 8
+    harmony: HarmonyConfig = field(default_factory=HarmonyConfig)
+    aria_reordering: bool = True
+    seed: int = 7
+    measure_false_aborts: bool = True
+    #: clients resubmit aborted transactions; retries consume block slots,
+    #: so high-abort protocols pay for their aborts in throughput
+    retry_aborted: bool = True
+    #: prepare backend: ``"serial"`` runs every prepare in-process (the
+    #: differential reference); ``"process"`` fans per-shard
+    #: ``prepare_block`` calls out to a ``ProcessPoolExecutor`` pool
+    #: (``repro.parallel``) — decisions, state hashes and certificates are
+    #: bit-identical, only wall-clock changes. Fault-armed runs fall back
+    #: to serial automatically so injected hooks keep firing in-process.
+    backend: str = "serial"
+    #: worker processes for ``backend="process"`` (``None`` = one per shard)
+    backend_workers: int | None = None
+    #: overlap block N+1's prepare with block N's commit (the paper's
+    #: inter-block pipelining, on real cores). Takes effect with
+    #: ``backend="process"`` on executors whose snapshot lag >= 2
+    #: (Harmony with ``inter_block``); otherwise runs identically to the
+    #: sequential driver.
+    pipelined: bool = False
+
+
+def build_executor(config: OEConfig, engine: StorageEngine, registry):
+    if config.system == "harmony":
+        return HarmonyExecutor(engine, registry, config.harmony)
+    if config.system == "aria":
+        return AriaExecutor(engine, registry, config.aria_reordering)
+    if config.system == "rbc":
+        return RBCExecutor(engine, registry)
+    if config.system == "serial":
+        return SerialExecutor(engine, registry)
+    raise ValueError(f"unknown OE system {config.system!r}")

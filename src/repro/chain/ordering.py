@@ -77,6 +77,10 @@ class ShardSequencer:
                 f"block {block.block_id}: {len(participants)} assignments "
                 f"for {len(block.specs)} specs"
             )
+        if self.num_shards == 1:
+            # the only shard hosts every transaction: its sub-block *is*
+            # the global block, and its ledger the global chain
+            return {0: block}
         per_shard: dict[int, Block] = {}
         for shard in range(self.num_shards):
             specs = []

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.chain.system import decision_digest
+from repro.chain.config import decision_digest
 from repro.core.reordering import KeyApply
 from repro.dcc.oracle import HistoryOracle
 from repro.faults.inject import FaultInjector

@@ -4,8 +4,7 @@ The pipeline exposes four fault seams, each a ``None``-by-default hook
 that costs one attribute check when no plan is armed:
 
 - ``ShardedBlockchain.fault_hook`` — the crash-point callback consulted by
-  :meth:`~repro.shard.system.ShardedBlockchain.process_global_block`
-  (generalizes the deprecated ``crash_after_prepare=`` kwarg);
+  :meth:`~repro.shard.system.ShardedBlockchain.process_global_block`;
 - ``ShardedBlockchain.vote_channel`` — the vote-exchange wire
   (:class:`FaultyVoteChannel` drops / duplicates / delays per plan);
 - ``CheckpointManager.fault_hook`` — skips or tears checkpoint writes;

@@ -42,7 +42,7 @@ from repro.faults.plan import (
 )
 from repro.shard.rebalance import migration_store_deltas
 from repro.shard.recovery import recover_shard_node
-from repro.shard.twopc import ShardVote
+from repro.shard.twopc import ShardVote, derive_votes
 
 
 @dataclass(frozen=True)
@@ -132,14 +132,11 @@ class SupervisedShardGroup:
                 if node.engine.store.last_committed_block < bid - 1:
                     self._catch_up(shard, node)
 
-        migration, participants, cross_tids, sub_blocks = (
-            chain.route_global_block(block, migration_barrier=_migration_barrier)
+        routed = chain.route_global_block(
+            block, migration_barrier=_migration_barrier
         )
-        expected = {
-            block.first_tid + j: shards
-            for j, shards in enumerate(participants)
-            if len(shards) > 1
-        }
+        migration, participants = routed.migration, routed.participants
+        expected, sub_blocks = routed.expected, routed.sub_blocks
         self.sub_block_log.append(sub_blocks)
 
         tracer = getattr(chain, "tracer", None)
@@ -172,7 +169,7 @@ class SupervisedShardGroup:
         )
         if tracer is not None:
             chain._trace_prepared(tracer, bid, prepared)
-        cast = self._votes_from(prepared, cross_tids)
+        cast = derive_votes(prepared, expected)
 
         # crash-after-prepare: the vote hit the wire, then the shard died
         # (with ``tear_log`` the log write behind the vote also tore).
@@ -246,7 +243,7 @@ class SupervisedShardGroup:
                         attrs={"txns": len(prep.txns)},
                         timing={"sim_us": sum(prep.sim_durations_us)},
                     )
-                cast.extend(self._votes_from({shard: prep}, cross_tids))
+                cast.extend(derive_votes({shard: prep}, expected))
 
         certificate = chain.cert_log.append(
             arrived, bid, expected=expected, migration=migration
@@ -474,24 +471,6 @@ class SupervisedShardGroup:
                 )
 
     # ------------------------------------------------------------ records
-    @staticmethod
-    def _votes_from(prepared: dict, cross_tids: set) -> list:
-        votes = []
-        for shard, prep in prepared.items():
-            for txn in prep.txns:
-                if txn.tid in cross_tids:
-                    votes.append(
-                        ShardVote(
-                            tid=txn.tid,
-                            shard_id=shard,
-                            commit=not txn.aborted,
-                            reason=(
-                                txn.abort_reason.value if txn.aborted else None
-                            ),
-                        )
-                    )
-        return votes
-
     def decision_records(self) -> list:
         """``(block_id, [txn, ...])`` per global block, each transaction's
         record taken from its coordinator shard — the same merged view

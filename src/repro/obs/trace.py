@@ -170,14 +170,14 @@ class Tracer:
         return det_digest(self.spans)
 
 
-def _arm_node(node, tracer: Tracer, shard: int | None) -> None:
+def _arm_node(node, tracer: Tracer, shard: int) -> None:
     manager = node.engine.checkpoints
     manager.tracer = tracer
     manager.trace_shard = shard
 
 
 def attach_tracer(chain, tracer: Tracer) -> Tracer:
-    """Arm ``tracer`` on every hook of an (un)sharded chain.
+    """Arm ``tracer`` on every hook of an Order-Execute chain.
 
     Wires the chain itself, the certificate log, every node's checkpoint
     manager (re-armed on rejoin, so recovered shards keep tracing), and
@@ -185,19 +185,12 @@ def attach_tracer(chain, tracer: Tracer) -> Tracer:
     (``_ensure_backend`` arms later-built ones from ``chain.tracer``).
     """
     chain.tracer = tracer
-    cert_log = getattr(chain, "cert_log", None)
-    if cert_log is not None:
-        cert_log.tracer = tracer
-    group = getattr(chain, "group", None)
-    if group is not None:
-        for shard, node in enumerate(group.nodes):
-            _arm_node(node, tracer, shard)
-        group.rejoin_listeners.append(
-            lambda shard, node: _arm_node(node, tracer, shard)
-        )
-    else:
-        _arm_node(chain.node, tracer, None)
-    backend = getattr(chain, "_prepare_backend", None)
-    if backend is not None:
-        backend.tracer = tracer
+    chain.cert_log.tracer = tracer
+    for shard, node in enumerate(chain.group.nodes):
+        _arm_node(node, tracer, shard)
+    chain.group.rejoin_listeners.append(
+        lambda shard, node: _arm_node(node, tracer, shard)
+    )
+    if chain._prepare_backend is not None:
+        chain._prepare_backend.tracer = tracer
     return tracer

@@ -49,6 +49,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
+from repro.chain.config import build_executor
 from repro.shard.federated import FederatedSnapshot
 from repro.shard.rebalance import migration_store_deltas
 from repro.sim.costs import CostModel
@@ -151,8 +152,6 @@ class _WorkerState:
         #: newest ownership epoch whose *store deltas* each shard's store
         #: has absorbed (via migration replay or a covering reset)
         self.store_mig_epochs = [0] * num_shards
-        from repro.chain.system import build_executor
-
         for shard in range(num_shards):
             if shard in owned:
                 engine = StorageEngine(

@@ -1,261 +1,103 @@
-"""Inter-block pipeline drivers: overlap block N's commit with N+1's prepare.
+"""The pipelined schedule: block N's commit lands inside N+1's prepare.
 
 The paper's pipelining story (Section 3.4) on real cores: with a snapshot
 lag of 2 (Harmony inter-block), block *i*'s simulation/validation reads
 snapshot *i−2* and validates against block *i−1*'s *decision facts* — both
-known before block *i−1*'s physical commit runs. So the drivers here
-dispatch block *i*'s prepare to the worker pool, run block *i−1*'s commit
-on the main process while the workers chew, then collect, certify and roll
-forward.
+known before block *i−1*'s physical commit runs. Inter-block parallelism
+is therefore a *scheduling* property of the one Order-Execute loop
+(:meth:`repro.shard.system.ShardedBlockchain.run`), not a second driver:
+the loop certifies block *i−1*, hands it to :class:`DeferredCommit`, and
+the commit runs on the main process while the worker pool prepares block
+*i*.
 
-Decision-stream equivalence with the sequential driver is exact:
+Decision-stream equivalence with the sequential schedule is exact:
 
 - block *i* is formed from the same retry queue — retries are final at
   certificate time (``decided_prepare_state`` applies the vetoes to the
   very transaction objects the deferred commit later re-marks);
 - the worker validates block *i* against ``decided_prepare_state`` of
-  block *i−1*, which equals the ``_prev_records`` the sequential path
+  block *i−1*, which equals the ``_prev_records`` the sequential schedule
   would have after committing it;
 - certificates are appended in block order, before the *next* block's
   certificate and after the previous one — the chain is byte-identical.
-
-Both drivers delegate per-block accounting to the chains' own absorb
-helpers, so sequential and pipelined runs cannot drift in bookkeeping.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
-from repro.shard.twopc import derive_votes
-from repro.sim.metrics import RunMetrics
-from repro.sim.rng import SeededRng
+class DeferredCommit:
+    """A one-deep queue holding the certified block whose commit is due."""
 
+    def __init__(self, chain, state) -> None:
+        backend = chain._ensure_backend()
+        if backend is None:  # closed, or suspended by an earlier fault
+            raise RuntimeError("pipelined run requested but the backend is suspended")
+        self.chain = chain
+        self.backend = backend
+        self._state = state
+        self._held = None  # (block index, outcome)
+        #: per shard, the cross-block decision state the next prepare
+        #: validates against
+        self._prepare_states = {
+            shard: node.executor.export_prepare_state()
+            for shard, node in enumerate(chain.group.nodes)
+        }
 
-@dataclass
-class _PendingBlock:
-    """A certified block whose physical commit is deferred one iteration."""
-
-    index: int
-    block: object
-    participants: list
-    cross_tids: set
-    sub_blocks: dict
-    certificate: object
-    prepared: dict
-    merged_txns: list
-
-
-def _commit_pending(chain, backend, state, pending: _PendingBlock) -> None:
-    from repro.shard.system import GlobalBlockOutcome
-
-    executions = chain.group.finish(pending.prepared, pending.certificate.abort_tids)
-    if chain.tracer is not None:
-        chain._trace_commits(chain.tracer, pending.block.block_id, executions)
-    backend.advance(
-        pending.block.block_id,
-        [
-            node.engine.writes_of(pending.block.block_id)
-            for node in chain.group.nodes
-        ],
-    )
-    outcome = GlobalBlockOutcome(
-        block=pending.block,
-        participants=pending.participants,
-        cross_tids=pending.cross_tids,
-        sub_blocks=pending.sub_blocks,
-        certificate=pending.certificate,
-        executions=executions,
-    )
-    chain._absorb_block(state, pending.index, outcome, merged_txns=pending.merged_txns)
-
-
-def run_sharded_pipelined(chain) -> RunMetrics:
-    """The pipelined driver for :class:`~repro.shard.system.ShardedBlockchain`.
-
-    Caller guarantees (``_pipelined_ready``): process backend, Harmony
-    inter-block (lag >= 2), no fault hooks armed.
-    """
-    config = chain.config
-    workload = chain.workload
-    backend = chain._ensure_backend()
-    if backend is None:  # suspended under our feet (fault armed mid-setup)
-        raise RuntimeError("pipelined run requested but the backend is suspended")
-    rng, state = chain._begin_run()
-    nodes = chain.group.nodes
-    executors = {shard: node.executor for shard, node in enumerate(nodes)}
-
-    retry_queue: list = []
-    decided_states = {
-        shard: executor.export_prepare_state()
-        for shard, executor in executors.items()
-    }
-    pending: _PendingBlock | None = None
-    for i in range(config.num_blocks):
-        retries = retry_queue[: config.block_size]
-        retry_queue = retry_queue[config.block_size :]
-        fresh = workload.generate_block(config.block_size - len(retries), rng)
-        block = chain.ordering.form_block(retries + fresh)
-
-        def _drain_pending() -> None:
-            # migration barrier: a due re-key ships key versions as of
-            # block i-1, so the deferred commit must land first — the
-            # one-block bubble is the price of an ownership change
-            nonlocal pending
-            if pending is not None:
-                _commit_pending(chain, backend, state, pending)
-                pending = None
-
-        migration, participants, cross_tids, sub_blocks = chain.route_global_block(
-            block, migration_barrier=_drain_pending
-        )
-        tracer = chain.tracer
+    def prepare(self, sub_blocks: dict) -> dict:
+        """Dispatch the prepares, then use the wait for main-side work:
+        ingest this block and commit the held one."""
+        nodes = self.chain.group.nodes
+        tracer = self.chain.tracer
         if tracer is not None:
-            tracer.event(
-                "enqueue",
-                block=block.block_id,
-                attrs={"retries": len(retries), "backlog": len(retry_queue)},
-            )
-            tracer.metrics.histogram("retry_queue_depth").observe(len(retry_queue))
-            chain._trace_order(
-                tracer, block, cross_tids, sub_blocks, frozenset(), frozenset()
-            )
+            block_id = sub_blocks[0].block_id
             # occupancy of the one-deep deferred-commit queue at dispatch
             tracer.metrics.histogram("pipeline.queue_depth").observe(
-                1 if pending is not None else 0
+                1 if self._held is not None else 0
             )
             tracer.anno(
                 "pipeline_dispatch",
-                block=block.block_id,
-                timing={"overlap": pending is not None},
+                block=block_id,
+                timing={"overlap": self._held is not None},
             )
-
-        # dispatch block i's prepares, then use the wait to do main-side
-        # work: ingest block i and commit block i-1.
-        futures = backend.submit(sub_blocks, decided_states)
-        verify_costs = {}
-        for shard, node in enumerate(nodes):
-            _txns, verify_costs[shard] = node.ingest_block(sub_blocks[shard])
-        if pending is not None:
-            _commit_pending(chain, backend, state, pending)
-            pending = None
-
-        prepared = backend.collect(futures, executors)
+        futures = self.backend.submit(sub_blocks, self._prepare_states)
+        verify_costs = {
+            shard: node.ingest_block(sub_blocks[shard])[1]
+            for shard, node in enumerate(nodes)
+        }
+        self.land()
+        prepared = self.backend.collect(
+            futures, {shard: node.executor for shard, node in enumerate(nodes)}
+        )
         for shard, prep in prepared.items():
             prep.extra_pre_exec_us += verify_costs[shard]
-        if tracer is not None:
-            chain._trace_prepared(tracer, block.block_id, prepared)
+        return prepared
 
-        votes = derive_votes(prepared, cross_tids)
-        expected = {
-            block.first_tid + j: shards
-            for j, shards in enumerate(participants)
-            if len(shards) > 1
+    def hold(self, index: int, outcome) -> None:
+        """Take a freshly certified block. Its decisions are final here:
+        mark the vetoes, derive the records the next block validates
+        against and the merged view its retries are read from — all before
+        (and idempotent with) the physical commit."""
+        chain = self.chain
+        nodes = chain.group.nodes
+        abort_tids = outcome.certificate.abort_tids
+        self._prepare_states = {
+            shard: nodes[shard].executor.decided_prepare_state(prep, abort_tids)
+            for shard, prep in outcome.prepared.items()
         }
-        certificate = chain.cert_log.append(
-            votes, block.block_id, expected=expected, migration=migration
+        outcome.merged_txns = chain.merged_view(
+            outcome.block,
+            outcome.participants,
+            {shard: prep.txns for shard, prep in outcome.prepared.items()},
         )
-        # the decision is final here: mark the vetoes, derive the records
-        # block i+1 validates against, and queue the retries — all before
-        # (and idempotent with) the deferred physical commit.
-        decided_states = {
-            shard: executors[shard].decided_prepare_state(
-                prepared[shard], certificate.abort_tids
-            )
-            for shard in prepared
-        }
-        merged_txns = chain.merged_view(
-            block, participants, {s: p.txns for s, p in prepared.items()}
-        )
-        if config.retry_aborted:
-            retry_queue.extend(t.spec for t in merged_txns if t.aborted)
-        pending = _PendingBlock(
-            index=i,
-            block=block,
-            participants=participants,
-            cross_tids=cross_tids,
-            sub_blocks=sub_blocks,
-            certificate=certificate,
-            prepared=prepared,
-            merged_txns=merged_txns,
-        )
-    if pending is not None:
-        _commit_pending(chain, backend, state, pending)
-    metrics = chain._finish_run(state)
-    metrics.extra["pipelined"] = True
-    chain.close_backend()
-    return metrics
+        self._held = (index, outcome)
 
-
-def run_oe_pipelined(chain) -> RunMetrics:
-    """The pipelined driver for the unsharded
-    :class:`~repro.chain.system.OEBlockchain` (one worker, real overlap of
-    prepare with the main process's commit + ingest)."""
-    from repro.parallel.backend import make_prepare_backend
-
-    config = chain.config
-    backend = make_prepare_backend(config, chain.workload, 1)
-    if backend is None:
-        raise RuntimeError(f"no process backend for system {config.system!r}")
-    if chain.tracer is not None:
-        backend.tracer = chain.tracer
-    node = chain.node
-    rng = SeededRng(config.seed, f"oe/{config.system}/{chain.workload.name}")
-    metrics = RunMetrics(system=config.system, workload=chain.workload.name)
-    interval = chain.consensus.min_block_interval_us(
-        chain._block_bytes(), config.num_replicas
-    )
-
-    timings: list = []
-    executions: list = []
-    retry_queue: list = []
-    decided_state = node.executor.export_prepare_state()
-    pending = None  # (block index, PreparedBlock)
-    try:
-        for i in range(config.num_blocks):
-            retries = retry_queue[: config.block_size]
-            retry_queue = retry_queue[config.block_size :]
-            fresh = chain.workload.generate_block(
-                config.block_size - len(retries), rng
-            )
-            block = chain.ordering.form_block(retries + fresh)
-            if chain.tracer is not None:
-                chain.tracer.event(
-                    "enqueue",
-                    block=block.block_id,
-                    attrs={"retries": len(retries), "backlog": len(retry_queue)},
-                )
-
-            futures = backend.submit({0: block}, {0: decided_state})
-            _txns, verify_cost = node.ingest_block(block)
-            if pending is not None:
-                prev_i, prev_prepared = pending
-                execution = node.finish_block(prev_prepared)
-                backend.advance(
-                    execution.block_id, [node.engine.writes_of(execution.block_id)]
-                )
-                chain._absorb_execution(
-                    metrics, timings, executions, prev_i, interval, execution
-                )
-                pending = None
-
-            prepared = backend.collect(futures, {0: node.executor})[0]
-            prepared.extra_pre_exec_us += verify_cost
-            decided_state = node.executor.decided_prepare_state(
-                prepared, frozenset()
-            )
-            if config.retry_aborted:
-                retry_queue.extend(t.spec for t in prepared.txns if t.aborted)
-            pending = (i, prepared)
-        if pending is not None:
-            prev_i, prev_prepared = pending
-            execution = node.finish_block(prev_prepared)
-            chain._absorb_execution(
-                metrics, timings, executions, prev_i, interval, execution
-            )
-    finally:
-        backend.close()
-    metrics = chain._finalize_metrics(metrics, timings, executions, interval)
-    metrics.extra["backend"] = "process"
-    metrics.extra["pipelined"] = True
-    return metrics
+    def land(self) -> None:
+        """Commit the held block, if any. Also the migration barrier: a
+        due re-key ships key versions as of block *i−1*, so that commit
+        must land first — the one-block bubble is the price of an
+        ownership change."""
+        if self._held is not None:
+            index, outcome = self._held
+            self._held = None
+            self.chain._commit(outcome)
+            self.chain._absorb_block(self._state, index, outcome)

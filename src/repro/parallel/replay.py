@@ -1,9 +1,11 @@
 """Pipelined replica replay: rebuild a full shard group on real cores.
 
 ``consistency_check`` and catastrophic (all-shard) recovery replay every
-sub-ledger strictly serially: shard after shard, block after block. This
-module replays the same artifacts — sub-ledgers plus the global
-certificate stream — with the per-shard prepares fanned out to the
+sub-ledger strictly serially: shard after shard, block after block
+(:func:`repro.shard.system.replay_group_serial`, the reference — it lives
+with the driver so that a serial-backend chain never imports the process
+machinery). This module replays the same artifacts — sub-ledgers plus the
+global certificate stream — with the per-shard prepares fanned out to the
 :mod:`repro.parallel.backend` worker pool, and (when the executor's
 snapshot lag legalizes it) block *i*'s prepare overlapped with block
 *i−1*'s commit, exactly like the live pipelined driver.
@@ -15,65 +17,7 @@ the rebuilt group's state is bit-identical to the serial replay's.
 
 from __future__ import annotations
 
-from repro.shard.rebalance import migration_store_deltas
-from repro.shard.system import ShardGroup
-
-
-def apply_replay_migration(group: ShardGroup, router, record) -> None:
-    """Install a certified migration's store deltas on a replaying group.
-
-    The shared router's ownership table already holds every epoch (replay
-    reuses the live chain's router), so only the per-store shipment at the
-    ``block_id - 1`` boundary happens here — cursor movement is the replay
-    loop's job.
-    """
-    if record is None:
-        return
-    fence = frozenset(dict(record.moves))
-    for node in group.nodes:
-        node.executor.migration_fences[record.block_id] = fence
-    incoming, outgoing = migration_store_deltas(record, router)
-    boundary = record.block_id - 1
-    for shard in sorted(set(incoming) | set(outgoing)):
-        items = dict(outgoing.get(shard, ()))
-        items.update(incoming.get(shard, ()))
-        group.nodes[shard].engine.apply_migration(boundary, items)
-
-
-def replay_group_serial(chain, name_prefix: str = "replay-serial") -> ShardGroup:
-    """The reference replay: a fresh group, every block prepared and
-    committed in-process, shard after shard (the seed's discipline).
-
-    Migration-aware: the fresh group splits genesis at epoch 0, and each
-    certified :class:`~repro.shard.rebalance.MigrationRecord` re-applies at
-    exactly its recorded height — the cursor save/restore keeps the shared
-    router usable by the live chain afterwards.
-    """
-    router = chain.router
-    saved_height = router.cursor_height
-    router.advance_to(0)
-    try:
-        other = ShardGroup(
-            chain.config,
-            chain.workload,
-            router,
-            chain.costs,
-            chain.orderer_signer,
-            name_prefix=name_prefix,
-        )
-        height = len(chain.group.nodes[0].ledger)
-        for i in range(height):
-            router.advance_to(i)
-            cert = chain.cert_log[i]
-            apply_replay_migration(other, router, cert.migration)
-            sub_blocks = {
-                shard: node.ledger[i] for shard, node in enumerate(chain.group.nodes)
-            }
-            prepared = other.prepare(sub_blocks)
-            other.finish(prepared, cert.abort_tids)
-        return other
-    finally:
-        router.advance_to(saved_height)
+from repro.shard.system import ShardGroup, apply_replay_migration, replay_group_serial
 
 
 def replay_group(

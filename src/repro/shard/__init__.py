@@ -55,21 +55,17 @@ round in their simulated duration and each sub-block with cross-shard
 members pays a vote-exchange round, both priced through the
 :class:`~repro.consensus.network.NetworkModel`.
 
-With ``num_shards=1`` every mechanism above collapses to the unsharded
-pipeline and :class:`ShardedBlockchain` is decision-identical to
-:class:`~repro.chain.system.OEBlockchain` — the invariant the test suite
-pins on all three workloads.
+With ``num_shards=1`` every mechanism above has nothing to do and
+:class:`ShardedBlockchain` *is* the unsharded chain:
+:class:`~repro.chain.system.OEBlockchain` is that configuration of the one
+driver (``tests/golden/driver_identity.json`` pins what both produced while
+they were still separate code).
 """
 
 from repro.shard.federated import FederatedSnapshot
 from repro.shard.recovery import ShardRecovery, recover_shard_node
 from repro.shard.router import ShardRouter
-from repro.shard.system import (
-    ShardConfig,
-    ShardedBlockchain,
-    ShardGroup,
-    build_sharded_system,
-)
+from repro.shard.system import ShardConfig, ShardedBlockchain, ShardGroup
 from repro.shard.twopc import (
     CertificateLog,
     CommitCertificate,
@@ -91,7 +87,6 @@ __all__ = [
     "ShardVote",
     "ShardedBlockchain",
     "VoteChannel",
-    "build_sharded_system",
     "decide",
     "recover_shard_node",
     "make_certificate",

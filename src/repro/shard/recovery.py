@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from repro.chain.node import ReplicaNode
 from repro.chain.recovery import rebuild_engine
-from repro.chain.system import decision_digest
+from repro.chain.config import decision_digest
 from repro.core.harmony import HarmonyExecutor
 from repro.shard.federated import FederatedSnapshot
 from repro.shard.rebalance import migration_store_deltas

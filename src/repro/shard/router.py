@@ -241,6 +241,8 @@ class ShardRouter:
 
     def split_state(self, state: dict) -> list[dict]:
         """Partition an initial-state map into per-shard slices."""
+        if self.num_shards == 1:
+            return [state]
         shards: list[dict] = [{} for _ in range(self.num_shards)]
         for key, value in state.items():
             shards[self.shard_of(key)][key] = value

@@ -1,4 +1,4 @@
-"""The sharded Order-Execute blockchain: N pipelines, one global order.
+"""The Order-Execute blockchain driver: N pipelines, one global order.
 
 :class:`ShardedBlockchain` runs one full OE pipeline per shard — each with
 its own :class:`~repro.storage.engine.StorageEngine`, DCC executor,
@@ -17,24 +17,27 @@ lane — under a single global ordering service. Per global block:
 4. every shard *commits*, honouring the certificate's vetoes and
    installing only the writes it owns.
 
-With ``num_shards=1`` every hook degenerates to the unsharded pipeline
-(no federation, no scope, no votes) and the run is decision-identical to
-:class:`~repro.chain.system.OEBlockchain` on the same seed.
+:meth:`ShardedBlockchain.run` is the only Order-Execute run loop. It has
+two schedules that differ in *when* a certified block's commit lands:
+right away, or — when the executor's snapshot lag legalizes it
+(:mod:`repro.parallel.pipeline`) — one iteration later, inside the next
+block's prepare window.
+
+``num_shards=1`` is the unsharded chain
+(:class:`~repro.chain.system.OEBlockchain` is exactly that configuration):
+every participant set is ``{0}``, the sub-block is the global block, no
+transaction is cross-shard, so routing, splitting, voting and remote-read
+pricing have nothing to compute and are skipped on those facts.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import weakref
+from dataclasses import dataclass, field
 
+from repro.chain.config import COMMAND_BYTES, OEConfig, build_executor, decision_digest
 from repro.chain.node import ReplicaNode
 from repro.chain.ordering import OrderingService, ShardSequencer
-from repro.chain.system import (
-    COMMAND_BYTES,
-    OEConfig,
-    append_block_latencies,
-    build_executor,
-    decision_digest,
-)
 from repro.consensus.crypto import Signer
 from repro.consensus.hotstuff import HotStuffConsensus
 from repro.consensus.kafka import KafkaOrdering
@@ -55,12 +58,11 @@ from repro.sim.scheduler import BlockTiming, PipelineSimulator, merge_shard_resu
 from repro.storage.engine import StorageEngine
 from repro.storage.mvstore import combine_state_hashes
 from repro.storage.wal import LogMode
-from repro.txn.transaction import AbortReason
 
 
 @dataclass
 class ShardConfig(OEConfig):
-    """An :class:`~repro.chain.system.OEConfig` plus the sharding knobs."""
+    """An :class:`~repro.chain.config.OEConfig` plus the sharding knobs."""
 
     num_shards: int = 1
     #: ``workload`` aligns with the workload's partition layout (falls back
@@ -114,53 +116,59 @@ def build_router(config: ShardConfig, workload) -> ShardRouter:
         )
     else:
         router = ShardRouter(config.num_shards, policy="hash")
-    router.use_footprints = getattr(config, "scan_footprints", True)
+    router.use_footprints = config.scan_footprints
     return router
 
 
 @dataclass
-class GlobalBlockRecord:
-    """One global block's outcome, kept when ``keep_history`` is set."""
-
-    block_id: int
-    merged_txns: list
-    executions: dict
-    participants: list
-    certificate: object
-
-
-@dataclass
 class GlobalBlockOutcome:
-    """The decision layer's result for one global block."""
+    """One global block on its way through the decision layer.
+
+    :meth:`ShardedBlockchain.route_global_block` fills the routing facts;
+    certification adds ``prepared`` and ``certificate`` (the block's
+    decisions are final from here on); the commit adds ``executions``. The
+    pipelined schedule holds an outcome between those last two steps.
+    """
 
     block: object
+    #: per transaction, the set of shards it runs on
     participants: list
-    cross_tids: set
+    #: tid -> participant set of every cross-shard transaction: the votes
+    #: the certificate waits for (a missing one degrades to a veto)
+    expected: dict
     sub_blocks: dict
-    certificate: object
-    #: shard -> BlockExecution; crashed shards (``crash_after_prepare``)
-    #: have no entry — they voted but never committed
-    executions: dict
+    #: the ownership change certified at this block, if one was due
+    migration: object = None
+    #: shards that never commit this block (injected crash)
+    skip_commit: frozenset = frozenset()
+    #: the worker pool that prepared the block (``None``: in-process)
+    backend: object = None
+    #: shard -> PreparedBlock
+    prepared: dict = None
+    certificate: object = None
+    #: shard -> BlockExecution; crashed shards have no entry — they voted
+    #: but never committed
+    executions: dict = None
+    #: one runtime record per transaction, from its coordinator shard
+    merged_txns: list = None
+
+    @property
+    def block_id(self) -> int:
+        return self.block.block_id
 
 
 @dataclass
-class _ShardedRunState:
-    """Accumulators shared by the sequential and pipelined run drivers."""
+class _RunState:
+    """What :meth:`ShardedBlockchain.run` accumulates block by block."""
 
     metrics: RunMetrics
     interval: float
     remote_round_us: float
     shard_timings: list
-    merged_blocks: list = None
-    per_block_committed: list = None
+    merged_blocks: list = field(default_factory=list)
+    per_block_committed: list = field(default_factory=list)
     cross_txns_total: int = 0
     cross_aborted_total: int = 0
-
-    def __post_init__(self) -> None:
-        self.merged_blocks = [] if self.merged_blocks is None else self.merged_blocks
-        self.per_block_committed = (
-            [] if self.per_block_committed is None else self.per_block_committed
-        )
 
 
 class ShardGroup:
@@ -300,7 +308,7 @@ class ShardedBlockchain:
         self.orderer_signer = Signer("ordering-service")
         self.ordering = OrderingService(self.orderer_signer)
         self.sequencer = ShardSequencer(config.num_shards, self.orderer_signer)
-        self.router = self._build_router()
+        self.router = build_router(config, workload)
         self.group = ShardGroup(
             config, workload, self.router, self.costs, self.orderer_signer
         )
@@ -328,9 +336,8 @@ class ShardedBlockchain:
         #: supervisor's catch-up re-applies it from the certified record,
         #: keyed off this mark so nothing applies twice.
         self._store_mig_epochs = [0] * config.num_shards
-        #: participant sets per global block (replayed by replicas)
-        self.participants_log: list[list[frozenset]] = []
-        self.history: list[GlobalBlockRecord] = []
+        #: every block's outcome, kept when ``config.keep_history`` is set
+        self.history: list[GlobalBlockOutcome] = []
         #: fault-point hook (``hook(block_id) -> (skip_prepare, skip_commit)
         #: | None``) consulted by :meth:`process_global_block`; ``None``
         #: (the default) costs one attribute check per block. Armed by
@@ -351,7 +358,17 @@ class ShardedBlockchain:
         #: injected hooks must run in-process) and cleared by rejoin,
         #: which resyncs the workers' store caches
         self._backend_suspended = False
-        self.group.rejoin_listeners.append(self._on_rejoin)
+        # held weakly: the group must not keep its chain alive, or a chain
+        # its caller dropped (with every store it preloaded) lingers until
+        # the next cyclic collection instead of being freed at once
+        chain_ref = weakref.ref(self)
+
+        def on_rejoin(shard: int, node: ReplicaNode) -> None:
+            chain = chain_ref()
+            if chain is not None:
+                chain._on_rejoin(shard, node)
+
+        self.group.rejoin_listeners.append(on_rejoin)
 
     # ------------------------------------------------------ prepare backend
     def _backend_lag(self) -> int:
@@ -415,9 +432,6 @@ class ShardedBlockchain:
             self._prepare_backend = None
         self._suspend_backend()
 
-    def _build_router(self) -> ShardRouter:
-        return build_router(self.config, self.workload)
-
     # ------------------------------------------------------------------ run
     def _block_bytes(self) -> int:
         return self.config.block_size * COMMAND_BYTES
@@ -443,31 +457,31 @@ class ShardedBlockchain:
         )
 
     # -------------------------------------------------------------- tracing
-    # Span emission helpers, shared by the sequential driver, the pipelined
-    # driver and the fault supervisor (which runs prepare/commit itself).
+    # Span emission helpers, shared with the fault supervisor (which runs
+    # prepare/commit itself).
     # Deterministic fields only carry decision-layer quantities; engine sim
     # durations (which legally differ across prepare backends) ride in the
     # ``timing`` annotation dict. Every per-shard loop iterates sorted shard
     # ids so the span order is independent of dict iteration order.
-    def _trace_order(
-        self, tracer, block, cross_tids, sub_blocks, skip_prepare, skip_commit
-    ) -> None:
+    def _trace_order(self, tracer, outcome, skip_prepare) -> None:
+        block = outcome.block
+        sub_blocks = outcome.sub_blocks
         tracer.event(
             "order",
             block=block.block_id,
             attrs={
                 "size": block.size,
-                "cross": len(cross_tids),
+                "cross": len(outcome.expected),
                 "sub_sizes": [sub_blocks[s].size for s in sorted(sub_blocks)],
             },
         )
-        if skip_prepare or skip_commit:
+        if outcome.skip_commit:
             tracer.fault(
                 "fault_directive",
                 block=block.block_id,
                 attrs={
                     "skip_prepare": sorted(skip_prepare),
-                    "skip_commit": sorted(skip_commit),
+                    "skip_commit": sorted(outcome.skip_commit),
                 },
             )
 
@@ -598,153 +612,165 @@ class ShardedBlockchain:
             tracer.metrics.counter("rebalance.migrations").inc()
             tracer.metrics.gauge("rebalance.epoch").set(record.epoch)
 
-    def route_global_block(self, block, migration_barrier=None):
-        """The routing front half shared by the sequential driver, the
-        pipelined driver and the fault supervisor: decide/apply any due
-        migration, route every spec, feed the policy telemetry, log the
-        participant sets and split the block.
+    def route_global_block(self, block, migration_barrier=None) -> GlobalBlockOutcome:
+        """The routing front half shared by both schedules of :meth:`run`
+        and the fault supervisor: decide/apply any due migration, route
+        every spec, feed the policy telemetry and split the block.
 
-        Returns ``(migration_record, participants, cross_tids,
-        sub_blocks)``. ``migration_barrier`` (pipelined driver, fault
-        supervisor) runs after a proposal is made but before the record is
-        built, so in-flight work can land and every store reaches the
-        boundary height first.
+        ``migration_barrier`` (pipelined schedule, fault supervisor) runs
+        after a proposal is made but before the record is built, so
+        in-flight work can land and every store reaches the boundary
+        height first.
         """
         migration = None
+        expected = {}
         policy = self.rebalance_policy
-        if policy is not None:
-            proposal = self.plan_rebalance(block.block_id)
-            if proposal is not None:
-                if migration_barrier is not None:
-                    migration_barrier()
-                migration = self.commit_rebalance(block.block_id, proposal)
-            policy.begin_block(block.block_id)
-            participants = []
-            for spec in block.specs:
-                parts, routed = self.router.route_spec(self.workload, spec)
-                participants.append(parts)
-                policy.observe_txn(routed, parts)
+        if self.config.num_shards == 1:
+            # the one shard hosts every transaction; none is cross-shard
+            participants = [frozenset({0})] * block.size
         else:
-            participants = [
-                self.router.participants_of(self.workload, spec)
-                for spec in block.specs
-            ]
-        self.participants_log.append(participants)
-        cross_tids = {
-            block.first_tid + j
-            for j, shards in enumerate(participants)
-            if len(shards) > 1
-        }
-        sub_blocks = self.sequencer.split(block, participants)
-        return migration, participants, cross_tids, sub_blocks
+            if policy is not None:
+                proposal = self.plan_rebalance(block.block_id)
+                if proposal is not None:
+                    if migration_barrier is not None:
+                        migration_barrier()
+                    migration = self.commit_rebalance(block.block_id, proposal)
+                policy.begin_block(block.block_id)
+                participants = []
+                for spec in block.specs:
+                    parts, routed = self.router.route_spec(self.workload, spec)
+                    participants.append(parts)
+                    policy.observe_txn(routed, parts)
+            else:
+                participants = [
+                    self.router.participants_of(self.workload, spec)
+                    for spec in block.specs
+                ]
+            expected = {
+                block.first_tid + j: shards
+                for j, shards in enumerate(participants)
+                if len(shards) > 1
+            }
+        return GlobalBlockOutcome(
+            block=block,
+            participants=participants,
+            expected=expected,
+            sub_blocks=self.sequencer.split(block, participants),
+            migration=migration,
+        )
 
-    def process_global_block(
-        self,
-        block,
-        crash_after_prepare: frozenset = frozenset(),
-        fault_hook=None,
-    ) -> GlobalBlockOutcome:
-        """Decision layer for one global block: route, split, prepare,
-        exchange votes, certify, commit.
+    def _certify(self, block, deferred=None, fault_hook=None) -> GlobalBlockOutcome:
+        """Route, prepare and certify one global block.
 
-        ``fault_hook`` (or the armed ``self.fault_hook``) generalizes the
-        crash flags into a fault point: called with the block id, it
-        returns ``None`` (no fault) or a ``(skip_prepare, skip_commit)``
-        pair of shard sets. Shards in ``skip_prepare`` die *before* the
-        sub-block arrives (never logged, never voted — with the vote
-        missing, the certificate's timeout degradation vetoes their
-        cross-shard transactions); shards in ``skip_commit`` die between
-        their prepare vote and the certificate append: the deterministic
-        votes were cast, the certificate lands, but the shard never
-        commits — its block log holds the input block, so recovery
-        replays it under the certificate's recorded decisions.
-
-        ``crash_after_prepare`` is the deprecated spelling of that second
-        window (pre-fault-plan API), kept as a thin shim: it feeds
-        ``skip_commit`` directly.
+        On return the block's decisions are final — the certificate is on
+        the chain — but nothing is applied yet: :meth:`_commit` does that.
+        ``deferred`` (the pipelined schedule's
+        :class:`~repro.parallel.pipeline.DeferredCommit`) runs the prepare
+        on the worker pool against the previous block's *decided* state and
+        lands that block's commit while the workers are busy.
         """
-        skip_prepare: frozenset = frozenset()
-        skip_commit: frozenset = crash_after_prepare
-        hook = fault_hook if fault_hook is not None else self.fault_hook
-        if hook is not None:
-            directive = hook(block.block_id)
+        skip_prepare = skip_commit = frozenset()
+        if fault_hook is not None:
+            directive = fault_hook(block.block_id)
             if directive is not None:
                 before, after = directive
-                skip_prepare = skip_prepare | before
-                skip_commit = skip_commit | before | after
-        migration, participants, cross_tids, sub_blocks = self.route_global_block(
-            block
+                skip_prepare = before
+                skip_commit = before | after
+        outcome = self.route_global_block(
+            block, migration_barrier=deferred.land if deferred is not None else None
         )
+        outcome.skip_commit = skip_commit
         tracer = self.tracer
         if tracer is not None:
-            self._trace_order(
-                tracer, block, cross_tids, sub_blocks, skip_prepare, skip_commit
-            )
-        faulted = bool(skip_prepare or skip_commit)
-        if faulted:
+            self._trace_order(tracer, outcome, skip_prepare)
+        if skip_commit:
             # injected faults must fire in-process; stay serial until a
             # rejoin resyncs the worker caches
             self._suspend_backend()
-        backend = None if (faulted or hook is not None) else self._ensure_backend()
-        if backend is not None:
-            prepared = backend.prepare(sub_blocks, self.group.nodes)
+        if deferred is not None:
+            backend = deferred.backend
+            prepared = deferred.prepare(outcome.sub_blocks)
         else:
-            prepared = self.group.prepare(sub_blocks, skip=skip_prepare)
+            backend = None if fault_hook is not None else self._ensure_backend()
+            if backend is not None:
+                prepared = backend.prepare(outcome.sub_blocks, self.group.nodes)
+            else:
+                prepared = self.group.prepare(outcome.sub_blocks, skip=skip_prepare)
+        outcome.backend = backend
         if tracer is not None:
             self._trace_prepared(tracer, block.block_id, prepared)
 
         # --- ordered vote exchange: prepare outcomes become the block
         # stream's commit certificate (deterministic all-yes rule).
-        votes = derive_votes(prepared, cross_tids)
+        votes = derive_votes(prepared, outcome.expected)
         if self.vote_channel is not None:
             votes = self.vote_channel.deliver(votes, block.block_id)
-        # expected participant sets arm the timeout→abort degradation for
-        # any vote that never arrived; with a full vote set (the
+        # the expected participant sets arm the timeout→abort degradation
+        # for any vote that never arrived; with a full vote set (the
         # fault-free case) they change nothing.
-        expected = {
-            block.first_tid + j: shards
-            for j, shards in enumerate(participants)
-            if len(shards) > 1
-        }
-        certificate = self.cert_log.append(
-            votes, block.block_id, expected=expected, migration=migration
+        outcome.prepared = prepared
+        outcome.certificate = self.cert_log.append(
+            votes,
+            block.block_id,
+            expected=outcome.expected,
+            migration=outcome.migration,
         )
-        executions = self.group.finish(
-            prepared, certificate.abort_tids, skip=skip_commit
+        return outcome
+
+    def _commit(self, outcome: GlobalBlockOutcome) -> None:
+        """Apply a certified block on every shard that is alive for it and
+        tell the prepare workers what was written."""
+        block_id = outcome.block_id
+        outcome.executions = self.group.finish(
+            outcome.prepared, outcome.certificate.abort_tids, skip=outcome.skip_commit
         )
-        if tracer is not None:
-            self._trace_commits(tracer, block.block_id, executions)
-        if backend is not None:
-            backend.advance(
-                block.block_id,
-                [node.engine.writes_of(block.block_id) for node in self.group.nodes],
+        if self.tracer is not None:
+            self._trace_commits(self.tracer, block_id, outcome.executions)
+        nodes = self.group.nodes
+        if outcome.backend is not None:
+            outcome.backend.advance(
+                block_id, [node.engine.writes_of(block_id) for node in nodes]
             )
         elif self._prepare_backend is not None:
             # suspended window: record what each shard actually committed
             # (None for crashed shards) so the rejoin resync re-ships only
             # the stale stores instead of every worker cache
             self._prepare_backend.advance_partial(
-                block.block_id,
+                block_id,
                 [
-                    node.engine.writes_of(block.block_id)
-                    if node.engine.store.last_committed_block >= block.block_id
+                    node.engine.writes_of(block_id)
+                    if node.engine.store.last_committed_block >= block_id
                     else None
-                    for node in self.group.nodes
+                    for node in nodes
                 ],
             )
-        return GlobalBlockOutcome(
-            block=block,
-            participants=participants,
-            cross_tids=cross_tids,
-            sub_blocks=sub_blocks,
-            certificate=certificate,
-            executions=executions,
+
+    def process_global_block(self, block, fault_hook=None) -> GlobalBlockOutcome:
+        """Decision layer for one global block: route, split, prepare,
+        exchange votes, certify, commit.
+
+        ``fault_hook`` (or the armed ``self.fault_hook``) is the crash
+        fault point: called with the block id, it returns ``None`` (no
+        fault) or a ``(skip_prepare, skip_commit)`` pair of shard sets.
+        Shards in ``skip_prepare`` die *before* the sub-block arrives
+        (never logged, never voted — with the vote missing, the
+        certificate's timeout degradation vetoes their cross-shard
+        transactions); shards in ``skip_commit`` die between their prepare
+        vote and the certificate append: the deterministic votes were cast,
+        the certificate lands, but the shard never commits — its block log
+        holds the input block, so recovery replays it under the
+        certificate's recorded decisions.
+        """
+        outcome = self._certify(
+            block, fault_hook=fault_hook if fault_hook is not None else self.fault_hook
         )
+        self._commit(outcome)
+        return outcome
 
     def _pipelined_ready(self) -> bool:
-        """Whether the inter-block pipelined driver may run: requested,
-        process backend available, and a snapshot lag that legalizes
-        preparing block *i* before block *i-1*'s commit."""
+        """Whether the commit may be deferred: requested, process backend
+        available, and a snapshot lag that legalizes preparing block *i*
+        before block *i-1*'s commit."""
         return (
             self.config.pipelined
             and self.config.backend == "process"
@@ -755,43 +781,16 @@ class ShardedBlockchain:
         )
 
     def run(self) -> RunMetrics:
-        if self._pipelined_ready():
-            from repro.parallel.pipeline import run_sharded_pipelined
+        """The Order-Execute loop: form a block, certify it, commit it.
 
-            return run_sharded_pipelined(self)
-        rng, state = self._begin_run()
+        Sequential schedule: block *i* commits before block *i+1* forms.
+        Pipelined schedule (legal iff :meth:`_pipelined_ready`): block
+        *i*'s commit is held and lands while the worker pool prepares
+        block *i+1* — the retries block *i+1* needs are already final at
+        certificate time, so both schedules form identical blocks.
+        """
         config = self.config
-        retry_queue: list = []
-        for i in range(config.num_blocks):
-            retries = retry_queue[: config.block_size]
-            retry_queue = retry_queue[config.block_size :]
-            fresh = self.workload.generate_block(
-                config.block_size - len(retries), rng
-            )
-            block = self.ordering.form_block(retries + fresh)
-            if self.tracer is not None:
-                self.tracer.event(
-                    "enqueue",
-                    block=block.block_id,
-                    attrs={"retries": len(retries), "backlog": len(retry_queue)},
-                )
-                self.tracer.metrics.histogram("retry_queue_depth").observe(
-                    len(retry_queue)
-                )
-            outcome = self.process_global_block(block)
-            merged_txns = self._absorb_block(state, i, outcome)
-            if config.retry_aborted:
-                retry_queue.extend(t.spec for t in merged_txns if t.aborted)
-        return self._finish_run(state)
-
-    # ------------------------------------------------- run bookkeeping
-    # The sequential loop above and the pipelined driver
-    # (repro.parallel.pipeline) share these, so the two paths can never
-    # drift in how a block's outcome is accounted.
-    def _begin_run(self):
-        config = self.config
-        rng = SeededRng(config.seed, f"oe/{config.system}/{self.workload.name}")
-        state = _ShardedRunState(
+        state = _RunState(
             metrics=RunMetrics(system=config.system, workload=self.workload.name),
             interval=self.consensus.min_block_interval_us(
                 self._block_bytes(), config.num_replicas
@@ -799,11 +798,56 @@ class ShardedBlockchain:
             remote_round_us=self._remote_read_round_us(),
             shard_timings=[[] for _ in range(config.num_shards)],
         )
-        return rng, state
+        deferred = None
+        if self._pipelined_ready():
+            from repro.parallel.pipeline import DeferredCommit
 
+            deferred = DeferredCommit(self, state)
+        rng = SeededRng(config.seed, f"oe/{config.system}/{self.workload.name}")
+        retry_queue: list = []
+        try:
+            for i in range(config.num_blocks):
+                retries = retry_queue[: config.block_size]
+                retry_queue = retry_queue[config.block_size :]
+                fresh = self.workload.generate_block(
+                    config.block_size - len(retries), rng
+                )
+                block = self.ordering.form_block(retries + fresh)
+                if self.tracer is not None:
+                    self.tracer.event(
+                        "enqueue",
+                        block=block.block_id,
+                        attrs={"retries": len(retries), "backlog": len(retry_queue)},
+                    )
+                    self.tracer.metrics.histogram("retry_queue_depth").observe(
+                        len(retry_queue)
+                    )
+                if deferred is None:
+                    outcome = self.process_global_block(block)
+                    self._absorb_block(state, i, outcome)
+                else:
+                    outcome = self._certify(block, deferred=deferred)
+                    deferred.hold(i, outcome)
+                if config.retry_aborted:
+                    retry_queue.extend(
+                        t.spec for t in outcome.merged_txns if t.aborted
+                    )
+            if deferred is not None:
+                deferred.land()
+            metrics = self._finish_run(state)
+            if deferred is not None:
+                metrics.extra["pipelined"] = True
+        finally:
+            if deferred is not None:
+                self.close_backend()  # also when a worker raised mid-run
+        return metrics
+
+    # ------------------------------------------------- run bookkeeping
     def merged_view(self, block, participants, txns_by_shard: dict) -> list:
         """One runtime record per transaction, from its coordinator shard
         (lowest participant id). ``txns_by_shard`` maps shard -> txns."""
+        if self.config.num_shards == 1:
+            return txns_by_shard[0]  # the sub-block is the block
         by_shard_tid = {
             shard: {t.tid: t for t in txns} for shard, txns in txns_by_shard.items()
         }
@@ -812,24 +856,22 @@ class ShardedBlockchain:
             for j in range(block.size)
         ]
 
-    def _absorb_block(
-        self, state, i: int, outcome: GlobalBlockOutcome, merged_txns: list = None
-    ) -> list:
-        config = self.config
+    def _absorb_block(self, state, i: int, outcome: GlobalBlockOutcome) -> None:
+        """Fold a committed block into the run's decision and timing
+        accounts."""
         block = outcome.block
         executions = outcome.executions
-        cross_tids = outcome.cross_tids
-        state.cross_txns_total += len(cross_tids)
+        expected = outcome.expected
+        state.cross_txns_total += len(expected)
         state.cross_aborted_total += len(outcome.certificate.abort_tids)
 
-        # --- merged (global) view: one runtime record per transaction,
-        # taken from its coordinator shard (lowest participant id).
-        if merged_txns is None:
-            merged_txns = self.merged_view(
+        if outcome.merged_txns is None:
+            outcome.merged_txns = self.merged_view(
                 block,
                 outcome.participants,
                 {shard: e.txns for shard, e in executions.items()},
             )
+        merged_txns = outcome.merged_txns
         state.merged_blocks.append((block.block_id, merged_txns))
 
         stats = BlockStats(block_id=block.block_id)
@@ -838,7 +880,7 @@ class ShardedBlockchain:
                 stats.committed += 1
             elif txn.aborted:
                 stats.aborted += 1
-        if config.measure_false_aborts:
+        if self.config.measure_false_aborts:
             stats.false_aborts = SerializabilityOracle.count_false_aborts(
                 merged_txns
             )
@@ -862,9 +904,8 @@ class ShardedBlockchain:
                 },
             )
             participant_hist = tracer.metrics.histogram("cross_participants")
-            for shards in outcome.participants:
-                if len(shards) > 1:
-                    participant_hist.observe(len(shards))
+            for shards in expected.values():
+                participant_hist.observe(len(shards))
 
         for shard in sorted(executions):
             execution = executions[shard]
@@ -872,15 +913,17 @@ class ShardedBlockchain:
             execution.pre_exec_serial_us += (
                 outcome.sub_blocks[shard].size * self.costs.ingest_us
             )
-            sim_durations = list(execution.sim_durations_us)
+            sim_durations = execution.sim_durations_us
             cross_here = 0
-            for idx, txn in enumerate(execution.txns):
-                if txn.tid in cross_tids:
-                    cross_here += 1
-                    if idx < len(sim_durations):
-                        # the cross-shard simulation waits one batched
-                        # remote-read round
-                        sim_durations[idx] += state.remote_round_us
+            if expected:
+                sim_durations = list(sim_durations)
+                for idx, txn in enumerate(execution.txns):
+                    if txn.tid in expected:
+                        cross_here += 1
+                        if idx < len(sim_durations):
+                            # the cross-shard simulation waits one batched
+                            # remote-read round
+                            sim_durations[idx] += state.remote_round_us
             post_commit = execution.post_commit_serial_us
             if cross_here:
                 # the vote exchange separates prepare from commit; in
@@ -924,17 +967,8 @@ class ShardedBlockchain:
                 )
             )
 
-        if config.keep_history:
-            self.history.append(
-                GlobalBlockRecord(
-                    block_id=block.block_id,
-                    merged_txns=merged_txns,
-                    executions=executions,
-                    participants=outcome.participants,
-                    certificate=outcome.certificate,
-                )
-            )
-        return merged_txns
+        if self.config.keep_history:
+            self.history.append(outcome)
 
     def _finish_run(self, state) -> RunMetrics:
         metrics = state.metrics
@@ -952,14 +986,21 @@ class ShardedBlockchain:
 
         metrics.sim_time_us = merged_result.makespan_us
         metrics.cpu_utilization = merged_result.cpu_utilization
-        append_block_latencies(
-            metrics,
-            merged_result.commit_finish_us,
-            state.interval,
-            self._consensus_latency_us(),
-            self.network.worst_one_way_us(self.config.num_replicas),
-            state.per_block_committed,
-        )
+        # per-block service latency of every committed transaction, backlog
+        # excluded: what a client observes at sustainable load — consensus,
+        # execution from the moment the replica could start the block, and
+        # the reply hop
+        commit_finish_us = merged_result.commit_finish_us
+        consensus_latency_us = self._consensus_latency_us()
+        reply_us = self.network.worst_one_way_us(self.config.num_replicas)
+        for i, committed in enumerate(state.per_block_committed):
+            started = i * state.interval
+            if i > 0:
+                started = max(started, commit_finish_us[i - 1])
+            block_latency = (
+                consensus_latency_us + (commit_finish_us[i] - started) + reply_us
+            )
+            metrics.latencies_us.extend([block_latency] * committed)
 
         for node in self.group.nodes:
             engine = node.engine
@@ -967,8 +1008,9 @@ class ShardedBlockchain:
             metrics.io_writes += engine.io_writes
             metrics.buffer_hits += engine.buffer_hits
             metrics.buffer_misses += engine.buffer_misses
-        metrics.extra["state_hash"] = self.group.combined_state_hash()
-        metrics.extra["shard_state_hashes"] = self.group.state_hashes()
+        shard_hashes = self.group.state_hashes()
+        metrics.extra["state_hash"] = combine_state_hashes(shard_hashes)
+        metrics.extra["shard_state_hashes"] = shard_hashes
         metrics.extra["ledger_ok"] = self.group.ledgers_ok()
         metrics.extra["decision_digest"] = decision_digest(state.merged_blocks)
         metrics.extra["num_shards"] = self.config.num_shards
@@ -1027,8 +1069,6 @@ class ShardedBlockchain:
         per-shard states from (sub-blocks, certificates) alone — the
         sharded analogue of the paper's replica-consistency claim.
         """
-        from repro.parallel.replay import replay_group_serial
-
         other = replay_group_serial(self, name_prefix="replica-1")
         return other.combined_state_hash() == self.group.combined_state_hash()
 
@@ -1043,10 +1083,58 @@ class ShardedBlockchain:
         return reasons
 
 
-def build_sharded_system(config: ShardConfig, workload) -> ShardedBlockchain:
-    """Convenience constructor matching :func:`repro.chain.system.build_system`."""
-    return ShardedBlockchain(config, workload)
+def apply_replay_migration(group: ShardGroup, router, record) -> None:
+    """Install a certified migration's store deltas on a replaying group.
+
+    The shared router's ownership table already holds every epoch (replay
+    reuses the live chain's router), so only the per-store shipment at the
+    ``block_id - 1`` boundary happens here — cursor movement is the replay
+    loop's job.
+    """
+    if record is None:
+        return
+    fence = frozenset(dict(record.moves))
+    for node in group.nodes:
+        node.executor.migration_fences[record.block_id] = fence
+    incoming, outgoing = migration_store_deltas(record, router)
+    boundary = record.block_id - 1
+    for shard in sorted(set(incoming) | set(outgoing)):
+        items = dict(outgoing.get(shard, ()))
+        items.update(incoming.get(shard, ()))
+        group.nodes[shard].engine.apply_migration(boundary, items)
 
 
-# re-exported for callers that reason about forced aborts
-CROSS_SHARD_ABORT = AbortReason.CROSS_SHARD_ABORT
+def replay_group_serial(chain, name_prefix: str = "replay-serial") -> ShardGroup:
+    """The reference replay: a fresh group, every block prepared and
+    committed in-process, shard after shard (the seed's discipline).
+
+    Migration-aware: the fresh group splits genesis at epoch 0, and each
+    certified :class:`~repro.shard.rebalance.MigrationRecord` re-applies at
+    exactly its recorded height — the cursor save/restore keeps the shared
+    router usable by the live chain afterwards.
+    """
+    router = chain.router
+    saved_height = router.cursor_height
+    router.advance_to(0)
+    try:
+        other = ShardGroup(
+            chain.config,
+            chain.workload,
+            router,
+            chain.costs,
+            chain.orderer_signer,
+            name_prefix=name_prefix,
+        )
+        height = len(chain.group.nodes[0].ledger)
+        for i in range(height):
+            router.advance_to(i)
+            cert = chain.cert_log[i]
+            apply_replay_migration(other, router, cert.migration)
+            sub_blocks = {
+                shard: node.ledger[i] for shard, node in enumerate(chain.group.nodes)
+            }
+            prepared = other.prepare(sub_blocks)
+            other.finish(prepared, cert.abort_tids)
+        return other
+    finally:
+        router.advance_to(saved_height)

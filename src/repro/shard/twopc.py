@@ -87,10 +87,12 @@ def derive_votes(prepared: dict, cross_tids) -> list[ShardVote]:
     """Each shard's prepare outcomes, folded into cross-shard votes.
 
     ``prepared`` maps shard id to its :class:`~repro.execution.PreparedBlock`;
-    a vote is cast per (cross-shard tid, participant). Shared by the
-    sequential decision layer and the pipelined/process-backend drivers so
-    the vote stream is one code path regardless of how prepares ran.
+    a vote is cast per (cross-shard tid, participant) — one code path for
+    the vote stream however the prepares ran. A block without cross-shard
+    transactions (every block of a one-shard chain) casts none.
     """
+    if not cross_tids:
+        return []
     votes: list[ShardVote] = []
     for shard, prep in prepared.items():
         for txn in prep.txns:

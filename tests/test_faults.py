@@ -10,8 +10,6 @@ full drill matrix (that lives in ``test_fault_drills.py`` behind the
   equivocation, and degrades missing votes to timeout vetoes;
 - the partition-degradation policy aborts deterministically instead of
   diverging;
-- the ``crash_after_prepare=`` kwarg shim and the generalizing fault hook
-  are decision-identical;
 - ``MVStore.writes_in_block``'s watermark index matches the naive
   every-chain walk (the satellite fix's differential).
 """
@@ -20,7 +18,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.chain.system import decision_digest
+from repro.chain.config import decision_digest
 from repro.faults.drill import run_drill
 from repro.faults.inject import FaultInjector, FaultyVoteChannel
 from repro.faults.plan import (
@@ -173,40 +171,6 @@ class TestVoteReconciliation:
         assert [v.shard_id for v in channel.deliver(votes, 3, attempt=2)] == [0, 1]
 
 
-class TestCrashShimEquivalence:
-    def test_kwarg_shim_matches_fault_hook(self):
-        """The deprecated ``crash_after_prepare=`` kwarg and the
-        generalizing fault hook take the identical code path: same
-        executions skipped, same certificate stream."""
-
-        def drive(crash_via_hook: bool):
-            chain = build_chain()
-            rng = SeededRng(chain.config.seed, "shim-equivalence")
-            skipped = None
-            for i in range(5):
-                block = chain.ordering.form_block(
-                    chain.workload.generate_block(chain.config.block_size, rng)
-                )
-                if i == 4:
-                    if crash_via_hook:
-                        hook = lambda bid: (frozenset(), frozenset({1}))
-                        outcome = chain.process_global_block(block, fault_hook=hook)
-                    else:
-                        outcome = chain.process_global_block(
-                            block, crash_after_prepare=frozenset({1})
-                        )
-                    skipped = set(outcome.executions)
-                else:
-                    chain.process_global_block(block)
-            return chain, skipped
-
-        via_kwarg, skipped_kwarg = drive(False)
-        via_hook, skipped_hook = drive(True)
-        assert skipped_kwarg == skipped_hook == {0}
-        assert via_kwarg.cert_log.head_hash == via_hook.cert_log.head_hash
-        assert via_kwarg.cert_log.verify_chain()
-
-
 class TestWritesInBlockDifferential:
     def test_indexed_walk_matches_naive_walk(self):
         """Satellite fix: the per-block key watermark returns exactly what
@@ -249,7 +213,7 @@ class TestQuickDrills:
     """Two representative drills stay in tier-1 so every PR exercises the
     supervised-recovery path; the full matrix runs behind ``-m faults``."""
 
-    def test_crash_after_prepare_drill_bit_identical(self):
+    def test_after_prepare_crash_drill_bit_identical(self):
         plan = FaultPlan(
             "unit-crash", 61, (FaultEvent(CRASH_AFTER_PREPARE, block_id=5, shard=0),)
         )

@@ -1,5 +1,5 @@
 """Tests for true parallel execution: the process-pool prepare backend,
-the inter-block pipelined drivers, and pipelined recovery replay.
+the run loop's pipelined schedule, and pipelined recovery replay.
 
 The contract under test is differential: ``backend="process"`` (with or
 without ``pipelined``) must be *bit-identical* to the serial reference in
@@ -9,6 +9,9 @@ which skip (with the reason) on machines without real parallelism.
 """
 
 from __future__ import annotations
+
+import multiprocessing
+import time
 
 import pytest
 
@@ -140,6 +143,88 @@ def test_pipelined_oe_bit_identical():
     assert piped.extra["pipelined"] is True
 
 
+@pytest.mark.parametrize("pipelined", [False, True])
+def test_migrated_run_same_certificates_on_both_schedules(pipelined):
+    """The migration barrier inside the one loop: a due re-key drains the
+    deferred commit before the boundary shipment, so the pipelined
+    schedule certifies the very MigrationRecords the sequential one does."""
+
+    def run(backend, pipelined):
+        config = ShardConfig(
+            num_shards=2,
+            num_blocks=8,
+            block_size=16,
+            seed=11,
+            backend=backend,
+            pipelined=pipelined,
+            rebalance="adaptive",
+            rebalance_check_interval=2,
+            rebalance_warmup_blocks=2,
+            rebalance_cooldown_blocks=2,
+            rebalance_skew_threshold=1.0,
+            rebalance_cross_threshold=0.0,
+            rebalance_max_keys=8,
+        )
+        workload = make_workload(
+            "adv-skewshift",
+            num_keys=96,
+            theta=1.1,
+            shift_period=48,
+            affinity=ShardAffinity(2, 0.4),
+        )
+        chain = ShardedBlockchain(config, workload)
+        try:
+            return chain.run(), chain
+        finally:
+            chain.close_backend()
+
+    reference, serial_chain = run("serial", False)
+    metrics, chain = run("process", pipelined)
+    assert reference.extra["migrations"] >= 1
+    assert metrics.extra.get("pipelined", False) is pipelined
+    for key in IDENTITY_KEYS + ("shard_state_hashes", "migrations"):
+        assert metrics.extra[key] == reference.extra[key], key
+    for ours, theirs in zip(
+        chain.cert_log.certificates(), serial_chain.cert_log.certificates()
+    ):
+        assert ours.hash == theirs.hash
+        assert ours.migration == theirs.migration
+    assert chain.consistency_check()
+
+
+def test_pipelined_run_closes_its_pools_when_a_worker_raises():
+    """An exception out of ``backend.collect`` mid-run must not leak the
+    worker pools the pipelined schedule opened."""
+    config = ShardConfig(
+        system="harmony",
+        num_shards=2,
+        num_blocks=6,
+        block_size=12,
+        seed=7,
+        backend="process",
+        pipelined=True,
+    )
+    chain = ShardedBlockchain(config, _workload(2))
+    form_block = chain.ordering.form_block
+
+    def stale_from_third_block(specs):
+        if chain.ordering.next_block_id == 2:
+            # an epoch bump whose reset payload never reaches the workers
+            backend = chain._prepare_backend
+            backend._pending_resets = [[] for _ in backend._pending_resets]
+            backend._epochs = [epoch + 1 for epoch in backend._epochs]
+        return form_block(specs)
+
+    chain.ordering.form_block = stale_from_third_block
+    with pytest.raises(StalePrepareError):
+        chain.run()
+    assert chain._prepare_backend is None
+    deadline = time.monotonic() + 10.0
+    while multiprocessing.active_children() and time.monotonic() < deadline:
+        time.sleep(0.05)  # shutdown(wait=False): the workers exit on their own
+    assert multiprocessing.active_children() == []
+
+
 def test_pipelined_requires_inter_block_lag():
     # aria (lag 1) must quietly use the sequential driver even when
     # pipelined is requested — decisions unchanged, no pipelined marker
@@ -176,7 +261,9 @@ def _drive_with_crash(backend: str, pipelined_recovery: bool = True):
         specs = chain.workload.generate_block(config.block_size, rng)
         block = chain.ordering.form_block(specs)
         if i == 4:
-            chain.process_global_block(block, crash_after_prepare=frozenset({1}))
+            chain.process_global_block(
+                block, fault_hook=lambda _b: (frozenset(), frozenset({1}))
+            )
             recovery = recover_shard_node(
                 chain.group.nodes[1],
                 1,

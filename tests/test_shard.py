@@ -6,9 +6,10 @@ Pins the three contracts ISSUE 4 names:
   (key, num_shards), stable under re-keying, fresh instances and query
   order, and the workload policy agrees with the affinity generator's
   partition layout;
-- **single-shard identity** — ``ShardedBlockchain(num_shards=1)`` is
-  decision- and state-identical to ``OEBlockchain`` on all three
-  workloads (and for every two-phase system);
+- **single-shard identity** — ``OEBlockchain`` is
+  ``ShardedBlockchain(num_shards=1)``, and at one shard routing, splitting
+  and voting have nothing to do (the numbers are pinned by
+  ``tests/test_driver_identity.py``);
 - **cross-shard commit** — vetoed transactions abort on *every*
   participant, certificates chain and replay to the same state on a fresh
   replica, and the committed cross-shard history is serializable per the
@@ -327,24 +328,41 @@ class TestTwoPhaseCommit:
 
 # ----------------------------------------------------- single-shard identity
 class TestSingleShardIdentity:
-    @pytest.mark.parametrize("workload_name", sorted(WORKLOADS))
-    @pytest.mark.parametrize("system", ("harmony", "aria", "rbc", "serial"))
-    def test_decision_identical_to_unsharded(self, system, workload_name):
-        oe = OEBlockchain(oe_config(system), WORKLOADS[workload_name]())
-        oe_metrics = oe.run()
-        sharded = ShardedBlockchain(
-            shard_config(system, num_shards=1), WORKLOADS[workload_name]()
+    """``OEBlockchain`` *is* the one-shard configuration of the driver.
+
+    What the two produced while they were separate code — every workload
+    and system the sweep that stood here ran, case for case — is pinned by
+    ``tests/golden/driver_identity.json`` (``shard-sweep/*``) and replayed
+    by ``tests/test_driver_identity.py``.
+    """
+
+    def test_oe_blockchain_is_the_one_shard_configuration(self):
+        oe = OEBlockchain(oe_config("harmony"), WORKLOADS["smallbank"]())
+        assert isinstance(oe, ShardedBlockchain)
+        assert oe.config.num_shards == 1
+        assert oe.config.block_size == 10 and oe.config.seed == 13
+        assert oe.node is oe.group.nodes[0]
+
+    def test_one_shard_has_nothing_to_route_split_or_vote_on(self):
+        chain = ShardedBlockchain(
+            shard_config(num_shards=1, keep_history=True), WORKLOADS["smallbank"]()
         )
-        shard_metrics = sharded.run()
-        assert (
-            shard_metrics.extra["decision_digest"]
-            == oe_metrics.extra["decision_digest"]
-        )
-        assert shard_metrics.extra["state_hash"] == oe_metrics.extra["state_hash"]
-        assert shard_metrics.committed == oe_metrics.committed
-        assert shard_metrics.aborted == oe_metrics.aborted
-        assert shard_metrics.false_aborts == oe_metrics.false_aborts
-        assert shard_metrics.extra["cross_shard_txns"] == 0
+        metrics = chain.run()
+        assert metrics.extra["cross_shard_txns"] == 0
+        for outcome in chain.history:
+            # the sub-block is the global block, the ledger the global chain
+            assert outcome.sub_blocks == {0: outcome.block}
+            assert outcome.expected == {}
+            assert outcome.certificate.votes == ()
+            assert outcome.merged_txns is outcome.executions[0].txns
+        assert chain.group.nodes[0].ledger.blocks() == [
+            outcome.block for outcome in chain.history
+        ]
+        assert chain.consistency_check()
+
+    def test_serial_runs_unsharded(self):
+        metrics = OEBlockchain(oe_config("serial"), WORKLOADS["ycsb"]()).run()
+        assert metrics.aborted == 0 and metrics.extra["ledger_ok"]
 
 
 # --------------------------------------------------------- cross-shard commit

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.chain.system import decision_digest
+from repro.chain.config import decision_digest
 from repro.shard.recovery import recover_shard_node
 from repro.shard.system import ShardConfig, ShardedBlockchain
 from repro.sim.rng import SeededRng
@@ -54,8 +54,12 @@ def drive(chain: ShardedBlockchain, num_blocks: int, crash_at=None, crash_shard=
         block = chain.ordering.form_block(
             chain.workload.generate_block(chain.config.block_size, rng)
         )
-        crash = frozenset({crash_shard}) if i == crash_at else frozenset()
-        outcomes.append(chain.process_global_block(block, crash_after_prepare=crash))
+        hook = (
+            (lambda _b: (frozenset(), frozenset({crash_shard})))
+            if i == crash_at
+            else None
+        )
+        outcomes.append(chain.process_global_block(block, fault_hook=hook))
     return outcomes
 
 

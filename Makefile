@@ -3,7 +3,7 @@
 
 PY := PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH)) python
 
-.PHONY: test loc conformance perf-smoke perf perf-parallel compare faults-smoke faults obs-smoke rebalance-smoke e2e-smoke e2e
+.PHONY: test loc conformance perf-smoke perf perf-parallel compare faults-smoke faults obs-smoke rebalance-smoke e2e-smoke e2e e2e-pairs
 
 # tier-1 verify: the whole default suite (perf/faults/tpcc markers
 # excluded by pytest.ini)
@@ -70,3 +70,14 @@ e2e-smoke:
 e2e:
 	mkdir -p benchmarks/results
 	python3 benchmarks/e2e/run.py --out benchmarks/results/e2e.json
+
+# the claim procedure (docs/performance.md): PAIRS alternating runs of the
+# PARENT revision's committed files (unpacked to a temporary directory) and
+# the working tree, benchmarks/e2e/run.py --trace 0 at the manifest's run
+# length; prints per-side median/quartiles, pair wins and per-seed equality
+# of the exact metrics. WORKLOAD is a comma-separated list or "all"
+WORKLOAD ?= all
+PARENT ?= HEAD
+PAIRS ?= 10
+e2e-pairs:
+	python3 tools/e2e_pairs.py --workload $(WORKLOAD) --parent $(PARENT) --pairs $(PAIRS)

@@ -12,13 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.consensus.crypto import sha256_hex
-from repro.txn.transaction import Txn, TxnSpec
+from repro.txn.transaction import Txn
 
 GENESIS_HASH = "0" * 64
-
-
-def _canonical_spec(spec: TxnSpec) -> str:
-    return f"{spec.proc}({spec.params!r})"
 
 
 @dataclass
@@ -49,11 +45,15 @@ class Block:
             self.hash = self.compute_hash()
 
     def header_bytes(self) -> bytes:
-        body = ";".join(_canonical_spec(s) for s in self.specs)
+        """The serialised header every hash and signature covers: a join of
+        the texts the specs carry (``TxnSpec.canonical``, derived once per
+        spec), read from whatever spec objects the block holds *now* —
+        swapping ``specs`` after the fact changes these bytes."""
+        body = ";".join([spec.canonical for spec in self.specs])
         header = f"{self.block_id}|{self.first_tid}|{self.prev_hash}|{body}"
         if self.tids is not None:
             # sub-blocks commit to their global TID assignment too
-            header += "|" + ",".join(str(t) for t in self.tids)
+            header += "|" + ",".join(map(str, self.tids))
         return header.encode()
 
     def tid_of(self, index: int) -> int:
@@ -82,6 +82,12 @@ class Block:
     def size(self) -> int:
         return len(self.specs)
 
-    def verify_integrity(self, expected_prev_hash: str) -> bool:
-        """Check the hash chain and the block's own digest."""
-        return self.prev_hash == expected_prev_hash and self.hash == self.compute_hash()
+    def verify_integrity(
+        self, expected_prev_hash: str, header: bytes | None = None
+    ) -> bool:
+        """Check the hash chain and the block's own digest. ``header`` is
+        this block's ``header_bytes()`` when the caller has just serialised
+        it (an ingest checks the signature against the same bytes)."""
+        if self.prev_hash != expected_prev_hash:
+            return False
+        return self.hash == sha256_hex(self.header_bytes() if header is None else header)

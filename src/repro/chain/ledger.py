@@ -29,8 +29,10 @@ class Ledger:
     def height(self) -> int:
         return len(self._blocks)
 
-    def append(self, block: Block) -> None:
-        if not block.verify_integrity(self.head_hash):
+    def append(self, block: Block, header: bytes | None = None) -> None:
+        """Verify and append; ``header`` is the block's ``header_bytes()``
+        when the caller has just serialised it (signature check)."""
+        if not block.verify_integrity(self.head_hash, header):
             raise TamperError(f"block {block.block_id} fails chain verification")
         self._blocks.append(block)
 

@@ -34,12 +34,15 @@ class ReplicaNode:
     def _ingest_block(self, block: Block) -> tuple[list[Txn], float]:
         """Verify, append and log one block; instantiate its transactions."""
         verify_cost = self.engine.costs.hash_us
+        # one serialisation per ingest: the signature and the chain digest
+        # are both checked against these bytes
+        header = block.header_bytes()
         if self._orderer_signer is not None:
-            if not self._orderer_signer.verify(block.header_bytes(), block.signature):
+            if not self._orderer_signer.verify(header, block.signature):
                 raise ValueError(f"block {block.block_id}: bad orderer signature")
             verify_cost += self.engine.costs.verify_us
 
-        self.ledger.append(block)  # raises TamperError on chain mismatch
+        self.ledger.append(block, header)  # raises TamperError on chain mismatch
         self.engine.log_block_input(block)
         return block.build_txns(), verify_cost
 

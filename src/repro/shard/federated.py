@@ -28,18 +28,22 @@ class FederatedSnapshot:
     """A snapshot of the whole sharded database as of one global block."""
 
     def __init__(self, router: ShardRouter, stores: list, block_id: int) -> None:
-        self._router = router
         self._views = [store.snapshot(block_id) for store in stores]
         self.block_id = block_id
         #: reads at snapshot ``h`` route by the owner at ``h + 1``:
         #: ownership migrations ship their deltas *inside* the boundary
         #: block, so a pre-boundary snapshot still finds the value (and no
         #: tombstone) on the source shard, a post-boundary one on the
-        #: destination.
-        self._owner_height = block_id + 1
+        #: destination. The epoch in force at that height is resolved here,
+        #: once: epochs are append-only and cumulative, so its override map
+        #: never changes under a later migration, and a read is one
+        #: ``dict.get`` on it before the router's static owner.
+        self._overrides = router.ownership.overrides_at(block_id + 1)
+        self._static_owner = router.base_shard_of
 
     def _owner(self, key: object) -> int:
-        return self._router.shard_of_at(key, self._owner_height)
+        owner = self._overrides.get(key)
+        return self._static_owner(key) if owner is None else owner
 
     def get(self, key: object):
         return self._views[self._owner(key)].get(key)

@@ -25,7 +25,15 @@ policy, later epochs add per-key overrides effective from an exact block
 height. The router keeps a *height cursor* (:meth:`advance_to`) so the
 hot single-argument lookups (``shard_of``, the executors' ``key_scope``
 closures) stay cursor-relative and cost one extra ``dict.get``, while
-height-explicit callers (snapshot reads, replay) use :meth:`shard_of_at`.
+height-explicit callers (replay, migration splits) use :meth:`shard_of_at`
+and a snapshot binds its epoch's override map once
+(:class:`~repro.shard.federated.FederatedSnapshot`).
+
+The static owner of a key never changes for the life of a router, so
+:meth:`base_shard_of` memoises it per touched key. Only the *static*
+answer is ever stored: every lookup consults the epoch's overrides first
+and falls through to the memo, so installing an epoch or moving the cursor
+invalidates nothing.
 """
 
 from __future__ import annotations
@@ -85,6 +93,10 @@ class ShardRouter:
         #: the height cursor single-argument lookups resolve against
         self._cursor_height = 0
         self._cur_overrides = self.ownership.overrides_at(0)
+        #: key -> static-policy owner, filled as keys are first routed
+        #: (never by :meth:`split_state`: a bulk load touches every key
+        #: once, so remembering them would only cost set-up and memory)
+        self._static_owners: dict = {}
 
     @classmethod
     def for_workload(cls, workload, num_shards: int) -> "ShardRouter":
@@ -135,10 +147,8 @@ class ShardRouter:
         return record.epoch
 
     # ------------------------------------------------------------- routing
-    def base_shard_of(self, key: object) -> int:
-        """The static-policy owner, ignoring ownership epochs."""
-        if self.num_shards == 1:
-            return 0
+    def _static_shard(self, key: object) -> int:
+        """Evaluate the static policy for ``key`` (pure, unmemoised)."""
         if self.policy == "range":
             return bisect_right(self._boundaries, key)
         if self.policy == "workload":
@@ -146,6 +156,16 @@ class ShardRouter:
             if position is not None:
                 return bisect_right(self._index_bounds, position)
         return self._hash_shard(key)
+
+    def base_shard_of(self, key: object) -> int:
+        """The static-policy owner, ignoring ownership epochs; evaluated
+        once per key and remembered."""
+        if self.num_shards == 1:
+            return 0
+        owner = self._static_owners.get(key)
+        if owner is None:
+            owner = self._static_owners[key] = self._static_shard(key)
+        return owner
 
     def shard_of(self, key: object) -> int:
         """The shard owning ``key`` at the cursor height; deterministic
@@ -244,6 +264,11 @@ class ShardRouter:
         if self.num_shards == 1:
             return [state]
         shards: list[dict] = [{} for _ in range(self.num_shards)]
+        overrides = self._cur_overrides
+        static_shard = self._static_shard
         for key, value in state.items():
-            shards[self.shard_of(key)][key] = value
+            owner = overrides.get(key)
+            if owner is None:
+                owner = static_shard(key)
+            shards[owner][key] = value
         return shards

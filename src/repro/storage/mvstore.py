@@ -92,10 +92,26 @@ def _visible_at(
 
 
 def canonical(value: object) -> str:
-    """A stable textual form of a stored value, for state hashing."""
+    """A stable textual form of a stored value, for state hashing.
+
+    Dicts print as ``{k=v,...}`` in sorted field order, integral floats as
+    ints (10.0 and 10 are one state), everything else as its ``repr``. A
+    row's ``str`` / ``int`` / ``float`` fields are formatted in the row's
+    own loop, by exact type, so a flat row costs one sort and one string
+    per field; only nested rows and other field types recurse.
+    """
     if isinstance(value, dict):
-        inner = ",".join(f"{k}={canonical(v)}" for k, v in sorted(value.items()))
-        return "{" + inner + "}"
+        fields = []
+        for name, item in sorted(value.items()):
+            kind = type(item)
+            if kind is str or kind is int:
+                text = repr(item)
+            elif kind is float:
+                text = str(int(item)) if item.is_integer() else repr(item)
+            else:
+                text = canonical(item)
+            fields.append(f"{name}={text}")
+        return "{" + ",".join(fields) + "}"
     if isinstance(value, float) and value.is_integer():
         return str(int(value))
     return repr(value)
@@ -407,24 +423,21 @@ class MVStore:
         combiner that a Byzantine replica could exploit).
         """
         if self._stale_keys:
-            digest = self._live_digest
+            # one pass: the accumulator moves by the plain integer sum of
+            # (new - old) and is reduced once, not per key
+            shift = 0
             key_digest = self._key_digest
             versions = self._versions
             for key in self._stale_keys:
                 chain = versions.get(key)
                 value = chain[-1][1] if chain else None
                 if value is TOMBSTONE or value is None:
-                    new = 0
+                    shift -= key_digest.pop(key, 0)
                 else:
                     new = _entry_digest(key, value)
-                old = key_digest.get(key, 0)
-                if new != old:
-                    digest = (digest - old + new) % _HASH_MOD
-                    if new:
-                        key_digest[key] = new
-                    else:
-                        del key_digest[key]
-            self._live_digest = digest
+                    shift += new - key_digest.get(key, 0)
+                    key_digest[key] = new
+            self._live_digest = (self._live_digest + shift) % _HASH_MOD
             self._stale_keys.clear()
         return f"{self._live_digest:064x}"
 

@@ -15,7 +15,7 @@ after reordering — but Rule 2 guarantees both evaluations agree).
 from __future__ import annotations
 
 from repro.storage.engine import StorageEngine
-from repro.storage.mvstore import SnapshotView
+from repro.storage.mvstore import TOMBSTONE, SnapshotView
 from repro.txn.commands import (
     AddFields,
     AddValue,
@@ -67,8 +67,6 @@ class SimulationContext:
         return value
 
     def _evaluate_own(self, command: UpdateCommand, snapshot_value: object) -> object:
-        from repro.storage.mvstore import TOMBSTONE
-
         result = command.apply(snapshot_value)
         self._charge_cpu()
         return None if result is TOMBSTONE else result

@@ -44,10 +44,25 @@ class TxnSpec:
 
     proc: str
     params: tuple = ()
+    #: the spec's canonical text — the unit every block header is joined
+    #: from. A pure function of the two frozen fields, so it is derived here,
+    #: once, and carried by the spec: the global block, every sub-block
+    #: sharing the object, signature checks, ledger appends, chain
+    #: back-traces and replay all read this string. Equality, hashing and
+    #: ``repr`` ignore it.
+    canonical: str = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "canonical", f"{self.proc}({self.params!r})")
 
     @property
     def param_dict(self) -> dict:
         return dict(self.params)
+
+    def __reduce__(self):
+        # derived state never travels: a pickled spec (process-backend
+        # sub-blocks) is its two fields and re-derives the text on arrival
+        return (type(self), (self.proc, self.params))
 
 
 @dataclass

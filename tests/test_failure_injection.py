@@ -54,6 +54,38 @@ class TestTamperScenarios:
         node.ledger[2].specs = (spec([("set", 0, 666)]),)
         assert not node.ledger.verify_chain()
 
+    def test_payload_tampered_between_two_deliveries_is_rejected(self):
+        """Warm path: the block was hashed and signed by the orderer, then
+        verified, appended and back-traced by one replica. A payload swapped
+        before it reaches the next replica fails there — bad signature first
+        with an orderer key, chain verification without one."""
+        signer = Signer("ordering-service")
+        ordering = OrderingService(signer)
+        first = make_node("r0", signer)
+        block = ordering.form_block([spec([("add", 0, 1)]), spec([("add", 1, 1)])])
+        first.process_block(block)
+        assert first.ledger.verify_chain()
+        block.specs = (block.specs[0], spec([("add", 1, 1_000_000)]))
+        with pytest.raises(ValueError, match="bad orderer signature"):
+            make_node("r1", signer).process_block(block)
+        with pytest.raises(TamperError):
+            make_node("r2", None).process_block(block)
+        # the replica that already holds it finds it by back-trace
+        assert not first.ledger.verify_chain()
+
+    def test_history_tampered_after_a_clean_backtrace_is_detected(self):
+        signer = Signer("ordering-service")
+        ordering = OrderingService(signer)
+        node = make_node(signer=signer)
+        for i in range(4):
+            node.process_block(ordering.form_block([spec([("add", i, 1)])]))
+        assert node.ledger.verify_chain() and node.ledger.verify_chain()
+        original = node.ledger[2].specs
+        node.ledger[2].specs = (spec([("set", 0, 666)]),)
+        assert not node.ledger.verify_chain()
+        node.ledger[2].specs = original  # restoring the objects restores it
+        assert node.ledger.verify_chain()
+
     def test_replayed_block_rejected(self):
         signer = Signer("ordering-service")
         ordering = OrderingService(signer)

@@ -11,6 +11,7 @@ rows and hashes.
 
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
@@ -28,7 +29,7 @@ from repro.dcc.oracle import (
 )
 from repro.execution import OverlayView
 from repro.intervals import RangeIndex, SortedKeys, covers
-from repro.storage.mvstore import MVStore, TOMBSTONE
+from repro.storage.mvstore import MVStore, TOMBSTONE, _entry_digest, canonical
 from repro.txn.commands import AddValue, SetValue
 from repro.txn.transaction import AbortReason, Txn, TxnSpec
 
@@ -508,6 +509,38 @@ class TestOverlayScan:
         )
 
 
+def _canonical_reference(value: object) -> str:
+    """The recursive definition of the state hash's value text (what
+    ``canonical`` was before it became one pass): dicts by sorted field,
+    integral floats as ints, anything else by ``repr``."""
+    if isinstance(value, dict):
+        inner = ",".join(
+            f"{k}={_canonical_reference(v)}" for k, v in sorted(value.items())
+        )
+        return "{" + inner + "}"
+    if isinstance(value, float) and value.is_integer():
+        return str(int(value))
+    return repr(value)
+
+
+_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers(-(10**20), 10**20)
+    | st.floats(allow_nan=True, allow_infinity=True)
+    | st.sampled_from([-0.0, 0.0, 1.0, -3.0, 2.5e15, 1e22])
+    | st.text(max_size=6)
+    | st.sampled_from(["it's", 'say "hi"', "a=b,c", "{x}"])
+)
+#: stored values as the workloads build them, and then some: scalars, flat
+#: rows, nested rows, tuples (a row field may hold any of them)
+_stored_values = st.recursive(
+    _scalars | st.tuples(_scalars, _scalars),
+    lambda inner: st.dictionaries(st.text("abcxyz_", min_size=1, max_size=4), inner, max_size=5),
+    max_leaves=12,
+)
+
+
 class TestMVStoreFastPaths:
     @given(st.lists(st.integers(0, 500), min_size=1, max_size=80, unique=True))
     @settings(max_examples=100, deadline=None)
@@ -548,6 +581,73 @@ class TestMVStoreFastPaths:
             ]
             store.apply_block(block_id, ordered)
             assert store.state_hash() == store.state_hash_full()
+
+    @given(_stored_values)
+    @settings(max_examples=300, deadline=None)
+    def test_one_pass_canonical_matches_recursive_definition(self, value):
+        assert canonical(value) == _canonical_reference(value)
+        key = ("k", 3)
+        payload = f"{key!r}->{_canonical_reference(value)};".encode()
+        assert _entry_digest(key, value) == int.from_bytes(
+            hashlib.sha256(payload).digest(), "big"
+        )
+
+    def test_canonical_corner_values(self):
+        class Row(dict):
+            pass
+
+        class Money(float):
+            pass
+
+        cases = [
+            (-0.0, "0"), (10.0, "10"), (1e16, "10000000000000000"), (0.5, "0.5"),
+            (True, "True"), (None, "None"), ("a'b", '"a\'b"'), ((1, 2.0), "(1, 2.0)"),
+            ({"b": 1.0, "a": {"z": -0.0, "y": False}}, "{a={y=False,z=0},b=1}"),
+            (Row(q=2.0), "{q=2}"), (Money(3.0), "3"), ({}, "{}"),
+        ]  # fmt: skip
+        for value, text in cases:
+            assert canonical(value) == text == _canonical_reference(value)
+        for value in (float("nan"), float("inf"), float("-inf")):
+            assert canonical(value) == repr(value) == _canonical_reference(value)
+            assert canonical({"f": value}) == _canonical_reference({"f": value})
+
+    @given(
+        st.lists(
+            st.lists(
+                st.tuples(st.integers(0, 12), st.none() | _stored_values),
+                min_size=1,
+                max_size=5,
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+        st.dictionaries(st.integers(0, 12), _stored_values, max_size=6),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_state_hash_matches_full_on_rich_values(self, blocks, shipped):
+        """Mixed loads, applies, tombstones and a migration-style load into
+        an applied block: the incremental accumulator (one reduction per
+        call) never drifts from the from-scratch sum, and the hash is a
+        function of the live content only."""
+        store = MVStore()
+        store.load({_key(i): {"id": i, "bal": float(i)} for i in range(0, 12, 2)})
+        assert store.state_hash() == store.state_hash_full()
+        for block_id, writes in enumerate(blocks):
+            store.apply_block(
+                block_id,
+                [(_key(i), TOMBSTONE if value is None else value) for i, value in writes],
+            )
+            if block_id % 2 == 0:  # odd blocks accumulate two blocks of stale keys
+                assert store.state_hash() == store.state_hash_full()
+        store.load(
+            {_key(i): value for i, value in shipped.items()},
+            block_id=len(blocks) - 1,
+            seq_start=1 << 20,
+        )
+        assert store.state_hash() == store.state_hash_full()
+        twin = MVStore()
+        twin.load(store.materialize())
+        assert twin.state_hash() == store.state_hash()
 
     def test_load_rejects_out_of_order_chain_append(self):
         """Re-loading an existing key after later blocks committed would

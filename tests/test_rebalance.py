@@ -142,6 +142,40 @@ class TestOwnershipTable:
         assert router.shard_of(key) == dst
 
 
+    def test_warm_static_memo_never_answers_for_an_override(self):
+        """The memo stores only the static policy's answer, and every lookup
+        asks the epoch's overrides first: installing epochs over keys whose
+        owner is already remembered re-routes them at exactly the recorded
+        heights, and moving them back (an override equal to the static
+        owner) is an override like any other."""
+        router = ShardRouter(4, policy="hash")
+        keys = [("adv", i) for i in range(12)]
+        static = {key: router.shard_of(key) for key in keys}  # memo warm
+        assert router._static_owners == static
+        away = {key: (owner + 1) % 4 for key, owner in static.items()}
+        router.apply_migration(
+            MigrationRecord(5, 1, moves=tuple((k, away[k]) for k in keys[:6]))
+        )
+        router.apply_migration(
+            MigrationRecord(
+                9, 2, moves=((keys[0], static[keys[0]]), (keys[7], away[keys[7]]))
+            )
+        )
+        expected = {
+            4: dict(static),
+            5: {**static, **{k: away[k] for k in keys[:6]}},
+            9: {**static, **{k: away[k] for k in keys[1:6]}, keys[7]: away[keys[7]]},
+        }
+        for height, owners in expected.items():
+            for key in keys:
+                assert router.shard_of_at(key, height) == owners[key]
+            router.advance_to(height)
+            assert {key: router.shard_of(key) for key in keys} == owners
+            assert router.shards_for(keys) == frozenset(owners.values())
+        assert router._static_owners == static  # no override ever leaked in
+        assert all(router.base_shard_of(key) == static[key] for key in keys)
+
+
 class TestMigrationRecord:
     def test_payload_text_covers_every_field(self):
         base = MigrationRecord(

@@ -146,6 +146,38 @@ class TestShardRouter:
         assert merged == state
 
 
+    def test_static_owner_is_evaluated_once_per_key(self):
+        """``base_shard_of`` remembers the static policy's answer per
+        touched key; ``split_state`` (a bulk pass over every key, once) and
+        a one-shard router (nothing to decide) remember nothing."""
+        workload = WORKLOADS["ycsb"]()
+        calls = []
+
+        def counting_index(key):
+            calls.append(key)
+            return workload.shard_index(key)
+
+        router = ShardRouter(
+            4, policy="workload", index_fn=counting_index, index_space=workload.shard_space
+        )
+        reference = ShardRouter.for_workload(workload, 4)
+        state = workload.initial_state()
+        assert router.split_state(state) == reference.split_state(state)
+        assert router._static_owners == {} and len(calls) == len(state)
+        keys = list(state)[:40]
+        del calls[:]
+        for _ in range(3):
+            for key in keys:
+                assert router.shard_of(key) == reference._static_shard(key)
+                assert router.base_shard_of(key) == router.shard_of_at(key, 9)
+        assert calls == keys  # one evaluation per key, in first-touch order
+        assert set(router._static_owners) == set(keys)
+
+        single = ShardRouter.for_workload(workload, 1)
+        assert {single.shard_of(key) for key in keys} == {0}
+        assert single._static_owners == {}
+
+
 def _rng():
     from repro.sim.rng import SeededRng
 
@@ -169,6 +201,46 @@ class TestFederatedScan:
             store.load(part)
             stores.append(store)
         return FederatedSnapshot(router, stores, block_id=-1)
+
+    def test_snapshot_reads_route_by_the_epoch_in_force_at_its_height(self):
+        """A snapshot binds its epoch's override map when it is built. A
+        migration installed *later* (effective at a later height) moves the
+        router's cursor and the live lookups, never the reads of a snapshot
+        that already exists — with the static-owner memo warm on both keys,
+        so a remembered owner can never stand in for an override."""
+        from repro.shard.federated import FederatedSnapshot
+        from repro.shard.rebalance import MigrationRecord
+        from repro.storage.mvstore import MIGRATION_SEQ_BASE, MVStore, TOMBSTONE
+
+        router = ShardRouter(2, policy="hash")
+        moved, still = ("acct", 1), ("acct", 2)
+        src, dst = router.shard_of(moved), 1 - router.shard_of(moved)  # memo warm
+        home = router.shard_of(still)
+        stores = [MVStore(), MVStore()]
+        stores[src].load({moved: 100})
+        stores[home].load({still: 7})
+        for store in stores:
+            store.apply_block(0, [])
+            store.apply_block(1, [])
+        early = FederatedSnapshot(router, stores, block_id=0)  # owner height 1
+        # certified at block 2: deltas ship inside block 1, owner flips at 2
+        record = MigrationRecord(2, 1, moves=((moved, dst),), deltas=((moved, 100),))
+        stores[dst].load({moved: 100}, block_id=1, seq_start=MIGRATION_SEQ_BASE)
+        stores[src].load({moved: TOMBSTONE}, block_id=1, seq_start=MIGRATION_SEQ_BASE)
+        router.apply_migration(record)
+        late = FederatedSnapshot(router, stores, block_id=1)  # owner height 2
+
+        assert router.shard_of(moved) == dst and router.base_shard_of(moved) == src
+        assert (router.shard_of_at(moved, 1), router.shard_of_at(moved, 2)) == (src, dst)
+        assert early._owner(moved) == src and late._owner(moved) == dst
+        assert early.get(moved) == (100, (-1, 0))  # still on the source, no tombstone
+        assert late.get(moved) == (100, (1, MIGRATION_SEQ_BASE))
+        assert late.get_entry(moved)[0] == 100
+        for snap in (early, late):
+            assert snap._owner(still) == home and snap.get(still)[0] == 7
+        # moving the cursor back re-routes live lookups, not built snapshots
+        router.advance_to(0)
+        assert router.shard_of(moved) == src and late._owner(moved) == dst
 
     def test_stream_merge_matches_materialized_union(self):
         snap = self._snapshot()

@@ -1,0 +1,166 @@
+"""Alternating parent/change pairs of the end-to-end benchmark.
+
+The measuring procedure a PR that claims (or must not lose) host speed
+follows, as one command::
+
+    python3 tools/e2e_pairs.py --workload smallbank_4shard --parent HEAD --pairs 10
+    make e2e-pairs WORKLOAD=smallbank_4shard PARENT=HEAD PAIRS=10
+
+The parent revision's committed files are unpacked into a temporary
+directory (``git archive``; nothing in ``.git`` or the working tree is
+touched) and the change is the working tree as it stands. Pair *i* runs
+``benchmarks/e2e/run.py --workload W --seed SEED+i --seconds S --trace 0``
+on both sides, in fresh interpreters, one at a time, alternating which side
+goes first; ``S`` defaults to the manifest's ``run_seconds``. Printed per
+workload and end-to-end metric: each side's median and quartiles, the
+change/parent ratio of medians, and how many pairs the change won (ties
+count for neither). A host metric is marked ``GAIN`` / ``LOSS`` only by the
+rule ``docs/performance.md`` states: at least ten pairs, ahead in at least
+nine tenths of them *and* medians apart by more than the parent's
+inter-quartile distance. The modeled metrics and ``commit_rate`` must be identical per
+seed; any pair where they are not, any incorrect run and any rise in the
+failed share make the command exit 1.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import pathlib
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "benchmarks" / "e2e"), str(ROOT / "src")]
+
+from e2e_harness import EXACT  # noqa: E402  (metrics that repeat exactly per seed)
+
+
+def unpack(rev: str, into: str) -> None:
+    """The committed files of ``rev``, as the benchmark driver sees them."""
+    archive = subprocess.run(
+        ["git", "archive", "--format=tar", rev], cwd=ROOT, capture_output=True, check=True
+    ).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(into)
+
+
+def run_once(checkout: pathlib.Path, workload: str, seed: int, seconds: int) -> dict:
+    """One driver-mode invocation; its last stdout line is the result."""
+    command = [
+        sys.executable, str(checkout / "benchmarks" / "e2e" / "run.py"),
+        "--workload", workload, "--seed", str(seed),
+        "--seconds", str(seconds), "--trace", "0",
+    ]  # fmt: skip
+    done = subprocess.run(command, capture_output=True, text=True, timeout=1800)
+    lines = done.stdout.splitlines()
+    if not lines or not lines[-1].startswith("{"):
+        raise SystemExit(f"{checkout}: {workload} gave no result\n{done.stderr}")
+    return json.loads(lines[-1])
+
+
+def quartiles(values: list) -> tuple:
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, median, q3
+
+
+def report(workload: str, runs: dict, metrics: list) -> bool:
+    """Print the table for one workload; False when a hard check failed."""
+    ok = True
+    pairs = len(runs["parent"])
+    print(f"\n{workload}: {pairs} pair(s)   (q1 / median / q3 per side)")
+    for metric in metrics:
+        name, higher = metric["name"], metric["better"] == "higher"
+        sides = {
+            side: [run["metrics"][name]["value"] for run in results]
+            for side, results in runs.items()
+        }
+        if name in EXACT:
+            differing = sum(p != c for p, c in zip(sides["parent"], sides["change"]))
+            ok &= not differing
+            status = "identical per seed" if not differing else f"DIFFERS in {differing} pair(s)"
+            print(f"  {name:<24} {status}")
+            continue
+        (pq1, pmed, pq3), (cq1, cmed, cq3) = quartiles(sides["parent"]), quartiles(sides["change"])
+        # per pair, how far the change is ahead in the metric's good direction
+        leads = [(c - p) if higher else (p - c) for p, c in zip(sides["parent"], sides["change"])]
+        ahead, behind = sum(lead > 0 for lead in leads), sum(lead < 0 for lead in leads)
+        # the rule is stated for at least ten pairs; fewer is a sizing run
+        apart = pairs >= 10 and abs(cmed - pmed) > (pq3 - pq1)
+        verdict = ""
+        if apart and ahead >= 0.9 * pairs:
+            verdict = "GAIN"
+        elif apart and behind >= 0.9 * pairs:
+            verdict = "LOSS"
+        print(
+            f"  {name:<24} parent {pq1:.6g} / {pmed:.6g} / {pq3:.6g}   "
+            f"change {cq1:.6g} / {cmed:.6g} / {cq3:.6g}   "
+            f"x{cmed / pmed:.3f}   ahead {ahead}/{pairs}, behind {behind}/{pairs}"
+            f"   {verdict}  [{metric['unit']}, {metric['better']} is better, bound {metric['bound']:.0%}]"
+        )
+    for side, results in runs.items():
+        incorrect = sum(not run["correct"] for run in results)
+        if incorrect:
+            ok = False
+            print(f"  {side}: {incorrect} run(s) not correct")
+    shares = {
+        side: sum(run["failed"] for run in results) / sum(run["attempted"] for run in results)
+        for side, results in runs.items()
+    }
+    if shares["change"] > shares["parent"]:
+        ok = False
+    print(f"  failed share             parent {shares['parent']:.6g}   change {shares['change']:.6g}")
+    return ok
+
+
+def main() -> int:
+    with open(ROOT / "BENCHMARK.json") as handle:
+        manifest = json.load(handle)
+    names = [w["name"] for w in manifest["workloads"]]
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--workload", default="all", help="comma-separated names, or 'all'")
+    parser.add_argument("--parent", default="HEAD", help="revision the working tree is compared with")
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seed", type=int, default=7, help="pair i runs seed SEED+i on both sides")
+    parser.add_argument("--seconds", type=int, default=manifest["run_seconds"])
+    parser.add_argument("--out", help="write every run's result line to this JSON file")
+    args = parser.parse_args()
+    wanted = names if args.workload == "all" else args.workload.split(",")
+    unknown = sorted(set(wanted) - set(names))
+    if unknown or args.pairs < 1:
+        parser.error(f"unknown workload(s) {unknown}" if unknown else "--pairs must be >= 1")
+
+    ok = True
+    record = {}
+    with tempfile.TemporaryDirectory(prefix="e2e-parent-") as parent_dir:
+        unpack(args.parent, parent_dir)
+        checkouts = {"parent": pathlib.Path(parent_dir), "change": ROOT}
+        for workload in wanted:
+            runs = {"parent": [], "change": []}
+            for pair in range(args.pairs):
+                order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
+                for side in order:
+                    result = run_once(checkouts[side], workload, args.seed + pair, args.seconds)
+                    runs[side].append(result)
+                    print(
+                        f"{workload} pair {pair} {side:<6} host_tps "
+                        f"{result['metrics']['host_tps']['value']:.6g}",
+                        flush=True,
+                    )
+            record[workload] = runs
+            ok &= report(workload, runs, manifest["end_to_end"])
+    if args.out:
+        with open(args.out, "w") as handle:
+            json.dump({"parent": args.parent, "seed": args.seed, "runs": record}, handle, indent=1)
+    print("OK" if ok else "FAILED")
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

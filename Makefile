@@ -11,12 +11,14 @@ test:
 	$(PY) -m pytest -x -q
 
 # size ledger (informational, never fails): lines per package of src/repro,
-# their total, and tests/ — ROADMAP aim 2 tracks these
+# their total, the chain/ + shard/ + parallel/ figure ROADMAP direction 2's
+# acceptance tracks, and tests/ — ROADMAP aim 2 tracks these
 loc:
 	@for d in src/repro/*/; do \
 		printf '%7d %s\n' "$$(cat $$d*.py | wc -l)" "$$d"; \
 	done
 	@printf '%7d src/repro total\n' "$$(find src/repro -name '*.py' | xargs cat | wc -l)"
+	@printf '%7d chain/ + shard/ + parallel/\n' "$$(cat src/repro/chain/*.py src/repro/shard/*.py src/repro/parallel/*.py | wc -l)"
 	@printf '%7d tests total\n' "$$(find tests -name '*.py' | xargs cat | wc -l)"
 
 # full conformance sweep: every scheme x every registered workload,

@@ -1,8 +1,9 @@
 """What every Order-Execute run is configured by and reports with.
 
 :class:`OEConfig` describes one run (scheme, block shape, consensus and
-storage models, prepare backend); :func:`build_executor` turns it into the
-replica's DCC executor — HarmonyBC, AriaBC, RBC or the serial baseline;
+storage models, prepare backend); :func:`build_engine` and
+:func:`build_executor` turn it into a replica's storage engine and DCC
+executor — HarmonyBC, AriaBC, RBC or the serial baseline;
 :func:`decision_digest` fingerprints a run's commit/abort decisions. The
 driver itself is :mod:`repro.shard.system`; this module sits below it so
 that worker processes, recovery and the fault drills can share the
@@ -19,8 +20,9 @@ from repro.core.harmony import HarmonyConfig, HarmonyExecutor
 from repro.dcc.aria import AriaExecutor
 from repro.dcc.rbc import RBCExecutor
 from repro.dcc.serial import SerialExecutor
-from repro.sim.costs import StorageProfile
+from repro.sim.costs import CostModel, StorageProfile
 from repro.storage.engine import StorageEngine
+from repro.storage.wal import LogMode
 
 #: bytes shipped per transaction command in an OE block (vs the ~1.5 KB
 #: endorsed read-write sets SOV ships — the Figures 15/16 asymmetry).
@@ -84,6 +86,22 @@ class OEConfig:
     #: (Harmony with ``inter_block``); otherwise runs identically to the
     #: sequential driver.
     pipelined: bool = False
+
+
+def build_engine(config: OEConfig, costs: CostModel) -> StorageEngine:
+    """An empty Order-Execute storage engine as ``config`` describes it
+    (logical logging: the input blocks are the log) — the main process's
+    shard replicas and the prepare workers' copies of them are built here,
+    so the two cannot drift."""
+    return StorageEngine(
+        costs=costs,
+        profile=config.profile,
+        pool_pages=config.pool_pages,
+        log_mode=LogMode.LOGICAL,
+        checkpoint_interval=config.checkpoint_interval,
+        incremental_checkpoints=config.checkpoint_incremental,
+        checkpoint_base_interval=config.checkpoint_base_interval,
+    )
 
 
 def build_executor(config: OEConfig, engine: StorageEngine, registry):

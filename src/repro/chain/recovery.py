@@ -7,7 +7,9 @@ its base (see :mod:`repro.storage.checkpoint`); the previous recovery
 point survives a crash mid-checkpoint because chain entries are never
 overwritten — and re-executes the logged blocks after it. Determinism
 guarantees the replica converges to exactly the state it held before the
-crash, with no ARIES-style redo/undo.
+crash, with no ARIES-style redo/undo. :func:`rebuild_engine` is the first
+half (shared with sharded recovery); the re-execution is the one replay
+loop, :func:`repro.shard.replay.replay_blocks`.
 
 Under inter-block parallelism the first replayed block simulates against a
 lag-2 snapshot, so checkpoints capture the previous block's state and the
@@ -17,7 +19,6 @@ Rule-3 committed-writer records too (see ``StorageEngine.checkpoint_if_due``).
 from __future__ import annotations
 
 from repro.chain.node import ReplicaNode
-from repro.core.harmony import HarmonyExecutor
 from repro.storage.checkpoint import Checkpoint
 from repro.storage.engine import StorageEngine
 from repro.storage.mvstore import TOMBSTONE
@@ -100,29 +101,20 @@ def rebuild_engine(
     return engine, replay_from, checkpoint
 
 
-def recover_node(crashed: ReplicaNode, executor_factory=None) -> ReplicaNode:
+def recover_node(crashed: ReplicaNode) -> ReplicaNode:
     """Rebuild a replica from its checkpoint + block log.
 
-    ``executor_factory(engine, registry) -> DCCExecutor`` defaults to
-    cloning the crashed node's executor type and configuration.
+    A replica on its own is the one-shard case of
+    :func:`~repro.shard.recovery.recover_shard_node` with no peers and
+    therefore no certificate stream: no transaction was ever vetoed from
+    outside, nothing migrated. Same rebuild, same replay loop
+    (:func:`repro.shard.replay.replay_blocks`), each block committed right
+    after its prepare.
     """
-    engine, replay_from, checkpoint = rebuild_engine(crashed.engine)
+    # imported here: shard/ sits above this module (it rebuilds engines
+    # with :func:`rebuild_engine`)
+    from repro.shard.recovery import recover_shard_node
 
-    registry = crashed.executor.registry
-    if executor_factory is not None:
-        executor = executor_factory(engine, registry)
-    else:
-        executor = crashed.clone_executor(engine)
-    if isinstance(executor, HarmonyExecutor) and checkpoint and checkpoint.meta:
-        executor.restore_records(checkpoint.meta.get("prev_records", {}))
-
-    recovered = ReplicaNode(f"{crashed.name}-recovered", executor, None)
-    # Recovery trusts the locally persisted, already-verified chain: rebuild
-    # the ledger, then re-execute everything after the checkpoint.
-    for block in crashed.engine.block_log.blocks_after(-1):
-        recovered.ledger.append(block)
-        recovered.engine.block_log.append(block)
-        if block.block_id <= replay_from:
-            continue
-        executor.execute_block(block.block_id, block.build_txns())
-    return recovered
+    return recover_shard_node(
+        crashed, 0, [crashed.engine.store], None, None, pipelined=False
+    ).node

@@ -205,7 +205,8 @@ class DCCExecutor:
         #: decision facts for a migrated key live on its *old* owner, which
         #: the new routing no longer asks) and deterministically abort
         #: touching transactions at exactly the boundary block. Installed
-        #: by every migration-apply surface; empty outside adaptive runs.
+        #: by :func:`~repro.shard.rebalance.install_migration`; empty
+        #: outside adaptive runs.
         self.migration_fences: dict[int, frozenset] = {}
 
     # -- subclasses implement ------------------------------------------------

@@ -40,8 +40,9 @@ from repro.faults.plan import (
     CRASH_BEFORE_PREPARE,
     MIGRATION_KINDS,
 )
-from repro.shard.rebalance import migration_store_deltas
+from repro.shard.rebalance import install_migration
 from repro.shard.recovery import recover_shard_node
+from repro.shard.replay import replay_blocks
 from repro.shard.twopc import ShardVote, derive_votes
 
 
@@ -323,7 +324,7 @@ class SupervisedShardGroup:
         tracer = getattr(chain, "tracer", None)
         rtt_us = chain.network.rtt_us(chain.config.num_shards)
         corpse = chain.group.nodes[shard]
-        stores = chain.group._stores or [corpse.engine.store]
+        stores = chain.group._stores
         if self.injector.recovery_fails(shard, block_id):
             # the recovering process dies mid-replay: run it and discard —
             # recovery only reads the durable artifacts, so a half-done
@@ -390,69 +391,50 @@ class SupervisedShardGroup:
                         f"shard {shard} recovery exceeded retry budget"
                     )
                 node = self._recover(shard, bid)
-            node.executor.migration_fences[migration.block_id] = frozenset(
-                dict(migration.moves)
+            install_migration(
+                migration, chain.router, {shard: node.executor}, chain._store_mig_epochs
             )
-            incoming, outgoing = migration_store_deltas(migration, chain.router)
-            items = dict(outgoing.get(shard, ()))
-            items.update(incoming.get(shard, ()))
-            if items:
-                node.engine.apply_migration(migration.block_id - 1, items)
-            chain._store_mig_epochs[shard] = migration.epoch
 
     def _catch_up(self, shard: int, node) -> None:
         """Deliver every logged-and-certified sub-block the replica's
-        ledger doesn't cover yet (torn log tails, missed windows).
+        ledger doesn't cover yet (torn log tails, missed windows) — the one
+        replay loop, fed from the supervisor's sub-block log.
 
         Migration-aware: a certified re-key at block *b* re-applies its
         boundary shipment before block *b*'s replay iff the live shipment
         skipped this store (watermark below the record's epoch — the store
-        was behind the boundary when it fired). The router cursor is
-        pinned to each replayed height so key scopes and snapshot routing
-        resolve under the historical epoch."""
+        was behind the boundary when it fired)."""
         chain = self.chain
-        router = chain.router
+        rtt_us = chain.network.rtt_us(chain.config.num_shards)
         from_block = len(node.ledger)
         caught_up = 0
-        saved_height = router.cursor_height
-        try:
-            for b in range(from_block, len(self.sub_block_log)):
-                router.advance_to(b)
-                record = chain.cert_log[b].migration
-                if record is not None:
-                    node.executor.migration_fences[b] = frozenset(
-                        dict(record.moves)
-                    )
-                if (
-                    record is not None
-                    and chain._store_mig_epochs[shard] < record.epoch
-                    and node.engine.store.last_committed_block == b - 1
-                ):
-                    incoming, outgoing = migration_store_deltas(record, router)
-                    items = dict(outgoing.get(shard, ()))
-                    items.update(incoming.get(shard, ()))
-                    if items:
-                        node.engine.apply_migration(b - 1, items)
-                    chain._store_mig_epochs[shard] = record.epoch
-                prep = node.prepare_block(self.sub_block_log[b][shard])
-                execution = node.finish_block(prep, chain.cert_log[b].abort_tids)
-                self._shard_block_txns.setdefault(
-                    (shard, b), {t.tid: t for t in execution.txns}
-                )
-                self.injected_delay_us += chain.network.rtt_us(
-                    chain.config.num_shards
-                )
-                caught_up += 1
-        finally:
-            router.advance_to(saved_height)
+
+        def delivered(block_id, executions) -> None:
+            nonlocal caught_up
+            self._shard_block_txns.setdefault(
+                (shard, block_id), {t.tid: t for t in executions[shard].txns}
+            )
+            self.injected_delay_us += rtt_us
+            caught_up += 1
+
+        replay_blocks(
+            {shard: node},
+            (
+                (b, self.sub_block_log[b])
+                for b in range(from_block, len(self.sub_block_log))
+            ),
+            chain.cert_log,
+            chain.router,
+            on_commit=delivered,
+            watermarks=chain._store_mig_epochs,
+        )
         if caught_up:
             tracer = getattr(chain, "tracer", None)
             if tracer is not None:
                 tracer.fault(
                     "catch_up",
                     shard=shard,
-                    sim_us=caught_up
-                    * chain.network.rtt_us(chain.config.num_shards),
+                    sim_us=caught_up * rtt_us,
                     attrs={"from_block": from_block, "blocks": caught_up},
                 )
 

@@ -49,13 +49,11 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
-from repro.chain.config import build_executor
-from repro.shard.federated import FederatedSnapshot
-from repro.shard.rebalance import migration_store_deltas
+from repro.chain.config import build_engine, build_executor
+from repro.shard.federated import wire_federation
+from repro.shard.rebalance import install_migration
 from repro.sim.costs import CostModel
-from repro.storage.engine import StorageEngine
-from repro.storage.mvstore import MIGRATION_SEQ_BASE, MVStore
-from repro.storage.wal import LogMode
+from repro.storage.mvstore import MVStore
 
 
 class StalePrepareError(RuntimeError):
@@ -154,15 +152,7 @@ class _WorkerState:
         self.store_mig_epochs = [0] * num_shards
         for shard in range(num_shards):
             if shard in owned:
-                engine = StorageEngine(
-                    costs=costs,
-                    profile=config.profile,
-                    pool_pages=config.pool_pages,
-                    log_mode=LogMode.LOGICAL,
-                    checkpoint_interval=config.checkpoint_interval,
-                    incremental_checkpoints=config.checkpoint_incremental,
-                    checkpoint_base_interval=config.checkpoint_base_interval,
-                )
+                engine = build_engine(config, costs)
                 engine.preload(shard_states[shard])
                 self.executors[shard] = build_executor(
                     config, engine, workload.build_registry()
@@ -172,17 +162,8 @@ class _WorkerState:
                 store = MVStore()
                 store.load(shard_states[shard])
                 self.stores[shard] = store
-        if num_shards > 1:
-            stores = self.stores
-            for shard, executor in self.executors.items():
-                executor.snapshot_source = (
-                    lambda snap_block_id, _stores=stores: FederatedSnapshot(
-                        router, _stores, snap_block_id
-                    )
-                )
-                executor.key_scope = (
-                    lambda key, _shard=shard: router.shard_of(key) == _shard
-                )
+        for shard, executor in self.executors.items():
+            wire_federation(executor, router, self.stores, shard)
 
     def apply_reset(self, reset: ShardReset) -> None:
         store = MVStore()
@@ -237,25 +218,13 @@ class _WorkerState:
             return
         if record.epoch == router.ownership.epoch + 1:
             router.apply_migration(record)
-        fence = frozenset(dict(record.moves))
-        for executor in self.executors.values():
-            executor.migration_fences[record.block_id] = fence
-        incoming, outgoing = migration_store_deltas(record, router)
-        boundary = record.block_id - 1
-        for shard in sorted(set(incoming) | set(outgoing)):
-            if self.store_mig_epochs[shard] >= record.epoch:
-                continue
-            store = self.stores[shard]
-            if store.last_committed_block != boundary:
-                continue
-            items = dict(outgoing.get(shard, ()))
-            items.update(incoming.get(shard, ()))
-            executor = self.executors.get(shard)
-            if executor is not None:
-                executor.engine.apply_migration(boundary, items)
-            else:
-                store.load(items, block_id=boundary, seq_start=MIGRATION_SEQ_BASE)
-            self.store_mig_epochs[shard] = record.epoch
+        install_migration(
+            record,
+            router,
+            self.executors,
+            self.store_mig_epochs,
+            peer_stores=self.stores,
+        )
 
     def check_fresh(self, task: PrepareTask) -> None:
         if (

@@ -12,7 +12,8 @@ the *only* cross-shard coordination — reads need no locks, just one
 :class:`FederatedSnapshot` implements the snapshot interface the
 simulation context consumes (``get`` / ``scan`` / ``get_entry``) by
 routing each key to its owner's :class:`~repro.storage.mvstore.MVStore`
-snapshot at the same block height.
+snapshot at the same block height; :func:`wire_federation` is the one
+place a shard executor is pointed at it.
 """
 
 from __future__ import annotations
@@ -22,6 +23,23 @@ from itertools import chain as _chain, islice
 from operator import itemgetter
 
 from repro.shard.router import ShardRouter
+
+
+def wire_federation(executor, router: ShardRouter, stores: list, shard: int) -> None:
+    """Make ``executor`` shard ``shard`` of the database held in ``stores``:
+    its snapshots read every shard, its commits install only keys it owns.
+
+    ``stores`` is captured by reference — swapping a slot (a recovered
+    shard re-entering the fleet) re-points every executor wired against the
+    same list. With one store there is nothing to federate: the hooks stay
+    ``None`` and every code path is the unsharded one.
+    """
+    if len(stores) == 1:
+        return
+    executor.snapshot_source = lambda snap_block_id: FederatedSnapshot(
+        router, stores, snap_block_id
+    )
+    executor.key_scope = lambda key: router.shard_of(key) == shard
 
 
 class FederatedSnapshot:

@@ -12,12 +12,11 @@ module closes the loop from *observed* load back to routing:
   become effective at an exact block height.
 - :class:`MigrationRecord` — the ownership-change record that rides the
   certificate log as a first-class, hash-covered field of the boundary
-  block's :class:`~repro.shard.twopc.CommitCertificate`. Because every
-  replica, :func:`~repro.shard.recovery.recover_shard_node`, and
-  :func:`~repro.parallel.replay.replay_group` already index the
-  certificate stream positionally, they all apply the identical
-  migration at the identical height — the same trick the 2PC decisions
-  use.
+  block's :class:`~repro.shard.twopc.CommitCertificate`. Every replay
+  surface walks that stream through one loop
+  (:func:`repro.shard.replay.replay_blocks`), so they all apply the
+  identical migration at the identical height — the same trick the 2PC
+  decisions use.
 - :class:`RebalancePolicy` — watches the decision-layer load telemetry
   (per-key routed-access counts, per-shard load, cross-shard ratio: the
   same quantities ``repro.obs.analyze.shard_skew`` reports) and proposes
@@ -51,6 +50,7 @@ __all__ = [
     "MigrationRecord",
     "RebalanceProposal",
     "RebalancePolicy",
+    "install_migration",
     "migration_store_deltas",
 ]
 
@@ -129,27 +129,87 @@ class MigrationRecord:
         )
 
 
-def migration_store_deltas(record: MigrationRecord, router):
-    """Per-shard store loads a migration implies: ``(incoming, outgoing)``.
+def migration_store_deltas(record: MigrationRecord, router) -> dict[int, dict]:
+    """The store loads a migration implies, per shard: moved keys map to
+    their shipped values on the destination and to TOMBSTONE on the source.
 
-    ``incoming[dst]`` maps moved keys to their shipped values;
-    ``outgoing[src]`` maps them to TOMBSTONE. Sources resolve through the
-    ownership table *at the pre-boundary height*, so the split is
-    identical whether the record's epoch is already appended or not —
-    recovery and replay reuse this on long-settled tables.
+    Sources resolve through the ownership table *at the pre-boundary
+    height*, so the split is identical whether the record's epoch is
+    already appended or not — recovery and replay reuse this on
+    long-settled tables.
     """
     dst_of = dict(record.moves)
     prev = record.block_id - 1
     incoming: dict[int, dict] = {}
-    outgoing: dict[int, dict] = {}
+    shipments: dict[int, dict] = {}
     for key, value in record.deltas:
         dst = dst_of[key]
         src = router.shard_of_at(key, prev)
         if src == dst:
             continue
         incoming.setdefault(dst, {})[key] = value
-        outgoing.setdefault(src, {})[key] = TOMBSTONE
-    return incoming, outgoing
+        shipments.setdefault(src, {})[key] = TOMBSTONE
+    # a shard's departures load before its arrivals: the loads take their
+    # sequence numbers inside the boundary block in this order
+    for shard, items in incoming.items():
+        shipments.setdefault(shard, {}).update(items)
+    return shipments
+
+
+def install_migration(
+    record: MigrationRecord,
+    router,
+    executors: dict,
+    watermarks: list | None = None,
+    fates: dict | None = None,
+    peer_stores: list | None = None,
+) -> None:
+    """Land a certified ownership change on the shards in ``executors``.
+
+    Every executor gets the migration fence for block ``record.block_id``;
+    every shard with a shipment loads it inside the boundary block
+    ``record.block_id - 1``, provided its store sits exactly there — a
+    store behind the boundary (open partition window) is served later, by
+    catch-up, from the same certified record. The router's ownership table
+    is the caller's business: the live chain appends the epoch first,
+    replay finds it already there.
+
+    ``watermarks[shard]`` is the newest epoch whose shipment landed on that
+    shard's store: a record at or below it is not applied twice, an
+    unharmed load raises it (``None``: stores rebuilt from their own log,
+    which replays everything that ever landed). ``fates`` (the armed
+    migration fault hook) loses a shard's shipment (``"skip"``) or tears
+    it in half (``"torn"``); recovery re-derives it from the certificate
+    stream. ``peer_stores`` is the per-shard store list of a prepare
+    worker, which keeps the shards it only reads as bare stores.
+    """
+    fence = frozenset(dict(record.moves))
+    for executor in executors.values():
+        executor.migration_fences[record.block_id] = fence
+    boundary = record.block_id - 1
+    for shard, items in migration_store_deltas(record, router).items():
+        fate = fates.get(shard) if fates else None
+        if fate == "skip":
+            continue
+        if watermarks is not None and watermarks[shard] >= record.epoch:
+            continue
+        executor = executors.get(shard)
+        if executor is not None:
+            store = executor.engine.store
+        elif peer_stores is not None:
+            store = peer_stores[shard]
+        else:
+            continue
+        if store.last_committed_block != boundary:
+            continue
+        if fate == "torn":
+            items = dict(list(items.items())[: len(items) // 2])
+        if executor is not None:
+            executor.engine.apply_migration(boundary, items)
+        else:
+            store.load(items, block_id=boundary, seq_start=MIGRATION_SEQ_BASE)
+        if watermarks is not None and fate is None:
+            watermarks[shard] = record.epoch
 
 
 @dataclass(frozen=True)

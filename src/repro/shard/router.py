@@ -128,8 +128,9 @@ class ShardRouter:
 
     def advance_to(self, height: int) -> None:
         """Point the cursor at ``height``; single-argument lookups then
-        resolve ownership as of that block. Replay surfaces save/restore
-        the cursor around their loops."""
+        resolve ownership as of that block. The replay loop
+        (:func:`repro.shard.replay.replay_blocks`) pins it per replayed
+        height and puts it back for the live chain."""
         self._cursor_height = height
         self._cur_overrides = self.ownership.overrides_at(height)
 
@@ -260,15 +261,13 @@ class ShardRouter:
         return self.route_spec(workload, spec)[0]
 
     def split_state(self, state: dict) -> list[dict]:
-        """Partition an initial-state map into per-shard slices."""
+        """Partition an initial-state map into per-shard slices. Genesis
+        belongs to epoch 0 — the static policy — wherever the cursor is:
+        a replica built mid-run replays the migrations itself."""
         if self.num_shards == 1:
             return [state]
         shards: list[dict] = [{} for _ in range(self.num_shards)]
-        overrides = self._cur_overrides
         static_shard = self._static_shard
         for key, value in state.items():
-            owner = overrides.get(key)
-            if owner is None:
-                owner = static_shard(key)
-            shards[owner][key] = value
+            shards[static_shard(key)][key] = value
         return shards

@@ -35,7 +35,13 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass, field
 
-from repro.chain.config import COMMAND_BYTES, OEConfig, build_executor, decision_digest
+from repro.chain.config import (
+    COMMAND_BYTES,
+    OEConfig,
+    build_engine,
+    build_executor,
+    decision_digest,
+)
 from repro.chain.node import ReplicaNode
 from repro.chain.ordering import OrderingService, ShardSequencer
 from repro.consensus.crypto import Signer
@@ -43,21 +49,20 @@ from repro.consensus.hotstuff import HotStuffConsensus
 from repro.consensus.kafka import KafkaOrdering
 from repro.consensus.network import NetworkModel
 from repro.dcc.oracle import SerializabilityOracle
-from repro.shard.federated import FederatedSnapshot
+from repro.shard.federated import wire_federation
 from repro.shard.rebalance import (
     RebalancePolicy,
     build_migration_record,
-    migration_store_deltas,
+    install_migration,
 )
+from repro.shard.replay import replay_blocks
 from repro.shard.router import ShardRouter
 from repro.shard.twopc import CertificateLog, derive_votes
 from repro.sim.costs import CostModel
 from repro.sim.metrics import BlockStats, RunMetrics
 from repro.sim.rng import SeededRng
 from repro.sim.scheduler import BlockTiming, PipelineSimulator, merge_shard_results
-from repro.storage.engine import StorageEngine
 from repro.storage.mvstore import combine_state_hashes
-from repro.storage.wal import LogMode
 
 
 @dataclass
@@ -194,40 +199,22 @@ class ShardGroup:
         shard_states = router.split_state(workload.initial_state())
         self.nodes: list[ReplicaNode] = []
         for shard in range(config.num_shards):
-            engine = StorageEngine(
-                costs=costs,
-                profile=config.profile,
-                pool_pages=config.pool_pages,
-                log_mode=LogMode.LOGICAL,
-                checkpoint_interval=config.checkpoint_interval,
-                incremental_checkpoints=config.checkpoint_incremental,
-                checkpoint_base_interval=config.checkpoint_base_interval,
-            )
+            engine = build_engine(config, costs)
             engine.preload(shard_states[shard])
             executor = build_executor(config, engine, workload.build_registry())
             self.nodes.append(
                 ReplicaNode(f"{name_prefix}/shard-{shard}", executor, orderer_signer)
             )
-        #: the shared store list captured (by reference) in every shard's
-        #: federation closures — :meth:`rejoin` mutates slots in place so
-        #: peers re-point at a recovered store without rewiring
-        self._stores: list | None = None
+        #: the shared store list every shard's federation is wired against
+        #: (by reference) — :meth:`rejoin` mutates slots in place so peers
+        #: re-point at a recovered store without rewiring
+        self._stores = [node.engine.store for node in self.nodes]
         #: ``listener(shard, node)`` callbacks fired by :meth:`rejoin` —
         #: the process-prepare backend registers one so worker-side store
         #: caches are invalidated whenever a recovered shard re-enters
         self.rejoin_listeners: list = []
-        if config.num_shards > 1:
-            stores = [node.engine.store for node in self.nodes]
-            self._stores = stores
-            for shard, node in enumerate(self.nodes):
-                node.executor.snapshot_source = (
-                    lambda snap_block_id, _stores=stores: FederatedSnapshot(
-                        router, _stores, snap_block_id
-                    )
-                )
-                node.executor.key_scope = (
-                    lambda key, _shard=shard: router.shard_of(key) == _shard
-                )
+        for shard, node in enumerate(self.nodes):
+            wire_federation(node.executor, router, self._stores, shard)
 
     def prepare(self, sub_blocks: dict, skip: frozenset = frozenset()) -> dict:
         """Phase one on every live shard; all prepares precede any commit.
@@ -268,18 +255,8 @@ class ShardGroup:
         re-wired against the shared one here.
         """
         self.nodes[shard] = node
-        if self._stores is not None:
-            self._stores[shard] = node.engine.store
-            stores = self._stores
-            router = self.router
-            node.executor.snapshot_source = (
-                lambda snap_block_id, _stores=stores: FederatedSnapshot(
-                    router, _stores, snap_block_id
-                )
-            )
-            node.executor.key_scope = (
-                lambda key, _shard=shard: router.shard_of(key) == _shard
-            )
+        self._stores[shard] = node.engine.store
+        wire_federation(node.executor, self.router, self._stores, shard)
         for listener in self.rejoin_listeners:
             listener(shard, node)
 
@@ -550,15 +527,13 @@ class ShardedBlockchain:
     def apply_migration(self, record) -> None:
         """Install a certified ownership change on this replica.
 
-        Router epoch first (shipment routing below resolves sources at the
-        pre-boundary height, which is append-order independent), then the
-        per-shard store loads at the ``block_id - 1`` boundary, then the
-        worker-cache epoch bump (stale workers refuse with
-        ``StalePrepareError`` and get resynced). The armed
-        ``migration_hook`` may fate a shard's shipment ``"skip"`` (crashed
-        before the delta arrived) or ``"torn"`` (crashed mid-apply) — those
-        shards also crash per the fault plan, and recovery re-derives the
-        full shipment from the certificate stream.
+        Router epoch first (shipment routing resolves sources at the
+        pre-boundary height, which is append-order independent), then
+        fences and per-shard store loads
+        (:func:`~repro.shard.rebalance.install_migration`; the armed
+        ``migration_hook`` fates shipments of shards the fault plan also
+        crashes), then the worker-cache epoch bump (stale workers refuse
+        with ``StalePrepareError`` and get resynced).
         """
         fates = (
             self.migration_hook(record.block_id)
@@ -566,28 +541,13 @@ class ShardedBlockchain:
             else None
         ) or {}
         self.router.apply_migration(record)
-        fence = frozenset(dict(record.moves))
-        for node in self.group.nodes:
-            node.executor.migration_fences[record.block_id] = fence
-        incoming, outgoing = migration_store_deltas(record, self.router)
-        boundary = record.block_id - 1
-        for shard in sorted(set(incoming) | set(outgoing)):
-            fate = fates.get(shard)
-            if fate == "skip":
-                continue
-            engine = self.group.nodes[shard].engine
-            if engine.store.last_committed_block != boundary:
-                # a lagging store (open partition window) misses the live
-                # shipment; catch-up re-applies it from the certified
-                # record, keyed off the watermark
-                continue
-            items = dict(outgoing.get(shard, ()))
-            items.update(incoming.get(shard, ()))
-            if fate == "torn":
-                items = dict(list(items.items())[: len(items) // 2])
-            engine.apply_migration(boundary, items)
-            if fate is None:
-                self._store_mig_epochs[shard] = record.epoch
+        install_migration(
+            record,
+            self.router,
+            {shard: node.executor for shard, node in enumerate(self.group.nodes)},
+            self._store_mig_epochs,
+            fates,
+        )
         backend = self._prepare_backend
         if backend is not None:
             backend.apply_migration(record)
@@ -1083,58 +1043,32 @@ class ShardedBlockchain:
         return reasons
 
 
-def apply_replay_migration(group: ShardGroup, router, record) -> None:
-    """Install a certified migration's store deltas on a replaying group.
+def fresh_group(chain, name_prefix: str) -> ShardGroup:
+    """A second replica of ``chain``'s fleet, holding genesis."""
+    return ShardGroup(
+        chain.config,
+        chain.workload,
+        chain.router,
+        chain.costs,
+        chain.orderer_signer,
+        name_prefix=name_prefix,
+    )
 
-    The shared router's ownership table already holds every epoch (replay
-    reuses the live chain's router), so only the per-store shipment at the
-    ``block_id - 1`` boundary happens here — cursor movement is the replay
-    loop's job.
-    """
-    if record is None:
-        return
-    fence = frozenset(dict(record.moves))
-    for node in group.nodes:
-        node.executor.migration_fences[record.block_id] = fence
-    incoming, outgoing = migration_store_deltas(record, router)
-    boundary = record.block_id - 1
-    for shard in sorted(set(incoming) | set(outgoing)):
-        items = dict(outgoing.get(shard, ()))
-        items.update(incoming.get(shard, ()))
-        group.nodes[shard].engine.apply_migration(boundary, items)
+
+def logged_blocks(chain):
+    """``(block_id, {shard: sub_block})`` of every block ``chain``'s
+    sub-ledgers hold, in order — what a fresh replica replays."""
+    nodes = chain.group.nodes
+    for i in range(len(nodes[0].ledger)):
+        yield i, {shard: node.ledger[i] for shard, node in enumerate(nodes)}
 
 
 def replay_group_serial(chain, name_prefix: str = "replay-serial") -> ShardGroup:
-    """The reference replay: a fresh group, every block prepared and
-    committed in-process, shard after shard (the seed's discipline).
-
-    Migration-aware: the fresh group splits genesis at epoch 0, and each
-    certified :class:`~repro.shard.rebalance.MigrationRecord` re-applies at
-    exactly its recorded height — the cursor save/restore keeps the shared
-    router usable by the live chain afterwards.
-    """
-    router = chain.router
-    saved_height = router.cursor_height
-    router.advance_to(0)
-    try:
-        other = ShardGroup(
-            chain.config,
-            chain.workload,
-            router,
-            chain.costs,
-            chain.orderer_signer,
-            name_prefix=name_prefix,
-        )
-        height = len(chain.group.nodes[0].ledger)
-        for i in range(height):
-            router.advance_to(i)
-            cert = chain.cert_log[i]
-            apply_replay_migration(other, router, cert.migration)
-            sub_blocks = {
-                shard: node.ledger[i] for shard, node in enumerate(chain.group.nodes)
-            }
-            prepared = other.prepare(sub_blocks)
-            other.finish(prepared, cert.abort_tids)
-        return other
-    finally:
-        router.advance_to(saved_height)
+    """The reference replay: a fresh group, every block ingested, prepared
+    and committed in-process, shard after shard (the seed's discipline).
+    Each certified migration re-applies at exactly its recorded height."""
+    other = fresh_group(chain, name_prefix)
+    replay_blocks(
+        dict(enumerate(other.nodes)), logged_blocks(chain), chain.cert_log, chain.router
+    )
+    return other

@@ -14,7 +14,11 @@ Pins ISSUE 10's contracts:
 - **migrated-run identities** — a run that actually re-keys replays
   bit-identically on a fresh replica from (sub-blocks + certificates)
   alone, every shard recovers to the live state, and the serial and
-  process prepare backends agree;
+  process prepare backends agree — through every caller of the one replay
+  loop (:func:`repro.shard.replay.replay_blocks`);
+- **certificate-stream checks** — every replay entry point rejects a
+  shifted or truncated stream with the same error and hands the shared
+  router's cursor back;
 - **migration fence** — transactions touching an in-flight key at the
   re-key boundary abort deterministically with ``MIGRATION_FENCE``.
 """
@@ -25,10 +29,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.harmony import fence_migrated_keys
+from repro.faults.inject import FaultInjector
+from repro.faults.plan import PARTITION, FaultEvent, FaultPlan
+from repro.faults.supervisor import SupervisedShardGroup
 from repro.obs.analyze import shard_skew
 from repro.obs.trace import KIND_STAGE, Span
 from repro.parallel.backend import available_cores
-from repro.parallel.replay import replay_group_serial
+from repro.parallel.replay import replay_group, replay_group_serial
 from repro.shard.rebalance import (
     MigrationRecord,
     OwnershipTable,
@@ -38,6 +45,7 @@ from repro.shard.rebalance import (
 from repro.shard.recovery import recover_shard_node
 from repro.shard.router import ShardRouter
 from repro.shard.system import ShardConfig, ShardedBlockchain
+from repro.sim.rng import SeededRng
 from repro.storage.mvstore import MIGRATION_SEQ_BASE, MVStore, TOMBSTONE
 from repro.txn.transaction import AbortReason, Txn, TxnSpec
 from repro.workloads import make_workload, workload_names
@@ -66,18 +74,37 @@ NEVER_FIRING = dict(
 )
 
 
-def run_chain(workload, num_shards=2, num_blocks=6, block_size=16, seed=11, **cfg):
+def build_chain(
+    workload, num_shards=2, num_blocks=6, block_size=16, seed=11, system="harmony", **cfg
+):
     config = ShardConfig(
-        system="harmony",
+        system=system,
         block_size=block_size,
         num_blocks=num_blocks,
         seed=seed,
         num_shards=num_shards,
         **cfg,
     )
-    chain = ShardedBlockchain(config, workload)
+    return ShardedBlockchain(config, workload)
+
+
+def run_chain(workload, **cfg):
+    chain = build_chain(workload, **cfg)
     metrics = chain.run()
     return chain, metrics
+
+
+def run_supervised(chain, plan, num_blocks):
+    """Drive ``chain`` block by block under the fault supervisor; with
+    ``finalize`` left to the caller, open partition windows stay open."""
+    supervisor = SupervisedShardGroup(
+        chain, FaultInjector(plan, chain.config.num_shards)
+    )
+    rng = SeededRng(plan.seed, "rebalance-supervised")
+    for _ in range(num_blocks):
+        specs = chain.workload.generate_block(chain.config.block_size, rng)
+        supervisor.process_block(chain.ordering.form_block(specs))
+    return supervisor
 
 
 def skewshift(num_shards=2):
@@ -203,12 +230,10 @@ class TestMigrationRecord:
             moves=((key_a, dst), (key_b, src_b)),
             deltas=((key_a, 10), (key_b, 20)),
         )
-        incoming, outgoing = migration_store_deltas(record, router)
-        assert incoming[dst] == {key_a: 10}
-        assert outgoing[src_a] == {key_a: TOMBSTONE}
+        shipments = migration_store_deltas(record, router)
+        assert shipments == {dst: {key_a: 10}, src_a: {key_a: TOMBSTONE}}
         # key_b "moves" to its current owner: no shipment either way
-        assert src_b not in incoming or key_b not in incoming.get(src_b, {})
-        assert all(key_b not in m for m in outgoing.values())
+        assert all(key_b not in items for items in shipments.values())
 
 
 class TestMigrationStoreLoad:
@@ -335,6 +360,9 @@ class TestStaticDifferential:
 
 
 # ------------------------------------------------- migrated-run identities
+MIGRATED_RUNS = [(system, n) for system in ("harmony", "aria") for n in (2, 4)]
+
+
 class TestMigratedRunIdentities:
     def test_adaptive_run_migrates_and_certifies(self):
         chain, metrics = run_chain(skewshift(), **AGGRESSIVE)
@@ -374,6 +402,92 @@ class TestMigratedRunIdentities:
         )
         assert recovery.node.ledger.verify_chain()
 
+    @pytest.mark.parametrize("system,num_shards", MIGRATED_RUNS)
+    def test_every_replay_entry_point_rederives_the_live_state(
+        self, system, num_shards
+    ):
+        """One migrated run, re-derived by every caller of the one replay
+        loop: a fresh replica in-process and on the worker pool (commit
+        right away and trailing), every shard's crash recovery under both
+        commit schedules. Checkpoints at blocks 4 and 9 bake the first
+        four migrations into the recovery point; the one at 10 replays."""
+        chain, metrics = run_chain(
+            skewshift(num_shards),
+            num_shards=num_shards,
+            num_blocks=12,
+            system=system,
+            checkpoint_interval=5,
+            **AGGRESSIVE,
+        )
+        assert metrics.extra["migrations"] == 5
+        live = chain.group.state_hashes()
+        cursor = chain.router.cursor_height
+        assert replay_group_serial(chain).state_hashes() == live
+        chain.config.backend = "process"  # the run was serial; replay on the pool
+        for pipelined in (False, True):
+            assert replay_group(chain, pipelined=pipelined).state_hashes() == live
+        stores = [node.engine.store for node in chain.group.nodes]
+        for shard, node in enumerate(chain.group.nodes):
+            for pipelined in (False, True):
+                recovery = recover_shard_node(
+                    node, shard, stores, chain.router, chain.cert_log, pipelined=pipelined
+                )
+                assert recovery.replay_from == 9
+                assert recovery.node.state_hash() == live[shard]
+        assert chain.router.cursor_height == cursor
+
+    @pytest.mark.parametrize("system,num_shards", MIGRATED_RUNS)
+    def test_supervisor_catch_up_across_a_window_that_spans_migrations(
+        self, system, num_shards
+    ):
+        """Shard 1 is cut off for blocks 3-6 while re-keys are certified at
+        4 and 6: the supervisor's catch-up (forced at each migration
+        barrier, then when the window closes) must leave it where a fresh
+        replica lands from the same sub-blocks and certificates."""
+        plan = FaultPlan(
+            "window-over-migrations",
+            11,
+            (FaultEvent(PARTITION, block_id=3, shard=1, blocks=4),),
+        )
+        chain = build_chain(
+            skewshift(num_shards), num_shards=num_shards, system=system, **AGGRESSIVE
+        )
+        supervisor = run_supervised(chain, plan, num_blocks=10)
+        supervisor.finalize()
+        assert supervisor.degraded_blocks == [3, 4, 5, 6]
+        migrated = [c.block_id for c in chain.cert_log.certificates() if c.migration]
+        assert {4, 6} <= set(migrated)
+        assert {len(node.ledger) for node in chain.group.nodes} == {10}
+        # every live shipment landed once: no store is behind the last epoch
+        assert chain._store_mig_epochs == [len(migrated)] * num_shards
+        assert replay_group_serial(chain).state_hashes() == chain.group.state_hashes()
+        assert chain.cert_log.verify_chain() and chain.group.ledgers_ok()
+
+    def test_rejoin_after_recovery_repoints_peers_at_the_recovered_store(self):
+        """``ShardGroup.rejoin`` wires through the same function that built
+        the fleet: afterwards peers read shard 1's keys from the recovered
+        store, and the recovered executor reads its peers' live stores."""
+        chain, _metrics = run_chain(skewshift(), num_blocks=8, **AGGRESSIVE)
+        group, router = chain.group, chain.router
+        corpse = group.nodes[1]
+        recovery = recover_shard_node(
+            corpse, 1, [n.engine.store for n in group.nodes], router, chain.cert_log
+        )
+        group.rejoin(1, recovery.node)
+        assert group.nodes[1] is recovery.node
+        mine = next(k for k in recovery.node.engine.store.keys() if router.shard_of(k) == 1)
+        theirs = next(k for k in group.nodes[0].engine.store.keys() if router.shard_of(k) == 0)
+        # a write only the recovered store sees, and one only its peer sees
+        recovery.node.engine.store.apply_block(8, [(mine, "recovered-only")])
+        group.nodes[0].engine.store.apply_block(8, [(theirs, "peer-only")])
+        assert corpse.engine.store.get_latest(mine)[0] != "recovered-only"
+        for node in group.nodes:
+            snapshot = node.executor.snapshot_source(8)
+            assert snapshot.get(mine)[0] == "recovered-only"
+            assert snapshot.get(theirs)[0] == "peer-only"
+        assert recovery.node.executor.key_scope(mine)
+        assert not recovery.node.executor.key_scope(theirs)
+
     @pytest.mark.skipif(
         available_cores() < 4, reason="needs >= 4 cores for the process pool"
     )
@@ -393,6 +507,88 @@ class TestMigratedRunIdentities:
             assert process.extra["cert_head"] == serial.extra["cert_head"]
         finally:
             process_chain.close_backend()
+
+
+# ------------------------------------------------ certificate-stream checks
+def shifted(certs, at):
+    """Position ``at`` onwards holds the *next* block's certificate."""
+    return certs[:at] + certs[at + 1 :]
+
+
+def truncated(certs, at):
+    return certs[:at]
+
+
+class TestReplayRejectsADamagedCertificateStream:
+    """Twelve blocks, migrations at 2, 4, 6, 8 and 10, so the live cursor
+    sits at 10; the stream is damaged from position 9, where a replay has
+    pinned the cursor one migration behind."""
+
+    def migrated(self):
+        chain, metrics = run_chain(
+            skewshift(), num_blocks=12, checkpoint_interval=100, **AGGRESSIVE
+        )
+        assert metrics.extra["migrations"] == 5
+        assert chain.router.cursor_height == 10
+        return chain
+
+    def test_failed_recovery_hands_the_shared_cursor_back(self):
+        chain = self.migrated()
+        router = chain.router
+        with pytest.raises(ValueError, match="certificate stream misaligned"):
+            recover_shard_node(
+                chain.group.nodes[0],
+                0,
+                [node.engine.store for node in chain.group.nodes],
+                router,
+                shifted(chain.cert_log.certificates(), 9),
+            )
+        # the live chain routes the next block with this cursor
+        assert router.cursor_height == 10
+        assert router.ownership_epoch == 5
+
+    @pytest.mark.parametrize("damage", [shifted, truncated])
+    @pytest.mark.parametrize("entry", ["serial", "pool", "recovery", "catch-up"])
+    def test_every_entry_point_rejects_it_the_same_way(self, entry, damage):
+        if entry == "catch-up":
+            # shard 1 cut off from block 3 on, the window still open: the
+            # barrier of the migration at 8 synced it through block 7,
+            # blocks 8 and 9 wait for it in the supervisor's log
+            plan = FaultPlan(
+                "open-window", 11, (FaultEvent(PARTITION, block_id=3, shard=1, blocks=9),)
+            )
+            chain = build_chain(skewshift(), **AGGRESSIVE)
+            supervisor = run_supervised(chain, plan, num_blocks=10)
+            lagging = chain.group.nodes[1]
+            assert len(lagging.ledger) == 8
+
+            def replay():
+                supervisor._catch_up(1, lagging)
+
+        else:
+            chain = self.migrated()
+            if entry == "pool":
+                chain.config.backend = "process"
+
+            def replay():
+                if entry == "recovery":
+                    recover_shard_node(
+                        chain.group.nodes[1],
+                        1,
+                        [node.engine.store for node in chain.group.nodes],
+                        chain.router,
+                        chain.cert_log,
+                    )
+                elif entry == "pool":
+                    replay_group(chain)
+                else:
+                    replay_group_serial(chain)
+
+        cursor = chain.router.cursor_height
+        chain.cert_log = damage(chain.cert_log.certificates(), 9)
+        with pytest.raises(ValueError, match="certificate stream misaligned: position 9"):
+            replay()
+        assert chain.router.cursor_height == cursor
 
 
 # --------------------------------------------------------- migration fence

@@ -77,9 +77,12 @@ e2e:
 # PARENT revision's committed files (unpacked to a temporary directory) and
 # the working tree, benchmarks/e2e/run.py --trace 0 at the manifest's run
 # length; prints per-side median/quartiles, pair wins and per-seed equality
-# of the exact metrics. WORKLOAD is a comma-separated list or "all"
+# of the exact metrics. WORKLOAD is a comma-separated list or "all".
+# LAYERS=1 runs the pairs at --trace 1 instead and prints per-layer self_s
+# medians (layer tables come from medians, never from one traced run)
 WORKLOAD ?= all
 PARENT ?= HEAD
 PAIRS ?= 10
+LAYERS ?=
 e2e-pairs:
-	python3 tools/e2e_pairs.py --workload $(WORKLOAD) --parent $(PARENT) --pairs $(PAIRS)
+	python3 tools/e2e_pairs.py --workload $(WORKLOAD) --parent $(PARENT) --pairs $(PAIRS) $(if $(LAYERS),--layers)

@@ -11,10 +11,12 @@ full-recompute state hashes) and once through the indexed fast path —
 record to ``BENCH_perf.json`` (path override: second CLI argument or
 ``$REPRO_BENCH_OUT``).
 
-The file accumulates a **trajectory**: ``{"schema": 1, "runs": [...]}``
-where each run carries its mode and per-case
-``{params, naive_s, indexed_s, speedup, checks}``. Future PRs re-run the
-harness and diff their run against the committed history — a case whose
+The file accumulates a **trajectory**: ``{"schema": 1, "retired": {...},
+"runs": [...]}`` where each run carries its mode and per-case
+``{params, naive_s, indexed_s, speedup, checks}`` and ``retired`` maps
+every case that no longer runs to the reason (:data:`RETIRED_CASES`), so a
+case missing from the newest runs reads as removed, not lost. Future PRs
+re-run the harness and diff their run against the committed history — a case whose
 ``indexed_s`` drifts up or whose ``speedup`` collapses between entries is
 a hot-path regression, caught without re-deriving absolute targets per
 machine (compare ratios, not wall-clock).
@@ -45,6 +47,20 @@ from repro.txn.commands import AddValue, SetValue
 from repro.txn.transaction import Txn, TxnSpec
 
 DEFAULT_OUT = "BENCH_perf.json"
+#: cases that no longer run -> why; persisted as the ledger's ``retired``
+#: map and reported by ``--compare`` as RETIRED instead of GONE. A case is
+#: retired when the twin it was timed against is deleted: a ratio to dead
+#: code guards nothing (its history stays in the older runs).
+RETIRED_CASES = {
+    "reorder_reuse": (
+        "PR 16: timed the commit step's reservation-table derivation (reuse of"
+        " the validator's per-key updater chains) against its rebuild twin."
+        " Both are deleted - the commit step reads every key's Rule-2 order"
+        " off the block's CommittedGraph, so there is no table left to derive."
+        " The saving is claimed end to end instead: host_tps on ycsb_hotspot"
+        " (docs/performance.md, 'Commit pass (PR 16)')."
+    ),
+}
 #: largest size at which the O(n²) insort load is timed rather than
 #: extrapolated (≈ seconds; 1M would take minutes)
 NAIVE_LOAD_CAP = 100_000
@@ -469,67 +485,6 @@ def bench_materialize(num_keys: int, num_blocks: int, repeats: int, seed: int) -
         naive_s,
         indexed_s,
         checks={"states_equal": equal},
-    )
-
-
-def bench_reorder_reuse(block_size: int, num_keys: int, repeats: int, seed: int) -> dict:
-    """Commit-step reservation-table derivation: rebuild from the block vs
-    reuse the validator's per-key updater chains.
-
-    Timed in isolation from the command evaluation / page-cost machinery
-    (same lift as the Aria range check); the chains themselves are
-    collected inside the validator's index-construction loop
-    (``collect_writer_txns=True``), so every ``derive_reservation`` call
-    here does the same work the per-block production call does — no
-    cross-repeat memoization. Runs on the paper's hotspot shape:
-    write-heavy ww contention with disjoint reads, where Harmony's
-    reordering commits everything (Figure 14), so the table the naive
-    path rebuilds is exactly the chains the validator already extracted.
-    The checks also run both variants through the full
-    ``apply_write_sets`` and require identical results.
-    """
-    from repro.core.reordering import apply_write_sets, derive_reservation
-
-    block = make_block(
-        block_size,
-        num_keys,
-        random.Random(seed),
-        range_read_prob=0.0,
-        writes_per_txn=(6, 10),
-    )
-    for txn in block:
-        txn.read_set.clear()  # ww-only contention: reads don't conflict
-    stats = HarmonyValidator().validate(block)
-    for txn in block:
-        if not txn.aborted:
-            txn.mark_committed()
-
-    naive_s = _time(lambda: derive_reservation(block, None), repeats)
-    indexed_s = _time(lambda: derive_reservation(block, stats.dep_index), repeats)
-
-    def run(dep_index):
-        return apply_write_sets(
-            block,
-            read_base=lambda key: 0,
-            write_cost=lambda key: 1.0,
-            dep_index=dep_index,
-        )
-
-    naive_result, reuse_result = run(None), run(stats.dep_index)
-    checks = {
-        "reservations_equal": derive_reservation(block, None)
-        == derive_reservation(block, stats.dep_index),
-        "writes_equal": naive_result.ordered_writes == reuse_result.ordered_writes,
-        "applies_equal": naive_result.key_applies == reuse_result.key_applies,
-        "commit_cpu_equal": naive_result.txn_commit_cpu_us
-        == reuse_result.txn_commit_cpu_us,
-    }
-    return _case(
-        "reorder_reuse",
-        {"block_size": block_size, "num_keys": num_keys},
-        naive_s,
-        indexed_s,
-        checks=checks,
     )
 
 
@@ -1484,7 +1439,6 @@ def run_perf(smoke: bool = False, out_path: str | None = None) -> dict:
         cases.append(bench_rw_edges(block_size, num_keys, repeats, seed + 1))
         cases.append(bench_reachability(block_size, num_keys, repeats, seed + 2))
         cases.append(bench_aria_range_check(block_size, num_keys, repeats, seed + 3))
-        cases.append(bench_reorder_reuse(block_size, num_keys, repeats, seed + 8))
     for num_keys in load_sizes:
         cases.append(bench_mvstore_load(num_keys, max(1, repeats - 1), seed + 4))
     cases.append(bench_snapshot_scan(scan_keys, repeats, seed + 5))
@@ -1639,7 +1593,11 @@ def compare_last_runs(
     for key, case in prev_cases.items():
         if key not in newest_cases:
             params = ",".join(f"{k_}={v}" for k_, v in case["params"].items())
-            lines.append(f"  GONE      {case['case']}({params}) — dropped from the run")
+            if case["case"] in RETIRED_CASES:
+                fate = "RETIRED   {} — see the ledger's 'retired' map"
+            else:
+                fate = "GONE      {} — dropped from the run"
+            lines.append("  " + fate.format(f"{case['case']}({params})"))
     for key, case in newest_cases.items():
         params = ",".join(f"{k_}={v}" for k_, v in case["params"].items())
         label = f"{case['case']}({params})"
@@ -1696,7 +1654,9 @@ def _persist(run: dict, out_path: str | None) -> str:
             history = []
     history.append(run)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump({"schema": 1, "runs": history}, fh, indent=2)
+        json.dump(
+            {"schema": 1, "retired": RETIRED_CASES, "runs": history}, fh, indent=2
+        )
         fh.write("\n")
     return path
 

@@ -52,12 +52,7 @@ class RWEdge:
 class BlockDependencyIndex:
     """Per-block index of point reads, range reads and writes."""
 
-    def __init__(
-        self,
-        txns: list[Txn],
-        indexed: bool = True,
-        collect_writer_txns: bool = False,
-    ) -> None:
+    def __init__(self, txns: list[Txn], indexed: bool = True) -> None:
         self.txns = txns
         self.indexed = indexed
         self._by_tid = {t.tid: t for t in txns}
@@ -65,49 +60,20 @@ class BlockDependencyIndex:
         self._range_readers: list[tuple[object, object, int]] = []
         self._range_index = RangeIndex()
         self._writers: dict[object, list[int]] = {}
-        #: key -> updater Txns in block (TID) order. Only the commit step
-        #: (update reordering) consumes these chains, and the reuse only
-        #: beats a commit-time rebuild when they ride along in this loop —
-        #: so builders whose commit step will call :meth:`writer_txns`
-        #: (Harmony's validator) pass ``collect_writer_txns=True``, and
-        #: everyone else (e.g. RBC's SSI checker) pays nothing.
-        writer_txns: dict[object, list[Txn]] | None = (
-            {} if collect_writer_txns else None
-        )
         for txn in txns:
             for key in txn.read_set:
                 self._point_readers.setdefault(key, []).append(txn.tid)
             for start, end in txn.read_ranges:
                 self._range_readers.append((start, end, txn.tid))
                 self._range_index.add(start, end, txn.tid)
-            if writer_txns is None:
-                for key in txn.write_set:
-                    self._writers.setdefault(key, []).append(txn.tid)
-            else:
-                for key in txn.write_set:
-                    self._writers.setdefault(key, []).append(txn.tid)
-                    writer_txns.setdefault(key, []).append(txn)
-        self._writer_txns = writer_txns
+            for key in txn.write_set:
+                self._writers.setdefault(key, []).append(txn.tid)
 
     def txn(self, tid: int) -> Txn:
         return self._by_tid[tid]
 
     def writers_of(self, key: object) -> list[int]:
         return self._writers.get(key, [])
-
-    def writer_txns(self) -> dict[object, list[Txn]]:
-        """Per-key updater chains (all statuses; commit-time callers filter
-        aborted updaters themselves). Built on first use when the index was
-        constructed without ``collect_writer_txns`` — write sets are frozen
-        once validation starts, so the late build sees the same chains
-        (though at rebuild cost; pass the flag on hot paths)."""
-        chains = self._writer_txns
-        if chains is None:
-            chains = self._writer_txns = {}
-            for txn in self.txns:
-                for key in txn.write_set:
-                    chains.setdefault(key, []).append(txn)
-        return chains
 
     def readers_of(self, key: object) -> list[int]:
         """Point readers plus range readers whose range covers ``key``.
@@ -163,7 +129,13 @@ class BlockDependencyIndex:
         the per-reader minimum writer TID and per-writer maximum reader TID
         are derived from the key's two extreme writers/readers, so the fold
         is O(readers + writers) per key instead of O(readers · writers).
+
+        A block nobody reads in (fused blind updates — every
+        ``ycsb-hotspot`` block) has no rw edge at all and returns before
+        the per-written-key loop.
         """
+        if not self._point_readers and not self._range_readers:
+            return
         by_tid = self._by_tid
         for key, writer_tids in self._writers.items():
             readers = self.readers_of(key)
@@ -198,6 +170,20 @@ def witness_order(txn: Txn) -> tuple[int, int]:
     return (txn.min_out, txn.tid)
 
 
+def commit_survivors(txns: list[Txn]) -> "CommittedGraph":
+    """Mark every transaction the decision left standing committed and
+    build the block's one :class:`CommittedGraph`.
+
+    Idempotent: statuses are final once the validator and the certificate's
+    vetoes have spoken, so the pipelined driver may run this at certificate
+    time and the commit step again later.
+    """
+    for txn in txns:
+        if not txn.aborted:
+            txn.mark_committed()
+    return CommittedGraph(txns)
+
+
 class CommittedGraph:
     """Dependency graph of one decided block's committed set, as bitsets.
 
@@ -216,7 +202,9 @@ class CommittedGraph:
     an n-txn block is n ints rather than O(n^2) set members. Bit ``i`` of
     ``reach[i]`` is set iff ``i`` lies on a cycle.
 
-    Three consumers read it: :meth:`HarmonyValidator.records_for` (Rule-3
+    Four consumers read it: the commit step's
+    :func:`~repro.core.reordering.apply_write_sets` (``chains`` *are* the
+    Rule-2 apply order), :meth:`HarmonyValidator.records_for` (Rule-3
     reachability handed to the next block), and the oracle's
     ``committed_is_serializable`` (:attr:`cyclic`) and
     ``count_false_aborts`` (:meth:`closes_cycle`).

@@ -15,9 +15,9 @@ or Rule 3 with inter-block parallelism) → reorder & coalesce updates
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
+from repro.core.dependencies import commit_survivors
 from repro.core.reordering import apply_write_sets
 from repro.core.validation import HarmonyValidator, PrevBlockRecords
 from repro.execution import (
@@ -133,17 +133,18 @@ class HarmonyExecutor(DCCExecutor):
         block_id, txns, vstats = prepared.block_id, prepared.txns, prepared.payload
         self.force_aborts(txns, abort_tids)
 
+        # one pass over one structure: the committed set's graph orders the
+        # writes (Rule 2) and yields the next block's Rule-3 records
         reorder = apply_write_sets(
             txns,
-            read_base=self.read_base,
-            write_cost=self.engine.write_cost,
+            self.engine.store.latest_values,
+            self.engine.write_costs,
             op_cpu_us=self.engine.costs.op_cpu_us,
             do_coalesce=self.config.coalesce,
-            dep_index=vstats.dep_index,
             key_scope=self.key_scope,
         )
-
-        self._prev_records = HarmonyValidator.records_for(txns)
+        graph = reorder.graph
+        self._prev_records = HarmonyValidator.records_for(txns, graph=graph)
 
         tail_us = self.engine.apply_block(block_id, reorder.ordered_writes)
         tail_us += self.engine.checkpoint_if_due(
@@ -165,6 +166,7 @@ class HarmonyExecutor(DCCExecutor):
             stats=stats,
             key_applies=reorder.key_applies,
             snapshot_block_id=prepared.snapshot_block_id,
+            committed_graph=graph,
         )
 
     def clone_args(self) -> tuple:
@@ -175,18 +177,6 @@ class HarmonyExecutor(DCCExecutor):
         self._prev_records = records or PrevBlockRecords()
 
     # -- process-backend hooks ----------------------------------------------
-    def detach_prepared(self, prepared: PreparedBlock) -> PreparedBlock:
-        """Drop the dependency index before shipping: it is pure derived
-        data and ``apply_write_sets`` rebuilds it bit-identically when the
-        payload arrives with ``dep_index=None`` (the PR-3 differential
-        pins that), so only the decision facts cross the pipe."""
-        vstats = prepared.payload
-        if vstats is not None and vstats.dep_index is not None:
-            prepared = dataclasses.replace(
-                prepared, payload=dataclasses.replace(vstats, dep_index=None)
-            )
-        return prepared
-
     def export_prepare_state(self) -> dict:
         return {"prev_records": self._prev_records}
 
@@ -206,7 +196,8 @@ class HarmonyExecutor(DCCExecutor):
         """
         txns = prepared.txns
         self.force_aborts(txns, abort_tids)
-        for txn in txns:
-            if not txn.aborted:
-                txn.mark_committed()
-        return {"prev_records": HarmonyValidator.records_for(txns)}
+        return {
+            "prev_records": HarmonyValidator.records_for(
+                txns, graph=commit_survivors(txns)
+            )
+        }

@@ -3,11 +3,13 @@
 After validation the rw-subgraph is free of backward dangerous structures,
 and Theorem 2 guarantees that ascending ``min_out`` order (ties by TID) is a
 topological order of it. So instead of a graph traversal, each key's
-surviving update commands are *quick-sorted* by ``(min_out, tid)``,
-coalesced into one command (Figure 5b), and applied by whichever committing
-transaction reaches the key first — one index lookup, one latch, one page
-write per key, regardless of how many transactions updated it. That is the
-hotspot-resiliency mechanism of Figure 14.
+surviving update commands are taken in ``(min_out, tid)`` order — read
+straight off the block's :class:`~repro.core.dependencies.CommittedGraph`,
+whose positions are that order and whose per-key ``chains`` are therefore
+already sorted — coalesced into one command (Figure 5b), and applied by
+whichever committing transaction reaches the key first: one index lookup,
+one latch, one page write per key, regardless of how many transactions
+updated it. That is the hotspot-resiliency mechanism of Figure 14.
 
 The two ablation switches reproduce Figure 20's bars:
 
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.core.dependencies import CommittedGraph, commit_survivors
 from repro.txn.commands import apply_safely, coalesce
 from repro.txn.transaction import Txn
 
@@ -51,73 +54,35 @@ class ReorderingResult:
     key_applies: list = field(default_factory=list)
     #: per-transaction extra commit CPU (validation bookkeeping)
     txn_commit_cpu_us: dict = field(default_factory=dict)
-
-
-def derive_reservation(txns: list[Txn], dep_index=None) -> dict:
-    """The update-reservation table: key -> surviving updaters, block order.
-
-    With ``dep_index`` (the :class:`~repro.core.dependencies.BlockDependencyIndex`
-    the validator built over the *same* transactions) the per-key updater
-    chains are reused instead of re-derived: a block with no aborts shares
-    the index's chains outright, a block with few aborts subtracts the
-    doomed updaters, and a block dominated by aborts falls back to the
-    output-sensitive rebuild. ``dep_index=None`` is the seed's rebuild,
-    retained as the differential-testing reference; all paths produce
-    identical tables.
-    """
-    reservation: dict[object, list[Txn]]
-    aborted = None if dep_index is None else [t for t in txns if t.aborted]
-    if dep_index is not None and len(aborted) * 4 <= len(txns):
-        # Only the commit/abort decisions are new information since the
-        # index chained updaters per key (Harmony reorders ww conflicts
-        # instead of aborting, so aborts are usually few). The untouched
-        # chains are shared with the index — commit-step callers must not
-        # mutate them.
-        reservation = dep_index.writer_txns() if not aborted else dict(
-            dep_index.writer_txns()
-        )
-        for txn in aborted:
-            for key in txn.updated_keys:
-                updaters = reservation.get(key)
-                if updaters is None:
-                    continue
-                kept = [t for t in updaters if t is not txn]
-                if kept:
-                    reservation[key] = kept
-                else:
-                    del reservation[key]
-        return reservation
-    reservation = {}
-    for txn in txns:
-        if txn.aborted:
-            continue
-        for key in txn.updated_keys:
-            reservation.setdefault(key, []).append(txn)
-    return reservation
+    #: the committed set's graph the writes were ordered by — the block's
+    #: one :class:`~repro.core.dependencies.CommittedGraph`, handed on to
+    #: the Rule-3 records and the false-abort oracle
+    graph: CommittedGraph | None = None
 
 
 def apply_write_sets(
     txns: list[Txn],
-    read_base,
-    write_cost,
+    read_bases,
+    write_costs,
     op_cpu_us: float = 1.0,
     do_coalesce: bool = True,
-    dep_index=None,
     key_scope=None,
 ) -> ReorderingResult:
     """Evaluate surviving transactions' update commands (Algorithm 2).
 
     ``txns`` is the block in TID order, with statuses already decided by the
-    validator (aborted transactions are filtered here, line #13 of
-    Algorithm 2). ``read_base(key)`` returns the pre-block value of a key —
-    the store's latest committed version. ``write_cost(key)`` charges one
-    physical update of the key's page and returns its simulated cost.
+    validator (aborted transactions are filtered, line #13 of Algorithm 2).
+    The survivors are marked committed and the block's one
+    :class:`~repro.core.dependencies.CommittedGraph` is built here
+    (:func:`~repro.core.dependencies.commit_survivors`) and returned in the
+    result: its ``chains`` are every key's committed updaters in Rule-2
+    order, so nothing is derived or sorted per key.
 
-    ``dep_index`` is the :class:`~repro.core.dependencies.BlockDependencyIndex`
-    the validator built over the *same* transactions: its per-key updater
-    chains are reused instead of re-deriving the reservation table from
-    scratch. ``dep_index=None`` retains the seed's rebuild as the
-    differential-testing reference; both paths are bit-identical.
+    Storage is consulted once per block, over the block's ``repr``-sorted
+    key list: ``read_bases(keys)`` returns each key's pre-block value (the
+    store's latest committed version) and ``write_costs(keys)`` charges one
+    physical update of each listed key's page, in list order, and returns
+    the simulated costs.
 
     ``key_scope`` (sharded deployments) restricts the physical apply to
     locally-owned keys: a cross-shard transaction's remote writes are
@@ -127,50 +92,51 @@ def apply_write_sets(
     Returns the ordered writes to install plus the commit step's task
     durations for the scheduler.
     """
-    result = ReorderingResult()
+    graph = commit_survivors(txns)
+    committed, chains = graph.txns, graph.chains
+    keys = sorted(
+        chains if key_scope is None else filter(key_scope, chains), key=repr
+    )
+    bases = read_bases(keys)
+    # one charge per key; uncoalesced, every updater pays its own lookup +
+    # page write (Figure 5a): key-major, the key repeated once per updater
+    costs = write_costs(
+        keys if do_coalesce else [key for key in keys for _ in chains[key]]
+    )
 
-    # update_reservation: key -> updater txns, in TID order (deterministic).
-    reservation = derive_reservation(txns, dep_index)
-    if key_scope is not None:
-        reservation = {
-            key: updaters for key, updaters in reservation.items() if key_scope(key)
-        }
-
-    for txn in txns:
-        if not txn.aborted:
-            txn.mark_committed()
-            result.txn_commit_cpu_us[txn.tid] = op_cpu_us
-
-    # Apply per key: sort by (min_out, tid) — Rule 2 — then coalesce.
-    for key in sorted(reservation, key=repr):
-        updaters = sorted(reservation[key], key=lambda t: (t.min_out, t.tid))
-        commands = [t.write_set[key] for t in updaters]
-        handler = updaters[0]
-        apply_item = KeyApply(
-            key=key,
-            updater_tids=[t.tid for t in updaters],
-            handler_tid=handler.tid,
-        )
-
-        base = read_base(key)
-        if do_coalesce:
-            merged = coalesce(commands)
-            value = apply_safely(merged, base)
-            apply_item.chain_durations_us.append(
-                write_cost(key) + op_cpu_us * len(commands)
-            )
+    ordered_writes, key_applies = [], []
+    at = 0  # next unread entry of ``costs``
+    for key, value in zip(keys, bases):
+        chain = chains[key]
+        if len(chain) == 1:
+            txn = committed[chain[0]]
+            tids = [txn.tid]
+            value = apply_safely(txn.write_set[key], value)
+            durations = [costs[at] + op_cpu_us]
+            at += 1
         else:
-            value = base
-            for command in commands:
-                value = apply_safely(command, value)
-                # every updater pays its own lookup + page write (Figure 5a)
-                apply_item.chain_durations_us.append(write_cost(key) + op_cpu_us)
-        apply_item.final_value = value
-        result.key_applies.append(apply_item)
-        if value is None:
-            # Every command no-oped on a missing base: nothing to install.
-            continue
-        # Tombstones are stored as-is; SnapshotView.get() hides them.
-        result.ordered_writes.append((key, value))
-
-    return result
+            updaters = [committed[pos] for pos in chain]
+            tids = [txn.tid for txn in updaters]
+            commands = [txn.write_set[key] for txn in updaters]
+            if do_coalesce:
+                value = apply_safely(coalesce(commands), value)
+                durations = [costs[at] + op_cpu_us * len(commands)]
+                at += 1
+            else:
+                for command in commands:
+                    value = apply_safely(command, value)
+                durations = [
+                    cost + op_cpu_us for cost in costs[at : at + len(commands)]
+                ]
+                at += len(commands)
+        key_applies.append(KeyApply(key, tids, tids[0], durations, value))
+        # ``None``: every command no-oped on a missing base, nothing to
+        # install. Tombstones are stored as-is; SnapshotView.get() hides them.
+        if value is not None:
+            ordered_writes.append((key, value))
+    return ReorderingResult(
+        ordered_writes,
+        key_applies,
+        dict.fromkeys([txn.tid for txn in committed], op_cpu_us),
+        graph,
+    )

@@ -130,12 +130,6 @@ class ValidationStats:
     dangerous_structure_hits: int = 0
     inter_block_aborts: int = 0
     ww_aborts: int = 0
-    #: the dependency index built for this block — handed to the commit
-    #: step so update reordering reuses the per-key chains instead of
-    #: re-deriving them (see :func:`repro.core.reordering.apply_write_sets`)
-    dep_index: BlockDependencyIndex | None = field(
-        default=None, repr=False, compare=False
-    )
 
 
 class HarmonyValidator:
@@ -171,10 +165,7 @@ class HarmonyValidator:
         writer facts (only consulted when ``inter_block``).
         """
         stats = ValidationStats()
-        index = BlockDependencyIndex(
-            txns, indexed=self.indexed, collect_writer_txns=True
-        )
-        stats.dep_index = index
+        index = BlockDependencyIndex(txns, indexed=self.indexed)
 
         # --- simulation-step events: fold rw edges into the counters.
         for txn in txns:
@@ -253,7 +244,8 @@ class HarmonyValidator:
             return
 
         writer_keys = prev.writer_key_index
-        range_reader_index = prev.range_reader_index
+        # stabbed per written key only when ``prev`` committed a range read
+        stab = prev.range_reader_index.stab if prev.range_readers else None
         prev_writers = prev.writers
         prev_readers = prev.readers
         for txn in txns:
@@ -283,8 +275,9 @@ class HarmonyValidator:
                     forward_positions.add(record.witness_pos)
                 for pos in prev_readers.get(key, ()):  # rw into T
                     forward_positions.add(pos)
-                for pos in range_reader_index.stab(key):
-                    forward_positions.add(pos)
+                if stab is not None:
+                    for pos in stab(key):
+                        forward_positions.add(pos)
 
             self._close_structure(
                 txn, prev, backward_positions, forward_positions, inter_doomed
@@ -369,15 +362,19 @@ class HarmonyValidator:
                     break
 
     @staticmethod
-    def records_for(txns: list[Txn], indexed: bool = True) -> PrevBlockRecords:
+    def records_for(
+        txns: list[Txn], indexed: bool = True, graph: CommittedGraph | None = None
+    ) -> PrevBlockRecords:
         """Build the committed-transaction facts the next block consults.
 
         Containers and closure come from the block's
         :class:`~repro.core.dependencies.CommittedGraph` (positions =
-        witness order); ``indexed=False`` swaps the closure for the seed's
+        witness order) — ``graph`` when the commit step already built it,
+        else built here; ``indexed=False`` swaps the closure for the seed's
         per-node DFS, the differential reference.
         """
-        graph = CommittedGraph(txns)
+        if graph is None:
+            graph = CommittedGraph(txns)
         committed = graph.txns
         records = [
             CommittedRecord(txn.tid, txn.min_out, pos) if txn.write_set else None
@@ -385,12 +382,16 @@ class HarmonyValidator:
         ]
         return PrevBlockRecords(
             writers=FrozenDict(
-                (key, tuple([records[pos] for pos in chain]))
-                for key, chain in graph.chains.items()
+                {
+                    key: tuple([records[pos] for pos in chain])
+                    for key, chain in graph.chains.items()
+                }
             ),
             readers=FrozenDict(
-                (key, tuple(positions))
-                for key, positions in graph.point_readers.items()
+                {
+                    key: tuple(positions)
+                    for key, positions in graph.point_readers.items()
+                }
             ),
             range_readers=tuple(graph.ranges),
             reachable=tuple(

@@ -116,13 +116,20 @@ class SerializabilityOracle:
         return not CommittedGraph(txns, chain_order).cyclic
 
     @staticmethod
-    def count_false_aborts(txns: list[Txn], chain_order=None, indexed: bool = True) -> int:
+    def count_false_aborts(
+        txns: list[Txn],
+        chain_order=None,
+        indexed: bool = True,
+        graph: CommittedGraph | None = None,
+    ) -> int:
         """Aborts that perfect intra-block scheduling could have avoided.
 
-        ``indexed=True`` (default) builds the block's
-        :class:`~repro.core.dependencies.CommittedGraph` once and answers
-        each abortee from its bitsets — O(edges + sum of abortee
-        footprints) per block, nothing copied or re-traversed per abortee.
+        ``indexed=True`` (default) answers each abortee from the bitsets of
+        the block's :class:`~repro.core.dependencies.CommittedGraph` —
+        ``graph`` when the caller holds the one the commit step built over
+        these very ``txns`` in ``chain_order``, else built here — O(edges +
+        sum of abortee footprints) per block, nothing copied or
+        re-traversed per abortee.
         A cyclic committed set makes every hypothetical graph cyclic, so
         it counts no false aborts. ``indexed=False`` retains the seed's
         per-abortee rebuild through :func:`block_dependency_graph` +
@@ -139,7 +146,8 @@ class SerializabilityOracle:
                 not has_cycle(block_dependency_graph(committed + [txn], order))
                 for txn in abortees
             )
-        graph = CommittedGraph(txns, chain_order)
+        if graph is None:
+            graph = CommittedGraph(txns, chain_order)
         if graph.cyclic:
             return 0
         return sum(not graph.closes_cycle(txn) for txn in abortees)

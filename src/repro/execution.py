@@ -73,6 +73,10 @@ class BlockExecution:
     key_applies: list = field(default_factory=list)
     #: snapshot the block simulated against (block id)
     snapshot_block_id: int | None = None
+    #: the committed set's :class:`~repro.core.dependencies.CommittedGraph`
+    #: when the commit step built one (Harmony) — taken, not kept, by the
+    #: driver's false-abort accounting
+    committed_graph: object = None
 
     @property
     def committed_txns(self) -> list[Txn]:
@@ -289,11 +293,6 @@ class DCCExecutor:
         transaction objects the commit later marks again).
         """
         return {}
-
-    def read_base(self, key: object):
-        """Latest committed value (tombstones surface as ``None``)."""
-        value, _version = self.engine.store.get_latest(key)
-        return value
 
     def make_stats(self, block_id: int, txns: list[Txn]) -> BlockStats:
         stats = BlockStats(block_id=block_id)

@@ -840,9 +840,15 @@ class ShardedBlockchain:
                 stats.committed += 1
             elif txn.aborted:
                 stats.aborted += 1
+        # on one shard the merged view *is* the execution's own txn list, so
+        # its commit-time graph is the graph the oracle would otherwise
+        # rebuild; either way the graphs die with this block
+        graph = executions[0].committed_graph if self.config.num_shards == 1 else None
+        for execution in executions.values():
+            execution.committed_graph = None
         if self.config.measure_false_aborts:
             stats.false_aborts = SerializabilityOracle.count_false_aborts(
-                merged_txns
+                merged_txns, graph=graph
             )
         # validator events are per-shard observations (a cross-shard
         # transaction is validated at every participant)

@@ -6,6 +6,7 @@ exposes cost-metered operations to the execution layer:
 
 - ``read_cost(key)`` / ``write_cost(key)`` — charge an index probe and a
   buffer-pool access (possible page miss + eviction write-back);
+  ``write_costs(keys)`` is the same charge for a block's key list at once;
 - ``apply_block(...)`` — install a block's ordered writes and charge the
   group commit;
 - ``checkpoint_if_due(...)`` — flush dirty pages every *p* blocks.
@@ -95,13 +96,17 @@ class StorageEngine:
         """Charge one read access on ``key``'s page; returns us."""
         return self.heap.access(key, write=False)
 
-    def write_cost(self, key: object, insert_if_absent: bool = True) -> float:
-        """Charge one write access on ``key``'s page; returns us."""
+    def write_cost(self, key: object) -> float:
+        """Charge one write access on ``key``'s page (inserting an absent
+        key); returns us."""
         if key not in self.heap:
-            if not insert_if_absent:
-                return self.heap.access(key, write=True)
             return self.heap.insert(key)
         return self.heap.access(key, write=True)
+
+    def write_costs(self, keys) -> list[float]:
+        """:meth:`write_cost` for every entry of ``keys`` in list order, as
+        one batched charge (a block's commit step); returns the costs."""
+        return self.heap.charge_writes(keys)
 
     def scan_cost(self, num_records: int) -> float:
         """Approximate cost of a range scan touching ``num_records`` rows."""
@@ -129,8 +134,8 @@ class StorageEngine:
         method charges only the shared serial tail: the WAL group commit.
         """
         cost = 0.0
-        for key, value in ordered_writes:
-            if self.wal.mode is LogMode.PHYSICAL:
+        if self.wal.mode is LogMode.PHYSICAL:
+            for key, _value in ordered_writes:
                 cost += self.wal.append("write", (block_id, key))
         self.store.apply_block(block_id, ordered_writes)
         self._last_block_writes = (block_id, ordered_writes)

@@ -67,6 +67,24 @@ class HeapFile:
         cost += self._pool.access(page_id, dirty=write)
         return cost
 
+    def charge_writes(self, keys) -> list[float]:
+        """One write access per entry of ``keys``, in list order, as one
+        loop: a key without a RID is inserted (allocating in list order),
+        every other entry costs exactly what ``access(key, write=True)``
+        does — same pool accesses, same float additions. Repeats are
+        charged again."""
+        directory = self._directory
+        pool_access = self._pool.access
+        probe_us = self._costs.index_lookup_us + self._costs.latch_us
+        costs = []
+        for key in keys:
+            rid = directory.get(key)
+            if rid is None:
+                costs.append(self.insert(key))
+            else:
+                costs.append(probe_us + pool_access(rid[0], dirty=True))
+        return costs
+
     def delete(self, key: object) -> float:
         """Free the RID of ``key``; returns the cost in us."""
         rid = self._directory.pop(key, None)

@@ -314,6 +314,18 @@ class MVStore:
             return None, version
         return value, version
 
+    def latest_values(self, keys) -> list:
+        """``get_latest(key)[0]`` for every key of ``keys``, as one loop —
+        the commit step's pre-block bases (missing and deleted keys both
+        surface as ``None``)."""
+        versions = self._versions
+        values = []
+        for key in keys:
+            chain = versions.get(key)
+            value = chain[-1][1] if chain else None
+            values.append(None if value is TOMBSTONE else value)
+        return values
+
     def snapshot(self, block_id: int) -> SnapshotView:
         return SnapshotView(self, block_id)
 

@@ -30,7 +30,13 @@ class UpdateCommand:
 
     def merge_after(self, earlier: "UpdateCommand") -> "UpdateCommand | None":
         """If ``earlier; self`` simplifies to one primitive command, return
-        it; otherwise ``None`` (callers fall back to :class:`Compose`)."""
+        it; otherwise ``None`` (callers fall back to :class:`Compose`).
+
+        Shared rule: after a blind ``set`` the result is known now — another
+        ``set``, of the value this command leaves (unchanged when the command
+        would match zero rows: a merge never raises)."""
+        if isinstance(earlier, SetValue):
+            return SetValue(apply_safely(self, earlier.value))
         return None
 
 
@@ -75,9 +81,7 @@ class AddValue(UpdateCommand):
     def merge_after(self, earlier: UpdateCommand) -> UpdateCommand | None:
         if isinstance(earlier, AddValue):
             return AddValue(earlier.delta + self.delta)
-        if isinstance(earlier, SetValue):
-            return SetValue(self.apply(earlier.value))
-        return None
+        return super().merge_after(earlier)
 
 
 @dataclass(frozen=True)
@@ -94,9 +98,7 @@ class MulValue(UpdateCommand):
     def merge_after(self, earlier: UpdateCommand) -> UpdateCommand | None:
         if isinstance(earlier, MulValue):
             return MulValue(earlier.factor * self.factor)
-        if isinstance(earlier, SetValue):
-            return SetValue(self.apply(earlier.value))
-        return None
+        return super().merge_after(earlier)
 
 
 def _frozen_items(mapping: dict) -> tuple:
@@ -127,9 +129,7 @@ class SetFields(UpdateCommand):
             merged = dict(earlier.updates)
             merged.update(self.updates)
             return SetFields(_frozen_items(merged))
-        if isinstance(earlier, SetValue) and isinstance(earlier.value, dict):
-            return SetValue(self.apply(earlier.value))
-        return None
+        return super().merge_after(earlier)
 
 
 @dataclass(frozen=True)
@@ -158,25 +158,28 @@ class AddFields(UpdateCommand):
             for name, delta in self.deltas:
                 merged[name] = merged.get(name, 0) + delta
             return AddFields(_frozen_items(merged))
-        if isinstance(earlier, SetValue) and isinstance(earlier.value, dict):
-            return SetValue(self.apply(earlier.value))
         if isinstance(earlier, SetFields):
-            # set then add: fields present in the set are computable now.
+            # set then add: computable now when the set supplies every added
+            # field; a field it leaves alone (KeyError) or a non-numeric set
+            # value (TypeError) stays a Compose
             set_map = dict(earlier.updates)
-            leftover = {}
-            for name, delta in self.deltas:
-                if name in set_map:
+            try:
+                for name, delta in self.deltas:
                     set_map[name] = set_map[name] + delta
-                else:
-                    leftover[name] = delta
-            if not leftover:
-                return SetFields(_frozen_items(set_map))
-        return None
+            except (KeyError, TypeError):
+                return None
+            return SetFields(_frozen_items(set_map))
+        return super().merge_after(earlier)
 
 
 @dataclass(frozen=True)
 class Compose(UpdateCommand):
-    """Sequential composition: apply ``commands`` left to right."""
+    """Sequential composition: apply ``commands`` left to right, each part
+    with :func:`apply_safely`'s matched-zero-rows semantics — a part whose
+    base is missing or mistyped is a no-op *for that part*, exactly as if
+    the parts had been applied one physical update at a time. (Failing as
+    a whole would undo the parts that did apply: ``delete; add`` would
+    resurrect the row.)"""
 
     commands: tuple = dc_field(default=())
 
@@ -187,7 +190,7 @@ class Compose(UpdateCommand):
     def apply(self, old: object) -> object:
         value = old
         for command in self.commands:
-            value = command.apply(value)
+            value = apply_safely(command, value)
         return value
 
 
@@ -210,6 +213,11 @@ def coalesce(commands: list[UpdateCommand]) -> UpdateCommand:
     (``add∘add``, blind-write annihilation, ...); otherwise the result is a
     :class:`Compose`, which still yields a *single* physical plan — one
     index lookup, one latch, one page write.
+
+    The law (``tests/test_commands.py``): for every command list and base,
+    ``apply_safely(coalesce(cmds), base)`` equals applying the commands one
+    by one with :func:`apply_safely` — coalescing changes the cost, never
+    the value.
     """
     if not commands:
         raise ValueError("cannot coalesce an empty command list")

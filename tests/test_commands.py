@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.storage.mvstore import TOMBSTONE
 from repro.txn.commands import (
@@ -147,6 +147,63 @@ class TestCoalesceProperties:
         if not merged.reads_value:
             # must be applicable to a missing value without raising
             merged.apply(None)
+
+
+_scalars = st.integers(min_value=-20, max_value=20)
+_records = st.dictionaries(st.sampled_from("abc"), _scalars, max_size=3)
+#: every primitive command type; payloads are integers (and records of
+#: integers) so the algebraic merges (add∘add -> one add) are exact — float
+#: reassociation is the one liberty coalescing takes, and it is not a
+#: commit/abort or no-op question
+_primitives = st.one_of(
+    _scalars.map(AddValue),
+    st.integers(min_value=-3, max_value=3).map(MulValue),
+    st.one_of(st.none(), _scalars, _records).map(SetValue),
+    st.just(DeleteValue()),
+    _records.map(lambda fields: SetFields.of(**fields)),
+    _records.map(lambda fields: AddFields.of(**fields)),
+)
+_commands = st.one_of(
+    _primitives, st.lists(_primitives, max_size=3).map(lambda p: Compose(tuple(p)))
+)
+#: missing, deleted (what a DeleteValue leaves mid-chain), scalar, record
+_bases = st.one_of(st.none(), st.just(TOMBSTONE), _scalars, _records)
+
+
+def _serial(commands, base):
+    """One physical update per command: the ``coalesce=False`` path."""
+    for command in commands:
+        base = apply_safely(command, base)
+    return base
+
+
+class TestCoalesceLaw:
+    """Coalescing changes the cost of a key's update chain, never its
+    value: ``apply_safely(coalesce(cmds), base)`` is the left fold of
+    ``apply_safely`` for every command list and base — including the
+    matched-zero-rows no-ops in the middle of a chain."""
+
+    @given(st.lists(_commands, min_size=1, max_size=6), _bases)
+    @settings(max_examples=500, deadline=None)
+    def test_coalesced_equals_serial(self, commands, base):
+        assert apply_safely(coalesce(commands), base) == _serial(commands, base)
+
+    def test_delete_then_add_stays_deleted(self):
+        # the Compose used to raise as a whole, undoing the delete
+        commands = [DeleteValue(), AddValue(5)]
+        assert _serial(commands, 10) is TOMBSTONE
+        assert apply_safely(coalesce(commands), 10) is TOMBSTONE
+
+    def test_set_none_then_add_does_not_raise(self):
+        # merge_after used to evaluate add(None) outside apply_safely and
+        # raise KeyError out of the commit step
+        commands = [SetValue(None), AddValue(5)]
+        assert apply_safely(coalesce(commands), 3) is _serial(commands, 3) is None
+
+    def test_set_fields_then_add_on_scalar_applies_the_add(self):
+        # the mistyped SetFields is a no-op for itself, not for the chain
+        commands = [SetFields.of(a=1), AddValue(5)]
+        assert apply_safely(coalesce(commands), 10) == _serial(commands, 10) == 15
 
 
 class TestApplySafely:

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.dependencies import BlockDependencyIndex, CommittedGraph
-from repro.core.reordering import KeyApply, apply_write_sets, derive_reservation
+from repro.core.reordering import KeyApply, apply_write_sets
 from repro.core.validation import HarmonyValidator
 from repro.dcc.aria import AriaExecutor
 from repro.dcc.oracle import (
@@ -30,7 +30,7 @@ from repro.dcc.oracle import (
 from repro.execution import OverlayView
 from repro.intervals import RangeIndex, SortedKeys, covers
 from repro.storage.mvstore import MVStore, TOMBSTONE, _entry_digest, canonical
-from repro.txn.commands import AddValue, SetValue
+from repro.txn.commands import AddValue, DeleteValue, MulValue, SetValue, apply_safely
 from repro.txn.transaction import AbortReason, Txn, TxnSpec
 
 from tests.conftest import generic_registry, make_engine, make_txns
@@ -410,52 +410,102 @@ class TestHistoryOracleFallbacks:
         assert 0 in graph[1]
 
 
-class TestReorderReuse:
-    @given(txn_block(), st.booleans(), st.booleans())
+@st.composite
+def decided_block(draw):
+    """A validated block with mixed update commands, an arbitrary extra
+    abort subset on top of the validator's own, and a base state with
+    holes (keys the block updates but the store does not hold)."""
+    txns = draw(txn_block())
+    commands = st.one_of(
+        st.integers(-5, 5).map(AddValue),
+        st.integers(0, 3).map(MulValue),
+        st.one_of(st.none(), st.integers(0, 99)).map(SetValue),
+        st.just(DeleteValue()),
+    )
+    for txn in txns:
+        for key in txn.updated_keys:
+            txn.write_set[key] = draw(commands)
+    HarmonyValidator(inter_block=draw(st.booleans())).validate(txns)
+    for txn in txns:
+        if not txn.aborted and draw(st.booleans()):
+            txn.mark_aborted(AbortReason.CROSS_SHARD_ABORT)
+    present = draw(st.sets(st.integers(0, NUM_KEYS - 1)))
+    return txns, {_key(i): i * 10 for i in present}
+
+
+def reference_commit(txns, base, cost_of, op_cpu_us, do_coalesce, key_scope):
+    """Algorithm 2 read literally: filter committed, per-key sort by
+    ``(min_out, tid)``, fold; -> (writes, applies, commit cpu, charged)."""
+    live = [t for t in txns if not t.aborted]
+    keys = {k for t in live for k in t.write_set if not key_scope or key_scope(k)}
+    writes, applies, charged = [], [], []
+    for key in sorted(keys, key=repr):
+        ups = sorted((t for t in live if key in t.write_set), key=lambda t: (t.min_out, t.tid))
+        value = base.get(key)
+        for txn in ups:
+            value = apply_safely(txn.write_set[key], value)
+        n = len(ups)
+        chain = [cost_of(key) + op_cpu_us * n] if do_coalesce else [cost_of(key) + op_cpu_us] * n
+        charged += [key] * len(chain)
+        applies.append(KeyApply(key, [t.tid for t in ups], ups[0].tid, chain, value))
+        writes += [(key, value)] if value is not None else []
+    return writes, applies, {t.tid: op_cpu_us for t in live}, charged
+
+
+class TestCommitPass:
+    """The commit step reads Rule-2 order off the block's CommittedGraph
+    and charges storage once per block; both must be indistinguishable
+    from the per-key derivation and the per-key charges they replaced."""
+
+    @given(decided_block(), st.booleans(), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_apply_write_sets_equals_reference(self, decided, do_coalesce, scoped):
+        txns, base = decided
+        key_scope = (lambda key: key[1] % 2 == 0) if scoped else None
+        cost_of = lambda key: 1.0 + key[1] / 8
+        charged = []
+
+        def write_costs(keys):
+            charged.extend(keys)
+            return [cost_of(key) for key in keys]
+
+        result = apply_write_sets(
+            txns,
+            lambda keys: [base.get(key) for key in keys],
+            write_costs,
+            op_cpu_us=0.75,
+            do_coalesce=do_coalesce,
+            key_scope=key_scope,
+        )
+        writes, applies, commit_cpu, expected_charges = reference_commit(
+            txns, base, cost_of, 0.75, do_coalesce, key_scope
+        )
+        assert result.ordered_writes == writes
+        assert result.key_applies == applies
+        assert result.txn_commit_cpu_us == commit_cpu
+        assert charged == expected_charges
+        assert all(t.committed != t.aborted for t in txns)
+
+    @given(
+        st.lists(st.integers(0, 139), max_size=40),
+        st.integers(min_value=1, max_value=3),
+    )
     @settings(max_examples=150, deadline=None)
-    def test_apply_write_sets_identical(self, txns, inter_block, do_coalesce):
-        validator = HarmonyValidator(inter_block=inter_block)
-        stats = validator.validate(txns)
-        base = {_key(i): i * 10 for i in range(NUM_KEYS)}
-
-        def run(dep_index):
-            return apply_write_sets(
-                txns,
-                read_base=lambda key: base.get(key),
-                write_cost=lambda key: 1.0,
-                do_coalesce=do_coalesce,
-                dep_index=dep_index,
-            )
-
-        naive, reuse = run(None), run(stats.dep_index)
-        assert derive_reservation(txns, None) == derive_reservation(
-            txns, stats.dep_index
-        )
-        # an index built without collect_writer_txns lazily derives the
-        # same chains on first use
-        lazy_index = BlockDependencyIndex(txns)
-        assert derive_reservation(txns, None) == derive_reservation(
-            txns, lazy_index
-        )
-        assert naive.ordered_writes == reuse.ordered_writes
-        assert naive.key_applies == reuse.key_applies
-        assert naive.txn_commit_cpu_us == reuse.txn_commit_cpu_us
-
-    @given(txn_block(max_txns=8), st.data())
-    @settings(max_examples=100, deadline=None)
-    def test_reservation_identical_at_any_abort_rate(self, txns, data):
-        """The adaptive strategies (share / subtract / rebuild) must agree
-        with the naive derivation whatever fraction of the block aborted."""
-        from repro.txn.transaction import AbortReason
-
-        doomed = data.draw(
-            st.lists(st.sampled_from([t.tid for t in txns]), unique=True)
-        )
-        index = BlockDependencyIndex(txns)
-        for txn in txns:
-            if txn.tid in doomed:
-                txn.mark_aborted(AbortReason.WAW)
-        assert derive_reservation(txns, None) == derive_reservation(txns, index)
+    def test_batched_charge_equals_per_key_write_cost(self, picks, pool_pages):
+        """Same costs, same pool/disk counters, same page allocation —
+        keys 100.. are absent (inserted, in list order), repeats allowed."""
+        keys = [_key(i) for i in picks]
+        one, batch = (make_engine(100, pool_pages=pool_pages) for _ in range(2))
+        for engine in (one, batch):
+            engine.store.apply_block(0, [(_key(0), TOMBSTONE), (_key(1), None)])
+        assert batch.write_costs(keys) == [one.write_cost(key) for key in keys]
+        assert batch.pool.stats == one.pool.stats
+        assert batch.disk.stats == one.disk.stats
+        assert list(batch.pool._frames.items()) == list(one.pool._frames.items())
+        assert [batch.heap.page_of(k) for k in keys] == [one.heap.page_of(k) for k in keys]
+        assert batch.store.latest_values(keys) == [
+            one.store.get_latest(key)[0] for key in keys
+        ]
 
 
 def _ops_strategy():

@@ -20,6 +20,14 @@ nine tenths of them *and* medians apart by more than the parent's
 inter-quartile distance. The modeled metrics and ``commit_rate`` must be identical per
 seed; any pair where they are not, any incorrect run and any rise in the
 failed share make the command exit 1.
+
+``--layers`` (``make e2e-pairs ... LAYERS=1``) runs the same alternating
+pairs at ``--trace 1`` instead and prints, per side, the **median** of every
+layer's ``self_s`` and of ``driver.py_calls_per_txn``. Read layer tables
+from this, not from one traced run: a ``run()`` holds one generation-2
+collection, which lands in whichever layer crosses the allocation threshold,
+so a single parent/change pair can show a layer slower on a change that is
+faster end to end.
 """
 
 from __future__ import annotations
@@ -49,12 +57,14 @@ def unpack(rev: str, into: str) -> None:
         tar.extractall(into)
 
 
-def run_once(checkout: pathlib.Path, workload: str, seed: int, seconds: int) -> dict:
+def run_once(
+    checkout: pathlib.Path, workload: str, seed: int, seconds: int, trace: int = 0
+) -> dict:
     """One driver-mode invocation; its last stdout line is the result."""
     command = [
         sys.executable, str(checkout / "benchmarks" / "e2e" / "run.py"),
         "--workload", workload, "--seed", str(seed),
-        "--seconds", str(seconds), "--trace", "0",
+        "--seconds", str(seconds), "--trace", str(trace),
     ]  # fmt: skip
     done = subprocess.run(command, capture_output=True, text=True, timeout=1800)
     lines = done.stdout.splitlines()
@@ -119,6 +129,32 @@ def report(workload: str, runs: dict, metrics: list) -> bool:
     return ok
 
 
+def report_layers(workload: str, runs: dict, metrics: list) -> bool:
+    """Print each side's per-layer medians; False when a run was incorrect."""
+    pairs = len(runs["parent"])
+    print(f"\n{workload}: {pairs} traced pair(s)   (median per side)")
+    names = [m["name"] for m in metrics if m["name"].endswith(".self_s")]
+    for name in names + ["driver.py_calls_per_txn"]:
+        values = {
+            side: [run["metrics"][name]["value"] for run in results]
+            for side, results in runs.items()
+        }
+        if any(value is None for side in values.values() for value in side):
+            print(f"  {name:<36} unmeasured (shim target missing)")
+            continue
+        pmed, cmed = (statistics.median(values[side]) for side in ("parent", "change"))
+        if pmed or cmed:
+            ratio = f"x{cmed / pmed:.3f}" if pmed else ""
+            print(f"  {name:<36} parent {pmed:<10.4g} change {cmed:<10.4g} {ratio}")
+    incorrect = {
+        side: sum(not run["correct"] for run in results) for side, results in runs.items()
+    }
+    for side, count in incorrect.items():
+        if count:
+            print(f"  {side}: {count} run(s) not correct")
+    return not any(incorrect.values())
+
+
 def main() -> int:
     with open(ROOT / "BENCHMARK.json") as handle:
         manifest = json.load(handle)
@@ -130,6 +166,10 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=7, help="pair i runs seed SEED+i on both sides")
     parser.add_argument("--seconds", type=int, default=manifest["run_seconds"])
     parser.add_argument("--out", help="write every run's result line to this JSON file")
+    parser.add_argument(
+        "--layers", action="store_true",
+        help="pairs at --trace 1: per-layer self_s medians and py_calls_per_txn",
+    )  # fmt: skip
     args = parser.parse_args()
     wanted = names if args.workload == "all" else args.workload.split(",")
     unknown = sorted(set(wanted) - set(names))
@@ -146,15 +186,21 @@ def main() -> int:
             for pair in range(args.pairs):
                 order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
                 for side in order:
-                    result = run_once(checkouts[side], workload, args.seed + pair, args.seconds)
+                    result = run_once(
+                        checkouts[side], workload, args.seed + pair, args.seconds, int(args.layers)
+                    )
                     runs[side].append(result)
+                    shown = "driver.py_calls_per_txn" if args.layers else "host_tps"
                     print(
-                        f"{workload} pair {pair} {side:<6} host_tps "
-                        f"{result['metrics']['host_tps']['value']:.6g}",
+                        f"{workload} pair {pair} {side:<6} {shown} "
+                        f"{result['metrics'][shown]['value']:.6g}",
                         flush=True,
                     )
             record[workload] = runs
-            ok &= report(workload, runs, manifest["end_to_end"])
+            if args.layers:
+                ok &= report_layers(workload, runs, manifest["per_layer"])
+            else:
+                ok &= report(workload, runs, manifest["end_to_end"])
     if args.out:
         with open(args.out, "w") as handle:
             json.dump({"parent": args.parent, "seed": args.seed, "runs": record}, handle, indent=1)

@@ -3,7 +3,7 @@
 
 PY := PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH)) python
 
-.PHONY: test loc conformance perf-smoke perf perf-parallel compare faults-smoke faults obs-smoke rebalance-smoke e2e-smoke e2e e2e-pairs
+.PHONY: test loc no-twins conformance perf-smoke perf perf-parallel compare faults-smoke faults obs-smoke rebalance-smoke e2e-smoke e2e e2e-pairs
 
 # tier-1 verify: the whole default suite (perf/faults/tpcc markers
 # excluded by pytest.ini)
@@ -11,15 +11,28 @@ test:
 	$(PY) -m pytest -x -q
 
 # size ledger (informational, never fails): lines per package of src/repro,
-# their total, the chain/ + shard/ + parallel/ figure ROADMAP direction 2's
-# acceptance tracks, and tests/ — ROADMAP aim 2 tracks these
+# their total, the chain/ + shard/ + parallel/ figure ROADMAP direction 1's
+# acceptance tracks, and tests/ — ROADMAP aim 2 tracks these. tests/reference/
+# (the reference implementations moved out of src/repro) is part of the tests
+# total and printed on its own line: moved lines are not a reduction
 loc:
 	@for d in src/repro/*/; do \
 		printf '%7d %s\n' "$$(cat $$d*.py | wc -l)" "$$d"; \
 	done
 	@printf '%7d src/repro total\n' "$$(find src/repro -name '*.py' | xargs cat | wc -l)"
 	@printf '%7d chain/ + shard/ + parallel/\n' "$$(cat src/repro/chain/*.py src/repro/shard/*.py src/repro/parallel/*.py | wc -l)"
+	@printf '%7d core/ + dcc/ + storage/\n' "$$(cat src/repro/core/*.py src/repro/dcc/*.py src/repro/storage/*.py | wc -l)"
+	@printf '%7d src/repro/bench/perf.py\n' "$$(wc -l < src/repro/bench/perf.py)"
 	@printf '%7d tests total\n' "$$(find tests -name '*.py' | xargs cat | wc -l)"
+	@printf '%7d tests/reference/\n' "$$(cat tests/reference/*.py | wc -l)"
+
+# the twins stay retired: src/repro has no indexed= / incremental= selector,
+# no _naive function, no full-checkpoint path, and imports nothing from tests/
+# (each reference implementation lives once, under tests/reference/)
+no-twins:
+	@! grep -rnE --include='*.py' "\bindexed\s*[:=]|\bincremental\s*(=|:\s*bool)|_naive\b|state_hash_full|checkpoint_incremental|incremental_checkpoints|force_checkpoint|maybe_checkpoint" src/repro
+	@! grep -rnE --include='*.py' "^\s*(from|import)\s+(tests|reference)\b" src/repro
+	@echo "no-twins: ok"
 
 # full conformance sweep: every scheme x every registered workload,
 # unsharded + sharded, including the tpcc-marked extended matrix (the
@@ -27,12 +40,13 @@ loc:
 conformance:
 	$(PY) -m pytest tests/test_conformance.py -q -m "not perf and not faults"
 
-# perf harness smoke: runs in seconds, fails on any check or any
-# non-gated speedup < 1.0
+# micro-ledger smoke: runs in seconds, fails on any false check (a scaling
+# guard past its bound included); records nothing unless $$REPRO_BENCH_OUT
+# names a file, so the tree stays clean
 perf-smoke:
 	$(PY) -m repro.bench --perf-smoke --check
 
-# full perf trajectory run + regression gate (commit BENCH_perf.json)
+# full micro-ledger run, appended to BENCH_perf.json (commit it); same gate
 perf:
 	$(PY) -m repro.bench --perf --check
 
@@ -40,7 +54,8 @@ perf:
 perf-parallel:
 	$(PY) -m pytest -m perf -k "parallel or pipelined" -q
 
-# diff the two newest same-mode perf runs; fails on a speedup collapse
+# diff the simulated-basis cases of the two newest same-mode runs; fails on
+# a speedup collapse (wall-clock cases gate themselves inside each run)
 compare:
 	$(PY) -m repro.bench --compare
 

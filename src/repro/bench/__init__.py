@@ -11,10 +11,11 @@ the paper's minutes-long runs). Set ``REPRO_FULL=1`` for longer runs; the
 *shapes* — who wins, by what factor, where knees fall — are stable across
 scales. EXPERIMENTS.md records paper-vs-measured values.
 
-Hot-path micro-benchmarks live in :mod:`repro.bench.perf`
-(``python -m repro.bench --perf`` / ``--perf-smoke``); they time the
-indexed fast paths against the retained naive implementations and append
-the results to the ``BENCH_perf.json`` trajectory.
+The micro ledger lives in :mod:`repro.bench.perf` (``python -m repro.bench
+--perf`` / ``--perf-smoke``): complexity-class guards of the hot paths
+(growth of the production path from ``n`` to ``4n``), the sharding scenario
+results on the modeled clock and the process-backend / tracing wall gates,
+appended to the ``BENCH_perf.json`` trajectory.
 """
 
 from repro.bench.config import BenchScale, current_scale

@@ -59,9 +59,6 @@ class OEConfig:
     profile: StorageProfile = StorageProfile.SSD
     pool_pages: int = 48
     checkpoint_interval: int = 10
-    #: delta-chain the durable checkpoints (False = the seed's full
-    #: deepcopy per interval, kept as the differential reference)
-    checkpoint_incremental: bool = True
     #: delta checkpoints between base compactions of the chain
     checkpoint_base_interval: int = 8
     harmony: HarmonyConfig = field(default_factory=HarmonyConfig)
@@ -99,7 +96,6 @@ def build_engine(config: OEConfig, costs: CostModel) -> StorageEngine:
         pool_pages=config.pool_pages,
         log_mode=LogMode.LOGICAL,
         checkpoint_interval=config.checkpoint_interval,
-        incremental_checkpoints=config.checkpoint_incremental,
         checkpoint_base_interval=config.checkpoint_base_interval,
     )
 

@@ -21,7 +21,6 @@ from __future__ import annotations
 from repro.chain.node import ReplicaNode
 from repro.storage.checkpoint import Checkpoint
 from repro.storage.engine import StorageEngine
-from repro.storage.mvstore import TOMBSTONE
 from repro.storage.wal import LogMode
 
 
@@ -43,7 +42,6 @@ def rebuild_engine(
         pool_pages=old_engine.pool.capacity,
         log_mode=LogMode.LOGICAL,
         checkpoint_interval=old_engine.checkpoints.interval_blocks,
-        incremental_checkpoints=old_engine.checkpoints.incremental,
         checkpoint_base_interval=old_engine.checkpoints.base_interval,
     )
     engine.genesis_state = dict(old_engine.genesis_state)
@@ -55,46 +53,20 @@ def rebuild_engine(
         return engine, replay_from, checkpoint
 
     replay_from = checkpoint.block_id
-    if checkpoint.prev_state is not None:
-        engine.store.load(checkpoint.prev_state, block_id=-1)
-        if checkpoint.block_writes is not None:
-            # Replay the checkpoint block's recorded writes verbatim:
-            # the version batch (same (block_id, seq) tags, same
-            # TOMBSTONEs) comes out identical to an uncrashed
-            # replica's, which SOV-style version checks rely on. A
-            # state diff cannot do this — it is blind to keys
-            # rewritten with an unchanged value.
-            writes = list(checkpoint.block_writes)
-        else:
-            # Legacy checkpoints without block_writes: diff the two
-            # snapshots. Membership, not .get(): a key born with a
-            # stored-None value between them must enter the delta, or
-            # the recovered replica loses the version an uncrashed
-            # one holds.
-            delta = {
-                key: value
-                for key, value in checkpoint.state.items()
-                if key not in checkpoint.prev_state
-                or checkpoint.prev_state[key] != value
-            }
-            writes = list(delta.items())
-            writes.extend(
-                (key, TOMBSTONE)
-                for key in checkpoint.prev_state
-                if key not in checkpoint.state
-            )
-        # fast-forward version history so the replayed blocks see both
-        # snapshot(block-1) and snapshot(block)
-        engine.store.last_committed_block = checkpoint.block_id - 1
-        engine.store.apply_block(checkpoint.block_id, writes)
-    else:
-        engine.store.load(checkpoint.state, block_id=checkpoint.block_id)
-        engine.store.last_committed_block = checkpoint.block_id
-    if engine.checkpoints.incremental:
-        # Restart the delta chain from the recovery point: the first
-        # post-recovery deltas cover only replayed blocks, so they must
-        # fold onto this base, not onto genesis.
-        engine.checkpoints.seed_base(checkpoint)
+    engine.store.load(checkpoint.prev_state, block_id=-1)
+    # fast-forward version history so the replayed blocks see both
+    # snapshot(block-1) and snapshot(block), then replay the checkpoint
+    # block's recorded writes verbatim: the version batch (same
+    # (block_id, seq) tags, same TOMBSTONEs) comes out identical to an
+    # uncrashed replica's, which SOV-style version checks rely on. A state
+    # diff cannot do this — it is blind to keys rewritten with an
+    # unchanged value.
+    engine.store.last_committed_block = checkpoint.block_id - 1
+    engine.store.apply_block(checkpoint.block_id, list(checkpoint.block_writes))
+    # Restart the delta chain from the recovery point: the first
+    # post-recovery deltas cover only replayed blocks, so they must fold
+    # onto this base, not onto genesis.
+    engine.checkpoints.seed_base(checkpoint)
     for key in engine.store.keys():
         engine.heap.insert(key)
     engine.reset_stats()

@@ -67,8 +67,6 @@ class SOVConfig:
     profile: StorageProfile = StorageProfile.SSD
     pool_pages: int = 48
     checkpoint_interval: int = 10
-    #: delta-chain the durable checkpoints (False = full deepcopy reference)
-    checkpoint_incremental: bool = True
     checkpoint_base_interval: int = 8
     max_graph_txns: int = 150
     seed: int = 7
@@ -103,7 +101,6 @@ class SOVBlockchain:
             pool_pages=self.config.pool_pages,
             log_mode=LogMode.PHYSICAL,
             checkpoint_interval=self.config.checkpoint_interval,
-            incremental_checkpoints=self.config.checkpoint_incremental,
             checkpoint_base_interval=self.config.checkpoint_base_interval,
         )
         engine.preload(self.workload.initial_state())

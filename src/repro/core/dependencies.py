@@ -10,18 +10,12 @@ write landing inside the range raises the same event — "Harmony does not
 have phantoms because a predicate-read will also trigger
 on_seeing_rw_dependency" (Section 3.2).
 
-Two implementations share this class:
-
-- ``indexed=True`` (default) answers range-reader lookups through a
-  sorted-boundary :class:`~repro.intervals.RangeIndex`, making
-  :meth:`BlockDependencyIndex.rw_edges` near-linear in the number of
-  edges;
-- ``indexed=False`` retains the naive linear scan over every registered
-  range per written key. It is kept as the differential-testing reference
-  (``tests/test_perf_differential.py``) and as the baseline the
-  ``repro.bench.perf`` harness measures speedups against.
-
-Both paths produce identical reader lists and edge streams.
+Range-reader lookups go through a sorted-boundary
+:class:`~repro.intervals.RangeIndex`, making
+:meth:`BlockDependencyIndex.rw_edges` near-linear in the number of edges;
+the linear scan over every registered range per written key it replaced
+lives on as ``tests/reference`` (``readers_of`` / ``rw_edges``), which
+``tests/test_perf_differential.py`` holds this class equal to.
 
 :class:`CommittedGraph` is the other half of this module: once a block is
 decided, the dependency graph of its *committed* set (per-key updater
@@ -36,7 +30,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
-from repro.intervals import RangeIndex, SortedKeys, covers
+from repro.intervals import RangeIndex, SortedKeys
 from repro.txn.transaction import Txn
 
 
@@ -52,9 +46,8 @@ class RWEdge:
 class BlockDependencyIndex:
     """Per-block index of point reads, range reads and writes."""
 
-    def __init__(self, txns: list[Txn], indexed: bool = True) -> None:
+    def __init__(self, txns: list[Txn]) -> None:
         self.txns = txns
-        self.indexed = indexed
         self._by_tid = {t.tid: t for t in txns}
         self._point_readers: dict[object, list[int]] = {}
         self._range_readers: list[tuple[object, object, int]] = []
@@ -69,9 +62,6 @@ class BlockDependencyIndex:
             for key in txn.write_set:
                 self._writers.setdefault(key, []).append(txn.tid)
 
-    def txn(self, tid: int) -> Txn:
-        return self._by_tid[tid]
-
     def writers_of(self, key: object) -> list[int]:
         return self._writers.get(key, [])
 
@@ -80,10 +70,8 @@ class BlockDependencyIndex:
 
         De-duplicated (a transaction appears once even when several of its
         ranges cover the key), point readers first, then range readers in
-        registration order — identical output on both implementations.
+        registration order.
         """
-        if not self.indexed:
-            return self._readers_of_naive(key)
         point = self._point_readers.get(key)
         ranged = self._range_index.stab(key)
         if not ranged:
@@ -93,14 +81,6 @@ class BlockDependencyIndex:
         for tid in ranged:
             if tid not in seen:
                 seen.add(tid)
-                readers.append(tid)
-        return readers
-
-    def _readers_of_naive(self, key: object) -> list[int]:
-        """Seed implementation: linear scan over every registered range."""
-        readers = list(self._point_readers.get(key, []))
-        for start, end, tid in self._range_readers:
-            if covers(start, end, key) and tid not in readers:
                 readers.append(tid)
         return readers
 

@@ -29,16 +29,16 @@ consults those records for:
 - (iii) outgoing inter-block rw edges into a previous-block transaction that
   was itself a structure middle (``min_out < tid``) — the Figure 6 case.
 
-Performance: the hot loops run against sorted-key / interval indexes
-(``indexed=True``, the default) — range reads slice the previous block's
-written keys with two bisects, written keys stab the committed range
-readers, and the committed-block reachability closure comes from the
-block's one :class:`~repro.core.dependencies.CommittedGraph` and *stays*
-per-position bitsets in the records (a reachability probe is a shift and a
-mask; the records are O(n) ints to build, share, checkpoint and pickle).
-The naive quadratic paths are retained behind ``indexed=False`` as the
-differential-testing reference; both produce bit-identical commit/abort
-decisions.
+Performance: the hot loops run against sorted-key / interval indexes —
+range reads slice the previous block's written keys with two bisects,
+written keys stab the committed range readers, and the committed-block
+reachability closure comes from the block's one
+:class:`~repro.core.dependencies.CommittedGraph` and *stays* per-position
+bitsets in the records (a reachability probe is a shift and a mask; the
+records are O(n) ints to build, share, checkpoint and pickle). This is the
+only implementation; the quadratic scans it replaced are
+``tests/reference`` (``reference_validate``, ``reachability``), which
+``tests/test_perf_differential.py`` holds it bit-identical to.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from repro.core.dependencies import BlockDependencyIndex, CommittedGraph
-from repro.intervals import RangeIndex, SortedKeys, covers
+from repro.intervals import RangeIndex, SortedKeys
 from repro.txn.transaction import AbortReason, Txn
 
 NEG_INF = float("-inf")
@@ -139,20 +139,11 @@ class HarmonyValidator:
     cannot be resolved by reordering, so the validator falls back to Aria's
     style: among transactions updating the same key, only the smallest TID
     survives.
-
-    ``indexed=False`` selects the retained naive scans everywhere (the
-    differential-testing / benchmarking baseline).
     """
 
-    def __init__(
-        self,
-        inter_block: bool = False,
-        update_reorder: bool = True,
-        indexed: bool = True,
-    ) -> None:
+    def __init__(self, inter_block: bool = False, update_reorder: bool = True) -> None:
         self.inter_block = inter_block
         self.update_reorder = update_reorder
-        self.indexed = indexed
 
     def validate(
         self,
@@ -165,22 +156,14 @@ class HarmonyValidator:
         writer facts (only consulted when ``inter_block``).
         """
         stats = ValidationStats()
-        index = BlockDependencyIndex(txns, indexed=self.indexed)
+        index = BlockDependencyIndex(txns)
 
-        # --- simulation-step events: fold rw edges into the counters.
+        # --- simulation-step events: fold rw edges into the counters
+        # (every on_seeing_rw_dependency event, fused: no per-edge object).
         for txn in txns:
             txn.min_out = txn.tid + 1
             txn.max_in = NEG_INF
-        if self.indexed:
-            # Fused fold: same events, no per-edge object churn.
-            index.fold_rw_counters()
-        else:
-            for edge in index.rw_edges():
-                reader = index.txn(edge.reader_tid)
-                writer = index.txn(edge.writer_tid)
-                # Event on_seeing_rw_dependency(T_writer <--rw-- T_reader):
-                reader.min_out = min(writer.tid, reader.min_out)
-                writer.max_in = max(reader.tid, writer.max_in)
+        index.fold_rw_counters()
 
         inter_doomed: set[int] = set()
         if self.inter_block and prev_records:
@@ -234,15 +217,11 @@ class HarmonyValidator:
         All inputs are committed facts of an already-decided block, so every
         replica reaches identical decisions regardless of message timing.
 
-        Indexed path: each range read slices ``prev``'s written keys with
-        two bisects; each written key stabs the committed-range-reader
-        index — O((reads + writes) · log |prev| + hits) per transaction
-        instead of a full scan of ``prev`` per read range / written key.
+        Each range read slices ``prev``'s written keys with two bisects;
+        each written key stabs the committed-range-reader index —
+        O((reads + writes) · log |prev| + hits) per transaction instead of
+        a full scan of ``prev`` per read range / written key.
         """
-        if not self.indexed:
-            self._fold_inter_block_edges_naive(txns, prev, inter_doomed)
-            return
-
         writer_keys = prev.writer_key_index
         # stabbed per written key only when ``prev`` committed a range read
         stab = prev.range_reader_index.stab if prev.range_readers else None
@@ -252,8 +231,8 @@ class HarmonyValidator:
             backward_positions: set[int] = set()
             forward_positions: set[int] = set()
 
-            # Backward targets (``see_target`` in the naive path, inlined —
-            # this runs once per committed writer hit).
+            # Backward targets (inlined — this runs once per committed
+            # writer hit).
             for key in txn.read_set:
                 for record in prev_writers.get(key, ()):
                     if record.tid < txn.min_out:
@@ -277,46 +256,6 @@ class HarmonyValidator:
                     forward_positions.add(pos)
                 if stab is not None:
                     for pos in stab(key):
-                        forward_positions.add(pos)
-
-            self._close_structure(
-                txn, prev, backward_positions, forward_positions, inter_doomed
-            )
-
-    def _fold_inter_block_edges_naive(
-        self,
-        txns: list[Txn],
-        prev: PrevBlockRecords,
-        inter_doomed: set[int],
-    ) -> None:
-        """Seed implementation: every range read scans every previous-block
-        written key, every written key scans every committed range reader."""
-        for txn in txns:
-            backward_positions: set[int] = set()
-            forward_positions: set[int] = set()
-
-            def see_target(record: CommittedRecord) -> None:
-                txn.min_out = min(txn.min_out, record.tid)
-                backward_positions.add(record.witness_pos)
-                if record.was_structure_middle:
-                    inter_doomed.add(txn.tid)
-
-            for key in txn.read_set:
-                for record in prev.writers.get(key, ()):
-                    see_target(record)
-            for start, end in txn.read_ranges:
-                for key, records in prev.writers.items():
-                    if covers(start, end, key):
-                        for record in records:
-                            see_target(record)
-
-            for key in txn.write_set:
-                for record in prev.writers.get(key, ()):  # ww into T
-                    forward_positions.add(record.witness_pos)
-                for pos in prev.readers.get(key, ()):  # rw into T
-                    forward_positions.add(pos)
-                for start, end, pos in prev.range_readers:
-                    if covers(start, end, key):
                         forward_positions.add(pos)
 
             self._close_structure(
@@ -363,15 +302,14 @@ class HarmonyValidator:
 
     @staticmethod
     def records_for(
-        txns: list[Txn], indexed: bool = True, graph: CommittedGraph | None = None
+        txns: list[Txn], graph: CommittedGraph | None = None
     ) -> PrevBlockRecords:
         """Build the committed-transaction facts the next block consults.
 
         Containers and closure come from the block's
         :class:`~repro.core.dependencies.CommittedGraph` (positions =
         witness order) — ``graph`` when the commit step already built it,
-        else built here; ``indexed=False`` swaps the closure for the seed's
-        per-node DFS, the differential reference.
+        else built here.
         """
         if graph is None:
             graph = CommittedGraph(txns)
@@ -394,42 +332,5 @@ class HarmonyValidator:
                 }
             ),
             range_readers=tuple(graph.ranges),
-            reachable=tuple(
-                graph.reach
-                if indexed
-                else HarmonyValidator._reachability_naive(committed)
-            ),
+            reachable=tuple(graph.reach),
         )
-
-    @staticmethod
-    def _reachability_naive(committed: list[Txn]) -> list[int]:
-        """Seed implementation of the closure: per-(key, txn) ``reads``
-        probes and one DFS per node, emitted in the builder's bitset form.
-        Retained as the differential-testing reference."""
-        n = len(committed)
-        edges: dict[int, set[int]] = {i: set() for i in range(n)}
-        writers_by_key: dict[object, list[int]] = {}
-        for pos, txn in enumerate(committed):
-            for key in txn.write_set:
-                writers_by_key.setdefault(key, []).append(pos)
-        for key, writer_positions in writers_by_key.items():
-            ordered = sorted(writer_positions)
-            for earlier, later in zip(ordered, ordered[1:]):
-                edges[earlier].add(later)
-            for pos, txn in enumerate(committed):
-                if txn.reads(key):
-                    for writer_pos in writer_positions:
-                        if writer_pos != pos:
-                            edges[pos].add(writer_pos)
-        closure: list[int] = []
-        for start in range(n):
-            seen: set[int] = set()
-            stack = list(edges[start])
-            while stack:
-                node = stack.pop()
-                if node in seen:
-                    continue
-                seen.add(node)
-                stack.extend(edges[node] - seen)
-            closure.append(sum(1 << pos for pos in seen))
-        return closure

@@ -45,17 +45,12 @@ class AriaExecutor(DCCExecutor):
         engine: StorageEngine,
         registry: ProcedureRegistry,
         deterministic_reordering: bool = True,
-        indexed: bool = True,
     ) -> None:
         super().__init__(engine, registry)
         self.deterministic_reordering = deterministic_reordering
-        #: range-read RAW checks via a sorted reservation-key index
-        #: (``False`` retains the naive full-table scan for differential
-        #: testing / benchmarking).
-        self.indexed = indexed
 
     def clone_args(self) -> tuple:
-        return (self.deterministic_reordering, self.indexed)
+        return (self.deterministic_reordering,)
 
     # -- process-backend hooks ----------------------------------------------
     def detach_prepared(self, prepared: PreparedBlock) -> PreparedBlock:
@@ -106,19 +101,13 @@ class AriaExecutor(DCCExecutor):
                 write_reservations.get(key, txn.tid) < txn.tid for key in txn.read_set
             )
             if not raw and txn.read_ranges:
-                if self.indexed:
-                    if reserved_keys is None:
-                        reserved_keys = SortedKeys(write_reservations)
-                    raw = any(
-                        write_reservations[key] < txn.tid
-                        for start, end in txn.read_ranges
-                        for key in reserved_keys.in_range(start, end)
-                    )
-                else:
-                    raw = any(
-                        owner < txn.tid and txn.reads(key)
-                        for key, owner in write_reservations.items()
-                    )
+                if reserved_keys is None:
+                    reserved_keys = SortedKeys(write_reservations)
+                raw = any(
+                    write_reservations[key] < txn.tid
+                    for start, end in txn.read_ranges
+                    for key in reserved_keys.in_range(start, end)
+                )
             war = any(
                 read_reservations.get(key, txn.tid) < txn.tid for key in txn.write_set
             )

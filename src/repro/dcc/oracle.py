@@ -21,26 +21,24 @@ Graph construction (multi-version semantics):
   did observe (wr);
 - range reads contribute the same edges for every key they cover.
 
-Two implementations of the per-block graph, one product and one reference:
-
-- :class:`~repro.core.dependencies.CommittedGraph` builds the committed
-  set's graph once per block as reachability bitsets; the serializability
-  verdict is "no position reaches itself" and each abortee is answered by
-  masking its out-neighbours' reach against its in-neighbours — no
-  per-abortee copy, overlay or traversal.
-- :func:`block_dependency_graph` + :func:`has_cycle` (an iterative
-  three-colour DFS, no recursion limits) rebuild an adjacency dict per
-  question. They stay as the reference behind ``indexed=False``; the test
-  suite cross-checks them against :mod:`networkx` and the bitset path
-  against them.
+The per-block graph is :class:`~repro.core.dependencies.CommittedGraph`:
+the committed set's graph built once per block as reachability bitsets;
+the serializability verdict is "no position reaches itself" and each
+abortee is answered by masking its out-neighbours' reach against its
+in-neighbours — no per-abortee copy, overlay or traversal. The adjacency
+dict rebuilt per question that it replaced (``block_dependency_graph``) is
+a test reference now (``tests/reference``); :func:`has_cycle` (an
+iterative three-colour DFS, no recursion limits) stays here for the
+cross-block :class:`HistoryOracle`, and the test suite cross-checks it
+against :mod:`networkx` and the bitset path against the reference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.dependencies import CommittedGraph, witness_order
-from repro.intervals import SortedKeys, covers
+from repro.core.dependencies import CommittedGraph
+from repro.intervals import SortedKeys
 from repro.txn.transaction import Txn
 
 
@@ -71,43 +69,6 @@ def has_cycle(adjacency: dict[int, set[int]]) -> bool:
     return False
 
 
-def _covers(txn: Txn, key: object) -> bool:
-    if key in txn.read_set:
-        return True
-    return any(covers(start, end, key) for start, end in txn.read_ranges)
-
-
-def block_dependency_graph(
-    txns: list[Txn],
-    chain_order=lambda t: (t.min_out, t.tid),
-) -> dict[int, set[int]]:
-    """Dependency graph of one block's transactions (snapshot reads).
-
-    ``txns`` is the node set (typically the committed set, optionally plus
-    one hypothetically-committed abortee). All reads are snapshot reads, so
-    a reader precedes every updater of the key; updaters of a key are
-    chained in ``chain_order``.
-    """
-    adjacency: dict[int, set[int]] = {t.tid: set() for t in txns}
-    writers: dict[object, list[Txn]] = {}
-    for txn in txns:
-        for key in txn.write_set:
-            writers.setdefault(key, []).append(txn)
-
-    for key, updaters in writers.items():
-        ordered = sorted(updaters, key=chain_order)
-        # ww/wr chain in apply order
-        for earlier, later in zip(ordered, ordered[1:]):
-            adjacency[earlier.tid].add(later.tid)
-        # snapshot readers precede every updater (rw anti-dependency)
-        for txn in txns:
-            if _covers(txn, key):
-                for updater in updaters:
-                    if updater.tid != txn.tid:
-                        adjacency[txn.tid].add(updater.tid)
-    return adjacency
-
-
 class SerializabilityOracle:
     """Per-block serializability checks and false-abort accounting."""
 
@@ -119,33 +80,21 @@ class SerializabilityOracle:
     def count_false_aborts(
         txns: list[Txn],
         chain_order=None,
-        indexed: bool = True,
         graph: CommittedGraph | None = None,
     ) -> int:
         """Aborts that perfect intra-block scheduling could have avoided.
 
-        ``indexed=True`` (default) answers each abortee from the bitsets of
-        the block's :class:`~repro.core.dependencies.CommittedGraph` —
-        ``graph`` when the caller holds the one the commit step built over
-        these very ``txns`` in ``chain_order``, else built here — O(edges +
-        sum of abortee footprints) per block, nothing copied or
-        re-traversed per abortee.
-        A cyclic committed set makes every hypothetical graph cyclic, so
-        it counts no false aborts. ``indexed=False`` retains the seed's
-        per-abortee rebuild through :func:`block_dependency_graph` +
-        :func:`has_cycle` as the reference; the counts match bit-for-bit
-        (differential-tested).
+        Each abortee is answered from the bitsets of the block's
+        :class:`~repro.core.dependencies.CommittedGraph` — ``graph`` when
+        the caller holds the one the commit step built over these very
+        ``txns`` in ``chain_order``, else built here — O(edges + sum of
+        abortee footprints) per block, nothing copied or re-traversed per
+        abortee. A cyclic committed set makes every hypothetical graph
+        cyclic, so it counts no false aborts.
         """
         abortees = [t for t in txns if t.aborted]
         if not abortees:
             return 0
-        if not indexed:
-            order = chain_order or witness_order
-            committed = [t for t in txns if t.committed]
-            return sum(
-                not has_cycle(block_dependency_graph(committed + [txn], order))
-                for txn in abortees
-            )
         if graph is None:
             graph = CommittedGraph(txns, chain_order)
         if graph.cyclic:
@@ -170,25 +119,22 @@ class HistoryOracle:
     apply chains; the oracle rebuilds the full multi-version dependency
     graph of the history and checks it for cycles.
 
-    ``indexed=True`` (default) resolves each range read by slicing a
+    Each range read is resolved by slicing a
     :class:`~repro.intervals.SortedKeys` index over the write-chain keys
-    (two bisects + the covered keys) and memoizes the per-key ww/wr chain
-    edges across :meth:`build_graph` calls. Read edges are *not* cached —
+    (two bisects + the covered keys), and the per-key ww/wr chain edges are
+    memoized across :meth:`build_graph` calls. Read edges are *not* cached —
     a chain growing in a later block retroactively adds edges for old
     readers, so they are re-derived from every recorded read each call
-    (each now a stab instead of a full-chain scan). ``indexed=False``
-    retains the seed's scan of every chain per range read as the
-    differential-testing reference; both produce identical adjacency.
+    (each a stab instead of a full-chain scan).
     """
 
-    indexed: bool = True
     _read_facts: dict[int, dict] = field(default_factory=dict)
     _range_facts: dict[int, list] = field(default_factory=dict)
     _snapshot_block: dict[int, int] = field(default_factory=dict)
     _chains: dict[object, list] = field(default_factory=dict)
     _tids: list[int] = field(default_factory=list)
-    #: indexed-path caches (valid only while the recorded facts grow
-    #: append-only, which record_block guarantees)
+    #: caches (valid only while the recorded facts grow append-only,
+    #: which record_block guarantees)
     _key_index: SortedKeys | None = field(default=None, repr=False, compare=False)
     _chain_edges: list = field(default_factory=list, repr=False, compare=False)
     _chain_folded: dict = field(default_factory=dict, repr=False, compare=False)
@@ -258,8 +204,6 @@ class HistoryOracle:
         return edges
 
     def build_graph(self) -> dict[int, set[int]]:
-        if not self.indexed:
-            return self._build_graph_naive()
         adjacency: dict[int, set[int]] = {tid: set() for tid in self._tids}
 
         # ww/wr chains per key, across blocks (memoized across calls).
@@ -281,30 +225,6 @@ class HistoryOracle:
                 # stab the chain-key directory instead of scanning it
                 for key in key_index.in_range(start, end):
                     if key not in reads:
-                        self._add_read_edges(adjacency, tid, key, snap)
-        return adjacency
-
-    def _build_graph_naive(self) -> dict[int, set[int]]:
-        """Seed implementation: every range read scans every write chain.
-        Retained as the differential-testing reference."""
-        adjacency: dict[int, set[int]] = {tid: set() for tid in self._tids}
-
-        # ww/wr chains per key, across blocks (apply order is global).
-        for chain in self._chains.values():
-            for earlier, later in zip(chain, chain[1:]):
-                if earlier.tid != later.tid:
-                    adjacency[earlier.tid].add(later.tid)
-
-        # read edges: version/snapshot comparison decides before vs after.
-        for tid in self._tids:
-            snap = self._snapshot_block.get(tid, -1)
-            reads = self._read_facts.get(tid, {})
-            for key, version in reads.items():
-                read_block = version[0] if version is not None else snap
-                self._add_read_edges(adjacency, tid, key, read_block)
-            for start, end in self._range_facts.get(tid, []):
-                for key in self._chains:
-                    if covers(start, end, key) and key not in reads:
                         self._add_read_edges(adjacency, tid, key, snap)
         return adjacency
 

@@ -203,7 +203,7 @@ def run_drill(
         stream = f"{stream}/{workload}"
     rng = SeededRng(plan.seed, stream)
     ref_records: list = []
-    oracle = HistoryOracle(indexed=True)
+    oracle = HistoryOracle()
     for _ in range(num_blocks):
         specs = disturbed.workload.generate_block(block_size, rng)
         supervisor.process_block(disturbed.ordering.form_block(specs))

@@ -69,32 +69,23 @@ class FederatedSnapshot:
     def get_entry(self, key: object):
         return self._views[self._owner(key)].get_entry(key)
 
-    def scan(self, start: object, end: object, indexed: bool = True):
+    def scan(self, start: object, end: object):
         """Merged range read across every shard's key range.
 
         Each per-shard scan yields sorted rows; the global result is the
         sorted union (shards own disjoint keys, so no shadowing is
-        needed). ``indexed=True`` (default) stream-merges the per-shard
-        scans lazily — O(log shards) per row consumed, nothing
-        materialized — so a consumer that stops early (a limit, a missing
-        key probe) never pays for the whole range. ``indexed=False``
-        retains the materialize-and-sort union as the differential
-        reference.
+        needed). The per-shard scans are stream-merged lazily — O(log
+        shards) per row consumed, nothing materialized — so a consumer
+        that stops early (a limit, a missing key probe) never pays for the
+        whole range.
 
-        Mixed-type keys keep the eager path's ``TypeError`` → ``repr``-key
-        fallback: incomparable *heads* are caught up front (the realistic
+        Mixed-type keys fall back to a ``repr``-keyed total order on
+        ``TypeError``: incomparable *heads* are caught up front (the realistic
         case — each shard's sorted key directory makes it type-homogeneous
         in practice); a clash surfacing only deeper in the merge degrades
         to the repr total order for the rows not yet emitted (yielded rows
         cannot be recalled), still deterministic and complete.
         """
-        if not indexed:
-            rows = [row for view in self._views for row in view.scan(start, end)]
-            try:
-                rows.sort(key=lambda kv: kv[0])
-            except TypeError:
-                rows.sort(key=lambda kv: repr(kv[0]))
-            return iter(rows)
         streams = []
         heads = []
         for view in self._views:

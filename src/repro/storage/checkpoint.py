@@ -29,8 +29,11 @@ replays the block log as before. The keep-last-two torn-checkpoint
 discipline holds at the *chain* level: pruning always retains the chain
 prefix one recovery point behind the tip, so a crash mid-delta or
 mid-base-compaction falls back to the prior usable prefix.
-``incremental=False`` retains the seed's full-deepcopy path as the
-differential-testing reference.
+
+The chain is the only checkpoint path. The seed's full deep copy per
+interval is a test reference (``tests/reference``: ``full_checkpoint``);
+the recovery tests assert :meth:`CheckpointManager.latest` equal to it at
+every checkpoint boundary.
 """
 
 from __future__ import annotations
@@ -44,28 +47,30 @@ from repro.storage.mvstore import TOMBSTONE
 
 @dataclass
 class Checkpoint:
-    """A full (base) checkpoint: the materialized durable state."""
+    """A full (base) checkpoint: the materialized durable state. Only
+    :meth:`CheckpointManager._reconstruct` builds one, so every field is
+    always present."""
 
     block_id: int
     state: dict[object, object]
     #: state as of the previous block (needed when the first replayed block
     #: simulates against a lag-2 snapshot under inter-block parallelism)
-    prev_state: dict[object, object] | None = None
+    prev_state: dict[object, object]
     #: protocol metadata (e.g. Harmony's committed-writer records, Rule 3)
-    meta: dict | None = None
+    meta: dict | None
     #: the checkpoint block's ordered writes (TOMBSTONEs included) — lets
     #: recovery replay the block's version batch exactly instead of
     #: diffing ``state`` against ``prev_state`` (a value diff misses keys
     #: rewritten with an unchanged value, losing their version)
-    block_writes: list[tuple[object, object]] | None = None
+    block_writes: list[tuple[object, object]]
 
 
 @dataclass
 class DeltaCheckpoint:
     """One interval's durable delta: the ordered writes of every block
     since the previous chain entry, as ``(block_id, writes)`` pairs in
-    block order. O(interval writes) to persist — the incremental
-    alternative to deep-copying the whole materialized state."""
+    block order. O(interval writes) to persist, where deep-copying the
+    whole materialized state is O(keyspace)."""
 
     block_id: int
     block_writes: list[tuple[int, list[tuple[object, object]]]]
@@ -145,15 +150,12 @@ class BlockLog:
         self._blocks.append(block)
         self._ids.append(block_id)
 
-    def blocks_after(self, block_id: int, indexed: bool = True) -> list[object]:
+    def blocks_after(self, block_id: int) -> list[object]:
         """Blocks with id strictly greater than ``block_id``, in order.
 
         Blocks append in id order, so the cut point is one bisect instead
-        of a full scan per recovery. ``indexed=False`` retains the seed's
-        linear scan as the differential-testing reference.
+        of a full scan per recovery.
         """
-        if not indexed:
-            return [b for b in self._blocks if b.block_id > block_id]
         return self._blocks[bisect_right(self._ids, block_id):]
 
     def __len__(self) -> int:
@@ -161,25 +163,14 @@ class BlockLog:
 
 
 class CheckpointManager:
-    """Keeps the last two durable recovery points.
+    """Keeps the last two durable recovery points, on a base+delta chain."""
 
-    With ``incremental=True`` (the production default) recovery points
-    live on a base+delta chain; with ``incremental=False`` every
-    checkpoint is a full deep copy, exactly the seed's behaviour.
-    """
-
-    def __init__(
-        self,
-        interval_blocks: int = 10,
-        incremental: bool = True,
-        base_interval: int = 8,
-    ) -> None:
+    def __init__(self, interval_blocks: int = 10, base_interval: int = 8) -> None:
         if interval_blocks < 1:
             raise ValueError("checkpoint interval must be >= 1")
         if base_interval < 1:
             raise ValueError("base-compaction cadence must be >= 1")
         self.interval_blocks = interval_blocks
-        self.incremental = incremental
         #: deltas between base compactions (the chain's maximum length)
         self.base_interval = base_interval
         #: the chain: Checkpoint (base) and DeltaCheckpoint entries
@@ -206,62 +197,6 @@ class CheckpointManager:
         #: the owning shard id by :func:`repro.obs.trace.attach_tracer`.
         self.tracer = None
         self.trace_shard: int | None = None
-
-    def maybe_checkpoint(
-        self,
-        block_id: int,
-        state: dict[object, object],
-        prev_state: dict[object, object] | None = None,
-        meta: dict | None = None,
-        block_writes: list[tuple[object, object]] | None = None,
-    ) -> bool:
-        """Take a full checkpoint if ``block_id`` hits the interval boundary."""
-        if (block_id + 1) % self.interval_blocks != 0:
-            return False
-        self.force_checkpoint(block_id, state, prev_state, meta, block_writes)
-        return True
-
-    def force_checkpoint(
-        self,
-        block_id: int,
-        state: dict[object, object],
-        prev_state: dict[object, object] | None = None,
-        meta: dict | None = None,
-        block_writes: list[tuple[object, object]] | None = None,
-    ) -> None:
-        """Append a full (base) checkpoint — the O(keyspace) deepcopy path."""
-        fault = self.fault_hook(block_id) if self.fault_hook is not None else None
-        if fault is not None and self.tracer is not None:
-            self.tracer.fault(
-                "checkpoint_fault",
-                block=block_id,
-                shard=self.trace_shard,
-                attrs={"mode": "full", "directive": fault},
-            )
-        if fault == "skip":
-            return
-        self._entries.append(
-            Checkpoint(
-                block_id,
-                copy.deepcopy(state),
-                copy.deepcopy(prev_state) if prev_state is not None else None,
-                copy.deepcopy(meta) if meta is not None else None,
-                copy.deepcopy(block_writes) if block_writes is not None else None,
-            )
-        )
-        self._deltas_since_base = 0
-        self.last_checkpoint_block = block_id
-        if fault == "tear":
-            self.torn_latest = True
-        if self.tracer is not None:
-            self.tracer.event(
-                "checkpoint",
-                block=block_id,
-                shard=self.trace_shard,
-                attrs={"mode": "full", "keyspace": len(state)},
-            )
-            self.tracer.metrics.counter("checkpoint.full").inc()
-        self._prune()
 
     def delta_checkpoint(
         self,

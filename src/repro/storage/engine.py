@@ -9,7 +9,9 @@ exposes cost-metered operations to the execution layer:
   ``write_costs(keys)`` is the same charge for a block's key list at once;
 - ``apply_block(...)`` — install a block's ordered writes and charge the
   group commit;
-- ``checkpoint_if_due(...)`` — flush dirty pages every *p* blocks.
+- ``checkpoint_if_due(...)`` — flush dirty pages every *p* blocks and append
+  the interval's writes to the checkpoint chain as one delta (the only
+  checkpoint path).
 
 Protocol code never touches the disk or pool directly, so swapping the
 storage profile (SSD / RAMDisk / memory — Figure 21) is a constructor
@@ -41,7 +43,6 @@ class StorageEngine:
         pool_pages: int = DEFAULT_POOL_PAGES,
         log_mode: LogMode = LogMode.LOGICAL,
         checkpoint_interval: int = 10,
-        incremental_checkpoints: bool = True,
         checkpoint_base_interval: int = 8,
     ) -> None:
         base = costs or CostModel()
@@ -53,16 +54,14 @@ class StorageEngine:
         self.store = MVStore()
         self.wal = WriteAheadLog(self.disk, self.costs, log_mode)
         self.checkpoints = CheckpointManager(
-            checkpoint_interval,
-            incremental=incremental_checkpoints,
-            base_interval=checkpoint_base_interval,
+            checkpoint_interval, base_interval=checkpoint_base_interval
         )
         self.block_log = BlockLog()
         #: initial database state, kept for replay-from-genesis recovery
         self.genesis_state: dict[object, object] = {}
-        #: the last applied block's (id, ordered writes) — lets a
-        #: checkpoint taken right after the apply record them without
-        #: rescanning the store's version chains
+        #: the last applied block's (id, ordered writes) — lets
+        #: :meth:`writes_of` answer for it without rescanning the store's
+        #: version chains
         self._last_block_writes: tuple[int, list[tuple[object, object]]] | None = None
         #: ordered (block_id, writes) of every block applied since the last
         #: checkpoint — the next delta checkpoint's payload (drained there);
@@ -139,8 +138,7 @@ class StorageEngine:
                 cost += self.wal.append("write", (block_id, key))
         self.store.apply_block(block_id, ordered_writes)
         self._last_block_writes = (block_id, ordered_writes)
-        if self.checkpoints.incremental:
-            self._delta_writes.append((block_id, ordered_writes))
+        self._delta_writes.append((block_id, ordered_writes))
         cost += self.wal.group_commit()
         return cost
 
@@ -160,8 +158,7 @@ class StorageEngine:
         for key, value in items.items():
             if value is not TOMBSTONE and key not in self.heap:
                 self.heap.insert(key)
-        if self.checkpoints.incremental:
-            self._delta_writes.append((block_id, list(items.items())))
+        self._delta_writes.append((block_id, list(items.items())))
 
     def writes_of(self, block_id: int) -> list[tuple[object, object]]:
         """The ordered writes installed for ``block_id``.
@@ -185,52 +182,31 @@ class StorageEngine:
     def checkpoint_if_due(self, block_id: int, meta: dict | None = None) -> float:
         """Flush dirty pages every ``p`` blocks; returns flush cost in us.
 
-        On the incremental path the durable record is one *delta* — the
-        interval's buffered per-block writes, O(interval writes) — so no
-        ``materialize`` / deepcopy of the whole keyspace ever runs here.
-        ``incremental_checkpoints=False`` retains the seed's full-snapshot
-        path as the differential reference.
+        The durable record is one *delta* — the interval's buffered
+        per-block writes, O(interval writes) — so no ``materialize`` /
+        deepcopy of the whole keyspace ever runs here.
         """
         if (block_id + 1) % self.checkpoints.interval_blocks != 0:
             return 0.0
         cost = self.pool.flush_all()
-        if self.checkpoints.incremental:
-            buffered = self._delta_writes
-            taken = [entry for entry in buffered if entry[0] <= block_id]
-            self._delta_writes = [entry for entry in buffered if entry[0] > block_id]
-            # Blocks applied without going through engine.apply_block
-            # (tests, manual store pokes) never entered the buffer; the
-            # delta must still cover the *whole* interval since the last
-            # chain entry, so rescan the store for each missing block —
-            # only this degenerate path pays that.
-            have = {entry[0] for entry in taken}
-            missing = [
-                bid
-                for bid in range(self.checkpoints.last_checkpoint_block + 1, block_id + 1)
-                if bid not in have
-            ]
-            if missing:
-                taken.extend(
-                    (bid, self.store.writes_in_block(bid)) for bid in missing
-                )
-                taken.sort(key=lambda entry: entry[0])
-            self.checkpoints.delta_checkpoint(block_id, taken, meta=meta)
-            return cost
-        # Every executor checkpoints right after apply_block, so the
-        # block's writes are in hand; only a checkpoint of some other
-        # block (tests, manual calls) pays the store rescan.
-        last = self._last_block_writes
-        if last is not None and last[0] == block_id:
-            block_writes = last[1]
-        else:
-            block_writes = self.store.writes_in_block(block_id)
-        self.checkpoints.force_checkpoint(
-            block_id,
-            self.store.materialize(),
-            prev_state=self.store.materialize_at(block_id - 1),
-            meta=meta,
-            block_writes=block_writes,
-        )
+        buffered = self._delta_writes
+        taken = [entry for entry in buffered if entry[0] <= block_id]
+        self._delta_writes = [entry for entry in buffered if entry[0] > block_id]
+        # Blocks applied without going through engine.apply_block (tests,
+        # manual store pokes) never entered the buffer; the delta must
+        # still cover the *whole* interval since the last chain entry, so
+        # rescan the store for each missing block — only this degenerate
+        # path pays that.
+        have = {entry[0] for entry in taken}
+        missing = [
+            bid
+            for bid in range(self.checkpoints.last_checkpoint_block + 1, block_id + 1)
+            if bid not in have
+        ]
+        if missing:
+            taken.extend((bid, self.store.writes_in_block(bid)) for bid in missing)
+            taken.sort(key=lambda entry: entry[0])
+        self.checkpoints.delta_checkpoint(block_id, taken, meta=meta)
         return cost
 
     # ----------------------------------------------------------------- stats

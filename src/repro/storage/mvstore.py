@@ -21,23 +21,25 @@ Hot-path notes:
   at the snapshot.
 - :meth:`MVStore.materialize` / :meth:`MVStore.materialize_at` stream the
   version chains in one pass (chain-tail fast path, no per-key
-  ``get_latest``); the per-key probe loops are retained behind
-  ``indexed=False`` as the differential reference.
+  ``get_latest``).
 - :meth:`MVStore.gc` walks only watermarked chains (keys written more than
-  once since their last collection); the seed's every-chain walk is
-  retained behind ``indexed=False``.
+  once since their last collection).
 - :meth:`MVStore.state_hash` is incremental: each live ``(key, value)``
   entry contributes a 256-bit SHA digest combined into a running
   accumulator by addition mod 2²⁵⁶ (Bellare–Micciancio's AdHash — order
   independent without XOR's linear malleability), and only keys written
-  since the last call are re-hashed. :meth:`MVStore.state_hash_full`
-  recomputes from scratch and is the differential-testing reference.
+  since the last call are re-hashed.
+
+Each of these is the only implementation. The per-key probes, every-chain
+walks, per-key ``insort`` load and from-scratch hash they replaced are
+test references (``tests/reference``) that the differential tests hold
+them bit-identical to.
 """
 
 from __future__ import annotations
 
 import hashlib
-from bisect import bisect_left, insort
+from bisect import bisect_left
 
 
 class _Tombstone:
@@ -372,18 +374,6 @@ class MVStore:
             new_keys.sort()
             self._sorted_keys = new_keys
 
-    def _append(self, key: object, version: Version, value: object) -> None:
-        """Single-key append (kept for ad-hoc use; block paths batch)."""
-        chain = self._versions.get(key)
-        if chain is None:
-            self._versions[key] = [(version, value)]
-            insort(self._sorted_keys, key)
-        else:
-            chain.append((version, value))
-            self._gc_pending.add(key)
-        self._stale_keys.add(key)
-        self._block_keys.setdefault(version[0], []).append(key)
-
     @staticmethod
     def _gc_chain(chain: list, keep_after_block: int) -> int:
         """Drop ``chain``'s versions older than the horizon; count dropped."""
@@ -397,31 +387,23 @@ class MVStore:
             del chain[:cut]
         return cut
 
-    def gc(self, keep_after_block: int, indexed: bool = True) -> int:
+    def gc(self, keep_after_block: int) -> int:
         """Drop versions strictly older than the latest one at or before
         ``keep_after_block``. Returns the number of versions dropped.
 
-        ``indexed=True`` (default) walks only the watermarked chains —
-        keys written more than once since their last collection — instead
-        of every chain in the store: a single-version chain can never lose
-        a version to any horizon, and after a collection a key leaves the
-        watermark set as soon as its chain is back to one version.
-        ``indexed=False`` retains the seed's full walk as the
-        differential-testing reference; both drop the identical versions.
+        Walks only the watermarked chains — keys written more than once
+        since their last collection — instead of every chain in the store:
+        a single-version chain can never lose a version to any horizon, and
+        after a collection a key leaves the watermark set as soon as its
+        chain is back to one version.
         """
         dropped = 0
-        if indexed:
-            pending = self._gc_pending
-            for key in list(pending):
-                chain = self._versions[key]
-                dropped += self._gc_chain(chain, keep_after_block)
-                if len(chain) == 1:
-                    pending.discard(key)
-            return dropped
-        for key, chain in self._versions.items():
+        pending = self._gc_pending
+        for key in list(pending):
+            chain = self._versions[key]
             dropped += self._gc_chain(chain, keep_after_block)
             if len(chain) == 1:
-                self._gc_pending.discard(key)
+                pending.discard(key)
         return dropped
 
     def state_hash(self) -> str:
@@ -453,16 +435,6 @@ class MVStore:
             self._stale_keys.clear()
         return f"{self._live_digest:064x}"
 
-    def state_hash_full(self) -> str:
-        """Recompute :meth:`state_hash` from scratch (reference path for
-        differential tests; never consults the incremental accumulator)."""
-        digest = 0
-        for key, chain in self._versions.items():
-            value = chain[-1][1]
-            if value is not TOMBSTONE and value is not None:
-                digest = (digest + _entry_digest(key, value)) % _HASH_MOD
-        return f"{digest:064x}"
-
     def _latest_entry(self, key: object) -> tuple[object, Version | None]:
         """Raw newest chain entry (value may be TOMBSTONE or a live None)."""
         chain = self._versions.get(key)
@@ -471,23 +443,14 @@ class MVStore:
         version, value = chain[-1]
         return value, version
 
-    def materialize(self, indexed: bool = True) -> dict[object, object]:
-        """The latest live state as a plain dict (checkpointing).
+    def materialize(self) -> dict[object, object]:
+        """The latest live state as a plain dict, in key order.
 
         "Live" means *not deleted*: only TOMBSTONEs are dropped. A stored
         ``None`` is a real entry — its version participates in SOV-style
-        version checks, so a checkpoint that silently dropped it would make
+        version checks, so a copy that silently dropped it would make
         a recovered replica diverge from one that never crashed.
-        ``indexed=False`` retains the per-key probe loop as the
-        differential-testing reference.
         """
-        if not indexed:
-            state: dict[object, object] = {}
-            for key in self._sorted_keys:
-                value, version = self._latest_entry(key)
-                if version is not None and value is not TOMBSTONE:
-                    state[key] = value
-            return state
         # One pass over the chain tails — no per-key method dispatch.
         versions = self._versions
         return {
@@ -496,22 +459,11 @@ class MVStore:
             if (value := versions[key][-1][1]) is not TOMBSTONE
         }
 
-    def materialize_at(self, block_id: int, indexed: bool = True) -> dict[object, object]:
-        """The live state as of the end of ``block_id``.
-
-        Checkpoints under inter-block parallelism must capture the previous
-        block's snapshot too, because the first replayed block simulates
-        against it (snapshot lag 2). Same TOMBSTONE-vs-stored-``None``
+    def materialize_at(self, block_id: int) -> dict[object, object]:
+        """The live state as of the end of ``block_id`` (what a prepare
+        worker's replica is reset to). Same TOMBSTONE-vs-stored-``None``
         semantics as :meth:`materialize`.
         """
-        if not indexed:
-            view = self.snapshot(block_id)
-            state: dict[object, object] = {}
-            for key in self._sorted_keys:
-                value, version = view.get_entry(key)
-                if version is not None and value is not TOMBSTONE:
-                    state[key] = value
-            return state
         # One-pass stream over the version chains with the same chain-tail
         # fast path as SnapshotView.scan: the per-key binary search runs
         # only when the newest version is not yet visible at the snapshot.
@@ -529,9 +481,7 @@ class MVStore:
                 state[key] = value
         return state
 
-    def writes_in_block(
-        self, block_id: int, indexed: bool = True
-    ) -> list[tuple[object, object]]:
+    def writes_in_block(self, block_id: int) -> list[tuple[object, object]]:
         """The writes ``block_id`` installed, in their original apply order.
 
         TOMBSTONEs included: this is the exact ordered list the block
@@ -544,25 +494,15 @@ class MVStore:
         the recovered replica's version behind the one SOV-style checks
         observe on an uncrashed replica.
 
-        ``indexed=True`` (default) walks only the block's watermarked
-        chains (``_block_keys``, recorded at apply time like the gc
-        watermark) — O(block writes), never O(keyspace). ``indexed=False``
-        retains the seed's every-chain walk as the differential reference;
-        both return the identical list.
+        Walks only the block's watermarked chains (``_block_keys``,
+        recorded at apply time like the gc watermark) — O(block writes),
+        never O(keyspace).
         """
         writes: list[tuple[int, object, object]] = []
-        if indexed:
-            # Dedup per call: a key written twice in the block appears
-            # twice in the watermark, but its chain holds both versions.
-            seen: set[object] = set()
-            chains = (
-                (key, self._versions[key])
-                for key in self._block_keys.get(block_id, ())
-                if not (key in seen or seen.add(key))
-            )
-        else:
-            chains = self._versions.items()
-        for key, chain in chains:
+        # Dedup per call: a key written twice in the block appears twice in
+        # the watermark, but its chain holds both versions.
+        for key in dict.fromkeys(self._block_keys.get(block_id, ())):
+            chain = self._versions[key]
             for version, value in reversed(chain):
                 if version[0] == block_id:
                     writes.append((version[1], key, value))

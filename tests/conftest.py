@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import pytest
 
+from repro.storage.checkpoint import Checkpoint
 from repro.storage.engine import StorageEngine
 from repro.txn.commands import AddValue, MulValue, SetValue
 from repro.txn.procedures import ProcedureRegistry
 from repro.txn.transaction import Txn, TxnSpec
+
+from tests import reference
 
 
 def make_engine(num_keys: int = 64, pool_pages: int = 8, **engine_kwargs) -> StorageEngine:
@@ -53,6 +56,35 @@ def make_txns(op_lists, block_id: int = 0, first_tid: int = 0) -> list[Txn]:
         Txn(tid=first_tid + i, block_id=block_id, spec=TxnSpec("ops", (("ops", tuple(ops)),)))
         for i, ops in enumerate(op_lists)
     ]
+
+
+def assert_checkpoints_identical(folded: Checkpoint, ref: Checkpoint) -> None:
+    """Content *and* key order: recovery derives version tags from the
+    dict order of ``state`` / ``prev_state``."""
+    assert folded.block_id == ref.block_id
+    assert folded.state == ref.state
+    assert list(folded.state) == list(ref.state)
+    assert folded.prev_state == ref.prev_state
+    assert list(folded.prev_state) == list(ref.prev_state)
+    assert folded.block_writes == ref.block_writes
+    assert folded.meta == ref.meta
+
+
+def full_snapshot_at_boundary(engine: StorageEngine, block_id: int) -> Checkpoint:
+    """Call right after ``block_id`` — a checkpoint boundary — committed:
+    asserts the recovery point ``engine``'s checkpoint chain reconstructs
+    equals the seed's full deep-copy snapshot of the live store, and returns
+    that snapshot. Recovery starts from ``latest()`` and nothing else, so
+    this is the whole bit-identity argument for chain-based recovery."""
+    latest = engine.checkpoints.latest()
+    snapshot = reference.full_checkpoint(
+        engine.store,
+        block_id,
+        latest.meta,
+        reference.writes_in_block(engine.store, block_id),
+    )
+    assert_checkpoints_identical(latest, snapshot)
+    return snapshot
 
 
 @pytest.fixture

@@ -1,0 +1,63 @@
+"""Reference implementations the differential tests compare production
+code against — the seed's straightforward scans, probes and rebuilds, each
+kept exactly once, as a plain function over the production objects.
+
+``src/repro`` has one implementation of everything on the decision,
+storage and checkpoint path and imports nothing from here (``make
+no-twins`` enforces both); only tests do. A reference is written to be
+obviously right, never fast: linear scans where production bisects, a
+fresh graph per question where production keeps bitsets, a full deep copy
+where production appends a delta.
+
+- :mod:`tests.reference.decision` — ``core/`` and ``dcc/``: Algorithm 1 +
+  Rule 3 validation, rw-edge extraction, the committed-block closure, the
+  per-block and cross-block dependency graphs, Aria's reservation checks.
+- :mod:`tests.reference.storage` — ``storage/`` and ``shard/federated``:
+  version-chain walks, the from-scratch state hash, the per-key load and
+  scan, the block-log cut, the eager cross-shard union and the full
+  deep-copy checkpoint.
+"""
+
+from tests.reference.decision import (
+    aria_decisions,
+    block_dependency_graph,
+    false_aborts,
+    history_graph,
+    reachability,
+    readers_of,
+    reference_validate,
+    rw_edges,
+)
+from tests.reference.storage import (
+    blocks_after,
+    federated_scan,
+    full_checkpoint,
+    gc,
+    load,
+    materialize,
+    materialize_at,
+    scan,
+    state_hash,
+    writes_in_block,
+)
+
+__all__ = [
+    "aria_decisions",
+    "block_dependency_graph",
+    "blocks_after",
+    "false_aborts",
+    "federated_scan",
+    "full_checkpoint",
+    "gc",
+    "history_graph",
+    "load",
+    "materialize",
+    "materialize_at",
+    "reachability",
+    "readers_of",
+    "reference_validate",
+    "rw_edges",
+    "scan",
+    "state_hash",
+    "writes_in_block",
+]

@@ -1,0 +1,137 @@
+"""Storage-layer references (``storage/`` and ``shard/federated``): every
+chain walked, every key probed, every checkpoint a full deep copy."""
+
+from __future__ import annotations
+
+import copy
+from bisect import bisect_left, insort
+
+from repro.shard.federated import FederatedSnapshot
+from repro.storage.checkpoint import BlockLog, Checkpoint
+from repro.storage.mvstore import (
+    MVStore,
+    SnapshotView,
+    TOMBSTONE,
+    _HASH_MOD,
+    _entry_digest,
+)
+
+
+# --------------------------------------------------------- storage/mvstore
+def load(store: MVStore, items: dict, block_id: int = -1) -> None:
+    """Bulk load, one ``insort`` per fresh key (O(n²) on a populate)."""
+    for seq, (key, value) in enumerate(items.items()):
+        chain = store._versions.get(key)
+        if chain is None:
+            store._versions[key] = [((block_id, seq), value)]
+            insort(store._sorted_keys, key)
+        else:
+            chain.append(((block_id, seq), value))
+        store._stale_keys.add(key)
+
+
+def scan(view: SnapshotView, start: object, end: object) -> list:
+    """Snapshot scan: per-key comparison plus one ``get`` per key."""
+    keys = view._store._sorted_keys
+    out = []
+    i = bisect_left(keys, start)
+    while i < len(keys) and keys[i] < end:
+        value, _version = view.get(keys[i])
+        if value is not None:
+            out.append((keys[i], value))
+        i += 1
+    return out
+
+
+def gc(store: MVStore, keep_after_block: int) -> int:
+    """Drop every chain's versions strictly older than the latest one at or
+    before ``keep_after_block``, walking every chain in the store."""
+    dropped = 0
+    for chain in store._versions.values():
+        cut = 0
+        for i, (version, _value) in enumerate(chain):
+            if version[0] <= keep_after_block:
+                cut = i
+        del chain[:cut]
+        dropped += cut
+    return dropped
+
+
+def state_hash(store: MVStore) -> str:
+    """The state hash recomputed from scratch over every live entry."""
+    digest = 0
+    for key, chain in store._versions.items():
+        value = chain[-1][1]
+        if value is not TOMBSTONE and value is not None:
+            digest = (digest + _entry_digest(key, value)) % _HASH_MOD
+    return f"{digest:064x}"
+
+
+def materialize(store: MVStore) -> dict[object, object]:
+    """Latest live state in key order, one chain-tail probe per key of the
+    version map (a TOMBSTONE is a deletion, a stored ``None`` a live entry)."""
+    state: dict[object, object] = {}
+    for key in sorted(store._versions):
+        value = store._versions[key][-1][1]
+        if value is not TOMBSTONE:
+            state[key] = value
+    return state
+
+
+def materialize_at(store: MVStore, block_id: int) -> dict[object, object]:
+    """Live state as of the end of ``block_id``, one snapshot probe per
+    key (same TOMBSTONE / stored-``None`` reading as :func:`materialize`)."""
+    view = store.snapshot(block_id)
+    state: dict[object, object] = {}
+    for key in sorted(store._versions):
+        value, version = view.get_entry(key)
+        if version is not None and value is not TOMBSTONE:
+            state[key] = value
+    return state
+
+
+def writes_in_block(store: MVStore, block_id: int) -> list[tuple[object, object]]:
+    """The writes ``block_id`` installed, in apply order, found by walking
+    every chain in the store."""
+    writes = [
+        (version[1], key, value)
+        for key, chain in store._versions.items()
+        for version, value in chain
+        if version[0] == block_id
+    ]
+    writes.sort(key=lambda entry: entry[0])
+    return [(key, value) for _seq, key, value in writes]
+
+
+# ------------------------------------------------------ storage/checkpoint
+def blocks_after(log: BlockLog, block_id: int) -> list[object]:
+    """Blocks with id strictly greater than ``block_id``: a linear scan."""
+    return [b for b in log._blocks if b.block_id > block_id]
+
+
+def full_checkpoint(
+    store: MVStore, block_id: int, meta: dict | None, writes: list
+) -> Checkpoint:
+    """The seed's durable checkpoint of ``store`` right after ``block_id``
+    applied ``writes``: deep copies of the whole materialized state, the
+    previous block's state, the protocol ``meta`` and the block's writes —
+    what ``CheckpointManager.latest()`` must reconstruct from its chain."""
+    return Checkpoint(
+        block_id,
+        copy.deepcopy(materialize(store)),
+        copy.deepcopy(materialize_at(store, block_id - 1)),
+        copy.deepcopy(meta),
+        copy.deepcopy(list(writes)),
+    )
+
+
+# ---------------------------------------------------------- shard/federated
+def federated_scan(snap: FederatedSnapshot, start: object, end: object) -> list:
+    """The merged cross-shard range read as an eager union: every shard's
+    rows materialized, then sorted (by ``repr`` when keys do not compare)."""
+    rows = [row for view in snap._views for row in view.scan(start, end)]
+    try:
+        rows.sort(key=lambda kv: kv[0])
+    except TypeError:
+        rows.sort(key=lambda kv: repr(kv[0]))
+    return rows

@@ -1,19 +1,19 @@
 """Boundary regression tests for checkpoint materialization and the chain.
 
-``MVStore.materialize`` / ``materialize_at`` are the checkpoint hot paths:
-the indexed one-pass streams must be bit-identical to the retained naive
-per-key probes on every boundary — empty stores, the first blocks under
-snapshot lag 2, tombstoned keys — and must distinguish a TOMBSTONE
-(deleted) from a stored ``None`` (a live entry whose version still
-participates in version checks). A brute-force dict replay serves as the
-independent model for both.
+``MVStore.materialize`` / ``materialize_at`` feed replica resets and
+recovery: the one-pass streams must be bit-identical to the per-key probes
+of :mod:`tests.reference` on every boundary — empty stores, the first
+blocks under snapshot lag 2, tombstoned keys — and must distinguish a
+TOMBSTONE (deleted) from a stored ``None`` (a live entry whose version
+still participates in version checks). A brute-force dict replay serves as
+the independent model for both.
 
 The delta-checkpoint chain rides the same contract: every recovery point
 a base+delta chain reconstructs must be bit-identical (content *and* key
 order — recovery derives version tags from dict order) to the full
-deep-copy checkpoint the seed took at the same block, and a chain whose
-tip tears — mid-delta or mid-base-compaction — must recover from the
-prior usable prefix.
+deep-copy checkpoint the seed took at the same block
+(``reference.full_checkpoint``), and a chain whose tip tears — mid-delta
+or mid-base-compaction — must recover from the prior usable prefix.
 """
 
 from __future__ import annotations
@@ -30,19 +30,19 @@ from repro.core.validation import PrevBlockRecords
 from repro.storage.checkpoint import Checkpoint, CheckpointManager, DeltaCheckpoint
 from repro.storage.mvstore import MVStore, TOMBSTONE
 
+from tests import reference
+from tests.conftest import assert_checkpoints_identical
+
 
 def _key(i: int) -> tuple:
     return ("k", i)
 
 
 def both(store: MVStore, block_id=None):
-    """(indexed, naive) results for materialize or materialize_at."""
+    """(production, reference) results for materialize or materialize_at."""
     if block_id is None:
-        return store.materialize(indexed=True), store.materialize(indexed=False)
-    return (
-        store.materialize_at(block_id, indexed=True),
-        store.materialize_at(block_id, indexed=False),
-    )
+        return store.materialize(), reference.materialize(store)
+    return store.materialize_at(block_id), reference.materialize_at(store, block_id)
 
 
 class TestBoundaries:
@@ -104,7 +104,7 @@ class TestBoundaries:
             )
         latest = store.last_committed_block
         fast, naive = both(store, latest)
-        assert fast == naive == store.materialize() == store.materialize(indexed=False)
+        assert fast == naive == store.materialize() == reference.materialize(store)
 
 
 class TestFalsyButLive:
@@ -143,7 +143,7 @@ class TestFalsyButLive:
         # readers keep treating it as absent
         assert _key(0) not in restored
         assert restored.keys() == []
-        assert restored.state_hash() == restored.state_hash_full()
+        assert restored.state_hash() == reference.state_hash(restored)
 
 
 def _decode(value: int):
@@ -151,47 +151,32 @@ def _decode(value: int):
     return TOMBSTONE if value == -2 else (None if value == -1 else value)
 
 
-def _drive_managers(blocks, interval, base_interval, genesis):
-    """Feed identical blocks through a store + both checkpoint flavours.
+def _drive_manager(blocks, interval, base_interval, genesis):
+    """Feed blocks through a store and a checkpoint manager.
 
-    Mirrors ``StorageEngine.checkpoint_if_due``: the full manager deep-
-    copies materialized snapshots every interval; the delta manager gets
-    the interval's buffered ``(block_id, writes)``. Returns
-    ``(full_mgr, delta_mgr, store, history)`` where ``history`` records
-    every full checkpoint ever taken (the pruned manager forgets old ones).
+    Mirrors ``StorageEngine.checkpoint_if_due``: every interval the manager
+    gets the buffered ``(block_id, writes)`` as one delta, and the seed's
+    full deep-copy checkpoint of the same store at the same block is
+    recorded next to it. Returns ``(manager, store, history)`` where
+    ``history`` holds every reference checkpoint in order — so
+    ``history[-1]`` is what the chain must reconstruct and ``history[-2]``
+    what a torn full checkpoint would have fallen back to.
     """
     store = MVStore()
     store.load(genesis)
-    full = CheckpointManager(interval, incremental=False)
-    delta = CheckpointManager(interval, incremental=True, base_interval=base_interval)
-    delta.genesis = dict(genesis)
+    manager = CheckpointManager(interval, base_interval=base_interval)
+    manager.genesis = dict(genesis)
     buffered: list = []
     history: list[Checkpoint] = []
     for block_id, writes in enumerate(blocks):
         store.apply_block(block_id, writes)
         buffered.append((block_id, writes))
         if (block_id + 1) % interval == 0:
-            full.force_checkpoint(
-                block_id,
-                store.materialize(),
-                prev_state=store.materialize_at(block_id - 1),
-                meta={"mark": block_id},
-                block_writes=writes,
-            )
-            history.append(full.latest())
-            delta.delta_checkpoint(block_id, buffered, meta={"mark": block_id})
+            meta = {"mark": block_id}
+            history.append(reference.full_checkpoint(store, block_id, meta, writes))
+            manager.delta_checkpoint(block_id, buffered, meta=meta)
             buffered = []
-    return full, delta, store, history
-
-
-def _assert_checkpoints_identical(folded: Checkpoint, ref: Checkpoint):
-    assert folded.block_id == ref.block_id
-    assert folded.state == ref.state
-    assert list(folded.state) == list(ref.state)  # same key order
-    assert folded.prev_state == ref.prev_state
-    assert list(folded.prev_state) == list(ref.prev_state)
-    assert folded.block_writes == ref.block_writes
-    assert folded.meta == ref.meta
+    return manager, store, history
 
 
 class TestCheckpointChain:
@@ -209,29 +194,43 @@ class TestCheckpointChain:
         genesis = {_key(i): i for i in range(0, 24, 2)}
         blocks = self._blocks(12)
         for upto in range(2, 13, 2):  # every checkpoint boundary
-            full, delta, _, _ = _drive_managers(
+            delta, _, history = _drive_manager(
                 blocks[:upto], interval=2, base_interval=3, genesis=genesis
             )
-            _assert_checkpoints_identical(delta.latest(), full.latest())
+            assert_checkpoints_identical(delta.latest(), history[-1])
+
+    def test_one_interval_folds_to_the_full_snapshot_delta_or_compacted(self):
+        """The retired ``checkpoint_delta`` ledger case's checks, at its
+        shape (one 10-block interval over a few thousand keys): the chain
+        reconstructs the full snapshot — state, key order, prev_state, the
+        checkpoint block's writes — straight off the delta and through a
+        base compaction (``base_interval=1`` compacts on the first delta)."""
+        genesis = {_key(i): i for i in range(2_000)}
+        blocks = self._blocks(10, num_keys=2_000, writes_per_block=200, seed=13)
+        for base_interval in (4, 1):
+            manager, _, history = _drive_manager(
+                blocks, interval=10, base_interval=base_interval, genesis=genesis
+            )
+            assert isinstance(manager._entries[-1], Checkpoint) == (base_interval == 1)
+            assert_checkpoints_identical(manager.latest(), history[-1])
 
     def test_torn_delta_recovers_prior_chain_prefix(self):
         genesis = {_key(i): i for i in range(8)}
         blocks = self._blocks(8)
-        full, delta, _, _ = _drive_managers(
+        delta, _, history = _drive_manager(
             blocks, interval=2, base_interval=10, genesis=genesis
         )
         # crash mid-delta: the newest chain entry is a torn delta
         assert isinstance(delta._entries[-1], DeltaCheckpoint)
-        full.torn_latest = True
         delta.torn_latest = True
-        _assert_checkpoints_identical(delta.latest(), full.latest())
+        assert_checkpoints_identical(delta.latest(), history[-2])
         assert delta.latest().block_id == 5  # one interval back
 
     def test_torn_base_compaction_recovers_same_block(self):
         genesis = {_key(i): i for i in range(8)}
         blocks = self._blocks(8)
         # base_interval=4 → the 4th delta (block 7) compacts: tip is a base
-        full, delta, _, _ = _drive_managers(
+        delta, _, history = _drive_manager(
             blocks, interval=2, base_interval=4, genesis=genesis
         )
         assert isinstance(delta._entries[-1], Checkpoint)
@@ -240,13 +239,13 @@ class TestCheckpointChain:
         recovered = delta.latest()
         # the prefix through the compaction's own delta reconstructs the
         # *same* recovery point: a torn compaction loses nothing
-        _assert_checkpoints_identical(recovered, reference)
-        _assert_checkpoints_identical(recovered, full.latest())
+        assert_checkpoints_identical(recovered, reference)
+        assert_checkpoints_identical(recovered, history[-1])
 
     def test_prune_keeps_two_recovery_points_at_chain_level(self):
         genesis = {_key(i): i for i in range(8)}
         blocks = self._blocks(20)
-        _, delta, _, _ = _drive_managers(
+        delta, _, _ = _drive_manager(
             blocks, interval=2, base_interval=3, genesis=genesis
         )
         # chain stays bounded: at most one stale base + base_interval
@@ -259,10 +258,10 @@ class TestCheckpointChain:
     def test_seed_base_restarts_chain_from_recovery_point(self):
         genesis = {_key(i): i for i in range(8)}
         blocks = self._blocks(8)
-        full, delta, store, _ = _drive_managers(
+        delta, store, _ = _drive_manager(
             blocks, interval=2, base_interval=10, genesis=genesis
         )
-        recovered = CheckpointManager(2, incremental=True, base_interval=10)
+        recovered = CheckpointManager(2, base_interval=10)
         recovered.seed_base(delta.latest())
         # post-recovery deltas fold onto the seeded base, not genesis
         extra = [(_key(1), 999), (_key(30), 7)]
@@ -270,14 +269,9 @@ class TestCheckpointChain:
         store.apply_block(9, extra)
         recovered.delta_checkpoint(9, [(8, []), (9, extra)], meta=None)
         delta.delta_checkpoint(9, [(8, []), (9, extra)], meta=None)
-        full.force_checkpoint(
-            9,
-            store.materialize(),
-            prev_state=store.materialize_at(8),
-            block_writes=extra,
-        )
-        _assert_checkpoints_identical(recovered.latest(), full.latest())
-        _assert_checkpoints_identical(delta.latest(), full.latest())
+        full = reference.full_checkpoint(store, 9, None, extra)
+        assert_checkpoints_identical(recovered.latest(), full)
+        assert_checkpoints_identical(delta.latest(), full)
 
 
 class TestDeltaIsolation:
@@ -287,7 +281,7 @@ class TestDeltaIsolation:
     way, nothing the caller does afterwards may reach the durable chain."""
 
     def test_callers_buffers_cannot_reach_the_chain(self):
-        manager = CheckpointManager(2, incremental=True)
+        manager = CheckpointManager(2)
         manager.genesis = {_key(0): 0}
         row = {"qty": 5, "ytd": 1.5, "dist": ["a", "b"]}  # a TPC-C-style row
         first, second = [(_key(0), 1)], [(_key(1), row), (_key(2), TOMBSTONE)]
@@ -374,7 +368,7 @@ class TestCheckpointChainDifferential:
     def test_chain_matches_full_checkpoints(self, blocks, interval, base, torn):
         genesis = {_key(i): i for i in range(0, 20, 3)}
         ordered = [[(_key(i), _decode(v)) for i, v in writes] for writes in blocks]
-        full, delta, _, history = _drive_managers(
+        delta, _, history = _drive_manager(
             ordered, interval=interval, base_interval=base, genesis=genesis
         )
         if not history:
@@ -395,7 +389,7 @@ class TestCheckpointChainDifferential:
         if expected is None:
             assert folded is None
             return
-        _assert_checkpoints_identical(folded, expected)
+        assert_checkpoints_identical(folded, expected)
 
 
 class TestMaterializeDifferential:
@@ -432,7 +426,7 @@ class TestMaterializeDifferential:
                     model[key] = value
             models[block_id] = dict(model)
 
-        assert store.materialize() == store.materialize(indexed=False) == model
+        assert store.materialize() == reference.materialize(store) == model
         for block_id, expected in models.items():
             fast, naive = both(store, block_id)
             assert fast == naive == expected

@@ -2,9 +2,9 @@
 
 Seeded YCSB / SmallBank / hotspot runs are pushed through every scheme
 (serial, harmony, aria, rbc, fabric, fastfabric) and the committed history
-is fed to :class:`~repro.dcc.oracle.HistoryOracle` — on both the indexed
-and the retained naive path, which must agree bit-for-bit. Per-scheme
-recording honours each protocol's read/apply semantics:
+is fed to :class:`~repro.dcc.oracle.HistoryOracle`, whose graph must equal
+the reference rebuild (``tests.reference.history_graph``) edge for edge.
+Per-scheme recording honours each protocol's read/apply semantics:
 
 - **harmony** hands over its own per-key apply chains (Rule-2 order) and
   lag-2 snapshot ids; reads carry observed snapshot versions.
@@ -38,6 +38,8 @@ from repro.sim.rng import SeededRng
 from repro.storage.engine import StorageEngine
 from repro.txn.transaction import AbortReason, Txn
 from repro.workloads import REGISTRY, make_workload
+
+from tests import reference
 
 NUM_BLOCKS = 5
 BLOCK_SIZE = 10
@@ -121,7 +123,7 @@ def run_scheme(scheme: str, workload_name: str):
     orderer = FastFabricOrderer(max_graph_txns=150) if scheme == "fastfabric" else None
 
     rng = SeededRng(11, f"conformance/{scheme}/{workload.name}")
-    oracles = [HistoryOracle(indexed=True), HistoryOracle(indexed=False)]
+    oracle = HistoryOracle()
     micro = itertools.count()
     next_tid = 0
     outcomes = {"committed": 0, "aborted": 0, "false_aborts": 0, "reasons": set()}
@@ -159,13 +161,12 @@ def run_scheme(scheme: str, workload_name: str):
         assert 0 <= false_aborts <= sum(1 for t in txns if t.aborted)
 
         if scheme == "harmony":
-            for oracle in oracles:
-                oracle.record_block(
-                    block_id,
-                    execution.txns,
-                    execution.key_applies,
-                    snapshot_block_id=execution.snapshot_block_id,
-                )
+            oracle.record_block(
+                block_id,
+                execution.txns,
+                execution.key_applies,
+                snapshot_block_id=execution.snapshot_block_id,
+            )
         elif scheme == "serial":
             # serial reads see in-block predecessors: record the execution
             # order itself as micro-blocks at snapshot lag 1
@@ -174,27 +175,21 @@ def run_scheme(scheme: str, workload_name: str):
                     continue
                 mid = next(micro)
                 txn.read_set = {key: None for key in txn.read_set}
-                for oracle in oracles:
-                    oracle.record_block(
-                        mid,
-                        [txn],
-                        applies_in_order([txn]),
-                        snapshot_block_id=mid - 1,
-                    )
+                oracle.record_block(
+                    mid, [txn], applies_in_order([txn]), snapshot_block_id=mid - 1
+                )
         else:
             # pre-block snapshot readers: block granularity, chains in the
             # scheme's apply order (execution.txns order)
-            for oracle in oracles:
-                oracle.record_block(
-                    block_id,
-                    execution.txns,
-                    applies_in_order(execution.txns),
-                    snapshot_block_id=block_id - 1,
-                )
+            oracle.record_block(
+                block_id,
+                execution.txns,
+                applies_in_order(execution.txns),
+                snapshot_block_id=block_id - 1,
+            )
 
-    indexed, naive = oracles
-    assert indexed.build_graph() == naive.build_graph()
-    assert indexed.is_serializable() and naive.is_serializable()
+    assert oracle.build_graph() == reference.history_graph(oracle)
+    assert oracle.is_serializable()
     outcomes["engine"] = engine
     outcomes["workload"] = workload
     return outcomes
@@ -248,7 +243,7 @@ def run_sharded_scheme(
     chain = ShardedBlockchain(config, workload)
     metrics = chain.run()
 
-    oracles = [HistoryOracle(indexed=True), HistoryOracle(indexed=False)]
+    oracle = HistoryOracle()
     for record in chain.history:
         if scheme == "harmony":
             key_applies = [
@@ -261,16 +256,14 @@ def run_sharded_scheme(
             # pre-block snapshot readers; per-key apply order is TID order
             key_applies = applies_in_order(record.merged_txns)
             snapshot_id = record.block_id - 1
-        for oracle in oracles:
-            oracle.record_block(
-                record.block_id,
-                record.merged_txns,
-                key_applies,
-                snapshot_block_id=snapshot_id,
-            )
-    indexed, naive = oracles
-    assert indexed.build_graph() == naive.build_graph()
-    assert indexed.is_serializable() and naive.is_serializable()
+        oracle.record_block(
+            record.block_id,
+            record.merged_txns,
+            key_applies,
+            snapshot_block_id=snapshot_id,
+        )
+    assert oracle.build_graph() == reference.history_graph(oracle)
+    assert oracle.is_serializable()
 
     reasons = {
         t.abort_reason

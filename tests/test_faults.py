@@ -43,6 +43,8 @@ from repro.storage.mvstore import TOMBSTONE, MVStore
 from repro.workloads.base import ShardAffinity
 from repro.workloads.smallbank import SmallbankWorkload
 
+from tests import reference
+
 NUM_SHARDS = 2
 
 
@@ -174,11 +176,10 @@ class TestVoteReconciliation:
 class TestWritesInBlockDifferential:
     def test_indexed_walk_matches_naive_walk(self):
         """Satellite fix: the per-block key watermark returns exactly what
-        the every-chain walk returns — repeated keys, tombstones, all
-        block heights — while touching only the block's own chains."""
-        indexed, naive = MVStore(), MVStore()
-        for store in (indexed, naive):
-            store.load({f"k{i}": i for i in range(40)})
+        the reference every-chain walk returns — repeated keys, tombstones,
+        all block heights — while touching only the block's own chains."""
+        store = MVStore()
+        store.load({f"k{i}": i for i in range(40)})
         rng = SeededRng(3, "writes-in-block-differential")
         for block_id in range(12):
             writes = []
@@ -190,11 +191,10 @@ class TestWritesInBlockDifferential:
                     writes.append((key, rng.randint(0, 10_000)))
             # repeated key in one block: both versions must replay in order
             writes.append(writes[0])
-            for store in (indexed, naive):
-                store.apply_block(block_id, list(writes))
+            store.apply_block(block_id, list(writes))
         for block_id in range(-1, 13):
-            assert indexed.writes_in_block(block_id, indexed=True) == naive.writes_in_block(
-                block_id, indexed=False
+            assert store.writes_in_block(block_id) == reference.writes_in_block(
+                store, block_id
             )
 
     def test_watermark_survives_gc_like_the_naive_walk(self):
@@ -204,8 +204,8 @@ class TestWritesInBlockDifferential:
             store.apply_block(block_id, [("a", block_id), ("b", -block_id)])
         store.gc(keep_after_block=3)
         for block_id in range(6):
-            assert store.writes_in_block(block_id, indexed=True) == store.writes_in_block(
-                block_id, indexed=False
+            assert store.writes_in_block(block_id) == reference.writes_in_block(
+                store, block_id
             )
 
 

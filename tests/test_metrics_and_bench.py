@@ -263,10 +263,11 @@ class TestRule2VsTopologicalSort:
 
 
 class TestCompareTooling:
-    """`python -m repro.bench --compare`: mechanical trajectory diffing."""
+    """`python -m repro.bench --compare`: mechanical trajectory diffing of
+    the deterministic (simulated-basis) cases."""
 
     @staticmethod
-    def _run(mode, created, cases):
+    def _run(mode, created, cases, basis="simulated"):
         return {
             "bench": "perf",
             "mode": mode,
@@ -276,10 +277,10 @@ class TestCompareTooling:
                     "case": name,
                     "params": params,
                     "speedup": speedup,
-                    "indexed_s": indexed_s,
+                    "basis": basis,
                     "checks": {},
                 }
-                for name, params, speedup, indexed_s in cases
+                for name, params, speedup in cases
             ],
         }
 
@@ -287,60 +288,54 @@ class TestCompareTooling:
         from repro.bench.perf import compare_last_runs
 
         history = [
-            self._run("full", "t0", [("validation", {"n": 1}, 6.0, 0.010),
-                                     ("mvstore_gc", {"n": 2}, 10.0, 0.008)]),
-            self._run("full", "t1", [("validation", {"n": 1}, 5.9, 0.010),
-                                     ("mvstore_gc", {"n": 2}, 4.0, 0.020)]),
+            self._run("full", "t0", [("shard_scaling", {"n": 1}, 5.0),
+                                     ("adaptive_skew", {"n": 2}, 10.0)]),
+            self._run("full", "t1", [("shard_scaling", {"n": 1}, 4.2),  # -16%: passes
+                                     ("adaptive_skew", {"n": 2}, 4.0)]),
         ]
         lines, regressions = compare_last_runs(history)
         assert len(regressions) == 1
-        assert "mvstore_gc" in regressions[0]
+        assert "adaptive_skew" in regressions[0]
         assert any("COLLAPSED" in line for line in lines)
 
-    def test_within_threshold_passes(self):
+    def test_wall_cases_are_listed_not_compared(self):
+        """A wall-clock case gates itself inside its own run; its numbers
+        moving between runs is never a regression of the diff."""
         from repro.bench.perf import compare_last_runs
 
         history = [
-            self._run("full", "t0", [("validation", {"n": 1}, 5.0, 0.010)]),
-            self._run("full", "t1", [("validation", {"n": 1}, 4.2, 0.011)]),  # -16%
+            self._run("full", "t0", [("obs_overhead", {"n": 1}, 6.0)], basis="wall"),
+            self._run("full", "t1", [("obs_overhead", {"n": 1}, 1.0)], basis="wall"),
         ]
-        _lines, regressions = compare_last_runs(history)
+        lines, regressions = compare_last_runs(history)
         assert regressions == []
-
-    def test_faster_naive_reference_alone_is_noise_not_regression(self):
-        """A speedup collapse caused purely by the naive denominator
-        speeding up (micro-case timing noise) must not fail the diff —
-        the gate protects the indexed path's wall time."""
-        from repro.bench.perf import compare_last_runs
-
-        history = [
-            self._run("full", "t0", [("aria_range_check", {"n": 1}, 9.3, 0.000039)]),
-            self._run("full", "t1", [("aria_range_check", {"n": 1}, 6.4, 0.000040)]),
-        ]
-        _lines, regressions = compare_last_runs(history)
-        assert regressions == []
+        assert any("not compared" in line and "obs_overhead" in line for line in lines)
 
     def test_compares_same_mode_only_and_ignores_new_cases(self):
         from repro.bench.perf import compare_last_runs
 
         history = [
-            self._run("full", "t0", [("validation", {"n": 1}, 8.0, 0.01)]),
-            self._run("smoke", "t1", [("validation", {"n": 9}, 2.0, 0.01)]),
-            self._run("full", "t2", [("validation", {"n": 1}, 7.8, 0.01),
-                                     ("brand_new", {"n": 3}, 1.1, 0.01)]),
+            self._run("full", "t0", [("shard_scaling", {"n": 1}, 8.0),
+                                     ("validation", {"n": 1}, 6.0),
+                                     ("vanished", {"n": 1}, 2.0)]),
+            self._run("smoke", "t1", [("shard_scaling", {"n": 9}, 2.0)]),
+            self._run("full", "t2", [("shard_scaling", {"n": 1}, 7.8),
+                                     ("brand_new", {"n": 3}, 1.1)]),
         ]
-        lines, regressions = compare_last_runs(history)
+        lines, regressions = compare_last_runs(history, retired={"validation": "why"})
         assert regressions == []
         assert any("t0" in line for line in lines)  # diffed against the full run
-        assert any("NEW" in line for line in lines)
+        assert any("NEW" in line and "brand_new" in line for line in lines)
+        assert any("RETIRED" in line and "validation" in line for line in lines)
+        assert any("GONE" in line and "vanished" in line for line in lines)
 
     def test_single_run_or_unmatched_mode_is_not_a_failure(self):
         from repro.bench.perf import compare_last_runs
 
         assert compare_last_runs([self._run("full", "t0", [])])[1] == []
         history = [
-            self._run("smoke", "t0", [("validation", {"n": 1}, 2.0, 0.01)]),
-            self._run("full", "t1", [("validation", {"n": 1}, 8.0, 0.01)]),
+            self._run("smoke", "t0", [("shard_scaling", {"n": 1}, 2.0)]),
+            self._run("full", "t1", [("shard_scaling", {"n": 1}, 8.0)]),
         ]
         assert compare_last_runs(history)[1] == []
 
@@ -351,95 +346,126 @@ class TestCompareTooling:
 
         path = tmp_path / "BENCH_perf.json"
         good = [
-            self._run("full", "t0", [("validation", {"n": 1}, 6.0, 0.01)]),
-            self._run("full", "t1", [("validation", {"n": 1}, 6.2, 0.01)]),
+            self._run("full", "t0", [("shard_scaling", {"n": 1}, 6.0)]),
+            self._run("full", "t1", [("shard_scaling", {"n": 1}, 6.2)]),
         ]
         path.write_text(json.dumps({"schema": 1, "runs": good}))
         assert main(["--compare", str(path)]) == 0
 
-        bad = good[:1] + [
-            self._run("full", "t1", [("validation", {"n": 1}, 1.5, 0.04)])
-        ]
+        bad = good[:1] + [self._run("full", "t1", [("shard_scaling", {"n": 1}, 1.5)])]
         path.write_text(json.dumps({"schema": 1, "runs": bad}))
         assert main(["--compare", str(path)]) == 1
         assert main(["--compare", str(tmp_path / "missing.json")]) == 2
-
-    def test_one_noisy_run_in_a_window_is_not_a_collapse(self):
-        """Wall-basis cases gate on trailing-window medians: one noisy
-        newest run on a shared machine must not flag a collapse, while a
-        regression that persists across the window still fails."""
-        from repro.bench.perf import compare_last_runs
-
-        steady = [("validation", {"n": 1}, 6.0, 0.010)]
-        noisy = [("validation", {"n": 1}, 3.0, 0.022)]  # one bad sample
-        history = [
-            self._run("full", f"t{i}", steady) for i in range(5)
-        ] + [self._run("full", "t5", noisy)]
-        _lines, regressions = compare_last_runs(history)
-        assert regressions == []  # median of the newest window is steady
-
-        persistent = history[:3] + [
-            self._run("full", f"t{i}", noisy) for i in range(3, 6)
-        ]
-        _lines, regressions = compare_last_runs(persistent)
-        assert len(regressions) == 1
-        assert "validation" in regressions[0]
 
     def test_simulated_basis_stays_strict_single_run(self):
         """A simulated-time case collapsing in just the newest run is a
         real behavioural change — no median smoothing, no noise guard."""
         from repro.bench.perf import compare_last_runs
 
-        def sim_case(speedup):
-            return {
-                "case": "shard_scaling",
-                "params": {"num_shards": 4},
-                "speedup": speedup,
-                "indexed_s": 0.01,
-                "basis": "simulated",
-                "checks": {},
-            }
-
         history = [
-            {"bench": "perf", "mode": "full", "created_utc": f"t{i}",
-             "cases": [sim_case(7.5)]}
+            self._run("full", f"t{i}", [("shard_scaling", {"num_shards": 4}, 7.5)])
             for i in range(4)
-        ] + [
-            {"bench": "perf", "mode": "full", "created_utc": "t4",
-             "cases": [sim_case(4.0)]}
-        ]
+        ] + [self._run("full", "t4", [("shard_scaling", {"num_shards": 4}, 4.0)])]
         _lines, regressions = compare_last_runs(history)
         assert len(regressions) == 1
         assert "shard_scaling" in regressions[0]
 
-    def test_case_younger_than_the_window_is_new_not_collapsed(self):
-        from repro.bench.perf import compare_last_runs
 
-        old_runs = [
-            self._run("full", f"t{i}", [("validation", {"n": 1}, 6.0, 0.01)])
-            for i in range(4)
-        ]
-        young = [("validation", {"n": 1}, 6.0, 0.01),
-                 ("parallel_prepare", {"shards": 4}, 0.4, 0.9)]
-        history = old_runs + [
-            self._run("full", f"t{i}", young) for i in range(4, 6)
-        ]
-        lines, regressions = compare_last_runs(history)
-        assert regressions == []
-        assert any("NEW" in line and "parallel_prepare" in line for line in lines)
+class TestScalingGuards:
+    """The micro ledger's gate arithmetic, on an injected clock: no wall
+    time is read, so these are exact."""
 
-    def test_sub_millisecond_jitter_is_below_the_noise_floor(self):
-        """A micro-case's indexed timing moving by tens of microseconds is
-        scheduler jitter, not a regression — the absolute floor absorbs
-        it; the same path regressing at a measurable size still fails."""
-        from repro.bench.perf import compare_last_runs
+    @staticmethod
+    def _guard(cost_of, klass):
+        """Run ``scaling_guard`` over a stand-in whose timed call advances a
+        fake clock by ``cost_of(size)``."""
+        from repro.bench.perf import scaling_guard
 
-        history = [
-            self._run("full", "t0", [("aria_range_check", {"n": 25}, 9.3, 0.000039),
-                                     ("aria_range_check", {"n": 400}, 12.5, 0.0010)]),
-            self._run("full", "t1", [("aria_range_check", {"n": 25}, 5.9, 0.000050),
-                                     ("aria_range_check", {"n": 400}, 8.0, 0.0019)]),
-        ]
-        _lines, regressions = compare_last_runs(history)
-        assert len(regressions) == 1
-        assert "n=400" in regressions[0]
+        now = [0.0]
+
+        def build(size):
+            def run():
+                now[0] += cost_of(size)
+
+            return run
+
+        return scaling_guard("stand_in", build, klass, 100, "keys", clock=lambda: now[0])
+
+    def test_linear_stand_in_fails_independent_bound_and_passes_linear(self):
+        from repro.bench.perf import INDEPENDENT, LINEARITHMIC
+
+        linear = lambda size: 0.001 * size
+        failing = self._guard(linear, INDEPENDENT)
+        assert failing["growth"] == 4.0 and failing["bound"] == INDEPENDENT[1]
+        assert failing["checks"] == {"growth_within_bound": False}
+        passing = self._guard(linear, LINEARITHMIC)
+        assert passing["growth"] == 4.0 and passing["checks"]["growth_within_bound"]
+        assert (passing["time_n_s"], passing["time_4n_s"]) == (0.1, 0.4)
+
+    def test_class_changes_read_four_or_sixteen(self):
+        from repro.bench.perf import INDEPENDENT, LINEARITHMIC
+
+        assert self._guard(lambda size: 0.5, INDEPENDENT)["growth"] == 1.0
+        quadratic = self._guard(lambda size: 1e-6 * size * size, LINEARITHMIC)
+        assert quadratic["growth"] == 16.0
+        assert not quadratic["checks"]["growth_within_bound"]
+
+    def test_sanity_checks_of_the_timed_call_are_kept(self):
+        from repro.bench.perf import INDEPENDENT, scaling_guard
+
+        case = scaling_guard(
+            "stand_in", lambda size: lambda: {"did_work": size < 400},
+            INDEPENDENT, 100, "keys", clock=iter(range(1000)).__next__,
+        )  # fmt: skip
+        assert case["checks"] == {"did_work": False, "growth_within_bound": True}
+
+    def test_a_run_with_any_false_check_exits_1(self, monkeypatch, capsys):
+        from repro.bench import perf
+        from repro.bench.__main__ import main
+
+        def fake_run(checks):
+            guard = self._guard(lambda size: 1.0, perf.INDEPENDENT)
+            guard["checks"].update(checks)
+            run = {"mode": "smoke", "cases": [guard]}
+            run["all_checks_pass"] = not perf.failed_checks(run["cases"])
+            return run
+
+        monkeypatch.setattr(perf, "run_perf", lambda **_: fake_run({}))
+        assert main(["--perf-smoke", "--check"]) == 0
+        monkeypatch.setattr(perf, "run_perf", lambda **_: fake_run({"identity": False}))
+        assert main(["--perf-smoke", "--check"]) == 1
+        assert "FAILED: stand_in(n=100,n_counts=keys): identity" in capsys.readouterr().out
+
+    def test_smoke_run_persists_only_to_a_named_path(self, tmp_path, monkeypatch):
+        """`make perf-smoke` must not edit the committed ledger: without an
+        output path (argument or ``$REPRO_BENCH_OUT``) a smoke run is
+        written nowhere; a full run still defaults to ``BENCH_perf.json``,
+        and appending keeps the ledger's ``retired`` map."""
+        import json
+
+        from repro.bench import perf
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("REPRO_BENCH_OUT", raising=False)
+        monkeypatch.setattr(perf, "SCALING_GUARDS", ())
+        for name in ("bench_shard_scaling", "bench_tpcc_sharded"):
+            monkeypatch.setattr(perf, name, lambda *_: [])
+        for name in ("parallel_prepare", "pipelined_replay", "obs_overhead",
+                     "adaptive_skew", "scan_footprints"):  # fmt: skip
+            stub = {"case": name, "params": {}, "checks": {"ok": True}}
+            monkeypatch.setattr(perf, f"bench_{name}", lambda *_, stub=stub: stub)
+
+        assert perf.run_perf(smoke=True)["all_checks_pass"]
+        assert list(tmp_path.iterdir()) == []
+        perf.run_perf(smoke=True, out_path="named.json")
+        monkeypatch.setenv("REPRO_BENCH_OUT", "env.json")
+        perf.run_perf(smoke=True)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["env.json", "named.json"]
+
+        monkeypatch.delenv("REPRO_BENCH_OUT")
+        ledger = tmp_path / perf.DEFAULT_OUT
+        ledger.write_text(json.dumps({"schema": 1, "retired": {"old": "why"}, "runs": []}))
+        perf.run_perf(smoke=False)
+        written = json.loads(ledger.read_text())
+        assert written["retired"] == {"old": "why"}
+        assert [run["mode"] for run in written["runs"]] == ["full"]

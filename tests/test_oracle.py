@@ -5,14 +5,11 @@ from __future__ import annotations
 import networkx as nx
 from hypothesis import given, settings, strategies as st
 
-from repro.dcc.oracle import (
-    HistoryOracle,
-    SerializabilityOracle,
-    block_dependency_graph,
-    has_cycle,
-)
+from repro.dcc.oracle import HistoryOracle, SerializabilityOracle, has_cycle
 from repro.txn.commands import AddValue
 from repro.txn.transaction import AbortReason, Txn, TxnSpec
+
+from tests.reference import block_dependency_graph
 
 
 def txn_with(tid, reads=(), writes=(), committed=True):

@@ -1,10 +1,11 @@
-"""Differential tests: indexed fast paths vs the retained naive paths.
+"""Differential tests: the production hot paths vs ``tests/reference``.
 
-The perf PR's contract is that every optimized hot path — interval-indexed
-rw-edge extraction, the Rule-3 inter-block fold, the bitset reachability
-closure, Aria's reservation range check, the streamed overlay scan, the
-batched ``MVStore.load`` and the incremental state hash — is *bit-identical*
-in decision outputs to the seed's naive implementation. These tests run
+Every optimized hot path — interval-indexed rw-edge extraction, the Rule-3
+inter-block fold, the bitset reachability closure, Aria's reservation
+range check, the streamed overlay scan, the batched ``MVStore.load`` and
+the incremental state hash — has exactly one implementation in
+``src/repro`` and must be *bit-identical* in decision outputs to the
+straightforward reference kept in :mod:`tests.reference`. These tests run
 randomized blocks through both and assert identical abort sets, counters,
 rows and hashes.
 """
@@ -17,22 +18,22 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.dependencies import BlockDependencyIndex, CommittedGraph
+from repro.core.dependencies import (
+    BlockDependencyIndex,
+    CommittedGraph,
+    commit_survivors,
+)
 from repro.core.reordering import KeyApply, apply_write_sets
 from repro.core.validation import HarmonyValidator
 from repro.dcc.aria import AriaExecutor
-from repro.dcc.oracle import (
-    HistoryOracle,
-    SerializabilityOracle,
-    block_dependency_graph,
-    has_cycle,
-)
+from repro.dcc.oracle import HistoryOracle, SerializabilityOracle, has_cycle
 from repro.execution import OverlayView
 from repro.intervals import RangeIndex, SortedKeys, covers
 from repro.storage.mvstore import MVStore, TOMBSTONE, _entry_digest, canonical
 from repro.txn.commands import AddValue, DeleteValue, MulValue, SetValue, apply_safely
 from repro.txn.transaction import AbortReason, Txn, TxnSpec
 
+from tests import reference
 from tests.conftest import generic_registry, make_engine, make_txns
 
 NUM_KEYS = 24
@@ -77,17 +78,15 @@ class TestDependencyIndex:
     @given(txn_block())
     @settings(max_examples=200, deadline=None)
     def test_readers_of_identical(self, txns):
-        naive = BlockDependencyIndex(txns, indexed=False)
-        fast = BlockDependencyIndex(txns, indexed=True)
+        index = BlockDependencyIndex(txns)
         for i in range(NUM_KEYS + 2):
-            assert naive.readers_of(_key(i)) == fast.readers_of(_key(i))
+            assert index.readers_of(_key(i)) == reference.readers_of(index, _key(i))
 
     @given(txn_block())
     @settings(max_examples=200, deadline=None)
     def test_rw_edges_identical(self, txns):
-        naive = BlockDependencyIndex(txns, indexed=False)
-        fast = BlockDependencyIndex(txns, indexed=True)
-        assert list(naive.rw_edges()) == list(fast.rw_edges())
+        index = BlockDependencyIndex(txns)
+        assert list(index.rw_edges()) == reference.rw_edges(index)
 
 
 class TestValidation:
@@ -95,9 +94,9 @@ class TestValidation:
     @settings(max_examples=200, deadline=None)
     def test_intra_block_identical(self, txns):
         a, b = clone_block(txns), clone_block(txns)
-        stats_naive = HarmonyValidator(indexed=False).validate(a)
-        stats_fast = HarmonyValidator(indexed=True).validate(b)
-        assert stats_naive.aborted_tids == stats_fast.aborted_tids
+        stats_ref = reference.reference_validate(a)
+        stats_fast = HarmonyValidator().validate(b)
+        assert stats_ref.aborted_tids == stats_fast.aborted_tids
         for ta, tb in zip(a, b):
             assert (ta.min_out, ta.max_in, ta.status) == (tb.min_out, tb.max_in, tb.status)
 
@@ -112,16 +111,52 @@ class TestValidation:
         current = data.draw(txn_block(first_tid=len(prev_txns) + 1))
 
         a, b = clone_block(current), clone_block(current)
-        stats_naive = HarmonyValidator(inter_block=True, indexed=False).validate(a, records)
-        stats_fast = HarmonyValidator(inter_block=True, indexed=True).validate(b, records)
-        assert stats_naive.aborted_tids == stats_fast.aborted_tids
-        assert stats_naive.inter_block_aborts == stats_fast.inter_block_aborts
+        stats_ref = reference.reference_validate(a, records, inter_block=True)
+        stats_fast = HarmonyValidator(inter_block=True).validate(b, records)
+        assert stats_ref == stats_fast
         for ta, tb in zip(a, b):
             assert (ta.min_out, ta.status, ta.abort_reason) == (
                 tb.min_out,
                 tb.status,
                 tb.abort_reason,
             )
+
+    def test_adversarial_counter_storm(self):
+        """The retired ``adversarial_contention`` ledger case's checks: on
+        blocks built by actually simulating the ``adv-counter`` storm
+        (fused adds + separated read-modify-writes piled on six counters),
+        validator and reference agree on the abort set, and the contention
+        bites."""
+        from repro.execution import simulate_transactions
+        from repro.sim.rng import SeededRng
+        from repro.workloads import make_workload
+
+        workload = make_workload(
+            "adv-counter", num_keys=512, hot_keys=6, hot_ratio=0.7, ops_per_txn=8
+        )
+        registry = workload.build_registry()
+        store = MVStore()
+        store.load(workload.initial_state())
+        rng = SeededRng(20230622, "bench/adv-counter")
+
+        def build(first_tid: int, block_id: int) -> list[Txn]:
+            txns = [
+                Txn(tid=first_tid + i, block_id=block_id, spec=spec)
+                for i, spec in enumerate(workload.generate_block(60, rng))
+            ]
+            simulate_transactions(txns, store.latest_snapshot(), registry)
+            return txns
+
+        prev = build(0, 0)
+        HarmonyValidator().validate(prev)
+        records = HarmonyValidator.records_for(prev, graph=commit_survivors(prev))
+        block = build(60, 1)
+        a, b = clone_block(block), clone_block(block)
+        stats_ref = reference.reference_validate(a, records, inter_block=True)
+        stats_fast = HarmonyValidator(inter_block=True).validate(b, records)
+        assert stats_fast == stats_ref
+        assert stats_fast.aborted_tids
+        assert [t.abort_reason for t in a] == [t.abort_reason for t in b]
 
     @given(txn_block())
     @settings(max_examples=200, deadline=None)
@@ -130,12 +165,12 @@ class TestValidation:
         for t in txns:
             if not t.aborted:
                 t.mark_committed()
-        naive = HarmonyValidator.records_for(txns, indexed=False)
-        fast = HarmonyValidator.records_for(txns, indexed=True)
+        records = HarmonyValidator.records_for(txns)
         # one representation on both sides: per-position bitsets
-        assert all(isinstance(bits, int) for bits in fast.reachable)
-        assert naive.reachable == fast.reachable
-        assert naive.writers.keys() == fast.writers.keys()
+        assert all(isinstance(bits, int) for bits in records.reachable)
+        committed = CommittedGraph(txns).txns
+        assert records.reachable == tuple(reference.reachability(committed))
+        assert records.writers.keys() == {k for t in committed for k in t.write_set}
 
     @given(txn_block(), st.data())
     @settings(max_examples=150, deadline=None)
@@ -154,7 +189,7 @@ class TestValidation:
         n = len(committed)
         sets = [
             {j for j in range(n) if bits >> j & 1}
-            for bits in HarmonyValidator._reachability_naive(committed)
+            for bits in reference.reachability(committed)
         ]
 
         def reaches(a, b):
@@ -231,31 +266,30 @@ class TestHistoryOracleDifferential:
     @given(oracle_history())
     @settings(max_examples=150, deadline=None)
     def test_build_graph_identical(self, blocks):
-        naive = HistoryOracle(indexed=False)
-        fast = HistoryOracle(indexed=True)
+        oracle = HistoryOracle()
         for block_id, txns, applies, snap in blocks:
-            for oracle in (naive, fast):
-                oracle.record_block(block_id, txns, applies, snapshot_block_id=snap)
-        assert naive.build_graph() == fast.build_graph()
-        assert naive.is_serializable() == fast.is_serializable()
+            oracle.record_block(block_id, txns, applies, snapshot_block_id=snap)
+        graph = reference.history_graph(oracle)
+        assert oracle.build_graph() == graph
+        assert oracle.is_serializable() is not has_cycle(graph)
 
     @given(oracle_history())
     @settings(max_examples=100, deadline=None)
     def test_incremental_checks_match_one_shot(self, blocks):
         """Checking after every block (the memoized usage pattern) must give
-        the same verdicts as a naive oracle rebuilt from scratch each time."""
-        naive = HistoryOracle(indexed=False)
-        fast = HistoryOracle(indexed=True)
+        the same verdicts as the reference graph rebuilt from scratch each
+        time."""
+        oracle = HistoryOracle()
         for block_id, txns, applies, snap in blocks:
-            for oracle in (naive, fast):
-                oracle.record_block(block_id, txns, applies, snapshot_block_id=snap)
-            assert naive.build_graph() == fast.build_graph()
-            assert naive.is_serializable() == fast.is_serializable()
+            oracle.record_block(block_id, txns, applies, snapshot_block_id=snap)
+            graph = reference.history_graph(oracle)
+            assert oracle.build_graph() == graph
+            assert oracle.is_serializable() is not has_cycle(graph)
         # a repeated fully-memoized call is idempotent
-        assert fast.build_graph() == fast.build_graph()
+        assert oracle.build_graph() == oracle.build_graph()
 
 class TestFalseAbortDifferential:
-    """Indexed false-abort counting vs the per-abortee graph rebuild."""
+    """Bitset false-abort counting vs the per-abortee graph rebuild."""
 
     @given(txn_block(max_txns=14))
     @settings(max_examples=150, deadline=None)
@@ -264,9 +298,8 @@ class TestFalseAbortDifferential:
         for txn in txns:
             if not txn.aborted:
                 txn.mark_committed()
-        naive = SerializabilityOracle.count_false_aborts(txns, indexed=False)
-        fast = SerializabilityOracle.count_false_aborts(txns, indexed=True)
-        assert naive == fast
+        expected = reference.false_aborts(txns)
+        assert SerializabilityOracle.count_false_aborts(txns) == expected
 
     @given(txn_block(max_txns=12), st.data())
     @settings(max_examples=150, deadline=None)
@@ -279,13 +312,8 @@ class TestFalseAbortDifferential:
             else:
                 txn.mark_aborted(AbortReason.WAW)
         for chain_order in (None, lambda t: t.tid):
-            naive = SerializabilityOracle.count_false_aborts(
-                txns, chain_order=chain_order, indexed=False
-            )
-            fast = SerializabilityOracle.count_false_aborts(
-                txns, chain_order=chain_order, indexed=True
-            )
-            assert naive == fast
+            expected = reference.false_aborts(txns, chain_order)
+            assert SerializabilityOracle.count_false_aborts(txns, chain_order) == expected
 
     def test_heavy_abort_blocks_with_cyclic_committed_sets(self):
         """Seeded sweep over the shapes the bitset oracle must get right:
@@ -322,18 +350,13 @@ class TestFalseAbortDifferential:
             committed = [t for t in txns if t.committed]
             for chain_order in (None, lambda t: t.tid):
                 order = chain_order or (lambda t: (t.min_out, t.tid))
-                cyclic = has_cycle(block_dependency_graph(committed, order))
+                cyclic = has_cycle(reference.block_dependency_graph(committed, order))
                 assert (
                     SerializabilityOracle.committed_is_serializable(txns, chain_order)
                     is not cyclic
                 )
-                naive = SerializabilityOracle.count_false_aborts(
-                    txns, chain_order=chain_order, indexed=False
-                )
-                fast = SerializabilityOracle.count_false_aborts(
-                    txns, chain_order=chain_order, indexed=True
-                )
-                assert naive == fast
+                fast = SerializabilityOracle.count_false_aborts(txns, chain_order)
+                assert fast == reference.false_aborts(txns, chain_order)
                 if cyclic:
                     assert fast == 0
                 seen["cyclic" if cyclic else "acyclic"] += 1
@@ -345,7 +368,7 @@ class TestFalseAbortDifferential:
 
 
 class TestGcDifferential:
-    """Watermarked gc vs the seed's every-chain walk."""
+    """Watermarked gc vs the reference every-chain walk."""
 
     @given(
         st.lists(
@@ -370,13 +393,13 @@ class TestGcDifferential:
                 store.apply_block(block_id, batch)
             return store
 
-        naive, fast = build(), build()
+        ref, fast = build(), build()
         horizons = sorted(
             data.draw(st.lists(st.integers(-1, len(blocks)), max_size=3))
         )
         for horizon in horizons:
-            assert naive.gc(horizon, indexed=False) == fast.gc(horizon, indexed=True)
-            assert naive._versions == fast._versions
+            assert reference.gc(ref, horizon) == fast.gc(horizon)
+            assert ref._versions == fast._versions
         # the watermark must still cover every multi-version chain
         multi = {k for k, chain in fast._versions.items() if len(chain) > 1}
         assert multi <= fast._gc_pending
@@ -398,13 +421,11 @@ class TestHistoryOracleFallbacks:
             KeyApply(key=key, updater_tids=[tid], handler_tid=tid)
             for tid, key in ((1, 5), (2, "s"), (3, (9, 9)))
         ]
-        naive = HistoryOracle(indexed=False)
-        fast = HistoryOracle(indexed=True)
-        for oracle in (naive, fast):
-            oracle.record_block(0, writers, applies, snapshot_block_id=-1)
-            oracle.record_block(1, [reader], [], snapshot_block_id=0)
-        graph = fast.build_graph()
-        assert graph == naive.build_graph()
+        oracle = HistoryOracle()
+        oracle.record_block(0, writers, applies, snapshot_block_id=-1)
+        oracle.record_block(1, [reader], [], snapshot_block_id=0)
+        graph = oracle.build_graph()
+        assert graph == reference.history_graph(oracle)
         # the range read stabbed the int key's chain: its block-0 write is
         # visible at the reader's snapshot, a wr edge writer -> reader
         assert 0 in graph[1]
@@ -519,22 +540,31 @@ def _ops_strategy():
 
 
 class TestAriaRangeCheck:
-    @given(_ops_strategy())
+    @given(_ops_strategy(), st.booleans())
     @settings(max_examples=40, deadline=None)
-    def test_decisions_and_state_identical(self, op_lists):
-        outcomes = []
-        for indexed in (False, True):
-            engine = make_engine(num_keys=32)
-            executor = AriaExecutor(engine, generic_registry(), indexed=indexed)
-            txns = make_txns(op_lists)
-            executor.execute_block(0, txns)
-            outcomes.append(
-                (
-                    [(t.status, t.abort_reason) for t in txns],
-                    engine.state_hash(),
-                )
-            )
-        assert outcomes[0] == outcomes[1]
+    def test_decisions_and_state_identical(self, op_lists, reordering):
+        """Decisions against the full-table reservation scan; state against
+        the survivors' commands applied to the block snapshot (their write
+        sets are disjoint, so order cannot matter)."""
+        engine = make_engine(num_keys=32)
+        executor = AriaExecutor(engine, generic_registry(), reordering)
+        txns = make_txns(op_lists)
+        executor.execute_block(0, txns)
+        assert {t.tid: t.abort_reason for t in txns} == reference.aria_decisions(
+            txns, reordering
+        )
+        assert all(t.committed != t.aborted for t in txns)
+        expected = make_engine(num_keys=32).store
+        expected.apply_block(
+            0,
+            [
+                (key, apply_safely(command, expected.get_latest(key)[0]))
+                for t in txns
+                if t.committed
+                for key, command in t.write_set.items()
+            ],
+        )
+        assert engine.store.materialize() == expected.materialize()
 
 
 class TestOverlayScan:
@@ -599,15 +629,27 @@ class TestMVStoreFastPaths:
         rng.shuffle(key_ids)
         items = {_key(i): i for i in key_ids}
 
-        from repro.bench.perf import naive_load
-
-        fast, reference = MVStore(), MVStore()
+        fast, slow = MVStore(), MVStore()
         fast.load(items)
-        naive_load(reference, items)
-        assert fast._sorted_keys == reference._sorted_keys
-        assert len(fast) == len(reference)
-        assert fast.keys() == reference.keys()
-        assert fast.state_hash() == reference.state_hash_full()
+        reference.load(slow, items)
+        assert fast._sorted_keys == slow._sorted_keys
+        assert fast._versions == slow._versions
+        assert len(fast) == len(slow)
+        assert fast.keys() == slow.keys()
+        assert fast.state_hash() == reference.state_hash(slow)
+
+    def test_shuffled_populate_builds_the_insort_directory(self):
+        """The retired ``mvstore_load`` ledger case's checks, at a populate
+        big enough for the one-sort directory to differ from a per-key
+        ``insort`` if it could: same key directory, same state hash."""
+        order = list(range(3_000))
+        random.Random(20230608).shuffle(order)
+        items = {_key(i): i for i in order}
+        fast, slow = MVStore(), MVStore()
+        fast.load(items)
+        reference.load(slow, items)
+        assert fast._sorted_keys == slow._sorted_keys == sorted(items)
+        assert fast.state_hash() == reference.state_hash(slow)
 
     @given(
         st.lists(
@@ -624,13 +666,13 @@ class TestMVStoreFastPaths:
     def test_incremental_state_hash_matches_full(self, blocks):
         store = MVStore()
         store.load({_key(i): i for i in range(0, 30, 3)})
-        assert store.state_hash() == store.state_hash_full()
+        assert store.state_hash() == reference.state_hash(store)
         for block_id, writes in enumerate(blocks):
             ordered = [
                 (_key(i), TOMBSTONE if value < 0 else value) for i, value in writes
             ]
             store.apply_block(block_id, ordered)
-            assert store.state_hash() == store.state_hash_full()
+            assert store.state_hash() == reference.state_hash(store)
 
     @given(_stored_values)
     @settings(max_examples=300, deadline=None)
@@ -681,20 +723,20 @@ class TestMVStoreFastPaths:
         function of the live content only."""
         store = MVStore()
         store.load({_key(i): {"id": i, "bal": float(i)} for i in range(0, 12, 2)})
-        assert store.state_hash() == store.state_hash_full()
+        assert store.state_hash() == reference.state_hash(store)
         for block_id, writes in enumerate(blocks):
             store.apply_block(
                 block_id,
                 [(_key(i), TOMBSTONE if value is None else value) for i, value in writes],
             )
             if block_id % 2 == 0:  # odd blocks accumulate two blocks of stale keys
-                assert store.state_hash() == store.state_hash_full()
+                assert store.state_hash() == reference.state_hash(store)
         store.load(
             {_key(i): value for i, value in shipped.items()},
             block_id=len(blocks) - 1,
             seq_start=1 << 20,
         )
-        assert store.state_hash() == store.state_hash_full()
+        assert store.state_hash() == reference.state_hash(store)
         twin = MVStore()
         twin.load(store.materialize())
         assert twin.state_hash() == store.state_hash()
@@ -723,11 +765,9 @@ class TestMVStoreFastPaths:
         store.apply_block(0, [(_key(5), 50), (_key(6), TOMBSTONE)])
         store.apply_block(1, [(_key(6), 66), (_key(31), 310)])
 
-        from repro.bench.perf import naive_scan
-
         for block_id in (-1, 0, 1, 5):
             view = store.snapshot(block_id)
-            assert list(view.scan(_key(lo), _key(hi))) == naive_scan(
+            assert list(view.scan(_key(lo), _key(hi))) == reference.scan(
                 view, _key(lo), _key(hi)
             )
 
@@ -795,13 +835,19 @@ class TestIntervalPrimitives:
 @pytest.mark.perf
 def test_perf_smoke_trajectory(tmp_path):
     """End-to-end perf harness smoke: runs in seconds, all checks pass,
-    and the trajectory file accumulates runs."""
-    from repro.bench.perf import run_perf
+    every scaling guard reports its growth under its bound, and the
+    trajectory file accumulates runs."""
+    from repro.bench.perf import SCALING_GUARDS, run_perf
 
     out = tmp_path / "BENCH_perf.json"
     run = run_perf(smoke=True, out_path=str(out))
     assert run["all_checks_pass"]
-    assert all(case["indexed_s"] >= 0 for case in run["cases"])
+    guards = [case for case in run["cases"] if case.get("kind") == "scaling"]
+    assert [case["case"] for case in guards] == [row[0] for row in SCALING_GUARDS]
+    for case in guards:
+        assert 0 < case["time_n_s"] and 0 < case["growth"] <= case["bound"]
+    for case in run["cases"]:
+        assert case in guards or case["indexed_s"] >= 0
     run_perf(smoke=True, out_path=str(out))
     import json
 

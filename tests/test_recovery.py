@@ -8,7 +8,13 @@ from repro.chain.recovery import recover_node
 from repro.core.harmony import HarmonyConfig, HarmonyExecutor
 from repro.txn.transaction import TxnSpec
 
-from tests.conftest import generic_registry, make_engine
+from tests import reference
+from tests.conftest import (
+    assert_checkpoints_identical,
+    full_snapshot_at_boundary,
+    generic_registry,
+    make_engine,
+)
 
 
 def spec(ops) -> TxnSpec:
@@ -109,16 +115,12 @@ class TestRecovery:
 
     def test_key_born_with_stored_none_survives_recovery(self):
         """A key whose first value is a stored ``None`` (a Fabric-style
-        evaluated no-op write) lands in the checkpoint but equals the
-        ``dict.get`` default — the delta fast-forward must use membership,
-        not ``.get``, or the recovered replica silently loses the version
-        an uncrashed replica's version checks still see."""
+        evaluated no-op write) lands in the checkpoint as a live entry —
+        recovery must replay it, or the recovered replica silently loses
+        the version an uncrashed replica's version checks still see."""
         from repro.dcc.fabric import FabricValidator
 
-        # full (non-incremental) checkpoints: the legacy branch below
-        # mutates the stored Checkpoint object, which only exists on the
-        # deep-copy path (delta chains reconstruct a fresh one per call)
-        engine = make_engine(incremental_checkpoints=False)
+        engine = make_engine()
         engine.checkpoints.interval_blocks = 2
         node = ReplicaNode("r0", FabricValidator(engine, generic_registry()), None)
         ordering = OrderingService()
@@ -136,15 +138,6 @@ class TestRecovery:
         rec_value, rec_version = recovered.engine.store.get_latest(born_none)
         assert rec_value is None and rec_version is not None
         assert recovered.state_hash() == node.state_hash()
-
-        # legacy checkpoints (no recorded block writes) take the
-        # state-diff fallback, whose membership test must still keep the
-        # stored-None key's version
-        engine.checkpoints.latest().block_writes = None
-        legacy = recover_node(node)
-        _, legacy_version = legacy.engine.store.get_latest(born_none)
-        assert legacy_version is not None
-        assert legacy.state_hash() == node.state_hash()
 
     def test_same_value_rewrite_in_checkpoint_block_keeps_its_version(self):
         """A key rewritten in the checkpoint block with an unchanged value
@@ -185,11 +178,7 @@ class TestRecovery:
         """A crash mid-base-compaction leaves the chain prefix through the
         compaction's own delta intact — recovery lands at the *same* block
         (the full-checkpoint scheme would step a whole interval back)."""
-        node = build_node(
-            checkpoint_interval=2,
-            incremental_checkpoints=True,
-            checkpoint_base_interval=2,
-        )
+        node = build_node(checkpoint_interval=2, checkpoint_base_interval=2)
         feed_blocks(node, 8)  # checkpoints at 1,3,5,7; compactions at 3 and 7
         from repro.storage.checkpoint import Checkpoint
 
@@ -211,7 +200,7 @@ class TestRecovery:
 
 
 # --------------------------------------------------------------------------
-# Incremental (delta-chain) vs full-checkpoint recovery: bit-identical.
+# Delta-chain recovery vs the seed's full-snapshot checkpoints: bit-identical.
 # --------------------------------------------------------------------------
 def _scheme_builders():
     from repro.dcc.aria import AriaExecutor
@@ -230,27 +219,25 @@ def _scheme_builders():
     }
 
 
-def _feed_scheme(
-    scheme: str, incremental: bool, num_blocks=8, base_interval=2
-) -> ReplicaNode:
-    """One replica of ``scheme`` fed a deterministic block stream.
+def _feed_scheme(scheme: str, num_blocks=8, base_interval=2):
+    """One replica of ``scheme`` fed a deterministic block stream; returns
+    ``(node, snapshots)``.
 
-    Each call regenerates the identical stream (own ordering service, same
-    specs), so two calls differing only in the checkpoint flavour yield
-    replicas whose durable state must recover identically. The default
-    ``base_interval=2`` exercises a base compaction mid-stream.
+    At every checkpoint boundary the chain's recovery point is asserted
+    equal to the seed's full snapshot of the live store
+    (:func:`full_snapshot_at_boundary`); ``snapshots`` collects them in
+    order. The default ``base_interval=2`` exercises a base compaction
+    mid-stream.
     """
     from repro.storage.engine import StorageEngine
 
     engine = StorageEngine(
-        pool_pages=8,
-        checkpoint_interval=3,
-        incremental_checkpoints=incremental,
-        checkpoint_base_interval=base_interval,
+        pool_pages=8, checkpoint_interval=3, checkpoint_base_interval=base_interval
     )
     engine.preload({("k", i): 100 for i in range(24)})
     node = ReplicaNode("r0", _scheme_builders()[scheme](engine, generic_registry()), None)
     ordering = OrderingService()
+    snapshots = []
     for i in range(num_blocks):
         ops_lists = [
             [("add", i % 4, 1)],
@@ -262,22 +249,21 @@ def _feed_scheme(
         else:
             block = ordering.form_block([spec(ops) for ops in ops_lists])
         node.process_block(block)
-    return node
+        if (i + 1) % 3 == 0:
+            snapshots.append(full_snapshot_at_boundary(engine, i))
+    return node, snapshots
 
 
-def _feed_workload(name: str, incremental: bool, num_blocks=8) -> ReplicaNode:
-    """One Harmony replica fed a registered workload's gate-profile stream
-    (deterministic per call, so the full/delta pair sees identical blocks)."""
+def _feed_workload(name: str, num_blocks=8):
+    """One Harmony replica fed a registered workload's gate-profile stream,
+    checked at every checkpoint boundary like :func:`_feed_scheme`."""
     from repro.sim.rng import SeededRng
     from repro.storage.engine import StorageEngine
     from repro.workloads import ShardAffinity, make_workload
 
     workload = make_workload(name, profile="gate", affinity=ShardAffinity(3, 0.5))
     engine = StorageEngine(
-        pool_pages=8,
-        checkpoint_interval=3,
-        incremental_checkpoints=incremental,
-        checkpoint_base_interval=2,
+        pool_pages=8, checkpoint_interval=3, checkpoint_base_interval=2
     )
     engine.preload(workload.initial_state())
     node = ReplicaNode(
@@ -289,15 +275,45 @@ def _feed_workload(name: str, incremental: bool, num_blocks=8) -> ReplicaNode:
     )
     ordering = OrderingService()
     rng = SeededRng(29, f"recovery/{name}")
-    for _ in range(num_blocks):
+    snapshots = []
+    for i in range(num_blocks):
         node.process_block(ordering.form_block(workload.generate_block(10, rng)))
-    return node
+        if (i + 1) % 3 == 0:
+            snapshots.append(full_snapshot_at_boundary(engine, i))
+    return node, snapshots
+
+
+def store_recovered_from(snapshot, live_store):
+    """The store a replica holds after recovering from the full
+    ``snapshot`` and replaying up to ``live_store``'s height: the previous
+    block's state loaded as genesis, the checkpoint block's writes replayed
+    verbatim, then every later block's writes (read off the live store by
+    the reference every-chain walk)."""
+    from repro.storage.mvstore import MVStore
+
+    store = MVStore()
+    store.load(snapshot.prev_state)
+    store.last_committed_block = snapshot.block_id - 1
+    store.apply_block(snapshot.block_id, snapshot.block_writes)
+    for block_id in range(snapshot.block_id + 1, live_store.last_committed_block + 1):
+        store.apply_block(block_id, reference.writes_in_block(live_store, block_id))
+    return store
+
+
+def assert_recovered_from(recovered_store, snapshot, live_store):
+    expected = store_recovered_from(snapshot, live_store)
+    assert recovered_store._versions == expected._versions
+    assert recovered_store._sorted_keys == expected._sorted_keys
+    assert recovered_store.last_committed_block == expected.last_committed_block
 
 
 class TestIncrementalRecoveryDifferential:
     """ISSUE 5 acceptance: recovery from a base+delta chain must be
     bit-identical — version chains, key directory, state hash — to
-    recovery from the retained full-deepcopy checkpoints, per scheme."""
+    recovery from the seed's full-deepcopy checkpoints, per scheme. The
+    chain's recovery point equals the full snapshot at every boundary (the
+    feeders assert it), recovery starts from nothing else, and the
+    recovered store equals the one rebuilt from that snapshot."""
 
     import pytest as _pytest
 
@@ -305,26 +321,14 @@ class TestIncrementalRecoveryDifferential:
         "scheme", ["harmony", "aria", "rbc", "serial", "fabric", "fastfabric"]
     )
     def test_delta_chain_recovery_bit_identical_to_full(self, scheme):
-        node_full = _feed_scheme(scheme, incremental=False)
-        node_delta = _feed_scheme(scheme, incremental=True)
-        assert node_delta.state_hash() == node_full.state_hash()  # same runs
-
-        rec_full = recover_node(node_full)
-        rec_delta = recover_node(node_delta)
-        full_store = rec_full.engine.store
-        delta_store = rec_delta.engine.store
-        assert delta_store._versions == full_store._versions
-        assert delta_store._sorted_keys == full_store._sorted_keys
-        assert delta_store.last_committed_block == full_store.last_committed_block
+        node, snapshots = _feed_scheme(scheme)
+        recovered = recover_node(node)
+        assert_recovered_from(recovered.engine.store, snapshots[-1], node.engine.store)
+        assert recovered.state_hash() == node.state_hash()
+        # the recovery reseeds its chain at the boundary the crashed
+        # replica last checkpointed
         assert (
-            rec_delta.state_hash() == rec_full.state_hash() == node_full.state_hash()
-        )
-        # the delta-mode recovery reseeds its chain at the same boundary
-        # the crashed replicas checkpointed (the full path keeps the seed's
-        # empty-manager behaviour and re-checkpoints on replay intervals)
-        assert (
-            rec_delta.engine.checkpoints.latest().block_id
-            == node_full.engine.checkpoints.latest().block_id
+            recovered.engine.checkpoints.latest().block_id == snapshots[-1].block_id
         )
 
     @_pytest.mark.parametrize("name", ["tpcc", "adv-skewshift"])
@@ -332,33 +336,22 @@ class TestIncrementalRecoveryDifferential:
         """ISSUE 8: the differential extends to the new verification
         workloads — multi-warehouse TPC-C traffic and the migrating Zipf
         hotspot, both driven through their registered gate profiles."""
-        node_full = _feed_workload(name, incremental=False)
-        node_delta = _feed_workload(name, incremental=True)
-        assert node_delta.state_hash() == node_full.state_hash()  # same runs
-
-        rec_full = recover_node(node_full)
-        rec_delta = recover_node(node_delta)
-        assert rec_delta.engine.store._versions == rec_full.engine.store._versions
-        assert (
-            rec_delta.engine.store._sorted_keys == rec_full.engine.store._sorted_keys
-        )
-        assert (
-            rec_delta.state_hash() == rec_full.state_hash() == node_full.state_hash()
-        )
-        assert rec_delta.ledger.verify_chain()
-        assert rec_delta.ledger.height == node_full.ledger.height
+        node, snapshots = _feed_workload(name)
+        recovered = recover_node(node)
+        assert_recovered_from(recovered.engine.store, snapshots[-1], node.engine.store)
+        assert recovered.state_hash() == node.state_hash()
+        assert recovered.ledger.verify_chain()
+        assert recovered.ledger.height == node.ledger.height
 
     @_pytest.mark.parametrize("scheme", ["harmony", "rbc", "fabric"])
     def test_torn_chain_recovery_matches_torn_full(self, scheme):
-        """With the newest recovery point torn on both sides (a delta tip
-        here — base_interval exceeds the number of checkpoints, so the
-        chain never compacted), the fallback prefix must also recover
-        bit-identically to the full scheme's fallback."""
-        node_full = _feed_scheme(scheme, incremental=False)
-        node_delta = _feed_scheme(scheme, incremental=True, base_interval=99)
-        for node in (node_full, node_delta):
-            node.engine.checkpoints.torn_latest = True
-        rec_full = recover_node(node_full)
-        rec_delta = recover_node(node_delta)
-        assert rec_delta.engine.store._versions == rec_full.engine.store._versions
-        assert rec_delta.state_hash() == rec_full.state_hash() == node_full.state_hash()
+        """With the newest recovery point torn (a delta tip here —
+        base_interval exceeds the number of checkpoints, so the chain never
+        compacted), the fallback prefix must recover bit-identically to the
+        full scheme's fallback: the previous boundary's snapshot."""
+        node, snapshots = _feed_scheme(scheme, base_interval=99)
+        node.engine.checkpoints.torn_latest = True
+        assert_checkpoints_identical(node.engine.checkpoints.latest(), snapshots[-2])
+        recovered = recover_node(node)
+        assert_recovered_from(recovered.engine.store, snapshots[-2], node.engine.store)
+        assert recovered.state_hash() == node.state_hash()

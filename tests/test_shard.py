@@ -35,6 +35,8 @@ from repro.workloads.hotspot import HotspotWorkload
 from repro.workloads.smallbank import SmallbankWorkload
 from repro.workloads.ycsb import YCSBWorkload, key_of
 
+from tests import reference
+
 WORKLOADS = {
     "ycsb": lambda affinity=None: YCSBWorkload(num_keys=160, theta=0.6, affinity=affinity),
     "smallbank": lambda affinity=None: SmallbankWorkload(
@@ -245,11 +247,11 @@ class TestFederatedScan:
     def test_stream_merge_matches_materialized_union(self):
         snap = self._snapshot()
         lo, hi = ("usertable", 0), ("usertable", 300)
-        assert list(snap.scan(lo, hi)) == list(snap.scan(lo, hi, indexed=False))
+        assert list(snap.scan(lo, hi)) == reference.federated_scan(snap, lo, hi)
         # sub-ranges and empty ranges too
         for bounds in ((50, 120), (0, 1), (299, 300), (120, 120), (500, 600)):
             lo, hi = ("usertable", bounds[0]), ("usertable", bounds[1])
-            assert list(snap.scan(lo, hi)) == list(snap.scan(lo, hi, indexed=False))
+            assert list(snap.scan(lo, hi)) == reference.federated_scan(snap, lo, hi)
 
     def test_scan_is_lazy(self):
         """The merged scan must not materialize the union: consuming one
@@ -290,7 +292,7 @@ class TestFederatedScan:
         # then meets a str head and a tuple head — incomparable
         lo, hi = AnyLow(), AnyHigh()
         lazy_rows = list(snap.scan(lo, hi))
-        eager_rows = list(snap.scan(lo, hi, indexed=False))
+        eager_rows = reference.federated_scan(snap, lo, hi)
         assert lazy_rows == eager_rows
         assert lazy_rows == sorted(lazy_rows, key=lambda kv: repr(kv[0]))
         assert len(lazy_rows) == 6
@@ -319,7 +321,7 @@ class TestFederatedScan:
         second = list(snap.scan(lo, hi))
         assert first == second  # deterministic
         assert sorted(map(repr, (k for k, _ in first))) == sorted(
-            map(repr, (k for k, _ in snap.scan(lo, hi, indexed=False)))
+            map(repr, (k for k, _ in reference.federated_scan(snap, lo, hi)))
         )  # complete: same row set as the eager fallback
         assert len(first) == 6
 
@@ -512,13 +514,13 @@ class TestCrossShardCommit:
 
     def test_cross_shard_history_serializable_per_oracle(self):
         """Feed the merged committed history (chains from each owning
-        shard) to the history oracle — indexed and naive must agree and
-        both must certify serializability."""
+        shard) to the history oracle — its graph must equal the reference
+        rebuild and certify serializability."""
         for workload_name in ("ycsb", "smallbank"):
             chain, _metrics = run_sharded(
                 workload_name=workload_name, cross=0.6, num_blocks=6
             )
-            oracles = [HistoryOracle(indexed=True), HistoryOracle(indexed=False)]
+            oracle = HistoryOracle()
             for record in chain.history:
                 key_applies = [
                     item
@@ -526,16 +528,14 @@ class TestCrossShardCommit:
                     for item in record.executions[shard].key_applies
                 ]
                 snapshot_id = record.executions[0].snapshot_block_id
-                for oracle in oracles:
-                    oracle.record_block(
-                        record.block_id,
-                        record.merged_txns,
-                        key_applies,
-                        snapshot_block_id=snapshot_id,
-                    )
-            indexed, naive = oracles
-            assert indexed.build_graph() == naive.build_graph()
-            assert indexed.is_serializable() and naive.is_serializable()
+                oracle.record_block(
+                    record.block_id,
+                    record.merged_txns,
+                    key_applies,
+                    snapshot_block_id=snapshot_id,
+                )
+            assert oracle.build_graph() == reference.history_graph(oracle)
+            assert oracle.is_serializable()
 
     def test_throughput_scales_with_shards_at_low_contention(self):
         def run(num_shards):

@@ -6,8 +6,8 @@ the certificate still appends and the surviving shards commit — the
 crashed shard must rebuild from its checkpoint chain + logged sub-blocks,
 honouring the global certificate stream, and converge on the identical
 decisions, ledger and state. Also pins the recovery differential at the
-sharded level: delta-chain and full-deepcopy checkpoints recover every
-shard bit-identically.
+sharded level: every shard's checkpoint chain reconstructs the seed's full
+deep-copy snapshot at every boundary and recovers bit-identically from it.
 """
 
 from __future__ import annotations
@@ -23,12 +23,13 @@ from repro.workloads.base import ShardAffinity
 from repro.workloads.smallbank import SmallbankWorkload
 from repro.workloads.ycsb import YCSBWorkload
 
+from tests.conftest import full_snapshot_at_boundary
+from tests.test_recovery import assert_recovered_from
+
 NUM_SHARDS = 3
 
 
-def build_chain(
-    workload=None, incremental=True, num_shards=NUM_SHARDS, **overrides
-) -> ShardedBlockchain:
+def build_chain(workload=None, num_shards=NUM_SHARDS, **overrides) -> ShardedBlockchain:
     config = ShardConfig(
         system="harmony",
         num_shards=num_shards,
@@ -36,7 +37,6 @@ def build_chain(
         seed=13,
         checkpoint_interval=2,
         checkpoint_base_interval=2,
-        checkpoint_incremental=incremental,
         **overrides,
     )
     workload = workload or SmallbankWorkload(
@@ -45,9 +45,19 @@ def build_chain(
     return ShardedBlockchain(config, workload)
 
 
-def drive(chain: ShardedBlockchain, num_blocks: int, crash_at=None, crash_shard=None):
+def drive(
+    chain: ShardedBlockchain,
+    num_blocks: int,
+    crash_at=None,
+    crash_shard=None,
+    snapshots=None,
+):
     """Run the decision layer block-by-block; optionally crash one shard
-    between its prepare vote and the certificate append of ``crash_at``."""
+    between its prepare vote and the certificate append of ``crash_at``.
+
+    At every checkpoint boundary each shard's recovery point is asserted
+    equal to the full snapshot of its live store; ``snapshots`` (a dict,
+    when given) keeps the newest one per shard."""
     rng = SeededRng(chain.config.seed, "shard-recovery-drill")
     outcomes = []
     for i in range(num_blocks):
@@ -60,6 +70,11 @@ def drive(chain: ShardedBlockchain, num_blocks: int, crash_at=None, crash_shard=
             else None
         )
         outcomes.append(chain.process_global_block(block, fault_hook=hook))
+        if (i + 1) % chain.config.checkpoint_interval == 0 and hook is None:
+            for shard, node in enumerate(chain.group.nodes):
+                snapshot = full_snapshot_at_boundary(node.engine, i)
+                if snapshots is not None:
+                    snapshots[shard] = snapshot
     return outcomes
 
 
@@ -212,63 +227,31 @@ class TestNewWorkloadRecoveryDrill:
 
     @pytest.mark.parametrize("name", ["tpcc", "adv-skewshift"])
     def test_delta_chain_recovery_matches_full_on_new_workloads(self, name):
-        recovered = {}
-        for incremental in (False, True):
-            chain = build_chain(
+        assert_every_shard_recovers_from_its_full_snapshot(
+            build_chain(
                 workload=make_workload(
                     name, profile="gate", affinity=ShardAffinity(NUM_SHARDS, 0.5)
-                ),
-                incremental=incremental,
+                )
             )
-            drive(chain, 6)
-            stores = [node.engine.store for node in chain.group.nodes]
-            for shard in range(NUM_SHARDS):
-                recovery = recover_shard_node(
-                    chain.group.nodes[shard],
-                    shard,
-                    stores,
-                    chain.router,
-                    chain.cert_log,
-                )
-                assert (
-                    recovery.node.state_hash()
-                    == chain.group.nodes[shard].state_hash()
-                )
-                recovered[(incremental, shard)] = recovery.node.engine.store
-        for shard in range(NUM_SHARDS):
-            full_store = recovered[(False, shard)]
-            delta_store = recovered[(True, shard)]
-            assert delta_store._versions == full_store._versions
-            assert delta_store._sorted_keys == full_store._sorted_keys
-            assert delta_store.state_hash() == full_store.state_hash()
+        )
+
+
+def assert_every_shard_recovers_from_its_full_snapshot(chain: ShardedBlockchain):
+    snapshots: dict = {}
+    drive(chain, 6, snapshots=snapshots)
+    stores = [node.engine.store for node in chain.group.nodes]
+    for shard, node in enumerate(chain.group.nodes):
+        recovery = recover_shard_node(node, shard, stores, chain.router, chain.cert_log)
+        assert recovery.node.state_hash() == node.state_hash()
+        assert_recovered_from(
+            recovery.node.engine.store, snapshots[shard], node.engine.store
+        )
 
 
 class TestShardedRecoveryDifferential:
     def test_delta_chain_recovers_every_shard_bit_identical_to_full(self):
-        """ISSUE 5 acceptance, sharded half: per shard, recovery from the
-        delta chain equals recovery from full checkpoints — version
-        chains included — and matches the original run's shard states."""
-        recovered_stores = {}
-        for incremental in (False, True):
-            chain = build_chain(incremental=incremental)
-            drive(chain, 6)
-            stores = [node.engine.store for node in chain.group.nodes]
-            for shard in range(NUM_SHARDS):
-                recovery = recover_shard_node(
-                    chain.group.nodes[shard],
-                    shard,
-                    stores,
-                    chain.router,
-                    chain.cert_log,
-                )
-                assert (
-                    recovery.node.state_hash()
-                    == chain.group.nodes[shard].state_hash()
-                )
-                recovered_stores[(incremental, shard)] = recovery.node.engine.store
-        for shard in range(NUM_SHARDS):
-            full_store = recovered_stores[(False, shard)]
-            delta_store = recovered_stores[(True, shard)]
-            assert delta_store._versions == full_store._versions
-            assert delta_store._sorted_keys == full_store._sorted_keys
-            assert delta_store.state_hash() == full_store.state_hash()
+        """ISSUE 5 acceptance, sharded half: per shard, the chain's
+        recovery point is the full snapshot at every boundary, and the
+        recovered store — version chains included — is the one rebuilt
+        from that snapshot and matches the original run's shard state."""
+        assert_every_shard_recovers_from_its_full_snapshot(build_chain())

@@ -13,6 +13,8 @@ from repro.storage.heap import HeapFile
 from repro.storage.pages import Page
 from repro.storage.wal import LogMode, WriteAheadLog
 
+from tests import reference
+
 COSTS = CostModel()
 
 
@@ -165,32 +167,30 @@ class TestWal:
 
 
 class TestCheckpointManager:
-    def test_interval_boundary(self):
-        mgr = CheckpointManager(interval_blocks=5)
-        assert not mgr.maybe_checkpoint(0, {})
-        assert mgr.maybe_checkpoint(4, {"a": 1})
-        assert mgr.latest().block_id == 4
-
     def test_keeps_last_two(self):
-        mgr = CheckpointManager(interval_blocks=1)
+        mgr = CheckpointManager(interval_blocks=1, base_interval=1)
         for b in range(5):
-            mgr.maybe_checkpoint(b, {"b": b})
-        assert mgr.count == 2
+            mgr.delta_checkpoint(b, [(b, [("b", b)])])
+        # a base per checkpoint: the newest one, and the previous base with
+        # the delta between them (the torn-tip fallback)
+        assert mgr.count == 3
         assert mgr.latest().block_id == 4
+        assert mgr.latest().state == {"b": 4}
 
     def test_torn_latest_falls_back(self):
         mgr = CheckpointManager(interval_blocks=1)
-        mgr.maybe_checkpoint(0, {"b": 0})
-        mgr.maybe_checkpoint(1, {"b": 1})
+        mgr.delta_checkpoint(0, [(0, [("b", 0)])])
+        mgr.delta_checkpoint(1, [(1, [("b", 1)])])
         mgr.torn_latest = True
         assert mgr.latest().block_id == 0
+        assert mgr.latest().state == {"b": 0}
 
     def test_checkpoint_deep_copies_state(self):
         mgr = CheckpointManager(interval_blocks=1)
-        state = {"a": [1]}
-        mgr.maybe_checkpoint(0, state)
-        state["a"].append(2)
-        assert mgr.latest().state == {"a": [1]}
+        value = {"a": [1]}
+        mgr.delta_checkpoint(0, [(0, [("k", value)])])
+        value["a"].append(2)
+        assert mgr.latest().state == {"k": {"a": [1]}}
 
 
 class TestBlockLog:
@@ -206,7 +206,7 @@ class TestBlockLog:
         assert len(log) == 5
 
     def test_blocks_after_bisect_matches_naive_scan(self):
-        """The bisect cut point must agree with the seed's linear scan on
+        """The bisect cut point must agree with the reference linear scan on
         every boundary, including gapped id sequences (sharded sub-block
         logs skip nothing, but the contract shouldn't depend on that)."""
 
@@ -218,9 +218,7 @@ class TestBlockLog:
         for block_id in (0, 1, 2, 5, 6, 9):
             log.append(FakeBlock(block_id))
         for cut in range(-2, 11):
-            fast = log.blocks_after(cut)
-            naive = log.blocks_after(cut, indexed=False)
-            assert fast == naive, f"cut={cut}"
+            assert log.blocks_after(cut) == reference.blocks_after(log, cut), f"cut={cut}"
 
     def test_out_of_order_append_rejected(self):
         class FakeBlock:
@@ -281,7 +279,7 @@ class TestStorageEngine:
         """Blocks applied behind the engine's back (directly on the store)
         never enter the delta buffer — the checkpoint must rescan them, or
         the folded state silently diverges from the full snapshot."""
-        engine = StorageEngine(checkpoint_interval=2, incremental_checkpoints=True)
+        engine = StorageEngine(checkpoint_interval=2)
         engine.preload({"a": 1})
         engine.store.apply_block(0, [("a", 10)])  # bypasses the buffer
         engine.store.apply_block(1, [("b", 20)])

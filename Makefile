@@ -3,7 +3,7 @@
 
 PY := PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH)) python
 
-.PHONY: test loc no-twins conformance perf-smoke perf perf-parallel compare faults-smoke faults obs-smoke rebalance-smoke e2e-smoke e2e e2e-pairs
+.PHONY: test loc no-twins one-walk conformance perf-smoke perf perf-parallel compare faults-smoke faults obs-smoke rebalance-smoke e2e-smoke e2e e2e-pairs
 
 # tier-1 verify: the whole default suite (perf/faults/tpcc markers
 # excluded by pytest.ini)
@@ -33,6 +33,16 @@ no-twins:
 	@! grep -rnE --include='*.py' "\bindexed\s*[:=]|\bincremental\s*(=|:\s*bool)|_naive\b|state_hash_full|checkpoint_incremental|incremental_checkpoints|force_checkpoint|maybe_checkpoint" src/repro
 	@! grep -rnE --include='*.py' "^\s*(from|import)\s+(tests|reference)\b" src/repro
 	@echo "no-twins: ok"
+
+# the block walk stays one: outside shard/system.py nothing under src/repro
+# prepares, finishes or certifies a live block or borrows a stage's span
+# helper (the fault supervisor and the deferred commit call the chain's four
+# stage methods), and the chain has no crash hook or vote channel to arm —
+# a crashed shard is a shard a schedule leaves out of a stage
+one-walk:
+	@! grep -rnE --include='*.py' "group\.(prepare|finish)\(|cert_log\.append\(|_trace_(order|prepared|commits)\(" src/repro | grep -v '^src/repro/shard/system\.py:'
+	@! grep -rnE --include='*.py' "chain\.(fault_hook|vote_channel)|fault_hook=" src/repro
+	@echo "one-walk: ok"
 
 # full conformance sweep: every scheme x every registered workload,
 # unsharded + sharded, including the tpcc-marked extended matrix (the

@@ -72,11 +72,11 @@ class OEConfig:
     #: differential reference); ``"process"`` fans per-shard
     #: ``prepare_block`` calls out to a ``ProcessPoolExecutor`` pool
     #: (``repro.parallel``) — decisions, state hashes and certificates are
-    #: bit-identical, only wall-clock changes. Fault-armed runs fall back
-    #: to serial automatically so injected hooks keep firing in-process.
+    #: bit-identical, only wall-clock changes. One worker process per
+    #: shard. A chain whose shards stop advancing in lockstep (a fault
+    #: supervisor took it, a shard sat a stage out, a recovered shard
+    #: rejoined) closes the pool and continues in-process.
     backend: str = "serial"
-    #: worker processes for ``backend="process"`` (``None`` = one per shard)
-    backend_workers: int | None = None
     #: overlap block N+1's prepare with block N's commit (the paper's
     #: inter-block pipelining, on real cores). Takes effect with
     #: ``backend="process"`` on executors whose snapshot lag >= 2

@@ -146,18 +146,6 @@ def _build_chain(
     return ShardedBlockchain(config, workload)
 
 
-def _merged_txns(block, participants, executions) -> list:
-    """The coordinator-merged per-transaction records (run()'s view)."""
-    by_shard = {
-        shard: {t.tid: t for t in execution.txns}
-        for shard, execution in executions.items()
-    }
-    return [
-        by_shard[min(participants[j])][block.first_tid + j]
-        for j in range(block.size)
-    ]
-
-
 def run_drill(
     scheme: str,
     num_shards: int,
@@ -177,10 +165,10 @@ def run_drill(
     result = DrillResult(
         plan=plan, scheme=scheme, num_shards=num_shards, workload=workload
     )
-    # the disturbed chain *asks* for the process backend: fault hooks armed
-    # by the supervisor force the serial fallback, which is exactly the
-    # auto-fallback contract under drill — injected faults keep firing
-    # in-process, and the run stays bit-comparable to the serial reference.
+    # the disturbed chain *asks* for the process backend: the supervisor
+    # closes it when it takes the chain, which is exactly the fallback
+    # contract under drill — injected faults keep firing in-process, and
+    # the run stays bit-comparable to the serial reference.
     rebalance = any(e.kind in MIGRATION_KINDS for e in plan.events)
     disturbed = _build_chain(
         scheme, num_shards, plan, block_size, "process", workload, rebalance
@@ -209,7 +197,11 @@ def run_drill(
         supervisor.process_block(disturbed.ordering.form_block(specs))
         block = reference.ordering.form_block(specs)
         outcome = reference.process_global_block(block)
-        merged = _merged_txns(block, outcome.participants, outcome.executions)
+        merged = reference.merged_view(
+            block,
+            outcome.participants,
+            {shard: e.txns for shard, e in outcome.executions.items()},
+        )
         ref_records.append((block.block_id, merged))
         if scheme == "harmony":
             key_applies = [

@@ -1,33 +1,33 @@
 """Arming fault plans into the pipeline's injection points.
 
-The pipeline exposes four fault seams, each a ``None``-by-default hook
+The pipeline exposes three fault seams, each a ``None``-by-default hook
 that costs one attribute check when no plan is armed:
 
-- ``ShardedBlockchain.fault_hook`` — the crash-point callback consulted by
-  :meth:`~repro.shard.system.ShardedBlockchain.process_global_block`;
-- ``ShardedBlockchain.vote_channel`` — the vote-exchange wire
-  (:class:`FaultyVoteChannel` drops / duplicates / delays per plan);
+- ``ShardedBlockchain.migration_hook`` — skips or tears a shard's boundary
+  shipment inside ``apply_migration``, where no caller can reach;
 - ``CheckpointManager.fault_hook`` — skips or tears checkpoint writes;
 - ``BlockLog.fault_hook`` — tears the sub-block log tail.
 
 :class:`FaultInjector` binds one :class:`~repro.faults.plan.FaultPlan` to
-all four. Each durable-write fault fires **once** (the consumed-event set):
+all three. Each durable-write fault fires **once** (the consumed-event set):
 a recovered replica replaying the same block ids must not re-suffer the
 fault, or recovery could never converge.
+
+Crashes and vote faults need no seam: the block walk is four stage calls
+(:mod:`repro.shard.system`), so the supervisor that schedules them leaves
+a crashed shard out of a stage and passes the votes through
+:class:`FaultyVoteChannel` on their way to the certify stage.
 """
 
 from __future__ import annotations
 
-from repro.faults.plan import (
-    CRASH_AFTER_PREPARE,
-    CRASH_BEFORE_PREPARE,
-    FaultPlan,
-)
-from repro.shard.twopc import VoteChannel
+from repro.faults.plan import FaultPlan
 
 
-class FaultyVoteChannel(VoteChannel):
-    """A vote wire that misbehaves per the armed plan.
+class FaultyVoteChannel:
+    """The vote-exchange wire between the shards and the ordering layer,
+    misbehaving per the armed plan (a plan without vote faults delivers
+    every vote exactly once).
 
     Stateless across rounds: the fate of a vote is a pure function of
     ``(shard, block, attempt)``, so retransmitting the identical cast on
@@ -65,8 +65,6 @@ class FaultInjector:
     # ------------------------------------------------------------- arming
     def arm(self, chain) -> None:
         """Arm every seam of ``chain``; idempotent."""
-        chain.fault_hook = self.crash_directive
-        chain.vote_channel = FaultyVoteChannel(self.plan)
         chain.migration_hook = self.migration_fates
         for shard, node in enumerate(chain.group.nodes):
             self.arm_node(shard, node)
@@ -86,14 +84,6 @@ class FaultInjector:
         )
 
     # ----------------------------------------------------- site callbacks
-    def crash_directive(self, block_id: int):
-        """The chain-level fault point: ``(skip_prepare, skip_commit)``."""
-        before = self.plan.crash_shards(block_id, CRASH_BEFORE_PREPARE)
-        after = self.plan.crash_shards(block_id, CRASH_AFTER_PREPARE)
-        if not before and not after:
-            return None
-        return before, after
-
     def migration_fates(self, block_id: int) -> dict | None:
         """The migration seam: per-shard boundary-shipment fates for a
         re-key at ``block_id`` (``{shard: "skip" | "torn"}``), one-shot —

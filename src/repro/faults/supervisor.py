@@ -1,9 +1,11 @@
 """Supervised sharded execution: detect, recover, re-join, retry.
 
-:class:`SupervisedShardGroup` wraps a :class:`ShardedBlockchain` and
-drives its decision layer one global block at a time, the way
-``process_global_block`` does — but with a supervision loop around every
-fault seam:
+:class:`SupervisedShardGroup` wraps a :class:`ShardedBlockchain` and is a
+*schedule* of its block walk: :meth:`~SupervisedShardGroup.process_block`
+calls the chain's four stage methods (route, prepare, certify, commit) in
+the order ``process_global_block`` does, and owns only what happens
+between them — it neither prepares, certifies, commits nor emits a stage's
+spans itself. What it adds around the stages:
 
 - **crashed shards** are rebuilt with
   :func:`~repro.shard.recovery.recover_shard_node` from their durable
@@ -94,6 +96,9 @@ class SupervisedShardGroup:
         self.policy = policy or RetryPolicy()
         self.channel = FaultyVoteChannel(injector.plan)
         injector.arm(chain)
+        # crashes, rejoins and partial stages are this chain's life from
+        # now on, and injected faults must fire in this process
+        chain.close_backend()
         #: every global block's sub-block split, for catch-up delivery
         self.sub_block_log: list[dict] = []
         #: shards currently dead (corpse still holds the durable artifacts)
@@ -133,15 +138,12 @@ class SupervisedShardGroup:
                 if node.engine.store.last_committed_block < bid - 1:
                     self._catch_up(shard, node)
 
-        routed = chain.route_global_block(
+        outcome = chain.route_global_block(
             block, migration_barrier=_migration_barrier
         )
-        migration, participants = routed.migration, routed.participants
-        expected, sub_blocks = routed.expected, routed.sub_blocks
-        self.sub_block_log.append(sub_blocks)
+        expected = outcome.expected
+        self.sub_block_log.append(outcome.sub_blocks)
 
-        tracer = getattr(chain, "tracer", None)
-        lagging = plan.lagging_shards(bid)
         # migration-family faults: the shard died while the boundary
         # shipment was in flight (its store load was skipped or torn by the
         # armed hook). The shipment is a synchronous coordinated step, so
@@ -154,36 +156,22 @@ class SupervisedShardGroup:
             for kind in sorted(MIGRATION_KINDS)
             for shard in plan.crash_shards(bid, kind)
         }
-        if migration is not None and mig_dead:
-            self._recover_migration_casualties(mig_dead, migration, bid, tracer)
+        if outcome.migration is not None and mig_dead:
+            self._recover_migration_casualties(mig_dead, outcome.migration, bid)
             mig_dead = set()
         dead_before = plan.crash_shards(bid, CRASH_BEFORE_PREPARE) | mig_dead
-        self._crashed |= dead_before
-        if tracer is not None:
-            for shard in sorted(dead_before):
-                tracer.fault(
-                    "crash", block=bid, shard=shard,
-                    attrs={"window": "before-prepare"},
-                )
-        prepared = chain.group.prepare(
-            sub_blocks, skip=frozenset(self._crashed | lagging)
+        self._crash(dead_before, bid, "before-prepare")
+        chain.prepare_global_block(
+            outcome, skip=frozenset(self._crashed | plan.lagging_shards(bid))
         )
-        if tracer is not None:
-            chain._trace_prepared(tracer, bid, prepared)
-        cast = derive_votes(prepared, expected)
+        cast = derive_votes(outcome.prepared, expected)
 
         # crash-after-prepare: the vote hit the wire, then the shard died
         # (with ``tear_log`` the log write behind the vote also tore).
-        dead_after_prepare = plan.crash_shards(bid, CRASH_AFTER_PREPARE)
-        self._crashed |= dead_after_prepare
-        if tracer is not None:
-            for shard in sorted(dead_after_prepare):
-                tracer.fault(
-                    "crash", block=bid, shard=shard,
-                    attrs={"window": "after-prepare"},
-                )
+        self._crash(plan.crash_shards(bid, CRASH_AFTER_PREPARE), bid, "after-prepare")
 
         # --- vote exchange under bounded deterministic retry ------------
+        tracer = chain.tracer
         expected_pairs = {
             (tid, shard) for tid, shards in expected.items() for shard in shards
         }
@@ -226,66 +214,36 @@ class SupervisedShardGroup:
                 )
             # a shard that died before voting can be recovered mid-window:
             # its log holds only certified blocks, so replay is complete,
-            # and re-delivering this sub-block buys the missing vote back
+            # and re-entering the prepare stage for it alone delivers this
+            # sub-block and buys the missing vote back
             for shard in sorted(
                 {s for (_, s) in missing} & dead_before & self._crashed
             ):
-                node = self._recover(shard, bid)
-                if node is None:
+                if self._recover(shard, bid) is None:
                     continue  # crash-during-recovery: attempt consumed
-                prep = node.prepare_block(sub_blocks[shard])
-                prepared[shard] = prep
-                if tracer is not None:
-                    tracer.stage(
-                        "prepare",
-                        block=bid,
-                        shard=shard,
-                        attempt=attempt,
-                        attrs={"txns": len(prep.txns)},
-                        timing={"sim_us": sum(prep.sim_durations_us)},
-                    )
-                cast.extend(derive_votes({shard: prep}, expected))
+                everyone_else = frozenset(range(chain.config.num_shards)) - {shard}
+                chain.prepare_global_block(
+                    outcome, skip=everyone_else, attempt=attempt
+                )
+                cast = derive_votes(outcome.prepared, expected)
 
-        certificate = chain.cert_log.append(
-            arrived, bid, expected=expected, migration=migration
-        )
-
-        # --- commit phase ----------------------------------------------
-        executions = chain.group.finish(
-            prepared, certificate.abort_tids, skip=frozenset(self._crashed)
-        )
-        if tracer is not None:
-            chain._trace_commits(tracer, bid, executions)
-        for shard, execution in executions.items():
+        chain.certify_global_block(outcome, votes=arrived)
+        chain.commit_global_block(outcome, skip=frozenset(self._crashed))
+        for shard, execution in outcome.executions.items():
             self._shard_block_txns.setdefault(
                 (shard, bid), {t.tid: t for t in execution.txns}
             )
 
         # crash-after-commit: committed, then died before the checkpoint
         # write survived (the armed checkpoint hook already skipped/tore it)
-        dead_after_commit = plan.crash_shards(bid, CRASH_AFTER_COMMIT)
-        self._crashed |= dead_after_commit
-        if tracer is not None:
-            for shard in sorted(dead_after_commit):
-                tracer.fault(
-                    "crash", block=bid, shard=shard,
-                    attrs={"window": "after-commit"},
-                )
+        self._crash(plan.crash_shards(bid, CRASH_AFTER_COMMIT), bid, "after-commit")
 
         # --- end-of-block supervision: every corpse recovers now that the
         # certificate landed, so replay covers this block too.
         for shard in sorted(self._crashed):
-            node = None
-            tries = 0
-            while node is None:
-                tries += 1
-                if tries > self.policy.max_attempts:
-                    raise RuntimeError(
-                        f"shard {shard} recovery exceeded retry budget"
-                    )
-                node = self._recover(shard, bid)
-            self._catch_up(shard, node)
+            self._catch_up(shard, self._recover_until_alive(shard, bid))
 
+        participants = outcome.participants
         self._rows.append(
             (
                 bid,
@@ -295,14 +253,14 @@ class SupervisedShardGroup:
                 ],
             )
         )
-        return executions
+        return outcome.executions
 
     def finalize(self) -> None:
         """End of run: close every partition window and catch up."""
         self._heal_lagging(None)
         if self._crashed:
             raise RuntimeError(f"unrecovered shards at finalize: {self._crashed}")
-        tracer = getattr(self.chain, "tracer", None)
+        tracer = self.chain.tracer
         if tracer is not None:
             metrics = tracer.metrics
             metrics.gauge("supervisor.injected_delay_us").set(
@@ -321,7 +279,7 @@ class SupervisedShardGroup:
         itself crashed (double fault) and the durable artifacts are
         untouched, ready for the next attempt."""
         chain = self.chain
-        tracer = getattr(chain, "tracer", None)
+        tracer = chain.tracer
         rtt_us = chain.network.rtt_us(chain.config.num_shards)
         corpse = chain.group.nodes[shard]
         stores = chain.group._stores
@@ -364,9 +322,25 @@ class SupervisedShardGroup:
             )
         return recovery.node
 
-    def _recover_migration_casualties(
-        self, shards, migration, bid: int, tracer
-    ) -> None:
+    def _crash(self, shards, bid: int, window: str) -> None:
+        """Mark ``shards`` dead from ``window`` of block ``bid`` on."""
+        self._crashed |= shards
+        if self.chain.tracer is not None:
+            for shard in sorted(shards):
+                self.chain.tracer.fault(
+                    "crash", block=bid, shard=shard, attrs={"window": window}
+                )
+
+    def _recover_until_alive(self, shard: int, bid: int):
+        """Recovery attempts until one survives, within the retry budget
+        (each double fault consumes an attempt)."""
+        for _ in range(self.policy.max_attempts):
+            node = self._recover(shard, bid)
+            if node is not None:
+                return node
+        raise RuntimeError(f"shard {shard} recovery exceeded retry budget")
+
+    def _recover_migration_casualties(self, shards, migration, bid: int) -> None:
         """Rebuild every shard whose migration shipment was fated.
 
         The certificate for ``bid`` does not exist yet (votes haven't been
@@ -376,21 +350,8 @@ class SupervisedShardGroup:
         else."""
         chain = self.chain
         for shard in sorted(shards):
-            self._crashed.add(shard)
-            if tracer is not None:
-                tracer.fault(
-                    "crash", block=bid, shard=shard,
-                    attrs={"window": "during-migration"},
-                )
-            node = None
-            tries = 0
-            while node is None:
-                tries += 1
-                if tries > self.policy.max_attempts:
-                    raise RuntimeError(
-                        f"shard {shard} recovery exceeded retry budget"
-                    )
-                node = self._recover(shard, bid)
+            self._crash({shard}, bid, "during-migration")
+            node = self._recover_until_alive(shard, bid)
             install_migration(
                 migration, chain.router, {shard: node.executor}, chain._store_mig_epochs
             )
@@ -428,15 +389,13 @@ class SupervisedShardGroup:
             on_commit=delivered,
             watermarks=chain._store_mig_epochs,
         )
-        if caught_up:
-            tracer = getattr(chain, "tracer", None)
-            if tracer is not None:
-                tracer.fault(
-                    "catch_up",
-                    shard=shard,
-                    sim_us=caught_up * rtt_us,
-                    attrs={"from_block": from_block, "blocks": caught_up},
-                )
+        if caught_up and chain.tracer is not None:
+            chain.tracer.fault(
+                "catch_up",
+                shard=shard,
+                sim_us=caught_up * rtt_us,
+                attrs={"from_block": from_block, "blocks": caught_up},
+            )
 
     def _heal_lagging(self, upto_block: int | None) -> None:
         """Catch up shards whose partition window closed before

@@ -182,7 +182,7 @@ def attach_tracer(chain, tracer: Tracer) -> Tracer:
     Wires the chain itself, the certificate log, every node's checkpoint
     manager (re-armed on rejoin, so recovered shards keep tracing), and
     the process-prepare backend if one is already built
-    (``_ensure_backend`` arms later-built ones from ``chain.tracer``).
+    (``_ensure_backend`` arms a later-built one from ``chain.tracer``).
     """
     chain.tracer = tracer
     chain.cert_log.tracer = tracer

@@ -6,9 +6,10 @@ snapshot *i−2* and validates against block *i−1*'s *decision facts* — both
 known before block *i−1*'s physical commit runs. Inter-block parallelism
 is therefore a *scheduling* property of the one Order-Execute loop
 (:meth:`repro.shard.system.ShardedBlockchain.run`), not a second driver:
-the loop certifies block *i−1*, hands it to :class:`DeferredCommit`, and
-the commit runs on the main process while the worker pool prepares block
-*i*.
+:class:`DeferredCommit` calls the chain's four stage methods in the same
+order as every other schedule, only it holds block *i−1* between certify
+and commit, and that commit runs on the main process while the worker
+pool prepares block *i*.
 
 Decision-stream equivalence with the sequential schedule is exact:
 
@@ -26,14 +27,13 @@ from __future__ import annotations
 
 
 class DeferredCommit:
-    """A one-deep queue holding the certified block whose commit is due."""
+    """The pipelined schedule of the block walk: a one-deep queue holding
+    the certified block whose commit is due."""
 
     def __init__(self, chain, state) -> None:
-        backend = chain._ensure_backend()
-        if backend is None:  # closed, or suspended by an earlier fault
-            raise RuntimeError("pipelined run requested but the backend is suspended")
         self.chain = chain
-        self.backend = backend
+        #: the worker pool — ``_pipelined_ready()`` has asked for it
+        self.backend = chain._ensure_backend()
         self._state = state
         self._held = None  # (block index, outcome)
         #: per shard, the cross-block decision state the next prepare
@@ -43,34 +43,36 @@ class DeferredCommit:
             for shard, node in enumerate(chain.group.nodes)
         }
 
+    def process(self, index: int, block):
+        """Walk ``block`` through route, prepare and certify, and hold its
+        commit; the previous block's commit lands inside the prepare."""
+        chain = self.chain
+        outcome = chain.route_global_block(block, migration_barrier=self.land)
+        chain.prepare_global_block(outcome, deferred=self)
+        chain.certify_global_block(outcome)
+        self.hold(index, outcome)
+        return outcome
+
     def prepare(self, sub_blocks: dict) -> dict:
-        """Dispatch the prepares, then use the wait for main-side work:
-        ingest this block and commit the held one."""
-        nodes = self.chain.group.nodes
+        """The prepare stage's medium on this schedule: the pool, against
+        the held block's decided state, landing its commit meanwhile."""
         tracer = self.chain.tracer
         if tracer is not None:
-            block_id = sub_blocks[0].block_id
             # occupancy of the one-deep deferred-commit queue at dispatch
             tracer.metrics.histogram("pipeline.queue_depth").observe(
                 1 if self._held is not None else 0
             )
             tracer.anno(
                 "pipeline_dispatch",
-                block=block_id,
+                block=sub_blocks[0].block_id,
                 timing={"overlap": self._held is not None},
             )
-        futures = self.backend.submit(sub_blocks, self._prepare_states)
-        verify_costs = {
-            shard: node.ingest_block(sub_blocks[shard])[1]
-            for shard, node in enumerate(nodes)
-        }
-        self.land()
-        prepared = self.backend.collect(
-            futures, {shard: node.executor for shard, node in enumerate(nodes)}
+        return self.backend.prepare(
+            sub_blocks,
+            self.chain.group.nodes,
+            self._prepare_states,
+            meanwhile=self.land,
         )
-        for shard, prep in prepared.items():
-            prep.extra_pre_exec_us += verify_costs[shard]
-        return prepared
 
     def hold(self, index: int, outcome) -> None:
         """Take a freshly certified block. Its decisions are final here:
@@ -99,5 +101,5 @@ class DeferredCommit:
         if self._held is not None:
             index, outcome = self._held
             self._held = None
-            self.chain._commit(outcome)
+            self.chain.commit_global_block(outcome)
             self.chain._absorb_block(self._state, index, outcome)

@@ -7,9 +7,9 @@ with the driver so that a serial-backend chain never imports the process
 machinery). :func:`replay_group` replays the same artifacts — sub-ledgers
 plus the global certificate stream — through the same loop
 (:func:`repro.shard.replay.replay_blocks`); all it adds is the loop's
-prepare step: the per-shard prepares fan out to the
-:mod:`repro.parallel.backend` worker pool, and the main process ingests
-the block and lands the trailing commit while the workers are busy.
+prepare step: :meth:`ProcessPrepareBackend.prepare
+<repro.parallel.backend.ProcessPrepareBackend.prepare>`, the same call the
+live chain makes, with the trailing commit as its ``meanwhile``.
 
 The certificate stream *is* the decision record, so replay never re-runs
 the vote exchange: each block's recorded vetoes are honoured verbatim and
@@ -40,17 +40,11 @@ def replay_group(
     from repro.parallel.backend import make_prepare_backend
 
     config = chain.config
-    backend = (
-        make_prepare_backend(config, chain.workload, config.num_shards)
-        if config.backend == "process"
-        else None
-    )
+    backend = make_prepare_backend(config, chain.workload, config.num_shards)
     if backend is None:
         return replay_group_serial(chain, name_prefix=name_prefix)
     try:
         other = fresh_group(chain, name_prefix)
-        nodes = dict(enumerate(other.nodes))
-        executors = {shard: node.executor for shard, node in nodes.items()}
 
         def prepare(sub_blocks, land):
             record = chain.cert_log[sub_blocks[0].block_id].migration
@@ -58,14 +52,7 @@ def replay_group(
                 # installed main-side at the boundary just now; the (fresh,
                 # epoch-0) worker routers learn it with this task
                 backend.apply_migration(record)
-            futures = backend.submit(
-                sub_blocks,
-                {s: executor.export_prepare_state() for s, executor in executors.items()},
-            )
-            for shard, node in nodes.items():
-                node.ingest_block(sub_blocks[shard])
-            land()
-            return backend.collect(futures, executors)
+            return backend.prepare(sub_blocks, other.nodes, meanwhile=land)
 
         def ship(block_id, _executions):
             backend.advance(
@@ -73,7 +60,7 @@ def replay_group(
             )
 
         replay_blocks(
-            nodes,
+            dict(enumerate(other.nodes)),
             logged_blocks(chain),
             chain.cert_log,
             chain.router,

@@ -70,7 +70,6 @@ from repro.shard.twopc import (
     CertificateLog,
     CommitCertificate,
     ShardVote,
-    VoteChannel,
     decide,
     make_certificate,
     reconcile_votes,
@@ -86,7 +85,6 @@ __all__ = [
     "ShardRouter",
     "ShardVote",
     "ShardedBlockchain",
-    "VoteChannel",
     "decide",
     "recover_shard_node",
     "make_certificate",

@@ -17,11 +17,18 @@ lane — under a single global ordering service. Per global block:
 4. every shard *commits*, honouring the certificate's vetoes and
    installing only the writes it owns.
 
-:meth:`ShardedBlockchain.run` is the only Order-Execute run loop. It has
-two schedules that differ in *when* a certified block's commit lands:
-right away, or — when the executor's snapshot lag legalizes it
-(:mod:`repro.parallel.pipeline`) — one iteration later, inside the next
-block's prepare window.
+:meth:`ShardedBlockchain.run` is the only Order-Execute run loop, and a
+block has one way through it: steps 1-4 are the four stage methods
+``route_global_block`` / ``prepare_global_block`` / ``certify_global_block``
+/ ``commit_global_block``, each filling its part of one
+:class:`GlobalBlockOutcome` and emitting its own spans. What differs
+between callers is the *schedule* of those calls: commit right away
+(:meth:`ShardedBlockchain.process_global_block`); commit one iteration
+later, inside the next block's prepare window, when the executor's snapshot
+lag legalizes it (:class:`repro.parallel.pipeline.DeferredCommit`); or
+with crash marks, vote retries and recovery between the stages
+(:class:`repro.faults.supervisor.SupervisedShardGroup`). No one else
+prepares, certifies or commits a live block (``make one-walk``).
 
 ``num_shards=1`` is the unsharded chain
 (:class:`~repro.chain.system.OEBlockchain` is exactly that configuration):
@@ -127,12 +134,14 @@ def build_router(config: ShardConfig, workload) -> ShardRouter:
 
 @dataclass
 class GlobalBlockOutcome:
-    """One global block on its way through the decision layer.
+    """One global block on its way through the block walk.
 
-    :meth:`ShardedBlockchain.route_global_block` fills the routing facts;
-    certification adds ``prepared`` and ``certificate`` (the block's
-    decisions are final from here on); the commit adds ``executions``. The
-    pipelined schedule holds an outcome between those last two steps.
+    Each stage of :class:`ShardedBlockchain`'s walk reads what the stages
+    before it filled: :meth:`~ShardedBlockchain.route_global_block` the
+    routing facts, the prepare stage ``prepared``, the certify stage
+    ``certificate`` (the block's decisions are final from here on), the
+    commit stage ``executions``. The pipelined schedule holds an outcome
+    between those last two.
     """
 
     block: object
@@ -144,15 +153,12 @@ class GlobalBlockOutcome:
     sub_blocks: dict
     #: the ownership change certified at this block, if one was due
     migration: object = None
-    #: shards that never commit this block (injected crash)
-    skip_commit: frozenset = frozenset()
-    #: the worker pool that prepared the block (``None``: in-process)
-    backend: object = None
-    #: shard -> PreparedBlock
+    #: shard -> PreparedBlock; a shard left out of the prepare stage has no
+    #: entry — it never logged the sub-block and casts no vote
     prepared: dict = None
     certificate: object = None
-    #: shard -> BlockExecution; crashed shards have no entry — they voted
-    #: but never committed
+    #: shard -> BlockExecution; a shard left out of the commit stage has no
+    #: entry — it voted but never committed
     executions: dict = None
     #: one runtime record per transaction, from its coordinator shard
     merged_txns: list = None
@@ -210,39 +216,11 @@ class ShardGroup:
         #: re-point at a recovered store without rewiring
         self._stores = [node.engine.store for node in self.nodes]
         #: ``listener(shard, node)`` callbacks fired by :meth:`rejoin` —
-        #: the process-prepare backend registers one so worker-side store
-        #: caches are invalidated whenever a recovered shard re-enters
+        #: the chain closes its worker pool there, a tracer re-arms the
+        #: recovered node
         self.rejoin_listeners: list = []
         for shard, node in enumerate(self.nodes):
             wire_federation(node.executor, router, self._stores, shard)
-
-    def prepare(self, sub_blocks: dict, skip: frozenset = frozenset()) -> dict:
-        """Phase one on every live shard; all prepares precede any commit.
-
-        Shards in ``skip`` (crash-before-prepare injection) died before
-        the sub-block arrived: they never log or prepare it and get no
-        entry — a supervisor must catch them up after recovery.
-        """
-        return {
-            shard: node.prepare_block(sub_blocks[shard])
-            for shard, node in enumerate(self.nodes)
-            if shard not in skip
-        }
-
-    def finish(
-        self, prepared: dict, abort_tids: frozenset, skip: frozenset = frozenset()
-    ) -> dict:
-        """Phase two on every prepared shard, honouring the certificate's
-        vetoes.
-
-        Shards in ``skip`` (crash injection) never commit and get no entry;
-        shards absent from ``prepared`` never even prepared.
-        """
-        return {
-            shard: self.nodes[shard].finish_block(prepared[shard], abort_tids)
-            for shard in sorted(prepared)
-            if shard not in skip
-        }
 
     def rejoin(self, shard: int, node: ReplicaNode) -> None:
         """Swap a recovered replica back into the fleet as a full peer.
@@ -315,57 +293,34 @@ class ShardedBlockchain:
         self._store_mig_epochs = [0] * config.num_shards
         #: every block's outcome, kept when ``config.keep_history`` is set
         self.history: list[GlobalBlockOutcome] = []
-        #: fault-point hook (``hook(block_id) -> (skip_prepare, skip_commit)
-        #: | None``) consulted by :meth:`process_global_block`; ``None``
-        #: (the default) costs one attribute check per block. Armed by
-        #: :mod:`repro.faults.inject`.
-        self.fault_hook = None
-        #: vote-exchange medium; ``None`` means perfect delivery. A
-        #: :class:`~repro.shard.twopc.VoteChannel` here lets fault plans
-        #: drop/duplicate/delay votes on the wire.
-        self.vote_channel = None
         #: span/metric sink (:class:`~repro.obs.trace.Tracer`); ``None``
         #: (the default) costs one attribute check per emission site.
         #: Armed by :func:`repro.obs.trace.attach_tracer`.
         self.tracer = None
         #: the process-pool prepare backend (``config.backend="process"``),
-        #: built lazily on the first fault-free block; ``None`` = serial
+        #: built lazily by the first prepare stage; ``None`` = in-process
         self._prepare_backend = None
-        #: sticky serial fallback: set when a fault directive fires (the
-        #: injected hooks must run in-process) and cleared by rejoin,
-        #: which resyncs the workers' store caches
-        self._backend_suspended = False
+        #: sticky: once closed (or found unsupported) no pool is built again
+        self._backend_closed = False
         # held weakly: the group must not keep its chain alive, or a chain
         # its caller dropped (with every store it preloaded) lingers until
         # the next cyclic collection instead of being freed at once
         chain_ref = weakref.ref(self)
 
         def on_rejoin(shard: int, node: ReplicaNode) -> None:
+            # a rebuilt store is not the one the workers' copies track
             chain = chain_ref()
             if chain is not None:
-                chain._on_rejoin(shard, node)
+                chain.close_backend()
 
         self.group.rejoin_listeners.append(on_rejoin)
 
     # ------------------------------------------------------ prepare backend
-    def _backend_lag(self) -> int:
-        if self.config.system == "harmony":
-            return self.config.harmony.effective_lag
-        return 1
-
     def _ensure_backend(self):
-        """The process prepare backend, or ``None`` for the serial path.
-
-        Fault-armed chains (hooks or a vote channel installed) never get a
-        backend: injected faults must fire inside this process, so they
-        auto-fall back to the serial reference path.
-        """
-        if (
-            self.config.backend != "process"
-            or self._backend_suspended
-            or self.fault_hook is not None
-            or self.vote_channel is not None
-        ):
+        """The process prepare backend, or ``None`` for the in-process path
+        (``backend="serial"``, a scheme without a prepare/commit seam, or a
+        pool :meth:`close_backend` shut)."""
+        if self.config.backend != "process" or self._backend_closed:
             return None
         if self._prepare_backend is None:
             from repro.parallel.backend import make_prepare_backend
@@ -374,40 +329,22 @@ class ShardedBlockchain:
                 self.config, self.workload, self.config.num_shards
             )
             if self._prepare_backend is None:
-                self._backend_suspended = True  # unsupported scheme: stay serial
+                self._backend_closed = True  # unsupported scheme
             elif self.tracer is not None:
                 self._prepare_backend.tracer = self.tracer
         return self._prepare_backend
 
-    def _suspend_backend(self) -> None:
-        """Serial fallback until a rejoin resyncs the worker caches."""
-        if self.config.backend == "process":
-            self._backend_suspended = True
-
-    def _on_rejoin(self, shard: int, node: ReplicaNode) -> None:
-        """Rejoin listener: the serial fallback window recorded every
-        committed block's per-shard deltas (:meth:`advance_partial`), so
-        only shards that missed commits — plus the recovered shard, whose
-        store was rebuilt — need their worker caches re-shipped; the rest
-        catch up incrementally from the delta log. Then lift the fallback."""
-        backend = self._prepare_backend
-        if backend is None:
-            return
-        backend.rejoin_resync(
-            shard,
-            [n.engine.store for n in self.group.nodes],
-            lag=self._backend_lag(),
-        )
-        if self.fault_hook is None and self.vote_channel is None:
-            self._backend_suspended = False
-
     def close_backend(self) -> None:
-        """Shut the worker pools down (idempotent); the chain stays usable
-        on the serial path."""
+        """Shut the worker pools down (idempotent, final); the chain stays
+        usable on the in-process path. The workers' stores advance only by
+        the deltas of blocks every shard prepared and committed, so
+        whatever breaks that lockstep calls this: a stage that leaves a
+        shard out, a recovered shard rejoining, a fault supervisor taking
+        the chain."""
         if self._prepare_backend is not None:
             self._prepare_backend.close()
             self._prepare_backend = None
-        self._suspend_backend()
+        self._backend_closed = True
 
     # ------------------------------------------------------------------ run
     def _block_bytes(self) -> int:
@@ -432,68 +369,6 @@ class ShardedBlockchain:
         ) + self.network.broadcast_us(
             self.config.vote_bytes * num_cross_local, self.config.num_shards - 1
         )
-
-    # -------------------------------------------------------------- tracing
-    # Span emission helpers, shared with the fault supervisor (which runs
-    # prepare/commit itself).
-    # Deterministic fields only carry decision-layer quantities; engine sim
-    # durations (which legally differ across prepare backends) ride in the
-    # ``timing`` annotation dict. Every per-shard loop iterates sorted shard
-    # ids so the span order is independent of dict iteration order.
-    def _trace_order(self, tracer, outcome, skip_prepare) -> None:
-        block = outcome.block
-        sub_blocks = outcome.sub_blocks
-        tracer.event(
-            "order",
-            block=block.block_id,
-            attrs={
-                "size": block.size,
-                "cross": len(outcome.expected),
-                "sub_sizes": [sub_blocks[s].size for s in sorted(sub_blocks)],
-            },
-        )
-        if outcome.skip_commit:
-            tracer.fault(
-                "fault_directive",
-                block=block.block_id,
-                attrs={
-                    "skip_prepare": sorted(skip_prepare),
-                    "skip_commit": sorted(outcome.skip_commit),
-                },
-            )
-
-    def _trace_prepared(self, tracer, block_id: int, prepared: dict) -> None:
-        for shard in sorted(prepared):
-            prep = prepared[shard]
-            tracer.stage(
-                "prepare",
-                block=block_id,
-                shard=shard,
-                attrs={"txns": len(prep.txns)},
-                timing={"sim_us": sum(prep.sim_durations_us)},
-            )
-
-    def _trace_commits(self, tracer, block_id: int, executions: dict) -> None:
-        for shard in sorted(executions):
-            execution = executions[shard]
-            stats = execution.stats
-            tracer.stage(
-                "commit",
-                block=block_id,
-                shard=shard,
-                attrs={
-                    "committed": stats.committed
-                    if stats is not None
-                    else len(execution.committed_txns),
-                    "aborted": stats.aborted
-                    if stats is not None
-                    else len(execution.aborted_txns),
-                },
-                timing={
-                    "sim_us": sum(execution.commit_durations_us)
-                    + execution.post_commit_serial_us
-                },
-            )
 
     # ---------------------------------------------------------- rebalancing
     def plan_rebalance(self, block_id: int):
@@ -532,8 +407,8 @@ class ShardedBlockchain:
         fences and per-shard store loads
         (:func:`~repro.shard.rebalance.install_migration`; the armed
         ``migration_hook`` fates shipments of shards the fault plan also
-        crashes), then the worker-cache epoch bump (stale workers refuse
-        with ``StalePrepareError`` and get resynced).
+        crashes), then the record is queued for the prepare workers (one
+        that prepared without it would refuse with ``StalePrepareError``).
         """
         fates = (
             self.migration_hook(record.block_id)
@@ -572,10 +447,18 @@ class ShardedBlockchain:
             tracer.metrics.counter("rebalance.migrations").inc()
             tracer.metrics.gauge("rebalance.epoch").set(record.epoch)
 
+    # ------------------------------------------------------- the block walk
+    # route -> prepare -> certify -> commit, written once. Every schedule
+    # — process_global_block below, DeferredCommit.process (pipelined), the
+    # fault supervisor's process_block — is these four calls in this order
+    # on one GlobalBlockOutcome, and each stage emits its own spans.
+    # Deterministic span fields only carry decision-layer quantities;
+    # engine sim durations (which legally differ across prepare backends)
+    # ride in the ``timing`` annotation dict. Per-shard spans go out in
+    # sorted shard order, independent of dict iteration order.
     def route_global_block(self, block, migration_barrier=None) -> GlobalBlockOutcome:
-        """The routing front half shared by both schedules of :meth:`run`
-        and the fault supervisor: decide/apply any due migration, route
-        every spec, feed the policy telemetry and split the block.
+        """Stage one: decide/apply any due migration, route every spec,
+        feed the policy telemetry and split the block.
 
         ``migration_barrier`` (pipelined schedule, fault supervisor) runs
         after a proposal is made but before the record is built, so
@@ -611,143 +494,169 @@ class ShardedBlockchain:
                 for j, shards in enumerate(participants)
                 if len(shards) > 1
             }
+        sub_blocks = self.sequencer.split(block, participants)
+        if self.tracer is not None:
+            self.tracer.event(
+                "order",
+                block=block.block_id,
+                attrs={
+                    "size": block.size,
+                    "cross": len(expected),
+                    "sub_sizes": [sub_blocks[s].size for s in sorted(sub_blocks)],
+                },
+            )
         return GlobalBlockOutcome(
             block=block,
             participants=participants,
             expected=expected,
-            sub_blocks=self.sequencer.split(block, participants),
+            sub_blocks=sub_blocks,
             migration=migration,
         )
 
-    def _certify(self, block, deferred=None, fault_hook=None) -> GlobalBlockOutcome:
-        """Route, prepare and certify one global block.
+    def prepare_global_block(
+        self, outcome, skip: frozenset = frozenset(), attempt: int = 0, deferred=None
+    ) -> None:
+        """Stage two: every shard simulates and validates its sub-block —
+        the outcome is its vote; all prepares precede any commit.
 
-        On return the block's decisions are final — the certificate is on
-        the chain — but nothing is applied yet: :meth:`_commit` does that.
-        ``deferred`` (the pipelined schedule's
-        :class:`~repro.parallel.pipeline.DeferredCommit`) runs the prepare
-        on the worker pool against the previous block's *decided* state and
-        lands that block's commit while the workers are busy.
+        Runs on the worker pool when there is one, else in-process.
+        Shards in ``skip`` died (or lag) before the sub-block arrived: they
+        never log or prepare it and cast no vote, so the certificate's
+        timeout degradation vetoes their cross-shard transactions unless a
+        supervisor recovers them and re-enters the stage — a second call
+        prepares only the shards the outcome does not hold yet, its spans
+        tagged with the vote round ``attempt``. ``deferred`` (the pipelined
+        schedule's :class:`~repro.parallel.pipeline.DeferredCommit`)
+        prepares on the pool against the previous block's *decided* state
+        and lands that block's commit while the workers are busy.
         """
-        skip_prepare = skip_commit = frozenset()
-        if fault_hook is not None:
-            directive = fault_hook(block.block_id)
-            if directive is not None:
-                before, after = directive
-                skip_prepare = before
-                skip_commit = before | after
-        outcome = self.route_global_block(
-            block, migration_barrier=deferred.land if deferred is not None else None
-        )
-        outcome.skip_commit = skip_commit
-        tracer = self.tracer
-        if tracer is not None:
-            self._trace_order(tracer, outcome, skip_prepare)
-        if skip_commit:
-            # injected faults must fire in-process; stay serial until a
-            # rejoin resyncs the worker caches
-            self._suspend_backend()
+        sub_blocks = outcome.sub_blocks
+        nodes = self.group.nodes
+        done = outcome.prepared or {}
         if deferred is not None:
-            backend = deferred.backend
-            prepared = deferred.prepare(outcome.sub_blocks)
+            fresh = deferred.prepare(sub_blocks)
         else:
-            backend = None if fault_hook is not None else self._ensure_backend()
+            if skip:
+                self.close_backend()
+            backend = self._ensure_backend()
             if backend is not None:
-                prepared = backend.prepare(outcome.sub_blocks, self.group.nodes)
+                fresh = backend.prepare(sub_blocks, nodes)
             else:
-                prepared = self.group.prepare(outcome.sub_blocks, skip=skip_prepare)
-        outcome.backend = backend
-        if tracer is not None:
-            self._trace_prepared(tracer, block.block_id, prepared)
+                fresh = {
+                    shard: node.prepare_block(sub_blocks[shard])
+                    for shard, node in enumerate(nodes)
+                    if shard not in skip and shard not in done
+                }
+        outcome.prepared = {**done, **fresh}
+        if self.tracer is not None:
+            for shard in sorted(fresh):
+                prep = fresh[shard]
+                self.tracer.stage(
+                    "prepare",
+                    block=outcome.block_id,
+                    shard=shard,
+                    attempt=attempt,
+                    attrs={"txns": len(prep.txns)},
+                    timing={"sim_us": sum(prep.sim_durations_us)},
+                )
 
-        # --- ordered vote exchange: prepare outcomes become the block
-        # stream's commit certificate (deterministic all-yes rule).
-        votes = derive_votes(prepared, outcome.expected)
-        if self.vote_channel is not None:
-            votes = self.vote_channel.deliver(votes, block.block_id)
-        # the expected participant sets arm the timeout→abort degradation
-        # for any vote that never arrived; with a full vote set (the
-        # fault-free case) they change nothing.
-        outcome.prepared = prepared
+    def certify_global_block(self, outcome, votes=None) -> None:
+        """Stage three, the ordered vote exchange: the prepare outcomes
+        become the block stream's commit certificate (deterministic all-yes
+        rule; :meth:`CertificateLog.append` emits the ``certify`` event).
+        From here on the block's decisions are final, though nothing is
+        applied yet.
+
+        ``votes`` defaults to every vote cast; a supervisor passes what its
+        (faulty) wire delivered. The expected participant sets arm the
+        timeout→abort degradation for any vote that never arrived; with a
+        full vote set they change nothing.
+        """
+        if votes is None:
+            votes = derive_votes(outcome.prepared, outcome.expected)
         outcome.certificate = self.cert_log.append(
             votes,
-            block.block_id,
+            outcome.block_id,
             expected=outcome.expected,
             migration=outcome.migration,
         )
-        return outcome
 
-    def _commit(self, outcome: GlobalBlockOutcome) -> None:
-        """Apply a certified block on every shard that is alive for it and
-        tell the prepare workers what was written."""
-        block_id = outcome.block_id
-        outcome.executions = self.group.finish(
-            outcome.prepared, outcome.certificate.abort_tids, skip=outcome.skip_commit
-        )
-        if self.tracer is not None:
-            self._trace_commits(self.tracer, block_id, outcome.executions)
-        nodes = self.group.nodes
-        if outcome.backend is not None:
-            outcome.backend.advance(
-                block_id, [node.engine.writes_of(block_id) for node in nodes]
-            )
-        elif self._prepare_backend is not None:
-            # suspended window: record what each shard actually committed
-            # (None for crashed shards) so the rejoin resync re-ships only
-            # the stale stores instead of every worker cache
-            self._prepare_backend.advance_partial(
-                block_id,
-                [
-                    node.engine.writes_of(block_id)
-                    if node.engine.store.last_committed_block >= block_id
-                    else None
-                    for node in nodes
-                ],
-            )
+    def commit_global_block(self, outcome, skip: frozenset = frozenset()) -> None:
+        """Stage four: apply the certified block on every prepared shard,
+        honouring the certificate's vetoes, and tell the prepare workers
+        what was written.
 
-    def process_global_block(self, block, fault_hook=None) -> GlobalBlockOutcome:
-        """Decision layer for one global block: route, split, prepare,
-        exchange votes, certify, commit.
-
-        ``fault_hook`` (or the armed ``self.fault_hook``) is the crash
-        fault point: called with the block id, it returns ``None`` (no
-        fault) or a ``(skip_prepare, skip_commit)`` pair of shard sets.
-        Shards in ``skip_prepare`` die *before* the sub-block arrives
-        (never logged, never voted — with the vote missing, the
-        certificate's timeout degradation vetoes their cross-shard
-        transactions); shards in ``skip_commit`` die between their prepare
-        vote and the certificate append: the deterministic votes were cast,
-        the certificate lands, but the shard never commits — its block log
+        Shards in ``skip`` died between their prepare vote and the
+        certificate append: the deterministic votes were cast, the
+        certificate landed, but the shard never commits — its block log
         holds the input block, so recovery replays it under the
         certificate's recorded decisions.
         """
-        outcome = self._certify(
-            block, fault_hook=fault_hook if fault_hook is not None else self.fault_hook
-        )
-        self._commit(outcome)
+        if skip:
+            self.close_backend()
+        block_id = outcome.block_id
+        nodes = self.group.nodes
+        prepared = outcome.prepared
+        abort_tids = outcome.certificate.abort_tids
+        outcome.executions = executions = {
+            shard: nodes[shard].finish_block(prepared[shard], abort_tids)
+            for shard in sorted(prepared)
+            if shard not in skip
+        }
+        if self.tracer is not None:
+            for shard, execution in executions.items():
+                stats = execution.stats
+                self.tracer.stage(
+                    "commit",
+                    block=block_id,
+                    shard=shard,
+                    attrs={
+                        "committed": stats.committed
+                        if stats is not None
+                        else len(execution.committed_txns),
+                        "aborted": stats.aborted
+                        if stats is not None
+                        else len(execution.aborted_txns),
+                    },
+                    timing={
+                        "sim_us": sum(execution.commit_durations_us)
+                        + execution.post_commit_serial_us
+                    },
+                )
+        if self._prepare_backend is not None:
+            self._prepare_backend.advance(
+                block_id, [node.engine.writes_of(block_id) for node in nodes]
+            )
+
+    def process_global_block(self, block) -> GlobalBlockOutcome:
+        """The sequential schedule of the block walk: the four stages in
+        order, the block committed before the call returns."""
+        outcome = self.route_global_block(block)
+        self.prepare_global_block(outcome)
+        self.certify_global_block(outcome)
+        self.commit_global_block(outcome)
         return outcome
 
     def _pipelined_ready(self) -> bool:
-        """Whether the commit may be deferred: requested, process backend
-        available, and a snapshot lag that legalizes preparing block *i*
-        before block *i-1*'s commit."""
+        """Whether the commit may be deferred: requested, a snapshot lag
+        that legalizes preparing block *i* before block *i-1*'s commit,
+        and a worker pool to prepare on."""
         return (
             self.config.pipelined
-            and self.config.backend == "process"
             and self._inter_block_enabled()
             and self.config.harmony.effective_lag >= 2
-            and self.fault_hook is None
-            and self.vote_channel is None
+            and self._ensure_backend() is not None
         )
 
     def run(self) -> RunMetrics:
-        """The Order-Execute loop: form a block, certify it, commit it.
+        """The Order-Execute loop: form a block, walk it through the stages.
 
-        Sequential schedule: block *i* commits before block *i+1* forms.
-        Pipelined schedule (legal iff :meth:`_pipelined_ready`): block
-        *i*'s commit is held and lands while the worker pool prepares
-        block *i+1* — the retries block *i+1* needs are already final at
-        certificate time, so both schedules form identical blocks.
+        Sequential schedule (:meth:`process_global_block`): block *i*
+        commits before block *i+1* forms. Pipelined schedule (legal iff
+        :meth:`_pipelined_ready`): block *i*'s commit is held and lands
+        while the worker pool prepares block *i+1* — the retries block
+        *i+1* needs are already final at certificate time, so both
+        schedules form identical blocks.
         """
         config = self.config
         state = _RunState(
@@ -786,8 +695,7 @@ class ShardedBlockchain:
                     outcome = self.process_global_block(block)
                     self._absorb_block(state, i, outcome)
                 else:
-                    outcome = self._certify(block, deferred=deferred)
-                    deferred.hold(i, outcome)
+                    outcome = deferred.process(i, block)
                 if config.retry_aborted:
                     retry_queue.extend(
                         t.spec for t in outcome.merged_txns if t.aborted

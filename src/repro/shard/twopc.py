@@ -223,19 +223,3 @@ class CertificateLog:
     def certificates(self) -> list:
         return list(self._certs)
 
-
-class VoteChannel:
-    """The vote-exchange medium between shards and the ordering layer.
-
-    The default channel is perfect: every vote cast arrives exactly once,
-    immediately. Fault injection subclasses (``repro.faults.inject``)
-    override :meth:`deliver` to drop, duplicate or delay votes per the
-    armed plan; the supervisor then drives bounded retries until the
-    expected set is covered or the timeout degradation kicks in.
-    """
-
-    def deliver(
-        self, votes: list[ShardVote], block_id: int, attempt: int = 0
-    ) -> list[ShardVote]:
-        """Return the votes that actually arrive for this attempt."""
-        return list(votes)

@@ -16,6 +16,7 @@ import time
 import pytest
 
 from repro.chain.system import OEBlockchain, OEConfig
+from repro.faults import FaultInjector, FaultPlan, SupervisedShardGroup
 from repro.parallel.backend import (
     StalePrepareError,
     available_cores,
@@ -193,8 +194,8 @@ def test_migrated_run_same_certificates_on_both_schedules(pipelined):
 
 
 def test_pipelined_run_closes_its_pools_when_a_worker_raises():
-    """An exception out of ``backend.collect`` mid-run must not leak the
-    worker pools the pipelined schedule opened."""
+    """An exception out of the pool's ``prepare`` mid-run must not leak
+    the worker pools the pipelined schedule opened."""
     config = ShardConfig(
         system="harmony",
         num_shards=2,
@@ -209,10 +210,8 @@ def test_pipelined_run_closes_its_pools_when_a_worker_raises():
 
     def stale_from_third_block(specs):
         if chain.ordering.next_block_id == 2:
-            # an epoch bump whose reset payload never reaches the workers
-            backend = chain._prepare_backend
-            backend._pending_resets = [[] for _ in backend._pending_resets]
-            backend._epochs = [epoch + 1 for epoch in backend._epochs]
+            # block 0's committed writes never reach the workers
+            chain._prepare_backend._delta_log.clear()
         return form_block(specs)
 
     chain.ordering.form_block = stale_from_third_block
@@ -261,9 +260,12 @@ def _drive_with_crash(backend: str, pipelined_recovery: bool = True):
         specs = chain.workload.generate_block(config.block_size, rng)
         block = chain.ordering.form_block(specs)
         if i == 4:
-            chain.process_global_block(
-                block, fault_hook=lambda _b: (frozenset(), frozenset({1}))
-            )
+            # the block walk with shard 1 left out of the commit stage
+            outcome = chain.route_global_block(block)
+            chain.prepare_global_block(outcome)
+            chain.certify_global_block(outcome)
+            chain.commit_global_block(outcome, skip=frozenset({1}))
+            assert 1 not in outcome.executions
             recovery = recover_shard_node(
                 chain.group.nodes[1],
                 1,
@@ -275,83 +277,61 @@ def _drive_with_crash(backend: str, pipelined_recovery: bool = True):
             chain.group.rejoin(1, recovery.node)
         else:
             chain.process_global_block(block)
+        if backend == "process":
+            # on the pool up to the crash, in-process ever after
+            assert (chain._prepare_backend is not None) == (i < 4)
     return chain
 
 
-def test_rejoin_invalidates_worker_caches():
-    """The bugfix satellite: after crash/recover/rejoin the process backend
-    resyncs every worker store and resumes — and the continued run stays
-    bit-identical to the serial reference under the same fault."""
+def test_crash_window_closes_the_pool_and_stays_bit_identical():
+    """One rule instead of a reset protocol: a shard left out of the
+    commit stage closes the worker pool, the chain continues in-process —
+    and the continued run stays bit-identical to the serial chain under
+    the same fault."""
     serial_chain = _drive_with_crash("serial")
     process_chain = _drive_with_crash("process")
-    # the fault suspended the backend; rejoin resynced and lifted it
-    assert not process_chain._backend_suspended
-    assert process_chain._ensure_backend() is not None
+    assert process_chain._prepare_backend is None
+    assert process_chain._ensure_backend() is None
     assert (
-        serial_chain.group.combined_state_hash()
-        == process_chain.group.combined_state_hash()
+        serial_chain.group.state_hashes() == process_chain.group.state_hashes()
     )
     assert serial_chain.cert_log.head_hash == process_chain.cert_log.head_hash
-    serial_chain.close_backend()
-    process_chain.close_backend()
+    assert [c.hash for c in serial_chain.cert_log.certificates()] == [
+        c.hash for c in process_chain.cert_log.certificates()
+    ]
+    assert process_chain.consistency_check()
 
 
-def test_rejoin_resync_is_incremental():
-    """The suspended fault window records per-block deltas, so rejoin
-    re-ships only the crashed shard's store — one reset, not one per
-    worker cache."""
-    chain = _drive_with_crash("process")
-    backend = chain._prepare_backend
-    assert backend is not None
-    assert backend.resets_shipped == 1
-    assert not backend._gapped
-    assert not chain._backend_suspended
-    chain.close_backend()
-
-
-def test_incremental_rejoin_matches_full_resync(monkeypatch):
-    """Differential: the incremental rejoin path ends in the same state
-    and certificate stream as re-seeding every worker store wholesale."""
-    incremental = _drive_with_crash("process")
-
-    def full_resync_on_rejoin(self, shard, node):
-        backend = self._prepare_backend
-        if backend is None:
-            return
-        backend.resync(
-            [n.engine.store for n in self.group.nodes], lag=self._backend_lag()
-        )
-        if self.fault_hook is None and self.vote_channel is None:
-            self._backend_suspended = False
-
-    monkeypatch.setattr(ShardedBlockchain, "_on_rejoin", full_resync_on_rejoin)
-    full = _drive_with_crash("process")
-    # the sledgehammer reset every shard; incremental shipped just one
-    assert full._prepare_backend.resets_shipped == 2
-    assert incremental._prepare_backend.resets_shipped == 1
-    assert (
-        incremental.group.combined_state_hash()
-        == full.group.combined_state_hash()
+def test_rejoin_alone_closes_the_pool():
+    """A recovered store is not the one the workers' copies track: rejoin
+    closes a built pool even when no stage ever left a shard out."""
+    config = ShardConfig(
+        system="harmony", num_shards=2, block_size=12, seed=7, backend="process"
     )
-    assert incremental.cert_log.head_hash == full.cert_log.head_hash
-    incremental.close_backend()
-    full.close_backend()
+    chain = ShardedBlockchain(config, _workload(2))
+    rng = SeededRng(config.seed, "rejoin")
+    for _ in range(2):
+        specs = chain.workload.generate_block(config.block_size, rng)
+        chain.process_global_block(chain.ordering.form_block(specs))
+    assert chain._prepare_backend is not None
+    recovery = recover_shard_node(
+        chain.group.nodes[0],
+        0,
+        [n.engine.store for n in chain.group.nodes],
+        chain.router,
+        chain.cert_log,
+    )
+    chain.group.rejoin(0, recovery.node)
+    assert chain._prepare_backend is None
+    specs = chain.workload.generate_block(config.block_size, rng)
+    chain.process_global_block(chain.ordering.form_block(specs))
+    assert chain._prepare_backend is None
+    assert chain.consistency_check()
 
 
-def test_advance_partial_gap_falls_back_to_full_resync():
-    """A hole in the suspended-window delta log poisons the incremental
-    path for every shard; rejoin then degrades to the full resync."""
-    config = ShardConfig(system="harmony", num_shards=2, backend="process")
-    backend = make_prepare_backend(config, _workload(2), 2)
-    backend.advance(0, [[], []])
-    backend.advance_partial(2, [[], []])  # block 1 never recorded
-    assert backend._gapped == {0, 1}
-    backend.close()
-
-
-def test_missed_invalidation_raises_stale_prepare():
-    """A worker whose store missed a rejoin invalidation must refuse to
-    prepare — stale snapshots fail loudly, never silently diverge."""
+def test_missed_delta_raises_stale_prepare():
+    """A worker whose stores missed a shipped delta must refuse to prepare
+    — stale snapshots fail loudly, never silently diverge."""
     config = ShardConfig(
         system="harmony",
         num_shards=2,
@@ -367,19 +347,21 @@ def test_missed_invalidation_raises_stale_prepare():
         chain.process_global_block(chain.ordering.form_block(specs))
     backend = chain._prepare_backend
     assert backend is not None
-    # simulate the bug the assertion guards against: an epoch bump whose
-    # reset payload never reaches the worker
-    backend._pending_resets = [[] for _ in backend._pending_resets]
-    backend._epochs = [epoch + 1 for epoch in backend._epochs]
+    # simulate the bug the assertion guards against: block 2 committed
+    # main-side, its writes never shipped
+    assert [block_id for block_id, _ in backend._delta_log] == [2]
+    backend._delta_log.clear()
     specs = chain.workload.generate_block(config.block_size, rng)
-    with pytest.raises(StalePrepareError):
+    with pytest.raises(StalePrepareError, match="height 1, expected 2"):
         chain.process_global_block(chain.ordering.form_block(specs))
     chain.close_backend()
 
 
-def test_fault_armed_chain_falls_back_to_serial():
-    """A chain with hooks armed never builds worker pools: injected faults
-    must fire in-process."""
+def test_supervised_chain_never_builds_a_pool():
+    """A fault supervisor says so when it takes the chain
+    (``close_backend``): injected faults must fire in-process, so a
+    ``backend="process"`` chain under supervision runs in-process from its
+    first block and reports ``backend: "serial"``."""
     config = ShardConfig(
         system="harmony",
         num_shards=2,
@@ -389,7 +371,9 @@ def test_fault_armed_chain_falls_back_to_serial():
         backend="process",
     )
     chain = ShardedBlockchain(config, _workload(2))
-    chain.fault_hook = lambda block_id: None  # armed, never fires
+    plan = FaultPlan(name="control", seed=13, events=())
+    SupervisedShardGroup(chain, FaultInjector(plan, 2))
+    assert chain._ensure_backend() is None
     metrics = chain.run()
     assert chain._prepare_backend is None
     assert metrics.extra["backend"] == "serial"
@@ -397,6 +381,30 @@ def test_fault_armed_chain_falls_back_to_serial():
     reference, _ = _run_sharded(
         "harmony", "serial", 2, seed=13, num_blocks=4, block_size=12
     )
+    for key in IDENTITY_KEYS:
+        assert metrics.extra[key] == reference.extra[key], key
+
+
+def test_closed_pipelined_chain_runs_on_the_sequential_schedule():
+    """The bugfix satellite: ``close_backend()`` leaves the chain "usable
+    on the serial path" and ``pipelined`` "otherwise runs identically to
+    the sequential driver" — so a closed ``backend="process",
+    pipelined=True`` chain must run, not raise from ``DeferredCommit``."""
+    config = ShardConfig(
+        system="harmony",
+        num_shards=2,
+        num_blocks=5,
+        block_size=16,
+        seed=3,
+        backend="process",
+        pipelined=True,
+    )
+    chain = ShardedBlockchain(config, _workload(2))
+    chain.close_backend()
+    metrics = chain.run()
+    assert "pipelined" not in metrics.extra
+    assert metrics.extra["backend"] == "serial"
+    reference, _ = _run_sharded("harmony", "serial", 2)
     for key in IDENTITY_KEYS:
         assert metrics.extra[key] == reference.extra[key], key
 

@@ -16,7 +16,13 @@ import pytest
 
 from repro.chain.config import decision_digest
 from repro.shard.recovery import recover_shard_node
-from repro.shard.system import ShardConfig, ShardedBlockchain
+from repro.shard.replay import replay_blocks
+from repro.shard.system import (
+    ShardConfig,
+    ShardedBlockchain,
+    fresh_group,
+    logged_blocks,
+)
 from repro.sim.rng import SeededRng
 from repro.workloads import make_workload
 from repro.workloads.base import ShardAffinity
@@ -64,13 +70,16 @@ def drive(
         block = chain.ordering.form_block(
             chain.workload.generate_block(chain.config.block_size, rng)
         )
-        hook = (
-            (lambda _b: (frozenset(), frozenset({crash_shard})))
-            if i == crash_at
-            else None
+        # the four stages of the block walk, the commit stage leaving the
+        # crashed shard out: it voted, the certificate lands, it never commits
+        outcome = chain.route_global_block(block)
+        chain.prepare_global_block(outcome)
+        chain.certify_global_block(outcome)
+        chain.commit_global_block(
+            outcome, skip=frozenset({crash_shard}) if i == crash_at else frozenset()
         )
-        outcomes.append(chain.process_global_block(block, fault_hook=hook))
-        if (i + 1) % chain.config.checkpoint_interval == 0 and hook is None:
+        outcomes.append(outcome)
+        if (i + 1) % chain.config.checkpoint_interval == 0 and i != crash_at:
             for shard, node in enumerate(chain.group.nodes):
                 snapshot = full_snapshot_at_boundary(node.engine, i)
                 if snapshots is not None:
@@ -82,26 +91,20 @@ def replay_reference(chain: ShardedBlockchain, shard: int, after: int):
     """An uncrashed replica of ``shard``: replay sub-blocks + certificates
     on a fresh group (the consistency-check path) and digest the decisions
     of blocks > ``after``."""
-    from repro.shard.system import ShardGroup
-
-    other = ShardGroup(
-        chain.config,
-        chain.workload,
-        chain.router,
-        chain.costs,
-        chain.orderer_signer,
-        name_prefix="reference",
-    )
-    height = len(chain.group.nodes[0].ledger)
+    other = fresh_group(chain, "reference")
     replayed = []
-    for i in range(height):
-        sub_blocks = {
-            s: node.ledger[i] for s, node in enumerate(chain.group.nodes)
-        }
-        prepared = other.prepare(sub_blocks)
-        executions = other.finish(prepared, chain.cert_log[i].abort_tids)
-        if i > after:
-            replayed.append((i, executions[shard].txns))
+
+    def record(block_id, executions) -> None:
+        if block_id > after:
+            replayed.append((block_id, executions[shard].txns))
+
+    replay_blocks(
+        dict(enumerate(other.nodes)),
+        logged_blocks(chain),
+        chain.cert_log,
+        chain.router,
+        on_commit=record,
+    )
     return other, decision_digest(replayed)
 
 

@@ -3,7 +3,7 @@
 
 PY := PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH)) python
 
-.PHONY: test loc no-twins one-walk conformance perf-smoke perf perf-parallel compare faults-smoke faults obs-smoke rebalance-smoke e2e-smoke e2e e2e-pairs
+.PHONY: test loc no-twins one-walk one-collector conformance perf-smoke perf perf-parallel compare faults-smoke faults obs-smoke rebalance-smoke e2e-smoke e2e e2e-pairs
 
 # tier-1 verify: the whole default suite (perf/faults/tpcc markers
 # excluded by pytest.ini)
@@ -43,6 +43,13 @@ one-walk:
 	@! grep -rnE --include='*.py' "group\.(prepare|finish)\(|cert_log\.append\(|_trace_(order|prepared|commits)\(" src/repro | grep -v '^src/repro/shard/system\.py:'
 	@! grep -rnE --include='*.py' "chain\.(fault_hook|vote_channel)|fault_hook=" src/repro
 	@echo "one-walk: ok"
+
+# the collector has one switch: only src/repro/collector.py (collector_paused,
+# which the block-walking loops and the micro ledger's clocked sections enter)
+# turns the cyclic collector off or on, freezes it or tunes its thresholds
+one-collector:
+	@! grep -rnE --include='*.py' "gc\.(disable|enable|freeze|set_threshold)" src/repro | grep -v '^src/repro/collector\.py:'
+	@echo "one-collector: ok"
 
 # full conformance sweep: every scheme x every registered workload,
 # unsharded + sharded, including the tpcc-marked extended matrix (the

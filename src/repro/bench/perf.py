@@ -37,6 +37,7 @@ import sys
 import time
 from itertools import islice
 
+from repro.collector import collector_paused
 from repro.core.dependencies import commit_survivors
 from repro.core.validation import HarmonyValidator
 from repro.dcc.oracle import SerializabilityOracle
@@ -87,13 +88,10 @@ def scaling_guard(
         for i, size in enumerate((n, 4 * n)):
             run = build(size)
             gc.collect()
-            gc.disable()
-            try:
+            with collector_paused():
                 start = clock()
                 outcome = run()
                 times[i] = min(times[i], clock() - start)
-            finally:
-                gc.enable()
             checks.update(outcome or {})
     growth = times[1] / times[0] if times[0] > 0 else float("inf")
     class_name, bound = klass

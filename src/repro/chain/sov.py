@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from repro.chain.block import Block
 from repro.chain.node import ReplicaNode
 from repro.chain.ordering import OrderingService
+from repro.collector import collector_paused
 from repro.consensus.crypto import Signer
 from repro.consensus.kafka import KafkaOrdering
 from repro.consensus.network import NetworkModel, NetworkPreset
@@ -149,6 +150,7 @@ class SOVBlockchain:
         return cost
 
     # ------------------------------------------------------------------ run
+    @collector_paused()
     def run(self) -> RunMetrics:
         config = self.config
         rng = SeededRng(config.seed, f"sov/{config.system}/{self.workload.name}")

@@ -1,0 +1,47 @@
+"""The cyclic collector, paused while blocks are walked.
+
+The block pipeline builds no reference cycle: everything it allocates —
+runtime transactions, prepared blocks, dependency graphs, versions,
+certificates, spans — dies by its reference count, so the hundreds of
+collector passes a run used to trigger freed nothing
+(``tests/test_collector.py`` pins the invariant for every registered
+workload x scheme, sharded, traced, drilled, replayed and recovered). The
+loops that walk blocks therefore run with the collector off, and this
+module is the one place that switches it (``make one-collector``).
+"""
+
+from __future__ import annotations
+
+import gc
+import os
+from contextlib import contextmanager
+
+
+@contextmanager
+def collector_paused():
+    """Run the body with the cyclic collector disabled.
+
+    Only an entry that finds the collector enabled pauses it; on exit that
+    entry runs one ``gc.collect(1)`` — what the body allocated and kept is
+    aged inside the section that allocated it, so the caller inherits no
+    pending collection — and re-enables the collector. An entry that finds
+    it disabled (nested inside another pause, or a caller who keeps it off)
+    does nothing on either side: settling is the outermost pause's job,
+    and a collector the caller disabled stays disabled. Also usable as a
+    decorator (``@collector_paused()``).
+    """
+    if not gc.isenabled():
+        yield
+        return
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.collect(1)
+        gc.enable()
+
+
+# a pause belongs to the process that entered it: a pool worker forked from
+# inside a paused run() starts with the collector on, as a spawned one does
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=gc.enable)

@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.chain.config import decision_digest
+from repro.collector import collector_paused
 from repro.core.reordering import KeyApply
 from repro.dcc.oracle import HistoryOracle
 from repro.faults.inject import FaultInjector
@@ -146,6 +147,7 @@ def _build_chain(
     return ShardedBlockchain(config, workload)
 
 
+@collector_paused()
 def run_drill(
     scheme: str,
     num_shards: int,

@@ -14,6 +14,7 @@ serial chain's ``consistency_check()`` never pays for ``multiprocessing``.
 
 from __future__ import annotations
 
+from repro.collector import collector_paused
 from repro.core.harmony import HarmonyExecutor
 from repro.shard.rebalance import install_migration
 
@@ -27,19 +28,26 @@ def snapshot_lag(executor) -> int:
     return executor.config.effective_lag if isinstance(executor, HarmonyExecutor) else 1
 
 
+class CertificateStreamError(ValueError):
+    """The certificate stream handed to a replay is damaged: position *i*
+    does not hold block *i*'s certificate."""
+
+
 def certificate_at(cert_log, block_id: int):
     """Block ``block_id``'s certificate. The stream is dense and 0-based,
     so the lookup is positional; a pruned, truncated or shifted stream
-    fails here instead of replaying another block's vetoes."""
+    fails here, with :class:`CertificateStreamError`, instead of replaying
+    another block's vetoes."""
     certificate = cert_log[block_id] if 0 <= block_id < len(cert_log) else None
     if certificate is None or certificate.block_id != block_id:
         holds = "nothing" if certificate is None else f"block {certificate.block_id}"
-        raise ValueError(
+        raise CertificateStreamError(
             f"certificate stream misaligned: position {block_id} holds {holds}"
         )
     return certificate
 
 
+@collector_paused()
 def replay_blocks(
     nodes: dict,
     blocks,

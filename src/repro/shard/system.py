@@ -51,6 +51,7 @@ from repro.chain.config import (
 )
 from repro.chain.node import ReplicaNode
 from repro.chain.ordering import OrderingService, ShardSequencer
+from repro.collector import collector_paused
 from repro.consensus.crypto import Signer
 from repro.consensus.hotstuff import HotStuffConsensus
 from repro.consensus.kafka import KafkaOrdering
@@ -648,6 +649,7 @@ class ShardedBlockchain:
             and self._ensure_backend() is not None
         )
 
+    @collector_paused()
     def run(self) -> RunMetrics:
         """The Order-Execute loop: form a block, walk it through the stages.
 
@@ -935,6 +937,7 @@ class ShardedBlockchain:
         )
 
     # -------------------------------------------------------------- checks
+    @collector_paused()
     def consistency_check(self) -> bool:
         """Replay blocks + certificates on a fresh replica; states must match.
 

@@ -43,6 +43,7 @@ from repro.shard.rebalance import (
     migration_store_deltas,
 )
 from repro.shard.recovery import recover_shard_node
+from repro.shard.replay import CertificateStreamError
 from repro.shard.router import ShardRouter
 from repro.shard.system import ShardConfig, ShardedBlockchain
 from repro.sim.rng import SeededRng
@@ -535,7 +536,9 @@ class TestReplayRejectsADamagedCertificateStream:
     def test_failed_recovery_hands_the_shared_cursor_back(self):
         chain = self.migrated()
         router = chain.router
-        with pytest.raises(ValueError, match="certificate stream misaligned"):
+        with pytest.raises(
+            CertificateStreamError, match="certificate stream misaligned"
+        ):
             recover_shard_node(
                 chain.group.nodes[0],
                 0,
@@ -586,7 +589,9 @@ class TestReplayRejectsADamagedCertificateStream:
 
         cursor = chain.router.cursor_height
         chain.cert_log = damage(chain.cert_log.certificates(), 9)
-        with pytest.raises(ValueError, match="certificate stream misaligned: position 9"):
+        with pytest.raises(
+            CertificateStreamError, match="certificate stream misaligned: position 9"
+        ):
             replay()
         assert chain.router.cursor_height == cursor
 

@@ -24,10 +24,14 @@ failed share make the command exit 1.
 ``--layers`` (``make e2e-pairs ... LAYERS=1``) runs the same alternating
 pairs at ``--trace 1`` instead and prints, per side, the **median** of every
 layer's ``self_s`` and of ``driver.py_calls_per_txn``. Read layer tables
-from this, not from one traced run: a ``run()`` holds one generation-2
-collection, which lands in whichever layer crosses the allocation threshold,
-so a single parent/change pair can show a layer slower on a change that is
-faster end to end.
+from this, not from one traced run: the box's speed drifts by ten percent
+within a second, so a single parent/change pair can show a layer slower on a
+change that is faster end to end. (A revision before PR 19 has a second
+source of the same: its ``run()`` holds 160-310 generation-0, 15-29
+generation-1 and 1-3 generation-2 collections — 15-22 % of its CPU seconds,
+``tools/gc_budget.py`` — each landing in whichever layer crosses an
+allocation threshold. Since PR 19 the walk pauses the collector and settles
+once on the way out, inside ``driver.self_s``.)
 """
 
 from __future__ import annotations

@@ -45,6 +45,8 @@ from repro.intervals import RangeIndex
 from repro.shard.federated import FederatedSnapshot
 from repro.shard.router import ShardRouter
 from repro.storage.checkpoint import CheckpointManager
+from repro.storage.engine import StorageEngine
+from repro.storage.heap import HeapFile
 from repro.storage.mvstore import MVStore
 from repro.txn.commands import AddValue
 from repro.txn.transaction import Txn, TxnSpec
@@ -224,6 +226,16 @@ def build_false_aborts(block_size: int):
     return run
 
 
+def build_heap_load(records_per_page: int):
+    """Bring-up of a 20 000-key heap at ``records_per_page`` records a page:
+    work per key whatever the page size, where a first-free-slot scan per
+    placed key is O(page)."""
+    engine = StorageEngine()
+    heap = HeapFile(engine.pool, engine.costs, records_per_page)
+    keys = [_key(i) for i in range(20_000)]
+    return lambda: heap.load(keys)
+
+
 #: (case, build, class, n full, n smoke, what n counts)
 SCALING_GUARDS = (
     ("state_hash_scaling", build_state_hash, INDEPENDENT, 25_000, 5_000, "keys"),
@@ -233,6 +245,7 @@ SCALING_GUARDS = (
     ("range_index_scaling", build_range_index, INDEPENDENT, 2_000, 500, "ranges"),
     ("mvstore_load_scaling", build_mvstore_load, LINEARITHMIC, 25_000, 5_000, "keys"),
     ("false_aborts_scaling", build_false_aborts, LINEARITHMIC, 100, 50, "txns"),
+    ("heap_load_scaling", build_heap_load, INDEPENDENT, 256, 256, "records per page"),
 )
 
 

@@ -44,14 +44,14 @@ def rebuild_engine(
         checkpoint_interval=old_engine.checkpoints.interval_blocks,
         checkpoint_base_interval=old_engine.checkpoints.base_interval,
     )
-    engine.genesis_state = dict(old_engine.genesis_state)
-    engine.checkpoints.genesis = dict(old_engine.genesis_state)
     if checkpoint is None:
         # No checkpoint yet: replay the whole chain from genesis state.
         replay_from = -1
         engine.preload(old_engine.genesis_state)
         return engine, replay_from, checkpoint
 
+    engine.genesis_state = dict(old_engine.genesis_state)
+    engine.checkpoints.genesis = dict(old_engine.genesis_state)
     replay_from = checkpoint.block_id
     engine.store.load(checkpoint.prev_state, block_id=-1)
     # fast-forward version history so the replayed blocks see both
@@ -67,8 +67,7 @@ def rebuild_engine(
     # post-recovery deltas cover only replayed blocks, so they must fold
     # onto this base, not onto genesis.
     engine.checkpoints.seed_base(checkpoint)
-    for key in engine.store.keys():
-        engine.heap.insert(key)
+    engine.heap.load(engine.store.keys())
     engine.reset_stats()
     return engine, replay_from, checkpoint
 

@@ -71,14 +71,15 @@ class StorageEngine:
     # ------------------------------------------------------------------ load
     def preload(self, items: dict[object, object]) -> None:
         """Bulk-load initial database state without charging runtime stats."""
+        # the heap goes first: it refuses a key it already holds before it
+        # places any, so a rejected preload leaves the engine as it was
+        self.heap.load(items)
         self.genesis_state = dict(items)
         # the implicit base the delta-checkpoint chain folds from (shares
         # values with genesis_state, which recovery already trusts to be
         # immutable-in-place)
         self.checkpoints.genesis = dict(items)
         self.store.load(items)
-        for key in items:
-            self.heap.insert(key)
         self.reset_stats()
 
     def reset_stats(self) -> None:
@@ -155,9 +156,8 @@ class StorageEngine:
         if not items:
             return
         self.store.load(items, block_id=block_id, seq_start=MIGRATION_SEQ_BASE)
-        for key, value in items.items():
-            if value is not TOMBSTONE and key not in self.heap:
-                self.heap.insert(key)
+        incoming = (key for key, value in items.items() if value is not TOMBSTONE)
+        self.heap.load(key for key in incoming if key not in self.heap)
         self._delta_writes.append((block_id, list(items.items())))
 
     def writes_of(self, block_id: int) -> list[tuple[object, object]]:

@@ -5,9 +5,17 @@ probe plus a buffer-pool access (which may become a disk read and an
 eviction write-back). The heap is shared by all versions of a key — the
 MVStore's version chains are an in-page detail the simulation does not
 separate.
+
+A key-only cost model: no record bytes, read only by the modeled clock
+(``sim`` timings, ``io_*``, ``buffer_hit_rate``). Within ``src/`` it is
+append-only — brought up by :meth:`HeapFile.load`, grown by
+:meth:`HeapFile.insert`; ``delete`` / ``page_of`` have no production caller
+(ROADMAP 7(c) decides whether they stay).
 """
 
 from __future__ import annotations
+
+from itertools import repeat
 
 from repro.sim.costs import CostModel
 from repro.storage.bufferpool import BufferPool
@@ -51,6 +59,34 @@ class HeapFile:
         cost = self._costs.index_lookup_us
         cost += self._pool.access(page.page_id, dirty=True)
         return cost
+
+    def load(self, keys) -> None:
+        """Place ``keys`` in order, a page at a time, leaving the directory,
+        the pages, the pool's frames and the buffer / disk counters exactly
+        as one :meth:`insert` per key does. A key already placed or repeated
+        in ``keys`` raises that loop's ``KeyError`` before anything is placed."""
+        keys = list(keys)
+        directory, pages, per_page = self._directory, self._pages, self._records_per_page
+        batch = set(keys)
+        if len(batch) < len(keys) or not directory.keys().isdisjoint(batch):
+            seen = set(directory)
+            for key in keys:
+                if key in seen:
+                    raise KeyError(f"duplicate key {key!r}")
+                seen.add(key)
+        # top up the open page slot by slot (it may have freed slots)
+        start = per_page - len(pages[-1].slots) if pages else 0
+        for key in keys[:start]:
+            self.insert(key)
+        for lo in range(start, len(keys), per_page):
+            chunk = keys[lo : lo + per_page]
+            page_id = len(pages)
+            pages.append(Page(page_id, per_page, dict(enumerate(chunk))))
+            directory.update(zip(chunk, zip(repeat(page_id), range(per_page))))
+            # one miss brings the fresh page in, dirty and most recent; the
+            # rest of the chunk would have hit it where it stands
+            self._pool.access(page_id, dirty=True)
+            self._pool.stats.hits += len(chunk) - 1
 
     def access(self, key: object, write: bool = False) -> float:
         """Touch the page holding ``key``; returns the cost in us.

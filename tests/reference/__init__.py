@@ -14,8 +14,9 @@ where production appends a delta.
   per-block and cross-block dependency graphs, Aria's reservation checks.
 - :mod:`tests.reference.storage` — ``storage/`` and ``shard/federated``:
   version-chain walks, the from-scratch state hash, the per-key load and
-  scan, the block-log cut, the eager cross-shard union and the full
-  deep-copy checkpoint.
+  scan, the per-key heap bring-up with its first-free-slot scan, the
+  block-log cut, the eager cross-shard union and the full deep-copy
+  checkpoint.
 """
 
 from tests.reference.decision import (
@@ -29,10 +30,12 @@ from tests.reference.decision import (
     rw_edges,
 )
 from tests.reference.storage import (
+    allocate_slot,
     blocks_after,
     federated_scan,
     full_checkpoint,
     gc,
+    heap_load,
     load,
     materialize,
     materialize_at,
@@ -42,6 +45,7 @@ from tests.reference.storage import (
 )
 
 __all__ = [
+    "allocate_slot",
     "aria_decisions",
     "block_dependency_graph",
     "blocks_after",
@@ -49,6 +53,7 @@ __all__ = [
     "federated_scan",
     "full_checkpoint",
     "gc",
+    "heap_load",
     "history_graph",
     "load",
     "materialize",

@@ -2,18 +2,26 @@
 
 from __future__ import annotations
 
-import pytest
+import copy
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.chain import OEBlockchain, OEConfig
+from repro.chain.recovery import rebuild_engine
 from repro.sim.costs import CostModel, StorageProfile
 from repro.storage.bufferpool import BufferPool
 from repro.storage.checkpoint import BlockLog, CheckpointManager
 from repro.storage.disk import SimulatedDisk
 from repro.storage.engine import StorageEngine
 from repro.storage.heap import HeapFile
+from repro.storage.mvstore import TOMBSTONE
 from repro.storage.pages import Page
 from repro.storage.wal import LogMode, WriteAheadLog
+from repro.workloads import make_workload
 
 from tests import reference
+from tests.test_rebalance import AGGRESSIVE, run_chain, skewshift
 
 COSTS = CostModel()
 
@@ -41,6 +49,29 @@ class TestPage:
         slot = page.allocate_slot("a")
         page.free_slot(slot)
         assert page.allocate_slot("b") == slot
+
+    @given(
+        st.sampled_from([1, 2, 4, 64]),
+        st.lists(st.one_of(st.none(), st.integers(-1, 70)), max_size=150),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_cursor_allocates_what_the_scan_does(self, capacity, ops):
+        """``None`` allocates, a number frees that slot (occupied, free or
+        off the page): the cursor returns the slot the reference's scan from
+        slot 0 finds, and a full page refuses on both sides."""
+        page, scanned = Page(0, capacity), Page(0, capacity)
+        for step, op in enumerate(ops):
+            if op is not None:
+                page.free_slot(op)
+                scanned.slots.pop(op, None)
+            elif len(scanned.slots) < capacity:
+                assert page.allocate_slot(step) == reference.allocate_slot(scanned, step)
+            else:
+                with pytest.raises(ValueError):
+                    page.allocate_slot(step)
+                with pytest.raises(ValueError):
+                    reference.allocate_slot(scanned, step)
+            assert page.slots == scanned.slots
 
 
 class TestBufferPool:
@@ -131,6 +162,121 @@ class TestHeapFile:
         pool, _ = make_pool()
         heap = HeapFile(pool, COSTS)
         assert heap.access("ghost") == COSTS.index_lookup_us
+
+
+def make_heap(records_per_page=4, capacity=4):
+    pool, _disk = make_pool(capacity)
+    return HeapFile(pool, COSTS, records_per_page=records_per_page)
+
+
+def heap_state(heap):
+    """Everything bring-up decides: the directory, every page's slots, the
+    pool's frames in LRU order with their dirty flags, and the buffer and
+    disk counters (a copy, so a later state can be compared with it)."""
+    pool = heap._pool
+    return copy.deepcopy(
+        (
+            heap._directory,
+            [page.slots for page in heap._pages],
+            list(pool._frames.items()),
+            vars(pool.stats),
+            vars(pool._disk.stats),
+        )
+    )
+
+
+def run_against_reference(ops, records_per_page=4, capacity=4):
+    """Apply ``ops`` to a production heap and to one the reference places
+    key by key; the two are equal after every op, counters never reset. A
+    placement the reference refuses must be refused with the same
+    ``KeyError`` and change nothing. Returns the production heap."""
+    heap = make_heap(records_per_page, capacity)
+    ref = make_heap(records_per_page, capacity)
+    for op, arg in ops:
+        if op in ("load", "insert"):
+            keys = arg if op == "load" else [arg]
+            place = heap.load if op == "load" else (lambda keys: heap.insert(keys[0]))
+            placed = copy.deepcopy(ref)  # takes its pool and disk along
+            try:
+                reference.heap_load(placed, keys)
+            except KeyError as refused:
+                before = heap_state(heap)
+                with pytest.raises(KeyError) as caught:
+                    place(keys)
+                assert caught.value.args == refused.args
+                assert heap_state(heap) == before
+            else:
+                ref = placed
+                place(keys)
+        elif op == "delete":
+            heap.delete(arg)
+            ref.delete(arg)
+        else:
+            heap.access(arg)
+            ref.access(arg)
+        assert heap_state(heap) == heap_state(ref), (op, arg)
+    return heap
+
+
+_heap_keys = st.integers(0, 40)
+_heap_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("load"), st.lists(_heap_keys, max_size=24, unique=True)),
+        st.tuples(st.just("load"), st.lists(_heap_keys, max_size=6)),
+        st.tuples(st.sampled_from(["insert", "delete", "access"]), _heap_keys),
+    ),
+    max_size=12,
+)
+
+
+class TestHeapLoad:
+    @given(_heap_ops, st.sampled_from([1, 2, 4, 64]), st.sampled_from([1, 2, 5, 64]))
+    @settings(max_examples=300, deadline=None)
+    def test_load_leaves_what_one_insert_per_key_leaves(self, ops, per_page, capacity):
+        run_against_reference(ops, per_page, capacity)
+
+    def test_empty_batch_places_nothing(self):
+        heap = run_against_reference([("load", [])])
+        assert len(heap) == 0 and heap.num_pages == 0
+        assert heap._pool.stats.misses == 0
+
+    def test_batch_that_exactly_fills_the_last_page(self):
+        heap = run_against_reference(
+            [("insert", "a"), ("insert", "b"), ("load", ["c", "d"]), ("load", list(range(8)))]
+        )
+        assert heap.num_pages == 3 and all(page.is_full for page in heap._pages)
+        assert heap._directory["d"] == (0, 3) and heap._directory[7] == (2, 3)
+
+    def test_top_up_takes_the_freed_slot_first(self):
+        heap = run_against_reference(
+            [("load", ["a", "b", "c"]), ("delete", "b"), ("load", ["e", "f", "g"])]
+        )
+        assert heap._directory == {
+            "a": (0, 0), "c": (0, 2), "e": (0, 1), "f": (0, 3), "g": (1, 0),
+        }  # fmt: skip
+        # a freed slot behind the last page stays free, as with ``insert``
+        heap = run_against_reference(
+            [("load", list("abcde")), ("delete", "a"), ("load", list("xyzw"))]
+        )
+        assert heap._directory["w"] == (2, 0) and 0 not in heap._pages[0].slots
+
+    @pytest.mark.parametrize(
+        "batch, refused",
+        [(["x", "y", "x"], "x"), (["x", "b", "y"], "b"), (["x", "x", "a"], "x")],
+        ids=["inside-the-batch", "against-the-directory", "the-first-one-wins"],
+    )
+    def test_duplicate_is_refused_before_anything_is_placed(self, batch, refused):
+        ops = [("load", ["a", "b", "c"]), ("load", batch)]
+        heap = run_against_reference(ops, records_per_page=2)
+        assert set(heap._directory) == {"a", "b", "c"}
+        with pytest.raises(KeyError, match=f"duplicate key '{refused}'"):
+            heap.load(batch)
+
+    def test_load_takes_any_iterable_once(self):
+        heap = make_heap()
+        heap.load(key for key in range(6))
+        heap.load({"a": 1, "b": 2}.keys())
+        assert len(heap) == 8 and heap._directory["b"] == (1, 3)
 
 
 class TestWal:
@@ -248,6 +394,33 @@ class TestStorageEngine:
         engine.preload({("k", i): i for i in range(100)})
         assert engine.io_reads == 0 and engine.io_writes == 0
 
+    def test_rejected_preload_changes_nothing(self):
+        """A second ``preload`` that repeats a key used to fail half-way:
+        genesis replaced, ``b``'s chain out of ``seq`` order, ``c`` in the
+        store but not in the heap, another ``state_hash()``."""
+        engine = StorageEngine()
+        engine.preload({"a": 1, "b": 2})
+
+        def observed():
+            return copy.deepcopy(
+                (
+                    engine.genesis_state,
+                    engine.checkpoints.genesis,
+                    engine.store._versions,
+                    engine.store.keys(),
+                    len(engine.heap),
+                    heap_state(engine.heap),
+                    engine.state_hash(),
+                )
+            )
+
+        before = observed()
+        with pytest.raises(KeyError, match="duplicate key 'b'"):
+            engine.preload({"b": 5, "c": 7})
+        assert observed() == before
+        engine.preload({"c": 7})  # a disjoint load is still accepted
+        assert engine.store.keys() == ["a", "b", "c"] and len(engine.heap) == 3
+
     def test_read_cost_varies_with_residency(self, ):
         engine = StorageEngine(pool_pages=2)
         engine.preload({("k", i): i for i in range(500)})
@@ -295,3 +468,69 @@ class TestStorageEngine:
         cp = engine.checkpoints.latest()
         assert cp.state == engine.store.materialize()
         assert cp.prev_state == engine.store.materialize_at(2)
+
+
+def reference_engine(like: StorageEngine, keys) -> StorageEngine:
+    """An engine of ``like``'s pool size whose heap the reference brought
+    up with ``keys``, one at a time, before the stats reset bring-up ends
+    with."""
+    engine = StorageEngine(pool_pages=like.pool.capacity)
+    reference.heap_load(engine.heap, keys)
+    engine.reset_stats()
+    return engine
+
+
+class TestBringUpIdentity:
+    """Every way a replica's heap comes up — ``preload``, both branches of
+    ``rebuild_engine``, a migration's incoming keys — goes through
+    ``HeapFile.load`` and leaves the heap and the pool exactly as the
+    reference's one insert per key does, on registered workloads."""
+
+    @pytest.mark.parametrize("name", ["smallbank", "tpcc"])
+    @pytest.mark.parametrize("pool_pages", [1, 48], ids=["evicting", "resident"])
+    def test_preload(self, name, pool_pages):
+        state = make_workload(name, profile="conformance").initial_state()
+        engine = StorageEngine(pool_pages=pool_pages)
+        engine.preload(state)
+        assert 1 < engine.heap.num_pages < 48
+        assert heap_state(engine.heap) == heap_state(reference_engine(engine, state).heap)
+
+    @pytest.mark.parametrize("name", ["smallbank", "tpcc"])
+    @pytest.mark.parametrize("checkpoint_interval", [100, 2], ids=["genesis", "checkpoint"])
+    def test_rebuild_engine(self, name, checkpoint_interval):
+        config = OEConfig(
+            block_size=10, num_blocks=5, seed=11, checkpoint_interval=checkpoint_interval
+        )
+        chain = OEBlockchain(config, make_workload(name, profile="conformance"))
+        chain.run()
+        engine, _replay_from, checkpoint = rebuild_engine(chain.node.engine)
+        assert (checkpoint is None) == (checkpoint_interval == 100)
+        keys = engine.genesis_state if checkpoint is None else engine.store.keys()
+        assert len(engine.heap) == len(keys) > 0
+        assert heap_state(engine.heap) == heap_state(reference_engine(engine, keys).heap)
+        assert engine.genesis_state == chain.node.engine.genesis_state
+        assert engine.checkpoints.genesis == chain.node.engine.genesis_state
+
+    def test_apply_migration_inside_an_adaptive_run(self, monkeypatch):
+        """Every shipment of a re-keying run is also placed key by key on a
+        copy of the receiving heap taken just before — mid-run, so the
+        pool is warm and dirty and the counters are not reset after."""
+        production = StorageEngine.apply_migration
+        placed = []
+
+        def checked(engine, block_id, items):
+            ref = copy.deepcopy(engine.heap)
+            incoming = [
+                key
+                for key, value in items.items()
+                if value is not TOMBSTONE and key not in engine.heap
+            ]
+            production(engine, block_id, items)
+            reference.heap_load(ref, incoming)
+            assert heap_state(engine.heap) == heap_state(ref)
+            placed.append(len(incoming))
+
+        monkeypatch.setattr(StorageEngine, "apply_migration", checked)
+        chain, _metrics = run_chain(skewshift(), num_blocks=12, **AGGRESSIVE)
+        assert sum(placed) > 0, "no migration shipped a key to a new owner"
+        assert chain.consistency_check()

@@ -23,7 +23,8 @@ failed share make the command exit 1.
 
 ``--layers`` (``make e2e-pairs ... LAYERS=1``) runs the same alternating
 pairs at ``--trace 1`` instead and prints, per side, the **median** of every
-layer's ``self_s`` and of ``driver.py_calls_per_txn``. Read layer tables
+layer's ``self_s``, of ``chain.recovery.recover_s`` / ``.replayed_blocks``
+and of ``driver.py_calls_per_txn``. Read layer tables
 from this, not from one traced run: the box's speed drifts by ten percent
 within a second, so a single parent/change pair can show a layer slower on a
 change that is faster end to end. (A revision before PR 19 has a second
@@ -138,7 +139,11 @@ def report_layers(workload: str, runs: dict, metrics: list) -> bool:
     pairs = len(runs["parent"])
     print(f"\n{workload}: {pairs} traced pair(s)   (median per side)")
     names = [m["name"] for m in metrics if m["name"].endswith(".self_s")]
-    for name in names + ["driver.py_calls_per_txn"]:
+    # the recovery drill has no span of its own: its seconds (and the block
+    # count they are spent on, which a host-speed change must not move)
+    names += ["chain.recovery.recover_s", "chain.recovery.replayed_blocks"]
+    names.append("driver.py_calls_per_txn")
+    for name in names:
         values = {
             side: [run["metrics"][name]["value"] for run in results]
             for side, results in runs.items()

@@ -3,7 +3,7 @@
 
 PY := PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH)) python
 
-.PHONY: test loc no-twins one-walk one-collector conformance perf-smoke perf perf-parallel compare faults-smoke faults obs-smoke rebalance-smoke e2e-smoke e2e e2e-pairs
+.PHONY: test loc no-twins one-walk one-collector one-process conformance perf-smoke perf compare faults-smoke faults obs-smoke rebalance-smoke e2e-smoke e2e e2e-pairs
 
 # tier-1 verify: the whole default suite (perf/faults/tpcc markers
 # excluded by pytest.ini)
@@ -11,8 +11,8 @@ test:
 	$(PY) -m pytest -x -q
 
 # size ledger (informational, never fails): lines per package of src/repro,
-# their total, the chain/ + shard/ + parallel/ figure ROADMAP direction 1's
-# acceptance tracks, and tests/ — ROADMAP aim 2 tracks these. tests/reference/
+# their total, the chain/ + shard/ figure ROADMAP direction 4's acceptance
+# tracks (parallel/ was part of it until PR 23 deleted it), and tests/ — ROADMAP aim 2 tracks these. tests/reference/
 # (the reference implementations moved out of src/repro) is part of the tests
 # total and printed on its own line: moved lines are not a reduction
 loc:
@@ -20,7 +20,7 @@ loc:
 		printf '%7d %s\n' "$$(cat $$d*.py | wc -l)" "$$d"; \
 	done
 	@printf '%7d src/repro total\n' "$$(find src/repro -name '*.py' | xargs cat | wc -l)"
-	@printf '%7d chain/ + shard/ + parallel/\n' "$$(cat src/repro/chain/*.py src/repro/shard/*.py src/repro/parallel/*.py | wc -l)"
+	@printf '%7d chain/ + shard/\n' "$$(cat src/repro/chain/*.py src/repro/shard/*.py | wc -l)"
 	@printf '%7d core/ + dcc/ + storage/\n' "$$(cat src/repro/core/*.py src/repro/dcc/*.py src/repro/storage/*.py | wc -l)"
 	@printf '%7d src/repro/bench/perf.py\n' "$$(wc -l < src/repro/bench/perf.py)"
 	@printf '%7d tests total\n' "$$(find tests -name '*.py' | xargs cat | wc -l)"
@@ -36,8 +36,8 @@ no-twins:
 
 # the block walk stays one: outside shard/system.py nothing under src/repro
 # prepares, finishes or certifies a live block or borrows a stage's span
-# helper (the fault supervisor and the deferred commit call the chain's four
-# stage methods), and the chain has no crash hook or vote channel to arm —
+# helper (the fault supervisor calls the chain's four stage methods), and
+# the chain has no crash hook or vote channel to arm —
 # a crashed shard is a shard a schedule leaves out of a stage
 one-walk:
 	@! grep -rnE --include='*.py' "group\.(prepare|finish)\(|cert_log\.append\(|_trace_(order|prepared|commits)\(" src/repro | grep -v '^src/repro/shard/system\.py:'
@@ -50,6 +50,17 @@ one-walk:
 one-collector:
 	@! grep -rnE --include='*.py' "gc\.(disable|enable|freeze|set_threshold)" src/repro | grep -v '^src/repro/collector\.py:'
 	@echo "one-collector: ok"
+
+# one prepare medium, one live schedule: blocks are prepared in the process
+# that commits them and run() commits block i before it forms block i+1 —
+# no worker pool, no backend / pipelined config field or keyword. The
+# paper's inter-block overlap lives on the modeled clock and in the trailing
+# replay (recover_shard_node(pipelined=), replay_sim["pipelined_us"]), the
+# spellings this pattern lets through next to HotStuff's "pipelined BFT"
+one-process:
+	@test ! -e src/repro/parallel
+	@! grep -rnE --include='*.py' "multiprocessing|concurrent\.futures|ProcessPoolExecutor|register_at_fork|repro\.parallel|\bbackend\b|close_backend|DeferredCommit|config\.pipelined|\"pipelined\"|\bpipelined\s*(=\s*True|:\s*bool\s*=\s*False)" src/repro
+	@echo "one-process: ok"
 
 # full conformance sweep: every scheme x every registered workload,
 # unsharded + sharded, including the tpcc-marked extended matrix (the
@@ -66,10 +77,6 @@ perf-smoke:
 # full micro-ledger run, appended to BENCH_perf.json (commit it); same gate
 perf:
 	$(PY) -m repro.bench --perf --check
-
-# wall-clock parallelism gates (skip with reason on < 4 usable cores)
-perf-parallel:
-	$(PY) -m pytest -m perf -k "parallel or pipelined" -q
 
 # diff the simulated-basis cases of the two newest same-mode runs; fails on
 # a speedup collapse (wall-clock cases gate themselves inside each run)

@@ -14,7 +14,7 @@ scales. EXPERIMENTS.md records paper-vs-measured values.
 The micro ledger lives in :mod:`repro.bench.perf` (``python -m repro.bench
 --perf`` / ``--perf-smoke``): complexity-class guards of the hot paths
 (growth of the production path from ``n`` to ``4n``), the sharding scenario
-results on the modeled clock and the process-backend / tracing wall gates,
+results on the modeled clock and one wall gate (``obs_overhead``),
 appended to the ``BENCH_perf.json`` trajectory.
 """
 

@@ -1,13 +1,13 @@
 """What every Order-Execute run is configured by and reports with.
 
 :class:`OEConfig` describes one run (scheme, block shape, consensus and
-storage models, prepare backend); :func:`build_engine` and
+storage models); :func:`build_engine` and
 :func:`build_executor` turn it into a replica's storage engine and DCC
 executor — HarmonyBC, AriaBC, RBC or the serial baseline;
 :func:`decision_digest` fingerprints a run's commit/abort decisions. The
 driver itself is :mod:`repro.shard.system`; this module sits below it so
-that worker processes, recovery and the fault drills can share the
-configuration without importing the driver.
+that recovery and the fault drills can share the configuration without
+importing the driver.
 """
 
 from __future__ import annotations
@@ -68,28 +68,12 @@ class OEConfig:
     #: clients resubmit aborted transactions; retries consume block slots,
     #: so high-abort protocols pay for their aborts in throughput
     retry_aborted: bool = True
-    #: prepare backend: ``"serial"`` runs every prepare in-process (the
-    #: differential reference); ``"process"`` fans per-shard
-    #: ``prepare_block`` calls out to a ``ProcessPoolExecutor`` pool
-    #: (``repro.parallel``) — decisions, state hashes and certificates are
-    #: bit-identical, only wall-clock changes. One worker process per
-    #: shard. A chain whose shards stop advancing in lockstep (a fault
-    #: supervisor took it, a shard sat a stage out, a recovered shard
-    #: rejoined) closes the pool and continues in-process.
-    backend: str = "serial"
-    #: overlap block N+1's prepare with block N's commit (the paper's
-    #: inter-block pipelining, on real cores). Takes effect with
-    #: ``backend="process"`` on executors whose snapshot lag >= 2
-    #: (Harmony with ``inter_block``); otherwise runs identically to the
-    #: sequential driver.
-    pipelined: bool = False
 
 
 def build_engine(config: OEConfig, costs: CostModel) -> StorageEngine:
     """An empty Order-Execute storage engine as ``config`` describes it
-    (logical logging: the input blocks are the log) — the main process's
-    shard replicas and the prepare workers' copies of them are built here,
-    so the two cannot drift."""
+    (logical logging: the input blocks are the log) — every replica's
+    shard engines are built here, so they cannot drift."""
     return StorageEngine(
         costs=costs,
         profile=config.profile,

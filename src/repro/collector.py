@@ -13,7 +13,6 @@ module is the one place that switches it (``make one-collector``).
 from __future__ import annotations
 
 import gc
-import os
 from contextlib import contextmanager
 
 
@@ -40,8 +39,3 @@ def collector_paused():
         gc.collect(1)
         gc.enable()
 
-
-# a pause belongs to the process that entered it: a pool worker forked from
-# inside a paused run() starts with the collector on, as a spawned one does
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=gc.enable)

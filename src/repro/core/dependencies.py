@@ -155,7 +155,7 @@ def commit_survivors(txns: list[Txn]) -> "CommittedGraph":
     build the block's one :class:`CommittedGraph`.
 
     Idempotent: statuses are final once the validator and the certificate's
-    vetoes have spoken, so the pipelined driver may run this at certificate
+    vetoes have spoken, so the trailing replay may run this at certificate
     time and the commit step again later.
     """
     for txn in txns:

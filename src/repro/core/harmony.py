@@ -39,8 +39,8 @@ def fence_migrated_keys(txns: list[Txn], fence: frozenset) -> None:
     facts (committed readers/writers) live on its *old* owner's executor,
     which the new routing no longer consults — an inter-block validator
     would silently miss the edges. The fence closes that hole: touching
-    transactions abort at exactly the boundary block, on every replica and
-    every backend identically, and retry under the settled ownership.
+    transactions abort at exactly the boundary block, on every replica
+    identically, and retry under the settled ownership.
     """
     for txn in txns:
         if txn.aborted:
@@ -176,28 +176,17 @@ class HarmonyExecutor(DCCExecutor):
         """Reinstate Rule-3 records after recovery from a checkpoint."""
         self._prev_records = records or PrevBlockRecords()
 
-    # -- process-backend hooks ----------------------------------------------
-    def export_prepare_state(self) -> dict:
-        return {"prev_records": self._prev_records}
-
-    def import_prepare_state(self, state: dict) -> None:
-        self.restore_records(state.get("prev_records"))
-
-    def decided_prepare_state(
-        self, prepared: PreparedBlock, abort_tids: frozenset
-    ) -> dict:
-        """Rule-3 records of this block, computed at decision time.
+    def adopt_decision(self, prepared: PreparedBlock, abort_tids: frozenset) -> None:
+        """Rule-3 records of this block, installed at decision time.
 
         ``commit_block`` derives ``_prev_records`` from the transactions'
         final statuses, which are fully determined once the certificate's
         vetoes are known — marking them here and again in the commit is
-        idempotent, so the pipelined driver can hand the records to the
-        next block's prepare before this block's physical commit runs.
+        idempotent, so the next block may be prepared before this block's
+        physical commit runs.
         """
         txns = prepared.txns
         self.force_aborts(txns, abort_tids)
-        return {
-            "prev_records": HarmonyValidator.records_for(
-                txns, graph=commit_survivors(txns)
-            )
-        }
+        self._prev_records = HarmonyValidator.records_for(
+            txns, graph=commit_survivors(txns)
+        )

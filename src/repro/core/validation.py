@@ -88,8 +88,8 @@ class PrevBlockRecords:
 
     Immutable by construction: :meth:`HarmonyValidator.records_for` builds
     a fresh one per block and the executor *replaces* its reference, so a
-    checkpoint, a recovered replica or a worker process may hold the same
-    object — ``copy.deepcopy`` returns it unchanged.
+    checkpoint and a recovered replica may hold the same object —
+    ``copy.deepcopy`` returns it unchanged.
     """
 
     #: key -> committed records that wrote it

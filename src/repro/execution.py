@@ -253,46 +253,16 @@ class DCCExecutor:
         """Whether ``key`` is locally owned (always true unsharded)."""
         return self.key_scope is None or self.key_scope(key)
 
-    # -- process-backend hooks ----------------------------------------------
-    # The process-pool prepare backend (``repro.parallel``) runs
-    # ``prepare_block`` in a worker process and ships the ``PreparedBlock``
-    # back over a pipe. Executors whose prepare payload embeds live store
-    # views override ``detach_prepared`` (strip the unpicklable/heavy parts
-    # worker-side) and ``attach_prepared`` (rebuild them on the main
-    # process, whose stores are at least at the prepare height). Executors
-    # with cross-block prepare state (Harmony's Rule-3 records) override
-    # the ``export``/``import`` pair so the worker validates against the
-    # identical inter-block facts. The defaults are the no-op identity:
-    # stateless executors need nothing.
-    def detach_prepared(self, prepared: PreparedBlock) -> PreparedBlock:
-        """Make ``prepared`` picklable/cheap to ship (worker side)."""
-        return prepared
-
-    def attach_prepared(self, prepared: PreparedBlock) -> PreparedBlock:
-        """Rebind a shipped ``prepared`` to this executor's stores."""
-        return prepared
-
-    def export_prepare_state(self) -> dict:
-        """Cross-block decision state the next ``prepare_block`` needs."""
-        return {}
-
-    def import_prepare_state(self, state: dict) -> None:
-        """Install state captured by :meth:`export_prepare_state`."""
-
-    def decided_prepare_state(
-        self, prepared: PreparedBlock, abort_tids: frozenset
-    ) -> dict:
-        """The prepare state *after* this block's decision is final.
-
-        Equals what :meth:`export_prepare_state` would return once
-        ``commit_block(prepared, abort_tids)`` has run — but computable at
-        certificate time, before the physical commit. The pipelined driver
-        uses it to ship block *i*'s decision facts to the worker preparing
-        block *i+1* while block *i* is still committing. Must be
+    def adopt_decision(self, prepared: PreparedBlock, abort_tids: frozenset) -> None:
+        """Install the cross-block state the next ``prepare_block`` needs,
+        as of this block's *decision* — what
+        ``commit_block(prepared, abort_tids)`` will leave, but computable at
+        certificate time, before the physical commit. The trailing replay
+        (:func:`repro.shard.replay.replay_blocks`) calls it so block *i+1*
+        can be prepared while block *i*'s commit is still due. Must be
         idempotent with the commit's own bookkeeping (it marks the same
-        transaction objects the commit later marks again).
-        """
-        return {}
+        transaction objects the commit later marks again). Executors
+        without cross-block prepare state need nothing."""
 
     def make_stats(self, block_id: int, txns: list[Txn]) -> BlockStats:
         stats = BlockStats(block_id=block_id)

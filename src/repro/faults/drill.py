@@ -105,7 +105,6 @@ def _build_chain(
     num_shards: int,
     plan: FaultPlan,
     block_size: int,
-    backend: str,
     workload_name: str = "smallbank",
     rebalance: bool = False,
 ):
@@ -141,7 +140,6 @@ def _build_chain(
         seed=plan.seed,
         checkpoint_interval=2,
         checkpoint_base_interval=2,
-        backend=backend,
         **extra,
     )
     return ShardedBlockchain(config, workload)
@@ -167,21 +165,13 @@ def run_drill(
     result = DrillResult(
         plan=plan, scheme=scheme, num_shards=num_shards, workload=workload
     )
-    # the disturbed chain *asks* for the process backend: the supervisor
-    # closes it when it takes the chain, which is exactly the fallback
-    # contract under drill — injected faults keep firing in-process, and
-    # the run stays bit-comparable to the serial reference.
     rebalance = any(e.kind in MIGRATION_KINDS for e in plan.events)
-    disturbed = _build_chain(
-        scheme, num_shards, plan, block_size, "process", workload, rebalance
-    )
+    disturbed = _build_chain(scheme, num_shards, plan, block_size, workload, rebalance)
     if tracer is not None:
         from repro.obs.trace import attach_tracer
 
         attach_tracer(disturbed, tracer)
-    reference = _build_chain(
-        scheme, num_shards, plan, block_size, "serial", workload, rebalance
-    )
+    reference = _build_chain(scheme, num_shards, plan, block_size, workload, rebalance)
     supervisor = SupervisedShardGroup(
         disturbed, FaultInjector(plan, num_shards), policy
     )
@@ -199,11 +189,7 @@ def run_drill(
         supervisor.process_block(disturbed.ordering.form_block(specs))
         block = reference.ordering.form_block(specs)
         outcome = reference.process_global_block(block)
-        merged = reference.merged_view(
-            block,
-            outcome.participants,
-            {shard: e.txns for shard, e in outcome.executions.items()},
-        )
+        merged = reference.merged_view(outcome)
         ref_records.append((block.block_id, merged))
         if scheme == "harmony":
             key_applies = [

@@ -96,9 +96,6 @@ class SupervisedShardGroup:
         self.policy = policy or RetryPolicy()
         self.channel = FaultyVoteChannel(injector.plan)
         injector.arm(chain)
-        # crashes, rejoins and partial stages are this chain's life from
-        # now on, and injected faults must fire in this process
-        chain.close_backend()
         #: every global block's sub-block split, for catch-up delivery
         self.sub_block_log: list[dict] = []
         #: shards currently dead (corpse still holds the durable artifacts)

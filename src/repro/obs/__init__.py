@@ -23,7 +23,7 @@ from repro.obs.analyze import (
     stage_breakdown,
 )
 from repro.obs.capture import trace_drill, trace_run
-from repro.obs.export import TraceFile, export_jsonl, load_trace
+from repro.obs.export import TraceFile, TraceFileError, export_jsonl, load_trace
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.trace import (
     Span,
@@ -40,6 +40,7 @@ __all__ = [
     "MetricsRegistry",
     "Span",
     "TraceFile",
+    "TraceFileError",
     "Tracer",
     "attach_tracer",
     "block_paths",

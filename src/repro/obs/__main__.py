@@ -3,7 +3,7 @@
 Usage::
 
     python -m repro.obs trace --out trace.jsonl            # seeded run
-    python -m repro.obs trace --out t.jsonl --shards 4 --backend process
+    python -m repro.obs trace --out t.jsonl --shards 4
     python -m repro.obs trace --out t.jsonl --plan vote-drop   # fault drill
     python -m repro.obs report trace.jsonl --top 8         # render tables
     python -m repro.obs smoke                              # CI gate
@@ -25,7 +25,7 @@ import tempfile
 
 from repro.obs.analyze import render_report
 from repro.obs.capture import trace_drill, trace_run
-from repro.obs.export import export_jsonl, load_trace
+from repro.obs.export import TraceFileError, export_jsonl, load_trace
 
 
 def _cmd_trace(args) -> int:
@@ -38,7 +38,6 @@ def _cmd_trace(args) -> int:
             num_blocks=args.blocks,
             block_size=args.block_size,
             seed=args.seed,
-            wall=args.wall,
         )
         verdict = "ok" if result.ok else "DIVERGED"
         print(f"drill {result.label}: {verdict}")
@@ -53,8 +52,6 @@ def _cmd_trace(args) -> int:
             num_blocks=args.blocks,
             block_size=args.block_size,
             seed=args.seed,
-            backend=args.backend,
-            wall=args.wall,
         )
         print(
             f"run {args.scheme} x {args.shards}shard x {args.workload}: "
@@ -69,9 +66,14 @@ def _cmd_trace(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    trace = load_trace(args.path)
+    try:
+        trace = load_trace(args.path)
+    except TraceFileError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     if not trace.verify_digest():
-        print("WARNING: deterministic digest mismatch (file edited?)")
+        print("error: deterministic digest mismatch (file edited?)", file=sys.stderr)
+        return 1
     print(render_report(trace.spans, meta=trace.meta, top=args.top))
     return 0
 
@@ -140,13 +142,7 @@ def main(argv: list[str]) -> int:
     trace_p.add_argument("--block-size", type=int, default=8)
     trace_p.add_argument("--seed", type=int, default=61)
     trace_p.add_argument(
-        "--backend", choices=("serial", "process"), default="serial"
-    )
-    trace_p.add_argument(
         "--plan", default=None, help="fault plan name: trace a drill instead"
-    )
-    trace_p.add_argument(
-        "--wall", action="store_true", help="stamp wall-clock annotations"
     )
     trace_p.set_defaults(func=_cmd_trace)
 

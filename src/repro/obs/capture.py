@@ -27,8 +27,6 @@ def trace_run(
     num_blocks: int = 8,
     block_size: int = 8,
     seed: int = 61,
-    backend: str = "serial",
-    wall: bool = False,
 ):
     """One seeded sharded run with tracing armed; returns (tracer, metrics)."""
     from repro.shard.system import ShardConfig, ShardedBlockchain
@@ -39,7 +37,6 @@ def trace_run(
         block_size=block_size,
         num_blocks=num_blocks,
         seed=seed,
-        backend=backend,
     )
     chain = ShardedBlockchain(config, build_workload(workload, num_shards))
     tracer = Tracer(
@@ -51,16 +48,10 @@ def trace_run(
             "blocks": num_blocks,
             "block_size": block_size,
             "seed": seed,
-            "backend": backend,
-        },
-        wall=wall,
+        }
     )
     attach_tracer(chain, tracer)
-    try:
-        metrics = chain.run()
-    finally:
-        chain.close_backend()
-    return tracer, metrics
+    return tracer, chain.run()
 
 
 def trace_drill(
@@ -71,7 +62,6 @@ def trace_drill(
     num_blocks: int = 8,
     block_size: int = 8,
     seed: int = 61,
-    wall: bool = False,
 ):
     """One traced fault drill; returns (tracer, DrillResult).
 
@@ -98,8 +88,7 @@ def trace_drill(
             "blocks": num_blocks,
             "block_size": block_size,
             "seed": seed,
-        },
-        wall=wall,
+        }
     )
     result = run_drill(
         scheme,

@@ -58,30 +58,64 @@ def export_jsonl(tracer: Tracer, path: str) -> None:
         )
 
 
+class TraceFileError(ValueError):
+    """A JSONL trace file is damaged — truncated, spliced, edited or not a
+    trace at all. :func:`load_trace` raises it instead of returning what
+    it could read."""
+
+
 def load_trace(path: str) -> TraceFile:
-    """Parse a JSONL trace back into spans + metrics."""
-    meta: dict = {}
-    schema = SCHEMA_VERSION
-    digest = ""
+    """Parse a JSONL trace back into spans + metrics.
+
+    The file must be exactly what :func:`export_jsonl` writes: one meta
+    header first, the number of spans the header records, one metrics tail
+    last. Anything else raises :class:`TraceFileError`; a partial
+    :class:`TraceFile` is never returned.
+    """
+    header = None
     spans: list[Span] = []
-    metrics = MetricsRegistry()
+    metrics = None
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
+        for number, line in enumerate(fh, 1):
+            if not line.strip():
                 continue
-            record = json.loads(line)
-            kind = record.get("type")
-            if kind == "meta":
-                meta = record.get("meta", {})
-                schema = record.get("schema", SCHEMA_VERSION)
-                digest = record.get("det_digest", "")
-            elif kind == "span":
-                spans.append(Span.from_dict(record))
-            elif kind == "metrics":
-                metrics = MetricsRegistry.from_dict(record.get("metrics", {}))
-            else:
-                raise ValueError(f"unknown trace record type {kind!r}")
+            where = f"{path}:{number}"
+            try:
+                record = json.loads(line)
+                kind = record["type"]
+            except (ValueError, KeyError, TypeError) as exc:
+                raise TraceFileError(f"{where}: undecodable line") from exc
+            if kind not in ("meta", "span", "metrics"):
+                raise TraceFileError(f"{where}: unknown trace record type {kind!r}")
+            if (kind == "meta") != (header is None):
+                what = "no meta header" if header is None else "repeated meta header"
+                raise TraceFileError(f"{where}: {what}")
+            if metrics is not None:
+                raise TraceFileError(f"{where}: record after the metrics tail")
+            try:
+                if kind == "meta":
+                    header = {
+                        key: record[key]
+                        for key in ("meta", "schema", "det_digest", "spans")
+                    }
+                elif kind == "span":
+                    spans.append(Span.from_dict(record))
+                else:
+                    metrics = MetricsRegistry.from_dict(record["metrics"])
+            except (ValueError, KeyError, TypeError, AttributeError) as exc:
+                raise TraceFileError(f"{where}: malformed {kind} record") from exc
+    if header is None:
+        raise TraceFileError(f"{path}: no meta header")
+    if len(spans) != header["spans"]:
+        raise TraceFileError(
+            f"{path}: header records {header['spans']} spans, file holds {len(spans)}"
+        )
+    if metrics is None:
+        raise TraceFileError(f"{path}: no metrics tail")
     return TraceFile(
-        meta=meta, schema=schema, det_digest=digest, spans=spans, metrics=metrics
+        meta=header["meta"],
+        schema=header["schema"],
+        det_digest=header["det_digest"],
+        spans=spans,
+        metrics=metrics,
     )

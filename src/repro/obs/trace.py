@@ -7,15 +7,12 @@ shard, stage, attempt — carrying **two clocks**:
   decision-layer quantities (counts, certificate data, NetworkModel
   costs, retry schedules). The ordered stream of these fields — the
   *decision-relevant span stream*, :func:`det_events` — is bit-identical
-  across serial vs process prepare backends and across repeated seeded
-  runs, so the trace itself is a correctness artifact
-  (:func:`det_digest` pins it).
-- ``timing``: annotations — engine-simulated durations (which legally
-  differ across backends: a worker engine's buffer pool sees only
-  prepare reads) and optional wall-clock stamps (``wall=True``). Spans
-  of kind ``"anno"`` are excluded from the deterministic stream
-  entirely (e.g. process-backend shipping events, which have no serial
-  counterpart).
+  across repeated seeded runs, so the trace itself is a correctness
+  artifact (:func:`det_digest` pins it).
+- ``timing``: annotations — engine-simulated durations, which depend on
+  buffer-pool state and not on decisions alone. Spans of kind ``"anno"``
+  are excluded from the deterministic stream entirely (the run summary's
+  makespan and utilization).
 
 Instrumentation follows the fault-hook pattern from ``repro.faults``: a
 pipeline object's ``tracer`` attribute defaults to ``None`` and every
@@ -26,7 +23,6 @@ zero-cost. :func:`attach_tracer` arms a chain end to end.
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import dataclass, field
 
 from repro.consensus.crypto import sha256_hex
@@ -53,7 +49,7 @@ class Span:
     sim_us: float = 0.0
     #: deterministic attributes (counts, decisions, hashes)
     attrs: dict = field(default_factory=dict)
-    #: non-deterministic annotations (engine sim durations, wall clock)
+    #: annotations outside the deterministic stream (engine sim durations)
     timing: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
@@ -87,8 +83,8 @@ class Span:
 def det_events(spans: list[Span]) -> list[dict]:
     """The decision-relevant span stream: every non-anno span's
     deterministic fields, in emission order (``seq`` and ``timing`` are
-    deliberately excluded — annotation spans interleave differently
-    across backends without perturbing this stream)."""
+    deliberately excluded — annotation spans may come and go without
+    perturbing this stream)."""
     return [
         {
             "name": s.name,
@@ -113,10 +109,8 @@ def det_digest(spans: list[Span]) -> str:
 class Tracer:
     """Collects spans and feeds the run's :class:`MetricsRegistry`."""
 
-    def __init__(self, meta: dict | None = None, wall: bool = False) -> None:
+    def __init__(self, meta: dict | None = None) -> None:
         self.meta = dict(meta or {})
-        #: wall-clock annotations: stamp ``timing["wall_ts"]`` per span
-        self.wall = wall
         self.spans: list[Span] = []
         self.metrics = MetricsRegistry()
         self._seq = 0
@@ -144,8 +138,6 @@ class Tracer:
             attrs=dict(attrs or {}),
             timing=dict(timing or {}),
         )
-        if self.wall:
-            span.timing["wall_ts"] = time.perf_counter()
         self._seq += 1
         self.spans.append(span)
         return span
@@ -179,10 +171,9 @@ def _arm_node(node, tracer: Tracer, shard: int) -> None:
 def attach_tracer(chain, tracer: Tracer) -> Tracer:
     """Arm ``tracer`` on every hook of an Order-Execute chain.
 
-    Wires the chain itself, the certificate log, every node's checkpoint
-    manager (re-armed on rejoin, so recovered shards keep tracing), and
-    the process-prepare backend if one is already built
-    (``_ensure_backend`` arms a later-built one from ``chain.tracer``).
+    Wires the chain itself, the certificate log and every node's
+    checkpoint manager (re-armed on rejoin, so recovered shards keep
+    tracing).
     """
     chain.tracer = tracer
     chain.cert_log.tracer = tracer
@@ -191,6 +182,4 @@ def attach_tracer(chain, tracer: Tracer) -> Tracer:
     chain.group.rejoin_listeners.append(
         lambda shard, node: _arm_node(node, tracer, shard)
     )
-    if chain._prepare_backend is not None:
-        chain._prepare_backend.tracer = tracer
     return tracer

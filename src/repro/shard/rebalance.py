@@ -22,8 +22,7 @@ module closes the loop from *observed* load back to routing:
   same quantities ``repro.obs.analyze.shard_skew`` reports) and proposes
   key moves. Inputs are *decision-layer only* — counts accumulated while
   routing, never timing annotations — so the disturbed and reference
-  sides of a fault drill, and the serial and process prepare backends,
-  fire bit-identical migrations.
+  sides of a fault drill fire bit-identical migrations.
 
 Physical shipment happens at the ``H-1 -> H`` block boundary: the moved
 keys' latest versions are loaded into the destination store as a version
@@ -162,7 +161,6 @@ def install_migration(
     executors: dict,
     watermarks: list | None = None,
     fates: dict | None = None,
-    peer_stores: list | None = None,
 ) -> None:
     """Land a certified ownership change on the shards in ``executors``.
 
@@ -180,8 +178,7 @@ def install_migration(
     which replays everything that ever landed). ``fates`` (the armed
     migration fault hook) loses a shard's shipment (``"skip"``) or tears
     it in half (``"torn"``); recovery re-derives it from the certificate
-    stream. ``peer_stores`` is the per-shard store list of a prepare
-    worker, which keeps the shards it only reads as bare stores.
+    stream.
     """
     fence = frozenset(dict(record.moves))
     for executor in executors.values():
@@ -194,20 +191,14 @@ def install_migration(
         if watermarks is not None and watermarks[shard] >= record.epoch:
             continue
         executor = executors.get(shard)
-        if executor is not None:
-            store = executor.engine.store
-        elif peer_stores is not None:
-            store = peer_stores[shard]
-        else:
+        if executor is None:
             continue
-        if store.last_committed_block != boundary:
+        engine = executor.engine
+        if engine.store.last_committed_block != boundary:
             continue
         if fate == "torn":
             items = dict(list(items.items())[: len(items) // 2])
-        if executor is not None:
-            executor.engine.apply_migration(boundary, items)
-        else:
-            store.load(items, block_id=boundary, seq_start=MIGRATION_SEQ_BASE)
+        engine.apply_migration(boundary, items)
         if watermarks is not None and fate is None:
             watermarks[shard] = record.epoch
 

@@ -77,10 +77,11 @@ def recover_shard_node(
     >= 2 (Harmony inter-block), replay interleaves block *i*'s prepare with
     block *i−1*'s commit: the decisions come from the certificate stream,
     so block *i* validates against block *i−1*'s *decided* records before
-    that block's physical commit runs — the same legality argument as the
-    live pipeline (:mod:`repro.parallel.pipeline`), and bit-identical state
-    either way. ``replay_sim`` on the result reports the modeled makespan
-    of both disciplines on a ``REPLAY_SIM_CORES``-core replica.
+    that block's physical commit runs
+    (:func:`~repro.shard.replay.snapshot_lag` is the legality rule), with
+    bit-identical state either way. ``replay_sim`` on the result reports
+    the modeled makespan of both disciplines on a
+    ``REPLAY_SIM_CORES``-core replica.
     """
     engine, replay_from, checkpoint = rebuild_engine(crashed.engine)
     executor = crashed.clone_executor(engine)
@@ -124,13 +125,13 @@ def recover_shard_node(
 
     if executor.supports_two_phase:
 
-        def prepare(sub_blocks, land):
+        def prepare(sub_blocks):
             block = sub_blocks[shard_id]
             return {shard_id: executor.prepare_block(block.block_id, block.build_txns())}
 
     else:
         # no prepare/commit seam (SOV validators): the block runs whole
-        def prepare(sub_blocks, land):
+        def prepare(sub_blocks):
             block = sub_blocks[shard_id]
             execution = executor.execute_block(block.block_id, block.build_txns())
             record(block.block_id, {shard_id: execution})

@@ -4,12 +4,9 @@ Replicas agree by determinism (Section 4, Recovery): whoever re-executes
 the ordered input blocks under the recorded decisions reaches the state
 every correct replica holds. So there is one replay algorithm,
 :func:`replay_blocks`, and every surface that rebuilds state calls it —
-fresh-replica replay in-process and on the worker pool, crash recovery
-of a shard or of a lone replica, the fault supervisor's catch-up. The
-table of who passes what is in ``docs/sharding.md`` ("One replay").
-
-This module sits below the driver and imports no process machinery, so a
-serial chain's ``consistency_check()`` never pays for ``multiprocessing``.
+fresh-replica replay, crash recovery of a shard or of a lone replica, the
+fault supervisor's catch-up. The table of who passes what is in
+``docs/sharding.md`` ("One replay").
 """
 
 from __future__ import annotations
@@ -23,8 +20,8 @@ def snapshot_lag(executor) -> int:
     """How many blocks back ``executor`` reads when it prepares a block.
     At 2 or more (Harmony inter-block) a block validates against the
     previous block's *decisions* only, so it may be prepared before that
-    block's commit has run — the legality rule of
-    :mod:`repro.parallel.pipeline`."""
+    block's commit has run — the paper's inter-block parallelism
+    (Section 3.4), exercised by :func:`replay_blocks`' trailing commit."""
     return executor.config.effective_lag if isinstance(executor, HarmonyExecutor) else 1
 
 
@@ -74,12 +71,11 @@ def replay_blocks(
     and committed under the certificate's vetoes. The cursor is the live
     chain's too: it goes back where it was however the loop ends.
 
-    ``prepare(sub_blocks, land) -> {shard: PreparedBlock}`` defaults to
+    ``prepare(sub_blocks) -> {shard: PreparedBlock}`` defaults to
     ingesting the block on each node (signature, chain check, block log)
-    and preparing in-process. A step that waits on worker processes calls
-    ``land()`` meanwhile — the trailing commit runs there; a step that
-    executed a block whole (no prepare/commit seam) leaves it out of the
-    result. ``trail`` asks for each commit to run one block late; it is
+    and preparing it; a step that executed a block whole (no
+    prepare/commit seam) leaves it out of the result. ``trail`` asks for
+    each commit to run one block late; it is
     honoured iff every executor's :func:`snapshot_lag` is 2 or more, with
     bit-identical state either way. ``on_commit(block_id, {shard:
     BlockExecution})`` sees every commit, in block order. ``watermarks``
@@ -87,7 +83,7 @@ def replay_blocks(
     """
     if prepare is None:
 
-        def prepare(sub_blocks, land):
+        def prepare(sub_blocks):
             return {
                 shard: node.prepare_block(sub_blocks[shard])
                 for shard, node in nodes.items()
@@ -125,7 +121,7 @@ def replay_blocks(
                         {shard: node.executor for shard, node in nodes.items()},
                         watermarks,
                     )
-            prepared = prepare(sub_blocks, land)
+            prepared = prepare(sub_blocks)
             land()
             held = (block_id, prepared, abort_tids)
             if trail:
@@ -133,10 +129,7 @@ def replay_blocks(
                 # against them, and the commit that recomputes the same
                 # facts may run after it
                 for shard, prep in prepared.items():
-                    executor = nodes[shard].executor
-                    executor.import_prepare_state(
-                        executor.decided_prepare_state(prep, abort_tids)
-                    )
+                    nodes[shard].executor.adopt_decision(prep, abort_tids)
             else:
                 land()
         land()

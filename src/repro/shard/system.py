@@ -22,11 +22,9 @@ block has one way through it: steps 1-4 are the four stage methods
 ``route_global_block`` / ``prepare_global_block`` / ``certify_global_block``
 / ``commit_global_block``, each filling its part of one
 :class:`GlobalBlockOutcome` and emitting its own spans. What differs
-between callers is the *schedule* of those calls: commit right away
-(:meth:`ShardedBlockchain.process_global_block`); commit one iteration
-later, inside the next block's prepare window, when the executor's snapshot
-lag legalizes it (:class:`repro.parallel.pipeline.DeferredCommit`); or
-with crash marks, vote retries and recovery between the stages
+between callers is the *schedule* of those calls: one after the other
+(:meth:`ShardedBlockchain.process_global_block`), or with crash marks, vote
+retries and recovery between the stages
 (:class:`repro.faults.supervisor.SupervisedShardGroup`). No one else
 prepares, certifies or commits a live block (``make one-walk``).
 
@@ -39,7 +37,6 @@ pricing have nothing to compute and are skipped on those facts.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass, field
 
 from repro.chain.config import (
@@ -116,9 +113,8 @@ class ShardConfig(OEConfig):
 
 
 def build_router(config: ShardConfig, workload) -> ShardRouter:
-    """The deterministic router for ``config`` — module-level so worker
-    processes of the parallel prepare backend rebuild the identical
-    routing from (config, workload) alone."""
+    """The deterministic router for ``config``: every replica rebuilds
+    the identical routing from (config, workload) alone."""
     if config.router_policy == "workload":
         router = ShardRouter.for_workload(workload, config.num_shards)
     elif config.router_policy == "range":
@@ -141,8 +137,7 @@ class GlobalBlockOutcome:
     before it filled: :meth:`~ShardedBlockchain.route_global_block` the
     routing facts, the prepare stage ``prepared``, the certify stage
     ``certificate`` (the block's decisions are final from here on), the
-    commit stage ``executions``. The pipelined schedule holds an outcome
-    between those last two.
+    commit stage ``executions``.
     """
 
     block: object
@@ -162,6 +157,7 @@ class GlobalBlockOutcome:
     #: entry — it voted but never committed
     executions: dict = None
     #: one runtime record per transaction, from its coordinator shard
+    #: (filled when the committed block is folded into the run's accounts)
     merged_txns: list = None
 
     @property
@@ -217,8 +213,7 @@ class ShardGroup:
         #: re-point at a recovered store without rewiring
         self._stores = [node.engine.store for node in self.nodes]
         #: ``listener(shard, node)`` callbacks fired by :meth:`rejoin` —
-        #: the chain closes its worker pool there, a tracer re-arms the
-        #: recovered node
+        #: a tracer re-arms the recovered node there
         self.rejoin_listeners: list = []
         for shard, node in enumerate(self.nodes):
             wire_federation(node.executor, router, self._stores, shard)
@@ -298,54 +293,6 @@ class ShardedBlockchain:
         #: (the default) costs one attribute check per emission site.
         #: Armed by :func:`repro.obs.trace.attach_tracer`.
         self.tracer = None
-        #: the process-pool prepare backend (``config.backend="process"``),
-        #: built lazily by the first prepare stage; ``None`` = in-process
-        self._prepare_backend = None
-        #: sticky: once closed (or found unsupported) no pool is built again
-        self._backend_closed = False
-        # held weakly: the group must not keep its chain alive, or a chain
-        # its caller dropped (with every store it preloaded) lingers until
-        # the next cyclic collection instead of being freed at once
-        chain_ref = weakref.ref(self)
-
-        def on_rejoin(shard: int, node: ReplicaNode) -> None:
-            # a rebuilt store is not the one the workers' copies track
-            chain = chain_ref()
-            if chain is not None:
-                chain.close_backend()
-
-        self.group.rejoin_listeners.append(on_rejoin)
-
-    # ------------------------------------------------------ prepare backend
-    def _ensure_backend(self):
-        """The process prepare backend, or ``None`` for the in-process path
-        (``backend="serial"``, a scheme without a prepare/commit seam, or a
-        pool :meth:`close_backend` shut)."""
-        if self.config.backend != "process" or self._backend_closed:
-            return None
-        if self._prepare_backend is None:
-            from repro.parallel.backend import make_prepare_backend
-
-            self._prepare_backend = make_prepare_backend(
-                self.config, self.workload, self.config.num_shards
-            )
-            if self._prepare_backend is None:
-                self._backend_closed = True  # unsupported scheme
-            elif self.tracer is not None:
-                self._prepare_backend.tracer = self.tracer
-        return self._prepare_backend
-
-    def close_backend(self) -> None:
-        """Shut the worker pools down (idempotent, final); the chain stays
-        usable on the in-process path. The workers' stores advance only by
-        the deltas of blocks every shard prepared and committed, so
-        whatever breaks that lockstep calls this: a stage that leaves a
-        shard out, a recovered shard rejoining, a fault supervisor taking
-        the chain."""
-        if self._prepare_backend is not None:
-            self._prepare_backend.close()
-            self._prepare_backend = None
-        self._backend_closed = True
 
     # ------------------------------------------------------------------ run
     def _block_bytes(self) -> int:
@@ -375,7 +322,7 @@ class ShardedBlockchain:
     def plan_rebalance(self, block_id: int):
         """The armed policy's proposal for the start of ``block_id``
         (telemetry through ``block_id - 1``), or ``None``. Side-effect-free
-        so the pipelined driver can drain its in-flight block between the
+        so the fault supervisor can catch lagging shards up between the
         plan and the commit."""
         policy = self.rebalance_policy
         if policy is None:
@@ -384,9 +331,9 @@ class ShardedBlockchain:
 
     def commit_rebalance(self, block_id: int, proposal):
         """Materialize ``proposal`` into the certified record and install
-        it (router, stores, worker caches). Every shard's store must be at
-        height ``block_id - 1`` — the pipelined driver and the fault
-        supervisor enforce that barrier before calling."""
+        it (router, stores). Every shard's store must be at height
+        ``block_id - 1`` — the fault supervisor enforces that barrier
+        before calling."""
         router = self.router
         nodes = self.group.nodes
 
@@ -408,8 +355,7 @@ class ShardedBlockchain:
         fences and per-shard store loads
         (:func:`~repro.shard.rebalance.install_migration`; the armed
         ``migration_hook`` fates shipments of shards the fault plan also
-        crashes), then the record is queued for the prepare workers (one
-        that prepared without it would refuse with ``StalePrepareError``).
+        crashes).
         """
         fates = (
             self.migration_hook(record.block_id)
@@ -424,9 +370,6 @@ class ShardedBlockchain:
             self._store_mig_epochs,
             fates,
         )
-        backend = self._prepare_backend
-        if backend is not None:
-            backend.apply_migration(record)
         tracer = self.tracer
         if tracer is not None:
             tracer.event(
@@ -449,22 +392,20 @@ class ShardedBlockchain:
             tracer.metrics.gauge("rebalance.epoch").set(record.epoch)
 
     # ------------------------------------------------------- the block walk
-    # route -> prepare -> certify -> commit, written once. Every schedule
-    # — process_global_block below, DeferredCommit.process (pipelined), the
-    # fault supervisor's process_block — is these four calls in this order
-    # on one GlobalBlockOutcome, and each stage emits its own spans.
-    # Deterministic span fields only carry decision-layer quantities;
-    # engine sim durations (which legally differ across prepare backends)
-    # ride in the ``timing`` annotation dict. Per-shard spans go out in
+    # route -> prepare -> certify -> commit, written once. Both schedules
+    # — process_global_block below, the fault supervisor's process_block —
+    # are these four calls in this order on one GlobalBlockOutcome, and
+    # each stage emits its own spans. Deterministic span fields only carry
+    # decision-layer quantities; engine sim durations ride in the
+    # ``timing`` annotation dict. Per-shard spans go out in
     # sorted shard order, independent of dict iteration order.
     def route_global_block(self, block, migration_barrier=None) -> GlobalBlockOutcome:
         """Stage one: decide/apply any due migration, route every spec,
         feed the policy telemetry and split the block.
 
-        ``migration_barrier`` (pipelined schedule, fault supervisor) runs
-        after a proposal is made but before the record is built, so
-        in-flight work can land and every store reaches the boundary
-        height first.
+        ``migration_barrier`` (fault supervisor) runs after a proposal is
+        made but before the record is built, so every store reaches the
+        boundary height first.
         """
         migration = None
         expected = {}
@@ -515,39 +456,25 @@ class ShardedBlockchain:
         )
 
     def prepare_global_block(
-        self, outcome, skip: frozenset = frozenset(), attempt: int = 0, deferred=None
+        self, outcome, skip: frozenset = frozenset(), attempt: int = 0
     ) -> None:
         """Stage two: every shard simulates and validates its sub-block —
         the outcome is its vote; all prepares precede any commit.
 
-        Runs on the worker pool when there is one, else in-process.
         Shards in ``skip`` died (or lag) before the sub-block arrived: they
         never log or prepare it and cast no vote, so the certificate's
         timeout degradation vetoes their cross-shard transactions unless a
         supervisor recovers them and re-enters the stage — a second call
         prepares only the shards the outcome does not hold yet, its spans
-        tagged with the vote round ``attempt``. ``deferred`` (the pipelined
-        schedule's :class:`~repro.parallel.pipeline.DeferredCommit`)
-        prepares on the pool against the previous block's *decided* state
-        and lands that block's commit while the workers are busy.
+        tagged with the vote round ``attempt``.
         """
         sub_blocks = outcome.sub_blocks
-        nodes = self.group.nodes
         done = outcome.prepared or {}
-        if deferred is not None:
-            fresh = deferred.prepare(sub_blocks)
-        else:
-            if skip:
-                self.close_backend()
-            backend = self._ensure_backend()
-            if backend is not None:
-                fresh = backend.prepare(sub_blocks, nodes)
-            else:
-                fresh = {
-                    shard: node.prepare_block(sub_blocks[shard])
-                    for shard, node in enumerate(nodes)
-                    if shard not in skip and shard not in done
-                }
+        fresh = {
+            shard: node.prepare_block(sub_blocks[shard])
+            for shard, node in enumerate(self.group.nodes)
+            if shard not in skip and shard not in done
+        }
         outcome.prepared = {**done, **fresh}
         if self.tracer is not None:
             for shard in sorted(fresh):
@@ -584,8 +511,7 @@ class ShardedBlockchain:
 
     def commit_global_block(self, outcome, skip: frozenset = frozenset()) -> None:
         """Stage four: apply the certified block on every prepared shard,
-        honouring the certificate's vetoes, and tell the prepare workers
-        what was written.
+        honouring the certificate's vetoes.
 
         Shards in ``skip`` died between their prepare vote and the
         certificate append: the deterministic votes were cast, the
@@ -593,8 +519,6 @@ class ShardedBlockchain:
         holds the input block, so recovery replays it under the
         certificate's recorded decisions.
         """
-        if skip:
-            self.close_backend()
         block_id = outcome.block_id
         nodes = self.group.nodes
         prepared = outcome.prepared
@@ -624,10 +548,6 @@ class ShardedBlockchain:
                         + execution.post_commit_serial_us
                     },
                 )
-        if self._prepare_backend is not None:
-            self._prepare_backend.advance(
-                block_id, [node.engine.writes_of(block_id) for node in nodes]
-            )
 
     def process_global_block(self, block) -> GlobalBlockOutcome:
         """The sequential schedule of the block walk: the four stages in
@@ -638,27 +558,15 @@ class ShardedBlockchain:
         self.commit_global_block(outcome)
         return outcome
 
-    def _pipelined_ready(self) -> bool:
-        """Whether the commit may be deferred: requested, a snapshot lag
-        that legalizes preparing block *i* before block *i-1*'s commit,
-        and a worker pool to prepare on."""
-        return (
-            self.config.pipelined
-            and self._inter_block_enabled()
-            and self.config.harmony.effective_lag >= 2
-            and self._ensure_backend() is not None
-        )
-
     @collector_paused()
     def run(self) -> RunMetrics:
         """The Order-Execute loop: form a block, walk it through the stages.
 
-        Sequential schedule (:meth:`process_global_block`): block *i*
-        commits before block *i+1* forms. Pipelined schedule (legal iff
-        :meth:`_pipelined_ready`): block *i*'s commit is held and lands
-        while the worker pool prepares block *i+1* — the retries block
-        *i+1* needs are already final at certificate time, so both
-        schedules form identical blocks.
+        Block *i* commits (:meth:`process_global_block`) before block
+        *i+1* forms, so the retries block *i+1* carries are final. The
+        inter-block overlap the paper claims is a property of the modeled
+        clock (:class:`~repro.sim.scheduler.PipelineSimulator`), not of
+        this loop.
         """
         config = self.config
         state = _RunState(
@@ -669,57 +577,38 @@ class ShardedBlockchain:
             remote_round_us=self._remote_read_round_us(),
             shard_timings=[[] for _ in range(config.num_shards)],
         )
-        deferred = None
-        if self._pipelined_ready():
-            from repro.parallel.pipeline import DeferredCommit
-
-            deferred = DeferredCommit(self, state)
         rng = SeededRng(config.seed, f"oe/{config.system}/{self.workload.name}")
         retry_queue: list = []
-        try:
-            for i in range(config.num_blocks):
-                retries = retry_queue[: config.block_size]
-                retry_queue = retry_queue[config.block_size :]
-                fresh = self.workload.generate_block(
-                    config.block_size - len(retries), rng
+        for i in range(config.num_blocks):
+            retries = retry_queue[: config.block_size]
+            retry_queue = retry_queue[config.block_size :]
+            fresh = self.workload.generate_block(config.block_size - len(retries), rng)
+            block = self.ordering.form_block(retries + fresh)
+            if self.tracer is not None:
+                self.tracer.event(
+                    "enqueue",
+                    block=block.block_id,
+                    attrs={"retries": len(retries), "backlog": len(retry_queue)},
                 )
-                block = self.ordering.form_block(retries + fresh)
-                if self.tracer is not None:
-                    self.tracer.event(
-                        "enqueue",
-                        block=block.block_id,
-                        attrs={"retries": len(retries), "backlog": len(retry_queue)},
-                    )
-                    self.tracer.metrics.histogram("retry_queue_depth").observe(
-                        len(retry_queue)
-                    )
-                if deferred is None:
-                    outcome = self.process_global_block(block)
-                    self._absorb_block(state, i, outcome)
-                else:
-                    outcome = deferred.process(i, block)
-                if config.retry_aborted:
-                    retry_queue.extend(
-                        t.spec for t in outcome.merged_txns if t.aborted
-                    )
-            if deferred is not None:
-                deferred.land()
-            metrics = self._finish_run(state)
-            if deferred is not None:
-                metrics.extra["pipelined"] = True
-        finally:
-            if deferred is not None:
-                self.close_backend()  # also when a worker raised mid-run
-        return metrics
+                self.tracer.metrics.histogram("retry_queue_depth").observe(
+                    len(retry_queue)
+                )
+            outcome = self.process_global_block(block)
+            self._absorb_block(state, i, outcome)
+            if config.retry_aborted:
+                retry_queue.extend(t.spec for t in outcome.merged_txns if t.aborted)
+        return self._finish_run(state)
 
     # ------------------------------------------------- run bookkeeping
-    def merged_view(self, block, participants, txns_by_shard: dict) -> list:
-        """One runtime record per transaction, from its coordinator shard
-        (lowest participant id). ``txns_by_shard`` maps shard -> txns."""
+    def merged_view(self, outcome: GlobalBlockOutcome) -> list:
+        """One runtime record per transaction of a committed block, from
+        its coordinator shard (lowest participant id)."""
+        executions = outcome.executions
         if self.config.num_shards == 1:
-            return txns_by_shard[0]  # the sub-block is the block
+            return executions[0].txns  # the sub-block is the block
+        block, participants = outcome.block, outcome.participants
         by_shard_tid = {
-            shard: {t.tid: t for t in txns} for shard, txns in txns_by_shard.items()
+            shard: {t.tid: t for t in e.txns} for shard, e in executions.items()
         }
         return [
             by_shard_tid[min(participants[j])][block.first_tid + j]
@@ -735,13 +624,7 @@ class ShardedBlockchain:
         state.cross_txns_total += len(expected)
         state.cross_aborted_total += len(outcome.certificate.abort_tids)
 
-        if outcome.merged_txns is None:
-            outcome.merged_txns = self.merged_view(
-                block,
-                outcome.participants,
-                {shard: e.txns for shard, e in executions.items()},
-            )
-        merged_txns = outcome.merged_txns
+        outcome.merged_txns = merged_txns = self.merged_view(outcome)
         state.merged_blocks.append((block.block_id, merged_txns))
 
         stats = BlockStats(block_id=block.block_id)
@@ -898,9 +781,6 @@ class ShardedBlockchain:
         metrics.extra["migrations"] = sum(
             1 for cert in self.cert_log.certificates() if cert.migration is not None
         )
-        metrics.extra["backend"] = (
-            "process" if self._prepare_backend is not None else "serial"
-        )
         tracer = self.tracer
         if tracer is not None:
             tracer.event(
@@ -946,7 +826,7 @@ class ShardedBlockchain:
         per-shard states from (sub-blocks, certificates) alone — the
         sharded analogue of the paper's replica-consistency claim.
         """
-        other = replay_group_serial(self, name_prefix="replica-1")
+        other = replay_group(self, name_prefix="replica-1")
         return other.combined_state_hash() == self.group.combined_state_hash()
 
     # ------------------------------------------------------------ reporting
@@ -980,10 +860,10 @@ def logged_blocks(chain):
         yield i, {shard: node.ledger[i] for shard, node in enumerate(nodes)}
 
 
-def replay_group_serial(chain, name_prefix: str = "replay-serial") -> ShardGroup:
-    """The reference replay: a fresh group, every block ingested, prepared
-    and committed in-process, shard after shard (the seed's discipline).
-    Each certified migration re-applies at exactly its recorded height."""
+def replay_group(chain, name_prefix: str = "replay") -> ShardGroup:
+    """A fresh group with every logged block ingested, prepared and
+    committed on it, shard after shard. Each certified migration re-applies
+    at exactly its recorded height."""
     other = fresh_group(chain, name_prefix)
     replay_blocks(
         dict(enumerate(other.nodes)), logged_blocks(chain), chain.cert_log, chain.router

@@ -59,10 +59,6 @@ class StorageEngine:
         self.block_log = BlockLog()
         #: initial database state, kept for replay-from-genesis recovery
         self.genesis_state: dict[object, object] = {}
-        #: the last applied block's (id, ordered writes) — lets
-        #: :meth:`writes_of` answer for it without rescanning the store's
-        #: version chains
-        self._last_block_writes: tuple[int, list[tuple[object, object]]] | None = None
         #: ordered (block_id, writes) of every block applied since the last
         #: checkpoint — the next delta checkpoint's payload (drained there);
         #: bounded by the checkpoint interval, like the block log segment
@@ -138,7 +134,6 @@ class StorageEngine:
             for key, _value in ordered_writes:
                 cost += self.wal.append("write", (block_id, key))
         self.store.apply_block(block_id, ordered_writes)
-        self._last_block_writes = (block_id, ordered_writes)
         self._delta_writes.append((block_id, ordered_writes))
         cost += self.wal.group_commit()
         return cost
@@ -159,19 +154,6 @@ class StorageEngine:
         incoming = (key for key, value in items.items() if value is not TOMBSTONE)
         self.heap.load(key for key in incoming if key not in self.heap)
         self._delta_writes.append((block_id, list(items.items())))
-
-    def writes_of(self, block_id: int) -> list[tuple[object, object]]:
-        """The ordered writes installed for ``block_id``.
-
-        Fast path: the block just applied (the process-prepare backend
-        ships every committed block's writes to its workers right after
-        the commit). Older blocks fall back to the store's per-block
-        watermark walk.
-        """
-        last = self._last_block_writes
-        if last is not None and last[0] == block_id:
-            return last[1]
-        return self.store.writes_in_block(block_id)
 
     def log_block_input(self, block: object) -> float:
         """Logical logging: persist the input block before execution."""

@@ -460,9 +460,9 @@ class MVStore:
         }
 
     def materialize_at(self, block_id: int) -> dict[object, object]:
-        """The live state as of the end of ``block_id`` (what a prepare
-        worker's replica is reset to). Same TOMBSTONE-vs-stored-``None``
-        semantics as :meth:`materialize`.
+        """The live state as of the end of ``block_id`` (what a
+        reconstructed checkpoint's ``prev_state`` equals). Same
+        TOMBSTONE-vs-stored-``None`` semantics as :meth:`materialize`.
         """
         # One-pass stream over the version chains with the same chain-tail
         # fast path as SnapshotView.scan: the per-key binary search runs

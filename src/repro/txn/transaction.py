@@ -60,8 +60,8 @@ class TxnSpec:
         return dict(self.params)
 
     def __reduce__(self):
-        # derived state never travels: a pickled spec (process-backend
-        # sub-blocks) is its two fields and re-derives the text on arrival
+        # derived state never travels: a copied or pickled spec (``deepcopy``
+        # goes through here) is its two fields and re-derives the text
         return (type(self), (self.proc, self.params))
 
 

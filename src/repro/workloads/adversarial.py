@@ -20,7 +20,7 @@ same partition-fold idiom as YCSB/SmallBank: every access stays in the
 transaction's home partition except one access sent to a second partition
 with probability ``cross_ratio``. Generation is a pure function of the
 RNG stream plus a per-instance transaction counter, and instances carry
-only plain data, so they pickle into process-pool prepare workers.
+only plain data.
 """
 
 from __future__ import annotations

@@ -16,6 +16,11 @@ the one walk does. A drill's digest and counts are therefore taken over
 its stream *without* ``order`` events — the record holds at both commits —
 and the test file asserts their presence on its own.
 
+The record has since changed by deletion only: PR 23 removed the
+process-pool prepare medium and the pipelined live schedule, and with them
+the two pool runs and the ``backend`` / ``pipelined`` keys of the others;
+no digest or count was re-recorded.
+
 Regenerate (only when a change is *meant* to move the span stream) with::
 
     PYTHONPATH=src python tests/golden/trace_identity.py
@@ -47,14 +52,11 @@ GOLDEN_PATH = Path(__file__).with_name("trace_identity.json")
 #: the drill matrix's smoke shape (``drill_matrix(smoke=True)``)
 DRILL = dict(scheme="harmony", num_shards=2, num_blocks=8, block_size=8)
 DRILL_SEED = 61
-#: the driver-identity case the two process-pool runs are taken on
-POOL_CASE = "conformance/smallbank/harmony/2shard"
 
 
 def run_cases() -> dict:
     """``case id -> (build chain)`` of the traced ``run()``s: a fixed
-    subset of the driver-identity cases, plus one run prepared on the
-    worker pool and one on the pipelined schedule."""
+    subset of the driver-identity cases."""
     driver = driver_cases()
     out = {
         f"run/conformance/{name}/{system}/{shards}shard": driver[
@@ -67,16 +69,6 @@ def run_cases() -> dict:
     for shards in (2, 4):
         case = f"adaptive/adv-skewshift/harmony/{shards}shard"
         out[f"run/{case}"] = driver[case]
-
-    def on_pool(pipelined: bool):
-        chain = driver[POOL_CASE]()
-        # the pool is built lazily, on the first block
-        chain.config.backend = "process"
-        chain.config.pipelined = pipelined
-        return chain
-
-    out[f"run/process/{POOL_CASE}"] = lambda: on_pool(False)
-    out[f"run/pipelined/{POOL_CASE}"] = lambda: on_pool(True)
     return out
 
 
@@ -102,18 +94,13 @@ def span_counts(spans) -> dict:
 
 def observe_run(build) -> dict:
     """One traced ``run()``: the deterministic digest and every span
-    name's count (annotation spans of the worker pool included)."""
+    name's count."""
     chain = build()
     tracer = attach_tracer(chain, Tracer())
-    try:
-        metrics = chain.run()
-    finally:
-        chain.close_backend()
+    chain.run()
     return {
         "det_digest": tracer.det_digest(),
         "span_counts": span_counts(tracer.spans),
-        "backend": metrics.extra["backend"],
-        "pipelined": metrics.extra.get("pipelined", False),
     }
 
 

@@ -108,8 +108,8 @@ class TestSpecCanonical:
         assert one != spec([("add", 0, 8)])
 
     def test_text_is_not_pickled_with_the_spec_or_its_sub_block(self):
-        """The process backend ships sub-blocks to workers: a spec travels
-        as its two fields and re-derives the text on arrival."""
+        """``TxnSpec.__reduce__`` (``deepcopy`` goes through it too): a spec
+        travels as its two fields and re-derives the text on arrival."""
         one = spec([("add", 0, 7)])
         sub = Block(3, (one, spec([("r", 5)])), GENESIS_HASH, first_tid=10, tids=(10, 12))
         for shipped in (one, sub):

@@ -17,7 +17,6 @@ Two contracts:
 from __future__ import annotations
 
 import gc
-import multiprocessing
 
 import pytest
 
@@ -145,17 +144,6 @@ class TestCollectorPaused:
         guard()
         assert not gc.isenabled()
         assert seen == [False] * 28  # 7 repeats x 2 sizes, twice
-
-    @pytest.mark.skipif(
-        "fork" not in multiprocessing.get_all_start_methods(), reason="needs fork"
-    )
-    def test_a_worker_forked_inside_a_pause_has_the_collector_on(self, collections):
-        """``parallel/backend.py`` forks its pool on the first prepare of a
-        ``run()``: the pause is the parent's, not the worker's."""
-        with collector_paused():
-            with multiprocessing.get_context("fork").Pool(1) as pool:
-                assert pool.apply(gc.isenabled) is True
-            assert not gc.isenabled()
 
 
 # ------------------------------------------------- acyclic by construction

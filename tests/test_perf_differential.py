@@ -853,51 +853,3 @@ def test_perf_smoke_trajectory(tmp_path):
 
     trajectory = json.loads(out.read_text())
     assert len(trajectory["runs"]) == 2
-
-
-class TestProcessBackendDifferential:
-    """Hypothesis differential: ``backend="process"`` is bit-identical to
-    ``backend="serial"`` across schemes, shard counts and seeds —
-    decisions, state hashes and the certificate chain alike. Few examples:
-    every draw spins up real worker processes."""
-
-    @given(
-        system=st.sampled_from(["harmony", "aria", "rbc"]),
-        num_shards=st.sampled_from([1, 2, 4]),
-        seed=st.integers(min_value=0, max_value=2**16),
-        block_size=st.integers(min_value=8, max_value=20),
-    )
-    @settings(max_examples=6, deadline=None)
-    def test_process_backend_matches_serial(
-        self, system, num_shards, seed, block_size
-    ):
-        from repro.shard.system import ShardConfig, ShardedBlockchain
-        from repro.workloads.base import ShardAffinity
-        from repro.workloads.smallbank import SmallbankWorkload
-
-        def run(backend):
-            affinity = (
-                ShardAffinity(num_shards, 0.3) if num_shards > 1 else None
-            )
-            config = ShardConfig(
-                system=system,
-                num_shards=num_shards,
-                num_blocks=4,
-                block_size=block_size,
-                seed=seed,
-                backend=backend,
-            )
-            chain = ShardedBlockchain(
-                config, SmallbankWorkload(num_accounts=120, affinity=affinity)
-            )
-            metrics = chain.run()
-            certs = [(c.block_id, c.abort_tids, c.hash) for c in chain.cert_log.certificates()]
-            chain.close_backend()
-            return metrics, certs
-
-        serial, serial_certs = run("serial")
-        process, process_certs = run("process")
-        assert serial.extra["decision_digest"] == process.extra["decision_digest"]
-        assert serial.extra["state_hash"] == process.extra["state_hash"]
-        assert serial.extra["cert_head"] == process.extra["cert_head"]
-        assert serial_certs == process_certs

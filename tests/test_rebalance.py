@@ -13,8 +13,8 @@ Pins ISSUE 10's contracts:
   registered workload (hypothesis-sampled);
 - **migrated-run identities** — a run that actually re-keys replays
   bit-identically on a fresh replica from (sub-blocks + certificates)
-  alone, every shard recovers to the live state, and the serial and
-  process prepare backends agree — through every caller of the one replay
+  alone, commit right away or trailing one block, and every shard
+  recovers to the live state — through every caller of the one replay
   loop (:func:`repro.shard.replay.replay_blocks`);
 - **certificate-stream checks** — every replay entry point rejects a
   shifted or truncated stream with the same error and hands the shared
@@ -34,8 +34,6 @@ from repro.faults.plan import PARTITION, FaultEvent, FaultPlan
 from repro.faults.supervisor import SupervisedShardGroup
 from repro.obs.analyze import shard_skew
 from repro.obs.trace import KIND_STAGE, Span
-from repro.parallel.backend import available_cores
-from repro.parallel.replay import replay_group, replay_group_serial
 from repro.shard.rebalance import (
     MigrationRecord,
     OwnershipTable,
@@ -43,9 +41,15 @@ from repro.shard.rebalance import (
     migration_store_deltas,
 )
 from repro.shard.recovery import recover_shard_node
-from repro.shard.replay import CertificateStreamError
+from repro.shard.replay import CertificateStreamError, replay_blocks, snapshot_lag
 from repro.shard.router import ShardRouter
-from repro.shard.system import ShardConfig, ShardedBlockchain
+from repro.shard.system import (
+    ShardConfig,
+    ShardedBlockchain,
+    fresh_group,
+    logged_blocks,
+    replay_group,
+)
 from repro.sim.rng import SeededRng
 from repro.storage.mvstore import MIGRATION_SEQ_BASE, MVStore, TOMBSTONE
 from repro.txn.transaction import AbortReason, Txn, TxnSpec
@@ -106,6 +110,21 @@ def run_supervised(chain, plan, num_blocks):
         specs = chain.workload.generate_block(chain.config.block_size, rng)
         supervisor.process_block(chain.ordering.form_block(specs))
     return supervisor
+
+
+def replay_trailing(chain):
+    """An all-shard replay of ``chain`` on a fresh group with every commit
+    trailing its prepare by one block (honoured at snapshot lag >= 2,
+    ignored below): block *i* is prepared before block *i-1* is applied."""
+    other = fresh_group(chain, "replay-trailing")
+    replay_blocks(
+        dict(enumerate(other.nodes)),
+        logged_blocks(chain),
+        chain.cert_log,
+        chain.router,
+        trail=True,
+    )
+    return other
 
 
 def skewshift(num_shards=2):
@@ -380,7 +399,7 @@ class TestMigratedRunIdentities:
     def test_migrated_run_replays_bit_identically_on_fresh_replica(self):
         chain, metrics = run_chain(skewshift(), **AGGRESSIVE)
         assert metrics.extra["migrations"] >= 1
-        replica = replay_group_serial(chain, name_prefix="test-replica")
+        replica = replay_group(chain, name_prefix="test-replica")
         assert (
             replica.combined_state_hash() == chain.group.combined_state_hash()
         )
@@ -408,9 +427,8 @@ class TestMigratedRunIdentities:
         self, system, num_shards
     ):
         """One migrated run, re-derived by every caller of the one replay
-        loop: a fresh replica in-process and on the worker pool (commit
-        right away and trailing), every shard's crash recovery under both
-        commit schedules. Checkpoints at blocks 4 and 9 bake the first
+        loop: a fresh replica (commit right away and trailing), every
+        shard's crash recovery under both commit schedules. Checkpoints at blocks 4 and 9 bake the first
         four migrations into the recovery point; the one at 10 replays."""
         chain, metrics = run_chain(
             skewshift(num_shards),
@@ -423,10 +441,8 @@ class TestMigratedRunIdentities:
         assert metrics.extra["migrations"] == 5
         live = chain.group.state_hashes()
         cursor = chain.router.cursor_height
-        assert replay_group_serial(chain).state_hashes() == live
-        chain.config.backend = "process"  # the run was serial; replay on the pool
-        for pipelined in (False, True):
-            assert replay_group(chain, pipelined=pipelined).state_hashes() == live
+        assert replay_group(chain).state_hashes() == live
+        assert replay_trailing(chain).state_hashes() == live
         stores = [node.engine.store for node in chain.group.nodes]
         for shard, node in enumerate(chain.group.nodes):
             for pipelined in (False, True):
@@ -461,7 +477,7 @@ class TestMigratedRunIdentities:
         assert {len(node.ledger) for node in chain.group.nodes} == {10}
         # every live shipment landed once: no store is behind the last epoch
         assert chain._store_mig_epochs == [len(migrated)] * num_shards
-        assert replay_group_serial(chain).state_hashes() == chain.group.state_hashes()
+        assert replay_group(chain).state_hashes() == chain.group.state_hashes()
         assert chain.cert_log.verify_chain() and chain.group.ledgers_ok()
 
     def test_rejoin_after_recovery_repoints_peers_at_the_recovered_store(self):
@@ -489,25 +505,21 @@ class TestMigratedRunIdentities:
         assert recovery.node.executor.key_scope(mine)
         assert not recovery.node.executor.key_scope(theirs)
 
-    @pytest.mark.skipif(
-        available_cores() < 4, reason="needs >= 4 cores for the process pool"
-    )
-    def test_serial_and_process_backends_agree_across_migrations(self):
-        serial_chain, serial = run_chain(skewshift(), **AGGRESSIVE)
-        process_chain, process = run_chain(
-            skewshift(), backend="process", **AGGRESSIVE
+    @pytest.mark.parametrize("num_shards", [2, 4])
+    @pytest.mark.parametrize("system", ["harmony", "aria", "rbc"])
+    @pytest.mark.parametrize("name", workload_names())
+    def test_trailing_replay_rederives_every_workload(self, name, system, num_shards):
+        """Commit-independence at lag 2, on every shard at once: Harmony
+        prepares block *i* against block *i-1*'s decisions alone, so the
+        replay that applies each block one block late lands on the live
+        run's state; the lag-1 schemes must ignore ``trail`` and match too."""
+        workload = make_workload(
+            name, profile="gate", affinity=ShardAffinity(num_shards, 0.3)
         )
-        try:
-            assert process.extra["migrations"] == serial.extra["migrations"]
-            assert process.extra["migrations"] >= 1
-            assert (
-                process.extra["decision_digest"]
-                == serial.extra["decision_digest"]
-            )
-            assert process.extra["state_hash"] == serial.extra["state_hash"]
-            assert process.extra["cert_head"] == serial.extra["cert_head"]
-        finally:
-            process_chain.close_backend()
+        chain, _metrics = run_chain(workload, num_shards=num_shards, system=system)
+        lag = snapshot_lag(chain.group.nodes[0].executor)
+        assert lag == (2 if system == "harmony" else 1)
+        assert replay_trailing(chain).state_hashes() == chain.group.state_hashes()
 
 
 # ------------------------------------------------ certificate-stream checks
@@ -551,7 +563,7 @@ class TestReplayRejectsADamagedCertificateStream:
         assert router.ownership_epoch == 5
 
     @pytest.mark.parametrize("damage", [shifted, truncated])
-    @pytest.mark.parametrize("entry", ["serial", "pool", "recovery", "catch-up"])
+    @pytest.mark.parametrize("entry", ["replica", "trailing", "recovery", "catch-up"])
     def test_every_entry_point_rejects_it_the_same_way(self, entry, damage):
         if entry == "catch-up":
             # shard 1 cut off from block 3 on, the window still open: the
@@ -570,8 +582,6 @@ class TestReplayRejectsADamagedCertificateStream:
 
         else:
             chain = self.migrated()
-            if entry == "pool":
-                chain.config.backend = "process"
 
             def replay():
                 if entry == "recovery":
@@ -582,10 +592,10 @@ class TestReplayRejectsADamagedCertificateStream:
                         chain.router,
                         chain.cert_log,
                     )
-                elif entry == "pool":
-                    replay_group(chain)
+                elif entry == "trailing":
+                    replay_trailing(chain)
                 else:
-                    replay_group_serial(chain)
+                    replay_group(chain)
 
         cursor = chain.router.cursor_height
         chain.cert_log = damage(chain.cert_log.certificates(), 9)

@@ -50,15 +50,6 @@ def test_drill_matches_record(case):
     assert observe_drill(*DRILLS[case]) == GOLDEN[case]
 
 
-def test_process_backend_shares_the_serial_digest():
-    """The record itself says so: the worker pool moves no deterministic
-    span."""
-    serial = GOLDEN["run/conformance/smallbank/harmony/2shard"]
-    process = GOLDEN["run/process/conformance/smallbank/harmony/2shard"]
-    assert process["backend"] == "process"
-    assert process["det_digest"] == serial["det_digest"]
-
-
 @pytest.mark.parametrize(
     "case", ["drill/smallbank/crash-after-prepare", "drill/tpcc/vote-drop"]
 )
@@ -94,9 +85,7 @@ def test_supervised_walk_is_the_unsupervised_walk():
 
     workload, plan = DRILLS["drill/smallbank/baseline-no-fault"]
     chains = [
-        _build_chain(
-            DRILL["scheme"], DRILL["num_shards"], plan, DRILL["block_size"], "serial"
-        )
+        _build_chain(DRILL["scheme"], DRILL["num_shards"], plan, DRILL["block_size"])
         for _ in range(2)
     ]
     supervised, plain = (attach_tracer(chain, Tracer()) for chain in chains)

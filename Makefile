@@ -3,7 +3,7 @@
 
 PY := PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH)) python
 
-.PHONY: test loc no-twins one-walk one-collector one-process conformance perf-smoke perf compare faults-smoke faults obs-smoke rebalance-smoke e2e-smoke e2e e2e-pairs
+.PHONY: test loc no-twins one-walk one-collector one-process options conformance perf-smoke perf compare faults-smoke faults obs-smoke rebalance-smoke e2e-smoke e2e e2e-pairs
 
 # tier-1 verify: the whole default suite (perf/faults/tpcc markers
 # excluded by pytest.ini)
@@ -23,14 +23,17 @@ loc:
 	@printf '%7d chain/ + shard/\n' "$$(cat src/repro/chain/*.py src/repro/shard/*.py | wc -l)"
 	@printf '%7d core/ + dcc/ + storage/\n' "$$(cat src/repro/core/*.py src/repro/dcc/*.py src/repro/storage/*.py | wc -l)"
 	@printf '%7d src/repro/bench/perf.py\n' "$$(wc -l < src/repro/bench/perf.py)"
+	@printf '%7d tools/option_census.py\n' "$$(wc -l < tools/option_census.py)"
 	@printf '%7d tests total\n' "$$(find tests -name '*.py' | xargs cat | wc -l)"
 	@printf '%7d tests/reference/\n' "$$(cat tests/reference/*.py | wc -l)"
 
 # the twins stay retired: src/repro has no indexed= / incremental= selector,
-# no _naive function, no full-checkpoint path, and imports nothing from tests/
-# (each reference implementation lives once, under tests/reference/)
+# no _naive function, no full-checkpoint path, no footprint-routing switch
+# (broadcast routing is what a workload without a footprint compiler gets),
+# and imports nothing from tests/ (each reference implementation lives once,
+# under tests/reference/)
 no-twins:
-	@! grep -rnE --include='*.py' "\bindexed\s*[:=]|\bincremental\s*(=|:\s*bool)|_naive\b|state_hash_full|checkpoint_incremental|incremental_checkpoints|force_checkpoint|maybe_checkpoint" src/repro
+	@! grep -rnE --include='*.py' "\bindexed\s*[:=]|\bincremental\s*(=|:\s*bool)|_naive\b|state_hash_full|checkpoint_incremental|incremental_checkpoints|force_checkpoint|maybe_checkpoint|use_footprints|scan_footprints" src/repro
 	@! grep -rnE --include='*.py' "^\s*(from|import)\s+(tests|reference)\b" src/repro
 	@echo "no-twins: ok"
 
@@ -61,6 +64,13 @@ one-process:
 	@test ! -e src/repro/parallel
 	@! grep -rnE --include='*.py' "multiprocessing|concurrent\.futures|ProcessPoolExecutor|register_at_fork|repro\.parallel|\bbackend\b|close_backend|DeferredCommit|config\.pipelined|\"pipelined\"|\bpipelined\s*(=\s*True|:\s*bool\s*=\s*False)" src/repro
 	@echo "one-process: ok"
+
+# every option has a user: each field of the run configuration (RunConfig,
+# OEConfig, SOVConfig, ShardConfig, HarmonyConfig) is set by a caller outside
+# tests/, or by a test with a listed reason; prints the table and the option
+# count a PR states before -> after (34 since PR 24)
+options:
+	python3 tools/option_census.py
 
 # full conformance sweep: every scheme x every registered workload,
 # unsharded + sharded, including the tpcc-marked extended matrix (the

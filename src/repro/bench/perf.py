@@ -18,9 +18,9 @@ carries ``checks`` (name -> bool); a run with a false one exits 1.
   path gone linear reads 4, a linear one gone quadratic 16), not by the few
   percent scheduler jitter moves it.
 - **Scenario results** (``basis: "simulated"``): ``shard_scaling``,
-  ``tpcc_sharded``, ``adaptive_skew``, ``scan_footprints`` compare two
-  configurations on the deterministic modeled clock; ``--compare`` diffs
-  exactly these between the two newest same-mode runs.
+  ``tpcc_sharded``, ``adaptive_skew`` compare two configurations on the
+  deterministic modeled clock; ``--compare`` diffs exactly these between
+  the two newest same-mode runs.
 - **One wall gate** on whole runs: ``obs_overhead``.
   None of it is a host-speed claim: those go through ``make e2e-pairs``.
 """
@@ -582,9 +582,6 @@ def bench_adaptive_skew(smoke: bool, seed: int) -> dict:
             num_shards=4,
             router_policy="hash",
             rebalance=rebalance,
-            rebalance_check_interval=2,
-            rebalance_warmup_blocks=2,
-            rebalance_cooldown_blocks=2,
             rebalance_skew_threshold=1.5,
             rebalance_cross_threshold=0.3,
             rebalance_max_keys=128,
@@ -639,104 +636,6 @@ def bench_adaptive_skew(smoke: bool, seed: int) -> dict:
     }
 
 
-def bench_scan_footprints(smoke: bool, seed: int) -> dict:
-    """Range-read footprint routing vs the endpoint/broadcast reference.
-
-    ``adv-scan`` with ``wide_scan_ratio`` emits scans that deliberately
-    cross partition bounds — the shape where endpoint routing under-covers
-    and the pre-footprint router had to broadcast. With
-    ``scan_footprints`` the router compiles each spec's
-    :class:`~repro.workloads.base.ScanFootprint` (point keys + exact
-    index-space ranges) into the true participant set; with it off, the
-    same specs fall back to ``spec_keys`` (``None`` for wide scans —
-    broadcast). Both runs must be decision- and state-identical (a spare
-    participant only ever votes commit on an empty footprint), and the
-    footprint run must shrink the summed participant sets and not lose
-    throughput.
-    """
-    from repro.shard.router import ShardRouter
-    from repro.shard.system import ShardConfig, ShardedBlockchain
-    from repro.sim.rng import SeededRng
-    from repro.workloads import make_workload
-
-    num_blocks, block_size = 10, 40
-    run_seed = seed % 100_000
-
-    def workload():
-        return make_workload(
-            "adv-scan", num_keys=240, wide_scan_ratio=0.5, wide_span=48
-        )
-
-    def run(footprints: bool):
-        config = ShardConfig(
-            system="harmony",
-            block_size=block_size,
-            num_blocks=num_blocks,
-            seed=run_seed,
-            num_shards=4,
-            scan_footprints=footprints,
-        )
-        chain = ShardedBlockchain(config, workload())
-        start = time.perf_counter()
-        metrics = chain.run()
-        wall = time.perf_counter() - start
-        return metrics, wall
-
-    broadcast, broadcast_wall = run(False)
-    footprint, wall = run(True)
-
-    # participant-set accounting on the identical stream, straight off the
-    # router (the decision layer's exact computation, no chain in the way)
-    stream_workload = workload()
-    rng = SeededRng(run_seed)
-    router = ShardRouter.for_workload(stream_workload, 4)
-    specs = [
-        spec
-        for _ in range(num_blocks)
-        for spec in stream_workload.generate_block(block_size, rng)
-    ]
-    footprint_sum = sum(
-        len(router.route_spec(stream_workload, s)[0]) for s in specs
-    )
-    router.use_footprints = False
-    broadcast_sum = sum(
-        len(router.route_spec(stream_workload, s)[0]) for s in specs
-    )
-
-    ratio = footprint.throughput_tps / broadcast.throughput_tps
-    checks = {
-        "ledgers_ok": footprint.extra["ledger_ok"],
-        "certificates_ok": footprint.extra["certificates_ok"],
-        "decisions_identical": footprint.extra["decision_digest"]
-        == broadcast.extra["decision_digest"],
-        "state_identical": footprint.extra["state_hash"]
-        == broadcast.extra["state_hash"],
-        "participants_shrink": footprint_sum < broadcast_sum,
-        "no_throughput_loss": ratio >= 1.0,
-    }
-    return {
-        "case": "scan_footprints",
-        "params": {
-            "shards": 4,
-            "block_size": block_size,
-            "num_blocks": num_blocks,
-            "wide_scan_ratio": 0.5,
-        },
-        "basis": "simulated",
-        "naive_s": round(broadcast.sim_time_us / 1e6, 6),
-        "indexed_s": round(footprint.sim_time_us / 1e6, 6),
-        "naive_wall_s": round(broadcast_wall, 6),
-        "indexed_wall_s": round(wall, 6),
-        "speedup": round(ratio, 2),
-        "participants_footprint": footprint_sum,
-        "participants_broadcast": broadcast_sum,
-        "participant_shrink": round(broadcast_sum / footprint_sum, 2)
-        if footprint_sum
-        else float("inf"),
-        "checks": checks,
-    }
-
-
 # ----------------------------------------------------------------- driver
 def run_perf(smoke: bool = False, out_path: str | None = None) -> dict:
     """Run every case and return the run record. A full run is appended to
@@ -751,7 +650,6 @@ def run_perf(smoke: bool = False, out_path: str | None = None) -> dict:
     cases.extend(bench_tpcc_sharded(smoke, SEED + 17))
     cases.append(bench_obs_overhead(smoke, SEED + 19))
     cases.append(bench_adaptive_skew(smoke, SEED + 20))
-    cases.append(bench_scan_footprints(smoke, SEED + 21))
 
     run = {
         "bench": "perf",

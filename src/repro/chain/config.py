@@ -1,13 +1,13 @@
 """What every Order-Execute run is configured by and reports with.
 
 :class:`OEConfig` describes one run (scheme, block shape, consensus and
-storage models); :func:`build_engine` and
-:func:`build_executor` turn it into a replica's storage engine and DCC
-executor — HarmonyBC, AriaBC, RBC or the serial baseline;
-:func:`decision_digest` fingerprints a run's commit/abort decisions. The
-driver itself is :mod:`repro.shard.system`; this module sits below it so
-that recovery and the fault drills can share the configuration without
-importing the driver.
+storage models; :class:`RunConfig` is the part an SOV run shares);
+:func:`build_engine` and :func:`build_executor` turn it into a replica's
+storage engine and DCC executor — HarmonyBC, AriaBC, RBC or the serial
+baseline; :func:`decision_digest` fingerprints a run's commit/abort
+decisions. The driver itself is :mod:`repro.shard.system`; this module sits
+below it so that recovery and the fault drills can share the configuration
+without importing the driver.
 """
 
 from __future__ import annotations
@@ -27,6 +27,11 @@ from repro.storage.wal import LogMode
 #: bytes shipped per transaction command in an OE block (vs the ~1.5 KB
 #: endorsed read-write sets SOV ships — the Figures 15/16 asymmetry).
 COMMAND_BYTES = 128
+#: bytes of one batched remote-read round of a cross-shard simulation
+#: (request + values)
+CROSS_READ_BYTES = 256
+#: bytes of one prepare vote on the wire
+VOTE_BYTES = 64
 
 
 def decision_digest(per_block_txns) -> str:
@@ -45,40 +50,49 @@ def decision_digest(per_block_txns) -> str:
     return sha256_hex(";".join(parts).encode())
 
 
-@dataclass
-class OEConfig:
-    """Configuration of one Order-Execute system run."""
+def unknown_option(name: str, value, accepted) -> ValueError:
+    """What a misspelt enumerated option raises where it is first read."""
+    return ValueError(f"unknown {name} {value!r}: expected one of {sorted(accepted)}")
 
-    system: str = "harmony"  # harmony | aria | rbc | serial
-    block_size: int = 25
+
+@dataclass
+class RunConfig:
+    """What an Order-Execute and a Simulate-Order-Validate run share."""
+
+    system: str
+    block_size: int
     num_blocks: int = 40
     num_replicas: int = 4
-    cores: int = 8
-    consensus: str = "kafka"  # kafka | hotstuff
     network: NetworkPreset = NetworkPreset.DEFAULT_1G
     profile: StorageProfile = StorageProfile.SSD
     pool_pages: int = 48
     checkpoint_interval: int = 10
     #: delta checkpoints between base compactions of the chain
     checkpoint_base_interval: int = 8
-    harmony: HarmonyConfig = field(default_factory=HarmonyConfig)
-    aria_reordering: bool = True
     seed: int = 7
-    measure_false_aborts: bool = True
-    #: clients resubmit aborted transactions; retries consume block slots,
-    #: so high-abort protocols pay for their aborts in throughput
-    retry_aborted: bool = True
 
 
-def build_engine(config: OEConfig, costs: CostModel) -> StorageEngine:
-    """An empty Order-Execute storage engine as ``config`` describes it
-    (logical logging: the input blocks are the log) — every replica's
-    shard engines are built here, so they cannot drift."""
+@dataclass
+class OEConfig(RunConfig):
+    """Configuration of one Order-Execute system run."""
+
+    system: str = "harmony"  # harmony | aria | rbc | serial
+    block_size: int = 25
+    consensus: str = "kafka"  # kafka | hotstuff
+    harmony: HarmonyConfig = field(default_factory=HarmonyConfig)
+
+
+def build_engine(
+    config: RunConfig, costs: CostModel, log_mode: LogMode = LogMode.LOGICAL
+) -> StorageEngine:
+    """An empty storage engine as ``config`` describes it — every replica's
+    engines are built here, so they cannot drift. Order-Execute logs
+    logically (the input blocks are the log), SOV physically."""
     return StorageEngine(
         costs=costs,
         profile=config.profile,
         pool_pages=config.pool_pages,
-        log_mode=LogMode.LOGICAL,
+        log_mode=log_mode,
         checkpoint_interval=config.checkpoint_interval,
         checkpoint_base_interval=config.checkpoint_base_interval,
     )
@@ -88,9 +102,9 @@ def build_executor(config: OEConfig, engine: StorageEngine, registry):
     if config.system == "harmony":
         return HarmonyExecutor(engine, registry, config.harmony)
     if config.system == "aria":
-        return AriaExecutor(engine, registry, config.aria_reordering)
+        return AriaExecutor(engine, registry)
     if config.system == "rbc":
         return RBCExecutor(engine, registry)
     if config.system == "serial":
         return SerialExecutor(engine, registry)
-    raise ValueError(f"unknown OE system {config.system!r}")
+    raise unknown_option("system", config.system, ("harmony", "aria", "rbc", "serial"))

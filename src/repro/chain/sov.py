@@ -23,20 +23,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.chain.block import Block
+from repro.chain.config import RunConfig, build_engine, unknown_option
 from repro.chain.node import ReplicaNode
 from repro.chain.ordering import OrderingService
 from repro.collector import collector_paused
 from repro.consensus.crypto import Signer
 from repro.consensus.kafka import KafkaOrdering
-from repro.consensus.network import NetworkModel, NetworkPreset
+from repro.consensus.network import NetworkModel
 from repro.dcc.fabric import FabricValidator, endorsed_value_writes
 from repro.dcc.fastfabric import FastFabricOrderer, FastFabricValidator
 from repro.dcc.oracle import SerializabilityOracle
-from repro.sim.costs import CostModel, StorageProfile
+from repro.sim.costs import REPLICA_CORES, CostModel
 from repro.sim.metrics import RunMetrics
 from repro.sim.rng import SeededRng
 from repro.sim.scheduler import BlockTiming, PipelineSimulator
-from repro.storage.engine import StorageEngine
 from repro.storage.wal import LogMode
 from repro.txn.context import SimulationContext
 from repro.txn.transaction import AbortReason, Txn
@@ -46,6 +46,8 @@ from repro.txn.transaction import AbortReason, Txn
 ENDORSED_BASE_BYTES = 1200
 #: per read-/write-set entry: key, version, value, proof
 ENDORSED_RECORD_BYTES = 300
+#: replicas that simulate each transaction before the client reconciles
+ENDORSERS = 2
 
 
 def endorsed_txn_bytes(records_per_txn: float) -> int:
@@ -53,27 +55,13 @@ def endorsed_txn_bytes(records_per_txn: float) -> int:
 
 
 @dataclass
-class SOVConfig:
+class SOVConfig(RunConfig):
     """Configuration of one Simulate-Order-Validate system run."""
 
     system: str = "fabric"  # fabric | fastfabric
     block_size: int = 50
-    num_blocks: int = 40
-    num_replicas: int = 4
-    cores: int = 8
-    endorsers: int = 2
     #: endorsers lag behind the latest block by 0..max_endorser_lag blocks
     max_endorser_lag: int = 2
-    network: NetworkPreset = NetworkPreset.DEFAULT_1G
-    profile: StorageProfile = StorageProfile.SSD
-    pool_pages: int = 48
-    checkpoint_interval: int = 10
-    checkpoint_base_interval: int = 8
-    max_graph_txns: int = 150
-    seed: int = 7
-    measure_false_aborts: bool = True
-    #: clients resubmit aborted transactions (fresh endorsement each time)
-    retry_aborted: bool = True
 
 
 class SOVBlockchain:
@@ -90,30 +78,22 @@ class SOVBlockchain:
         self.registry = self.workload.build_registry()
         self.node = self._build_node("replica-0")
         self.fast_orderer = (
-            FastFabricOrderer(max_graph_txns=config.max_graph_txns)
-            if config.system == "fastfabric"
-            else None
+            FastFabricOrderer() if config.system == "fastfabric" else None
         )
 
     def _build_node(self, name: str) -> ReplicaNode:
-        engine = StorageEngine(
-            costs=self.costs,
-            profile=self.config.profile,
-            pool_pages=self.config.pool_pages,
-            log_mode=LogMode.PHYSICAL,
-            checkpoint_interval=self.config.checkpoint_interval,
-            checkpoint_base_interval=self.config.checkpoint_base_interval,
-        )
+        validators = {"fabric": FabricValidator, "fastfabric": FastFabricValidator}
+        validator = validators.get(self.config.system)
+        if validator is None:
+            raise unknown_option("system", self.config.system, validators)
+        engine = build_engine(self.config, self.costs, log_mode=LogMode.PHYSICAL)
         engine.preload(self.workload.initial_state())
-        if self.config.system == "fastfabric":
-            executor = FastFabricValidator(engine, self.workload.build_registry())
-        else:
-            executor = FabricValidator(engine, self.workload.build_registry())
+        executor = validator(engine, self.workload.build_registry())
         return ReplicaNode(name, executor, self.orderer_signer)
 
     # ------------------------------------------------------------ endorsing
     def _endorse(self, txn: Txn, rng: SeededRng) -> float:
-        """Simulate ``txn`` on ``endorsers`` independently-lagged replicas.
+        """Simulate ``txn`` on ``ENDORSERS`` independently-lagged replicas.
 
         Returns the endorsement CPU cost; marks the transaction aborted
         (ENDORSEMENT_MISMATCH) when the endorsers' read sets diverge and the
@@ -123,7 +103,7 @@ class SOVBlockchain:
         latest = store.last_committed_block
         outcomes = []
         cost = 0.0
-        for _ in range(self.config.endorsers):
+        for _ in range(ENDORSERS):
             lag = rng.randint(0, self.config.max_endorser_lag)
             view_block = max(-1, latest - lag)
             probe = Txn(tid=txn.tid, block_id=txn.block_id, spec=txn.spec)
@@ -192,12 +172,11 @@ class SOVBlockchain:
             execution = self.node.process_block(block)
             execution.pre_exec_serial_us += pre_exec
             execution.pre_exec_serial_us += block.size * self.costs.ingest_us
-            if config.measure_false_aborts:
-                execution.stats.false_aborts = SerializabilityOracle.count_false_aborts(
-                    execution.txns, chain_order=lambda t: t.tid
-                )
-            if config.retry_aborted:
-                retry_queue.extend(t.spec for t in execution.txns if t.aborted)
+            execution.stats.false_aborts = SerializabilityOracle.count_false_aborts(
+                execution.txns, chain_order=lambda t: t.tid
+            )
+            # clients resubmit aborted transactions (fresh endorsement each time)
+            retry_queue.extend(t.spec for t in execution.txns if t.aborted)
             metrics.merge_block(execution.stats)
             executions.append(execution)
 
@@ -229,7 +208,7 @@ class SOVBlockchain:
             )
             arrival += interval
 
-        scheduler = PipelineSimulator(num_cores=config.cores, inter_block=False)
+        scheduler = PipelineSimulator(num_cores=REPLICA_CORES, inter_block=False)
         result = scheduler.simulate(timings)
         metrics.sim_time_us = result.makespan_us
         metrics.cpu_utilization = result.cpu_utilization

@@ -60,15 +60,13 @@ class HotStuffConsensus:
         interval = self.round_interval_us()
         return self.batch_size / (interval / 1e6)
 
-    def block_latency_us(self) -> float:
-        """Three phases, each a leader<->replicas round trip."""
+    def block_latency_us(self, block_bytes: int = 0, num_replicas: int = 0) -> float:
+        """Three phases, each a leader<->replicas round trip. Takes
+        :class:`~repro.consensus.kafka.KafkaOrdering`'s parameters and
+        ignores them: a BFT round depends on neither."""
         round_trip = self.network.rtt_us(self.num_nodes)
         per_phase = round_trip + self.costs.sign_us + self.costs.verify_us
         return 3.0 * per_phase + self.leader_round_cpu_us()
-
-    # -- adapter API shared with KafkaOrdering -------------------------------
-    def block_latency_for_us(self, block_bytes: int, num_replicas: int) -> float:
-        return self.block_latency_us()
 
     def min_block_interval_us(self, block_bytes: int, num_replicas: int) -> float:
         """Interval scaled from consensus batches down to database blocks."""

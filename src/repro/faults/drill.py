@@ -117,15 +117,12 @@ def _build_chain(
         )
     else:
         workload = make_workload(workload_name, profile="gate", affinity=affinity)
-    # migration-family drills arm an aggressive adaptive policy (warmup 2,
-    # check every 2 blocks) so a re-key is actually due at the faulted
+    # migration-family drills arm an aggressive adaptive policy (thresholds
+    # any window meets) so a re-key is actually due at the faulted
     # block; every other plan keeps the historical static routing
     extra = (
         dict(
             rebalance="adaptive",
-            rebalance_check_interval=2,
-            rebalance_warmup_blocks=2,
-            rebalance_cooldown_blocks=2,
             rebalance_skew_threshold=1.0,
             rebalance_cross_threshold=0.0,
             rebalance_max_keys=8,

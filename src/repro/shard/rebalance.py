@@ -230,14 +230,17 @@ class RebalancePolicy:
 
     All tie-breaks are ``(-count, repr(key))`` / smallest-shard-id, so
     every replica proposes the identical record.
+
+    The check window, warmup and cooldown are two blocks each; a run
+    configures the two thresholds and ``max_keys`` (:meth:`from_config`).
     """
 
     def __init__(
         self,
         num_shards: int,
-        check_interval: int = 4,
-        warmup_blocks: int = 4,
-        cooldown_blocks: int = 4,
+        check_interval: int = 2,
+        warmup_blocks: int = 2,
+        cooldown_blocks: int = 2,
         skew_threshold: float = 2.0,
         cross_threshold: float = 0.5,
         max_keys: int = 32,
@@ -263,9 +266,6 @@ class RebalancePolicy:
     def from_config(cls, config) -> "RebalancePolicy":
         return cls(
             config.num_shards,
-            check_interval=config.rebalance_check_interval,
-            warmup_blocks=config.rebalance_warmup_blocks,
-            cooldown_blocks=config.rebalance_cooldown_blocks,
             skew_threshold=config.rebalance_skew_threshold,
             cross_threshold=config.rebalance_cross_threshold,
             max_keys=config.rebalance_max_keys,

@@ -32,10 +32,8 @@ from repro.shard.federated import wire_federation
 from repro.shard.replay import replay_blocks, snapshot_lag
 from repro.shard.router import ShardRouter
 from repro.shard.twopc import CertificateLog
+from repro.sim.costs import REPLICA_CORES
 from repro.sim.scheduler import BlockTiming, replay_lanes
-
-#: cores of the replica the modeled replay lanes (``replay_sim``) run on
-REPLAY_SIM_CORES = 8
 
 
 @dataclass
@@ -80,8 +78,8 @@ def recover_shard_node(
     that block's physical commit runs
     (:func:`~repro.shard.replay.snapshot_lag` is the legality rule), with
     bit-identical state either way. ``replay_sim`` on the result reports
-    the modeled makespan of both disciplines on a
-    ``REPLAY_SIM_CORES``-core replica.
+    the modeled makespan of both disciplines on the replica the chain ran
+    on (:data:`~repro.sim.costs.REPLICA_CORES` cores).
     """
     engine, replay_from, checkpoint = rebuild_engine(crashed.engine)
     executor = crashed.clone_executor(engine)
@@ -154,7 +152,7 @@ def recover_shard_node(
         lag = snapshot_lag(executor)
         serial, overlapped = replay_lanes(
             timings,
-            num_cores=REPLAY_SIM_CORES,
+            num_cores=REPLICA_CORES,
             inter_block=lag >= 2,
             snapshot_lag=max(lag, 1),
         )

@@ -3,14 +3,11 @@
 The router is a pure function shared by every replica of every shard —
 routing decisions must never depend on local state, message timing or dict
 iteration order, or replicas would disagree about which shard owns a write.
-Three static policies:
+Two static policies:
 
 - ``hash``   — SHA-256 of the key's canonical form, mod ``num_shards``.
   Re-keying safe: the mapping depends only on (key, num_shards), never on
   insertion order or router instance history.
-- ``range``  — explicit sorted split boundaries; shard *i* owns keys in
-  ``[bounds[i-1], bounds[i])`` (contiguous key ranges, the classic
-  range-partitioned layout).
 - ``workload`` — the workload exposes each key's position in a contiguous
   index space (:meth:`~repro.workloads.base.Workload.shard_index`); the
   router splits that space with the same formula
@@ -52,29 +49,18 @@ class ShardRouter:
         self,
         num_shards: int,
         policy: str = "hash",
-        boundaries: list | None = None,
         index_fn=None,
         index_space: int | None = None,
         ownership: OwnershipTable | None = None,
     ) -> None:
         if num_shards < 1:
             raise ValueError("need at least one shard")
-        if policy not in ("hash", "range", "workload"):
-            raise ValueError(f"unknown routing policy {policy!r}")
-        if policy == "range":
-            boundaries = list(boundaries or [])
-            if len(boundaries) != num_shards - 1:
-                raise ValueError(
-                    f"range policy needs {num_shards - 1} boundaries, "
-                    f"got {len(boundaries)}"
-                )
-            if boundaries != sorted(boundaries):
-                raise ValueError("range boundaries must be sorted")
+        if policy not in ("hash", "workload"):
+            raise ValueError(f"routing policy {policy!r} is not 'hash' or 'workload'")
         if policy == "workload" and (index_fn is None or not index_space):
             raise ValueError("workload policy needs index_fn and index_space")
         self.num_shards = num_shards
         self.policy = policy
-        self._boundaries = boundaries
         self._index_fn = index_fn
         self._index_space = index_space
         #: workload policy: the shared, cached split points — shard_of sits
@@ -85,9 +71,6 @@ class ShardRouter:
             if policy == "workload"
             else None
         )
-        #: consult workload scan footprints (``spec_footprint``) for exact
-        #: participant sets; ``False`` restores the broadcast reference path
-        self.use_footprints = True
         #: versioned per-key ownership overrides; epoch 0 == static policy
         self.ownership = ownership if ownership is not None else OwnershipTable()
         #: the height cursor single-argument lookups resolve against
@@ -150,8 +133,6 @@ class ShardRouter:
     # ------------------------------------------------------------- routing
     def _static_shard(self, key: object) -> int:
         """Evaluate the static policy for ``key`` (pure, unmemoised)."""
-        if self.policy == "range":
-            return bisect_right(self._boundaries, key)
         if self.policy == "workload":
             position = self._index_fn(key)
             if position is not None:
@@ -215,16 +196,14 @@ class ShardRouter:
         3. Neither (``None``/empty): broadcast to every shard —
            conservative, always correct.
         """
-        fp_fn = getattr(workload, "spec_footprint", None) if self.use_footprints else None
-        if fp_fn is not None:
-            footprint = fp_fn(spec)
-            if footprint is not None:
-                pairs = [(key, self.shard_of(key)) for key in footprint.points]
-                shards = {shard for _key, shard in pairs}
-                shards.update(self._range_shards(footprint))
-                if shards:
-                    return frozenset(shards), pairs
-                return frozenset(range(self.num_shards)), pairs
+        footprint = workload.spec_footprint(spec)
+        if footprint is not None:
+            pairs = [(key, self.shard_of(key)) for key in footprint.points]
+            shards = {shard for _key, shard in pairs}
+            shards.update(self._range_shards(footprint))
+            if shards:
+                return frozenset(shards), pairs
+            return frozenset(range(self.num_shards)), pairs
         keys = workload.spec_keys(spec)
         if not keys:
             return frozenset(range(self.num_shards)), []
@@ -245,7 +224,7 @@ class ShardRouter:
                 last = bisect_right(self._index_bounds, hi - 1)
                 shards.update(range(first, last + 1))
         else:
-            # Hash/range policies cannot bound a scan in index space.
+            # The hash policy cannot bound a scan in index space.
             return set(range(self.num_shards))
         # Overridden keys inside a scanned range may live anywhere: stab
         # each override's index position against the compiled ranges.

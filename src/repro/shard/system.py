@@ -41,10 +41,13 @@ from dataclasses import dataclass, field
 
 from repro.chain.config import (
     COMMAND_BYTES,
+    CROSS_READ_BYTES,
+    VOTE_BYTES,
     OEConfig,
     build_engine,
     build_executor,
     decision_digest,
+    unknown_option,
 )
 from repro.chain.node import ReplicaNode
 from repro.chain.ordering import OrderingService, ShardSequencer
@@ -63,7 +66,7 @@ from repro.shard.rebalance import (
 from repro.shard.replay import replay_blocks
 from repro.shard.router import ShardRouter
 from repro.shard.twopc import CertificateLog, derive_votes
-from repro.sim.costs import CostModel
+from repro.sim.costs import REPLICA_CORES, CostModel
 from repro.sim.metrics import BlockStats, RunMetrics
 from repro.sim.rng import SeededRng
 from repro.sim.scheduler import BlockTiming, PipelineSimulator, merge_shard_results
@@ -72,61 +75,33 @@ from repro.storage.mvstore import combine_state_hashes
 
 @dataclass
 class ShardConfig(OEConfig):
-    """An :class:`~repro.chain.config.OEConfig` plus the sharding knobs."""
+    """An :class:`~repro.chain.config.OEConfig` plus what a sharded run
+    chooses: shard count, static routing policy, re-keying thresholds."""
 
     num_shards: int = 1
-    #: ``workload`` aligns with the workload's partition layout (falls back
-    #: to ``hash`` when the workload has no index hints); ``hash`` and
-    #: ``range`` are the generic policies.
+    #: ``workload`` aligns with the workload's partition layout (``hash`` when
+    #: it has no index hints); ``hash`` is the generic policy
     router_policy: str = "workload"
-    #: explicit split points for ``router_policy="range"``
-    range_boundaries: tuple = ()
-    #: core budget of each shard's replica (scale-out: every shard is its
-    #: own machine group); ``None`` = same budget as the unsharded replica
-    cores_per_shard: int | None = None
-    #: bytes of one batched remote-read round (request + values)
-    cross_read_bytes: int = 256
-    #: bytes of one prepare vote on the wire
-    vote_bytes: int = 64
     #: retain per-block executions + merged transactions (tests/oracles)
     keep_history: bool = False
     #: live re-keying: ``"off"`` pins the epoch-0 static routing; ``"adaptive"``
     #: arms a :class:`~repro.shard.rebalance.RebalancePolicy` that watches
     #: decision-layer telemetry and re-keys hot keys mid-run
     rebalance: str = "off"
-    #: blocks between rebalance decision points (telemetry window length)
-    rebalance_check_interval: int = 4
-    #: blocks before the first decision point may fire
-    rebalance_warmup_blocks: int = 4
-    #: blocks a committed migration suppresses the next one
-    rebalance_cooldown_blocks: int = 4
     #: window load skew (max/mean) at which the offload trigger fires
     rebalance_skew_threshold: float = 2.0
     #: cross-shard txn ratio at which the co-location trigger fires
     rebalance_cross_threshold: float = 0.5
     #: most keys one migration record may move
     rebalance_max_keys: int = 32
-    #: compile workload scan footprints into exact participant sets
-    #: (``False`` restores broadcast routing for scans — the differential
-    #: reference the footprint bench compares against)
-    scan_footprints: bool = True
 
 
 def build_router(config: ShardConfig, workload) -> ShardRouter:
     """The deterministic router for ``config``: every replica rebuilds
     the identical routing from (config, workload) alone."""
     if config.router_policy == "workload":
-        router = ShardRouter.for_workload(workload, config.num_shards)
-    elif config.router_policy == "range":
-        router = ShardRouter(
-            config.num_shards,
-            policy="range",
-            boundaries=list(config.range_boundaries),
-        )
-    else:
-        router = ShardRouter(config.num_shards, policy="hash")
-    router.use_footprints = config.scan_footprints
-    return router
+        return ShardRouter.for_workload(workload, config.num_shards)
+    return ShardRouter(config.num_shards, policy=config.router_policy)
 
 
 @dataclass
@@ -267,9 +242,13 @@ class ShardedBlockchain:
             self.consensus = HotStuffConsensus(
                 self.network, self.costs, num_nodes=max(4, config.num_replicas)
             )
-        else:
+        elif config.consensus == "kafka":
             self.consensus = KafkaOrdering(self.network, self.costs)
+        else:
+            raise unknown_option("consensus", config.consensus, ("kafka", "hotstuff"))
         self.cert_log = CertificateLog()
+        if config.rebalance not in ("off", "adaptive"):
+            raise unknown_option("rebalance", config.rebalance, ("off", "adaptive"))
         #: adaptive re-keying policy (``config.rebalance="adaptive"``);
         #: ``None`` pins the static epoch-0 routing for the whole run
         self.rebalance_policy = (
@@ -301,13 +280,10 @@ class ShardedBlockchain:
     def _inter_block_enabled(self) -> bool:
         return self.config.system == "harmony" and self.config.harmony.inter_block
 
-    def _cores_per_shard(self) -> int:
-        return self.config.cores_per_shard or self.config.cores
-
     def _remote_read_round_us(self) -> float:
         """One batched remote-read exchange of a cross-shard simulation."""
         return self.network.rtt_us(self.config.num_shards) + self.network.transfer_us(
-            self.config.cross_read_bytes
+            CROSS_READ_BYTES
         )
 
     def _vote_exchange_us(self, num_cross_local: int) -> float:
@@ -315,7 +291,7 @@ class ShardedBlockchain:
         return 2.0 * self.network.worst_one_way_us(
             self.config.num_shards
         ) + self.network.broadcast_us(
-            self.config.vote_bytes * num_cross_local, self.config.num_shards - 1
+            VOTE_BYTES * num_cross_local, self.config.num_shards - 1
         )
 
     # ---------------------------------------------------------- rebalancing
@@ -595,8 +571,9 @@ class ShardedBlockchain:
                 )
             outcome = self.process_global_block(block)
             self._absorb_block(state, i, outcome)
-            if config.retry_aborted:
-                retry_queue.extend(t.spec for t in outcome.merged_txns if t.aborted)
+            # clients resubmit aborted transactions: their aborts cost a
+            # high-abort protocol the next blocks' slots
+            retry_queue.extend(t.spec for t in outcome.merged_txns if t.aborted)
         return self._finish_run(state)
 
     # ------------------------------------------------- run bookkeeping
@@ -639,10 +616,9 @@ class ShardedBlockchain:
         graph = executions[0].committed_graph if self.config.num_shards == 1 else None
         for execution in executions.values():
             execution.committed_graph = None
-        if self.config.measure_false_aborts:
-            stats.false_aborts = SerializabilityOracle.count_false_aborts(
-                merged_txns, graph=graph
-            )
+        stats.false_aborts = SerializabilityOracle.count_false_aborts(
+            merged_txns, graph=graph
+        )
         # validator events are per-shard observations (a cross-shard
         # transaction is validated at every participant)
         stats.dangerous_structure_hits = sum(
@@ -735,7 +711,7 @@ class ShardedBlockchain:
         lag = self.config.harmony.snapshot_lag if self._inter_block_enabled() else 2
         results = [
             PipelineSimulator(
-                num_cores=self._cores_per_shard(),
+                num_cores=REPLICA_CORES,
                 inter_block=self._inter_block_enabled(),
                 snapshot_lag=lag,
             ).simulate(timings)
@@ -750,7 +726,9 @@ class ShardedBlockchain:
         # execution from the moment the replica could start the block, and
         # the reply hop
         commit_finish_us = merged_result.commit_finish_us
-        consensus_latency_us = self._consensus_latency_us()
+        consensus_latency_us = self.consensus.block_latency_us(
+            self._block_bytes(), self.config.num_replicas
+        )
         reply_us = self.network.worst_one_way_us(self.config.num_replicas)
         for i, committed in enumerate(state.per_block_committed):
             started = i * state.interval
@@ -808,13 +786,6 @@ class ShardedBlockchain:
                     result.busy_core_us
                 )
         return metrics
-
-    def _consensus_latency_us(self) -> float:
-        if isinstance(self.consensus, HotStuffConsensus):
-            return self.consensus.block_latency_us()
-        return self.consensus.block_latency_us(
-            self._block_bytes(), self.config.num_replicas
-        )
 
     # -------------------------------------------------------------- checks
     @collector_paused()

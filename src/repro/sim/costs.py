@@ -98,3 +98,7 @@ class CostModel:
 #: Default model used throughout the benchmarks (the paper's default cluster:
 #: SSD storage, 1 Gbps Ethernet).
 DEFAULT_COSTS = CostModel()
+
+#: cores of one replica machine: the width of every modeled pipeline lane —
+#: a live shard's, the SOV replica's, a recovering replica's replay
+REPLICA_CORES = 8

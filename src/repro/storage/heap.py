@@ -7,10 +7,9 @@ MVStore's version chains are an in-page detail the simulation does not
 separate.
 
 A key-only cost model: no record bytes, read only by the modeled clock
-(``sim`` timings, ``io_*``, ``buffer_hit_rate``). Within ``src/`` it is
-append-only — brought up by :meth:`HeapFile.load`, grown by
-:meth:`HeapFile.insert`; ``delete`` / ``page_of`` have no production caller
-(ROADMAP 7(c) decides whether they stay).
+(``sim`` timings, ``io_*``, ``buffer_hit_rate``). It is append-only —
+brought up by :meth:`HeapFile.load`, grown by :meth:`HeapFile.insert` — so
+it only fills: a RID, once given, is never freed.
 """
 
 from __future__ import annotations
@@ -74,7 +73,7 @@ class HeapFile:
                 if key in seen:
                     raise KeyError(f"duplicate key {key!r}")
                 seen.add(key)
-        # top up the open page slot by slot (it may have freed slots)
+        # top up the open page slot by slot
         start = per_page - len(pages[-1].slots) if pages else 0
         for key in keys[:start]:
             self.insert(key)
@@ -120,17 +119,6 @@ class HeapFile:
             else:
                 costs.append(probe_us + pool_access(rid[0], dirty=True))
         return costs
-
-    def delete(self, key: object) -> float:
-        """Free the RID of ``key``; returns the cost in us."""
-        rid = self._directory.pop(key, None)
-        cost = self._costs.index_lookup_us
-        if rid is None:
-            return cost
-        page_id, slot = rid
-        self._pages[page_id].free_slot(slot)
-        cost += self._pool.access(page_id, dirty=True)
-        return cost
 
     def page_of(self, key: object) -> int | None:
         rid = self._directory.get(key)

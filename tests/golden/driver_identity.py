@@ -97,9 +97,6 @@ def cases() -> dict:
                     num_blocks=8,
                     seed=11,
                     rebalance="adaptive",
-                    rebalance_check_interval=2,
-                    rebalance_warmup_blocks=2,
-                    rebalance_cooldown_blocks=2,
                     rebalance_skew_threshold=1.0,
                     rebalance_cross_threshold=0.0,
                     rebalance_max_keys=8,

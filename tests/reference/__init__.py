@@ -30,7 +30,6 @@ from tests.reference.decision import (
     rw_edges,
 )
 from tests.reference.storage import (
-    allocate_slot,
     blocks_after,
     federated_scan,
     full_checkpoint,
@@ -45,7 +44,6 @@ from tests.reference.storage import (
 )
 
 __all__ = [
-    "allocate_slot",
     "aria_decisions",
     "block_dependency_graph",
     "blocks_after",

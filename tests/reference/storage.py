@@ -107,29 +107,19 @@ def writes_in_block(store: MVStore, block_id: int) -> list[tuple[object, object]
 
 
 # ------------------------------------------------- storage/pages + heap
-def allocate_slot(page: Page, key: object) -> int:
-    """Place ``key`` in the first free slot of ``page``, found by scanning
-    up from slot 0 (the page's own cursor is neither read nor kept)."""
-    if len(page.slots) >= page.capacity:
-        raise ValueError(f"page {page.page_id} is full")
-    for slot in range(page.capacity):
-        if slot not in page.slots:
-            page.slots[slot] = key
-            return slot
-    raise AssertionError("a page that is not full has a free slot")
-
-
 def heap_load(heap: HeapFile, keys) -> None:
     """Bring-up, one insert per key: a fresh page when the last one is
-    full, the scanned first free slot, one dirty pool access — and a
-    ``KeyError`` at the first key already placed, the keys before it kept."""
+    full, the next slot of it, one dirty pool access — and a ``KeyError``
+    at the first key already placed, the keys before it kept."""
     for key in keys:
         if key in heap._directory:
             raise KeyError(f"duplicate key {key!r}")
         if not heap._pages or heap._pages[-1].is_full:
             heap._pages.append(Page(len(heap._pages), heap._records_per_page))
         page = heap._pages[-1]
-        heap._directory[key] = (page.page_id, allocate_slot(page, key))
+        slot = len(page.slots)
+        page.slots[slot] = key
+        heap._directory[key] = (page.page_id, slot)
         heap._pool.access(page.page_id, dirty=True)
 
 

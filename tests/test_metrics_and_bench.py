@@ -450,7 +450,7 @@ class TestScalingGuards:
         monkeypatch.setattr(perf, "SCALING_GUARDS", ())
         for name in ("bench_shard_scaling", "bench_tpcc_sharded"):
             monkeypatch.setattr(perf, name, lambda *_: [])
-        for name in ("obs_overhead", "adaptive_skew", "scan_footprints"):
+        for name in ("obs_overhead", "adaptive_skew"):
             stub = {"case": name, "params": {}, "checks": {"ok": True}}
             monkeypatch.setattr(perf, f"bench_{name}", lambda *_, stub=stub: stub)
 

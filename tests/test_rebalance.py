@@ -59,9 +59,6 @@ from repro.workloads.base import ShardAffinity
 #: fires early and often — migrations within a handful of blocks
 AGGRESSIVE = dict(
     rebalance="adaptive",
-    rebalance_check_interval=2,
-    rebalance_warmup_blocks=2,
-    rebalance_cooldown_blocks=2,
     rebalance_skew_threshold=1.0,
     rebalance_cross_threshold=0.0,
     rebalance_max_keys=8,
@@ -70,9 +67,6 @@ AGGRESSIVE = dict(
 #: armed but unreachable thresholds — the policy must never fire
 NEVER_FIRING = dict(
     rebalance="adaptive",
-    rebalance_check_interval=2,
-    rebalance_warmup_blocks=2,
-    rebalance_cooldown_blocks=2,
     rebalance_skew_threshold=1e9,
     rebalance_cross_threshold=1.1,
     rebalance_max_keys=8,

@@ -30,6 +30,7 @@ from repro.shard.router import ShardRouter
 from repro.shard.system import ShardConfig, ShardedBlockchain
 from repro.shard.twopc import CertificateLog, ShardVote, decide, make_certificate
 from repro.txn.transaction import AbortReason, TxnSpec
+from repro.workloads import make_workload
 from repro.workloads.base import ShardAffinity, Workload, partition_of_index
 from repro.workloads.hotspot import HotspotWorkload
 from repro.workloads.smallbank import SmallbankWorkload
@@ -72,22 +73,6 @@ class TestShardRouter:
         mapping_b = {key: router_b.shard_of(key) for key in shuffled}
         assert mapping_a == mapping_b
         assert set(mapping_a.values()) == set(range(4))  # all shards populated
-
-    def test_range_policy_owns_contiguous_ranges(self):
-        router = ShardRouter(
-            3, policy="range", boundaries=[("usertable", 50), ("usertable", 120)]
-        )
-        assert router.shard_of(("usertable", 0)) == 0
-        assert router.shard_of(("usertable", 49)) == 0
-        assert router.shard_of(("usertable", 50)) == 1
-        assert router.shard_of(("usertable", 119)) == 1
-        assert router.shard_of(("usertable", 500)) == 2
-
-    def test_range_policy_validates_boundaries(self):
-        with pytest.raises(ValueError):
-            ShardRouter(3, policy="range", boundaries=[1])
-        with pytest.raises(ValueError):
-            ShardRouter(2, policy="range", boundaries=[("b"), ("a")])
 
     def test_workload_policy_matches_affinity_partitions(self):
         """A partition-local generated key must route to that partition."""
@@ -553,3 +538,45 @@ class TestCrossShardCommit:
 
         one, four = run(1), run(4)
         assert four.throughput_tps >= 2.0 * one.throughput_tps
+
+
+# ------------------------------------------------------- footprint routing
+class TestScanFootprints:
+    """Compiled scan footprints against broadcast routing of the same
+    stream. The broadcast side is ``adv-scan`` compiling no footprint —
+    the path ``route_spec`` takes for any workload without one: ``spec_keys``
+    is ``None`` for a wide scan, so it goes to every shard. A spare
+    participant prepares an empty footprint and votes commit, so decisions
+    and state must not move; only the participant sets and the 2PC cost do."""
+
+    @staticmethod
+    def run(system, compile_footprints):
+        workload = make_workload(
+            "adv-scan", num_keys=240, wide_scan_ratio=0.5, wide_span=48
+        )
+        if not compile_footprints:
+            workload.spec_footprint = lambda spec: None
+        config = shard_config(
+            system,
+            num_shards=4,
+            block_size=40,
+            num_blocks=10,
+            seed=30625,
+            keep_history=True,
+        )
+        chain = ShardedBlockchain(config, workload)
+        metrics = chain.run()
+        participants = sum(
+            len(shards) for record in chain.history for shards in record.participants
+        )
+        return metrics, participants
+
+    @pytest.mark.parametrize("system", ("harmony", "aria"))
+    def test_footprints_shrink_participants_at_equal_decisions(self, system):
+        broadcast, broadcast_participants = self.run(system, False)
+        footprint, footprint_participants = self.run(system, True)
+        for key in ("decision_digest", "state_hash"):
+            assert footprint.extra[key] == broadcast.extra[key], key
+        assert footprint.extra["ledger_ok"] and footprint.extra["certificates_ok"]
+        assert footprint_participants < broadcast_participants
+        assert footprint.throughput_tps >= broadcast.throughput_tps

@@ -44,35 +44,6 @@ class TestPage:
         with pytest.raises(ValueError):
             page.allocate_slot("b")
 
-    def test_free_slot_reusable(self):
-        page = Page(page_id=0, capacity=1)
-        slot = page.allocate_slot("a")
-        page.free_slot(slot)
-        assert page.allocate_slot("b") == slot
-
-    @given(
-        st.sampled_from([1, 2, 4, 64]),
-        st.lists(st.one_of(st.none(), st.integers(-1, 70)), max_size=150),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_cursor_allocates_what_the_scan_does(self, capacity, ops):
-        """``None`` allocates, a number frees that slot (occupied, free or
-        off the page): the cursor returns the slot the reference's scan from
-        slot 0 finds, and a full page refuses on both sides."""
-        page, scanned = Page(0, capacity), Page(0, capacity)
-        for step, op in enumerate(ops):
-            if op is not None:
-                page.free_slot(op)
-                scanned.slots.pop(op, None)
-            elif len(scanned.slots) < capacity:
-                assert page.allocate_slot(step) == reference.allocate_slot(scanned, step)
-            else:
-                with pytest.raises(ValueError):
-                    page.allocate_slot(step)
-                with pytest.raises(ValueError):
-                    reference.allocate_slot(scanned, step)
-            assert page.slots == scanned.slots
-
 
 class TestBufferPool:
     def test_miss_then_hit(self):
@@ -150,14 +121,6 @@ class TestHeapFile:
             heap.access(("k", i))
         assert disk.stats.page_reads == 0  # one page, already resident
 
-    def test_delete_frees_directory(self):
-        pool, _ = make_pool()
-        heap = HeapFile(pool, COSTS)
-        heap.insert("a")
-        heap.delete("a")
-        assert "a" not in heap
-        assert heap.page_of("a") is None
-
     def test_unknown_key_costs_probe_only(self):
         pool, _ = make_pool()
         heap = HeapFile(pool, COSTS)
@@ -208,9 +171,6 @@ def run_against_reference(ops, records_per_page=4, capacity=4):
             else:
                 ref = placed
                 place(keys)
-        elif op == "delete":
-            heap.delete(arg)
-            ref.delete(arg)
         else:
             heap.access(arg)
             ref.access(arg)
@@ -223,7 +183,7 @@ _heap_ops = st.lists(
     st.one_of(
         st.tuples(st.just("load"), st.lists(_heap_keys, max_size=24, unique=True)),
         st.tuples(st.just("load"), st.lists(_heap_keys, max_size=6)),
-        st.tuples(st.sampled_from(["insert", "delete", "access"]), _heap_keys),
+        st.tuples(st.sampled_from(["insert", "access"]), _heap_keys),
     ),
     max_size=12,
 )
@@ -246,19 +206,6 @@ class TestHeapLoad:
         )
         assert heap.num_pages == 3 and all(page.is_full for page in heap._pages)
         assert heap._directory["d"] == (0, 3) and heap._directory[7] == (2, 3)
-
-    def test_top_up_takes_the_freed_slot_first(self):
-        heap = run_against_reference(
-            [("load", ["a", "b", "c"]), ("delete", "b"), ("load", ["e", "f", "g"])]
-        )
-        assert heap._directory == {
-            "a": (0, 0), "c": (0, 2), "e": (0, 1), "f": (0, 3), "g": (1, 0),
-        }  # fmt: skip
-        # a freed slot behind the last page stays free, as with ``insert``
-        heap = run_against_reference(
-            [("load", list("abcde")), ("delete", "a"), ("load", list("xyzw"))]
-        )
-        assert heap._directory["w"] == (2, 0) and 0 not in heap._pages[0].slots
 
     @pytest.mark.parametrize(
         "batch, refused",

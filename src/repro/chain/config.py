@@ -5,9 +5,10 @@ storage models; :class:`RunConfig` is the part an SOV run shares);
 :func:`build_engine` and :func:`build_executor` turn it into a replica's
 storage engine and DCC executor — HarmonyBC, AriaBC, RBC or the serial
 baseline; :func:`decision_digest` fingerprints a run's commit/abort
-decisions. The driver itself is :mod:`repro.shard.system`; this module sits
-below it so that recovery and the fault drills can share the configuration
-without importing the driver.
+decisions (block by block through :func:`decision_part`). The driver
+itself is :mod:`repro.shard.system`; this module sits below it so that
+recovery and the fault drills can share the configuration without
+importing the driver.
 """
 
 from __future__ import annotations
@@ -34,6 +35,15 @@ CROSS_READ_BYTES = 256
 VOTE_BYTES = 64
 
 
+def decision_part(block_id: int, txns) -> str:
+    """One block's share of :func:`decision_digest`: its committed and
+    aborted TIDs — a run folds each block to this as it commits, so the
+    block's transactions need not outlive it."""
+    committed = ",".join(str(t.tid) for t in txns if t.committed)
+    aborted = ",".join(str(t.tid) for t in txns if t.aborted)
+    return f"{block_id}:{committed}|{aborted}"
+
+
 def decision_digest(per_block_txns) -> str:
     """A digest of every block's commit/abort decisions.
 
@@ -42,11 +52,11 @@ def decision_digest(per_block_txns) -> str:
     never timings), so two runs are decision-identical iff their digests
     match.
     """
-    parts = []
-    for block_id, txns in per_block_txns:
-        committed = ",".join(str(t.tid) for t in txns if t.committed)
-        aborted = ",".join(str(t.tid) for t in txns if t.aborted)
-        parts.append(f"{block_id}:{committed}|{aborted}")
+    return digest_parts(decision_part(block_id, txns) for block_id, txns in per_block_txns)
+
+
+def digest_parts(parts) -> str:
+    """:func:`decision_digest` of blocks already folded by :func:`decision_part`."""
     return sha256_hex(";".join(parts).encode())
 
 

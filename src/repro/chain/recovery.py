@@ -50,8 +50,7 @@ def rebuild_engine(
         engine.preload(old_engine.genesis_state)
         return engine, replay_from, checkpoint
 
-    engine.genesis_state = dict(old_engine.genesis_state)
-    engine.checkpoints.genesis = dict(old_engine.genesis_state)
+    engine.genesis_state = engine.checkpoints.genesis = dict(old_engine.genesis_state)
     replay_from = checkpoint.block_id
     engine.store.load(checkpoint.prev_state, block_id=-1)
     # fast-forward version history so the replayed blocks see both

@@ -46,7 +46,8 @@ from repro.chain.config import (
     OEConfig,
     build_engine,
     build_executor,
-    decision_digest,
+    decision_part,
+    digest_parts,
     unknown_option,
 )
 from repro.chain.node import ReplicaNode
@@ -148,7 +149,9 @@ class _RunState:
     interval: float
     remote_round_us: float
     shard_timings: list
-    merged_blocks: list = field(default_factory=list)
+    #: one :func:`~repro.chain.config.decision_part` per block: all the
+    #: decision digest needs, so a block's transactions die with its outcome
+    decision_parts: list = field(default_factory=list)
     per_block_committed: list = field(default_factory=list)
     cross_txns_total: int = 0
     cross_aborted_total: int = 0
@@ -602,7 +605,7 @@ class ShardedBlockchain:
         state.cross_aborted_total += len(outcome.certificate.abort_tids)
 
         outcome.merged_txns = merged_txns = self.merged_view(outcome)
-        state.merged_blocks.append((block.block_id, merged_txns))
+        state.decision_parts.append(decision_part(block.block_id, merged_txns))
 
         stats = BlockStats(block_id=block.block_id)
         for txn in merged_txns:
@@ -749,7 +752,7 @@ class ShardedBlockchain:
         metrics.extra["state_hash"] = combine_state_hashes(shard_hashes)
         metrics.extra["shard_state_hashes"] = shard_hashes
         metrics.extra["ledger_ok"] = self.group.ledgers_ok()
-        metrics.extra["decision_digest"] = decision_digest(state.merged_blocks)
+        metrics.extra["decision_digest"] = digest_parts(state.decision_parts)
         metrics.extra["num_shards"] = self.config.num_shards
         metrics.extra["cross_shard_txns"] = state.cross_txns_total
         metrics.extra["cross_shard_aborted"] = state.cross_aborted_total
@@ -764,7 +767,7 @@ class ShardedBlockchain:
             tracer.event(
                 "run_end",
                 attrs={
-                    "blocks": len(state.merged_blocks),
+                    "blocks": len(state.decision_parts),
                     "committed": metrics.committed,
                     "aborted": metrics.aborted,
                     "decision_digest": metrics.extra["decision_digest"][:16],

@@ -70,11 +70,10 @@ class StorageEngine:
         # the heap goes first: it refuses a key it already holds before it
         # places any, so a rejected preload leaves the engine as it was
         self.heap.load(items)
-        self.genesis_state = dict(items)
-        # the implicit base the delta-checkpoint chain folds from (shares
-        # values with genesis_state, which recovery already trusts to be
-        # immutable-in-place)
-        self.checkpoints.genesis = dict(items)
+        # one copy under two names: the genesis recovery replays from and
+        # the implicit base the delta-checkpoint chain folds from. Both are
+        # only ever copied from, never written in place
+        self.genesis_state = self.checkpoints.genesis = dict(items)
         self.store.load(items)
         self.reset_stats()
 

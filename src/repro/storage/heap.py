@@ -1,15 +1,16 @@
 """Heap file: maps logical keys to pages and meters access costs.
 
-Each key lives at a (page, slot) RID. Accessing a key costs an index
-probe plus a buffer-pool access (which may become a disk read and an
-eviction write-back). The heap is shared by all versions of a key — the
-MVStore's version chains are an in-page detail the simulation does not
-separate.
+The directory maps each key to the id of the page it lives on (the slot
+within the page is never read, so it is not kept). Accessing a key costs
+an index probe plus a buffer-pool access (which may become a disk read
+and an eviction write-back). The heap is shared by all versions of a key
+— the MVStore's version chains are an in-page detail the simulation does
+not separate.
 
 A key-only cost model: no record bytes, read only by the modeled clock
 (``sim`` timings, ``io_*``, ``buffer_hit_rate``). It is append-only —
 brought up by :meth:`HeapFile.load`, grown by :meth:`HeapFile.insert` — so
-it only fills: a RID, once given, is never freed.
+it only fills: a key's page, once given, is never freed.
 """
 
 from __future__ import annotations
@@ -34,7 +35,8 @@ class HeapFile:
         self._costs = costs
         self._records_per_page = records_per_page
         self._pages: list[Page] = []
-        self._directory: dict[object, tuple[int, int]] = {}
+        #: key -> id of the page holding it
+        self._directory: dict[object, int] = {}
 
     def __contains__(self, key: object) -> bool:
         return key in self._directory
@@ -47,14 +49,14 @@ class HeapFile:
         return len(self._pages)
 
     def insert(self, key: object) -> float:
-        """Allocate a RID for ``key``; returns the simulated cost in us."""
+        """Place ``key`` on the open page; returns the simulated cost in us."""
         if key in self._directory:
             raise KeyError(f"duplicate key {key!r}")
         if not self._pages or self._pages[-1].is_full:
             self._pages.append(Page(page_id=len(self._pages), capacity=self._records_per_page))
         page = self._pages[-1]
-        slot = page.allocate_slot(key)
-        self._directory[key] = (page.page_id, slot)
+        page.allocate_slot()
+        self._directory[key] = page.page_id
         cost = self._costs.index_lookup_us
         cost += self._pool.access(page.page_id, dirty=True)
         return cost
@@ -74,14 +76,14 @@ class HeapFile:
                     raise KeyError(f"duplicate key {key!r}")
                 seen.add(key)
         # top up the open page slot by slot
-        start = per_page - len(pages[-1].slots) if pages else 0
+        start = per_page - pages[-1].filled if pages else 0
         for key in keys[:start]:
             self.insert(key)
         for lo in range(start, len(keys), per_page):
             chunk = keys[lo : lo + per_page]
             page_id = len(pages)
-            pages.append(Page(page_id, per_page, dict(enumerate(chunk))))
-            directory.update(zip(chunk, zip(repeat(page_id), range(per_page))))
+            pages.append(Page(page_id, per_page, len(chunk)))
+            directory.update(zip(chunk, repeat(page_id)))
             # one miss brings the fresh page in, dirty and most recent; the
             # rest of the chunk would have hit it where it stands
             self._pool.access(page_id, dirty=True)
@@ -94,17 +96,16 @@ class HeapFile:
         callers decide whether that is an error.
         """
         cost = self._costs.index_lookup_us
-        rid = self._directory.get(key)
-        if rid is None:
+        page_id = self._directory.get(key)
+        if page_id is None:
             return cost
-        page_id, _slot = rid
         cost += self._costs.latch_us
         cost += self._pool.access(page_id, dirty=write)
         return cost
 
     def charge_writes(self, keys) -> list[float]:
         """One write access per entry of ``keys``, in list order, as one
-        loop: a key without a RID is inserted (allocating in list order),
+        loop: a key not yet placed is inserted (allocating in list order),
         every other entry costs exactly what ``access(key, write=True)``
         does — same pool accesses, same float additions. Repeats are
         charged again."""
@@ -113,13 +114,12 @@ class HeapFile:
         probe_us = self._costs.index_lookup_us + self._costs.latch_us
         costs = []
         for key in keys:
-            rid = directory.get(key)
-            if rid is None:
+            page_id = directory.get(key)
+            if page_id is None:
                 costs.append(self.insert(key))
             else:
-                costs.append(probe_us + pool_access(rid[0], dirty=True))
+                costs.append(probe_us + pool_access(page_id, dirty=True))
         return costs
 
     def page_of(self, key: object) -> int | None:
-        rid = self._directory.get(key)
-        return rid[0] if rid else None
+        return self._directory.get(key)

@@ -14,7 +14,9 @@ Hot-path notes:
 
 - :meth:`MVStore.load` builds the sorted key directory with one sort
   (O(n log n)) instead of a per-key ``insort`` (O(n²) on large workload
-  populates); :meth:`MVStore.apply_block` batches new keys the same way.
+  populates); a later load or :meth:`MVStore.apply_block` sorts only its
+  batch of new keys and merges it in, bisecting from each key's
+  predecessor (an append when the batch sorts after the directory).
 - :meth:`SnapshotView.scan` bisects the key directory once per boundary
   and walks the slice with a chain-tail fast path, falling back to the
   per-chain binary search only when the newest version is not yet visible
@@ -28,7 +30,8 @@ Hot-path notes:
   entry contributes a 256-bit SHA digest combined into a running
   accumulator by addition mod 2²⁵⁶ (Bellare–Micciancio's AdHash — order
   independent without XOR's linear malleability), and only keys written
-  since the last call are re-hashed.
+  since the last call are re-hashed. The first call walks the version
+  map itself, so nothing before it records stale keys.
 
 Each of these is the only implementation. The per-key probes, every-chain
 walks, per-key ``insort`` load and from-scratch hash they replaced are
@@ -230,6 +233,9 @@ class MVStore:
         self._key_digest: dict[object, int] = {}
         #: keys written since the accumulator was last brought up to date
         self._stale_keys: set[object] = set()
+        #: False until the first :meth:`state_hash`: before it every key
+        #: counts as stale, so neither loads nor blocks record stale keys
+        self._hashed = False
         #: gc watermark: keys whose chains grew past one version since the
         #: last collection — the only chains a horizon move can shorten.
         #: Bulk loads of fresh keys never enter (chain length one), so a
@@ -273,6 +279,9 @@ class MVStore:
         (``MIGRATION_SEQ_BASE``), and they must sort after every real
         write of that block in :meth:`writes_in_block` or replay would
         interleave migration deltas before the block's own writes.
+
+        A load that would put a version behind a newer one raises
+        ``ValueError`` before it changes anything.
         """
         versions = self._versions
         if not versions:
@@ -283,9 +292,20 @@ class MVStore:
                 for seq, (key, value) in enumerate(items.items(), start=seq_start)
             }
             self._sorted_keys = sorted(self._versions)
-            self._stale_keys.update(self._versions)
+            if self._hashed:
+                self._stale_keys.update(self._versions)
             self._block_keys.setdefault(block_id, []).extend(items)
             return
+        for key in items:
+            chain = versions.get(key)
+            if chain is not None and chain[-1][0][0] > block_id:
+                # Appending an older version would break the block-sorted
+                # chain invariant that every snapshot lookup (get *and*
+                # scan) binary-searches on.
+                raise ValueError(
+                    f"load(block_id={block_id}) after block "
+                    f"{chain[-1][0][0]} would break {key!r}'s version order"
+                )
         new_keys = []
         for seq, (key, value) in enumerate(items.items(), start=seq_start):
             chain = versions.get(key)
@@ -293,17 +313,10 @@ class MVStore:
                 versions[key] = [((block_id, seq), value)]
                 new_keys.append(key)
             else:
-                if chain[-1][0][0] > block_id:
-                    # Appending an older version would break the
-                    # block-sorted chain invariant that every snapshot
-                    # lookup (get *and* scan) binary-searches on.
-                    raise ValueError(
-                        f"load(block_id={block_id}) after block "
-                        f"{chain[-1][0][0]} would break {key!r}'s version order"
-                    )
                 chain.append(((block_id, seq), value))
                 self._gc_pending.add(key)
-        self._stale_keys.update(items)
+        if self._hashed:
+            self._stale_keys.update(items)
         self._block_keys.setdefault(block_id, []).extend(items)
         self._merge_new_keys(new_keys)
 
@@ -345,7 +358,6 @@ class MVStore:
                 f"block {block_id} is not after last committed {self.last_committed_block}"
             )
         versions = self._versions
-        stale = self._stale_keys
         pending = self._gc_pending
         block_keys = self._block_keys.setdefault(block_id, [])
         new_keys = []
@@ -357,22 +369,35 @@ class MVStore:
             else:
                 chain.append(((block_id, seq), value))
                 pending.add(key)
-            stale.add(key)
             block_keys.append(key)
+        if self._hashed:
+            self._stale_keys.update(block_keys)
         self._merge_new_keys(new_keys)
         self.last_committed_block = block_id
 
     def _merge_new_keys(self, new_keys: list[object]) -> None:
-        """Fold freshly-created keys into the sorted directory: one sort
-        per batch instead of one O(n) ``insort`` per key."""
+        """Fold freshly-created keys into the sorted directory: sort the
+        batch, bisect each key in from its predecessor's insertion point and
+        build the merged directory once (not a re-sort, nor one O(n)
+        ``insort`` per key). Incomparable keys raise ``TypeError`` first."""
         if not new_keys:
             return
-        if self._sorted_keys:
-            self._sorted_keys.extend(new_keys)
-            self._sorted_keys.sort()
-        else:
-            new_keys.sort()
-            self._sorted_keys = new_keys
+        new_keys.sort()
+        keys = self._sorted_keys
+        if not keys or keys[-1] < new_keys[0]:
+            keys.extend(new_keys)
+            return
+        merged = []
+        lo, size = 0, len(keys)
+        for key in new_keys:
+            # new keys cluster (an order and its lines): one comparison
+            # tells when a key lands where its predecessor did
+            hi = bisect_left(keys, key, lo + 1) if lo < size and keys[lo] < key else lo
+            merged += keys[lo:hi]
+            merged.append(key)
+            lo = hi
+        merged += keys[lo:]
+        self._sorted_keys = merged
 
     @staticmethod
     def _gc_chain(chain: list, keep_after_block: int) -> int:
@@ -414,15 +439,18 @@ class MVStore:
         accumulator by addition mod 2**256 (AdHash-style — commutative,
         so the result depends only on the live content, never on write
         history, while avoiding the linear malleability of an XOR
-        combiner that a Byzantine replica could exploit).
+        combiner that a Byzantine replica could exploit). The first call
+        walks every key of the version map: the same digests summed in
+        another order, which the modular sum does not see.
         """
-        if self._stale_keys:
+        stale = self._stale_keys if self._hashed else self._versions
+        if stale:
             # one pass: the accumulator moves by the plain integer sum of
             # (new - old) and is reduced once, not per key
             shift = 0
             key_digest = self._key_digest
             versions = self._versions
-            for key in self._stale_keys:
+            for key in stale:
                 chain = versions.get(key)
                 value = chain[-1][1] if chain else None
                 if value is TOMBSTONE or value is None:
@@ -433,6 +461,7 @@ class MVStore:
                     key_digest[key] = new
             self._live_digest = (self._live_digest + shift) % _HASH_MOD
             self._stale_keys.clear()
+        self._hashed = True
         return f"{self._live_digest:064x}"
 
     def _latest_entry(self, key: object) -> tuple[object, Version | None]:

@@ -109,17 +109,17 @@ def writes_in_block(store: MVStore, block_id: int) -> list[tuple[object, object]
 # ------------------------------------------------- storage/pages + heap
 def heap_load(heap: HeapFile, keys) -> None:
     """Bring-up, one insert per key: a fresh page when the last one is
-    full, the next slot of it, one dirty pool access — and a ``KeyError``
-    at the first key already placed, the keys before it kept."""
+    full, one more slot of it filled, the key's page id in the directory,
+    one dirty pool access — and a ``KeyError`` at the first key already
+    placed, the keys before it kept."""
     for key in keys:
         if key in heap._directory:
             raise KeyError(f"duplicate key {key!r}")
         if not heap._pages or heap._pages[-1].is_full:
             heap._pages.append(Page(len(heap._pages), heap._records_per_page))
         page = heap._pages[-1]
-        slot = len(page.slots)
-        page.slots[slot] = key
-        heap._directory[key] = (page.page_id, slot)
+        page.filled += 1
+        heap._directory[key] = page.page_id
         heap._pool.access(page.page_id, dirty=True)
 
 

@@ -757,6 +757,120 @@ class TestMVStoreFastPaths:
         assert view.get(_key(1))[0] == "b0"
         assert dict(view.scan(_key(0), _key(9))).get(_key(1)) == "b0"
 
+    @given(
+        st.lists(
+            st.tuples(st.booleans(), st.lists(st.integers(0, 200), max_size=12, unique=True)),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_key_merge_matches_insort_reference(self, batches):
+        """Batches of fresh and known keys, by ``load`` or ``apply_block``,
+        after a populate: the merged directory is the one a per-key
+        ``insort`` builds."""
+        fast, slow = MVStore(), MVStore()
+        for block_id, (by_apply, ids) in enumerate(batches):
+            items = {_key(i): block_id for i in ids}
+            if by_apply and block_id:
+                fast.apply_block(block_id, list(items.items()))
+            else:
+                fast.load(items, block_id=block_id)
+            reference.load(slow, items, block_id=block_id)
+            assert fast._sorted_keys == slow._sorted_keys
+            assert fast._versions == slow._versions
+
+    @pytest.mark.parametrize(
+        "batch, directory",
+        [
+            ([2, 1], [1, 2, 10, 20, 30]),
+            ([25, 15], [10, 15, 20, 25, 30]),
+            ([40, 35], [10, 20, 30, 35, 40]),
+            ([15], [10, 15, 20, 30]),
+            ([50, 5, 25, 26], [5, 10, 20, 25, 26, 30, 50]),
+        ],
+        ids=["below", "between", "above", "single", "everywhere"],
+    )
+    def test_key_merge_places_each_batch(self, batch, directory):
+        store = MVStore()
+        store.load({10: 0, 20: 0, 30: 0})
+        store.apply_block(0, [(key, 1) for key in batch])
+        assert store._sorted_keys == directory
+        slow = MVStore()
+        reference.load(slow, {10: 0, 20: 0, 30: 0})
+        reference.load(slow, dict.fromkeys(batch, 1), block_id=0)
+        assert store._sorted_keys == slow._sorted_keys
+
+    @pytest.mark.parametrize("batch", [["a", 5], ["a"]], ids=["mixed-batch", "against-directory"])
+    def test_key_merge_of_incomparable_keys_raises(self, batch):
+        store = MVStore()
+        store.load({10: 0, 20: 0})
+        with pytest.raises(TypeError):
+            store.apply_block(0, [(key, 1) for key in batch])
+        assert store._sorted_keys == [10, 20]
+
+    @given(
+        st.lists(
+            st.one_of(
+                st.tuples(
+                    st.just("load"),
+                    st.dictionaries(st.integers(0, 15), st.none() | st.integers(0, 9), max_size=6),
+                ),
+                st.tuples(
+                    st.just("apply"),
+                    st.lists(
+                        st.tuples(st.integers(0, 15), st.none() | st.integers(0, 9)), max_size=5
+                    ),
+                ),
+                st.tuples(st.just("hash"), st.none()),
+            ),
+            max_size=10,
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_state_hash_over_interleavings_matches_full(self, ops):
+        """Loads (a populate, or a shipment into the newest block), applies
+        and hashes in any order — a hash of the empty store before its bulk
+        load, several loads before the first hash: every hash is the
+        from-scratch sum."""
+        store = MVStore()
+        for op, arg in ops:
+            if op == "load":
+                store.load(
+                    {_key(i): TOMBSTONE if v is None else v for i, v in arg.items()},
+                    block_id=store.last_committed_block,
+                    seq_start=1 << 20,
+                )
+            elif op == "apply":
+                store.apply_block(
+                    store.last_committed_block + 1,
+                    [(_key(i), TOMBSTONE if v is None else v) for i, v in arg],
+                )
+            else:
+                assert store.state_hash() == reference.state_hash(store)
+        assert store.state_hash() == reference.state_hash(store)
+
+    @pytest.mark.parametrize(
+        "ops",
+        [
+            ["hash", "load", "hash"],
+            ["load", "load", "hash"],
+            ["hash", "load", "load", "apply", "hash"],
+        ],
+        ids=["hashed-empty-then-loaded", "two-loads-before-the-first-hash", "both"],
+    )
+    def test_state_hash_around_bulk_loads(self, ops):
+        store = MVStore()
+        loads = iter([{_key(i): i for i in range(4)}, {_key(i): -i for i in range(2, 7)}])
+        for op in ops:
+            if op == "load":
+                store.load(next(loads), block_id=store.last_committed_block)
+            elif op == "apply":
+                store.apply_block(0, [(_key(0), TOMBSTONE), (_key(9), 9)])
+            else:
+                assert store.state_hash() == reference.state_hash(store)
+        assert len(store) > 0 and store.state_hash() != reference.state_hash(MVStore())
+
     @given(st.integers(0, 35), st.integers(0, 35))
     @settings(max_examples=100, deadline=None)
     def test_snapshot_scan_matches_reference(self, lo, hi):

@@ -34,15 +34,15 @@ def make_pool(capacity=4):
 class TestPage:
     def test_allocation_fills_slots(self):
         page = Page(page_id=0, capacity=2)
-        assert page.allocate_slot("a") == 0
-        assert page.allocate_slot("b") == 1
+        assert page.allocate_slot() == 0
+        assert page.allocate_slot() == 1
         assert page.is_full
 
     def test_full_page_rejects(self):
         page = Page(page_id=0, capacity=1)
-        page.allocate_slot("a")
+        page.allocate_slot()
         with pytest.raises(ValueError):
-            page.allocate_slot("b")
+            page.allocate_slot()
 
 
 class TestBufferPool:
@@ -133,14 +133,15 @@ def make_heap(records_per_page=4, capacity=4):
 
 
 def heap_state(heap):
-    """Everything bring-up decides: the directory, every page's slots, the
-    pool's frames in LRU order with their dirty flags, and the buffer and
-    disk counters (a copy, so a later state can be compared with it)."""
+    """Everything bring-up decides: the directory (key -> page id), every
+    page's fill count, the pool's frames in LRU order with their dirty
+    flags, and the buffer and disk counters (a copy, so a later state can
+    be compared with it)."""
     pool = heap._pool
     return copy.deepcopy(
         (
             heap._directory,
-            [page.slots for page in heap._pages],
+            [(page.page_id, page.filled) for page in heap._pages],
             list(pool._frames.items()),
             vars(pool.stats),
             vars(pool._disk.stats),
@@ -205,7 +206,8 @@ class TestHeapLoad:
             [("insert", "a"), ("insert", "b"), ("load", ["c", "d"]), ("load", list(range(8)))]
         )
         assert heap.num_pages == 3 and all(page.is_full for page in heap._pages)
-        assert heap._directory["d"] == (0, 3) and heap._directory[7] == (2, 3)
+        assert heap._directory["d"] == 0 and heap._directory[7] == 2
+        assert [page.filled for page in heap._pages] == [4, 4, 4]
 
     @pytest.mark.parametrize(
         "batch, refused",
@@ -223,7 +225,8 @@ class TestHeapLoad:
         heap = make_heap()
         heap.load(key for key in range(6))
         heap.load({"a": 1, "b": 2}.keys())
-        assert len(heap) == 8 and heap._directory["b"] == (1, 3)
+        assert len(heap) == 8 and heap._directory["b"] == 1
+        assert heap._pages[1].filled == 4
 
 
 class TestWal:

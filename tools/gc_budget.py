@@ -1,4 +1,5 @@
-"""What the cyclic collector costs one end-to-end workload.
+"""What the cyclic collector costs one end-to-end workload, and what a run
+keeps in memory.
 
     python3 tools/gc_budget.py --workload ycsb_hotspot [--seed 7]
 
@@ -9,8 +10,15 @@ and a full collection), hooks ``gc.callbacks`` around one ``run()`` and one
 collections ran, the CPU seconds they took, how many objects they freed,
 and their share of the section's CPU seconds. Collections the program asks
 for itself (``repro.collector``'s settle on leaving a paused section) are
-counted like any other. To read a parent revision, copy this file into an
-unpacked copy of it (``git archive``) and run it there.
+counted like any other.
+
+Then the retention table: a second build of the same seed, traced by the
+standard library's ``tracemalloc`` (on a build of its own, so the tracing
+does not inflate the collector seconds above), prints the traced MB after
+the build, the peak during ``run()`` and the traced MB after it, and the
+source files whose allocations are still alive after ``run()``, largest
+first. To read a parent revision, copy this file into an unpacked copy of
+it (``git archive``) and run it there.
 """
 
 from __future__ import annotations
@@ -20,6 +28,7 @@ import gc
 import pathlib
 import sys
 import time
+import tracemalloc
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "benchmarks" / "e2e"), str(ROOT / "src")]
@@ -58,6 +67,40 @@ def measure(section) -> tuple:
     return result, cpu_s, clock.generations
 
 
+def retention(spec, seed: int, top: int = 8) -> bool:
+    """Print the retention table of one traced build + ``run()``; returns
+    the run's own ledger check."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        chain = e2e_harness.build(spec, seed)
+        built_b = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        metrics = chain.run()
+        after_b, peak_b = tracemalloc.get_traced_memory()
+        snapshot = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    mb = 1 / (1 << 20)
+    print(f"  traced MB: after build {built_b * mb:.1f}, peak in run() {peak_b * mb:.1f}, "
+          f"after run() {after_b * mb:.1f}")
+    print(f"  {'alive after run(), by file':<48} {'MB':>6} {'blocks':>8}")
+    for stat in snapshot.statistics("filename")[:top]:
+        name = short(stat.traceback[0].filename)
+        print(f"  {name:<48} {stat.size * mb:>6.2f} {stat.count:>8}")
+    return metrics.extra["ledger_ok"] is True
+
+
+def short(filename: str) -> str:
+    """``filename`` relative to the repository's ``src/`` or to the standard
+    library, whichever holds it."""
+    path = pathlib.Path(filename)
+    for base in (ROOT / "src", pathlib.Path(tracemalloc.__file__).parent):
+        if path.is_relative_to(base):
+            return str(path.relative_to(base))
+    return filename
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", required=True, choices=sorted(e2e_harness.WORKLOADS))
@@ -84,6 +127,8 @@ def main() -> int:
                 f"  {name:<20} {cpu_s:>7.3f}  {gen:>3} {count:>11} {gc_s:>8.4f} "
                 f"{collected:>9} {gc_s / cpu_s:>6.1%}"
             )
+    del chain
+    ok &= retention(spec, args.seed)
     print("OK" if ok else "FAILED: the run's own checks")
     return 0 if ok else 1
 

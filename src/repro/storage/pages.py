@@ -30,9 +30,8 @@ class Page:
     def is_full(self) -> bool:
         return self.filled >= self.capacity
 
-    def allocate_slot(self) -> int:
-        """Occupy the next slot; returns the slot number."""
+    def allocate_slot(self) -> None:
+        """Occupy the next slot."""
         if self.is_full:
             raise ValueError(f"page {self.page_id} is full")
         self.filled += 1
-        return self.filled - 1

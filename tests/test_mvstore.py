@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import copy
-
 import pytest
 
 from repro.storage.mvstore import MVStore, TOMBSTONE
@@ -43,21 +41,6 @@ class TestVersions:
         _, v1 = store.get_latest(("k", 1))
         _, v2 = store.get_latest(("k", 2))
         assert v1 == (0, 0) and v2 == (0, 1)
-
-    def test_rejected_load_changes_nothing(self):
-        """A load onto a non-empty store (a migration shipment) that would
-        put ``b``'s version behind block 0 used to raise only after ``new``
-        had entered the version map: readable by ``get_latest``, missing
-        from scans and the key directory, left out of the state hash."""
-        store = MVStore()
-        store.load({"a": 1, "b": 2})
-        store.apply_block(0, [("b", 3)])
-        before = copy.deepcopy(vars(store))
-        with pytest.raises(ValueError, match="would break 'b'"):
-            store.load({"new": 9, "b": 4})
-        assert vars(store) == before
-        assert store.get_latest("new") == (None, None)
-        assert list(store.latest_snapshot().scan("a", "z")) == [("a", 1), ("b", 3)]
 
 
 class TestSnapshots:

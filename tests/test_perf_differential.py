@@ -12,11 +12,12 @@ rows and hashes.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core.dependencies import (
     BlockDependencyIndex,
@@ -41,6 +42,11 @@ NUM_KEYS = 24
 
 def _key(i: int) -> tuple:
     return ("k", i)
+
+
+#: a bulk populate and a shipment overlapping it (key id -> value)
+_POPULATE = {i: i for i in range(4)}
+_SHIPMENT = {i: 9 - i for i in range(2, 7)}
 
 
 @st.composite
@@ -744,13 +750,18 @@ class TestMVStoreFastPaths:
     def test_load_rejects_out_of_order_chain_append(self):
         """Re-loading an existing key after later blocks committed would
         break the block-sorted chain invariant both get() and scan()
-        binary-search on — it must raise, not silently diverge."""
+        binary-search on — it must raise, not silently diverge, and before
+        anything is stored: a fresh key ahead of it in the same shipment
+        stays out too."""
         store = MVStore()
         store.load({_key(1): "genesis"})
         store.apply_block(0, [(_key(1), "b0")])
         store.apply_block(5, [(_key(1), "b5")])
-        with pytest.raises(ValueError):
-            store.load({_key(1): "late"})
+        before = copy.deepcopy(vars(store))
+        with pytest.raises(ValueError, match="would break"):
+            store.load({_key(3): "ahead", _key(1): "late"})
+        assert vars(store) == before
+        assert store.get_latest(_key(3)) == (None, None)
         # Fresh keys are still fine: their one-version chains are sorted.
         store.load({_key(2): "new"})
         view = store.snapshot(4)
@@ -827,6 +838,17 @@ class TestMVStoreFastPaths:
             max_size=10,
         )
     )
+    @example(ops=[("hash", None), ("load", _POPULATE), ("hash", None)])
+    @example(ops=[("load", _POPULATE), ("load", _SHIPMENT), ("hash", None)])
+    @example(
+        ops=[
+            ("hash", None),
+            ("load", _POPULATE),
+            ("load", _SHIPMENT),
+            ("apply", [(0, None), (9, 9)]),
+            ("hash", None),
+        ]
+    )
     @settings(max_examples=200, deadline=None)
     def test_state_hash_over_interleavings_matches_full(self, ops):
         """Loads (a populate, or a shipment into the newest block), applies
@@ -849,27 +871,6 @@ class TestMVStoreFastPaths:
             else:
                 assert store.state_hash() == reference.state_hash(store)
         assert store.state_hash() == reference.state_hash(store)
-
-    @pytest.mark.parametrize(
-        "ops",
-        [
-            ["hash", "load", "hash"],
-            ["load", "load", "hash"],
-            ["hash", "load", "load", "apply", "hash"],
-        ],
-        ids=["hashed-empty-then-loaded", "two-loads-before-the-first-hash", "both"],
-    )
-    def test_state_hash_around_bulk_loads(self, ops):
-        store = MVStore()
-        loads = iter([{_key(i): i for i in range(4)}, {_key(i): -i for i in range(2, 7)}])
-        for op in ops:
-            if op == "load":
-                store.load(next(loads), block_id=store.last_committed_block)
-            elif op == "apply":
-                store.apply_block(0, [(_key(0), TOMBSTONE), (_key(9), 9)])
-            else:
-                assert store.state_hash() == reference.state_hash(store)
-        assert len(store) > 0 and store.state_hash() != reference.state_hash(MVStore())
 
     @given(st.integers(0, 35), st.integers(0, 35))
     @settings(max_examples=100, deadline=None)

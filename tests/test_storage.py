@@ -34,9 +34,10 @@ def make_pool(capacity=4):
 class TestPage:
     def test_allocation_fills_slots(self):
         page = Page(page_id=0, capacity=2)
-        assert page.allocate_slot() == 0
-        assert page.allocate_slot() == 1
-        assert page.is_full
+        page.allocate_slot()
+        assert page.filled == 1 and not page.is_full
+        page.allocate_slot()
+        assert page.filled == 2 and page.is_full
 
     def test_full_page_rejects(self):
         page = Page(page_id=0, capacity=1)

@@ -101,17 +101,12 @@ def short(filename: str) -> str:
     return filename
 
 
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--workload", required=True, choices=sorted(e2e_harness.WORKLOADS))
-    parser.add_argument("--seed", type=int, default=7)
-    args = parser.parse_args()
-    spec = e2e_harness.WORKLOADS[args.workload]
-
-    e2e_harness.warm_up(spec, args.seed)
+def collector_table(spec, seed: int) -> bool:
+    """Print the collector table of one build's ``run()`` and
+    ``consistency_check()``; returns their own checks. The build dies with
+    this frame."""
     gc.collect()
-    chain = e2e_harness.build(spec, args.seed)
-    print(f"{args.workload} seed {args.seed}")
+    chain = e2e_harness.build(spec, seed)
     print(f"  {'section':<20} {'cpu_s':>7}  {'gen':>3} {'collections':>11} {'gc_cpu_s':>8} {'collected':>9} {'share':>6}")
     sections = (
         ("run()", chain.run, lambda metrics: metrics.extra["ledger_ok"] is True),
@@ -127,7 +122,19 @@ def main() -> int:
                 f"  {name:<20} {cpu_s:>7.3f}  {gen:>3} {count:>11} {gc_s:>8.4f} "
                 f"{collected:>9} {gc_s / cpu_s:>6.1%}"
             )
-    del chain
+    return ok
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--workload", required=True, choices=sorted(e2e_harness.WORKLOADS))
+    parser.add_argument("--seed", type=int, default=7)
+    args = parser.parse_args()
+    spec = e2e_harness.WORKLOADS[args.workload]
+
+    e2e_harness.warm_up(spec, args.seed)
+    print(f"{args.workload} seed {args.seed}")
+    ok = collector_table(spec, args.seed)
     ok &= retention(spec, args.seed)
     print("OK" if ok else "FAILED: the run's own checks")
     return 0 if ok else 1

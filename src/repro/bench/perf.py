@@ -1,4 +1,4 @@
-"""Micro ledger: complexity-class guards and scenario results.
+"""Micro ledger: complexity-class guards and one wall gate.
 
 ``python -m repro.bench --perf`` (full) or ``--perf-smoke`` (seconds) runs
 the cases below on seeded inputs. A full run is appended to
@@ -6,8 +6,8 @@ the cases below on seeded inputs. A full run is appended to
 ``$REPRO_BENCH_OUT``), a smoke run only when such a path is given. The file
 is ``{"schema": 1, "retired": {...}, "runs": [...]}``; ``retired`` maps each
 case that no longer runs to the reason and is edited in the ledger by the PR
-that retires it (a ratio to a deleted twin guards nothing). Every case
-carries ``checks`` (name -> bool); a run with a false one exits 1.
+that retires it. Every case carries ``checks`` (name -> bool); a run with a
+false one exits 1.
 
 - **Scaling guards** (``kind: "scaling"``, wall clock). ``src/repro`` has
   one implementation of each hot path, so what a micro case can guard is
@@ -17,12 +17,11 @@ carries ``checks`` (name -> bool); a run with a false one exits 1.
   the class moves ``growth`` by a factor of four (a keyspace-independent
   path gone linear reads 4, a linear one gone quadratic 16), not by the few
   percent scheduler jitter moves it.
-- **Scenario results** (``basis: "simulated"``): ``shard_scaling``,
-  ``tpcc_sharded``, ``adaptive_skew`` compare two configurations on the
-  deterministic modeled clock; ``--compare`` diffs exactly these between
-  the two newest same-mode runs.
 - **One wall gate** on whole runs: ``obs_overhead``.
-  None of it is a host-speed claim: those go through ``make e2e-pairs``.
+
+None of it is a host-speed claim: those go through ``make e2e-pairs``. The
+modeled-clock comparisons (sharded scale-out, adaptive re-keying) are
+experiments with claims in :mod:`repro.bench.experiments`.
 """
 
 from __future__ import annotations
@@ -100,7 +99,6 @@ def scaling_guard(
     return {
         "case": name,
         "params": {"n": n, "n_counts": unit},
-        "basis": "wall",
         "kind": "scaling",
         "class": class_name,
         "time_n_s": round(times[0], 6),
@@ -248,211 +246,7 @@ SCALING_GUARDS = (
 )
 
 
-# --------------------------------------------- scenarios and the wall gate
-def bench_shard_scaling(smoke: bool, seed: int) -> list[dict]:
-    """Shard-scaling scenario: 1/2/4 execution shards over the identical
-    low-contention YCSB stream at tunable cross-shard ratios.
-
-    Unlike the scaling guards, the two timings here are *simulated*
-    wall-clock (deterministic): ``naive_s`` is the 1-shard run's makespan,
-    ``indexed_s`` the N-shard run's, and ``speedup`` the aggregate
-    committed-transaction throughput ratio. Checks pin the scale-out
-    contract: the 1-shard deployment is decision-identical to the
-    unsharded :class:`~repro.chain.system.OEBlockchain` (same seed, same
-    stream), every ledger and certificate chain verifies, and the 4-shard
-    low-cross case must reach at least 2x the 1-shard throughput.
-    """
-    from repro.chain.system import OEBlockchain, OEConfig
-    from repro.shard.system import ShardConfig, ShardedBlockchain
-    from repro.workloads.base import ShardAffinity
-    from repro.workloads.ycsb import YCSBWorkload
-
-    num_blocks = 8 if smoke else 12
-    block_size = 60 if smoke else 100
-    run_seed = seed % 100_000
-
-    def make_workload(cross: float) -> YCSBWorkload:
-        # data layout fixed at 4 partitions so every deployment size sees
-        # the identical transaction stream
-        return YCSBWorkload(
-            num_keys=10_000, theta=0.1, affinity=ShardAffinity(4, cross)
-        )
-
-    def sharded(num_shards: int, cross: float):
-        config = ShardConfig(
-            system="harmony",
-            block_size=block_size,
-            num_blocks=num_blocks,
-            seed=run_seed,
-            num_shards=num_shards,
-        )
-        chain = ShardedBlockchain(config, make_workload(cross))
-        start = time.perf_counter()
-        metrics = chain.run()
-        return metrics, time.perf_counter() - start
-
-    oe_metrics = OEBlockchain(
-        OEConfig(
-            system="harmony",
-            block_size=block_size,
-            num_blocks=num_blocks,
-            seed=run_seed,
-        ),
-        make_workload(0.05),
-    ).run()
-
-    cases = []
-    for cross in (0.05,) if smoke else (0.05, 0.3):
-        base, base_wall = sharded(1, cross)
-        identity_checks = {}
-        if cross == 0.05:
-            identity_checks = {
-                "decisions_match_unsharded": base.extra["decision_digest"]
-                == oe_metrics.extra["decision_digest"],
-                "state_matches_unsharded": base.extra["state_hash"]
-                == oe_metrics.extra["state_hash"],
-            }
-        for num_shards in (2, 4):
-            metrics, wall = sharded(num_shards, cross)
-            ratio = metrics.throughput_tps / base.throughput_tps
-            checks = {
-                "ledgers_ok": metrics.extra["ledger_ok"],
-                "certificates_ok": metrics.extra["certificates_ok"],
-                "has_cross_shard_txns": metrics.extra["cross_shard_txns"] > 0,
-                # the fail-fast wire for scaling collapse (this case's
-                # "speedup" is an N-shard / 1-shard throughput ratio)
-                "scales_past_baseline": ratio >= 1.0,
-                **(identity_checks if num_shards == 2 else {}),
-            }
-            if num_shards == 4 and cross == 0.05:
-                # the scale-out acceptance bar
-                checks["throughput_2x"] = ratio >= 2.0
-            cases.append(
-                {
-                    "case": "shard_scaling",
-                    "params": {
-                        "shards": num_shards,
-                        "cross_ratio": cross,
-                        "block_size": block_size,
-                        "num_blocks": num_blocks,
-                    },
-                    # the headline timings are deterministic *simulated*
-                    # makespans; --compare treats a simulated collapse as
-                    # real (no perf_counter noise to guard against). The
-                    # measured wall clock of the same runs rides along.
-                    "basis": "simulated",
-                    "naive_s": round(base.sim_time_us / 1e6, 6),
-                    "indexed_s": round(metrics.sim_time_us / 1e6, 6),
-                    "naive_wall_s": round(base_wall, 6),
-                    "indexed_wall_s": round(wall, 6),
-                    "speedup": round(ratio, 2),
-                    "committed": metrics.committed,
-                    "cross_shard_txns": metrics.extra["cross_shard_txns"],
-                    "checks": checks,
-                }
-            )
-    return cases
-
-
-def bench_tpcc_sharded(smoke: bool, seed: int) -> list[dict]:
-    """TPC-C scale-out scenario: warehouse-aligned shards over the identical
-    multi-warehouse stream at tunable cross-shard ratios (remote-warehouse
-    payments and remote stock lines become genuine 2PC traffic).
-
-    Same accounting as ``shard_scaling`` (simulated basis, ``speedup`` a
-    throughput ratio): the 1-shard deployment must be
-    decision- and state-identical to the unsharded
-    :class:`~repro.chain.system.OEBlockchain` on the same stream, every
-    N-shard deployment must certify its ledgers and carry cross-shard
-    transactions, and the 4-shard low-cross case must beat the 1-shard
-    throughput by >= 1.5x.
-    """
-    from repro.chain.system import OEBlockchain, OEConfig
-    from repro.shard.system import ShardConfig, ShardedBlockchain
-    from repro.workloads import make_workload
-    from repro.workloads.base import ShardAffinity
-
-    num_blocks = 6 if smoke else 10
-    block_size = 24 if smoke else 40
-    run_seed = seed % 100_000
-
-    def workload(cross: float):
-        # warehouse layout fixed at 4 partitions so every deployment size
-        # replays the identical spec stream
-        return make_workload(
-            "tpcc", num_warehouses=8, affinity=ShardAffinity(4, cross)
-        )
-
-    def sharded(num_shards: int, cross: float):
-        config = ShardConfig(
-            system="harmony",
-            block_size=block_size,
-            num_blocks=num_blocks,
-            seed=run_seed,
-            num_shards=num_shards,
-        )
-        chain = ShardedBlockchain(config, workload(cross))
-        start = time.perf_counter()
-        metrics = chain.run()
-        return metrics, time.perf_counter() - start
-
-    oe_metrics = OEBlockchain(
-        OEConfig(
-            system="harmony",
-            block_size=block_size,
-            num_blocks=num_blocks,
-            seed=run_seed,
-        ),
-        workload(0.1),
-    ).run()
-
-    cases = []
-    for cross in (0.1,) if smoke else (0.1, 0.5):
-        base, base_wall = sharded(1, cross)
-        identity_checks = {}
-        if cross == 0.1:
-            identity_checks = {
-                "decisions_match_unsharded": base.extra["decision_digest"]
-                == oe_metrics.extra["decision_digest"],
-                "state_matches_unsharded": base.extra["state_hash"]
-                == oe_metrics.extra["state_hash"],
-            }
-        for num_shards in (2, 4):
-            metrics, wall = sharded(num_shards, cross)
-            ratio = metrics.throughput_tps / base.throughput_tps
-            checks = {
-                "ledgers_ok": metrics.extra["ledger_ok"],
-                "certificates_ok": metrics.extra["certificates_ok"],
-                "has_cross_shard_txns": metrics.extra["cross_shard_txns"] > 0,
-                "scales_past_baseline": ratio >= 1.0,
-                **(identity_checks if num_shards == 2 else {}),
-            }
-            if num_shards == 4 and cross == 0.1:
-                checks["throughput_1_5x"] = ratio >= 1.5
-            cases.append(
-                {
-                    "case": "tpcc_sharded",
-                    "params": {
-                        "shards": num_shards,
-                        "cross_ratio": cross,
-                        "warehouses": 8,
-                        "block_size": block_size,
-                        "num_blocks": num_blocks,
-                    },
-                    "basis": "simulated",
-                    "naive_s": round(base.sim_time_us / 1e6, 6),
-                    "indexed_s": round(metrics.sim_time_us / 1e6, 6),
-                    "naive_wall_s": round(base_wall, 6),
-                    "indexed_wall_s": round(wall, 6),
-                    "speedup": round(ratio, 2),
-                    "committed": metrics.committed,
-                    "cross_shard_txns": metrics.extra["cross_shard_txns"],
-                    "checks": checks,
-                }
-            )
-    return cases
-
-
+# ------------------------------------------------------------ wall gate
 def bench_obs_overhead(smoke: bool, seed: int) -> dict:
     """Overhead gate for the tracing/metrics subsystem.
 
@@ -527,111 +321,11 @@ def bench_obs_overhead(smoke: bool, seed: int) -> dict:
             "block_size": block_size,
             "num_blocks": num_blocks,
         },
-        "basis": "wall",
         "naive_s": round(statistics.median(cpus[True]), 6),
         "indexed_s": round(statistics.median(cpus[False]), 6),
         "speedup": round(ratio, 3),
         "pair_ratio_quartiles": [round(q, 3) for q in statistics.quantiles(ratios, n=4)],
         "spans": len(tracer.spans),
-        "checks": checks,
-    }
-
-
-def bench_adaptive_skew(smoke: bool, seed: int) -> dict:
-    """Adaptive-sharding scenario: deterministic live re-keying vs static
-    hash routing under the migrating-Zipf ``adv-skewshift`` stream.
-
-    At 4 shards with hash routing, a high-theta shifting hotspot scatters
-    every transaction's footprint across the fleet — nearly every
-    transaction pays 2PC and the hot shard's lane dominates the makespan
-    (the scaling collapse adaptive sharding exists to fix). The identical
-    stream then runs with ``rebalance="adaptive"``: the policy watches
-    the decision-layer telemetry, colocates the hot key set, and the
-    certified :class:`~repro.shard.rebalance.MigrationRecord` stream
-    re-keys ownership mid-run.
-
-    Same accounting as ``shard_scaling`` (simulated basis, ``speedup`` a
-    throughput ratio). The acceptance bar: the adaptive run
-    must hold at least 2x the static throughput, certify its ledgers and
-    chain, fire at least one migration, and a fresh replica replaying
-    (sub-blocks + certificates, migrations included) must reach the
-    identical combined state hash.
-    """
-    from repro.shard.system import ShardConfig, ShardedBlockchain
-    from repro.workloads import make_workload
-
-    # deliberately NOT scaled down in smoke mode: the gate needs enough
-    # blocks past warmup for the policy to track the hotspot (~0.5s total)
-    num_blocks, block_size = 12, 80
-    run_seed = seed % 100_000
-
-    def run(rebalance: str):
-        workload = make_workload(
-            "adv-skewshift",
-            num_keys=200,
-            theta=1.3,
-            shift_period=96,
-            ops_per_txn=4,
-            fused_ratio=0.9,
-        )
-        config = ShardConfig(
-            system="harmony",
-            block_size=block_size,
-            num_blocks=num_blocks,
-            seed=run_seed,
-            num_shards=4,
-            router_policy="hash",
-            rebalance=rebalance,
-            rebalance_skew_threshold=1.5,
-            rebalance_cross_threshold=0.3,
-            rebalance_max_keys=128,
-        )
-        chain = ShardedBlockchain(config, workload)
-        start = time.perf_counter()
-        metrics = chain.run()
-        wall = time.perf_counter() - start
-        replica_ok = chain.consistency_check()
-        return metrics, wall, replica_ok
-
-    static, static_wall, static_replica_ok = run("off")
-    adaptive, wall, replica_ok = run("adaptive")
-    ratio = adaptive.throughput_tps / static.throughput_tps
-    checks = {
-        "ledgers_ok": adaptive.extra["ledger_ok"],
-        "certificates_ok": adaptive.extra["certificates_ok"],
-        "static_ledgers_ok": static.extra["ledger_ok"],
-        "migrated": adaptive.extra["migrations"] >= 1,
-        "cross_shard_reduced": adaptive.extra["cross_shard_txns"]
-        < static.extra["cross_shard_txns"],
-        # the acceptance bar: live re-keying recovers >= 2x of the
-        # throughput static hash routing loses to the shifting hotspot
-        "adaptive_holds_2x": ratio >= 2.0,
-        # migrations replay: a fresh replica rebuilt from sub-blocks +
-        # certificates (MigrationRecords included) matches bit-for-bit
-        "replica_replay_identical": replica_ok,
-        "static_replica_identical": static_replica_ok,
-    }
-    return {
-        "case": "adaptive_skew",
-        "params": {
-            "shards": 4,
-            "router_policy": "hash",
-            "block_size": block_size,
-            "num_blocks": num_blocks,
-            "theta": 1.3,
-        },
-        "basis": "simulated",
-        "naive_s": round(static.sim_time_us / 1e6, 6),
-        "indexed_s": round(adaptive.sim_time_us / 1e6, 6),
-        "naive_wall_s": round(static_wall, 6),
-        "indexed_wall_s": round(wall, 6),
-        "speedup": round(ratio, 2),
-        "committed": adaptive.committed,
-        "static_committed": static.committed,
-        "migrations": adaptive.extra["migrations"],
-        "ownership_epoch": adaptive.extra["ownership_epoch"],
-        "cross_shard_txns": adaptive.extra["cross_shard_txns"],
-        "static_cross_shard_txns": static.extra["cross_shard_txns"],
         "checks": checks,
     }
 
@@ -646,10 +340,7 @@ def run_perf(smoke: bool = False, out_path: str | None = None) -> dict:
         scaling_guard(name, build, klass, n_smoke if smoke else n_full, unit)
         for name, build, klass, n_full, n_smoke, unit in SCALING_GUARDS
     ]
-    cases.extend(bench_shard_scaling(smoke, SEED))
-    cases.extend(bench_tpcc_sharded(smoke, SEED + 17))
     cases.append(bench_obs_overhead(smoke, SEED + 19))
-    cases.append(bench_adaptive_skew(smoke, SEED + 20))
 
     run = {
         "bench": "perf",
@@ -678,70 +369,6 @@ def failed_checks(cases: list[dict]) -> list[str]:
         for name, ok in case["checks"].items()
         if not ok
     ]
-
-
-def compare_last_runs(
-    history: list[dict], retired=(), collapse: float = 0.2
-) -> tuple[list[str], list[str]]:
-    """Diff the newest run against the previous same-mode run, per
-    ``(case, params)`` — backs ``python -m repro.bench --compare``.
-
-    Returns ``(report_lines, regressions)``. Only ``basis="simulated"``
-    cases are compared: their timings come off the deterministic modeled
-    clock, so a ``speedup`` that fell by more than ``collapse`` between two
-    runs is a real behavioural change (exit 1 in CLI use) — one run against
-    one run, nothing to smooth. Wall-clock cases are listed, never diffed:
-    each gates itself inside its own run (``growth`` against ``bound``,
-    ``obs_overhead``'s paired ratio). A case in only one of the runs is
-    reported — NEW, RETIRED when ``retired`` (the ledger's map) names it,
-    else GONE — and never fails the diff.
-    """
-    if len(history) < 2:
-        return ["need at least two runs in the trajectory to compare"], []
-    newest = history[-1]
-    same_mode = [r for r in history if r.get("mode") == newest.get("mode")]
-    if len(same_mode) < 2:
-        return [f"no earlier mode={newest.get('mode')!r} run to compare against"], []
-
-    def keyed(run: dict) -> dict:
-        return {
-            (c["case"], json.dumps(c["params"], sort_keys=True)): c
-            for c in run.get("cases", [])
-        }
-
-    prev = same_mode[-2]
-    prev_cases, newest_cases = keyed(prev), keyed(newest)
-    lines = [
-        f"comparing {newest['mode']} run {newest.get('created_utc', '?')} "
-        f"against {prev.get('created_utc', '?')} (simulated basis only)"
-    ]
-    regressions: list[str] = []
-    for key, case in prev_cases.items():
-        if key not in newest_cases:
-            if case["case"] in retired:
-                fate = "RETIRED   {} — see the ledger's 'retired' map"
-            else:
-                fate = "GONE      {} — dropped from the run"
-            lines.append("  " + fate.format(_label(case)))
-    for key, case in newest_cases.items():
-        label = _label(case)
-        old = prev_cases.get(key)
-        if old is None:
-            lines.append(f"  NEW       {label}")
-        elif case.get("basis", "wall") != "simulated":
-            lines.append(f"  wall      {label} — gated in-run, not compared")
-        else:
-            new_speedup, old_speedup = case["speedup"], old["speedup"]
-            ratio = new_speedup / old_speedup if old_speedup else float("inf")
-            collapsed = ratio < 1.0 - collapse
-            flag = "COLLAPSED" if collapsed else " " * 9
-            lines.append(
-                f"  {flag} {label} speedup {old_speedup} -> {new_speedup}"
-                f" ({ratio:.2f}x)"
-            )
-            if collapsed:
-                regressions.append(f"{label} speedup {old_speedup} -> {new_speedup}")
-    return lines, regressions
 
 
 def _persist(run: dict, path: str) -> None:

@@ -18,18 +18,26 @@ class ExperimentResult:
     def add(self, *values) -> None:
         self.rows.append(list(values))
 
-    def column(self, header: str) -> list:
-        index = self.headers.index(header)
-        return [row[index] for row in self.rows]
+    def series(self, column: str, **where) -> list:
+        """``column``'s values, in row order, of the rows whose named
+        columns equal ``where``'s values (every row when none is named)."""
+        index = self.headers.index(column)
+        keys = [(self.headers.index(name), value) for name, value in where.items()]
+        return [
+            row[index] for row in self.rows if all(row[i] == v for i, v in keys)
+        ]
 
-    def series(self, key_header: str, key_value, value_header: str):
-        """All ``value_header`` values for rows whose key column matches."""
-        ki = self.headers.index(key_header)
-        vi = self.headers.index(value_header)
-        return [row[vi] for row in self.rows if row[ki] == key_value]
+    def cell(self, column: str, **where):
+        """``column``'s value in the one row ``where`` selects."""
+        values = self.series(column, **where)
+        if len(values) != 1:
+            raise KeyError(f"{self.name}: {where} selects {len(values)} rows")
+        return values[0]
 
 
 def _format_cell(value) -> str:
+    if value is None:
+        return "-"
     if isinstance(value, float):
         if abs(value) >= 1000:
             return f"{value:,.0f}"

@@ -2,7 +2,8 @@
 
 All costs are expressed in microseconds (us) of simulated time, or bytes for
 payload sizes. The constants are calibrated so the *relative* behaviour of
-the reproduced systems matches the paper (see EXPERIMENTS.md); they are not
+the reproduced systems matches the paper (the claims beside each experiment
+in ``repro/bench/experiments.py``, deviations included); they are not
 claims about absolute hardware speed.
 
 Three storage profiles reproduce the Figure 21 axis:

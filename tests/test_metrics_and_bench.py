@@ -178,8 +178,11 @@ class TestReport:
 
     def test_column_and_series(self):
         result = self.make_result()
-        assert result.column("system") == ["harmony", "aria"]
-        assert result.series("system", "aria", "tput") == [567.8]
+        assert result.series("system") == ["harmony", "aria"]
+        assert result.series("tput", system="aria") == [567.8]
+        assert result.cell("tput", system="harmony") == 1234.5
+        with pytest.raises(KeyError):
+            result.cell("tput")
 
     def test_notes_rendered(self):
         result = self.make_result()
@@ -262,115 +265,6 @@ class TestRule2VsTopologicalSort:
             assert positions == sorted(positions)
 
 
-class TestCompareTooling:
-    """`python -m repro.bench --compare`: mechanical trajectory diffing of
-    the deterministic (simulated-basis) cases."""
-
-    @staticmethod
-    def _run(mode, created, cases, basis="simulated"):
-        return {
-            "bench": "perf",
-            "mode": mode,
-            "created_utc": created,
-            "cases": [
-                {
-                    "case": name,
-                    "params": params,
-                    "speedup": speedup,
-                    "basis": basis,
-                    "checks": {},
-                }
-                for name, params, speedup in cases
-            ],
-        }
-
-    def test_detects_speedup_collapse(self):
-        from repro.bench.perf import compare_last_runs
-
-        history = [
-            self._run("full", "t0", [("shard_scaling", {"n": 1}, 5.0),
-                                     ("adaptive_skew", {"n": 2}, 10.0)]),
-            self._run("full", "t1", [("shard_scaling", {"n": 1}, 4.2),  # -16%: passes
-                                     ("adaptive_skew", {"n": 2}, 4.0)]),
-        ]
-        lines, regressions = compare_last_runs(history)
-        assert len(regressions) == 1
-        assert "adaptive_skew" in regressions[0]
-        assert any("COLLAPSED" in line for line in lines)
-
-    def test_wall_cases_are_listed_not_compared(self):
-        """A wall-clock case gates itself inside its own run; its numbers
-        moving between runs is never a regression of the diff."""
-        from repro.bench.perf import compare_last_runs
-
-        history = [
-            self._run("full", "t0", [("obs_overhead", {"n": 1}, 6.0)], basis="wall"),
-            self._run("full", "t1", [("obs_overhead", {"n": 1}, 1.0)], basis="wall"),
-        ]
-        lines, regressions = compare_last_runs(history)
-        assert regressions == []
-        assert any("not compared" in line and "obs_overhead" in line for line in lines)
-
-    def test_compares_same_mode_only_and_ignores_new_cases(self):
-        from repro.bench.perf import compare_last_runs
-
-        history = [
-            self._run("full", "t0", [("shard_scaling", {"n": 1}, 8.0),
-                                     ("validation", {"n": 1}, 6.0),
-                                     ("vanished", {"n": 1}, 2.0)]),
-            self._run("smoke", "t1", [("shard_scaling", {"n": 9}, 2.0)]),
-            self._run("full", "t2", [("shard_scaling", {"n": 1}, 7.8),
-                                     ("brand_new", {"n": 3}, 1.1)]),
-        ]
-        lines, regressions = compare_last_runs(history, retired={"validation": "why"})
-        assert regressions == []
-        assert any("t0" in line for line in lines)  # diffed against the full run
-        assert any("NEW" in line and "brand_new" in line for line in lines)
-        assert any("RETIRED" in line and "validation" in line for line in lines)
-        assert any("GONE" in line and "vanished" in line for line in lines)
-
-    def test_single_run_or_unmatched_mode_is_not_a_failure(self):
-        from repro.bench.perf import compare_last_runs
-
-        assert compare_last_runs([self._run("full", "t0", [])])[1] == []
-        history = [
-            self._run("smoke", "t0", [("shard_scaling", {"n": 1}, 2.0)]),
-            self._run("full", "t1", [("shard_scaling", {"n": 1}, 8.0)]),
-        ]
-        assert compare_last_runs(history)[1] == []
-
-    def test_cli_exit_codes(self, tmp_path):
-        import json
-
-        from repro.bench.__main__ import main
-
-        path = tmp_path / "BENCH_perf.json"
-        good = [
-            self._run("full", "t0", [("shard_scaling", {"n": 1}, 6.0)]),
-            self._run("full", "t1", [("shard_scaling", {"n": 1}, 6.2)]),
-        ]
-        path.write_text(json.dumps({"schema": 1, "runs": good}))
-        assert main(["--compare", str(path)]) == 0
-
-        bad = good[:1] + [self._run("full", "t1", [("shard_scaling", {"n": 1}, 1.5)])]
-        path.write_text(json.dumps({"schema": 1, "runs": bad}))
-        assert main(["--compare", str(path)]) == 1
-        assert main(["--compare", str(tmp_path / "missing.json")]) == 2
-
-    def test_simulated_basis_stays_strict_single_run(self):
-        """A simulated-time case collapsing in just the newest run is a
-        real behavioural change — no median smoothing, no noise guard."""
-        from repro.bench.perf import compare_last_runs
-
-        history = [
-            self._run("full", f"t{i}", [("shard_scaling", {"num_shards": 4}, 7.5)])
-            for i in range(4)
-        ] + [self._run("full", "t4", [("shard_scaling", {"num_shards": 4}, 4.0)])]
-        _lines, regressions = compare_last_runs(history)
-        assert len(regressions) == 1
-        assert "shard_scaling" in regressions[0]
-
-
 class TestScalingGuards:
     """The micro ledger's gate arithmetic, on an injected clock: no wall
     time is read, so these are exact."""
@@ -448,11 +342,8 @@ class TestScalingGuards:
         monkeypatch.chdir(tmp_path)
         monkeypatch.delenv("REPRO_BENCH_OUT", raising=False)
         monkeypatch.setattr(perf, "SCALING_GUARDS", ())
-        for name in ("bench_shard_scaling", "bench_tpcc_sharded"):
-            monkeypatch.setattr(perf, name, lambda *_: [])
-        for name in ("obs_overhead", "adaptive_skew"):
-            stub = {"case": name, "params": {}, "checks": {"ok": True}}
-            monkeypatch.setattr(perf, f"bench_{name}", lambda *_, stub=stub: stub)
+        stub = {"case": "obs_overhead", "params": {}, "checks": {"ok": True}}
+        monkeypatch.setattr(perf, "bench_obs_overhead", lambda *_: stub)
 
         assert perf.run_perf(smoke=True)["all_checks_pass"]
         assert list(tmp_path.iterdir()) == []

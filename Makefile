@@ -3,7 +3,7 @@
 
 PY := PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH)) python
 
-.PHONY: test loc no-twins one-walk one-collector one-process one-claim-home options conformance figures perf-smoke perf faults-smoke faults obs-smoke rebalance-smoke e2e-smoke e2e e2e-pairs
+.PHONY: test loc no-twins one-walk one-collector one-process one-claim-home one-encoding options conformance figures perf-smoke perf faults-smoke faults obs-smoke rebalance-smoke e2e-smoke e2e e2e-pairs
 
 # tier-1 verify: the whole default suite (perf/faults/tpcc/figures markers
 # excluded by pytest.ini)
@@ -59,8 +59,8 @@ one-collector:
 # that commits them and run() commits block i before it forms block i+1 —
 # no worker pool, no backend / pipelined config field or keyword. The
 # paper's inter-block overlap lives on the modeled clock and in the trailing
-# replay (recover_shard_node(pipelined=), replay_sim["pipelined_us"]), the
-# spellings this pattern lets through next to HotStuff's "pipelined BFT"
+# replay (recover_shard_node(pipelined=)), the spelling this pattern lets
+# through next to HotStuff's "pipelined BFT"
 one-process:
 	@test ! -e src/repro/parallel
 	@! grep -rnE --include='*.py' "multiprocessing|concurrent\.futures|ProcessPoolExecutor|register_at_fork|repro\.parallel|\bbackend\b|close_backend|DeferredCommit|config\.pipelined|\"pipelined\"|\bpipelined\s*(=\s*True|:\s*bool\s*=\s*False)" src/repro
@@ -75,6 +75,13 @@ one-claim-home:
 	@! grep -rn --include='*.py' "compare_last_runs" src/repro tests
 	@! grep -rn --include='*.py' '"simulated"' src/repro
 	@echo "one-claim-home: ok"
+
+# one text for every key and value: outside src/repro/encoding.py nothing
+# under src/repro calls repr, passes it as a sort key or formats with !r —
+# every digest, hash and sort key reads encode / key_text (the grammar is
+# docs/artifacts.md); error messages are exempt (tools/one_encoding.py)
+one-encoding:
+	python3 tools/one_encoding.py
 
 # every option has a user: each field of the run configuration (RunConfig,
 # OEConfig, SOVConfig, ShardConfig, HarmonyConfig) is set by a caller outside

@@ -114,8 +114,7 @@ class SOVBlockchain:
                 probe.mark_aborted(AbortReason.EXECUTION_ERROR)
             cost += ctx.cost_us
             outcomes.append((view_block, probe))
-        versions = {tuple(sorted(p.read_set.items(), key=repr)) for _v, p in outcomes}
-        if len(versions) > 1:
+        if any(p.read_set != outcomes[0][1].read_set for _v, p in outcomes[1:]):
             txn.mark_aborted(AbortReason.ENDORSEMENT_MISMATCH)
             return cost
         view_block, chosen = outcomes[0]

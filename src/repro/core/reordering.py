@@ -25,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.dependencies import CommittedGraph, commit_survivors
+from repro.encoding import key_text
 from repro.txn.commands import apply_safely, coalesce
 from repro.txn.transaction import Txn
 
@@ -78,11 +79,11 @@ def apply_write_sets(
     result: its ``chains`` are every key's committed updaters in Rule-2
     order, so nothing is derived or sorted per key.
 
-    Storage is consulted once per block, over the block's ``repr``-sorted
-    key list: ``read_bases(keys)`` returns each key's pre-block value (the
-    store's latest committed version) and ``write_costs(keys)`` charges one
-    physical update of each listed key's page, in list order, and returns
-    the simulated costs.
+    Storage is consulted once per block, over the block's key list sorted
+    by key text (:data:`repro.encoding.key_text`): ``read_bases(keys)``
+    returns each key's pre-block value (the store's latest committed
+    version) and ``write_costs(keys)`` charges one physical update of each
+    listed key's page, in list order, and returns the simulated costs.
 
     ``key_scope`` (sharded deployments) restricts the physical apply to
     locally-owned keys: a cross-shard transaction's remote writes are
@@ -95,7 +96,7 @@ def apply_write_sets(
     graph = commit_survivors(txns)
     committed, chains = graph.txns, graph.chains
     keys = sorted(
-        chains if key_scope is None else filter(key_scope, chains), key=repr
+        chains if key_scope is None else filter(key_scope, chains), key=key_text
     )
     bases = read_bases(keys)
     # one charge per key; uncoalesced, every updater pays its own lookup +

@@ -20,6 +20,7 @@ ww contention that Harmony's update reordering removes.
 
 from __future__ import annotations
 
+from repro.encoding import key_text
 from repro.execution import (
     BlockExecution,
     DCCExecutor,
@@ -141,7 +142,7 @@ class AriaExecutor(DCCExecutor):
             txn.commit_cost_us = cost
             commit_durations.append(cost)
 
-        ordered_writes.sort(key=lambda kv: repr(kv[0]))
+        ordered_writes.sort(key=lambda kv: key_text(kv[0]))
         tail = self.engine.apply_block(block_id, ordered_writes)
         tail += self.engine.checkpoint_if_due(block_id)
 

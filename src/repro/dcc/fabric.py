@@ -57,7 +57,7 @@ class FabricValidator(DCCExecutor):
                 base, _version = overlay.get(key)
                 overlay.put(key, apply_safely(txn.write_set[key], base))
                 cost += self.engine.write_cost(key)
-                cost += self.engine.wal.append("rwset", (txn.tid, key))
+                cost += self.engine.wal.append()
             txn.commit_cost_us = cost
             commit_durations.append(cost)
 

@@ -19,7 +19,6 @@ place a shard executor is pointed at it.
 from __future__ import annotations
 
 import heapq
-from itertools import chain as _chain, islice
 from operator import itemgetter
 
 from repro.shard.router import ShardRouter
@@ -77,65 +76,11 @@ class FederatedSnapshot:
         needed). The per-shard scans are stream-merged lazily — O(log
         shards) per row consumed, nothing materialized — so a consumer
         that stops early (a limit, a missing key probe) never pays for the
-        whole range.
-
-        Mixed-type keys fall back to a ``repr``-keyed total order on
-        ``TypeError``: incomparable *heads* are caught up front (the realistic
-        case — each shard's sorted key directory makes it type-homogeneous
-        in practice); a clash surfacing only deeper in the merge degrades
-        to the repr total order for the rows not yet emitted (yielded rows
-        cannot be recalled), still deterministic and complete.
+        whole range. The keys of one database compare with each other
+        (every key is a ``(str, int, …)`` tuple: ``docs/artifacts.md``);
+        keys that do not raise ``TypeError``, as they do inside one
+        shard's key directory.
         """
-        streams = []
-        heads = []
-        for view in self._views:
-            rows = view.scan(start, end)
-            try:
-                first = next(rows)
-            except StopIteration:
-                continue
-            heads.append(first[0])
-            streams.append(_chain((first,), rows))
-        try:
-            sorted(heads)  # cross-shard comparability probe
-        except TypeError:
-            rows = [row for stream in streams for row in stream]
-            rows.sort(key=lambda kv: repr(kv[0]))
-            return iter(rows)
-        return self._merge_streams(streams, start, end)
-
-    def _merge_streams(self, streams: list, start: object, end: object):
-        """Lazily merge sorted per-shard streams, surviving a deep clash.
-
-        The happy path carries one integer of state per scan; only the
-        rare fallback re-derives the already-emitted prefix (a fresh merge
-        is deterministic, and those first ``yielded`` rows came out once
-        already, so re-producing them cannot raise).
-        """
-        yielded = 0
-        try:
-            for row in heapq.merge(*streams, key=itemgetter(0)):
-                yielded += 1
-                yield row
-        except TypeError:
-            # incomparable keys past the head probe: finish in repr order
-            # (shards own disjoint keys, so the re-derived prefix set
-            # filters exactly)
-            seen = {
-                row[0]
-                for row in islice(
-                    heapq.merge(
-                        *(view.scan(start, end) for view in self._views),
-                        key=itemgetter(0),
-                    ),
-                    yielded,
-                )
-            }
-            rows = [
-                row
-                for view in self._views
-                for row in view.scan(start, end)
-                if row[0] not in seen
-            ]
-            rows.sort(key=lambda kv: repr(kv[0]))
-            yield from rows
+        return heapq.merge(
+            *(view.scan(start, end) for view in self._views), key=itemgetter(0)
+        )

@@ -41,7 +41,8 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
-from repro.storage.mvstore import MIGRATION_SEQ_BASE, TOMBSTONE, canonical
+from repro.encoding import encode, key_text
+from repro.storage.mvstore import MIGRATION_SEQ_BASE, TOMBSTONE
 
 __all__ = [
     "MIGRATION_SEQ_BASE",
@@ -110,7 +111,7 @@ class MigrationRecord:
 
     block_id: int
     epoch: int
-    #: ((key, dst_shard), ...) sorted by ``repr(key)``
+    #: ((key, dst_shard), ...) sorted by ``key_text(key)``
     moves: tuple = ()
     #: ((key, value), ...) in ``moves`` order, live keys only
     deltas: tuple = ()
@@ -118,9 +119,9 @@ class MigrationRecord:
 
     def payload_text(self) -> str:
         """Canonical text folded into the certificate hash."""
-        moves = ",".join(f"{key!r}->{dst}" for key, dst in self.moves)
+        moves = ",".join(f"{key_text(key)}->{dst}" for key, dst in self.moves)
         deltas = ",".join(
-            f"{key!r}={canonical(value)}" for key, value in self.deltas
+            f"{key_text(key)}={encode(value)}" for key, value in self.deltas
         )
         return (
             f"epoch={self.epoch};block={self.block_id};"
@@ -207,7 +208,7 @@ def install_migration(
 class RebalanceProposal:
     """A policy's side-effect-free migration proposal."""
 
-    #: ((key, dst_shard), ...) sorted by ``repr(key)``
+    #: ((key, dst_shard), ...) sorted by ``key_text(key)``
     moves: tuple
     reason: str
 
@@ -228,7 +229,7 @@ class RebalancePolicy:
     - *skew* (load skew >= ``skew_threshold``): one shard is saturated;
       move its hottest keys, as a group, to the least-loaded shard.
 
-    All tie-breaks are ``(-count, repr(key))`` / smallest-shard-id, so
+    All tie-breaks are ``(-count, key_text(key))`` / smallest-shard-id, so
     every replica proposes the identical record.
 
     The check window, warmup and cooldown are two blocks each; a run
@@ -321,7 +322,7 @@ class RebalancePolicy:
         skew = self.window_skew()
         cross = self.cross_ratio()
         hot = sorted(
-            self._key_counts.items(), key=lambda kv: (-kv[1], repr(kv[0]))
+            self._key_counts.items(), key=lambda kv: (-kv[1], key_text(kv[0]))
         )[: self.max_keys]
         if cross >= self.cross_threshold:
             moves = self._colocate(hot, router)
@@ -351,7 +352,7 @@ class RebalancePolicy:
             for key, _count in hot
             if owner[key] != dst
         )
-        return tuple(sorted(moves, key=lambda kv: repr(kv[0])))
+        return tuple(sorted(moves, key=lambda kv: key_text(kv[0])))
 
     def _offload(self, hot, router) -> tuple:
         """Move the hottest shard's hot keys, as a group, to the coldest."""
@@ -365,7 +366,7 @@ class RebalancePolicy:
             for key, _count in hot
             if router.shard_of(key) == src
         )
-        return tuple(sorted(moves, key=lambda kv: repr(kv[0])))
+        return tuple(sorted(moves, key=lambda kv: key_text(kv[0])))
 
     def committed(self, height: int) -> None:
         """A proposal fired at ``height`` was certified; start cooldown."""

@@ -27,13 +27,12 @@ from dataclasses import dataclass
 from repro.chain.node import ReplicaNode
 from repro.chain.recovery import rebuild_engine
 from repro.chain.config import decision_digest
+from repro.collector import collector_paused
 from repro.core.harmony import HarmonyExecutor
 from repro.shard.federated import wire_federation
-from repro.shard.replay import replay_blocks, snapshot_lag
+from repro.shard.replay import replay_blocks
 from repro.shard.router import ShardRouter
 from repro.shard.twopc import CertificateLog
-from repro.sim.costs import REPLICA_CORES
-from repro.sim.scheduler import BlockTiming, replay_lanes
 
 
 @dataclass
@@ -50,12 +49,9 @@ class ShardRecovery:
     #: supervisor back-fill per-block decision records the crashed shard
     #: never surfaced through the live pipeline
     replayed_blocks: list = None
-    #: modeled replay makespans (``{"serial_us", "pipelined_us",
-    #: "speedup"}``) when the executor's snapshot lag legalized the
-    #: interleaved replay; ``None`` for lag-1 executors or empty replays
-    replay_sim: dict | None = None
 
 
+@collector_paused()
 def recover_shard_node(
     crashed: ReplicaNode,
     shard_id: int,
@@ -77,9 +73,11 @@ def recover_shard_node(
     so block *i* validates against block *i−1*'s *decided* records before
     that block's physical commit runs
     (:func:`~repro.shard.replay.snapshot_lag` is the legality rule), with
-    bit-identical state either way. ``replay_sim`` on the result reports
-    the modeled makespan of both disciplines on the replica the chain ran
-    on (:data:`~repro.sim.costs.REPLICA_CORES` cores).
+    bit-identical state either way.
+
+    Like every loop that walks blocks, the whole recovery — the engine
+    rebuild included — runs with the cyclic collector paused
+    (:func:`~repro.collector.collector_paused`).
     """
     engine, replay_from, checkpoint = rebuild_engine(crashed.engine)
     executor = crashed.clone_executor(engine)
@@ -104,21 +102,9 @@ def recover_shard_node(
         engine.block_log.append(block)
 
     replayed: list[tuple[int, list]] = []
-    timings: list[BlockTiming] = []
 
     def record(block_id, executions) -> None:
         for execution in executions.values():
-            # replay has no arrival pacing: every logged block is ready at t=0
-            timings.append(
-                BlockTiming(
-                    arrival_us=0.0,
-                    sim_durations=execution.sim_durations_us,
-                    commit_durations=execution.commit_durations_us,
-                    serial_commit=execution.serial_commit,
-                    pre_exec_serial_us=execution.pre_exec_serial_us,
-                    post_commit_serial_us=execution.post_commit_serial_us,
-                )
-            )
             replayed.append((block_id, execution.txns))
 
     if executor.supports_two_phase:
@@ -147,28 +133,9 @@ def recover_shard_node(
         trail=pipelined,
         on_commit=record,
     )
-    replay_sim = None
-    if timings:
-        lag = snapshot_lag(executor)
-        serial, overlapped = replay_lanes(
-            timings,
-            num_cores=REPLICA_CORES,
-            inter_block=lag >= 2,
-            snapshot_lag=max(lag, 1),
-        )
-        replay_sim = {
-            "serial_us": serial.makespan_us,
-            "pipelined_us": overlapped.makespan_us,
-            "speedup": (
-                serial.makespan_us / overlapped.makespan_us
-                if overlapped.makespan_us > 0
-                else 1.0
-            ),
-        }
     return ShardRecovery(
         node=recovered,
         replay_from=replay_from,
         decision_digest=decision_digest(replayed),
         replayed_blocks=replayed,
-        replay_sim=replay_sim,
     )

@@ -5,7 +5,8 @@ routing decisions must never depend on local state, message timing or dict
 iteration order, or replicas would disagree about which shard owns a write.
 Two static policies:
 
-- ``hash``   — SHA-256 of the key's canonical form, mod ``num_shards``.
+- ``hash``   — SHA-256 of the key's text (:data:`repro.encoding.key_text`),
+  mod ``num_shards``.
   Re-keying safe: the mapping depends only on (key, num_shards), never on
   insertion order or router instance history.
 - ``workload`` — the workload exposes each key's position in a contiguous
@@ -38,6 +39,7 @@ from __future__ import annotations
 import hashlib
 from bisect import bisect_right
 
+from repro.encoding import key_text
 from repro.shard.rebalance import OwnershipTable
 from repro.workloads.base import partition_split_points
 
@@ -169,7 +171,7 @@ class ShardRouter:
         return self.base_shard_of(key)
 
     def _hash_shard(self, key: object) -> int:
-        digest = hashlib.sha256(repr(key).encode()).digest()
+        digest = hashlib.sha256(key_text(key).encode()).digest()
         return int.from_bytes(digest[:8], "big") % self.num_shards
 
     def is_local(self, key: object, shard: int) -> bool:

@@ -95,31 +95,6 @@ def merge_shard_results(results: list[PipelineResult]) -> PipelineResult:
     )
 
 
-def replay_lanes(
-    timings: list[BlockTiming],
-    num_cores: int,
-    inter_block: bool,
-    snapshot_lag: int = 2,
-) -> tuple[PipelineResult, PipelineResult]:
-    """Model one recovery replay both ways: strictly serial vs inter-block
-    overlapped.
-
-    Replay has no arrival pacing — every block is already durable — so the
-    same timings are scheduled once with ``inter_block=False`` (the seed's
-    serial replay loop) and once with the executor's actual snapshot lag
-    (block *i*'s re-simulation overlapping block *i−1*'s re-commit).
-    Returns ``(serial, overlapped)``; the decision stream is identical in
-    both, only the modeled makespan differs.
-    """
-    serial = PipelineSimulator(num_cores=num_cores, inter_block=False).simulate(
-        timings
-    )
-    overlapped = PipelineSimulator(
-        num_cores=num_cores, inter_block=inter_block, snapshot_lag=snapshot_lag
-    ).simulate(timings)
-    return serial, overlapped
-
-
 class PipelineSimulator:
     """Schedules a stream of blocks on ``num_cores`` cores.
 

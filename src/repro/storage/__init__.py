@@ -16,9 +16,8 @@ from repro.storage.bufferpool import BufferPool
 from repro.storage.checkpoint import BlockLog, CheckpointManager
 from repro.storage.disk import SimulatedDisk
 from repro.storage.engine import StorageEngine
-from repro.storage.heap import HeapFile
+from repro.storage.heap import PAGE_RECORD_CAPACITY, HeapFile
 from repro.storage.mvstore import MVStore, SnapshotView, TOMBSTONE
-from repro.storage.pages import PAGE_RECORD_CAPACITY, Page
 from repro.storage.wal import LogMode, WriteAheadLog
 
 __all__ = [
@@ -29,7 +28,6 @@ __all__ = [
     "LogMode",
     "MVStore",
     "PAGE_RECORD_CAPACITY",
-    "Page",
     "SimulatedDisk",
     "SnapshotView",
     "StorageEngine",

@@ -130,8 +130,8 @@ class StorageEngine:
         """
         cost = 0.0
         if self.wal.mode is LogMode.PHYSICAL:
-            for key, _value in ordered_writes:
-                cost += self.wal.append("write", (block_id, key))
+            for _write in ordered_writes:
+                cost += self.wal.append()
         self.store.apply_block(block_id, ordered_writes)
         self._delta_writes.append((block_id, ordered_writes))
         cost += self.wal.group_commit()
@@ -157,8 +157,7 @@ class StorageEngine:
     def log_block_input(self, block: object) -> float:
         """Logical logging: persist the input block before execution."""
         self.block_log.append(block)
-        cost = self.wal.append("block", getattr(block, "block_id", None))
-        return cost
+        return self.wal.append()
 
     def checkpoint_if_due(self, block_id: int, meta: dict | None = None) -> float:
         """Flush dirty pages every ``p`` blocks; returns flush cost in us.

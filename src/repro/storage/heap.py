@@ -10,7 +10,9 @@ not separate.
 A key-only cost model: no record bytes, read only by the modeled clock
 (``sim`` timings, ``io_*``, ``buffer_hit_rate``). It is append-only —
 brought up by :meth:`HeapFile.load`, grown by :meth:`HeapFile.insert` — so
-it only fills: a key's page, once given, is never freed.
+it only fills, and a page is nothing but its id: the n-th key placed lands
+on page ``n // records_per_page``, and a key's page, once given, is never
+freed.
 """
 
 from __future__ import annotations
@@ -19,11 +21,15 @@ from itertools import repeat
 
 from repro.sim.costs import CostModel
 from repro.storage.bufferpool import BufferPool
-from repro.storage.pages import PAGE_RECORD_CAPACITY, Page
+
+#: Number of records per page. With the paper's 10K-key YCSB/Smallbank
+#: tables this yields ~160 pages, so buffer-pool behaviour (hot pages stay
+#: resident, cold scans evict) is visible at benchmark scale.
+PAGE_RECORD_CAPACITY = 64
 
 
 class HeapFile:
-    """An append-allocated collection of slotted pages with a key directory."""
+    """An append-allocated run of fixed-capacity pages with a key directory."""
 
     def __init__(
         self,
@@ -34,7 +40,6 @@ class HeapFile:
         self._pool = buffer_pool
         self._costs = costs
         self._records_per_page = records_per_page
-        self._pages: list[Page] = []
         #: key -> id of the page holding it
         self._directory: dict[object, int] = {}
 
@@ -46,28 +51,25 @@ class HeapFile:
 
     @property
     def num_pages(self) -> int:
-        return len(self._pages)
+        return -(-len(self._directory) // self._records_per_page)
 
     def insert(self, key: object) -> float:
         """Place ``key`` on the open page; returns the simulated cost in us."""
-        if key in self._directory:
+        directory = self._directory
+        if key in directory:
             raise KeyError(f"duplicate key {key!r}")
-        if not self._pages or self._pages[-1].is_full:
-            self._pages.append(Page(page_id=len(self._pages), capacity=self._records_per_page))
-        page = self._pages[-1]
-        page.allocate_slot()
-        self._directory[key] = page.page_id
+        page_id = directory[key] = len(directory) // self._records_per_page
         cost = self._costs.index_lookup_us
-        cost += self._pool.access(page.page_id, dirty=True)
+        cost += self._pool.access(page_id, dirty=True)
         return cost
 
     def load(self, keys) -> None:
         """Place ``keys`` in order, a page at a time, leaving the directory,
-        the pages, the pool's frames and the buffer / disk counters exactly
-        as one :meth:`insert` per key does. A key already placed or repeated
-        in ``keys`` raises that loop's ``KeyError`` before anything is placed."""
+        the pool's frames and the buffer / disk counters exactly as one
+        :meth:`insert` per key does. A key already placed or repeated in
+        ``keys`` raises that loop's ``KeyError`` before anything is placed."""
         keys = list(keys)
-        directory, pages, per_page = self._directory, self._pages, self._records_per_page
+        directory, per_page = self._directory, self._records_per_page
         batch = set(keys)
         if len(batch) < len(keys) or not directory.keys().isdisjoint(batch):
             seen = set(directory)
@@ -76,13 +78,12 @@ class HeapFile:
                     raise KeyError(f"duplicate key {key!r}")
                 seen.add(key)
         # top up the open page slot by slot
-        start = per_page - pages[-1].filled if pages else 0
+        start = -len(directory) % per_page
         for key in keys[:start]:
             self.insert(key)
         for lo in range(start, len(keys), per_page):
             chunk = keys[lo : lo + per_page]
-            page_id = len(pages)
-            pages.append(Page(page_id, per_page, len(chunk)))
+            page_id = len(directory) // per_page
             directory.update(zip(chunk, repeat(page_id)))
             # one miss brings the fresh page in, dirty and most recent; the
             # rest of the chunk would have hit it where it stands

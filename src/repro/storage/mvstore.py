@@ -27,7 +27,8 @@ Hot-path notes:
 - :meth:`MVStore.gc` walks only watermarked chains (keys written more than
   once since their last collection).
 - :meth:`MVStore.state_hash` is incremental: each live ``(key, value)``
-  entry contributes a 256-bit SHA digest combined into a running
+  entry contributes a 256-bit SHA digest of its text (keys and values as
+  :mod:`repro.encoding` writes them) combined into a running
   accumulator by addition mod 2²⁵⁶ (Bellare–Micciancio's AdHash — order
   independent without XOR's linear malleability), and only keys written
   since the last call are re-hashed. The first call walks the version
@@ -43,6 +44,8 @@ from __future__ import annotations
 
 import hashlib
 from bisect import bisect_left
+
+from repro.encoding import encode, key_text
 
 
 class _Tombstone:
@@ -96,32 +99,6 @@ def _visible_at(
     return chain[lo - 1]
 
 
-def canonical(value: object) -> str:
-    """A stable textual form of a stored value, for state hashing.
-
-    Dicts print as ``{k=v,...}`` in sorted field order, integral floats as
-    ints (10.0 and 10 are one state), everything else as its ``repr``. A
-    row's ``str`` / ``int`` / ``float`` fields are formatted in the row's
-    own loop, by exact type, so a flat row costs one sort and one string
-    per field; only nested rows and other field types recurse.
-    """
-    if isinstance(value, dict):
-        fields = []
-        for name, item in sorted(value.items()):
-            kind = type(item)
-            if kind is str or kind is int:
-                text = repr(item)
-            elif kind is float:
-                text = str(int(item)) if item.is_integer() else repr(item)
-            else:
-                text = canonical(item)
-            fields.append(f"{name}={text}")
-        return "{" + ",".join(fields) + "}"
-    if isinstance(value, float) and value.is_integer():
-        return str(int(value))
-    return repr(value)
-
-
 #: accumulator modulus for the additive (AdHash-style) state hash
 _HASH_MOD = 1 << 256
 
@@ -138,8 +115,9 @@ def combine_state_hashes(hashes) -> str:
 
 
 def _entry_digest(key: object, value: object) -> int:
-    """The 256-bit contribution of one live entry to the state hash."""
-    payload = f"{key!r}->{canonical(value)};".encode()
+    """The 256-bit contribution of one live entry to the state hash: the
+    SHA-256 of ``key->value;`` in :mod:`repro.encoding`'s text."""
+    payload = f"{key_text(key)}->{encode(value)};".encode()
     return int.from_bytes(hashlib.sha256(payload).digest(), "big")
 
 

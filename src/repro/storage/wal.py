@@ -9,7 +9,9 @@
 
 Appends accumulate in a group-commit buffer; ``group_commit()`` charges a
 single fsync for the whole block (Section 3: group commit is one of the
-techniques disk databases use to hide I/O latency).
+techniques disk databases use to hide I/O latency). The log is a cost
+model: it keeps counters (:class:`WalStats`), not records — recovery
+replays the engine's block log, never the WAL.
 """
 
 from __future__ import annotations
@@ -27,14 +29,6 @@ class LogMode(enum.Enum):
 
 
 @dataclass
-class LogRecord:
-    lsn: int
-    kind: str
-    payload: object
-    nbytes: int
-
-
-@dataclass
 class WalStats:
     records: int = 0
     bytes: int = 0
@@ -48,8 +42,6 @@ class WriteAheadLog:
         self._disk = disk
         self._costs = costs
         self.mode = mode
-        self._records: list[LogRecord] = []
-        self._pending: list[LogRecord] = []
         self.stats = WalStats()
 
     @property
@@ -58,32 +50,14 @@ class WriteAheadLog:
             return self._costs.physical_log_bytes
         return self._costs.logical_log_bytes
 
-    def append(self, kind: str, payload: object) -> float:
-        """Buffer one record; returns the CPU cost of formatting it (us)."""
-        record = LogRecord(
-            lsn=len(self._records) + len(self._pending),
-            kind=kind,
-            payload=payload,
-            nbytes=self.record_bytes,
-        )
-        self._pending.append(record)
+    def append(self) -> float:
+        """Count one record into the group-commit buffer; returns the CPU cost
+        of formatting it (us)."""
         self.stats.records += 1
-        self.stats.bytes += record.nbytes
+        self.stats.bytes += self.record_bytes
         return self._costs.log_record_us
 
     def group_commit(self) -> float:
         """Flush all buffered records with one fsync; returns cost in us."""
-        self._records.extend(self._pending)
-        self._pending.clear()
         self.stats.group_commits += 1
         return self._disk.fsync()
-
-    def records(self, kind: str | None = None) -> list[LogRecord]:
-        """Durable (flushed) records, optionally filtered by kind."""
-        if kind is None:
-            return list(self._records)
-        return [r for r in self._records if r.kind == kind]
-
-    def truncate(self) -> None:
-        """Drop durable records (after a checkpoint made them redundant)."""
-        self._records.clear()

@@ -12,6 +12,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
+from repro.encoding import key_text
 from repro.txn.commands import UpdateCommand, coalesce
 
 
@@ -44,7 +45,8 @@ class TxnSpec:
 
     proc: str
     params: tuple = ()
-    #: the spec's canonical text — the unit every block header is joined
+    #: the spec's canonical text, ``proc(params)`` in the params' key text
+    #: (``docs/artifacts.md``) — the unit every block header is joined
     #: from. A pure function of the two frozen fields, so it is derived here,
     #: once, and carried by the spec: the global block, every sub-block
     #: sharing the object, signature checks, ledger appends, chain
@@ -53,7 +55,7 @@ class TxnSpec:
     canonical: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "canonical", f"{self.proc}({self.params!r})")
+        object.__setattr__(self, "canonical", f"{self.proc}({key_text(self.params)})")
 
     @property
     def param_dict(self) -> dict:

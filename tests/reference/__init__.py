@@ -14,9 +14,10 @@ where production appends a delta.
   per-block and cross-block dependency graphs, Aria's reservation checks.
 - :mod:`tests.reference.storage` — ``storage/`` and ``shard/federated``:
   version-chain walks, the from-scratch state hash, the per-key load and
-  scan, the per-key heap bring-up with its first-free-slot scan, the
-  block-log cut, the eager cross-shard union and the full deep-copy
-  checkpoint.
+  scan, the per-key heap bring-up, the block-log cut, the eager
+  cross-shard union and the full deep-copy checkpoint.
+- :mod:`tests.reference.encoding` — ``repro/encoding.py``: the value
+  text's recursive definition.
 """
 
 from tests.reference.decision import (
@@ -29,6 +30,7 @@ from tests.reference.decision import (
     reference_validate,
     rw_edges,
 )
+from tests.reference.encoding import encode
 from tests.reference.storage import (
     blocks_after,
     federated_scan,
@@ -47,6 +49,7 @@ __all__ = [
     "aria_decisions",
     "block_dependency_graph",
     "blocks_after",
+    "encode",
     "false_aborts",
     "federated_scan",
     "full_checkpoint",

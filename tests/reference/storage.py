@@ -17,7 +17,6 @@ from repro.storage.mvstore import (
     _HASH_MOD,
     _entry_digest,
 )
-from repro.storage.pages import Page
 
 
 # --------------------------------------------------------- storage/mvstore
@@ -106,21 +105,18 @@ def writes_in_block(store: MVStore, block_id: int) -> list[tuple[object, object]
     return [(key, value) for _seq, key, value in writes]
 
 
-# ------------------------------------------------- storage/pages + heap
+# ------------------------------------------------------------ storage/heap
 def heap_load(heap: HeapFile, keys) -> None:
-    """Bring-up, one insert per key: a fresh page when the last one is
-    full, one more slot of it filled, the key's page id in the directory,
-    one dirty pool access — and a ``KeyError`` at the first key already
-    placed, the keys before it kept."""
+    """Bring-up, one insert per key: the key goes on the page the keys
+    placed so far have filled up to (a fresh one when the last is full),
+    its page id in the directory, one dirty pool access — and a
+    ``KeyError`` at the first key already placed, the keys before it kept."""
     for key in keys:
         if key in heap._directory:
             raise KeyError(f"duplicate key {key!r}")
-        if not heap._pages or heap._pages[-1].is_full:
-            heap._pages.append(Page(len(heap._pages), heap._records_per_page))
-        page = heap._pages[-1]
-        page.filled += 1
-        heap._directory[key] = page.page_id
-        heap._pool.access(page.page_id, dirty=True)
+        page_id = len(heap._directory) // heap._records_per_page
+        heap._directory[key] = page_id
+        heap._pool.access(page_id, dirty=True)
 
 
 # ------------------------------------------------------ storage/checkpoint
@@ -148,10 +144,7 @@ def full_checkpoint(
 # ---------------------------------------------------------- shard/federated
 def federated_scan(snap: FederatedSnapshot, start: object, end: object) -> list:
     """The merged cross-shard range read as an eager union: every shard's
-    rows materialized, then sorted (by ``repr`` when keys do not compare)."""
+    rows materialized, then sorted by key."""
     rows = [row for view in snap._views for row in view.scan(start, end)]
-    try:
-        rows.sort(key=lambda kv: kv[0])
-    except TypeError:
-        rows.sort(key=lambda kv: repr(kv[0]))
+    rows.sort(key=lambda kv: kv[0])
     return rows

@@ -127,6 +127,29 @@ class TestCollectorPaused:
         assert gc.isenabled()
         assert collections == [1, 1]
 
+    def test_recovery_runs_paused(self, collections, monkeypatch):
+        """Crash recovery walks blocks too: the engine rebuild and the
+        replay run with the collector off, and the caller sees one settle."""
+        import repro.shard.recovery as recovery
+
+        chain = OEBlockchain(
+            OEConfig(**tiny("smallbank")), make_workload("smallbank", profile="conformance")
+        )
+        chain.run()
+        rebuild, seen = recovery.rebuild_engine, []
+
+        def observed(engine):
+            seen.append(gc.isenabled())
+            return rebuild(engine)
+
+        monkeypatch.setattr(recovery, "rebuild_engine", observed)
+        gc.collect()
+        collections.clear()
+        recovered = recover_node(chain.node)
+        assert seen == [False]
+        assert collections == [1]
+        assert recovered.state_hash() == chain.node.state_hash()
+
     def test_scaling_guard_times_paused_and_hands_the_collector_back(self, collections):
         """The micro ledger's guard used to end every clocked section with a
         bare ``gc.enable()``, switching on a collector its caller had off."""

@@ -28,9 +28,10 @@ from repro.core.reordering import KeyApply, apply_write_sets
 from repro.core.validation import HarmonyValidator
 from repro.dcc.aria import AriaExecutor
 from repro.dcc.oracle import HistoryOracle, SerializabilityOracle, has_cycle
+from repro.encoding import encode
 from repro.execution import OverlayView
 from repro.intervals import RangeIndex, SortedKeys, covers
-from repro.storage.mvstore import MVStore, TOMBSTONE, _entry_digest, canonical
+from repro.storage.mvstore import MVStore, TOMBSTONE, _entry_digest
 from repro.txn.commands import AddValue, DeleteValue, MulValue, SetValue, apply_safely
 from repro.txn.transaction import AbortReason, Txn, TxnSpec
 
@@ -595,20 +596,6 @@ class TestOverlayScan:
         )
 
 
-def _canonical_reference(value: object) -> str:
-    """The recursive definition of the state hash's value text (what
-    ``canonical`` was before it became one pass): dicts by sorted field,
-    integral floats as ints, anything else by ``repr``."""
-    if isinstance(value, dict):
-        inner = ",".join(
-            f"{k}={_canonical_reference(v)}" for k, v in sorted(value.items())
-        )
-        return "{" + inner + "}"
-    if isinstance(value, float) and value.is_integer():
-        return str(int(value))
-    return repr(value)
-
-
 _scalars = (
     st.none()
     | st.booleans()
@@ -682,15 +669,15 @@ class TestMVStoreFastPaths:
 
     @given(_stored_values)
     @settings(max_examples=300, deadline=None)
-    def test_one_pass_canonical_matches_recursive_definition(self, value):
-        assert canonical(value) == _canonical_reference(value)
+    def test_one_pass_encode_matches_recursive_definition(self, value):
+        assert encode(value) == reference.encode(value)
         key = ("k", 3)
-        payload = f"{key!r}->{_canonical_reference(value)};".encode()
+        payload = f"{key!r}->{reference.encode(value)};".encode()
         assert _entry_digest(key, value) == int.from_bytes(
             hashlib.sha256(payload).digest(), "big"
         )
 
-    def test_canonical_corner_values(self):
+    def test_encode_corner_values(self):
         class Row(dict):
             pass
 
@@ -704,10 +691,10 @@ class TestMVStoreFastPaths:
             (Row(q=2.0), "{q=2}"), (Money(3.0), "3"), ({}, "{}"),
         ]  # fmt: skip
         for value, text in cases:
-            assert canonical(value) == text == _canonical_reference(value)
+            assert encode(value) == text == reference.encode(value)
         for value in (float("nan"), float("inf"), float("-inf")):
-            assert canonical(value) == repr(value) == _canonical_reference(value)
-            assert canonical({"f": value}) == _canonical_reference({"f": value})
+            assert encode(value) == repr(value) == reference.encode(value)
+            assert encode({"f": value}) == reference.encode({"f": value})
 
     @given(
         st.lists(

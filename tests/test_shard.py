@@ -247,23 +247,18 @@ class TestFederatedScan:
         first = next(iter(rows))
         assert first == (("usertable", 0), 0)
 
-    def test_mixed_type_keys_fall_back_to_repr_order(self):
-        """Shards owning keys of incomparable types (one holds strings,
-        another tuples) still scan deterministically: both paths fall back
-        to the ``repr``-keyed total order and must agree."""
+    def test_mixed_type_keys_raise(self):
+        """Every key of one database is a ``(str, int, …)`` tuple, so the
+        merge never meets keys that do not compare; shards that hold some
+        anyway (one strings, another tuples) raise ``TypeError``, as one
+        shard's key directory does."""
         from repro.shard.federated import FederatedSnapshot
         from repro.storage.mvstore import MVStore
 
-        class SplitRouter(ShardRouter):
-            def shard_of(self, key):
-                return 0 if isinstance(key, str) else 1
-
         strings, tuples = MVStore(), MVStore()
-        strings.load({f"s{i}": i for i in range(3)})
-        tuples.load({(9, i): i * 10 for i in range(3)})
-        snap = FederatedSnapshot(
-            SplitRouter(2, policy="hash"), [strings, tuples], block_id=-1
-        )
+        strings.load({"s0": 0})
+        tuples.load({(9, 0): 0})
+        snap = FederatedSnapshot(ShardRouter(2, policy="hash"), [strings, tuples], -1)
 
         class AnyLow:  # below every key, regardless of its type
             def __gt__(self, other):
@@ -273,42 +268,10 @@ class TestFederatedScan:
             def __gt__(self, other):
                 return True
 
-        # each shard's bisect resolves against these bounds; the merge
-        # then meets a str head and a tuple head — incomparable
-        lo, hi = AnyLow(), AnyHigh()
-        lazy_rows = list(snap.scan(lo, hi))
-        eager_rows = reference.federated_scan(snap, lo, hi)
-        assert lazy_rows == eager_rows
-        assert lazy_rows == sorted(lazy_rows, key=lambda kv: repr(kv[0]))
-        assert len(lazy_rows) == 6
-
-    def test_deep_mixed_type_clash_stays_deterministic_and_complete(self):
-        """Comparable heads but a type clash deeper in the merge: the lazy
-        scan must not blow up at the consumer — it finishes in repr order
-        for the unemitted tail, deterministically, losing no row."""
-        from repro.shard.federated import FederatedSnapshot
-        from repro.storage.mvstore import MVStore
-
-        class ParityRouter(ShardRouter):
-            def shard_of(self, key):
-                return 0 if key[0] % 2 == 0 else 1
-
-        # each shard sorts internally (first tuple elements all differ);
-        # the merge compares (2, "x") with (3, 7) fine but eventually
-        # meets (6, "x") vs (6, 7)-style clashes via the shared prefix
-        evens, odds = MVStore(), MVStore()
-        evens.load({(0, 1): "a", (2, "x"): "b", (6, "x"): "c"})
-        odds.load({(1, 5): "d", (3, 7): "e", (6, 7): "f"})
-        snap = FederatedSnapshot(ParityRouter(2, policy="hash"), [evens, odds], -1)
-
-        lo, hi = (0, 0), (99, 0)
-        first = list(snap.scan(lo, hi))
-        second = list(snap.scan(lo, hi))
-        assert first == second  # deterministic
-        assert sorted(map(repr, (k for k, _ in first))) == sorted(
-            map(repr, (k for k, _ in reference.federated_scan(snap, lo, hi)))
-        )  # complete: same row set as the eager fallback
-        assert len(first) == 6
+        with pytest.raises(TypeError):
+            list(snap.scan(AnyLow(), AnyHigh()))
+        with pytest.raises(TypeError):
+            strings.load({(9, 1): 1})
 
 
 # ------------------------------------------------------------------ sequencer

@@ -307,18 +307,3 @@ def test_pipelined_recovery_replay_bit_identical():
         == piped_chain.group.combined_state_hash()
     )
 
-
-def test_recovery_reports_replay_model():
-    chain = drive_with_crash()
-    # recover once more at the end to inspect the modeled replay timings
-    recovery = recover_shard_node(
-        chain.group.nodes[1],
-        1,
-        [n.engine.store for n in chain.group.nodes],
-        chain.router,
-        chain.cert_log,
-    )
-    if recovery.replayed_blocks:
-        assert recovery.replay_sim is not None
-        assert recovery.replay_sim["pipelined_us"] <= recovery.replay_sim["serial_us"]
-        assert recovery.replay_sim["speedup"] >= 1.0

@@ -16,7 +16,6 @@ from repro.storage.disk import SimulatedDisk
 from repro.storage.engine import StorageEngine
 from repro.storage.heap import HeapFile
 from repro.storage.mvstore import TOMBSTONE
-from repro.storage.pages import Page
 from repro.storage.wal import LogMode, WriteAheadLog
 from repro.workloads import make_workload
 
@@ -31,19 +30,25 @@ def make_pool(capacity=4):
     return BufferPool(capacity, disk, COSTS), disk
 
 
-class TestPage:
-    def test_allocation_fills_slots(self):
-        page = Page(page_id=0, capacity=2)
-        page.allocate_slot()
-        assert page.filled == 1 and not page.is_full
-        page.allocate_slot()
-        assert page.filled == 2 and page.is_full
+class TestPagePlacement:
+    """A page is nothing but its id: the heap is append-only, so the n-th
+    key placed lands on page ``n // records_per_page``."""
 
-    def test_full_page_rejects(self):
-        page = Page(page_id=0, capacity=1)
-        page.allocate_slot()
-        with pytest.raises(ValueError):
-            page.allocate_slot()
+    def test_nth_key_lands_on_page_n_div_per_page(self):
+        heap = HeapFile(make_pool(16)[0], COSTS, records_per_page=3)
+        keys = [("k", i) for i in range(10)]
+        for key in keys[:4]:
+            heap.insert(key)
+        heap.load(keys[4:])
+        assert [heap.page_of(key) for key in keys] == [n // 3 for n in range(10)]
+
+    def test_num_pages_is_a_ceiling_division(self):
+        heap = HeapFile(make_pool()[0], COSTS, records_per_page=4)
+        counts = [heap.num_pages]
+        for i in range(9):
+            heap.insert(i)
+            counts.append(heap.num_pages)
+        assert counts == [0, 1, 1, 1, 1, 2, 2, 2, 2, 3]
 
 
 class TestBufferPool:
@@ -134,15 +139,15 @@ def make_heap(records_per_page=4, capacity=4):
 
 
 def heap_state(heap):
-    """Everything bring-up decides: the directory (key -> page id), every
-    page's fill count, the pool's frames in LRU order with their dirty
-    flags, and the buffer and disk counters (a copy, so a later state can
-    be compared with it)."""
+    """Everything bring-up decides: the directory (key -> page id, which
+    is every page's fill count too), the page count, the pool's frames in
+    LRU order with their dirty flags, and the buffer and disk counters (a
+    copy, so a later state can be compared with it)."""
     pool = heap._pool
     return copy.deepcopy(
         (
             heap._directory,
-            [(page.page_id, page.filled) for page in heap._pages],
+            heap.num_pages,
             list(pool._frames.items()),
             vars(pool.stats),
             vars(pool._disk.stats),
@@ -206,9 +211,8 @@ class TestHeapLoad:
         heap = run_against_reference(
             [("insert", "a"), ("insert", "b"), ("load", ["c", "d"]), ("load", list(range(8)))]
         )
-        assert heap.num_pages == 3 and all(page.is_full for page in heap._pages)
+        assert heap.num_pages == 3 and len(heap) == 12  # every page full
         assert heap._directory["d"] == 0 and heap._directory[7] == 2
-        assert [page.filled for page in heap._pages] == [4, 4, 4]
 
     @pytest.mark.parametrize(
         "batch, refused",
@@ -227,7 +231,7 @@ class TestHeapLoad:
         heap.load(key for key in range(6))
         heap.load({"a": 1, "b": 2}.keys())
         assert len(heap) == 8 and heap._directory["b"] == 1
-        assert heap._pages[1].filled == 4
+        assert list(heap._directory.values()).count(1) == 4
 
 
 class TestWal:
@@ -240,27 +244,18 @@ class TestWal:
     def test_group_commit_one_fsync(self):
         disk = SimulatedDisk(COSTS)
         wal = WriteAheadLog(disk, COSTS, LogMode.LOGICAL)
-        for i in range(10):
-            wal.append("block", i)
-        wal.group_commit()
+        for _ in range(10):
+            wal.append()
+        assert wal.group_commit() == COSTS.fsync_us
         assert disk.stats.fsyncs == 1
-        assert len(wal.records("block")) == 10
+        assert (wal.stats.records, wal.stats.group_commits) == (10, 1)
 
-    def test_unflushed_records_not_durable(self):
+    def test_append_is_counted_before_any_flush(self):
         disk = SimulatedDisk(COSTS)
-        wal = WriteAheadLog(disk, COSTS, LogMode.LOGICAL)
-        wal.append("block", 1)
-        assert wal.records() == []
-        wal.group_commit()
-        assert len(wal.records()) == 1
-
-    def test_truncate_drops_durable_records(self):
-        disk = SimulatedDisk(COSTS)
-        wal = WriteAheadLog(disk, COSTS, LogMode.LOGICAL)
-        wal.append("block", 1)
-        wal.group_commit()
-        wal.truncate()
-        assert wal.records() == []
+        wal = WriteAheadLog(disk, COSTS, LogMode.PHYSICAL)
+        assert wal.append() == COSTS.log_record_us
+        assert (wal.stats.records, wal.stats.bytes) == (1, COSTS.physical_log_bytes)
+        assert wal.stats.group_commits == 0 and disk.stats.fsyncs == 0
 
 
 class TestCheckpointManager:

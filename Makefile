@@ -3,7 +3,7 @@
 
 PY := PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH)) python
 
-.PHONY: test loc no-twins one-walk one-collector one-process one-claim-home one-encoding options conformance figures perf-smoke perf faults-smoke faults obs-smoke rebalance-smoke e2e-smoke e2e e2e-pairs
+.PHONY: test loc no-twins one-walk one-collector one-process one-claim-home one-encoding one-clock options conformance figures perf-smoke perf faults-smoke faults obs-smoke rebalance-smoke e2e-smoke e2e e2e-pairs
 
 # tier-1 verify: the whole default suite (perf/faults/tpcc/figures markers
 # excluded by pytest.ini)
@@ -82,6 +82,15 @@ one-claim-home:
 # docs/artifacts.md); error messages are exempt (tools/one_encoding.py)
 one-encoding:
 	python3 tools/one_encoding.py
+
+# one modeled clock for both dataflows: the Order-Execute driver and SOV
+# price their runs through src/repro/chain/accounts.py (RunAccounts) —
+# nothing else under src/repro builds a PipelineSimulator, merges lanes,
+# extends the latency sample or folds a block into RunMetrics (the
+# definitions in sim/ excepted)
+one-clock:
+	@! grep -rnE --include='*.py' "PipelineSimulator\(|merge_shard_results\(|latencies_us\.extend|\.merge_block\(" src/repro | grep -vE '^src/repro/(chain/accounts\.py:|sim/[a-z_]+\.py:[0-9]+:def )'
+	@echo "one-clock: ok"
 
 # every option has a user: each field of the run configuration (RunConfig,
 # OEConfig, SOVConfig, ShardConfig, HarmonyConfig) is set by a caller outside

@@ -141,18 +141,6 @@ def build_checkpoint_delta(num_keys: int):
     return lambda: manager.delta_checkpoint(9, interval, meta={"prev_records": {}})
 
 
-def build_mvstore_gc(num_keys: int):
-    """Version gc after 6 blocks rewrote the same 2048 keys of a
-    ``num_keys`` store: the watermark walk visits the rewritten chains,
-    not every chain."""
-    hot = random.Random(SEED + 2).sample(range(num_keys), 2048)
-    store = MVStore()
-    store.load({_key(i): i for i in range(num_keys)})
-    for block_id in range(6):
-        store.apply_block(block_id, [(_key(i), block_id) for i in hot])
-    return lambda: {"versions_dropped": store.gc(4) > 0}
-
-
 def build_federated_scan(num_keys: int):
     """A cross-shard range read over ``num_keys`` keys on 4 shards, consumed
     up to 4096 rows: the lazy merge pays per row consumed, not per row in
@@ -237,7 +225,6 @@ def build_heap_load(records_per_page: int):
 SCALING_GUARDS = (
     ("state_hash_scaling", build_state_hash, INDEPENDENT, 25_000, 5_000, "keys"),
     ("checkpoint_delta_scaling", build_checkpoint_delta, INDEPENDENT, 25_000, 5_000, "keys"),
-    ("mvstore_gc_scaling", build_mvstore_gc, INDEPENDENT, 25_000, 5_000, "keys"),
     ("federated_scan_scaling", build_federated_scan, INDEPENDENT, 25_000, 5_000, "keys"),
     ("range_index_scaling", build_range_index, INDEPENDENT, 2_000, 500, "ranges"),
     ("mvstore_load_scaling", build_mvstore_load, LINEARITHMIC, 25_000, 5_000, "keys"),

@@ -11,7 +11,8 @@ service cuts blocks, and replicas validate — **Fabric** and **FastFabric#**.
 
 Both assemblies share the ledger (hash-chained blocks, tamper detection),
 replica nodes (a storage engine + a DCC executor), recovery (checkpoint +
-deterministic replay) and the pipeline timing model.
+deterministic replay) and the run accounts (:mod:`repro.chain.accounts`:
+retries, decisions and the pipeline timing model).
 """
 
 from repro.chain.block import GENESIS_HASH, Block

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.chain.block import Block
+from repro.chain.accounts import RunAccounts
 from repro.chain.config import RunConfig, build_engine, unknown_option
 from repro.chain.node import ReplicaNode
 from repro.chain.ordering import OrderingService
@@ -33,10 +33,10 @@ from repro.consensus.network import NetworkModel
 from repro.dcc.fabric import FabricValidator, endorsed_value_writes
 from repro.dcc.fastfabric import FastFabricOrderer, FastFabricValidator
 from repro.dcc.oracle import SerializabilityOracle
-from repro.sim.costs import REPLICA_CORES, CostModel
+from repro.sim.costs import CostModel
 from repro.sim.metrics import RunMetrics
 from repro.sim.rng import SeededRng
-from repro.sim.scheduler import BlockTiming, PipelineSimulator
+from repro.sim.scheduler import BlockTiming
 from repro.storage.wal import LogMode
 from repro.txn.context import SimulationContext
 from repro.txn.transaction import AbortReason, Txn
@@ -131,107 +131,70 @@ class SOVBlockchain:
     # ------------------------------------------------------------------ run
     @collector_paused()
     def run(self) -> RunMetrics:
+        """Endorse, order (FastFabric# reorders at the orderer), validate;
+        the rw-set broadcast paces the blocks. The pricing is the run
+        accounts' (:mod:`repro.chain.accounts`), shared with Order-Execute."""
         config = self.config
         rng = SeededRng(config.seed, f"sov/{config.system}/{self.workload.name}")
-        metrics = RunMetrics(system=config.system, workload=self.workload.name)
-
-        consensus_latency = None
-        endorsement_latency = None
-
-        timings: list[BlockTiming] = []
-        executions = []
-        retry_queue: list = []
-        next_tid = 0
+        accounts = RunAccounts(config.system, self.workload.name)
+        fixed_latency = None
         arrival = 0.0
-        for i in range(config.num_blocks):
-            retries = retry_queue[: config.block_size]
-            retry_queue = retry_queue[config.block_size :]
-            specs = retries + self.workload.generate_block(
-                config.block_size - len(retries), rng
-            )
-            txns = [
-                Txn(tid=next_tid + j, block_id=i, spec=spec)
-                for j, spec in enumerate(specs)
-            ]
-            next_tid += len(specs)
+        for _ in range(config.num_blocks):
+            # clients resubmit aborted transactions (fresh endorsement each time)
+            specs, _ = accounts.next_specs(self.workload, config.block_size, rng)
+            block = self.ordering.form_block(specs)
+            txns = block.build_txns()
             for txn in txns:
                 self._endorse(txn, rng)
 
-            pre_exec = 0.0
+            ordered, pre_exec = txns, 0.0
             if self.fast_orderer is not None:
                 outcome = self.fast_orderer.process(
                     txns, state_view=self.node.engine.store.latest_snapshot()
                 )
                 ordered = outcome.ordered_txns + [t for t in txns if t.aborted]
                 pre_exec = outcome.traversal_cost_us
-            else:
-                ordered = txns
-
-            block = self._form_sov_block(i, specs, ordered)
+            block.endorsed_txns = ordered
             execution = self.node.process_block(block)
             execution.pre_exec_serial_us += pre_exec
             execution.pre_exec_serial_us += block.size * self.costs.ingest_us
-            execution.stats.false_aborts = SerializabilityOracle.count_false_aborts(
-                execution.txns, chain_order=lambda t: t.tid
-            )
-            # clients resubmit aborted transactions (fresh endorsement each time)
-            retry_queue.extend(t.spec for t in execution.txns if t.aborted)
-            metrics.merge_block(execution.stats)
-            executions.append(execution)
 
             # the rw-set broadcast paces block delivery (Figures 15/16)
             records = sum(len(t.read_set) + len(t.write_set) for t in txns)
             per_txn = records / max(1, len(txns))
             block_bytes = len(txns) * endorsed_txn_bytes(per_txn)
-            interval = self.consensus.min_block_interval_us(
-                block_bytes, config.num_replicas
-            )
-            if consensus_latency is None:
-                consensus_latency = self.consensus.block_latency_us(
-                    block_bytes, config.num_replicas
-                )
-                # two extra client round trips plus the rw-set upload
-                endorsement_latency = (
+            if fixed_latency is None:
+                # two extra client round trips plus the rw-set upload, then
+                # consensus — both priced from the first block
+                fixed_latency = (
                     4 * self.network.one_way_us
                     + self.network.transfer_us(endorsed_txn_bytes(per_txn))
-                )
-            timings.append(
-                BlockTiming(
-                    arrival_us=arrival,
-                    sim_durations=execution.sim_durations_us,
-                    commit_durations=execution.commit_durations_us,
-                    serial_commit=execution.serial_commit,
-                    pre_exec_serial_us=execution.pre_exec_serial_us,
-                    post_commit_serial_us=execution.post_commit_serial_us,
-                )
+                ) + self.consensus.block_latency_us(block_bytes, config.num_replicas)
+            timing = BlockTiming(
+                arrival_us=arrival,
+                sim_durations=execution.sim_durations_us,
+                commit_durations=execution.commit_durations_us,
+                serial_commit=execution.serial_commit,
+                pre_exec_serial_us=execution.pre_exec_serial_us,
+                post_commit_serial_us=execution.post_commit_serial_us,
             )
-            arrival += interval
-
-        scheduler = PipelineSimulator(num_cores=REPLICA_CORES, inter_block=False)
-        result = scheduler.simulate(timings)
-        metrics.sim_time_us = result.makespan_us
-        metrics.cpu_utilization = result.cpu_utilization
-        for i, execution in enumerate(executions):
-            started = timings[i].arrival_us
-            if i > 0:
-                started = max(started, result.commit_finish_us[i - 1])
-            block_latency = (
-                endorsement_latency
-                + consensus_latency
-                + (result.commit_finish_us[i] - started)
-                + self.network.worst_one_way_us(config.num_replicas)
+            accounts.absorb(
+                block.block_id,
+                execution.txns,
+                [timing],
+                SerializabilityOracle.count_false_aborts(
+                    execution.txns, chain_order=lambda t: t.tid
+                ),
+                execution.stats.dangerous_structure_hits,
             )
-            metrics.latencies_us.extend([block_latency] * execution.stats.committed)
-        engine = self.node.engine
-        metrics.io_reads = engine.io_reads
-        metrics.io_writes = engine.io_writes
-        metrics.buffer_hits = engine.buffer_hits
-        metrics.buffer_misses = engine.buffer_misses
-        metrics.extra["state_hash"] = self.node.state_hash()
-        metrics.extra["ledger_ok"] = self.node.ledger.verify_chain()
-        return metrics
-
-    def _form_sov_block(self, block_id: int, specs, ordered_txns) -> Block:
-        block = self.ordering.form_block(list(specs))
-        block.endorsed_txns = list(ordered_txns)
-        return block
+            arrival += self.consensus.min_block_interval_us(
+                block_bytes, config.num_replicas
+            )
+        accounts.finish(
+            inter_block=False,
+            snapshot_lag=2,
+            fixed_latency_us=fixed_latency,
+            reply_us=self.network.worst_one_way_us(config.num_replicas),
+            nodes=[self.node],
+        )
+        return accounts.metrics

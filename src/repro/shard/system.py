@@ -26,7 +26,8 @@ between callers is the *schedule* of those calls: one after the other
 (:meth:`ShardedBlockchain.process_global_block`), or with crash marks, vote
 retries and recovery between the stages
 (:class:`repro.faults.supervisor.SupervisedShardGroup`). No one else
-prepares, certifies or commits a live block (``make one-walk``).
+prepares, certifies or commits a live block (``make one-walk``). The run
+is priced by :class:`~repro.chain.accounts.RunAccounts`, as SOV's is.
 
 ``num_shards=1`` is the unsharded chain
 (:class:`~repro.chain.system.OEBlockchain` is exactly that configuration):
@@ -37,8 +38,9 @@ pricing have nothing to compute and are skipped on those facts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
+from repro.chain.accounts import RunAccounts
 from repro.chain.config import (
     COMMAND_BYTES,
     CROSS_READ_BYTES,
@@ -46,8 +48,6 @@ from repro.chain.config import (
     OEConfig,
     build_engine,
     build_executor,
-    decision_part,
-    digest_parts,
     unknown_option,
 )
 from repro.chain.node import ReplicaNode
@@ -67,10 +67,10 @@ from repro.shard.rebalance import (
 from repro.shard.replay import replay_blocks
 from repro.shard.router import ShardRouter
 from repro.shard.twopc import CertificateLog, derive_votes
-from repro.sim.costs import REPLICA_CORES, CostModel
-from repro.sim.metrics import BlockStats, RunMetrics
+from repro.sim.costs import CostModel
+from repro.sim.metrics import RunMetrics
 from repro.sim.rng import SeededRng
-from repro.sim.scheduler import BlockTiming, PipelineSimulator, merge_shard_results
+from repro.sim.scheduler import BlockTiming
 from repro.storage.mvstore import combine_state_hashes
 
 
@@ -139,22 +139,6 @@ class GlobalBlockOutcome:
     @property
     def block_id(self) -> int:
         return self.block.block_id
-
-
-@dataclass
-class _RunState:
-    """What :meth:`ShardedBlockchain.run` accumulates block by block."""
-
-    metrics: RunMetrics
-    interval: float
-    remote_round_us: float
-    shard_timings: list
-    #: one :func:`~repro.chain.config.decision_part` per block: all the
-    #: decision digest needs, so a block's transactions die with its outcome
-    decision_parts: list = field(default_factory=list)
-    per_block_committed: list = field(default_factory=list)
-    cross_txns_total: int = 0
-    cross_aborted_total: int = 0
 
 
 class ShardGroup:
@@ -277,12 +261,6 @@ class ShardedBlockchain:
         self.tracer = None
 
     # ------------------------------------------------------------------ run
-    def _block_bytes(self) -> int:
-        return self.config.block_size * COMMAND_BYTES
-
-    def _inter_block_enabled(self) -> bool:
-        return self.config.system == "harmony" and self.config.harmony.inter_block
-
     def _remote_read_round_us(self) -> float:
         """One batched remote-read exchange of a cross-shard simulation."""
         return self.network.rtt_us(self.config.num_shards) + self.network.transfer_us(
@@ -548,36 +526,76 @@ class ShardedBlockchain:
         this loop.
         """
         config = self.config
-        state = _RunState(
-            metrics=RunMetrics(system=config.system, workload=self.workload.name),
-            interval=self.consensus.min_block_interval_us(
-                self._block_bytes(), config.num_replicas
-            ),
-            remote_round_us=self._remote_read_round_us(),
-            shard_timings=[[] for _ in range(config.num_shards)],
-        )
+        accounts = RunAccounts(config.system, self.workload.name, lanes=config.num_shards)
+        block_bytes = config.block_size * COMMAND_BYTES
+        interval = self.consensus.min_block_interval_us(block_bytes, config.num_replicas)
         rng = SeededRng(config.seed, f"oe/{config.system}/{self.workload.name}")
-        retry_queue: list = []
+        cross_txns = cross_aborted = 0
         for i in range(config.num_blocks):
-            retries = retry_queue[: config.block_size]
-            retry_queue = retry_queue[config.block_size :]
-            fresh = self.workload.generate_block(config.block_size - len(retries), rng)
-            block = self.ordering.form_block(retries + fresh)
+            specs, retries = accounts.next_specs(self.workload, config.block_size, rng)
+            block = self.ordering.form_block(specs)
             if self.tracer is not None:
+                backlog = len(accounts.retry_queue)
                 self.tracer.event(
                     "enqueue",
                     block=block.block_id,
-                    attrs={"retries": len(retries), "backlog": len(retry_queue)},
+                    attrs={"retries": retries, "backlog": backlog},
                 )
-                self.tracer.metrics.histogram("retry_queue_depth").observe(
-                    len(retry_queue)
-                )
+                self.tracer.metrics.histogram("retry_queue_depth").observe(backlog)
             outcome = self.process_global_block(block)
-            self._absorb_block(state, i, outcome)
-            # clients resubmit aborted transactions: their aborts cost a
-            # high-abort protocol the next blocks' slots
-            retry_queue.extend(t.spec for t in outcome.merged_txns if t.aborted)
-        return self._finish_run(state)
+            cross_txns += len(outcome.expected)
+            cross_aborted += len(outcome.certificate.abort_tids)
+            self._absorb_block(accounts, i * interval, outcome)
+
+        inter_block = config.system == "harmony" and config.harmony.inter_block
+        results = accounts.finish(
+            inter_block=inter_block,
+            snapshot_lag=config.harmony.snapshot_lag if inter_block else 2,
+            fixed_latency_us=self.consensus.block_latency_us(
+                block_bytes, config.num_replicas
+            ),
+            reply_us=self.network.worst_one_way_us(config.num_replicas),
+            nodes=self.group.nodes,
+        )
+        metrics = accounts.metrics
+        extra = metrics.extra
+        extra.update(
+            shard_state_hashes=self.group.state_hashes(),
+            num_shards=config.num_shards,
+            cross_shard_txns=cross_txns,
+            cross_shard_aborted=cross_aborted,
+            certificates_ok=self.cert_log.verify_chain(),
+            cert_head=self.cert_log.head_hash,
+            ownership_epoch=self.router.ownership_epoch,
+            migrations=sum(1 for c in self.cert_log.certificates() if c.migration),
+        )
+        tracer = self.tracer
+        if tracer is not None:
+            tracer.event(
+                "run_end",
+                attrs={
+                    "blocks": metrics.blocks,
+                    "committed": metrics.committed,
+                    "aborted": metrics.aborted,
+                    "decision_digest": extra["decision_digest"][:16],
+                    "cert_head": self.cert_log.head_hash[:16],
+                },
+            )
+            tracer.anno(
+                "run_summary",
+                timing={
+                    "makespan_us": metrics.sim_time_us,
+                    "cpu_utilization": metrics.cpu_utilization,
+                },
+            )
+            latency_hist = tracer.metrics.histogram("block_latency_us")
+            for latency in metrics.latencies_us:
+                latency_hist.observe(latency)
+            for shard, result in enumerate(results):
+                tracer.metrics.gauge(f"shard{shard}.busy_core_us").set(
+                    result.busy_core_us
+                )
+        return metrics
 
     # ------------------------------------------------- run bookkeeping
     def merged_view(self, outcome: GlobalBlockOutcome) -> list:
@@ -595,56 +613,25 @@ class ShardedBlockchain:
             for j in range(block.size)
         ]
 
-    def _absorb_block(self, state, i: int, outcome: GlobalBlockOutcome) -> None:
-        """Fold a committed block into the run's decision and timing
-        accounts."""
+    def _absorb_block(
+        self, accounts: RunAccounts, arrival_us: float, outcome: GlobalBlockOutcome
+    ) -> None:
+        """Fold a committed block into the run's accounts: the merged view's
+        decisions, and one timing per shard lane carrying the block's
+        remote reads and vote exchange."""
         block = outcome.block
         executions = outcome.executions
         expected = outcome.expected
-        state.cross_txns_total += len(expected)
-        state.cross_aborted_total += len(outcome.certificate.abort_tids)
-
         outcome.merged_txns = merged_txns = self.merged_view(outcome)
-        state.decision_parts.append(decision_part(block.block_id, merged_txns))
-
-        stats = BlockStats(block_id=block.block_id)
-        for txn in merged_txns:
-            if txn.committed:
-                stats.committed += 1
-            elif txn.aborted:
-                stats.aborted += 1
         # on one shard the merged view *is* the execution's own txn list, so
         # its commit-time graph is the graph the oracle would otherwise
         # rebuild; either way the graphs die with this block
         graph = executions[0].committed_graph if self.config.num_shards == 1 else None
         for execution in executions.values():
             execution.committed_graph = None
-        stats.false_aborts = SerializabilityOracle.count_false_aborts(
-            merged_txns, graph=graph
-        )
-        # validator events are per-shard observations (a cross-shard
-        # transaction is validated at every participant)
-        stats.dangerous_structure_hits = sum(
-            e.stats.dangerous_structure_hits for e in executions.values()
-        )
-        state.metrics.merge_block(stats)
-        state.per_block_committed.append(stats.committed)
-
-        tracer = self.tracer
-        if tracer is not None:
-            tracer.event(
-                "decide",
-                block=block.block_id,
-                attrs={
-                    "committed": stats.committed,
-                    "aborted": stats.aborted,
-                    "false_aborts": stats.false_aborts,
-                },
-            )
-            participant_hist = tracer.metrics.histogram("cross_participants")
-            for shards in expected.values():
-                participant_hist.observe(len(shards))
-
+        remote_round_us = self._remote_read_round_us() if expected else 0.0
+        timings = []
+        votes = {}  # shard -> (cross-shard txns, vote exchange us)
         for shard in sorted(executions):
             execution = executions[shard]
             # serial front-end: each shard ingests only its sub-block
@@ -661,15 +648,53 @@ class ShardedBlockchain:
                         if idx < len(sim_durations):
                             # the cross-shard simulation waits one batched
                             # remote-read round
-                            sim_durations[idx] += state.remote_round_us
+                            sim_durations[idx] += remote_round_us
             post_commit = execution.post_commit_serial_us
             if cross_here:
                 # the vote exchange separates prepare from commit; in
                 # the lane model the serial tail position is equivalent
                 # (commit_finish shifts by the same amount either way)
                 vote_us = self._vote_exchange_us(cross_here)
+                votes[shard] = (cross_here, vote_us)
                 post_commit += vote_us
-                if tracer is not None:
+            timings.append(
+                BlockTiming(
+                    arrival_us=arrival_us,
+                    sim_durations=sim_durations,
+                    commit_durations=execution.commit_durations_us,
+                    serial_commit=execution.serial_commit,
+                    pre_exec_serial_us=execution.pre_exec_serial_us,
+                    post_commit_serial_us=post_commit,
+                )
+            )
+        stats = accounts.absorb(
+            block.block_id,
+            merged_txns,
+            timings,
+            SerializabilityOracle.count_false_aborts(merged_txns, graph=graph),
+            # validator events are per-shard observations (a cross-shard
+            # transaction is validated at every participant)
+            sum(e.stats.dangerous_structure_hits for e in executions.values()),
+        )
+
+        tracer = self.tracer
+        if tracer is not None:
+            tracer.event(
+                "decide",
+                block=block.block_id,
+                attrs={
+                    "committed": stats.committed,
+                    "aborted": stats.aborted,
+                    "false_aborts": stats.false_aborts,
+                },
+            )
+            participant_hist = tracer.metrics.histogram("cross_participants")
+            for shards in expected.values():
+                participant_hist.observe(len(shards))
+            for shard in sorted(executions):
+                execution = executions[shard]
+                if shard in votes:
+                    cross_here, vote_us = votes[shard]
                     tracer.stage(
                         "vote_exchange",
                         block=block.block_id,
@@ -677,10 +702,9 @@ class ShardedBlockchain:
                         sim_us=vote_us,
                         attrs={
                             "cross": cross_here,
-                            "remote_read_us": cross_here * state.remote_round_us,
+                            "remote_read_us": cross_here * remote_round_us,
                         },
                     )
-            if tracer is not None:
                 shard_stats = execution.stats
                 tracer.metrics.counter(f"shard{shard}.committed").inc(
                     shard_stats.committed if shard_stats is not None else 0
@@ -694,101 +718,9 @@ class ShardedBlockchain:
                 tracer.metrics.histogram(f"shard{shard}.commit_us").observe(
                     sum(execution.commit_durations_us)
                 )
-            state.shard_timings[shard].append(
-                BlockTiming(
-                    arrival_us=i * state.interval,
-                    sim_durations=sim_durations,
-                    commit_durations=execution.commit_durations_us,
-                    serial_commit=execution.serial_commit,
-                    pre_exec_serial_us=execution.pre_exec_serial_us,
-                    post_commit_serial_us=post_commit,
-                )
-            )
 
         if self.config.keep_history:
             self.history.append(outcome)
-
-    def _finish_run(self, state) -> RunMetrics:
-        metrics = state.metrics
-        # --- timing: one pipeline lane per shard, merged into one timeline.
-        lag = self.config.harmony.snapshot_lag if self._inter_block_enabled() else 2
-        results = [
-            PipelineSimulator(
-                num_cores=REPLICA_CORES,
-                inter_block=self._inter_block_enabled(),
-                snapshot_lag=lag,
-            ).simulate(timings)
-            for timings in state.shard_timings
-        ]
-        merged_result = merge_shard_results(results)
-
-        metrics.sim_time_us = merged_result.makespan_us
-        metrics.cpu_utilization = merged_result.cpu_utilization
-        # per-block service latency of every committed transaction, backlog
-        # excluded: what a client observes at sustainable load — consensus,
-        # execution from the moment the replica could start the block, and
-        # the reply hop
-        commit_finish_us = merged_result.commit_finish_us
-        consensus_latency_us = self.consensus.block_latency_us(
-            self._block_bytes(), self.config.num_replicas
-        )
-        reply_us = self.network.worst_one_way_us(self.config.num_replicas)
-        for i, committed in enumerate(state.per_block_committed):
-            started = i * state.interval
-            if i > 0:
-                started = max(started, commit_finish_us[i - 1])
-            block_latency = (
-                consensus_latency_us + (commit_finish_us[i] - started) + reply_us
-            )
-            metrics.latencies_us.extend([block_latency] * committed)
-
-        for node in self.group.nodes:
-            engine = node.engine
-            metrics.io_reads += engine.io_reads
-            metrics.io_writes += engine.io_writes
-            metrics.buffer_hits += engine.buffer_hits
-            metrics.buffer_misses += engine.buffer_misses
-        shard_hashes = self.group.state_hashes()
-        metrics.extra["state_hash"] = combine_state_hashes(shard_hashes)
-        metrics.extra["shard_state_hashes"] = shard_hashes
-        metrics.extra["ledger_ok"] = self.group.ledgers_ok()
-        metrics.extra["decision_digest"] = digest_parts(state.decision_parts)
-        metrics.extra["num_shards"] = self.config.num_shards
-        metrics.extra["cross_shard_txns"] = state.cross_txns_total
-        metrics.extra["cross_shard_aborted"] = state.cross_aborted_total
-        metrics.extra["certificates_ok"] = self.cert_log.verify_chain()
-        metrics.extra["cert_head"] = self.cert_log.head_hash
-        metrics.extra["ownership_epoch"] = self.router.ownership_epoch
-        metrics.extra["migrations"] = sum(
-            1 for cert in self.cert_log.certificates() if cert.migration is not None
-        )
-        tracer = self.tracer
-        if tracer is not None:
-            tracer.event(
-                "run_end",
-                attrs={
-                    "blocks": len(state.decision_parts),
-                    "committed": metrics.committed,
-                    "aborted": metrics.aborted,
-                    "decision_digest": metrics.extra["decision_digest"][:16],
-                    "cert_head": self.cert_log.head_hash[:16],
-                },
-            )
-            tracer.anno(
-                "run_summary",
-                timing={
-                    "makespan_us": merged_result.makespan_us,
-                    "cpu_utilization": merged_result.cpu_utilization,
-                },
-            )
-            latency_hist = tracer.metrics.histogram("block_latency_us")
-            for latency in metrics.latencies_us:
-                latency_hist.observe(latency)
-            for shard, result in enumerate(results):
-                tracer.metrics.gauge(f"shard{shard}.busy_core_us").set(
-                    result.busy_core_us
-                )
-        return metrics
 
     # -------------------------------------------------------------- checks
     @collector_paused()

@@ -31,10 +31,6 @@ class BlockStats:
     aborted: int = 0
     false_aborts: int = 0
     dangerous_structure_hits: int = 0
-    io_reads: int = 0
-    io_writes: int = 0
-    buffer_hits: int = 0
-    buffer_misses: int = 0
 
     @property
     def total(self) -> int:
@@ -106,26 +102,20 @@ class RunMetrics:
         total = self.committed + self.aborted
         return self.dangerous_structure_hits / total if total else 0.0
 
-    def merge_block(self, stats: BlockStats, allow_remerge: bool = False) -> None:
+    def merge_block(self, stats: BlockStats) -> None:
         """Fold one block's outcome into the run totals.
 
         Every sharded merge path must fold each global block exactly once
         (the merged coordinator view already aggregates the shards), so a
-        repeated ``block_id`` raises unless ``allow_remerge`` makes the
-        double-count explicit.
+        repeated ``block_id`` raises.
         """
-        if stats.block_id in self._seen_blocks and not allow_remerge:
+        if stats.block_id in self._seen_blocks:
             raise ValueError(
                 f"block {stats.block_id} already merged into this RunMetrics"
-                " (pass allow_remerge=True to double-count deliberately)"
             )
         self._seen_blocks.add(stats.block_id)
         self.committed += stats.committed
         self.aborted += stats.aborted
         self.false_aborts += stats.false_aborts
         self.dangerous_structure_hits += stats.dangerous_structure_hits
-        self.io_reads += stats.io_reads
-        self.io_writes += stats.io_writes
-        self.buffer_hits += stats.buffer_hits
-        self.buffer_misses += stats.buffer_misses
         self.blocks += 1

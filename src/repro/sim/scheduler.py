@@ -83,15 +83,11 @@ def merge_shard_results(results: list[PipelineResult]) -> PipelineResult:
     commit_finish = [
         max(r.commit_finish_us[i] for r in results) for i in range(num_blocks)
     ]
-    sim_start = [
-        min(r.sim_start_us[i] for r in results) for i in range(num_blocks)
-    ] if all(len(r.sim_start_us) == num_blocks for r in results) else []
     return PipelineResult(
         commit_finish_us=commit_finish,
         makespan_us=max(r.makespan_us for r in results),
         busy_core_us=sum(r.busy_core_us for r in results),
         num_cores=sum(r.num_cores for r in results),
-        sim_start_us=sim_start,
     )
 
 
@@ -140,7 +136,6 @@ class PipelineSimulator:
             busy += block.pre_exec_serial_us
 
             # --- simulation step: parallel tasks over the shared core pool.
-            block_sim_start = ready if block.sim_durations else ready
             sim_finish = ready
             first_start = None
             for dur in block.sim_durations:
@@ -151,7 +146,7 @@ class PipelineSimulator:
                 sim_finish = max(sim_finish, finish)
                 if first_start is None or start < first_start:
                     first_start = start
-            sim_starts.append(first_start if first_start is not None else block_sim_start)
+            sim_starts.append(first_start if first_start is not None else ready)
 
             # --- commit step: in block order, after the block's simulation.
             commit_ready = sim_finish

@@ -24,8 +24,6 @@ Hot-path notes:
 - :meth:`MVStore.materialize` / :meth:`MVStore.materialize_at` stream the
   version chains in one pass (chain-tail fast path, no per-key
   ``get_latest``).
-- :meth:`MVStore.gc` walks only watermarked chains (keys written more than
-  once since their last collection).
 - :meth:`MVStore.state_hash` is incremental: each live ``(key, value)``
   entry contributes a 256-bit SHA digest of its text (keys and values as
   :mod:`repro.encoding` writes them) combined into a running
@@ -214,11 +212,6 @@ class MVStore:
         #: False until the first :meth:`state_hash`: before it every key
         #: counts as stale, so neither loads nor blocks record stale keys
         self._hashed = False
-        #: gc watermark: keys whose chains grew past one version since the
-        #: last collection — the only chains a horizon move can shorten.
-        #: Bulk loads of fresh keys never enter (chain length one), so a
-        #: million-key populate costs gc nothing.
-        self._gc_pending: set[object] = set()
         #: per-block key watermark: block_id -> keys that block wrote, so
         #: :meth:`writes_in_block` walks only those chains instead of the
         #: whole store. Grows like the block log (one entry per installed
@@ -292,7 +285,6 @@ class MVStore:
                 new_keys.append(key)
             else:
                 chain.append(((block_id, seq), value))
-                self._gc_pending.add(key)
         if self._hashed:
             self._stale_keys.update(items)
         self._block_keys.setdefault(block_id, []).extend(items)
@@ -336,7 +328,6 @@ class MVStore:
                 f"block {block_id} is not after last committed {self.last_committed_block}"
             )
         versions = self._versions
-        pending = self._gc_pending
         block_keys = self._block_keys.setdefault(block_id, [])
         new_keys = []
         for seq, (key, value) in enumerate(writes):
@@ -346,7 +337,6 @@ class MVStore:
                 new_keys.append(key)
             else:
                 chain.append(((block_id, seq), value))
-                pending.add(key)
             block_keys.append(key)
         if self._hashed:
             self._stale_keys.update(block_keys)
@@ -373,38 +363,6 @@ class MVStore:
             lo = hi
         merged += keys[lo:]
         self._sorted_keys = merged
-
-    @staticmethod
-    def _gc_chain(chain: list, keep_after_block: int) -> int:
-        """Drop ``chain``'s versions older than the horizon; count dropped."""
-        cut = 0
-        for i, (version, _value) in enumerate(chain):
-            if version[0] <= keep_after_block:
-                cut = i
-            else:
-                break
-        if cut > 0:
-            del chain[:cut]
-        return cut
-
-    def gc(self, keep_after_block: int) -> int:
-        """Drop versions strictly older than the latest one at or before
-        ``keep_after_block``. Returns the number of versions dropped.
-
-        Walks only the watermarked chains — keys written more than once
-        since their last collection — instead of every chain in the store:
-        a single-version chain can never lose a version to any horizon, and
-        after a collection a key leaves the watermark set as soon as its
-        chain is back to one version.
-        """
-        dropped = 0
-        pending = self._gc_pending
-        for key in list(pending):
-            chain = self._versions[key]
-            dropped += self._gc_chain(chain, keep_after_block)
-            if len(chain) == 1:
-                pending.discard(key)
-        return dropped
 
     def state_hash(self) -> str:
         """Digest of the latest live state — replica-consistency fingerprint.
@@ -499,8 +457,7 @@ class MVStore:
         observe on an uncrashed replica.
 
         Walks only the block's watermarked chains (``_block_keys``,
-        recorded at apply time like the gc watermark) — O(block writes),
-        never O(keyspace).
+        recorded at apply time) — O(block writes), never O(keyspace).
         """
         writes: list[tuple[int, object, object]] = []
         # Dedup per call: a key written twice in the block appears twice in

@@ -35,7 +35,6 @@ from tests.reference.storage import (
     blocks_after,
     federated_scan,
     full_checkpoint,
-    gc,
     heap_load,
     load,
     materialize,
@@ -53,7 +52,6 @@ __all__ = [
     "false_aborts",
     "federated_scan",
     "full_checkpoint",
-    "gc",
     "heap_load",
     "history_graph",
     "load",

@@ -45,20 +45,6 @@ def scan(view: SnapshotView, start: object, end: object) -> list:
     return out
 
 
-def gc(store: MVStore, keep_after_block: int) -> int:
-    """Drop every chain's versions strictly older than the latest one at or
-    before ``keep_after_block``, walking every chain in the store."""
-    dropped = 0
-    for chain in store._versions.values():
-        cut = 0
-        for i, (version, _value) in enumerate(chain):
-            if version[0] <= keep_after_block:
-                cut = i
-        del chain[:cut]
-        dropped += cut
-    return dropped
-
-
 def state_hash(store: MVStore) -> str:
     """The state hash recomputed from scratch over every live entry."""
     digest = 0

@@ -197,17 +197,6 @@ class TestWritesInBlockDifferential:
                 store, block_id
             )
 
-    def test_watermark_survives_gc_like_the_naive_walk(self):
-        store = MVStore()
-        store.load({"a": 0, "b": 0})
-        for block_id in range(6):
-            store.apply_block(block_id, [("a", block_id), ("b", -block_id)])
-        store.gc(keep_after_block=3)
-        for block_id in range(6):
-            assert store.writes_in_block(block_id) == reference.writes_in_block(
-                store, block_id
-            )
-
 
 class TestQuickDrills:
     """Two representative drills stay in tier-1 so every PR exercises the

@@ -130,12 +130,6 @@ class TestRunMetrics:
             metrics.merge_block(BlockStats(block_id=0, committed=3))
         assert metrics.committed == 3 and metrics.blocks == 1
 
-    def test_merge_block_allow_remerge_is_explicit(self):
-        metrics = RunMetrics(system="s", workload="w")
-        metrics.merge_block(BlockStats(block_id=0, committed=3))
-        metrics.merge_block(BlockStats(block_id=0, committed=3), allow_remerge=True)
-        assert metrics.committed == 6 and metrics.blocks == 2
-
     def test_latency_percentile_properties(self):
         metrics = RunMetrics(system="s", workload="w")
         metrics.latencies_us = [float(v) * 1000.0 for v in range(1, 101)]

@@ -86,29 +86,6 @@ class TestSnapshots:
 
 
 class TestMaintenance:
-    def test_gc_drops_old_versions_keeps_visibility(self):
-        store = loaded_store()
-        for b in range(5):
-            store.apply_block(b, [(("k", 1), 100 + b)])
-        dropped = store.gc(keep_after_block=3)
-        assert dropped > 0
-        assert store.snapshot(3).get(("k", 1))[0] == 103
-        assert store.snapshot(4).get(("k", 1))[0] == 104
-
-    def test_gc_watermark_skips_untouched_chains(self):
-        store = MVStore()
-        store.load({("k", i): i for i in range(1_000)})
-        # a bulk load of fresh single-version chains leaves nothing pending
-        assert store._gc_pending == set()
-        store.apply_block(0, [(("k", 1), 10), (("k", 2), 20)])
-        store.apply_block(1, [(("k", 1), 11)])
-        assert store._gc_pending == {("k", 1), ("k", 2)}
-        # ("k", 1) drops its load + block-0 versions, ("k", 2) its load one
-        assert store.gc(keep_after_block=1) == 3
-        # collapsed chains leave the watermark; nothing left to walk
-        assert store._gc_pending == set()
-        assert store.gc(keep_after_block=5) == 0
-
     def test_state_hash_tracks_content_not_history(self):
         a = loaded_store()
         b = loaded_store()

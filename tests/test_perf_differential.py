@@ -374,44 +374,6 @@ class TestFalseAbortDifferential:
         assert all(seen.values()), seen
 
 
-class TestGcDifferential:
-    """Watermarked gc vs the reference every-chain walk."""
-
-    @given(
-        st.lists(
-            st.lists(
-                st.tuples(st.integers(0, NUM_KEYS - 1), st.integers(0, 5)),
-                max_size=8,
-            ),
-            min_size=1,
-            max_size=6,
-        ),
-        st.data(),
-    )
-    @settings(max_examples=120, deadline=None)
-    def test_gc_identical_and_watermark_sound(self, blocks, data):
-        def build() -> MVStore:
-            store = MVStore()
-            store.load({_key(i): i for i in range(NUM_KEYS)})
-            for block_id, writes in enumerate(blocks):
-                batch = [
-                    (_key(i), TOMBSTONE if v == 0 else v) for i, v in writes
-                ]
-                store.apply_block(block_id, batch)
-            return store
-
-        ref, fast = build(), build()
-        horizons = sorted(
-            data.draw(st.lists(st.integers(-1, len(blocks)), max_size=3))
-        )
-        for horizon in horizons:
-            assert reference.gc(ref, horizon) == fast.gc(horizon)
-            assert ref._versions == fast._versions
-        # the watermark must still cover every multi-version chain
-        multi = {k for k, chain in fast._versions.items() if len(chain) > 1}
-        assert multi <= fast._gc_pending
-
-
 class TestHistoryOracleFallbacks:
     def test_heterogeneous_chain_keys_fall_back(self):
         """Unsortable chain-key populations degrade to the linear scan."""

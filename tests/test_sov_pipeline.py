@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.chain.config import decision_digest
 from repro.chain.sov import SOVBlockchain, SOVConfig, endorsed_txn_bytes
 from repro.sim.rng import SeededRng
 from repro.txn.transaction import AbortReason, Txn, TxnSpec
@@ -89,6 +90,18 @@ class TestSOVSystemProperties:
         chain = build_chain()
         chain.run()
         assert chain.node.ledger.verify_chain()
+
+    @pytest.mark.parametrize("system", ["fabric", "fastfabric"])
+    def test_decision_digest_is_the_ledgers_decisions(self, system):
+        """SOV reports the decision digest Order-Execute does, over the
+        endorsed transactions its ledger blocks carry."""
+        chain = build_chain(system=system, max_endorser_lag=3, num_blocks=6)
+        metrics = chain.run()
+        blocks = chain.node.ledger.blocks()
+        assert metrics.extra["decision_digest"] == decision_digest(
+            (block.block_id, block.endorsed_txns) for block in blocks
+        )
+        assert metrics.aborted > 0
 
 
 class TestSQLExpressionEvaluation:

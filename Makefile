@@ -3,7 +3,7 @@
 
 PY := PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH)) python
 
-.PHONY: test loc no-twins one-walk one-collector one-process one-claim-home one-encoding one-clock options conformance figures perf-smoke perf faults-smoke faults obs-smoke rebalance-smoke e2e-smoke e2e e2e-pairs
+.PHONY: test loc no-twins one-walk one-collector one-process one-claim-home one-encoding one-clock one-trace-record options conformance figures perf-smoke perf faults-smoke faults obs-smoke rebalance-smoke e2e-smoke e2e e2e-pairs
 
 # tier-1 verify: the whole default suite (perf/faults/tpcc/figures markers
 # excluded by pytest.ini)
@@ -91,6 +91,13 @@ one-encoding:
 one-clock:
 	@! grep -rnE --include='*.py' "PipelineSimulator\(|merge_shard_results\(|latencies_us\.extend|\.merge_block\(" src/repro | grep -vE '^src/repro/(chain/accounts\.py:|sim/[a-z_]+\.py:[0-9]+:def )'
 	@echo "one-clock: ok"
+
+# one observability record: the span stream carries every traced fact and a
+# trace file is a meta header plus spans — no metrics registry, no write to
+# one, no "metrics" trace record type under src/repro
+one-trace-record:
+	@! grep -rnE --include='*.py' "MetricsRegistry|\.metrics\.(counter|gauge|histogram)\(|[\"']metrics[\"']" src/repro
+	@echo "one-trace-record: ok"
 
 # every option has a user: each field of the run configuration (RunConfig,
 # OEConfig, SOVConfig, ShardConfig, HarmonyConfig) is set by a caller outside

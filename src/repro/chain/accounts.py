@@ -65,9 +65,9 @@ class RunAccounts:
 
     def finish(
         self, inter_block: bool, snapshot_lag: int, fixed_latency_us, reply_us, nodes
-    ) -> list:
+    ) -> RunMetrics:
         """Clock the lanes, price every committed transaction and total the
-        replicas; returns the per-lane pipeline results."""
+        replicas; returns the run's metrics."""
         metrics = self.metrics
         scheduler = PipelineSimulator(
             num_cores=REPLICA_CORES, inter_block=inter_block, snapshot_lag=snapshot_lag
@@ -100,4 +100,4 @@ class RunAccounts:
         )
         metrics.extra["ledger_ok"] = all(node.ledger.verify_chain() for node in nodes)
         metrics.extra["decision_digest"] = digest_parts(self.decision_parts)
-        return results
+        return metrics

@@ -190,11 +190,10 @@ class SOVBlockchain:
             arrival += self.consensus.min_block_interval_us(
                 block_bytes, config.num_replicas
             )
-        accounts.finish(
+        return accounts.finish(
             inter_block=False,
             snapshot_lag=2,
             fixed_latency_us=fixed_latency,
             reply_us=self.network.worst_one_way_us(config.num_replicas),
             nodes=[self.node],
         )
-        return accounts.metrics

@@ -23,6 +23,7 @@ from repro.faults.drill import (
     DRILL_SCHEMES,
     DRILL_SHARD_COUNTS,
     DRILL_WORKLOADS,
+    SMOKE_WORKLOADS,
     drill_matrix,
 )
 from repro.faults.plan import standard_plans
@@ -62,7 +63,7 @@ def main(argv: list[str]) -> int:
         type=_csv,
         default=None,
         help=(
-            "comma-separated workloads (default: smoke=smallbank,tpcc; "
+            f"comma-separated workloads (default: smoke={','.join(SMOKE_WORKLOADS)}; "
             f"full={','.join(DRILL_WORKLOADS)})"
         ),
     )

@@ -277,9 +277,9 @@ def drill_matrix(
     """Enumerate plan x scheme x shard-count x workload drills.
 
     ``smoke=True`` gates the fast subset: one scheme, one shard count,
-    one plan per fault family, smallbank + TPC-C — the per-PR robustness
-    gate. The full matrix runs every plan on smallbank and the smoke
-    plans on every other registered drill workload.
+    one plan per fault family, the :data:`SMOKE_WORKLOADS` — the per-PR
+    robustness gate. The full matrix runs every plan on smallbank and the
+    smoke plans on every other registered drill workload.
     """
     if smoke:
         schemes = (schemes[0],)

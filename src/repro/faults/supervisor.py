@@ -205,10 +205,6 @@ class SupervisedShardGroup:
                     sim_us=backoff_us + round_rtt_us,
                     attrs={"missing": len(missing)},
                 )
-                tracer.metrics.counter("supervisor.retries").inc()
-                tracer.metrics.histogram("supervisor.backoff_us").observe(
-                    backoff_us
-                )
             # a shard that died before voting can be recovered mid-window:
             # its log holds only certified blocks, so replay is complete,
             # and re-entering the prepare stage for it alone delivers this
@@ -257,18 +253,6 @@ class SupervisedShardGroup:
         self._heal_lagging(None)
         if self._crashed:
             raise RuntimeError(f"unrecovered shards at finalize: {self._crashed}")
-        tracer = self.chain.tracer
-        if tracer is not None:
-            metrics = tracer.metrics
-            metrics.gauge("supervisor.injected_delay_us").set(
-                self.injected_delay_us
-            )
-            metrics.gauge("supervisor.degraded_blocks").set(
-                float(len(self.degraded_blocks))
-            )
-            metrics.gauge("supervisor.retry_rounds").set(
-                float(self.retry_rounds)
-            )
 
     # ------------------------------------------------------------ healing
     def _recover(self, shard: int, block_id: int):
@@ -294,7 +278,6 @@ class SupervisedShardGroup:
                     "recovery_failed", block=block_id, shard=shard,
                     sim_us=rtt_us,
                 )
-                tracer.metrics.counter("supervisor.failed_recoveries").inc()
             return None
         recovery = recover_shard_node(
             corpse, shard, stores, chain.router, chain.cert_log
@@ -312,7 +295,6 @@ class SupervisedShardGroup:
                 sim_us=rtt_us,
                 attrs={"replayed": len(recovery.replayed_blocks)},
             )
-            tracer.metrics.counter("supervisor.recoveries").inc()
         for replayed_bid, txns in recovery.replayed_blocks:
             self._shard_block_txns.setdefault(
                 (shard, replayed_bid), {t.tid: t for t in txns}

@@ -1,13 +1,13 @@
-"""Deterministic tracing + metrics for the OE pipelines (the observability
-layer).
+"""Deterministic tracing for the OE pipelines (the observability layer).
+
+The span stream is a run's one observability record: every traced fact is
+a span field, and :func:`det_digest` pins the deterministic part.
 
 - :mod:`repro.obs.trace` — :class:`Tracer` / :class:`Span`, the dual-clock
   span stream and its deterministic digest; :func:`attach_tracer` arms a
   chain through the zero-cost ``None``-default hooks.
-- :mod:`repro.obs.metrics` — :class:`MetricsRegistry`: counters, gauges,
-  streaming log-bucketed histograms (p50/p99/p999).
 - :mod:`repro.obs.export` — JSONL round-trip (:func:`export_jsonl` /
-  :func:`load_trace`).
+  :func:`load_trace`): a meta header, then the spans.
 - :mod:`repro.obs.analyze` — per-stage breakdowns, per-shard skew,
   per-block critical paths, report rendering.
 - :mod:`repro.obs.capture` — seeded traced runs and traced fault drills.
@@ -24,7 +24,6 @@ from repro.obs.analyze import (
 )
 from repro.obs.capture import trace_drill, trace_run
 from repro.obs.export import TraceFile, TraceFileError, export_jsonl, load_trace
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.obs.trace import (
     Span,
     Tracer,
@@ -34,10 +33,6 @@ from repro.obs.trace import (
 )
 
 __all__ = [
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
     "Span",
     "TraceFile",
     "TraceFileError",

@@ -54,6 +54,17 @@ def trace_run(
     return tracer, chain.run()
 
 
+def drill_plan(plan_name: str, num_blocks: int, num_shards: int, seed: int):
+    """The standard fault plan ``plan_name`` laid out for a drill of this
+    shape; ``ValueError`` for an unknown name or too few blocks."""
+    from repro.faults.plan import standard_plans
+
+    plans = {p.name: p for p in standard_plans(num_blocks, num_shards, seed)}
+    if plan_name not in plans:
+        raise ValueError(f"unknown fault plan {plan_name!r}; have {sorted(plans)}")
+    return plans[plan_name]
+
+
 def trace_drill(
     plan_name: str = "crash-before-prepare",
     scheme: str = "harmony",
@@ -71,13 +82,8 @@ def trace_drill(
     recorded in the tracer meta.
     """
     from repro.faults.drill import run_drill
-    from repro.faults.plan import standard_plans
 
-    plans = {p.name: p for p in standard_plans(num_blocks, num_shards, seed)}
-    if plan_name not in plans:
-        raise ValueError(
-            f"unknown fault plan {plan_name!r}; have {sorted(plans)}"
-        )
+    plan = drill_plan(plan_name, num_blocks, num_shards, seed)
     tracer = Tracer(
         meta={
             "mode": "drill",
@@ -93,7 +99,7 @@ def trace_drill(
     result = run_drill(
         scheme,
         num_shards,
-        plans[plan_name],
+        plan,
         num_blocks=num_blocks,
         block_size=block_size,
         workload=workload,

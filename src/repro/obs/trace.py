@@ -26,7 +26,6 @@ import json
 from dataclasses import dataclass, field
 
 from repro.consensus.crypto import sha256_hex
-from repro.obs.metrics import MetricsRegistry
 
 #: span kinds; ``anno`` spans are excluded from the deterministic stream
 KIND_STAGE = "stage"
@@ -107,12 +106,11 @@ def det_digest(spans: list[Span]) -> str:
 
 
 class Tracer:
-    """Collects spans and feeds the run's :class:`MetricsRegistry`."""
+    """Collects a run's spans in emission order."""
 
     def __init__(self, meta: dict | None = None) -> None:
         self.meta = dict(meta or {})
         self.spans: list[Span] = []
-        self.metrics = MetricsRegistry()
         self._seq = 0
 
     # ------------------------------------------------------------- emission

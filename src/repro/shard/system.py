@@ -255,7 +255,7 @@ class ShardedBlockchain:
         self._store_mig_epochs = [0] * config.num_shards
         #: every block's outcome, kept when ``config.keep_history`` is set
         self.history: list[GlobalBlockOutcome] = []
-        #: span/metric sink (:class:`~repro.obs.trace.Tracer`); ``None``
+        #: span sink (:class:`~repro.obs.trace.Tracer`); ``None``
         #: (the default) costs one attribute check per emission site.
         #: Armed by :func:`repro.obs.trace.attach_tracer`.
         self.tracer = None
@@ -345,8 +345,6 @@ class ShardedBlockchain:
                     block=record.block_id,
                     attrs={"fates": {s: fates[s] for s in sorted(fates)}},
                 )
-            tracer.metrics.counter("rebalance.migrations").inc()
-            tracer.metrics.gauge("rebalance.epoch").set(record.epoch)
 
     # ------------------------------------------------------- the block walk
     # route -> prepare -> certify -> commit, written once. Both schedules
@@ -535,20 +533,18 @@ class ShardedBlockchain:
             specs, retries = accounts.next_specs(self.workload, config.block_size, rng)
             block = self.ordering.form_block(specs)
             if self.tracer is not None:
-                backlog = len(accounts.retry_queue)
                 self.tracer.event(
                     "enqueue",
                     block=block.block_id,
-                    attrs={"retries": retries, "backlog": backlog},
+                    attrs={"retries": retries, "backlog": len(accounts.retry_queue)},
                 )
-                self.tracer.metrics.histogram("retry_queue_depth").observe(backlog)
             outcome = self.process_global_block(block)
             cross_txns += len(outcome.expected)
             cross_aborted += len(outcome.certificate.abort_tids)
             self._absorb_block(accounts, i * interval, outcome)
 
         inter_block = config.system == "harmony" and config.harmony.inter_block
-        results = accounts.finish(
+        metrics = accounts.finish(
             inter_block=inter_block,
             snapshot_lag=config.harmony.snapshot_lag if inter_block else 2,
             fixed_latency_us=self.consensus.block_latency_us(
@@ -557,7 +553,6 @@ class ShardedBlockchain:
             reply_us=self.network.worst_one_way_us(config.num_replicas),
             nodes=self.group.nodes,
         )
-        metrics = accounts.metrics
         extra = metrics.extra
         extra.update(
             shard_state_hashes=self.group.state_hashes(),
@@ -588,13 +583,6 @@ class ShardedBlockchain:
                     "cpu_utilization": metrics.cpu_utilization,
                 },
             )
-            latency_hist = tracer.metrics.histogram("block_latency_us")
-            for latency in metrics.latencies_us:
-                latency_hist.observe(latency)
-            for shard, result in enumerate(results):
-                tracer.metrics.gauge(f"shard{shard}.busy_core_us").set(
-                    result.busy_core_us
-                )
         return metrics
 
     # ------------------------------------------------- run bookkeeping
@@ -688,35 +676,17 @@ class ShardedBlockchain:
                     "false_aborts": stats.false_aborts,
                 },
             )
-            participant_hist = tracer.metrics.histogram("cross_participants")
-            for shards in expected.values():
-                participant_hist.observe(len(shards))
-            for shard in sorted(executions):
-                execution = executions[shard]
-                if shard in votes:
-                    cross_here, vote_us = votes[shard]
-                    tracer.stage(
-                        "vote_exchange",
-                        block=block.block_id,
-                        shard=shard,
-                        sim_us=vote_us,
-                        attrs={
-                            "cross": cross_here,
-                            "remote_read_us": cross_here * remote_round_us,
-                        },
-                    )
-                shard_stats = execution.stats
-                tracer.metrics.counter(f"shard{shard}.committed").inc(
-                    shard_stats.committed if shard_stats is not None else 0
-                )
-                tracer.metrics.counter(f"shard{shard}.aborted").inc(
-                    shard_stats.aborted if shard_stats is not None else 0
-                )
-                tracer.metrics.histogram(f"shard{shard}.prepare_us").observe(
-                    sum(execution.sim_durations_us)
-                )
-                tracer.metrics.histogram(f"shard{shard}.commit_us").observe(
-                    sum(execution.commit_durations_us)
+            for shard in sorted(votes):
+                cross_here, vote_us = votes[shard]
+                tracer.stage(
+                    "vote_exchange",
+                    block=block.block_id,
+                    shard=shard,
+                    sim_us=vote_us,
+                    attrs={
+                        "cross": cross_here,
+                        "remote_read_us": cross_here * remote_round_us,
+                    },
                 )
 
         if self.config.keep_history:

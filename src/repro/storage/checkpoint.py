@@ -193,7 +193,7 @@ class CheckpointManager:
         #: the write — for a base compaction, the tip is the fresh base).
         #: ``None`` default costs one attribute check per checkpoint.
         self.fault_hook = None
-        #: span/metric sink (:class:`repro.obs.trace.Tracer`); armed with
+        #: span sink (:class:`repro.obs.trace.Tracer`); armed with
         #: the owning shard id by :func:`repro.obs.trace.attach_tracer`.
         self.tracer = None
         self.trace_shard: int | None = None
@@ -244,7 +244,6 @@ class CheckpointManager:
             self._entries.append(self._reconstruct(self._entries))
             self._deltas_since_base = 0
         if self.tracer is not None:
-            delta_writes = sum(len(w) for _, w in interval_writes)
             self.tracer.event(
                 "checkpoint",
                 block=block_id,
@@ -252,15 +251,10 @@ class CheckpointManager:
                 attrs={
                     "mode": "delta",
                     "blocks": len(interval_writes),
-                    "writes": delta_writes,
+                    "writes": sum(len(w) for _, w in interval_writes),
                     "compacted": compacted,
                 },
             )
-            self.tracer.metrics.histogram("checkpoint.delta_writes").observe(
-                delta_writes
-            )
-            if compacted:
-                self.tracer.metrics.counter("checkpoint.base_compactions").inc()
         self.last_checkpoint_block = block_id
         if fault == "tear":
             # crash mid-write: the chain tip (the fresh base when the

@@ -111,11 +111,10 @@ def traced_drill(workload: str, plan):
     return tracer, result
 
 
-def observe_drill(workload: str, plan) -> dict:
-    """One traced smoke drill: the verdict, the supervisor's accounting and
-    the span stream with the ``order`` events left out (see the module
-    docstring)."""
-    tracer, result = traced_drill(workload, plan)
+def observe_drill(tracer, result) -> dict:
+    """One traced smoke drill (:func:`traced_drill`): the verdict, the
+    supervisor's accounting and the span stream with the ``order`` events
+    left out (see the module docstring)."""
     spans = [span for span in tracer.spans if span.name != "order"]
     return {
         "ok": result.ok,
@@ -128,7 +127,7 @@ def observe_drill(workload: str, plan) -> dict:
 def record() -> dict:
     recorded = {case: observe_run(build) for case, build in run_cases().items()}
     for case, (workload, plan) in drill_cases().items():
-        recorded[case] = observe_drill(workload, plan)
+        recorded[case] = observe_drill(*traced_drill(workload, plan))
     return recorded
 
 

@@ -1,4 +1,4 @@
-"""Tests for the deterministic tracing + metrics subsystem (repro.obs)."""
+"""Tests for the deterministic tracing subsystem (repro.obs)."""
 
 from __future__ import annotations
 
@@ -7,8 +7,6 @@ import json
 import pytest
 
 from repro.obs import (
-    Histogram,
-    MetricsRegistry,
     Span,
     TraceFileError,
     Tracer,
@@ -24,67 +22,6 @@ from repro.obs import (
     trace_drill,
     trace_run,
 )
-
-
-# --------------------------------------------------------------- histograms
-class TestHistogram:
-    def test_empty(self):
-        hist = Histogram()
-        assert hist.quantile(50) == 0.0
-        assert hist.mean == 0.0
-
-    def test_quantile_domain(self):
-        hist = Histogram()
-        hist.observe(1.0)
-        with pytest.raises(ValueError):
-            hist.quantile(-0.1)
-        with pytest.raises(ValueError):
-            hist.quantile(100.1)
-
-    def test_log_bucket_accuracy(self):
-        """Quantile reads carry at most one bucket (~10%) of relative
-        error; min/max/mean are exact."""
-        hist = Histogram()
-        for v in range(1, 1001):
-            hist.observe(float(v))
-        assert hist.min == 1.0 and hist.max == 1000.0
-        assert hist.mean == pytest.approx(500.5)
-        for q, exact in ((50, 500.0), (99, 990.0), (99.9, 999.0)):
-            estimate = hist.quantile(q)
-            assert exact * 0.9 <= estimate <= exact * 1.1 * Histogram.GROWTH
-
-    def test_p999_never_exceeds_max(self):
-        hist = Histogram()
-        hist.observe(123.456)
-        assert hist.p50 == hist.p99 == hist.p999 == 123.456
-
-    def test_zeros_bucket(self):
-        hist = Histogram()
-        for _ in range(9):
-            hist.observe(0.0)
-        hist.observe(100.0)
-        assert hist.p50 == 0.0
-        assert hist.quantile(100) <= 100.0
-
-    def test_round_trip(self):
-        hist = Histogram()
-        for v in (0.0, 0.5, 7.0, 7.1, 900.0):
-            hist.observe(v)
-        clone = Histogram.from_dict(json.loads(json.dumps(hist.to_dict())))
-        assert clone.to_dict() == hist.to_dict()
-        assert clone.p50 == hist.p50 and clone.p999 == hist.p999
-
-    def test_registry_get_or_create_and_round_trip(self):
-        registry = MetricsRegistry()
-        registry.counter("a").inc(3)
-        registry.counter("a").inc()
-        registry.gauge("g").set(2.5)
-        registry.histogram("h").observe(10.0)
-        assert registry.counter("a").value == 4
-        clone = MetricsRegistry.from_dict(
-            json.loads(json.dumps(registry.to_dict()))
-        )
-        assert clone.to_dict() == registry.to_dict()
 
 
 # ------------------------------------------------------------------- tracer
@@ -192,7 +129,6 @@ class TestDeterminism:
         a, _ = trace_run(num_blocks=5, block_size=8)
         b, _ = trace_run(num_blocks=5, block_size=8)
         assert [s.to_dict() for s in a.spans] == [s.to_dict() for s in b.spans]
-        assert a.metrics.to_dict() == b.metrics.to_dict()
 
     def test_different_seed_moves_digest(self):
         a, _ = trace_run(num_blocks=4, block_size=8, seed=61)
@@ -229,7 +165,6 @@ class TestExport:
         loaded = load_trace(str(path))
         assert loaded.spans == tracer.spans
         assert loaded.meta == tracer.meta
-        assert loaded.metrics.to_dict() == tracer.metrics.to_dict()
         assert loaded.verify_digest()
         assert det_digest(loaded.spans) == tracer.det_digest()
 
@@ -253,10 +188,10 @@ class TestExport:
     @pytest.mark.parametrize(
         "damage,message",
         [
-            # the last annotation span and the metrics tail are gone; the
-            # deterministic digest of what is left still verifies
+            # the last annotation span is gone; the deterministic digest of
+            # what is left still verifies
             pytest.param(
-                lambda lines: lines[:-2],
+                lambda lines: lines[:-1],
                 "header records 42 spans, file holds 41",
                 id="cut-after-span-41",
             ),
@@ -265,7 +200,6 @@ class TestExport:
                 "header records 42 spans",
                 id="half-a-file",
             ),
-            pytest.param(lambda lines: lines[:-1], "no metrics tail", id="no-tail"),
             pytest.param(lambda lines: lines[1:], ":1: no meta header", id="no-header"),
             pytest.param(lambda lines: [], "no meta header", id="empty"),
             pytest.param(
@@ -274,13 +208,13 @@ class TestExport:
                 id="repeated-header",
             ),
             pytest.param(
-                lambda lines: lines + lines[-1:],
-                "record after the metrics tail",
-                id="two-tails",
+                lambda lines: lines + ['{"type": "metrics", "metrics": {}}'],
+                ":44: unknown trace record type 'metrics'",
+                id="metrics-record",
             ),
             pytest.param(
                 lambda lines: lines[:-1] + [lines[-1][:-9]],
-                ":44: undecodable line",
+                ":43: undecodable line",
                 id="torn-last-line",
             ),
             pytest.param(
@@ -303,9 +237,26 @@ class TestExport:
         path = tmp_path / "trace.jsonl"
         export_jsonl(tracer, str(path))
         lines = path.read_text().splitlines()
-        assert len(lines) == 44
+        assert len(lines) == 43
+        assert [json.loads(line)["type"] for line in lines] == ["meta"] + ["span"] * 42
         path.write_text("".join(line + "\n" for line in damage(lines)))
         with pytest.raises(TraceFileError, match=message):
+            load_trace(str(path))
+
+    def test_other_schema_is_rejected(self, tmp_path):
+        """A schema-1 file — the header, the spans and the metrics tail
+        that format ended with — is refused by name, not half-read."""
+        tracer, _ = trace_run(num_blocks=2, block_size=8)
+        path = tmp_path / "trace.jsonl"
+        export_jsonl(tracer, str(path))
+        lines = path.read_text().splitlines()
+        header = json.loads(lines[0])
+        header["schema"] = 1
+        tail = {"counters": {}, "gauges": {}, "histograms": {}}
+        lines = [json.dumps(header)] + lines[1:]
+        lines.append(json.dumps({"type": "metrics", "metrics": tail}))
+        path.write_text("".join(line + "\n" for line in lines))
+        with pytest.raises(TraceFileError, match=r":1: trace schema 1, .* schema 2"):
             load_trace(str(path))
 
     def test_cli_report_fails_on_a_damaged_or_edited_trace(self, tmp_path, capsys):
@@ -322,6 +273,34 @@ class TestExport:
         out.write_text("\n".join([lines[0], json.dumps(span)] + lines[2:]) + "\n")
         assert main(["report", str(out)]) == 1
         assert "digest mismatch" in capsys.readouterr().err
+
+    def test_cli_report_fails_on_a_missing_file(self, tmp_path, capsys):
+        from repro.obs.__main__ import main
+
+        assert main(["report", str(tmp_path / "missing.jsonl")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "missing.jsonl" in err
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            pytest.param(["--plan", "nope"], "unknown fault plan 'nope'", id="unknown"),
+            pytest.param(
+                ["--plan", "vote-drop", "--blocks", "4"], ">= 8 blocks", id="too-short"
+            ),
+        ],
+    )
+    def test_cli_trace_refuses_a_plan_it_cannot_lay_out(
+        self, tmp_path, capsys, argv, message
+    ):
+        from repro.obs.__main__ import main
+
+        out = tmp_path / "t.jsonl"
+        with pytest.raises(SystemExit) as exit_info:
+            main(["trace", "--out", str(out), *argv])
+        assert exit_info.value.code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_cli_trace_and_report(self, tmp_path, capsys):
         from repro.obs.__main__ import main
@@ -343,7 +322,8 @@ class TestTracedDrills:
         assert tracer.meta["drill_ok"] is True
         fault_names = {s.name for s in tracer.spans if s.kind == "fault"}
         assert "crash" in fault_names
-        assert tracer.metrics.counter("supervisor.recoveries").value >= 1
+        recoveries = sum(1 for s in tracer.spans if s.name == "recovery")
+        assert recoveries == result.stats["recoveries"] >= 1
         path = tmp_path / "drill.jsonl"
         export_jsonl(tracer, str(path))
         report = render_report(load_trace(str(path)).spans, meta=tracer.meta)

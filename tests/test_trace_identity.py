@@ -5,7 +5,8 @@ taken before the block walk became one.
 the fault supervisor walked a block by hand. Every traced ``run()`` must
 still emit the identical deterministic stream (``det_digest``) and the same
 spans by name; every smoke drill must still end with the same supervisor
-``stats`` and — ``order`` events aside — the same stream. What the one walk
+``stats`` and — ``order`` events aside — the same stream, and those stats
+must be recomputable from its fault spans alone. What the one walk
 *adds* is asserted here, not in the record: a supervised block passes
 through the code that emits ``order``, like any other.
 """
@@ -45,9 +46,28 @@ def test_traced_run_matches_record(case):
     assert observe_run(RUNS[case]) == GOLDEN[case]
 
 
+def supervision_stats(spans) -> dict:
+    """The supervisor's accounting, recomputed from its fault spans alone."""
+    faults = [span for span in spans if span.kind == "fault"]
+
+    def count(name):
+        return sum(1 for span in faults if span.name == name)
+
+    return {
+        "retry_rounds": count("vote_retry"),
+        "recoveries": count("recovery"),
+        "failed_recoveries": count("recovery_failed"),
+        "injected_delay_us": round(sum(span.sim_us for span in faults), 3),
+        "degraded_blocks": [span.block for span in faults if span.name == "degraded"],
+    }
+
+
 @pytest.mark.parametrize("case", sorted(DRILLS))
 def test_drill_matches_record(case):
-    assert observe_drill(*DRILLS[case]) == GOLDEN[case]
+    tracer, result = traced_drill(*DRILLS[case])
+    assert observe_drill(tracer, result) == GOLDEN[case]
+    # the span stream carries every supervision fact the stats hold
+    assert supervision_stats(tracer.spans) == result.stats
 
 
 @pytest.mark.parametrize(

@@ -10,6 +10,7 @@ from repro.obs import (
     Span,
     TraceFileError,
     Tracer,
+    attach_tracer,
     block_paths,
     det_digest,
     det_events,
@@ -259,6 +260,35 @@ class TestExport:
         with pytest.raises(TraceFileError, match=r":1: trace schema 1, .* schema 2"):
             load_trace(str(path))
 
+    @pytest.mark.parametrize(
+        "edit,message",
+        [
+            pytest.param(
+                lambda header: header.update(schema=3),
+                ":1: trace schema 3, this loader reads schema 2",
+                id="newer",
+            ),
+            pytest.param(
+                lambda header: header.update(schema="2"),
+                ":1: trace schema '2'",
+                id="schema-as-text",
+            ),
+            pytest.param(
+                lambda header: header.pop("schema"), ":1: malformed meta", id="no-schema"
+            ),
+        ],
+    )
+    def test_header_must_name_the_current_schema(self, tmp_path, edit, message):
+        tracer, _ = trace_run(num_blocks=2, block_size=8)
+        path = tmp_path / "trace.jsonl"
+        export_jsonl(tracer, str(path))
+        lines = path.read_text().splitlines()
+        header = json.loads(lines[0])
+        edit(header)
+        path.write_text("".join(line + "\n" for line in [json.dumps(header), *lines[1:]]))
+        with pytest.raises(TraceFileError, match=message):
+            load_trace(str(path))
+
     def test_cli_report_fails_on_a_damaged_or_edited_trace(self, tmp_path, capsys):
         from repro.obs.__main__ import main
 
@@ -280,6 +310,12 @@ class TestExport:
         assert main(["report", str(tmp_path / "missing.jsonl")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "missing.jsonl" in err
+
+    def test_cli_report_fails_on_a_directory(self, tmp_path, capsys):
+        from repro.obs.__main__ import main
+
+        assert main(["report", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith("error:")
 
     @pytest.mark.parametrize(
         "argv,message",
@@ -312,6 +348,86 @@ class TestExport:
         assert "per-stage breakdown" in captured
         assert "per-shard load skew" in captured
         assert "top-3 slowest blocks" in captured
+
+
+# ------------------------------------- the span fields the metrics became
+def traced_chain(workload, **cfg):
+    """A seeded 2-shard run of ``workload`` with tracing armed; returns
+    (tracer, metrics)."""
+    from repro.obs.capture import build_workload
+    from repro.shard.system import ShardConfig, ShardedBlockchain
+
+    config = ShardConfig(num_shards=2, block_size=16, num_blocks=8, seed=11, **cfg)
+    chain = ShardedBlockchain(config, build_workload(workload, 2))
+    tracer = Tracer()
+    attach_tracer(chain, tracer)
+    return tracer, chain.run()
+
+
+class TestFormerMetricsInSpans:
+    """Each quantity the deleted metrics registry held is a span field
+    (the table in docs/observability.md); these pin the fields it names."""
+
+    @pytest.fixture(scope="class")
+    def checkpointed(self):
+        return traced_chain(
+            "smallbank", checkpoint_interval=2, checkpoint_base_interval=2
+        )
+
+    def test_commit_stage_settles_every_prepared_txn(self, checkpointed):
+        tracer, _ = checkpointed
+        prepared = {
+            (s.block, s.shard): s.attrs["txns"] for s in tracer.spans if s.name == "prepare"
+        }
+        settled = {
+            (s.block, s.shard): s.attrs["committed"] + s.attrs["aborted"]
+            for s in tracer.spans
+            if s.name == "commit"
+        }
+        assert len(settled) == 16 and settled == prepared
+
+    def test_decide_events_sum_to_the_run_totals(self, checkpointed):
+        tracer, metrics = checkpointed
+        decides = [s for s in tracer.spans if s.name == "decide"]
+        assert [s.block for s in decides] == list(range(8))
+        assert sum(s.attrs["committed"] for s in decides) == metrics.committed > 0
+        assert sum(s.attrs["aborted"] for s in decides) == metrics.aborted
+        (run_end,) = [s for s in tracer.spans if s.name == "run_end"]
+        assert run_end.attrs["committed"] == metrics.committed
+
+    def test_checkpoint_events_follow_the_cadence(self, checkpointed):
+        tracer, _ = checkpointed
+        events = [s for s in tracer.spans if s.name == "checkpoint"]
+        for shard in (0, 1):
+            mine = [s for s in events if s.shard == shard]
+            assert [s.block for s in mine] == [1, 3, 5, 7]
+            assert [s.attrs["compacted"] for s in mine] == [False, True] * 2
+            assert all(s.attrs["blocks"] == 2 and s.attrs["writes"] > 0 for s in mine)
+
+    def test_checkpoint_event_counts_the_interval_writes(self):
+        from repro.storage.checkpoint import CheckpointManager
+
+        manager = CheckpointManager(interval_blocks=2, base_interval=2)
+        manager.tracer, manager.trace_shard = Tracer(), 1
+        manager.delta_checkpoint(1, [(0, [("a", 1), ("b", 2)]), (1, [("a", 3)])])
+        manager.delta_checkpoint(3, [(2, []), (3, [("c", 4)])])
+        manager.delta_checkpoint(5, [(4, [("a", 5)]), (5, [("b", 6), ("c", 7)])])
+        assert [
+            (s.block, s.shard, s.attrs["writes"], s.attrs["compacted"])
+            for s in manager.tracer.spans
+        ] == [(1, 1, 3, False), (3, 1, 1, True), (5, 1, 3, False)]
+
+    def test_migrate_events_carry_each_ownership_epoch(self):
+        tracer, metrics = traced_chain(
+            "adv-skewshift",
+            rebalance="adaptive",
+            rebalance_skew_threshold=1.0,
+            rebalance_cross_threshold=0.0,
+            rebalance_max_keys=8,
+        )
+        epochs = [s.attrs["epoch"] for s in tracer.spans if s.name == "migrate"]
+        assert metrics.extra["migrations"] == len(epochs) >= 1
+        assert epochs == list(range(1, metrics.extra["ownership_epoch"] + 1))
 
 
 # -------------------------------------------------------------- fault drills

@@ -3,7 +3,7 @@
 
 PY := PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH)) python
 
-.PHONY: test loc no-twins one-walk one-collector one-process one-claim-home one-encoding one-clock one-trace-record options conformance figures perf-smoke perf faults-smoke faults obs-smoke rebalance-smoke e2e-smoke e2e e2e-pairs
+.PHONY: test loc no-twins one-walk one-collector one-process one-claim-home one-encoding one-clock one-trace-record one-commit-pass options conformance figures perf-smoke perf faults-smoke faults obs-smoke rebalance-smoke e2e-smoke e2e e2e-pairs
 
 # tier-1 verify: the whole default suite (perf/faults/tpcc/figures markers
 # excluded by pytest.ini)
@@ -98,6 +98,16 @@ one-clock:
 one-trace-record:
 	@! grep -rnE --include='*.py' "MetricsRegistry|\.metrics\.(counter|gauge|histogram)\(|[\"']metrics[\"']" src/repro
 	@echo "one-trace-record: ok"
+
+# one pass per key, one object per update: the commit step returns one
+# duration and one (key, tids) chain per written key — no per-key KeyApply
+# record, no per-key duration list under src/repro — and no slots=True
+# dataclass calls a zero-argument super(), which names the class the
+# decorator replaced and raises TypeError (tools/slotted_super.py)
+one-commit-pass:
+	@! grep -rnE --include='*.py' "KeyApply|chain_durations_us" src/repro
+	@python3 tools/slotted_super.py
+	@echo "one-commit-pass: ok"
 
 # every option has a user: each field of the run configuration (RunConfig,
 # OEConfig, SOVConfig, ShardConfig, HarmonyConfig) is set by a caller outside

@@ -64,12 +64,16 @@ def run_contract(proc_name: str):
 
     committed = sum(1 for t in txns if t.committed)
     balance, _ = engine.store.get_latest(("bank", HOT_ACCOUNT))
-    applies = [ka for ka in execution.key_applies if ka.key == ("bank", HOT_ACCOUNT)]
-    physical_writes = len(applies[0].chain_durations_us) if applies else 0
+    # one (key, updater tids) chain per written key; the config coalesces,
+    # so a key's whole chain is one physical update
+    updaters = dict(execution.apply_chains).get(("bank", HOT_ACCOUNT), ())
     print(f"{proc_name}:")
     print(f"  committed {committed}/{NUM_CLIENTS}, aborted {NUM_CLIENTS - committed}")
     print(f"  hot-account balance: {balance['balance']}")
-    print(f"  physical updates on the hot key: {physical_writes} (coalescence)")
+    print(
+        f"  {len(updaters)} updater(s) of the hot key, applied as"
+        f" {min(1, len(updaters))} physical update (coalescence)"
+    )
     print()
 
 

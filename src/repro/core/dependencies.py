@@ -28,10 +28,11 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Callable, Iterator
 
 from repro.intervals import RangeIndex, SortedKeys
-from repro.txn.transaction import Txn
+from repro.txn.transaction import Txn, TxnStatus
 
 
 @dataclass(frozen=True)
@@ -145,9 +146,9 @@ class BlockDependencyIndex:
                         writer.max_in = source
 
 
-def witness_order(txn: Txn) -> tuple[int, int]:
-    """Harmony's serial witness / Rule-2 apply order: ``(min_out, tid)``."""
-    return (txn.min_out, txn.tid)
+#: Harmony's serial witness / Rule-2 apply order: ``txn -> (min_out, tid)``
+#: (an ``attrgetter``: the sort key costs no Python frame per transaction)
+witness_order: Callable[[Txn], tuple[int, int]] = attrgetter("min_out", "tid")
 
 
 def commit_survivors(txns: list[Txn]) -> "CommittedGraph":
@@ -207,7 +208,9 @@ class CommittedGraph:
     ) -> None:
         self.order = order = order or witness_order
         #: position -> committed transaction, in ``order``
-        self.txns = committed = sorted((t for t in txns if t.committed), key=order)
+        self.txns = committed = sorted(
+            [t for t in txns if t.status is TxnStatus.COMMITTED], key=order
+        )
         #: key -> updater positions; ascending, i.e. already in chain order
         self.chains: dict[object, list[int]] = {}
         #: key -> positions that point-read it
@@ -244,23 +247,34 @@ class CommittedGraph:
         succ = [0] * n
         point_readers = self.point_readers
         stab = self.range_index.stab if self.ranges else None
+        read = bool(point_readers) or stab is not None
         for key, chain in self.chains.items():
-            updaters = 0
-            for pos in chain:
-                updaters |= bit[pos]
-            for i in range(len(chain) - 1):
-                succ[chain[i]] |= bit[chain[i + 1]]
-            for pos in point_readers.get(key, ()):
-                succ[pos] |= updaters
-            if stab is not None:
-                for pos in stab(key):
+            if len(chain) > 1:
+                for i in range(len(chain) - 1):
+                    succ[chain[i]] |= bit[chain[i + 1]]
+            if not read:  # a block nobody reads in has chain edges only
+                continue
+            readers = point_readers.get(key, ())
+            ranged = stab(key) if stab is not None else ()
+            if readers or ranged:
+                updaters = 0
+                for pos in chain:
+                    updaters |= bit[pos]
+                for pos in readers:
                     succ[pos] |= updaters
+                for pos in ranged:
+                    succ[pos] |= updaters
+        backward = False  # some edge points to a lower position
         for i in range(n):
             succ[i] &= ~bit[i]  # a read-modify-write does not precede itself
+            if succ[i] & (bit[i] - 1):
+                backward = True
 
         # Propagate in reverse position order: chain edges always point to
         # higher positions, so this is near reverse-topological; iterate to
         # a fixpoint so backward rw edges (and any cycles) close exactly.
+        # With every edge forward, one pass is exact: each successor's
+        # reach is final before it is read, so a second pass changes nothing.
         reach = list(succ)
         changed = True
         while changed:
@@ -273,7 +287,7 @@ class CommittedGraph:
                     bits ^= low
                 if acc != reach[i]:
                     reach[i] = acc
-                    changed = True
+                    changed = backward
         self.reach = reach
 
     @property

@@ -137,8 +137,7 @@ class HarmonyExecutor(DCCExecutor):
         # writes (Rule 2) and yields the next block's Rule-3 records
         reorder = apply_write_sets(
             txns,
-            self.engine.store.latest_values,
-            self.engine.write_costs,
+            self.engine.commit_inputs,
             op_cpu_us=self.engine.costs.op_cpu_us,
             do_coalesce=self.config.coalesce,
             key_scope=self.key_scope,
@@ -154,7 +153,7 @@ class HarmonyExecutor(DCCExecutor):
         stats = self.make_stats(block_id, txns)
         stats.dangerous_structure_hits = vstats.dangerous_structure_hits
 
-        commit_durations = [sum(item.chain_durations_us) for item in reorder.key_applies]
+        commit_durations = reorder.key_durations_us
         commit_durations.extend(reorder.txn_commit_cpu_us.values())
         return BlockExecution(
             block_id=block_id,
@@ -164,7 +163,7 @@ class HarmonyExecutor(DCCExecutor):
             serial_commit=False,
             post_commit_serial_us=tail_us,
             stats=stats,
-            key_applies=reorder.key_applies,
+            apply_chains=reorder.chains,
             snapshot_block_id=prepared.snapshot_block_id,
             committed_graph=graph,
         )

@@ -31,28 +31,17 @@ from repro.txn.transaction import Txn
 
 
 @dataclass
-class KeyApply:
-    """One key's commit-step work item."""
-
-    key: object
-    #: committing updaters in Rule-2 order
-    updater_tids: list[int]
-    #: the transaction that physically applies the (coalesced) update
-    handler_tid: int
-    #: simulated duration(s): one entry when coalesced, one per updater when
-    #: not (they form a serial chain on the key's page).
-    chain_durations_us: list[float] = field(default_factory=list)
-    final_value: object = None
-
-
-@dataclass
 class ReorderingResult:
     """Outcome of the commit step's write application."""
 
     #: ordered (key, value) writes, apply order == version seq order
     ordered_writes: list = field(default_factory=list)
-    #: one entry per written key (the commit step's parallel task list)
-    key_applies: list = field(default_factory=list)
+    #: one commit-step task per written key (us): its one coalesced apply,
+    #: or, uncoalesced, the sum of its serial chain of per-updater applies
+    key_durations_us: list = field(default_factory=list)
+    #: ``(key, updater tids in Rule-2 order)`` per written key, in the
+    #: order of :attr:`key_durations_us` — the history oracle's input
+    chains: list = field(default_factory=list)
     #: per-transaction extra commit CPU (validation bookkeeping)
     txn_commit_cpu_us: dict = field(default_factory=dict)
     #: the committed set's graph the writes were ordered by — the block's
@@ -63,8 +52,7 @@ class ReorderingResult:
 
 def apply_write_sets(
     txns: list[Txn],
-    read_bases,
-    write_costs,
+    commit_inputs,
     op_cpu_us: float = 1.0,
     do_coalesce: bool = True,
     key_scope=None,
@@ -80,10 +68,12 @@ def apply_write_sets(
     order, so nothing is derived or sorted per key.
 
     Storage is consulted once per block, over the block's key list sorted
-    by key text (:data:`repro.encoding.key_text`): ``read_bases(keys)``
-    returns each key's pre-block value (the store's latest committed
-    version) and ``write_costs(keys)`` charges one physical update of each
-    listed key's page, in list order, and returns the simulated costs.
+    by key text (:data:`repro.encoding.key_text`):
+    ``commit_inputs(keys, charged)`` (:meth:`StorageEngine.commit_inputs
+    <repro.storage.engine.StorageEngine.commit_inputs>`) returns each key's
+    pre-block value (the store's latest committed version) and the
+    simulated cost of one physical update per entry of ``charged`` (the key
+    list itself when coalescing), charged in list order.
 
     ``key_scope`` (sharded deployments) restricts the physical apply to
     locally-owned keys: a cross-shard transaction's remote writes are
@@ -98,46 +88,47 @@ def apply_write_sets(
     keys = sorted(
         chains if key_scope is None else filter(key_scope, chains), key=key_text
     )
-    bases = read_bases(keys)
     # one charge per key; uncoalesced, every updater pays its own lookup +
     # page write (Figure 5a): key-major, the key repeated once per updater
-    costs = write_costs(
-        keys if do_coalesce else [key for key in keys for _ in chains[key]]
+    bases, costs = commit_inputs(
+        keys, None if do_coalesce else [key for key in keys for _ in chains[key]]
     )
 
-    ordered_writes, key_applies = [], []
+    ordered_writes, durations, applied = [], [], []
     at = 0  # next unread entry of ``costs``
     for key, value in zip(keys, bases):
         chain = chains[key]
         if len(chain) == 1:
             txn = committed[chain[0]]
-            tids = [txn.tid]
+            applied.append((key, [txn.tid]))
             value = apply_safely(txn.write_set[key], value)
-            durations = [costs[at] + op_cpu_us]
+            durations.append(costs[at] + op_cpu_us)
             at += 1
         else:
-            updaters = [committed[pos] for pos in chain]
-            tids = [txn.tid for txn in updaters]
-            commands = [txn.write_set[key] for txn in updaters]
+            tids, commands = [], []
+            for pos in chain:
+                txn = committed[pos]
+                tids.append(txn.tid)
+                commands.append(txn.write_set[key])
+            applied.append((key, tids))
             if do_coalesce:
                 value = apply_safely(coalesce(commands), value)
-                durations = [costs[at] + op_cpu_us * len(commands)]
+                durations.append(costs[at] + op_cpu_us * len(commands))
                 at += 1
             else:
                 for command in commands:
                     value = apply_safely(command, value)
-                durations = [
-                    cost + op_cpu_us for cost in costs[at : at + len(commands)]
-                ]
-                at += len(commands)
-        key_applies.append(KeyApply(key, tids, tids[0], durations, value))
+                end = at + len(commands)
+                durations.append(sum([cost + op_cpu_us for cost in costs[at:end]]))
+                at = end
         # ``None``: every command no-oped on a missing base, nothing to
         # install. Tombstones are stored as-is; SnapshotView.get() hides them.
         if value is not None:
             ordered_writes.append((key, value))
     return ReorderingResult(
         ordered_writes,
-        key_applies,
+        durations,
+        applied,
         dict.fromkeys([txn.tid for txn in committed], op_cpu_us),
         graph,
     )

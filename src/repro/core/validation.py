@@ -53,7 +53,7 @@ from repro.txn.transaction import AbortReason, Txn
 NEG_INF = float("-inf")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CommittedRecord:
     """What later blocks need to know about a committed updater."""
 

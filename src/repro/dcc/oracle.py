@@ -143,9 +143,12 @@ class HistoryOracle:
         self,
         block_id: int,
         txns: list[Txn],
-        key_applies,
+        apply_chains,
         snapshot_block_id: int | None = None,
     ) -> None:
+        """Record one block: its committed transactions' reads and, from
+        ``apply_chains`` (``(key, tids)`` pairs, tids in apply order), the
+        per-key write chains."""
         snap = snapshot_block_id if snapshot_block_id is not None else block_id - 1
         committed = {t.tid for t in txns if t.committed}
         for txn in txns:
@@ -156,12 +159,12 @@ class HistoryOracle:
             self._range_facts[txn.tid] = list(txn.read_ranges)
             self._snapshot_block[txn.tid] = snap
         new_keys = []
-        for item in key_applies:
-            chain = self._chains.get(item.key)
+        for key, tids in apply_chains:
+            chain = self._chains.get(key)
             if chain is None:
-                chain = self._chains[item.key] = []
-                new_keys.append(item.key)
-            ordered = [tid for tid in item.updater_tids if tid in committed]
+                chain = self._chains[key] = []
+                new_keys.append(key)
+            ordered = [tid for tid in tids if tid in committed]
             for pos, tid in enumerate(ordered):
                 chain.append(_WritePosition(block_id, pos, tid))
         if new_keys and self._key_index is not None:

@@ -69,8 +69,9 @@ class BlockExecution:
     #: serial tail (group commit fsync, hash chaining, checkpoint flush)
     post_commit_serial_us: float = 0.0
     stats: BlockStats = None  # type: ignore[assignment]
-    #: per-key apply chains (Harmony) — consumed by the history oracle
-    key_applies: list = field(default_factory=list)
+    #: ``(key, updater tids in apply order)`` per written key (Harmony) —
+    #: consumed by the history oracle
+    apply_chains: list = field(default_factory=list)
     #: snapshot the block simulated against (block id)
     snapshot_block_id: int | None = None
     #: the committed set's :class:`~repro.core.dependencies.CommittedGraph`

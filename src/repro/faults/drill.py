@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 
 from repro.chain.config import decision_digest
 from repro.collector import collector_paused
-from repro.core.reordering import KeyApply
 from repro.dcc.oracle import HistoryOracle
 from repro.faults.inject import FaultInjector
 from repro.faults.plan import MIGRATION_KINDS, FaultPlan, standard_plans
@@ -86,18 +85,15 @@ class DrillResult:
         )
 
 
-def _applies_in_order(txns) -> list[KeyApply]:
-    """Per-key apply chains of committed transactions, in list order —
-    the pre-block-snapshot recording recipe (aria / rbc)."""
+def _applies_in_order(txns) -> list[tuple]:
+    """Per-key ``(key, tids)`` apply chains of committed transactions, in
+    list order — the pre-block-snapshot recording recipe (aria / rbc)."""
     chains: dict = {}
     for txn in txns:
         if txn.committed:
             for key in txn.write_set:
                 chains.setdefault(key, []).append(txn.tid)
-    return [
-        KeyApply(key=key, updater_tids=tids, handler_tid=tids[0])
-        for key, tids in chains.items()
-    ]
+    return list(chains.items())
 
 
 def _build_chain(
@@ -189,18 +185,18 @@ def run_drill(
         merged = reference.merged_view(outcome)
         ref_records.append((block.block_id, merged))
         if scheme == "harmony":
-            key_applies = [
+            apply_chains = [
                 item
                 for shard in sorted(outcome.executions)
-                for item in outcome.executions[shard].key_applies
+                for item in outcome.executions[shard].apply_chains
             ]
             first = min(outcome.executions)
             snapshot_id = outcome.executions[first].snapshot_block_id
         else:
-            key_applies = _applies_in_order(merged)
+            apply_chains = _applies_in_order(merged)
             snapshot_id = block.block_id - 1
         oracle.record_block(
-            block.block_id, merged, key_applies, snapshot_block_id=snapshot_id
+            block.block_id, merged, apply_chains, snapshot_block_id=snapshot_id
         )
     supervisor.finalize()
 

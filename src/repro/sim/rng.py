@@ -20,7 +20,13 @@ class SeededRng:
         digest = hashlib.sha256(f"{seed}:{stream}".encode()).digest()
         self._seed = seed
         self._stream = stream
-        self._random = random.Random(int.from_bytes(digest[:8], "big"))
+        self._random = rng = random.Random(int.from_bytes(digest[:8], "big"))
+        # the hot primitives cost one frame a draw: ``random()`` is the
+        # bound C method, ``randbelow(n)`` the draw ``randrange`` and
+        # ``randint`` make — a uniform int in ``[0, n)``, for ``n >= 1``
+        # only (unchecked: ``n = 0`` never returns)
+        self.random = rng.random
+        self.randbelow = rng._randbelow
 
     @property
     def stream(self) -> str:
@@ -30,12 +36,15 @@ class SeededRng:
         """Create an independent child stream."""
         return SeededRng(self._seed, f"{self._stream}/{stream}")
 
-    # Thin pass-throughs: one call site per random primitive we rely on.
-    def random(self) -> float:
-        return self._random.random()
-
+    # Thin pass-throughs: one call site per random primitive we rely on
+    # (``random`` and ``randbelow`` are bound per instance in ``__init__``).
     def randint(self, a: int, b: int) -> int:
-        return self._random.randint(a, b)
+        """``random.Random.randint(a, b)``: the same draw from the same
+        stream, without the ``randint`` -> ``randrange`` frames."""
+        width = b - a + 1
+        if width <= 0:
+            raise ValueError(f"empty range for randint({a}, {b})")
+        return a + self.randbelow(width)
 
     def choice(self, seq):
         return self._random.choice(seq)

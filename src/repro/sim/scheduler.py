@@ -118,8 +118,8 @@ class PipelineSimulator:
         self.snapshot_lag = snapshot_lag
 
     def simulate(self, blocks: list[BlockTiming]) -> PipelineResult:
-        cores = [0.0] * self.num_cores
-        heapq.heapify(cores)
+        cores = [0.0] * self.num_cores  # core free times, a heap (all equal)
+        heapreplace = heapq.heapreplace
         busy = 0.0
         commit_finish: list[float] = []
         sim_starts: list[float] = []
@@ -139,9 +139,10 @@ class PipelineSimulator:
             sim_finish = ready
             first_start = None
             for dur in block.sim_durations:
-                start = max(ready, heapq.heappop(cores))
+                # the earliest-free core takes the task: one heap operation
+                start = max(ready, cores[0])
                 finish = start + dur
-                heapq.heappush(cores, finish)
+                heapreplace(cores, finish)
                 busy += dur
                 sim_finish = max(sim_finish, finish)
                 if first_start is None or start < first_start:
@@ -158,9 +159,9 @@ class PipelineSimulator:
             else:
                 finish = commit_ready
                 for dur in block.commit_durations:
-                    start = max(commit_ready, heapq.heappop(cores))
+                    start = max(commit_ready, cores[0])
                     end = start + dur
-                    heapq.heappush(cores, end)
+                    heapreplace(cores, end)
                     busy += dur
                     finish = max(finish, end)
             finish += block.post_commit_serial_us

@@ -59,6 +59,27 @@ class BufferPool:
         self._frames[page_id] = dirty
         return cost
 
+    def write_pages(self, page_ids) -> list[float]:
+        """``access(page_id, dirty=True)`` for every entry of ``page_ids``,
+        in list order (a block's commit-step charges), with the hit path
+        inlined: the same costs, counters and LRU order. Returns the
+        costs."""
+        frames = self._frames
+        move_to_end = frames.move_to_end
+        hit_us = self._costs.buffer_admin_us + self._costs.dram_access_us
+        costs = []
+        hits = 0
+        for page_id in page_ids:
+            if page_id in frames:
+                hits += 1
+                frames[page_id] = True
+                move_to_end(page_id)
+                costs.append(hit_us)
+            else:
+                costs.append(self.access(page_id, dirty=True))
+        self.stats.hits += hits
+        return costs
+
     def _evict_if_needed(self) -> float:
         cost = 0.0
         while len(self._frames) >= self.capacity:

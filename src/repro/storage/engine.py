@@ -6,7 +6,8 @@ exposes cost-metered operations to the execution layer:
 
 - ``read_cost(key)`` / ``write_cost(key)`` — charge an index probe and a
   buffer-pool access (possible page miss + eviction write-back);
-  ``write_costs(keys)`` is the same charge for a block's key list at once;
+  ``commit_inputs(keys)`` is the same charge for a block's key list at
+  once, together with each key's pre-block value;
 - ``apply_block(...)`` — install a block's ordered writes and charge the
   group commit;
 - ``checkpoint_if_due(...)`` — flush dirty pages every *p* blocks and append
@@ -98,10 +99,16 @@ class StorageEngine:
             return self.heap.insert(key)
         return self.heap.access(key, write=True)
 
-    def write_costs(self, keys) -> list[float]:
-        """:meth:`write_cost` for every entry of ``keys`` in list order, as
-        one batched charge (a block's commit step); returns the costs."""
-        return self.heap.charge_writes(keys)
+    def commit_inputs(self, keys, charged=None) -> tuple[list, list[float]]:
+        """A block's commit step asks storage once: each key's pre-block
+        value (the latest committed version; missing and deleted keys are
+        ``None``) and :meth:`write_cost` for every entry of ``charged``
+        (default ``keys``; repeats are charged again) in list order.
+        Returns ``(values, costs)``."""
+        return (
+            self.store.latest_values(keys),
+            self.heap.charge_writes(keys if charged is None else charged),
+        )
 
     def scan_cost(self, num_records: int) -> float:
         """Approximate cost of a range scan touching ``num_records`` rows."""

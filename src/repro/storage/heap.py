@@ -18,6 +18,7 @@ freed.
 from __future__ import annotations
 
 from itertools import repeat
+from operator import add
 
 from repro.sim.costs import CostModel
 from repro.storage.bufferpool import BufferPool
@@ -105,22 +106,26 @@ class HeapFile:
         return cost
 
     def charge_writes(self, keys) -> list[float]:
-        """One write access per entry of ``keys``, in list order, as one
-        loop: a key not yet placed is inserted (allocating in list order),
-        every other entry costs exactly what ``access(key, write=True)``
-        does — same pool accesses, same float additions. Repeats are
-        charged again."""
-        directory = self._directory
-        pool_access = self._pool.access
-        probe_us = self._costs.index_lookup_us + self._costs.latch_us
-        costs = []
+        """One write access per entry of ``keys``, in list order: a key not
+        yet placed is inserted (allocating in list order), every other entry
+        costs exactly what ``access(key, write=True)`` does — same pool
+        accesses, same float additions. Repeats are charged again. Placement
+        reads only the directory, so the keys are placed first and their
+        pages charged in one batch (:meth:`BufferPool.write_pages
+        <repro.storage.bufferpool.BufferPool.write_pages>`)."""
+        directory, per_page = self._directory, self._records_per_page
+        insert_us = self._costs.index_lookup_us
+        probe_us = insert_us + self._costs.latch_us
+        page_ids, probes = [], []
         for key in keys:
             page_id = directory.get(key)
             if page_id is None:
-                costs.append(self.insert(key))
+                page_id = directory[key] = len(directory) // per_page
+                probes.append(insert_us)
             else:
-                costs.append(probe_us + pool_access(page_id, dirty=True))
-        return costs
+                probes.append(probe_us)
+            page_ids.append(page_id)
+        return list(map(add, probes, self._pool.write_pages(page_ids)))
 
     def page_of(self, key: object) -> int | None:
         return self._directory.get(key)

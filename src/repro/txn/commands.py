@@ -20,7 +20,17 @@ from repro.storage.mvstore import TOMBSTONE
 
 
 class UpdateCommand:
-    """Base class; subclasses are immutable value objects."""
+    """Base class; subclasses are immutable value objects.
+
+    Each is a ``@dataclass(frozen=True, slots=True)``. That decorator
+    returns a new class, so a zero-argument ``super()`` in a subclass names
+    the discarded one and raises ``TypeError``, which :func:`apply_safely`
+    and the simulation step would take for a no-op or an abort: the shared
+    rule is called as ``UpdateCommand.merge_after(self, earlier)``
+    (``make one-commit-pass`` checks).
+    """
+
+    __slots__ = ()
 
     #: True when the command reads the value it overwrites (RMW).
     reads_value: bool = True
@@ -40,7 +50,7 @@ class UpdateCommand:
         return None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SetValue(UpdateCommand):
     """Blind write: ``x = value``."""
 
@@ -54,7 +64,7 @@ class SetValue(UpdateCommand):
         return self  # a blind write annihilates whatever came before
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DeleteValue(UpdateCommand):
     """Blind delete: install a tombstone."""
 
@@ -67,7 +77,7 @@ class DeleteValue(UpdateCommand):
         return self
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AddValue(UpdateCommand):
     """Scalar RMW: ``x = x + delta``."""
 
@@ -81,10 +91,10 @@ class AddValue(UpdateCommand):
     def merge_after(self, earlier: UpdateCommand) -> UpdateCommand | None:
         if isinstance(earlier, AddValue):
             return AddValue(earlier.delta + self.delta)
-        return super().merge_after(earlier)
+        return UpdateCommand.merge_after(self, earlier)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MulValue(UpdateCommand):
     """Scalar RMW: ``x = x * factor``."""
 
@@ -98,14 +108,14 @@ class MulValue(UpdateCommand):
     def merge_after(self, earlier: UpdateCommand) -> UpdateCommand | None:
         if isinstance(earlier, MulValue):
             return MulValue(earlier.factor * self.factor)
-        return super().merge_after(earlier)
+        return UpdateCommand.merge_after(self, earlier)
 
 
 def _frozen_items(mapping: dict) -> tuple:
     return tuple(sorted(mapping.items()))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SetFields(UpdateCommand):
     """Record RMW: overwrite some fields, keep the rest."""
 
@@ -129,10 +139,10 @@ class SetFields(UpdateCommand):
             merged = dict(earlier.updates)
             merged.update(self.updates)
             return SetFields(_frozen_items(merged))
-        return super().merge_after(earlier)
+        return UpdateCommand.merge_after(self, earlier)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AddFields(UpdateCommand):
     """Record RMW: add deltas to numeric fields."""
 
@@ -169,10 +179,10 @@ class AddFields(UpdateCommand):
             except (KeyError, TypeError):
                 return None
             return SetFields(_frozen_items(set_map))
-        return super().merge_after(earlier)
+        return UpdateCommand.merge_after(self, earlier)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Compose(UpdateCommand):
     """Sequential composition: apply ``commands`` left to right, each part
     with :func:`apply_safely`'s matched-zero-rows semantics — a part whose
@@ -223,11 +233,8 @@ def coalesce(commands: list[UpdateCommand]) -> UpdateCommand:
         raise ValueError("cannot coalesce an empty command list")
     parts: list[UpdateCommand] = []
     for command in commands:
-        if isinstance(command, Compose):
-            pending = list(command.commands)
-        else:
-            pending = [command]
-        for piece in pending:
+        pieces = command.commands if isinstance(command, Compose) else (command,)
+        for piece in pieces:
             if not piece.reads_value:
                 parts.clear()  # blind write: everything before it is dead
                 parts.append(piece)

@@ -39,7 +39,7 @@ class AbortReason(enum.Enum):
     MIGRATION_FENCE = "migration-fence"  # key in flight at a re-key boundary
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TxnSpec:
     """A client transaction: procedure name + parameters (a command)."""
 

@@ -77,48 +77,45 @@ class HotspotWorkload(Workload):
     def is_hot(self, key_index: int) -> bool:
         return key_index % self._stride == 0
 
-    def _pick_key(self, rng: SeededRng) -> int:
-        if rng.random() < self.hotspot_probability:
-            return rng.randint(0, self.num_hot - 1) * self._stride
-        cold = rng.randint(0, self.num_keys - 1)
-        while self.is_hot(cold):
-            cold = rng.randint(0, self.num_keys - 1)
-        return cold
-
     def generate_block(self, size: int, rng: SeededRng) -> list[TxnSpec]:
         """Each transaction is 10 statements = 5 SELECT+UPDATE pairs; after
         the rewrite each pair is a single fused UPDATE (or a separated
         read-then-write when ``fused=False``)."""
         affinity = self.affinity
+        if affinity is not None and affinity.num_shards < 2:
+            affinity = None
+        # one frame per draw: ``randbelow(n)`` is ``randint(0, n - 1)``
+        random, randbelow = rng.random, rng.randbelow
+        hot_probability, stride = self.hotspot_probability, self._stride
+        num_keys, num_hot = self.num_keys, self.num_hot
         specs = []
         update_kind = "u" if self.fused else "ru"
         pairs = max(1, self.statements_per_txn // 2)
         for _ in range(size):
             home = remote = None
-            if affinity is not None and affinity.num_shards > 1:
+            if affinity is not None:
                 home = affinity.pick_home(rng)
                 if affinity.crosses(rng):
                     remote = affinity.pick_other(rng, home)
             ops = []
             chosen: set[int] = set()
             for pair in range(pairs):
-                partition = None
-                if home is not None:
-                    partition = remote if remote is not None and pair == pairs - 1 else home
-
-                def pick() -> int:
-                    key = self._pick_key(rng)
-                    if partition is not None:
-                        key = affinity.map_index(key, partition, self.num_keys)
-                    return key
-
-                key = pick()
+                partition = remote if remote is not None and pair == pairs - 1 else home
                 tries = 0
-                while key in chosen and tries < 20:
-                    key = pick()
+                while True:  # redraw a key already chosen, up to 20 times
+                    if random() < hot_probability:
+                        key = randbelow(num_hot) * stride
+                    else:  # a cold key: redraw until it is not a hotspot
+                        key = randbelow(num_keys)
+                        while key % stride == 0:
+                            key = randbelow(num_keys)
+                    if partition is not None:
+                        key = affinity.map_index(key, partition, num_keys)
+                    if key not in chosen or tries == 20:
+                        break
                     tries += 1
                 chosen.add(key)
-                ops.append((update_kind, key, rng.randint(1, 9)))
+                ops.append((update_kind, key, 1 + randbelow(9)))
             specs.append(TxnSpec("hotspot_txn", params(ops=tuple(ops))))
         return specs
 

@@ -19,6 +19,20 @@ def make_engine(num_keys: int = 64, pool_pages: int = 8, **engine_kwargs) -> Sto
     return engine
 
 
+def charged_writes(engine: StorageEngine) -> list:
+    """Record, from now on, every key ``engine``'s commit step charges a
+    physical update for (one entry per charge, in charge order)."""
+    charged: list = []
+    commit_inputs = engine.commit_inputs
+
+    def recording(keys, charge=None):
+        charged.extend(keys if charge is None else charge)
+        return commit_inputs(keys, charge)
+
+    engine.commit_inputs = recording
+    return charged
+
+
 def generic_registry() -> ProcedureRegistry:
     """A procedure that executes a literal list of operations.
 

@@ -11,13 +11,16 @@ where production appends a delta.
 
 - :mod:`tests.reference.decision` — ``core/`` and ``dcc/``: Algorithm 1 +
   Rule 3 validation, rw-edge extraction, the committed-block closure, the
-  per-block and cross-block dependency graphs, Aria's reservation checks.
+  Rule-2 commit step, the per-block and cross-block dependency graphs,
+  Aria's reservation checks.
 - :mod:`tests.reference.storage` — ``storage/`` and ``shard/federated``:
   version-chain walks, the from-scratch state hash, the per-key load and
   scan, the per-key heap bring-up, the block-log cut, the eager
   cross-shard union and the full deep-copy checkpoint.
 - :mod:`tests.reference.encoding` — ``repro/encoding.py``: the value
   text's recursive definition.
+- :mod:`tests.reference.sim` — ``sim/``: the pipeline schedule with a heap
+  pop and a push per task.
 """
 
 from tests.reference.decision import (
@@ -27,10 +30,12 @@ from tests.reference.decision import (
     history_graph,
     reachability,
     readers_of,
+    reference_commit,
     reference_validate,
     rw_edges,
 )
 from tests.reference.encoding import encode
+from tests.reference.sim import pipeline_schedule
 from tests.reference.storage import (
     blocks_after,
     federated_scan,
@@ -57,8 +62,10 @@ __all__ = [
     "load",
     "materialize",
     "materialize_at",
+    "pipeline_schedule",
     "reachability",
     "readers_of",
+    "reference_commit",
     "reference_validate",
     "rw_edges",
     "scan",

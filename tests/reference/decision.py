@@ -7,6 +7,7 @@ from repro.core.dependencies import BlockDependencyIndex, RWEdge, witness_order
 from repro.core.validation import NEG_INF, PrevBlockRecords, ValidationStats
 from repro.dcc.oracle import HistoryOracle, has_cycle
 from repro.intervals import covers
+from repro.txn.commands import apply_safely
 from repro.txn.transaction import AbortReason, Txn
 
 
@@ -142,6 +143,45 @@ def reachability(committed: list[Txn]) -> list[int]:
             stack.extend(edges[node] - seen)
         closure.append(sum(1 << pos for pos in seen))
     return closure
+
+
+# --------------------------------------------------------- core/reordering
+def reference_commit(
+    txns: list[Txn],
+    base: dict,
+    cost_of,
+    op_cpu_us: float,
+    do_coalesce: bool = True,
+    key_scope=None,
+):
+    """Algorithm 2 read literally — what ``apply_write_sets`` must return:
+    filter the survivors, sort each written key's updaters by ``(min_out,
+    tid)``, fold their commands one at a time over ``base``. A key costs one
+    charge ``cost_of(key)`` when coalesced, one per updater when not.
+
+    Returns ``(writes, durations, chains, commit_cpu, charged)``: the
+    installed ``(key, value)`` writes, one duration per key, the ``(key,
+    tids)`` apply chains, the per-transaction commit CPU and the charged
+    key list, in charge order."""
+    live = [t for t in txns if not t.aborted]
+    keys = {k for t in live for k in t.write_set if not key_scope or key_scope(k)}
+    writes, durations, chains, charged = [], [], [], []
+    for key in sorted(keys, key=repr):
+        ups = sorted((t for t in live if key in t.write_set), key=witness_order)
+        value = base.get(key)
+        for txn in ups:
+            value = apply_safely(txn.write_set[key], value)
+        n = len(ups)
+        if do_coalesce:
+            durations.append(cost_of(key) + op_cpu_us * n)
+            charged.append(key)
+        else:
+            durations.append(sum([cost_of(key) + op_cpu_us] * n))
+            charged += [key] * n
+        chains.append((key, [t.tid for t in ups]))
+        if value is not None:
+            writes.append((key, value))
+    return writes, durations, chains, {t.tid: op_cpu_us for t in live}, charged
 
 
 # -------------------------------------------------------------- dcc/oracle

@@ -27,7 +27,6 @@ import itertools
 import pytest
 
 from repro.core.harmony import HarmonyConfig, HarmonyExecutor
-from repro.core.reordering import KeyApply
 from repro.dcc.aria import AriaExecutor
 from repro.dcc.fabric import FabricValidator, endorsed_value_writes
 from repro.dcc.fastfabric import FastFabricOrderer, FastFabricValidator
@@ -71,17 +70,15 @@ WORKLOADS = {
 }
 
 
-def applies_in_order(txns) -> list[KeyApply]:
-    """Per-key apply chains for committed transactions, in list order."""
+def applies_in_order(txns) -> list[tuple]:
+    """Per-key ``(key, tids)`` apply chains for committed transactions, in
+    list order."""
     chains: dict = {}
     for txn in txns:
         if txn.committed:
             for key in txn.write_set:
                 chains.setdefault(key, []).append(txn.tid)
-    return [
-        KeyApply(key=key, updater_tids=tids, handler_tid=tids[0])
-        for key, tids in chains.items()
-    ]
+    return list(chains.items())
 
 
 def build_scheme(scheme: str, engine, registry):
@@ -164,7 +161,7 @@ def run_scheme(scheme: str, workload_name: str):
             oracle.record_block(
                 block_id,
                 execution.txns,
-                execution.key_applies,
+                execution.apply_chains,
                 snapshot_block_id=execution.snapshot_block_id,
             )
         elif scheme == "serial":
@@ -218,6 +215,42 @@ class TestCrossSchemeConformance:
         assert aria["aborted"] > 0
 
 
+def execution_errors(scheme: str, workload_name: str, num_blocks=8, block_size=25) -> int:
+    """Transactions of a seeded ``scheme`` run that end in EXECUTION_ERROR."""
+    workload = WORKLOADS[workload_name]()
+    engine = StorageEngine(pool_pages=16)
+    engine.preload(workload.initial_state())
+    executor = build_scheme(scheme, engine, workload.build_registry())
+    rng = SeededRng(11, f"census/{scheme}/{workload.name}")
+    errors = next_tid = 0
+    for block_id in range(num_blocks):
+        specs = workload.generate_block(block_size, rng)
+        txns = [
+            Txn(tid=next_tid + i, block_id=block_id, spec=spec)
+            for i, spec in enumerate(specs)
+        ]
+        next_tid += len(txns)
+        executor.execute_block(block_id, txns)
+        errors += sum(t.abort_reason is AbortReason.EXECUTION_ERROR for t in txns)
+    return errors
+
+
+class TestExecutionErrorCensus:
+    def test_no_registered_workload_raises_in_simulation(self):
+        """The simulation step turns a KeyError / TypeError / ValueError
+        raised inside a procedure into an EXECUTION_ERROR abort, silently.
+        No registered workload raises one by design, so every count must be
+        0: a nonzero one is an internal error passing as an abort (a
+        zero-argument ``super()`` in a slotted command did exactly that
+        under aria and rbc, with nothing raised)."""
+        census = {
+            (workload_name, scheme): execution_errors(scheme, workload_name)
+            for workload_name in sorted(WORKLOADS)
+            for scheme in ("harmony", "aria", "rbc")
+        }
+        assert {cell: n for cell, n in census.items() if n} == {}
+
+
 def run_sharded_scheme(
     scheme: str, workload_name: str, num_shards: int = 2, cross: float = 0.5
 ):
@@ -246,20 +279,20 @@ def run_sharded_scheme(
     oracle = HistoryOracle()
     for record in chain.history:
         if scheme == "harmony":
-            key_applies = [
+            apply_chains = [
                 item
                 for shard in sorted(record.executions)
-                for item in record.executions[shard].key_applies
+                for item in record.executions[shard].apply_chains
             ]
             snapshot_id = record.executions[0].snapshot_block_id
         else:
             # pre-block snapshot readers; per-key apply order is TID order
-            key_applies = applies_in_order(record.merged_txns)
+            apply_chains = applies_in_order(record.merged_txns)
             snapshot_id = record.block_id - 1
         oracle.record_block(
             record.block_id,
             record.merged_txns,
-            key_applies,
+            apply_chains,
             snapshot_block_id=snapshot_id,
         )
     assert oracle.build_graph() == reference.history_graph(oracle)

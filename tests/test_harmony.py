@@ -15,7 +15,7 @@ from repro.dcc.oracle import HistoryOracle, SerializabilityOracle
 from repro.txn.commands import apply_safely
 from repro.txn.transaction import AbortReason, TxnStatus
 
-from tests.conftest import generic_registry, make_engine, make_txns
+from tests.conftest import charged_writes, generic_registry, make_engine, make_txns
 
 NO_IBP = HarmonyConfig(inter_block=False)
 
@@ -40,21 +40,22 @@ class TestBasicExecution:
         assert engine.store.get_latest(("k", 0))[0] == (100 + 10) * 3
 
     def test_update_coalescence_single_page_write(self):
-        engine, _, execution = run_block(
-            [[("add", 0, 1)] for _ in range(6)],
-        )
-        hot_applies = [ka for ka in execution.key_applies if ka.key == ("k", 0)]
-        assert len(hot_applies) == 1
-        assert len(hot_applies[0].chain_durations_us) == 1  # one coalesced apply
+        engine = make_engine()
+        charged = charged_writes(engine)
+        _, _, execution = run_block([[("add", 0, 1)] for _ in range(6)], engine=engine)
+        assert execution.apply_chains == [(("k", 0), [0, 1, 2, 3, 4, 5])]
+        assert charged == [("k", 0)]  # one coalesced apply
         assert engine.store.get_latest(("k", 0))[0] == 106
 
     def test_no_coalescence_duplicates_applies(self):
         config = HarmonyConfig(inter_block=False, coalesce=False)
-        engine, _, execution = run_block(
-            [[("add", 0, 1)] for _ in range(6)], config=config
+        engine = make_engine()
+        charged = charged_writes(engine)
+        _, _, execution = run_block(
+            [[("add", 0, 1)] for _ in range(6)], config=config, engine=engine
         )
-        hot = [ka for ka in execution.key_applies if ka.key == ("k", 0)][0]
-        assert len(hot.chain_durations_us) == 6  # one physical apply each
+        assert execution.apply_chains == [(("k", 0), [0, 1, 2, 3, 4, 5])]
+        assert charged == [("k", 0)] * 6  # one physical apply each
         assert engine.store.get_latest(("k", 0))[0] == 106
 
     def test_dangerous_structure_aborts_middle(self):
@@ -232,7 +233,7 @@ class TestMultiBlockHistory:
             oracle.record_block(
                 block_id,
                 txns,
-                execution.key_applies,
+                execution.apply_chains,
                 snapshot_block_id=execution.snapshot_block_id,
             )
         assert oracle.is_serializable()

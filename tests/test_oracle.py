@@ -103,15 +103,10 @@ class TestFalseAborts:
 
 
 class TestHistoryOracle:
-    class _Apply:
-        def __init__(self, key, tids):
-            self.key = key
-            self.updater_tids = tids
-
     def test_clean_history_serializable(self):
         oracle = HistoryOracle()
         t1 = txn_with(1, writes=["x"])
-        oracle.record_block(0, [t1], [self._Apply("x", [1])], snapshot_block_id=-1)
+        oracle.record_block(0, [t1], [("x", [1])], snapshot_block_id=-1)
         t2 = txn_with(2, reads=["x"])
         t2.read_set["x"] = (0, 0)  # observed block 0's write
         oracle.record_block(1, [t2], [], snapshot_block_id=0)
@@ -122,15 +117,15 @@ class TestHistoryOracle:
         # T1 (block 0) reads k1 before-image; T2 (block 1) writes k1 and
         # reads k0's before-image of T1's write -> cycle
         t1 = txn_with(1, reads=["k1"], writes=["k0"])
-        oracle.record_block(0, [t1], [self._Apply("k0", [1])], snapshot_block_id=-1)
+        oracle.record_block(0, [t1], [("k0", [1])], snapshot_block_id=-1)
         t2 = txn_with(2, reads=["k0"], writes=["k1"])
         t2.read_set["k0"] = None  # stale: lag-2 snapshot
-        oracle.record_block(1, [t2], [self._Apply("k1", [2])], snapshot_block_id=-1)
+        oracle.record_block(1, [t2], [("k1", [2])], snapshot_block_id=-1)
         assert not oracle.is_serializable()
 
     def test_aborted_txns_ignored(self):
         oracle = HistoryOracle()
         t1 = txn_with(1, writes=["x"], committed=False)
-        oracle.record_block(0, [t1], [self._Apply("x", [1])], snapshot_block_id=-1)
+        oracle.record_block(0, [t1], [("x", [1])], snapshot_block_id=-1)
         assert oracle.is_serializable()
         assert oracle.build_graph() == {}

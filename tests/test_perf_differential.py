@@ -24,7 +24,7 @@ from repro.core.dependencies import (
     CommittedGraph,
     commit_survivors,
 )
-from repro.core.reordering import KeyApply, apply_write_sets
+from repro.core.reordering import apply_write_sets
 from repro.core.validation import HarmonyValidator
 from repro.dcc.aria import AriaExecutor
 from repro.dcc.oracle import HistoryOracle, SerializabilityOracle, has_cycle
@@ -260,10 +260,7 @@ def oracle_history(draw):
         for txn in txns:  # apply chains in block (TID) order
             for key in txn.write_set:
                 chains.setdefault(key, []).append(txn.tid)
-        applies = [
-            KeyApply(key=key, updater_tids=tids, handler_tid=tids[0])
-            for key, tids in chains.items()
-        ]
+        applies = list(chains.items())
         snap = block_id - draw(st.integers(1, 2))
         blocks.append((block_id, txns, applies, snap))
     return blocks
@@ -328,9 +325,11 @@ class TestFalseAbortDifferential:
         abortees under an arbitrary split (so the committed set is often
         cyclic and the count must be 0), both chain orders. The
         serializability verdict rides the same builder, so it is pinned
-        against the reference graph + DFS here too."""
+        against the reference graph + DFS here too, and so is the closure
+        itself, on blocks whose edges all point forward (one pass) and on
+        blocks with a backward edge (the fixpoint)."""
         rng = random.Random(20230612)
-        seen = {"cyclic": 0, "acyclic": 0, "real": 0, "false": 0}
+        seen = {"cyclic": 0, "acyclic": 0, "real": 0, "false": 0, "forward": 0, "backward": 0}
         for _ in range(250):
             n = rng.randint(6, 20)
             keys = rng.randint(4, NUM_KEYS)
@@ -356,6 +355,11 @@ class TestFalseAbortDifferential:
                     txn.mark_committed()
             committed = [t for t in txns if t.committed]
             for chain_order in (None, lambda t: t.tid):
+                # the closure, one pass or to a fixpoint, against the DFS
+                graph = CommittedGraph(txns, chain_order)
+                assert graph.reach == reference.reachability(graph.txns)
+                backward = any(r & ((1 << i) - 1) for i, r in enumerate(graph.reach))
+                seen["backward" if backward else "forward"] += 1
                 order = chain_order or (lambda t: (t.min_out, t.tid))
                 cyclic = has_cycle(reference.block_dependency_graph(committed, order))
                 assert (
@@ -386,10 +390,7 @@ class TestHistoryOracleFallbacks:
             txn.record_update(key, AddValue(1))
             txn.mark_committed()
             writers.append(txn)
-        applies = [
-            KeyApply(key=key, updater_tids=[tid], handler_tid=tid)
-            for tid, key in ((1, 5), (2, "s"), (3, (9, 9)))
-        ]
+        applies = [(key, [tid]) for tid, key in ((1, 5), (2, "s"), (3, (9, 9)))]
         oracle = HistoryOracle()
         oracle.record_block(0, writers, applies, snapshot_block_id=-1)
         oracle.record_block(1, [reader], [], snapshot_block_id=0)
@@ -423,25 +424,6 @@ def decided_block(draw):
     return txns, {_key(i): i * 10 for i in present}
 
 
-def reference_commit(txns, base, cost_of, op_cpu_us, do_coalesce, key_scope):
-    """Algorithm 2 read literally: filter committed, per-key sort by
-    ``(min_out, tid)``, fold; -> (writes, applies, commit cpu, charged)."""
-    live = [t for t in txns if not t.aborted]
-    keys = {k for t in live for k in t.write_set if not key_scope or key_scope(k)}
-    writes, applies, charged = [], [], []
-    for key in sorted(keys, key=repr):
-        ups = sorted((t for t in live if key in t.write_set), key=lambda t: (t.min_out, t.tid))
-        value = base.get(key)
-        for txn in ups:
-            value = apply_safely(txn.write_set[key], value)
-        n = len(ups)
-        chain = [cost_of(key) + op_cpu_us * n] if do_coalesce else [cost_of(key) + op_cpu_us] * n
-        charged += [key] * len(chain)
-        applies.append(KeyApply(key, [t.tid for t in ups], ups[0].tid, chain, value))
-        writes += [(key, value)] if value is not None else []
-    return writes, applies, {t.tid: op_cpu_us for t in live}, charged
-
-
 class TestCommitPass:
     """The commit step reads Rule-2 order off the block's CommittedGraph
     and charges storage once per block; both must be indistinguishable
@@ -455,23 +437,26 @@ class TestCommitPass:
         cost_of = lambda key: 1.0 + key[1] / 8
         charged = []
 
-        def write_costs(keys):
-            charged.extend(keys)
-            return [cost_of(key) for key in keys]
+        def commit_inputs(keys, charge=None):
+            charge = keys if charge is None else charge
+            charged.extend(charge)
+            return [base.get(key) for key in keys], [cost_of(key) for key in charge]
 
         result = apply_write_sets(
             txns,
-            lambda keys: [base.get(key) for key in keys],
-            write_costs,
+            commit_inputs,
             op_cpu_us=0.75,
             do_coalesce=do_coalesce,
             key_scope=key_scope,
         )
-        writes, applies, commit_cpu, expected_charges = reference_commit(
-            txns, base, cost_of, 0.75, do_coalesce, key_scope
+        writes, durations, chains, commit_cpu, expected_charges = (
+            reference.reference_commit(
+                txns, base, cost_of, 0.75, do_coalesce, key_scope
+            )
         )
         assert result.ordered_writes == writes
-        assert result.key_applies == applies
+        assert result.key_durations_us == durations
+        assert result.chains == chains
         assert result.txn_commit_cpu_us == commit_cpu
         assert charged == expected_charges
         assert all(t.committed != t.aborted for t in txns)
@@ -483,18 +468,22 @@ class TestCommitPass:
     @settings(max_examples=150, deadline=None)
     def test_batched_charge_equals_per_key_write_cost(self, picks, pool_pages):
         """Same costs, same pool/disk counters, same page allocation —
-        keys 100.. are absent (inserted, in list order), repeats allowed."""
+        keys 100.. are absent (inserted, in list order), repeats allowed;
+        and the values are each key's latest version (tombstone -> None)."""
         keys = [_key(i) for i in picks]
         one, batch = (make_engine(100, pool_pages=pool_pages) for _ in range(2))
         for engine in (one, batch):
             engine.store.apply_block(0, [(_key(0), TOMBSTONE), (_key(1), None)])
-        assert batch.write_costs(keys) == [one.write_cost(key) for key in keys]
+        distinct = list(dict.fromkeys(keys))
+        values, costs = batch.commit_inputs(distinct, keys)
+        assert costs == [one.write_cost(key) for key in keys]
         assert batch.pool.stats == one.pool.stats
         assert batch.disk.stats == one.disk.stats
         assert list(batch.pool._frames.items()) == list(one.pool._frames.items())
         assert [batch.heap.page_of(k) for k in keys] == [one.heap.page_of(k) for k in keys]
-        assert batch.store.latest_values(keys) == [
-            one.store.get_latest(key)[0] for key in keys
+        assert values == [one.store.get_latest(key)[0] for key in distinct]
+        assert batch.commit_inputs(distinct)[1] == [
+            one.write_cost(key) for key in distinct
         ]
 
 

@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.sim.scheduler import BlockTiming, PipelineSimulator
+
+from tests import reference
 
 
 def block(arrival=0.0, sims=(), commits=(), serial=False, pre=0.0, post=0.0):
@@ -116,3 +119,40 @@ class TestValidation:
         result = PipelineSimulator(num_cores=2).simulate([])
         assert result.makespan_us == 0.0
         assert result.cpu_utilization == 0.0
+
+
+#: durations drawn from a few repeated values as well as arbitrary floats,
+#: so equal core free-times (heap ties) are common
+_DURATION = st.one_of(
+    st.sampled_from([0.0, 1.0, 2.5, 10.0]),
+    st.floats(0.0, 500.0, allow_nan=False, allow_infinity=False),
+)
+
+
+@st.composite
+def block_stream(draw):
+    return [
+        block(
+            arrival=draw(st.floats(0.0, 200.0)),
+            sims=draw(st.lists(_DURATION, max_size=12)),
+            commits=draw(st.lists(_DURATION, max_size=12)),
+            serial=draw(st.booleans()),
+            pre=draw(_DURATION),
+            post=draw(_DURATION),
+        )
+        for _ in range(draw(st.integers(0, 6)))
+    ]
+
+
+class TestOneHeapOperationPerTask:
+    @given(block_stream(), st.integers(1, 6), st.booleans(), st.integers(1, 3))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_pop_push_schedule(self, blocks, cores, inter_block, lag):
+        """Reading the earliest-free core and replacing it is the pop +
+        push schedule, float for float."""
+        result = PipelineSimulator(cores, inter_block, lag).simulate(blocks)
+        expected = reference.pipeline_schedule(blocks, cores, inter_block, lag)
+        assert result.commit_finish_us == expected.commit_finish_us
+        assert result.busy_core_us == expected.busy_core_us
+        assert result.makespan_us == expected.makespan_us
+        assert result.sim_start_us == expected.sim_start_us

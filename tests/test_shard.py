@@ -470,16 +470,16 @@ class TestCrossShardCommit:
             )
             oracle = HistoryOracle()
             for record in chain.history:
-                key_applies = [
+                apply_chains = [
                     item
                     for shard in sorted(record.executions)
-                    for item in record.executions[shard].key_applies
+                    for item in record.executions[shard].apply_chains
                 ]
                 snapshot_id = record.executions[0].snapshot_block_id
                 oracle.record_block(
                     record.block_id,
                     record.merged_txns,
-                    key_applies,
+                    apply_chains,
                     snapshot_block_id=snapshot_id,
                 )
             assert oracle.build_graph() == reference.history_graph(oracle)

@@ -12,6 +12,8 @@ from repro.txn.context import SimulationContext
 from repro.txn.procedures import ProcedureRegistry
 from repro.txn.transaction import Txn, TxnSpec
 
+from tests.conftest import charged_writes
+
 
 def bank_catalog() -> Catalog:
     catalog = Catalog()
@@ -233,12 +235,13 @@ class TestSQLUnderHarmony:
         txns = [
             Txn(i, 0, TxnSpec("deposit", (("amount", 10 * (i + 1)),))) for i in range(3)
         ]
+        charged = charged_writes(engine)
         execution = executor.execute_block(0, txns)
         assert all(t.committed for t in txns)
         row, _ = engine.store.get_latest(("bank", 0))
         assert row["balance"] == 100 + 10 + 20 + 30
-        hot = [ka for ka in execution.key_applies if ka.key == ("bank", 0)]
-        assert len(hot[0].chain_durations_us) == 1  # coalesced to one apply
+        assert execution.apply_chains == [(("bank", 0), [0, 1, 2])]
+        assert charged == [("bank", 0)]  # coalesced to one apply
 
     def test_separated_sql_select_then_update_conflicts(self):
         """The same logic as three statements loses the opportunity: only

@@ -3,7 +3,7 @@
 
 PY := PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH)) python
 
-.PHONY: test loc no-twins one-walk one-collector one-process one-claim-home one-encoding one-clock one-trace-record one-commit-pass options conformance figures perf-smoke perf faults-smoke faults obs-smoke rebalance-smoke e2e-smoke e2e e2e-pairs
+.PHONY: test loc no-twins one-walk one-collector one-process one-claim-home one-encoding one-clock one-trace-record one-commit-pass one-contract options conformance figures perf-smoke perf faults-smoke faults obs-smoke rebalance-smoke e2e-smoke e2e e2e-pairs
 
 # tier-1 verify: the whole default suite (perf/faults/tpcc/figures markers
 # excluded by pytest.ini)
@@ -108,6 +108,18 @@ one-commit-pass:
 	@! grep -rnE --include='*.py' "KeyApply|chain_durations_us" src/repro
 	@python3 tools/slotted_super.py
 	@echo "one-commit-pass: ok"
+
+# one executor contract, one key order: every scheme prepares, then commits
+# (DCCExecutor.execute_block is the one commit(prepare()) and nothing
+# overrides it; there is no two-phase flag or parallel_commit attribute to
+# branch on), Aria has no test-only switch, dcc/ no re-export shim, and the
+# key order has no fallback — intervals.py and execution.py compare keys
+# directly and let a mixed-type population raise TypeError
+one-contract:
+	@! grep -rnE --include='*.py' "supports_two_phase|parallel_commit|_scan_dict_merge|deterministic_reordering|repro\.dcc\.base" src/repro
+	@! grep -rnE --include='*.py' "def execute_block" src/repro | grep -v '^src/repro/execution\.py:'
+	@! grep -nE "except +TypeError" src/repro/intervals.py src/repro/execution.py
+	@echo "one-contract: ok"
 
 # every option has a user: each field of the run configuration (RunConfig,
 # OEConfig, SOVConfig, ShardConfig, HarmonyConfig) is set by a caller outside

@@ -57,13 +57,9 @@ class ReplicaNode:
         return type(executor)(engine, executor.registry, *executor.clone_args())
 
     def process_block(self, block: Block) -> BlockExecution:
-        """Verify, log, execute and append one block."""
-        if self.executor.supports_two_phase:
-            return self.finish_block(self.prepare_block(block))
-        txns, verify_cost = self._ingest_block(block)
-        execution = self.executor.execute_block(block.block_id, txns)
-        execution.pre_exec_serial_us += verify_cost
-        return execution
+        """Verify, log, execute and append one block: both phases with no
+        cross-shard vetoes."""
+        return self.finish_block(self.prepare_block(block))
 
     def prepare_block(self, block: Block) -> PreparedBlock:
         """Phase one: verify + log + simulate + validate (the local vote)."""

@@ -84,8 +84,6 @@ class HarmonyExecutor(DCCExecutor):
     """Harmony DCC bound to a storage engine (one replica's database layer)."""
 
     name = "harmony"
-    parallel_commit = True
-    supports_two_phase = True
 
     def __init__(
         self,

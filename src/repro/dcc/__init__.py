@@ -6,7 +6,8 @@ the paper compares against, all behind one block-executor interface:
 - :mod:`repro.dcc.serial` — serial execution (Quorum/Diem style; the
   Order-Execute floor).
 - :mod:`repro.dcc.aria` — Aria: snapshot simulation, write reservations,
-  WAW/RAW aborts, optional deterministic reordering (AriaBC's engine).
+  WAW aborts and RAW-and-WAR aborts under deterministic reordering
+  (AriaBC's engine).
 - :mod:`repro.dcc.rbc` — RBC: SSI dangerous-structure validation with
   serial commit (blockchain relational database).
 - :mod:`repro.dcc.fabric` — Fabric's SOV validation: stale-read (version
@@ -19,12 +20,12 @@ the paper compares against, all behind one block-executor interface:
 """
 
 from repro.dcc.aria import AriaExecutor
-from repro.dcc.base import BlockExecution, DCCExecutor, simulate_transactions
 from repro.dcc.fabric import FabricValidator, endorsed_value_writes
 from repro.dcc.fastfabric import FastFabricOrderer, FastFabricValidator, OrderingOutcome
-from repro.dcc.oracle import HistoryOracle, SerializabilityOracle, has_cycle
+from repro.dcc.oracle import HistoryOracle, SerializabilityOracle, find_cycle, has_cycle
 from repro.dcc.rbc import RBCExecutor
 from repro.dcc.serial import SerialExecutor
+from repro.execution import BlockExecution, DCCExecutor, simulate_transactions
 
 __all__ = [
     "AriaExecutor",
@@ -39,6 +40,7 @@ __all__ = [
     "SerialExecutor",
     "SerializabilityOracle",
     "endorsed_value_writes",
+    "find_cycle",
     "has_cycle",
     "simulate_transactions",
 ]

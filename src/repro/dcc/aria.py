@@ -7,11 +7,9 @@ A transaction ``T`` aborts when:
 
 - **WAW**: a smaller TID reserved a key ``T`` writes (Figure 2 — "on seeing
   a ww-dependency, Aria aborts the one with a larger TID"); or
-- without the reordering optimization, **RAW**: ``T`` read a key a smaller
-  TID writes;
-- with Aria's deterministic reordering (default here, as in AriaBC),
-  **RAW and WAR**: the abort happens only when ``T`` both read a
-  smaller-TID writer's key *and* wrote a key some smaller TID read.
+- **RAW and WAR**, under Aria's deterministic reordering (always on, as in
+  AriaBC): ``T`` both read a smaller-TID writer's key *and* wrote a key
+  some smaller TID read.
 
 Surviving transactions have disjoint write sets, so the commit step applies
 evaluated values fully in parallel. The price is the high abort rate under
@@ -28,9 +26,7 @@ from repro.execution import (
     simulate_transactions,
 )
 from repro.intervals import SortedKeys
-from repro.storage.engine import StorageEngine
 from repro.txn.commands import apply_safely
-from repro.txn.procedures import ProcedureRegistry
 from repro.txn.transaction import AbortReason, Txn
 
 
@@ -38,20 +34,6 @@ class AriaExecutor(DCCExecutor):
     """Aria DCC bound to a storage engine (AriaBC's database layer)."""
 
     name = "aria"
-    parallel_commit = True
-    supports_two_phase = True
-
-    def __init__(
-        self,
-        engine: StorageEngine,
-        registry: ProcedureRegistry,
-        deterministic_reordering: bool = True,
-    ) -> None:
-        super().__init__(engine, registry)
-        self.deterministic_reordering = deterministic_reordering
-
-    def clone_args(self) -> tuple:
-        return (self.deterministic_reordering,)
 
     def prepare_block(self, block_id: int, txns: list[Txn]) -> PreparedBlock:
         """Simulate, reserve and decide — Aria's whole validation phase is
@@ -99,11 +81,7 @@ class AriaExecutor(DCCExecutor):
             if waw:
                 txn.mark_aborted(AbortReason.WAW)
                 continue
-            if self.deterministic_reordering:
-                if raw and war:
-                    txn.mark_aborted(AbortReason.RAW)
-                    continue
-            elif raw:
+            if raw and war:
                 txn.mark_aborted(AbortReason.RAW)
                 continue
             committed.append(txn)

@@ -17,18 +17,19 @@ is charged per record.
 
 from __future__ import annotations
 
-from repro.execution import BlockExecution, DCCExecutor, OverlayView
+from repro.execution import OverlayExecutor, OverlayView, PreparedBlock
 from repro.txn.commands import apply_safely
 from repro.txn.transaction import AbortReason, Txn
 
 
-class FabricValidator(DCCExecutor):
+class FabricValidator(OverlayExecutor):
     """Fabric v2.x-style serial validate-and-apply."""
 
     name = "fabric"
-    parallel_commit = False
 
-    def execute_block(self, block_id: int, txns: list[Txn]) -> BlockExecution:
+    def prepare_block(self, block_id: int, txns: list[Txn]) -> PreparedBlock:
+        """Validate serially in TID order into an overlay; the install is
+        :meth:`OverlayExecutor.commit_block`."""
         overlay = OverlayView(self.engine.store.latest_snapshot(), block_id)
         commit_durations: list[float] = []
 
@@ -61,17 +62,8 @@ class FabricValidator(DCCExecutor):
             txn.commit_cost_us = cost
             commit_durations.append(cost)
 
-        tail = self.engine.apply_block(block_id, overlay.ordered_writes())
-        tail += self.engine.checkpoint_if_due(block_id)
-
-        return BlockExecution(
-            block_id=block_id,
-            txns=txns,
-            sim_durations_us=[],
-            commit_durations_us=commit_durations,
-            serial_commit=True,
-            post_commit_serial_us=tail,
-            stats=self.make_stats(block_id, txns),
+        return PreparedBlock(
+            block_id=block_id, txns=txns, payload=(overlay, commit_durations)
         )
 
 

@@ -21,38 +21,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.execution import BlockExecution, DCCExecutor, OverlayView
+from repro.dcc.oracle import find_cycle
+from repro.execution import OverlayExecutor, OverlayView, PreparedBlock
 from repro.txn.commands import apply_safely
 from repro.txn.transaction import AbortReason, Txn
-
-
-def find_cycle(adjacency: dict[int, set[int]]) -> list[int] | None:
-    """Return one cycle (as a node list) or ``None``; iterative DFS."""
-    WHITE, GREY, BLACK = 0, 1, 2
-    colour = {node: WHITE for node in adjacency}
-    for root in sorted(adjacency):
-        if colour[root] != WHITE:
-            continue
-        path: list[int] = []
-        stack: list[tuple[int, list[int]]] = [(root, sorted(adjacency.get(root, ())))]
-        colour[root] = GREY
-        path.append(root)
-        while stack:
-            node, edges = stack[-1]
-            if edges:
-                nxt = edges.pop(0)
-                state = colour.get(nxt, WHITE)
-                if state == GREY:
-                    return path[path.index(nxt):]
-                if state == WHITE:
-                    colour[nxt] = GREY
-                    path.append(nxt)
-                    stack.append((nxt, sorted(adjacency.get(nxt, ()))))
-            else:
-                colour[node] = BLACK
-                path.pop()
-                stack.pop()
-    return None
 
 
 @dataclass
@@ -193,7 +165,7 @@ class FastFabricOrderer:
         return order
 
 
-class FastFabricValidator(DCCExecutor):
+class FastFabricValidator(OverlayExecutor):
     """Signature-only validation: apply the orderer's schedule as-is.
 
     Inherits FastFabric's (Gorenflo et al.) validator optimization:
@@ -202,9 +174,10 @@ class FastFabricValidator(DCCExecutor):
     """
 
     name = "fastfabric"
-    parallel_commit = False
 
-    def execute_block(self, block_id: int, txns: list[Txn]) -> BlockExecution:
+    def prepare_block(self, block_id: int, txns: list[Txn]) -> PreparedBlock:
+        """Apply the survivors into an overlay in the orderer's order; the
+        install is :meth:`OverlayExecutor.commit_block`."""
         overlay = OverlayView(self.engine.store.latest_snapshot(), block_id)
         commit_durations: list[float] = []
         verify_durations: list[float] = []
@@ -222,15 +195,10 @@ class FastFabricValidator(DCCExecutor):
             txn.commit_cost_us = cost
             commit_durations.append(cost)
 
-        tail = self.engine.apply_block(block_id, overlay.ordered_writes())
-        tail += self.engine.checkpoint_if_due(block_id)
-        return BlockExecution(
+        return PreparedBlock(
             block_id=block_id,
             txns=txns,
             # parallel signature verification (FastFabric's pipeline)
             sim_durations_us=verify_durations,
-            commit_durations_us=commit_durations,
-            serial_commit=True,
-            post_commit_serial_us=tail,
-            stats=self.make_stats(block_id, txns),
+            payload=(overlay, commit_durations),
         )

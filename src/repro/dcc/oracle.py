@@ -27,10 +27,11 @@ the serializability verdict is "no position reaches itself" and each
 abortee is answered by masking its out-neighbours' reach against its
 in-neighbours — no per-abortee copy, overlay or traversal. The adjacency
 dict rebuilt per question that it replaced (``block_dependency_graph``) is
-a test reference now (``tests/reference``); :func:`has_cycle` (an
+a test reference now (``tests/reference``); :func:`find_cycle` (an
 iterative three-colour DFS, no recursion limits) stays here for the
-cross-block :class:`HistoryOracle`, and the test suite cross-checks it
-against :mod:`networkx` and the bitset path against the reference.
+cross-block :class:`HistoryOracle` and FastFabric#'s orderer, and the test
+suite cross-checks it against :mod:`networkx` and the bitset path against
+the reference.
 """
 
 from __future__ import annotations
@@ -42,31 +43,37 @@ from repro.intervals import SortedKeys
 from repro.txn.transaction import Txn
 
 
-def has_cycle(adjacency: dict[int, set[int]]) -> bool:
-    """Iterative DFS cycle check over an adjacency mapping."""
+def find_cycle(adjacency: dict[int, set[int]]) -> list[int] | None:
+    """One cycle (as a node list) or ``None``: an iterative three-colour
+    DFS over roots and edges in sorted order (no recursion limit), one
+    edge iterator per node on the stack. FastFabric#'s orderer breaks the
+    cycles it returns, so the order is part of its decisions."""
     WHITE, GREY, BLACK = 0, 1, 2
-    colour: dict[int, int] = {}
-    for root in adjacency:
-        if colour.get(root, WHITE) != WHITE:
+    colour = dict.fromkeys(adjacency, WHITE)
+    for root in sorted(adjacency):
+        if colour[root] != WHITE:
             continue
-        stack: list[tuple[int, iter]] = [(root, iter(adjacency.get(root, ())))]
         colour[root] = GREY
+        stack = [(root, iter(sorted(adjacency[root])))]
         while stack:
             node, edges = stack[-1]
-            advanced = False
             for nxt in edges:
                 state = colour.get(nxt, WHITE)
                 if state == GREY:
-                    return True
+                    path = [entry[0] for entry in stack]
+                    return path[path.index(nxt):]
                 if state == WHITE:
                     colour[nxt] = GREY
-                    stack.append((nxt, iter(adjacency.get(nxt, ()))))
-                    advanced = True
+                    stack.append((nxt, iter(sorted(adjacency.get(nxt, ())))))
                     break
-            if not advanced:
+            else:
                 colour[node] = BLACK
                 stack.pop()
-    return False
+    return None
+
+
+def has_cycle(adjacency: dict[int, set[int]]) -> bool:
+    return find_cycle(adjacency) is not None
 
 
 class SerializabilityOracle:

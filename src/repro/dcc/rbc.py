@@ -34,8 +34,6 @@ class RBCExecutor(DCCExecutor):
     """RBC DCC bound to a storage engine."""
 
     name = "rbc"
-    parallel_commit = False
-    supports_two_phase = True
 
     def prepare_block(self, block_id: int, txns: list[Txn]) -> PreparedBlock:
         """Simulate, then run the serial validation pass (first-committer-

@@ -9,24 +9,20 @@ transaction order in the block by executing the transactions serially").
 
 from __future__ import annotations
 
-from repro.execution import BlockExecution, DCCExecutor, OverlayView, PreparedBlock
+from repro.execution import OverlayExecutor, OverlayView, PreparedBlock
 from repro.txn.commands import apply_safely
 from repro.txn.context import SimulationContext
 from repro.txn.transaction import AbortReason, Txn
 
 
-class SerialExecutor(DCCExecutor):
+class SerialExecutor(OverlayExecutor):
     """One-at-a-time execution; each transaction sees its predecessors."""
 
     name = "serial"
-    parallel_commit = False
-    supports_two_phase = True
 
     def prepare_block(self, block_id: int, txns: list[Txn]) -> PreparedBlock:
         """Run the whole serial schedule into an overlay; only the install
-        is deferred. Serial reads its in-block predecessors, so a sharded
-        deployment cannot use it across shards (see :meth:`commit_block`) —
-        the split exists so the single-shard driver has one code path."""
+        is deferred (:meth:`OverlayExecutor.commit_block`)."""
         overlay = OverlayView(self.snapshot_for(block_id, lag=1), block_id)
         durations: list[float] = []
         for txn in sorted(txns, key=lambda t: t.tid):
@@ -48,34 +44,6 @@ class SerialExecutor(DCCExecutor):
         return PreparedBlock(
             block_id=block_id,
             txns=txns,
-            sim_durations_us=[],
             snapshot_block_id=block_id - 1,
             payload=(overlay, durations),
-        )
-
-    def commit_block(
-        self, prepared: PreparedBlock, abort_tids: frozenset = frozenset()
-    ) -> BlockExecution:
-        block_id, txns = prepared.block_id, prepared.txns
-        overlay, durations = prepared.payload
-        pending_vetos = [
-            t.tid for t in txns if t.tid in abort_tids and not t.aborted
-        ]
-        if pending_vetos:
-            # A veto would invalidate every later transaction's reads of the
-            # overlay; serial execution is therefore single-shard only.
-            raise ValueError(
-                f"serial execution cannot honour cross-shard vetos {pending_vetos}"
-            )
-
-        tail = self.engine.apply_block(block_id, overlay.ordered_writes())
-        tail += self.engine.checkpoint_if_due(block_id)
-        return BlockExecution(
-            block_id=block_id,
-            txns=txns,
-            sim_durations_us=[],
-            commit_durations_us=durations,
-            serial_commit=True,
-            post_commit_serial_us=tail,
-            stats=self.make_stats(block_id, txns),
         )

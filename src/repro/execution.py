@@ -31,13 +31,11 @@ from repro.txn.transaction import AbortReason, Txn
 class PreparedBlock:
     """Decision state carried from an executor's prepare phase to its commit.
 
-    The two-phase split exists for the sharded pipeline: a shard *prepares*
-    a block (simulate + validate — its local 2PC vote) and only *commits*
+    Every executor runs a block in these two phases. A shard *prepares* a
+    block (simulate + validate — its local 2PC vote) and only *commits*
     after the cross-shard decision round, which may force additional aborts
-    (``abort_tids`` of :meth:`DCCExecutor.commit_block`). For an unsharded
-    run ``execute_block`` is exactly ``commit_block(prepare_block(...))``
-    with no forced aborts, so decisions are bit-identical to the historical
-    single-call path.
+    (``abort_tids`` of :meth:`DCCExecutor.commit_block`). An unsharded run
+    commits with no forced aborts.
     """
 
     block_id: int
@@ -145,14 +143,9 @@ class OverlayView:
         """Stream-merge the (sorted) base scan with the overlay's covered
         writes — no materialization of the whole base range. Overlay
         entries shadow base entries on key collisions; dead overlay values
-        (tombstones / ``None``) suppress the base row."""
-        overlay_keys = [key for key in self._writes if covers(start, end, key)]
-        try:
-            overlay_keys.sort()
-        except TypeError:
-            # Heterogeneous overlay keys: fall back to the dict merge.
-            yield from self._scan_dict_merge(start, end)
-            return
+        (tombstones / ``None``) suppress the base row. Keys are totally
+        ordered; a mixed-type population raises ``TypeError``."""
+        overlay_keys = sorted(key for key in self._writes if covers(start, end, key))
         writes = self._writes
         base = self._base.scan(start, end)
         base_entry = next(base, None)
@@ -169,17 +162,6 @@ class OverlayView:
             yield base_entry
             base_entry = next(base, None)
 
-    def _scan_dict_merge(self, start: object, end: object):
-        """Seed implementation (materializes the base range); retained as
-        the unsortable-key fallback and differential-testing reference."""
-        merged = {key: value for key, value in self._base.scan(start, end)}
-        for key, (value, _version) in self._writes.items():
-            if covers(start, end, key):
-                merged[key] = value
-        for key in sorted(merged):
-            if merged[key] is not TOMBSTONE and merged[key] is not None:
-                yield key, merged[key]
-
     def ordered_writes(self) -> list[tuple[object, object]]:
         """Writes in apply (seq) order, for MVStore installation."""
         items = sorted(self._writes.items(), key=lambda kv: kv[1][1])
@@ -190,10 +172,6 @@ class DCCExecutor:
     """Base class: a deterministic block executor bound to one engine."""
 
     name = "abstract"
-    parallel_commit = True
-    #: True when the executor implements the prepare/commit split the
-    #: sharded pipeline drives (SOV validators keep the one-shot path)
-    supports_two_phase = False
 
     def __init__(self, engine: StorageEngine, registry: ProcedureRegistry) -> None:
         self.engine = engine
@@ -226,6 +204,7 @@ class DCCExecutor:
         raise NotImplementedError
 
     def execute_block(self, block_id: int, txns: list[Txn]) -> BlockExecution:
+        """Both phases with no cross-shard vetoes (tests and examples)."""
         return self.commit_block(self.prepare_block(block_id, txns))
 
     def clone_args(self) -> tuple:
@@ -273,3 +252,40 @@ class DCCExecutor:
             elif txn.aborted:
                 stats.aborted += 1
         return stats
+
+
+class OverlayExecutor(DCCExecutor):
+    """An executor whose prepare runs the block serially into an
+    :class:`OverlayView` (serial OE, Fabric and FastFabric# validation) and
+    whose commit installs the overlay.
+
+    ``prepare_block`` leaves ``payload = (overlay, commit durations)``.
+    Each transaction read its in-block predecessors' writes, so a veto
+    would invalidate every later read: these executors are never sharded,
+    and :meth:`commit_block` raises ``ValueError`` on one.
+    """
+
+    def commit_block(
+        self, prepared: PreparedBlock, abort_tids: frozenset = frozenset()
+    ) -> BlockExecution:
+        block_id, txns = prepared.block_id, prepared.txns
+        overlay, durations = prepared.payload
+        pending_vetos = [
+            t.tid for t in txns if t.tid in abort_tids and not t.aborted
+        ]
+        if pending_vetos:
+            raise ValueError(
+                f"{self.name} execution cannot honour cross-shard vetos {pending_vetos}"
+            )
+
+        tail = self.engine.apply_block(block_id, overlay.ordered_writes())
+        tail += self.engine.checkpoint_if_due(block_id)
+        return BlockExecution(
+            block_id=block_id,
+            txns=txns,
+            sim_durations_us=prepared.sim_durations_us,
+            commit_durations_us=durations,
+            serial_commit=True,
+            post_commit_serial_us=tail,
+            stats=self.make_stats(block_id, txns),
+        )

@@ -9,17 +9,10 @@ scans — needs the same two queries over half-open ranges ``[start, end)``:
 - *slicing*: which keys of a set fall inside a given range
   (:class:`SortedKeys`).
 
-The seed answered both with linear scans guarded by the copy-pasted
-``try: start <= key < end except TypeError`` predicate, making the block
-pipeline's hot loops quadratic in block size × range readers. This module
-centralizes the predicate (:func:`covers`) and provides log-time indexes
-built on sorted boundaries.
-
-Fallback semantics: keys that cannot be compared with a boundary are
-treated as *not covered* — exactly what the naive predicate's
-``TypeError -> False`` did. When a whole key/boundary population is
-unsortable (heterogeneous types), the indexes degrade to the naive linear
-scan, so behaviour is preserved bit-for-bit.
+Both are log-time indexes built on sorted boundaries, and :func:`covers`
+is the one range predicate. Keys are totally ordered (every key is a
+``(str, int, …)`` tuple; ``docs/artifacts.md``), so keys and bounds are
+compared directly; a mixed-type population raises ``TypeError``.
 """
 
 from __future__ import annotations
@@ -29,43 +22,27 @@ from typing import Iterable
 
 
 def covers(start: object, end: object, key: object) -> bool:
-    """The canonical half-open range predicate: ``start <= key < end``.
-
-    Incomparable keys are not covered (mirrors the historical per-call-site
-    ``try/except TypeError`` guards).
-    """
-    try:
-        return start <= key < end
-    except TypeError:
-        return False
+    """The canonical half-open range predicate: ``start <= key < end``."""
+    return start <= key < end
 
 
 class SortedKeys:
     """A sorted, de-duplicated key set answering ``[start, end)`` slices.
 
     Build once — O(n log n) — then each :meth:`in_range` query costs
-    O(log n + hits) instead of a full scan. Unsortable populations fall
-    back to a linear :func:`covers` scan in insertion order.
+    O(log n + hits) instead of a full scan.
     """
 
-    __slots__ = ("_keys", "_seen", "_sorted", "_sortable")
+    __slots__ = ("_seen", "_sorted")
 
     def __init__(self, keys: Iterable[object]) -> None:
-        # insertion-order dedup, so the linear fallback honours the
-        # de-duplicated contract too (never yields a key twice)
-        self._keys = list(dict.fromkeys(keys))
+        self._sorted = sorted(set(keys))
         #: membership set for extend()'s dedup, built on first extend —
         #: the common build-once/query-many users never pay for it
         self._seen: set[object] | None = None
-        try:
-            self._sorted = sorted(self._keys)
-            self._sortable = True
-        except TypeError:
-            self._sorted = []
-            self._sortable = False
 
     def __len__(self) -> int:
-        return len(self._keys)
+        return len(self._sorted)
 
     def extend(self, keys: Iterable[object]) -> None:
         """Fold new keys into the index (one merge per batch).
@@ -74,39 +51,23 @@ class SortedKeys:
         write-chain directory) keep one index across additions instead of
         rebuilding from scratch: the batch is deduplicated against the
         existing key set and folded in with a single timsort pass
-        (O(n + b log b), not a full re-sort). An unsortable addition
-        degrades the whole index to the linear fallback, same as at
-        construction.
+        (O(n + b log b), not a full re-sort).
         """
         seen = self._seen
         if seen is None:
-            seen = self._seen = set(self._keys)
-        new = [key for key in dict.fromkeys(keys) if key not in seen]
+            seen = self._seen = set(self._sorted)
+        new = {key for key in keys if key not in seen}
         if not new:
             return
-        self._keys.extend(new)
         seen.update(new)
-        if not self._sortable:
-            return
-        sorted_keys = self._sorted
-        try:
-            sorted_keys.extend(sorted(new))
-            sorted_keys.sort()  # one merge of two sorted runs
-        except TypeError:
-            self._sorted = []
-            self._sortable = False
+        self._sorted.extend(sorted(new))
+        self._sorted.sort()  # one merge of two sorted runs
 
     def in_range(self, start: object, end: object) -> list[object]:
-        """Keys ``k`` with ``start <= k < end`` (sorted when sortable)."""
-        if self._sortable:
-            try:
-                lo = bisect_left(self._sorted, start)
-                hi = bisect_left(self._sorted, end)
-            except TypeError:
-                pass
-            else:
-                return self._sorted[lo:hi]
-        return [key for key in self._keys if covers(start, end, key)]
+        """Keys ``k`` with ``start <= k < end``, sorted."""
+        lo = bisect_left(self._sorted, start)
+        hi = bisect_left(self._sorted, end)
+        return self._sorted[lo:hi]
 
 
 class RangeIndex:
@@ -154,11 +115,7 @@ class RangeIndex:
     def _build(self) -> None:
         self._built = True
         self._segmented = True
-        try:
-            bounds = sorted({b for s, e, _p in self._items for b in (s, e)})
-        except TypeError:
-            self._segmented = False
-            return
+        bounds = sorted({b for s, e, _p in self._items for b in (s, e)})
         index_of = {b: i for i, b in enumerate(bounds)}
         add_at: list[list[int]] = [[] for _ in bounds]
         remove_at: list[list[int]] = [[] for _ in bounds]
@@ -195,14 +152,8 @@ class RangeIndex:
         if not self._built:
             self._build()
         if self._segmented:
-            try:
-                pos = bisect_right(self._boundaries, key) - 1
-            except TypeError:
-                pass
-            else:
-                if pos < 0:
-                    return ()
-                return self._segments[pos]
+            pos = bisect_right(self._boundaries, key) - 1
+            return self._segments[pos] if pos >= 0 else ()
         return tuple(
             payload
             for start, end, payload in self._items

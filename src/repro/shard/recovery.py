@@ -107,19 +107,9 @@ def recover_shard_node(
         for execution in executions.values():
             replayed.append((block_id, execution.txns))
 
-    if executor.supports_two_phase:
-
-        def prepare(sub_blocks):
-            block = sub_blocks[shard_id]
-            return {shard_id: executor.prepare_block(block.block_id, block.build_txns())}
-
-    else:
-        # no prepare/commit seam (SOV validators): the block runs whole
-        def prepare(sub_blocks):
-            block = sub_blocks[shard_id]
-            execution = executor.execute_block(block.block_id, block.build_txns())
-            record(block.block_id, {shard_id: execution})
-            return {}
+    def prepare(sub_blocks):
+        block = sub_blocks[shard_id]
+        return {shard_id: executor.prepare_block(block.block_id, block.build_txns())}
 
     replay_blocks(
         {shard_id: recovered},

@@ -73,11 +73,9 @@ def replay_blocks(
 
     ``prepare(sub_blocks) -> {shard: PreparedBlock}`` defaults to
     ingesting the block on each node (signature, chain check, block log)
-    and preparing it; a step that executed a block whole (no
-    prepare/commit seam) leaves it out of the result. ``trail`` asks for
-    each commit to run one block late; it is
-    honoured iff every executor's :func:`snapshot_lag` is 2 or more, with
-    bit-identical state either way. ``on_commit(block_id, {shard:
+    and preparing it. ``trail`` asks for each commit to run one block
+    late; it is honoured iff every executor's :func:`snapshot_lag` is 2 or
+    more, with bit-identical state either way. ``on_commit(block_id, {shard:
     BlockExecution})`` sees every commit, in block order. ``watermarks``
     goes to :func:`~repro.shard.rebalance.install_migration`.
     """

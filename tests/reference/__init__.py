@@ -13,10 +13,11 @@ where production appends a delta.
   Rule 3 validation, rw-edge extraction, the committed-block closure, the
   Rule-2 commit step, the per-block and cross-block dependency graphs,
   Aria's reservation checks.
-- :mod:`tests.reference.storage` — ``storage/`` and ``shard/federated``:
-  version-chain walks, the from-scratch state hash, the per-key load and
-  scan, the per-key heap bring-up, the block-log cut, the eager
-  cross-shard union and the full deep-copy checkpoint.
+- :mod:`tests.reference.storage` — ``storage/``, ``shard/federated`` and
+  the execution overlay: version-chain walks, the from-scratch state hash,
+  the per-key load and scan, the per-key heap bring-up, the block-log cut,
+  the eager cross-shard union, the full deep-copy checkpoint and the
+  overlay scan's dict merge.
 - :mod:`tests.reference.encoding` — ``repro/encoding.py``: the value
   text's recursive definition.
 - :mod:`tests.reference.sim` — ``sim/``: the pipeline schedule with a heap
@@ -44,6 +45,7 @@ from tests.reference.storage import (
     load,
     materialize,
     materialize_at,
+    overlay_scan,
     scan,
     state_hash,
     writes_in_block,
@@ -62,6 +64,7 @@ __all__ = [
     "load",
     "materialize",
     "materialize_at",
+    "overlay_scan",
     "pipeline_schedule",
     "reachability",
     "readers_of",

@@ -258,13 +258,11 @@ def history_graph(oracle: HistoryOracle) -> dict[int, set[int]]:
 
 
 # ---------------------------------------------------------------- dcc/aria
-def aria_decisions(
-    txns: list[Txn], deterministic_reordering: bool = True
-) -> dict[int, AbortReason | None]:
+def aria_decisions(txns: list[Txn]) -> dict[int, AbortReason | None]:
     """Aria's reservation verdict per simulated transaction (``None`` =
-    commits), with the RAW check as a scan of the whole write-reservation
-    table per transaction. Transactions that failed in simulation reserve
-    nothing and keep their reason."""
+    commits) under deterministic reordering, with the RAW check as a scan
+    of the whole write-reservation table per transaction. Transactions
+    that failed in simulation reserve nothing and keep their reason."""
     live = sorted(
         (t for t in txns if t.abort_reason is not AbortReason.EXECUTION_ERROR),
         key=lambda t: t.tid,
@@ -292,7 +290,7 @@ def aria_decisions(
         )
         if waw:
             decisions[txn.tid] = AbortReason.WAW
-        elif raw and (war or not deterministic_reordering):
+        elif raw and war:
             decisions[txn.tid] = AbortReason.RAW
         else:
             decisions[txn.tid] = None

@@ -1,12 +1,14 @@
-"""Storage-layer references (``storage/`` and ``shard/federated``): every
-chain walked, every key probed, every key placed on its own, every
-checkpoint a full deep copy."""
+"""Storage-layer references (``storage/``, ``shard/federated`` and the
+execution overlay): every chain walked, every key probed, every key placed
+on its own, every checkpoint a full deep copy, every range materialized."""
 
 from __future__ import annotations
 
 import copy
 from bisect import bisect_left, insort
 
+from repro.execution import OverlayView
+from repro.intervals import covers
 from repro.shard.federated import FederatedSnapshot
 from repro.storage.checkpoint import BlockLog, Checkpoint
 from repro.storage.heap import HeapFile
@@ -134,3 +136,19 @@ def federated_scan(snap: FederatedSnapshot, start: object, end: object) -> list:
     rows = [row for view in snap._views for row in view.scan(start, end)]
     rows.sort(key=lambda kv: kv[0])
     return rows
+
+
+# --------------------------------------------------------------- execution
+def overlay_scan(overlay: OverlayView, start: object, end: object) -> list:
+    """The overlay's range read as a dict merge: the base range
+    materialized, the covered overlay writes laid over it, then sorted;
+    dead values (tombstones / ``None``) dropped."""
+    merged = dict(overlay._base.scan(start, end))
+    for key, (value, _version) in overlay._writes.items():
+        if covers(start, end, key):
+            merged[key] = value
+    return [
+        (key, merged[key])
+        for key in sorted(merged)
+        if merged[key] is not TOMBSTONE and merged[key] is not None
+    ]

@@ -2,23 +2,26 @@
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core.harmony import HarmonyExecutor
 from repro.dcc.aria import AriaExecutor
 from repro.dcc.fabric import FabricValidator, endorsed_value_writes
-from repro.dcc.fastfabric import FastFabricOrderer, find_cycle
-from repro.dcc.oracle import SerializabilityOracle
+from repro.dcc.fastfabric import FastFabricOrderer, FastFabricValidator
+from repro.dcc.oracle import SerializabilityOracle, find_cycle
 from repro.dcc.rbc import RBCExecutor
 from repro.dcc.serial import SerialExecutor
+from repro.execution import DCCExecutor
 from repro.txn.commands import SetValue
 from repro.txn.transaction import AbortReason, Txn, TxnSpec
 
 from tests.conftest import generic_registry, make_engine, make_txns
 
 
-def run_with(executor_cls, op_lists, **kwargs):
+def run_with(executor_cls, op_lists):
     engine = make_engine()
-    executor = executor_cls(engine, generic_registry(), **kwargs)
+    executor = executor_cls(engine, generic_registry())
     txns = make_txns(op_lists)
     execution = executor.execute_block(0, txns)
     return engine, execution
@@ -56,13 +59,6 @@ class TestAria:
         # RAW without WAR commits under Aria's deterministic reordering.
         _, execution = run_with(AriaExecutor, [[("set", 0, 5)], [("r", 0)]])
         assert all(t.committed for t in execution.txns)
-
-    def test_raw_aborts_without_reordering(self):
-        _, execution = run_with(
-            AriaExecutor, [[("set", 0, 5)], [("r", 0)]], deterministic_reordering=False
-        )
-        assert execution.txns[1].aborted
-        assert execution.txns[1].abort_reason is AbortReason.RAW
 
     def test_raw_and_war_aborts_with_reordering(self):
         # T1 reads k0 (written by T0) and writes k1 (read by T0)
@@ -169,6 +165,43 @@ class TestFabric:
         execution = validator.execute_block(0, txns)
         assert execution.txns[0].committed
         assert execution.txns[1].aborted
+
+
+class TestOneContract:
+    """Every scheme prepares, then commits: one seam for every driver."""
+
+    @pytest.mark.parametrize(
+        "scheme",
+        [
+            SerialExecutor,
+            AriaExecutor,
+            RBCExecutor,
+            FabricValidator,
+            FastFabricValidator,
+            HarmonyExecutor,
+        ],
+    )
+    def test_no_scheme_overrides_execute_block(self, scheme):
+        assert scheme.execute_block is DCCExecutor.execute_block
+
+    @pytest.mark.parametrize(
+        "scheme", [SerialExecutor, FabricValidator, FastFabricValidator]
+    )
+    def test_overlay_commit_rejects_a_veto(self, scheme):
+        """Each transaction read its predecessors' overlay writes, so a
+        cross-shard veto cannot be honoured: the commit names the vetoed
+        tids and installs nothing."""
+        engine = make_engine()
+        op_lists = [[("set", 0, 5)], [("add", 1, 1)], [("add", 2, 1)]]
+        if scheme is SerialExecutor:
+            txns = make_txns(op_lists)
+        else:
+            txns = endorsed_txns(op_lists, engine)
+        executor = scheme(engine, generic_registry())
+        prepared = executor.prepare_block(0, txns)
+        with pytest.raises(ValueError, match=r"vetos \[0, 2\]"):
+            executor.commit_block(prepared, frozenset({0, 2}))
+        assert engine.store.last_committed_block == -1
 
 
 class TestFastFabricOrderer:

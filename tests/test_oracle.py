@@ -5,7 +5,7 @@ from __future__ import annotations
 import networkx as nx
 from hypothesis import given, settings, strategies as st
 
-from repro.dcc.oracle import HistoryOracle, SerializabilityOracle, has_cycle
+from repro.dcc.oracle import HistoryOracle, SerializabilityOracle, find_cycle, has_cycle
 from repro.txn.commands import AddValue
 from repro.txn.transaction import AbortReason, Txn, TxnSpec
 
@@ -60,6 +60,10 @@ class TestCycleDetection:
                 graph.add_edge(node, target)
         expected = not nx.is_directed_acyclic_graph(graph)
         assert has_cycle(adj) == expected
+        cycle = find_cycle(adj)
+        if cycle is not None:  # a real cycle of the graph, each node once
+            assert len(set(cycle)) == len(cycle)
+            assert all(graph.has_edge(a, b) for a, b in zip(cycle, cycle[1:] + cycle[:1]))
 
 
 class TestBlockGraph:

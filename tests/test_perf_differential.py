@@ -378,29 +378,6 @@ class TestFalseAbortDifferential:
         assert all(seen.values()), seen
 
 
-class TestHistoryOracleFallbacks:
-    def test_heterogeneous_chain_keys_fall_back(self):
-        """Unsortable chain-key populations degrade to the linear scan."""
-        reader = Txn(tid=0, block_id=1, spec=TxnSpec("ops"))
-        reader.read_ranges.append((0, 10))
-        reader.mark_committed()
-        writers = []
-        for tid, key in ((1, 5), (2, "s"), (3, (9, 9))):
-            txn = Txn(tid=tid, block_id=0, spec=TxnSpec("ops"))
-            txn.record_update(key, AddValue(1))
-            txn.mark_committed()
-            writers.append(txn)
-        applies = [(key, [tid]) for tid, key in ((1, 5), (2, "s"), (3, (9, 9)))]
-        oracle = HistoryOracle()
-        oracle.record_block(0, writers, applies, snapshot_block_id=-1)
-        oracle.record_block(1, [reader], [], snapshot_block_id=0)
-        graph = oracle.build_graph()
-        assert graph == reference.history_graph(oracle)
-        # the range read stabbed the int key's chain: its block-0 write is
-        # visible at the reader's snapshot, a wr edge writer -> reader
-        assert 0 in graph[1]
-
-
 @st.composite
 def decided_block(draw):
     """A validated block with mixed update commands, an arbitrary extra
@@ -498,19 +475,17 @@ def _ops_strategy():
 
 
 class TestAriaRangeCheck:
-    @given(_ops_strategy(), st.booleans())
+    @given(_ops_strategy())
     @settings(max_examples=40, deadline=None)
-    def test_decisions_and_state_identical(self, op_lists, reordering):
+    def test_decisions_and_state_identical(self, op_lists):
         """Decisions against the full-table reservation scan; state against
         the survivors' commands applied to the block snapshot (their write
         sets are disjoint, so order cannot matter)."""
         engine = make_engine(num_keys=32)
-        executor = AriaExecutor(engine, generic_registry(), reordering)
+        executor = AriaExecutor(engine, generic_registry())
         txns = make_txns(op_lists)
         executor.execute_block(0, txns)
-        assert {t.tid: t.abort_reason for t in txns} == reference.aria_decisions(
-            txns, reordering
-        )
+        assert {t.tid: t.abort_reason for t in txns} == reference.aria_decisions(txns)
         assert all(t.committed != t.aborted for t in txns)
         expected = make_engine(num_keys=32).store
         expected.apply_block(
@@ -542,8 +517,8 @@ class TestOverlayScan:
         for i in deletes:
             overlay.put(_key(i), TOMBSTONE)
         start, end = _key(lo), _key(lo + span)
-        assert list(overlay.scan(start, end)) == list(
-            overlay._scan_dict_merge(start, end)
+        assert list(overlay.scan(start, end)) == reference.overlay_scan(
+            overlay, start, end
         )
 
 
@@ -825,6 +800,26 @@ class TestMVStoreFastPaths:
             )
 
 
+def _mixed_overlay() -> OverlayView:
+    store = MVStore()
+    store.load({_key(i): i for i in range(4)})
+    overlay = OverlayView(store.latest_snapshot(), block_id=0)
+    overlay.put(("k", "x"), 1)
+    return overlay
+
+
+def _mixed_history() -> HistoryOracle:
+    writers = []
+    for tid, key in ((1, ("k", 5)), (2, ("k", "s"))):
+        txn = Txn(tid=tid, block_id=0, spec=TxnSpec("ops"))
+        txn.record_update(key, AddValue(1))
+        txn.mark_committed()
+        writers.append(txn)
+    oracle = HistoryOracle()
+    oracle.record_block(0, writers, [(("k", 5), [1]), (("k", "s"), [2])])
+    return oracle
+
+
 class TestIntervalPrimitives:
     @given(
         st.lists(st.tuples(st.integers(0, 30), st.integers(0, 30)), max_size=10),
@@ -853,22 +848,37 @@ class TestIntervalPrimitives:
             {k for k in keys if covers(start, end, k)}
         )
 
-    def test_unsortable_population_falls_back(self):
-        index = RangeIndex([(0, 10, "ints"), ("a", "z", "strs")])
-        assert list(index.stab(5)) == ["ints"]
-        assert list(index.stab("m")) == ["strs"]
-        keys = SortedKeys([1, "b", 3])
-        assert set(keys.in_range(0, 5)) == {1, 3}
-
-    def test_extend_deduplicates_on_both_paths(self):
-        """Re-adding known keys never yields duplicate slice hits, even
-        after an unsortable addition degrades to the linear fallback."""
+    def test_extend_deduplicates(self):
+        """Re-adding known keys never yields duplicate slice hits."""
         keys = SortedKeys([1, 2])
         keys.extend([2, 3, 3])
         assert keys.in_range(0, 5) == [1, 2, 3]
-        keys.extend(["b", 2])  # degrade to linear fallback
+        keys.extend([1, 3])
         assert keys.in_range(0, 5) == [1, 2, 3]
-        assert set(keys.in_range("a", "z")) == {"b"}
+        assert len(keys) == 3
+
+    @pytest.mark.parametrize(
+        "probe",
+        [
+            lambda: covers(0, 10, "m"),
+            lambda: SortedKeys([1, 2]).in_range("a", "z"),
+            lambda: RangeIndex([(0, 10, "ints"), ("a", "z", "strs")]).stab(5),
+            lambda: list(_mixed_overlay().scan(_key(0), _key(9))),
+            lambda: _mixed_history().build_graph(),
+        ],
+        ids=[
+            "covers",
+            "SortedKeys.in_range",
+            "RangeIndex.stab",
+            "OverlayView.scan",
+            "HistoryOracle.build_graph",
+        ],
+    )
+    def test_mixed_type_keys_raise(self, probe):
+        """Keys are totally ordered: a population that mixes ``("k", int)``
+        and ``("k", str)`` keys is an error, never quietly uncovered."""
+        with pytest.raises(TypeError):
+            probe()
 
     def test_inverted_and_empty_ranges_cover_nothing(self):
         index = RangeIndex([(5, 5, "empty"), (9, 2, "inverted"), (0, 3, "ok")])

@@ -3,7 +3,7 @@
 
 PY := PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH)) python
 
-.PHONY: test loc no-twins one-walk one-collector one-process one-claim-home one-encoding one-clock one-trace-record one-commit-pass one-contract options conformance figures perf-smoke perf faults-smoke faults obs-smoke rebalance-smoke e2e-smoke e2e e2e-pairs
+.PHONY: test loc no-twins one-walk one-collector one-process one-claim-home one-encoding one-clock one-trace-record one-commit-pass one-contract one-owner options conformance figures perf-smoke perf faults-smoke faults obs-smoke rebalance-smoke e2e-smoke e2e e2e-pairs
 
 # tier-1 verify: the whole default suite (perf/faults/tpcc/figures markers
 # excluded by pytest.ini)
@@ -120,6 +120,18 @@ one-contract:
 	@! grep -rnE --include='*.py' "def execute_block" src/repro | grep -v '^src/repro/execution\.py:'
 	@! grep -nE "except +TypeError" src/repro/intervals.py src/repro/execution.py
 	@echo "one-contract: ok"
+
+# one lookup per key access: the owner of a key is one subscript of the
+# router's static-owner map (StaticOwners) after the epoch's overrides —
+# no per-snapshot _owner frame, no key_scope lambda through shard_of; a
+# snapshot's visibility search is one C bisection, not a Python binary
+# search; a row's field names are sorted once per row shape, not per row
+one-owner:
+	@! grep -nE "def _owner\b" src/repro/shard/federated.py
+	@! grep -rnE --include='*.py' "lambda key: router\.shard_of" src/repro
+	@! grep -nE "while lo < hi" src/repro/storage/mvstore.py
+	@! grep -nF "sorted(value.items())" src/repro/encoding.py
+	@echo "one-owner: ok"
 
 # every option has a user: each field of the run configuration (RunConfig,
 # OEConfig, SOVConfig, ShardConfig, HarmonyConfig) is set by a caller outside

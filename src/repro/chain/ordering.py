@@ -81,14 +81,14 @@ class ShardSequencer:
             # the only shard hosts every transaction: its sub-block *is*
             # the global block, and its ledger the global chain
             return {0: block}
+        cuts = [([], []) for _ in range(self.num_shards)]
+        for tid, (spec, shards) in enumerate(zip(block.specs, participants), block.first_tid):
+            for shard in shards:
+                specs, tids = cuts[shard]
+                specs.append(spec)
+                tids.append(tid)
         per_shard: dict[int, Block] = {}
-        for shard in range(self.num_shards):
-            specs = []
-            tids = []
-            for i, spec in enumerate(block.specs):
-                if shard in participants[i]:
-                    specs.append(spec)
-                    tids.append(block.first_tid + i)
+        for shard, (specs, tids) in enumerate(cuts):
             sub = Block(
                 block_id=block.block_id,
                 specs=tuple(specs),

@@ -27,27 +27,44 @@ from __future__ import annotations
 key_text = repr
 
 
+#: a row's shape (the frozenset of its field names) -> the names, sorted.
+#: A workload writes a handful of row shapes, so each is sorted once. Only
+#: ``str`` names are remembered: ``1``, ``1.0`` and ``True`` are one dict
+#: key with three texts, so a shape of other names is sorted per row. The
+#: first ``_SHAPES_KEPT`` shapes are kept, which bounds the memo.
+_FIELD_ORDER: dict[frozenset, list] = {}
+_SHAPES_KEPT = 1024
+
+
 def encode(value: object) -> str:
     """The text of a stored value, for state hashing and migration payloads.
 
     Dicts print as ``{k=v,...}`` in sorted field order, integral floats as
     ints (10.0 and 10 are one state), everything else as its ``repr``. A
-    row's ``str`` / ``int`` / ``float`` fields are formatted in the row's
-    own loop, by exact type, so a flat row costs one sort and one string
-    per field; only nested rows and other field types recurse.
+    row's field names are sorted once per row shape, and its ``str`` /
+    ``int`` / ``float`` / ``None`` fields are formatted in the row's own
+    loop, by exact type, so a flat row costs no call per field; only nested
+    rows and other field types recurse.
     """
     if isinstance(value, dict):
-        fields = []
-        for name, item in sorted(value.items()):
+        shape = frozenset(value)
+        try:
+            names = _FIELD_ORDER[shape]
+        except KeyError:
+            names = sorted(shape)
+            if len(_FIELD_ORDER) < _SHAPES_KEPT and all(type(n) is str for n in names):
+                _FIELD_ORDER[shape] = names
+        text = ""
+        for name in names:
+            item = value[name]
             kind = type(item)
-            if kind is str or kind is int:
-                text = repr(item)
+            if kind is str or kind is int or item is None:
+                text += f",{name}={item!r}"
             elif kind is float:
-                text = str(int(item)) if item.is_integer() else repr(item)
+                text += f",{name}={int(item)}" if item.is_integer() else f",{name}={item!r}"
             else:
-                text = encode(item)
-            fields.append(f"{name}={text}")
-        return "{" + ",".join(fields) + "}"
+                text += f",{name}={encode(item)}"
+        return "{" + text[1:] + "}"
     if isinstance(value, float) and value.is_integer():
         return str(int(value))
     return repr(value)

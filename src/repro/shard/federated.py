@@ -10,10 +10,10 @@ the *only* cross-shard coordination — reads need no locks, just one
 (priced) network round.
 
 :class:`FederatedSnapshot` implements the snapshot interface the
-simulation context consumes (``get`` / ``scan`` / ``get_entry``) by
-routing each key to its owner's :class:`~repro.storage.mvstore.MVStore`
-snapshot at the same block height; :func:`wire_federation` is the one
-place a shard executor is pointed at it.
+simulation context consumes (``get`` / ``scan``) by routing each key to its
+owner's :class:`~repro.storage.mvstore.MVStore` snapshot at the same block
+height; :func:`wire_federation` is the one place a shard executor is
+pointed at it.
 """
 
 from __future__ import annotations
@@ -38,7 +38,18 @@ def wire_federation(executor, router: ShardRouter, stores: list, shard: int) -> 
     executor.snapshot_source = lambda snap_block_id: FederatedSnapshot(
         router, stores, snap_block_id
     )
-    executor.key_scope = lambda key: router.shard_of(key) == shard
+    owners = router._static_owners
+
+    def key_scope(key: object) -> bool:
+        """Whether ``shard`` owns ``key`` at the router's cursor height."""
+        overrides = router._cur_overrides
+        if overrides:
+            owner = overrides.get(key)
+            if owner is not None:
+                return owner == shard
+        return owners[key] == shard
+
+    executor.key_scope = key_scope
 
 
 class FederatedSnapshot:
@@ -53,20 +64,18 @@ class FederatedSnapshot:
         #: tombstone) on the source shard, a post-boundary one on the
         #: destination. The epoch in force at that height is resolved here,
         #: once: epochs are append-only and cumulative, so its override map
-        #: never changes under a later migration, and a read is one
-        #: ``dict.get`` on it before the router's static owner.
+        #: never changes under a later migration, and a read asks it only
+        #: when it holds an override, before the router's static owner map.
         self._overrides = router.ownership.overrides_at(block_id + 1)
-        self._static_owner = router.base_shard_of
-
-    def _owner(self, key: object) -> int:
-        owner = self._overrides.get(key)
-        return self._static_owner(key) if owner is None else owner
+        self._owners = router._static_owners
 
     def get(self, key: object):
-        return self._views[self._owner(key)].get(key)
-
-    def get_entry(self, key: object):
-        return self._views[self._owner(key)].get_entry(key)
+        overrides = self._overrides
+        if overrides:
+            owner = overrides.get(key)
+            if owner is not None:
+                return self._views[owner].get(key)
+        return self._views[self._owners[key]].get(key)
 
     def scan(self, start: object, end: object):
         """Merged range read across every shard's key range.

@@ -21,17 +21,18 @@ On top of the static policy sits the **ownership-epoch layer**
 (:class:`~repro.shard.rebalance.OwnershipTable`): epoch 0 is the static
 policy, later epochs add per-key overrides effective from an exact block
 height. The router keeps a *height cursor* (:meth:`advance_to`) so the
-hot single-argument lookups (``shard_of``, the executors' ``key_scope``
-closures) stay cursor-relative and cost one extra ``dict.get``, while
-height-explicit callers (replay, migration splits) use :meth:`shard_of_at`
-and a snapshot binds its epoch's override map once
+hot single-argument lookups (``shard_of``, ``route_spec``, the executors'
+``key_scope`` predicates) stay cursor-relative, while height-explicit
+callers (replay, migration splits) use :meth:`shard_of_at` and a snapshot
+binds its epoch's override map once
 (:class:`~repro.shard.federated.FederatedSnapshot`).
 
-The static owner of a key never changes for the life of a router, so
-:meth:`base_shard_of` memoises it per touched key. Only the *static*
-answer is ever stored: every lookup consults the epoch's overrides first
-and falls through to the memo, so installing an epoch or moving the cursor
-invalidates nothing.
+The static owner of a key never changes for the life of a router, so it
+lives in one owner map (:class:`StaticOwners`) that evaluates the policy
+on a key's first lookup and remembers it: every hot lookup is one
+subscript of that map, after a ``dict.get`` on the epoch's overrides only
+while there are any. Only the *static* answer is ever stored, so
+installing an epoch or moving the cursor invalidates nothing.
 """
 
 from __future__ import annotations
@@ -42,6 +43,41 @@ from bisect import bisect_right
 from repro.encoding import key_text
 from repro.shard.rebalance import OwnershipTable
 from repro.workloads.base import partition_split_points
+
+
+class StaticOwners(dict):
+    """key -> static-policy owner, filled on a key's first lookup.
+
+    ``owners[key]`` is the routing hot path: a remembered key costs one
+    subscript, a new one a ``__missing__`` call that evaluates the policy
+    once. It holds the policy's inputs, not the router (nor a bound method
+    of it), so it adds no reference cycle. A one-shard map answers 0 and
+    remembers nothing: there is nothing to decide.
+    """
+
+    __slots__ = ("num_shards", "_index_fn", "_index_bounds")
+
+    def __init__(self, num_shards: int, index_fn=None, index_bounds=None) -> None:
+        super().__init__()
+        self.num_shards = num_shards
+        self._index_fn = index_fn
+        #: the workload policy's split points; ``None`` under the hash policy
+        self._index_bounds = index_bounds
+
+    def evaluate(self, key: object) -> int:
+        """Evaluate the static policy for ``key`` (pure, unremembered)."""
+        if self._index_bounds is not None:
+            position = self._index_fn(key)
+            if position is not None:
+                return bisect_right(self._index_bounds, position)
+        digest = hashlib.sha256(key_text(key).encode()).digest()
+        return int.from_bytes(digest[:8], "big") % self.num_shards
+
+    def __missing__(self, key: object) -> int:
+        if self.num_shards == 1:
+            return 0
+        owner = self[key] = self.evaluate(key)
+        return owner
 
 
 class ShardRouter:
@@ -81,7 +117,7 @@ class ShardRouter:
         #: key -> static-policy owner, filled as keys are first routed
         #: (never by :meth:`split_state`: a bulk load touches every key
         #: once, so remembering them would only cost set-up and memory)
-        self._static_owners: dict = {}
+        self._static_owners = StaticOwners(num_shards, index_fn, self._index_bounds)
 
     @classmethod
     def for_workload(cls, workload, num_shards: int) -> "ShardRouter":
@@ -133,31 +169,15 @@ class ShardRouter:
         return record.epoch
 
     # ------------------------------------------------------------- routing
-    def _static_shard(self, key: object) -> int:
-        """Evaluate the static policy for ``key`` (pure, unmemoised)."""
-        if self.policy == "workload":
-            position = self._index_fn(key)
-            if position is not None:
-                return bisect_right(self._index_bounds, position)
-        return self._hash_shard(key)
-
-    def base_shard_of(self, key: object) -> int:
-        """The static-policy owner, ignoring ownership epochs; evaluated
-        once per key and remembered."""
-        if self.num_shards == 1:
-            return 0
-        owner = self._static_owners.get(key)
-        if owner is None:
-            owner = self._static_owners[key] = self._static_shard(key)
-        return owner
-
     def shard_of(self, key: object) -> int:
         """The shard owning ``key`` at the cursor height; deterministic
         across replicas."""
-        override = self._cur_overrides.get(key)
-        if override is not None:
-            return override
-        return self.base_shard_of(key)
+        overrides = self._cur_overrides
+        if overrides:
+            owner = overrides.get(key)
+            if owner is not None:
+                return owner
+        return self._static_owners[key]
 
     def shard_of_at(self, key: object, height: int) -> int:
         """The shard owning ``key`` at block ``height`` (cursor-free).
@@ -168,18 +188,7 @@ class ShardRouter:
         override = self.ownership.overrides_at(height).get(key)
         if override is not None:
             return override
-        return self.base_shard_of(key)
-
-    def _hash_shard(self, key: object) -> int:
-        digest = hashlib.sha256(key_text(key).encode()).digest()
-        return int.from_bytes(digest[:8], "big") % self.num_shards
-
-    def is_local(self, key: object, shard: int) -> bool:
-        return self.shard_of(key) == shard
-
-    def shards_for(self, keys) -> frozenset:
-        """Participant set of a key footprint."""
-        return frozenset(self.shard_of(key) for key in keys)
+        return self._static_owners[key]
 
     def route_spec(self, workload, spec) -> tuple[frozenset, list]:
         """``(participants, routed (key, shard) pairs)`` in one pass.
@@ -200,7 +209,7 @@ class ShardRouter:
         """
         footprint = workload.spec_footprint(spec)
         if footprint is not None:
-            pairs = [(key, self.shard_of(key)) for key in footprint.points]
+            pairs = self._route(footprint.points)
             shards = {shard for _key, shard in pairs}
             shards.update(self._range_shards(footprint))
             if shards:
@@ -209,8 +218,19 @@ class ShardRouter:
         keys = workload.spec_keys(spec)
         if not keys:
             return frozenset(range(self.num_shards)), []
-        pairs = [(key, self.shard_of(key)) for key in keys]
+        pairs = self._route(keys)
         return frozenset(shard for _key, shard in pairs), pairs
+
+    def _route(self, keys) -> list:
+        """``(key, shard_of(key))`` for every key of ``keys``, the owner
+        read inline."""
+        owners = self._static_owners
+        overrides = self._cur_overrides
+        if overrides:
+            return [
+                (key, overrides[key] if key in overrides else owners[key]) for key in keys
+            ]
+        return [(key, owners[key]) for key in keys]
 
     def _range_shards(self, footprint) -> set:
         """Shards whose ownership intersects the footprint's index ranges."""
@@ -248,7 +268,7 @@ class ShardRouter:
         if self.num_shards == 1:
             return [state]
         shards: list[dict] = [{} for _ in range(self.num_shards)]
-        static_shard = self._static_shard
+        static_shard = self._static_owners.evaluate
         for key, value in state.items():
             shards[static_shard(key)][key] = value
         return shards

@@ -93,6 +93,8 @@ def _isolated(value: object) -> object:
     if kind in _ATOMS:
         return value
     if kind is dict:
+        if _ATOMS.issuperset(map(type, value.values())):
+            return dict(value)  # a flat row: one copy, its atoms shared
         return {key: _isolated(item) for key, item in value.items()}
     if kind is list:
         return [_isolated(item) for item in value]

@@ -95,15 +95,27 @@ class HeapFile:
         """Touch the page holding ``key``; returns the cost in us.
 
         Unknown keys still cost an index probe (a miss in the index) —
-        callers decide whether that is an error.
+        callers decide whether that is an error. A resident page is charged
+        here, with the pool's hit path inlined (every simulated read lands
+        on this path): the same counters, LRU order and float additions as
+        :meth:`BufferPool.access <repro.storage.bufferpool.BufferPool.access>`,
+        which a miss still goes through.
         """
-        cost = self._costs.index_lookup_us
+        costs = self._costs
+        cost = costs.index_lookup_us
         page_id = self._directory.get(key)
         if page_id is None:
             return cost
-        cost += self._costs.latch_us
-        cost += self._pool.access(page_id, dirty=write)
-        return cost
+        cost += costs.latch_us
+        pool = self._pool
+        frames = pool._frames
+        if page_id in frames:
+            pool.stats.hits += 1
+            if write:
+                frames[page_id] = True
+            frames.move_to_end(page_id)
+            return cost + (pool._costs.buffer_admin_us + pool._costs.dram_access_us)
+        return cost + pool.access(page_id, dirty=write)
 
     def charge_writes(self, keys) -> list[float]:
         """One write access per entry of ``keys``, in list order: a key not

@@ -17,10 +17,11 @@ Hot-path notes:
   populates); a later load or :meth:`MVStore.apply_block` sorts only its
   batch of new keys and merges it in, bisecting from each key's
   predecessor (an append when the batch sorts after the directory).
-- :meth:`SnapshotView.scan` bisects the key directory once per boundary
-  and walks the slice with a chain-tail fast path, falling back to the
-  per-chain binary search only when the newest version is not yet visible
-  at the snapshot.
+- :meth:`SnapshotView.get` (every simulated read) and
+  :meth:`SnapshotView.scan` take a chain's newest version when it is
+  visible at the snapshot and otherwise bisect the chain in C
+  (:func:`_visible_at`'s one line); the scan bisects the key directory
+  once per boundary and walks the slice.
 - :meth:`MVStore.materialize` / :meth:`MVStore.materialize_at` stream the
   version chains in one pass (chain-tail fast path, no per-key
   ``get_latest``).
@@ -30,18 +31,22 @@ Hot-path notes:
   accumulator by addition mod 2²⁵⁶ (Bellare–Micciancio's AdHash — order
   independent without XOR's linear malleability), and only keys written
   since the last call are re-hashed. The first call walks the version
-  map itself, so nothing before it records stale keys.
+  map itself, so nothing before it records stale keys, in bounded
+  batches: one comprehension builds a batch's texts and a chain of C maps
+  hashes them.
 
-Each of these is the only implementation. The per-key probes, every-chain
-walks, per-key ``insort`` load and from-scratch hash they replaced are
-test references (``tests/reference``) that the differential tests hold
-them bit-identical to.
+Each of these is the only implementation. The per-key probes, linear
+visibility walks, every-chain walks, per-key ``insort`` load and
+from-scratch hash they replaced are test references (``tests/reference``)
+that the differential tests hold them bit-identical to.
 """
 
 from __future__ import annotations
 
 import hashlib
 from bisect import bisect_left
+from itertools import islice, repeat
+from operator import methodcaller
 
 from repro.encoding import encode, key_text
 
@@ -81,20 +86,14 @@ def _visible_at(
 ) -> tuple[Version, object] | None:
     """The last chain entry whose block <= ``block_id``, or ``None``.
 
-    The snapshot-visibility search, shared by everything except
-    :meth:`SnapshotView.get` — the per-read hot path keeps its own inlined
-    copy to stay free of a call frame; keep the two searches in lockstep.
+    The snapshot-visibility search: one C bisection for the first entry
+    past the snapshot. ``(block_id + 1,)`` sorts below every version of
+    block ``block_id + 1`` whatever its ``seq`` (a prefix sorts first), so
+    an entry's value is never compared. :meth:`SnapshotView.get` runs the
+    same one-line search inline.
     """
-    lo, hi = 0, len(chain)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if chain[mid][0][0] <= block_id:
-            lo = mid + 1
-        else:
-            hi = mid
-    if lo == 0:
-        return None
-    return chain[lo - 1]
+    i = bisect_left(chain, ((block_id + 1,),))
+    return chain[i - 1] if i else None
 
 
 #: accumulator modulus for the additive (AdHash-style) state hash
@@ -112,11 +111,20 @@ def combine_state_hashes(hashes) -> str:
     return f"{sum(int(h, 16) for h in hashes) % _HASH_MOD:064x}"
 
 
-def _entry_digest(key: object, value: object) -> int:
-    """The 256-bit contribution of one live entry to the state hash: the
-    SHA-256 of ``key->value;`` in :mod:`repro.encoding`'s text."""
-    payload = f"{key_text(key)}->{encode(value)};".encode()
-    return int.from_bytes(hashlib.sha256(payload).digest(), "big")
+#: live entries the first :meth:`MVStore.state_hash` pass hashes per batch:
+#: a batch's texts and digests are all it holds at once, so the pass's
+#: peak memory does not grow with the store
+_HASH_BATCH = 256
+
+
+def _entry_digests(entries) -> list[int]:
+    """The 256-bit contribution of each live ``(key, value)`` of ``entries``
+    to the state hash, in order: the SHA-256 of ``key->value;`` in
+    :mod:`repro.encoding`'s text. The texts are built in one comprehension
+    and hashed through a chain of C maps (no Python frame per digest)."""
+    texts = [f"{key_text(key)}->{encode(value)};".encode() for key, value in entries]
+    hashes = map(methodcaller("digest"), map(hashlib.sha256, texts))
+    return list(map(int.from_bytes, hashes, repeat("big")))
 
 
 class SnapshotView:
@@ -131,41 +139,20 @@ class SnapshotView:
 
         Missing and deleted keys both return ``(None, None)`` /
         ``(None, version)`` respectively; callers treat ``None`` as absent.
+        The newest version answers when it is visible (the common case);
+        otherwise :func:`_visible_at`'s bisection, inlined.
         """
         chain = self._store._versions.get(key)
         if not chain:
             return None, None
-        # Find the last version whose block_id <= snapshot block.
-        lo, hi = 0, len(chain)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if chain[mid][0][0] <= self.block_id:
-                lo = mid + 1
-            else:
-                hi = mid
-        if lo == 0:
-            return None, None
-        version, value = chain[lo - 1]
+        version, value = chain[-1]
+        if version[0] > self.block_id:
+            i = bisect_left(chain, ((self.block_id + 1,),))
+            if not i:
+                return None, None
+            version, value = chain[i - 1]
         if value is TOMBSTONE:
             return None, version
-        return value, version
-
-    def get_entry(self, key: object) -> tuple[object, Version | None]:
-        """The raw visible chain entry: ``(value, version)``.
-
-        Unlike :meth:`get`, the value is *not* normalized — a TOMBSTONE
-        surfaces as-is and a stored ``None`` keeps its version, so callers
-        that must distinguish "deleted" from "a live entry whose value is
-        None" (checkpoint materialization) can. ``(None, None)`` means the
-        key has no version visible at this snapshot at all.
-        """
-        chain = self._store._versions.get(key)
-        if not chain:
-            return None, None
-        entry = _visible_at(chain, self.block_id)
-        if entry is None:
-            return None, None
-        version, value = entry
         return value, version
 
     def scan(self, start: object, end: object):
@@ -373,28 +360,41 @@ class MVStore:
         so the result depends only on the live content, never on write
         history, while avoiding the linear malleability of an XOR
         combiner that a Byzantine replica could exploit). The first call
-        walks every key of the version map: the same digests summed in
-        another order, which the modular sum does not see.
+        walks every key of the version map, a bounded batch at a time: the
+        same digests summed in another order, which the modular sum does
+        not see.
         """
-        stale = self._stale_keys if self._hashed else self._versions
-        if stale:
-            # one pass: the accumulator moves by the plain integer sum of
-            # (new - old) and is reduced once, not per key
-            shift = 0
-            key_digest = self._key_digest
-            versions = self._versions
-            for key in stale:
+        key_digest = self._key_digest
+        versions = self._versions
+        # the accumulator moves by the plain integer sum of (new - old) and
+        # is reduced once, not per key
+        shift = 0
+        if self._hashed:
+            live = {}
+            for key in self._stale_keys:
                 chain = versions.get(key)
                 value = chain[-1][1] if chain else None
                 if value is TOMBSTONE or value is None:
                     shift -= key_digest.pop(key, 0)
                 else:
-                    new = _entry_digest(key, value)
-                    shift += new - key_digest.get(key, 0)
-                    key_digest[key] = new
-            self._live_digest = (self._live_digest + shift) % _HASH_MOD
-            self._stale_keys.clear()
-        self._hashed = True
+                    live[key] = value
+            for key, new in zip(live, _entry_digests(live.items())):
+                shift += new - key_digest.get(key, 0)
+                key_digest[key] = new
+        else:
+            entries = iter(versions.items())
+            for _ in range(0, len(versions), _HASH_BATCH):
+                live = {
+                    key: value
+                    for key, chain in islice(entries, _HASH_BATCH)
+                    if (value := chain[-1][1]) is not TOMBSTONE and value is not None
+                }
+                digests = _entry_digests(live.items())
+                key_digest.update(zip(live, digests))
+                shift += sum(digests)
+            self._hashed = True
+        self._stale_keys.clear()
+        self._live_digest = (self._live_digest + shift) % _HASH_MOD
         return f"{self._live_digest:064x}"
 
     def _latest_entry(self, key: object) -> tuple[object, Version | None]:

@@ -41,43 +41,47 @@ class SimulationContext:
         self.snapshot = snapshot
         self._engine = engine
         self.cost_us = 0.0
+        # bound once per transaction: a read is then one snapshot lookup
+        # and one page charge
+        self._get = snapshot.get
+        self._access = None if engine is None else engine.heap.access
+        self._op_cpu_us = None if engine is None else engine.costs.op_cpu_us
 
     # --------------------------------------------------------------- costs
     def charge(self, us: float) -> None:
         self.cost_us += us
 
-    def _charge_read(self, key: object) -> None:
-        if self._engine is not None:
-            self.charge(self._engine.read_cost(key))
-
-    def _charge_cpu(self) -> None:
-        if self._engine is not None:
-            self.charge(self._engine.costs.op_cpu_us)
-
     # --------------------------------------------------------------- reads
     def read(self, key: object) -> object | None:
         """Snapshot read; returns ``None`` for absent keys."""
-        value, version = self.snapshot.get(key)
-        if key not in self.txn.read_set:
-            self.txn.read_set[key] = version
-        self._charge_read(key)
-        pending = self.txn.write_set.get(key)
+        value, version = self._get(key)
+        txn = self.txn
+        if key not in txn.read_set:
+            txn.read_set[key] = version
+        if self._access is not None:
+            self.cost_us += self._access(key)
+        pending = txn.write_set.get(key)
         if pending is not None:
             value = self._evaluate_own(pending, value)
         return value
 
     def _evaluate_own(self, command: UpdateCommand, snapshot_value: object) -> object:
         result = command.apply(snapshot_value)
-        self._charge_cpu()
+        if self._op_cpu_us is not None:
+            self.cost_us += self._op_cpu_us
         return None if result is TOMBSTONE else result
 
     def scan(self, start: object, end: object) -> list[tuple[object, object]]:
-        """Range read [start, end); registers the range for phantom checks."""
+        """Range read [start, end); registers the range for phantom checks.
+
+        An own pending write inside the range is evaluated as :meth:`read`
+        evaluates it: a command that fails on the snapshot value raises
+        here too, and the transaction aborts with the same error."""
         rows = list(self.snapshot.scan(start, end))
         self.txn.read_ranges.append((start, end))
         for key, _value in rows:
             if key not in self.txn.read_set:
-                value, version = self.snapshot.get(key)
+                value, version = self._get(key)
                 self.txn.read_set[key] = version
         if self._engine is not None:
             self.charge(self._engine.scan_cost(max(1, len(rows))))
@@ -87,11 +91,8 @@ class SimulationContext:
             if start <= key < end:
                 base = merged.get(key)
                 if base is None:
-                    base, _ = self.snapshot.get(key)
-                try:
-                    merged[key] = self._evaluate_own(command, base)
-                except (KeyError, TypeError):
-                    continue
+                    base, _ = self._get(key)
+                merged[key] = self._evaluate_own(command, base)
         return sorted(
             ((k, v) for k, v in merged.items() if v is not None),
             key=lambda kv: kv[0],
@@ -99,9 +100,19 @@ class SimulationContext:
 
     # -------------------------------------------------------------- writes
     def update(self, key: object, command: UpdateCommand) -> None:
-        """Record an update command without evaluating it (Section 3.3.1)."""
-        self.txn.record_update(key, command)
-        self._charge_cpu()
+        """Record an update command without evaluating it (Section 3.3.1).
+
+        A key's first update is recorded here; a repeat goes through
+        :meth:`Txn.record_update <repro.txn.transaction.Txn.record_update>`,
+        which coalesces it with the key's command (corner case 2)."""
+        txn = self.txn
+        if key in txn.write_set:
+            txn.record_update(key, command)
+        else:
+            txn.write_set[key] = command
+            txn.updated_keys.append(key)
+        if self._op_cpu_us is not None:
+            self.cost_us += self._op_cpu_us
 
     def add(self, key: object, delta: float) -> None:
         self.update(key, AddValue(delta))
@@ -118,11 +129,13 @@ class SimulationContext:
     def delete(self, key: object) -> None:
         self.update(key, DeleteValue())
 
+    # the field commands in ``SetFields.of`` / ``AddFields.of``'s normal form
+    # (the items sorted), built here without a second pass over the keywords
     def set_fields(self, key: object, **updates: object) -> None:
-        self.update(key, SetFields.of(**updates))
+        self.update(key, SetFields(tuple(sorted(updates.items()))))
 
     def add_fields(self, key: object, **deltas: float) -> None:
-        self.update(key, AddFields.of(**deltas))
+        self.update(key, AddFields(tuple(sorted(deltas.items()))))
 
     # ------------------------------------------------------------- helpers
     def read_for_update(self, key: object) -> object | None:

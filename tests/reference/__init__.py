@@ -14,10 +14,13 @@ where production appends a delta.
   Rule-2 commit step, the per-block and cross-block dependency graphs,
   Aria's reservation checks.
 - :mod:`tests.reference.storage` — ``storage/``, ``shard/federated`` and
-  the execution overlay: version-chain walks, the from-scratch state hash,
-  the per-key load and scan, the per-key heap bring-up, the block-log cut,
-  the eager cross-shard union, the full deep-copy checkpoint and the
-  overlay scan's dict merge.
+  the execution overlay: version-chain walks (the linear visibility
+  search), the from-scratch state hash, the per-key load and scan, the
+  per-key heap bring-up, the block-log cut, the eager cross-shard union,
+  the full deep-copy checkpoint and the overlay scan's dict merge.
+- :mod:`tests.reference.shard` — ``shard/router`` and the sequencer's
+  split: every owner from the static policy and the migration list, every
+  sub-block by a per-shard filter.
 - :mod:`tests.reference.encoding` — ``repro/encoding.py``: the value
   text's recursive definition.
 - :mod:`tests.reference.sim` — ``sim/``: the pipeline schedule with a heap
@@ -36,9 +39,11 @@ from tests.reference.decision import (
     rw_edges,
 )
 from tests.reference.encoding import encode
+from tests.reference.shard import owner_at, split
 from tests.reference.sim import pipeline_schedule
 from tests.reference.storage import (
     blocks_after,
+    entry_digest,
     federated_scan,
     full_checkpoint,
     heap_load,
@@ -47,7 +52,9 @@ from tests.reference.storage import (
     materialize_at,
     overlay_scan,
     scan,
+    snapshot_get,
     state_hash,
+    visible_at,
     writes_in_block,
 )
 
@@ -56,6 +63,7 @@ __all__ = [
     "block_dependency_graph",
     "blocks_after",
     "encode",
+    "entry_digest",
     "false_aborts",
     "federated_scan",
     "full_checkpoint",
@@ -65,6 +73,7 @@ __all__ = [
     "materialize",
     "materialize_at",
     "overlay_scan",
+    "owner_at",
     "pipeline_schedule",
     "reachability",
     "readers_of",
@@ -72,6 +81,9 @@ __all__ = [
     "reference_validate",
     "rw_edges",
     "scan",
+    "snapshot_get",
+    "split",
     "state_hash",
+    "visible_at",
     "writes_in_block",
 ]

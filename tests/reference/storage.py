@@ -5,6 +5,7 @@ on its own, every checkpoint a full deep copy, every range materialized."""
 from __future__ import annotations
 
 import copy
+import hashlib
 from bisect import bisect_left, insort
 
 from repro.execution import OverlayView
@@ -17,8 +18,8 @@ from repro.storage.mvstore import (
     SnapshotView,
     TOMBSTONE,
     _HASH_MOD,
-    _entry_digest,
 )
+from tests.reference.encoding import encode
 
 
 # --------------------------------------------------------- storage/mvstore
@@ -40,11 +41,18 @@ def scan(view: SnapshotView, start: object, end: object) -> list:
     out = []
     i = bisect_left(keys, start)
     while i < len(keys) and keys[i] < end:
-        value, _version = view.get(keys[i])
+        value, _version = snapshot_get(view, keys[i])
         if value is not None:
             out.append((keys[i], value))
         i += 1
     return out
+
+
+def entry_digest(key: object, value: object) -> int:
+    """One live entry's state-hash contribution: the SHA-256 of
+    ``key->value;`` (the key's ``repr``, the value's reference text)."""
+    payload = f"{key!r}->{encode(value)};".encode()
+    return int.from_bytes(hashlib.sha256(payload).digest(), "big")
 
 
 def state_hash(store: MVStore) -> str:
@@ -53,8 +61,29 @@ def state_hash(store: MVStore) -> str:
     for key, chain in store._versions.items():
         value = chain[-1][1]
         if value is not TOMBSTONE and value is not None:
-            digest = (digest + _entry_digest(key, value)) % _HASH_MOD
+            digest = (digest + entry_digest(key, value)) % _HASH_MOD
     return f"{digest:064x}"
+
+
+def visible_at(chain: list, block_id: int):
+    """The snapshot-visibility search as a linear walk: the last chain
+    entry whose block is at most ``block_id``, or ``None``."""
+    found = None
+    for entry in chain:
+        if entry[0][0] > block_id:
+            break
+        found = entry
+    return found
+
+
+def snapshot_get(view: SnapshotView, key: object) -> tuple:
+    """``SnapshotView.get`` by :func:`visible_at`: ``(value, version)``,
+    ``(None, None)`` with nothing visible, a TOMBSTONE read as ``None``."""
+    entry = visible_at(view._store._versions.get(key, []), view.block_id)
+    if entry is None:
+        return None, None
+    version, value = entry
+    return (None if value is TOMBSTONE else value), version
 
 
 def materialize(store: MVStore) -> dict[object, object]:
@@ -71,12 +100,11 @@ def materialize(store: MVStore) -> dict[object, object]:
 def materialize_at(store: MVStore, block_id: int) -> dict[object, object]:
     """Live state as of the end of ``block_id``, one snapshot probe per
     key (same TOMBSTONE / stored-``None`` reading as :func:`materialize`)."""
-    view = store.snapshot(block_id)
     state: dict[object, object] = {}
     for key in sorted(store._versions):
-        value, version = view.get_entry(key)
-        if version is not None and value is not TOMBSTONE:
-            state[key] = value
+        entry = visible_at(store._versions[key], block_id)
+        if entry is not None and entry[1] is not TOMBSTONE:
+            state[key] = entry[1]
     return state
 
 

@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import pytest
 
+from repro.execution import simulate_transactions
 from repro.sim.rng import SeededRng
 from repro.storage.engine import StorageEngine
 from repro.txn.commands import AddValue, SetValue
 from repro.txn.context import SimulationContext
 from repro.txn.procedures import ProcedureRegistry
-from repro.txn.transaction import Txn, TxnSpec, TxnStatus
+from repro.txn.transaction import AbortReason, Txn, TxnSpec, TxnStatus
 
 
 def setup_ctx(num_keys=16):
@@ -52,6 +53,44 @@ class TestSimulationContext:
         assert rows[("k", 2)] == 222
         assert rows[("k", 99)] == 999
         assert txn.read_ranges == [(("k", 0), ("k", 100))]
+
+    @pytest.mark.parametrize(
+        "update, error",
+        [
+            (lambda ctx: ctx.add_fields(("k", 2), b=1), TypeError),  # not a record
+            (lambda ctx: ctx.add(("k", 50), 1), KeyError),  # no such key
+        ],
+        ids=["mistyped", "missing"],
+    )
+    def test_scan_fails_on_an_own_write_where_read_fails(self, update, error):
+        """A pending command that cannot be evaluated on the snapshot value
+        fails the scan that covers its key exactly as it fails a read of
+        the key — it is not dropped from the scanned rows."""
+        key = ("k", 2) if error is TypeError else ("k", 50)
+        _, _txn, ctx = setup_ctx()
+        update(ctx)
+        with pytest.raises(error):
+            ctx.read(key)
+        with pytest.raises(error):
+            ctx.scan(("k", 0), ("k", 100))
+
+    def test_scan_of_a_failing_own_write_aborts_like_a_read(self):
+        """Through the simulation step both accesses abort the transaction
+        with ``EXECUTION_ERROR``."""
+        engine = StorageEngine()
+        engine.preload({("k", i): 10 * i for i in range(16)})
+        registry = ProcedureRegistry()
+
+        @registry.register("bump")
+        def bump(ctx, scan):
+            ctx.add_fields(("k", 2), b=1)
+            if scan:
+                return ctx.scan(("k", 0), ("k", 4))
+            return ctx.read(("k", 2))
+
+        txns = [Txn(tid, 0, TxnSpec("bump", (("scan", scan),))) for tid, scan in ((0, 0), (1, 1))]
+        simulate_transactions(txns, engine.store.latest_snapshot(), registry, engine)
+        assert [txn.abort_reason for txn in txns] == [AbortReason.EXECUTION_ERROR] * 2
 
     def test_costs_accumulate(self):
         _, txn, ctx = setup_ctx()

@@ -13,8 +13,8 @@ rows and hashes.
 from __future__ import annotations
 
 import copy
-import hashlib
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -31,9 +31,22 @@ from repro.dcc.oracle import HistoryOracle, SerializabilityOracle, has_cycle
 from repro.encoding import encode
 from repro.execution import OverlayView
 from repro.intervals import RangeIndex, SortedKeys, covers
-from repro.storage.mvstore import MVStore, TOMBSTONE, _entry_digest
+from repro.chain.block import GENESIS_HASH
+from repro.chain.ordering import OrderingService, ShardSequencer
+from repro.shard.federated import FederatedSnapshot, wire_federation
+from repro.shard.rebalance import MigrationRecord
+from repro.shard.router import ShardRouter
+from repro.storage import mvstore
+from repro.storage.mvstore import (
+    MIGRATION_SEQ_BASE,
+    MVStore,
+    TOMBSTONE,
+    _entry_digests,
+    _visible_at,
+)
 from repro.txn.commands import AddValue, DeleteValue, MulValue, SetValue, apply_safely
 from repro.txn.transaction import AbortReason, Txn, TxnSpec
+from repro.workloads.base import Workload
 
 from tests import reference
 from tests.conftest import generic_registry, make_engine, make_txns
@@ -598,10 +611,7 @@ class TestMVStoreFastPaths:
     def test_one_pass_encode_matches_recursive_definition(self, value):
         assert encode(value) == reference.encode(value)
         key = ("k", 3)
-        payload = f"{key!r}->{reference.encode(value)};".encode()
-        assert _entry_digest(key, value) == int.from_bytes(
-            hashlib.sha256(payload).digest(), "big"
-        )
+        assert _entry_digests([(key, value)]) == [reference.entry_digest(key, value)]
 
     def test_encode_corner_values(self):
         class Row(dict):
@@ -617,6 +627,9 @@ class TestMVStoreFastPaths:
             (Row(q=2.0), "{q=2}"), (Money(3.0), "3"), ({}, "{}"),
         ]  # fmt: skip
         for value, text in cases:
+            assert encode(value) == text == reference.encode(value)
+        # equal field names with different texts: each row keeps its own
+        for value, text in (({1: 2}, "{1=2}"), ({1.0: 2}, "{1.0=2}"), ({True: 2}, "{True=2}")):
             assert encode(value) == text == reference.encode(value)
         for value in (float("nan"), float("inf"), float("-inf")):
             assert encode(value) == repr(value) == reference.encode(value)
@@ -798,6 +811,183 @@ class TestMVStoreFastPaths:
             assert list(view.scan(_key(lo), _key(hi))) == reference.scan(
                 view, _key(lo), _key(hi)
             )
+
+
+#: a row field's tricky values, for the first state-hash pass
+_ROWS = [
+    {"b": 1.0, "a": {"z": -0.0, "y": None}},
+    {"a": {"y": None, "z": 0}, "b": 1},  # the same shapes, built the other way round
+    {"f": float("nan"), "g": float("inf"), "h": 2.5},
+    {"n": None, "s": "it's", "i": 10**20, "t": (1, 2.0)},
+    {"only": True},
+    {},
+    7.0,
+    "text",
+    None,  # a stored None: no entry in the hash
+    TOMBSTONE,
+]
+
+
+class TestOneLookupPath:
+    """The long-transaction path's single lookups against ``tests/reference``:
+    the C visibility bisection, the router's owner map, the one-pass block
+    split and the batched first state hash."""
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.booleans(),
+                st.lists(
+                    st.tuples(st.integers(0, 9), st.none() | st.just(-1) | st.integers(0, 9)),
+                    max_size=5,
+                ),
+            ),
+            max_size=6,
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_visibility_search_matches_linear_walk(self, ops):
+        """Applies and shipments (``MIGRATION_SEQ_BASE`` seqs into the newest
+        block) with tombstones (-1) and stored ``None``: every snapshot from
+        below the first version to past the last reads what a linear walk
+        of the chain finds."""
+        store = MVStore()
+        store.load({_key(i): i for i in range(0, 10, 3)})
+        for ship, writes in ops:
+            writes = [(_key(i), TOMBSTONE if v == -1 else v) for i, v in writes]
+            if ship:
+                store.load(
+                    dict(writes),
+                    block_id=store.last_committed_block,
+                    seq_start=MIGRATION_SEQ_BASE,
+                )
+            else:
+                store.apply_block(store.last_committed_block + 1, writes)
+        for block_id in range(-3, store.last_committed_block + 2):
+            view = store.snapshot(block_id)
+            for i in range(11):
+                chain = store._versions.get(_key(i), [])
+                assert _visible_at(chain, block_id) == reference.visible_at(chain, block_id)
+                assert view.get(_key(i)) == reference.snapshot_get(view, _key(i))
+            assert list(view.scan(_key(0), _key(11))) == reference.scan(
+                view, _key(0), _key(11)
+            )
+            assert store.materialize_at(block_id) == reference.materialize_at(store, block_id)
+
+    @given(
+        st.integers(2, 4),
+        st.booleans(),
+        st.lists(
+            st.tuples(
+                st.integers(0, 2),
+                st.lists(st.tuples(st.integers(0, 15), st.integers(0, 3)), max_size=4),
+            ),
+            max_size=4,
+        ),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_owner_map_matches_static_policy_and_overrides(
+        self, num_shards, by_index, migrations
+    ):
+        """``shard_of`` at every cursor height, ``shard_of_at``, ``route_spec``,
+        the executors' ``key_scope`` and a ``FederatedSnapshot`` at ``h``
+        (routing by the owner at ``h + 1``) all name the owner derived from
+        scratch, with half the keys' static owners remembered before the
+        first migration. Keys outside the index space take the hash."""
+
+        def index_fn(key):
+            return key[1] if key[0] == "k" else None
+
+        router = ShardRouter(
+            num_shards,
+            policy="workload" if by_index else "hash",
+            index_fn=index_fn if by_index else None,
+            index_space=40 if by_index else None,
+        )
+        keys = [("k", i) for i in range(0, 40, 3)] + [("x", i) for i in range(3)]
+
+        class Keys(Workload):
+            name = "keys"
+
+            def spec_keys(self, spec):
+                return keys
+
+        for key in keys[::2]:
+            router.shard_of(key)
+        stores = []
+        for shard in range(num_shards):
+            stores.append(MVStore())
+            stores[shard].load(dict.fromkeys(keys, shard))  # a read names its shard
+        executor = SimpleNamespace(snapshot_source=None, key_scope=None)
+        wire_federation(executor, router, stores, 0)
+        installed, height = [], 1
+        for epoch, (gap, moves) in enumerate(migrations, 1):
+            height += gap
+            moves = tuple((keys[i], shard % num_shards) for i, shard in moves)
+            router.apply_migration(MigrationRecord(height, epoch, moves=moves))
+            installed.append((height, moves))
+
+        def owner(key, at):
+            return reference.owner_at(
+                key, num_shards, installed, at, index_fn if by_index else None, 40
+            )
+
+        for at in range(height + 2):
+            router.advance_to(at)
+            expected = [(key, owner(key, at)) for key in keys]
+            assert [(key, router.shard_of(key)) for key in keys] == expected
+            assert [(key, router.shard_of_at(key, at)) for key in keys] == expected
+            assert router.route_spec(Keys(), TxnSpec("keys"))[1] == expected
+            assert [executor.key_scope(key) for key in keys] == [o == 0 for _k, o in expected]
+            snapshot = FederatedSnapshot(router, stores, at)
+            assert [snapshot.get(key)[0] for key in keys] == [owner(key, at + 1) for key in keys]
+
+    @given(
+        st.integers(1, 4),
+        st.lists(
+            st.lists(st.frozensets(st.integers(0, 3), min_size=1), max_size=8), max_size=4
+        ),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_one_pass_split_matches_per_shard_filter(self, num_shards, blocks):
+        """Every shard's sub-block holds the specs and global TIDs a
+        per-shard filter of the block finds, in block order, hash-chained
+        onto that shard's previous sub-block."""
+        ordering, sequencer = OrderingService(), ShardSequencer(num_shards)
+        tails = [GENESIS_HASH] * num_shards
+        for assignments in blocks:
+            participants = [
+                frozenset(shard % num_shards for shard in parts) for parts in assignments
+            ]
+            specs = [TxnSpec("p", (("i", i),)) for i in range(len(participants))]
+            block = ordering.form_block(specs)
+            subs = sequencer.split(block, participants)
+            assert sorted(subs) == list(range(num_shards))
+            for shard, (specs, tids) in enumerate(
+                reference.split(block, participants, num_shards)
+            ):
+                sub = subs[shard]
+                assert sub.specs == specs
+                assert [sub.tid_of(i) for i in range(len(specs))] == list(tids)
+                if num_shards > 1:
+                    assert sub.prev_hash == tails[shard]
+                    assert sub.first_tid == (tids[0] if tids else block.first_tid)
+                    tails[shard] = sub.hash
+
+    @pytest.mark.parametrize("batch", [1, 2, 5, None], ids=["1", "2", "5", "default"])
+    def test_batched_first_hash_matches_reference(self, monkeypatch, batch):
+        """The first pass, cut into batches of every size around the row
+        count, hashes nested rows, ``None`` fields, integral floats, ``nan``
+        and one shape built in two field orders as the recursive text
+        does; stored ``None`` and TOMBSTONE entries count for nothing. The
+        incremental pass after it agrees too."""
+        if batch is not None:
+            monkeypatch.setattr(mvstore, "_HASH_BATCH", batch)
+        store = MVStore()
+        store.load({_key(i): value for i, value in enumerate(_ROWS)})
+        assert store.state_hash() == reference.state_hash(store)
+        store.apply_block(0, [(_key(0), TOMBSTONE), (_key(8), {"b": 2.0, "a": None})])
+        assert store.state_hash() == reference.state_hash(store)
 
 
 def _mixed_overlay() -> OverlayView:

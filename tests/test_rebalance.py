@@ -54,7 +54,7 @@ from repro.sim.rng import SeededRng
 from repro.storage.mvstore import MIGRATION_SEQ_BASE, MVStore, TOMBSTONE
 from repro.txn.transaction import AbortReason, Txn, TxnSpec
 from repro.workloads import make_workload, workload_names
-from repro.workloads.base import ShardAffinity
+from repro.workloads.base import ShardAffinity, Workload
 
 #: fires early and often — migrations within a handful of blocks
 AGGRESSIVE = dict(
@@ -191,6 +191,13 @@ class TestOwnershipTable:
         owner) is an override like any other."""
         router = ShardRouter(4, policy="hash")
         keys = [("adv", i) for i in range(12)]
+
+        class Keys(Workload):
+            name = "keys"
+
+            def spec_keys(self, spec):
+                return keys
+
         static = {key: router.shard_of(key) for key in keys}  # memo warm
         assert router._static_owners == static
         away = {key: (owner + 1) % 4 for key, owner in static.items()}
@@ -212,9 +219,11 @@ class TestOwnershipTable:
                 assert router.shard_of_at(key, height) == owners[key]
             router.advance_to(height)
             assert {key: router.shard_of(key) for key in keys} == owners
-            assert router.shards_for(keys) == frozenset(owners.values())
+            participants, routed = router.route_spec(Keys(), TxnSpec("keys"))
+            assert routed == list(owners.items())
+            assert participants == frozenset(owners.values())
         assert router._static_owners == static  # no override ever leaked in
-        assert all(router.base_shard_of(key) == static[key] for key in keys)
+        assert all(router._static_owners[key] == static[key] for key in keys)
 
 
 class TestMigrationRecord:

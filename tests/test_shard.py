@@ -96,8 +96,11 @@ class TestShardRouter:
         workload = SmallbankWorkload(num_accounts=100)
         router = ShardRouter.for_workload(workload, 4)
         spec = workload.generate_block(1, _rng())[0]
-        participants = router.participants_of(workload, spec)
-        assert participants == router.shards_for(workload.spec_keys(spec))
+        keys = workload.spec_keys(spec)
+        participants, routed = router.route_spec(workload, spec)
+        assert routed == [(key, router.shard_of(key)) for key in keys]
+        assert participants == router.participants_of(workload, spec)
+        assert participants == frozenset(router.shard_of(key) for key in keys)
 
     def test_unknown_footprint_routes_everywhere(self):
         class Opaque(Workload):
@@ -134,7 +137,7 @@ class TestShardRouter:
 
 
     def test_static_owner_is_evaluated_once_per_key(self):
-        """``base_shard_of`` remembers the static policy's answer per
+        """The owner map remembers the static policy's answer per
         touched key; ``split_state`` (a bulk pass over every key, once) and
         a one-shard router (nothing to decide) remember nothing."""
         workload = WORKLOADS["ycsb"]()
@@ -155,8 +158,8 @@ class TestShardRouter:
         del calls[:]
         for _ in range(3):
             for key in keys:
-                assert router.shard_of(key) == reference._static_shard(key)
-                assert router.base_shard_of(key) == router.shard_of_at(key, 9)
+                assert router.shard_of(key) == reference._static_owners.evaluate(key)
+                assert router._static_owners[key] == router.shard_of_at(key, 9)
         assert calls == keys  # one evaluation per key, in first-touch order
         assert set(router._static_owners) == set(keys)
 
@@ -217,17 +220,17 @@ class TestFederatedScan:
         router.apply_migration(record)
         late = FederatedSnapshot(router, stores, block_id=1)  # owner height 2
 
-        assert router.shard_of(moved) == dst and router.base_shard_of(moved) == src
+        assert router.shard_of(moved) == dst and router._static_owners[moved] == src
         assert (router.shard_of_at(moved, 1), router.shard_of_at(moved, 2)) == (src, dst)
-        assert early._owner(moved) == src and late._owner(moved) == dst
+        # the source holds the genesis version, the destination the shipped one
         assert early.get(moved) == (100, (-1, 0))  # still on the source, no tombstone
         assert late.get(moved) == (100, (1, MIGRATION_SEQ_BASE))
-        assert late.get_entry(moved)[0] == 100
         for snap in (early, late):
-            assert snap._owner(still) == home and snap.get(still)[0] == 7
+            assert snap.get(still) == (7, (-1, 0))
         # moving the cursor back re-routes live lookups, not built snapshots
         router.advance_to(0)
-        assert router.shard_of(moved) == src and late._owner(moved) == dst
+        assert router.shard_of(moved) == src
+        assert late.get(moved) == (100, (1, MIGRATION_SEQ_BASE))
 
     def test_stream_merge_matches_materialized_union(self):
         snap = self._snapshot()

@@ -16,6 +16,7 @@ from repro.sim.costs import REPLICA_CORES
 from repro.sim.metrics import BlockStats, RunMetrics
 from repro.sim.scheduler import PipelineSimulator, merge_shard_results
 from repro.storage.mvstore import combine_state_hashes
+from repro.txn.transaction import TxnStatus
 
 
 class RunAccounts:
@@ -49,16 +50,20 @@ class RunAccounts:
         stats = BlockStats(
             block_id, false_aborts=false_aborts, dangerous_structure_hits=dangerous
         )
+        # the per-transaction loops compare ``status`` directly: the
+        # ``committed`` / ``aborted`` properties cost a frame per read
+        committed, aborted = TxnStatus.COMMITTED, TxnStatus.ABORTED
         for txn in txns:
-            if txn.committed:
+            status = txn.status
+            if status is committed:
                 stats.committed += 1
-            elif txn.aborted:
+            elif status is aborted:
                 stats.aborted += 1
         self.metrics.merge_block(stats)
         self.per_block_committed.append(stats.committed)
         # clients resubmit aborted transactions: their aborts cost a
         # high-abort protocol the next blocks' slots
-        self.retry_queue.extend(t.spec for t in txns if t.aborted)
+        self.retry_queue.extend(t.spec for t in txns if t.status is aborted)
         for lane, timing in zip(self.lanes, timings):
             lane.append(timing)
         return stats

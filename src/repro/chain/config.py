@@ -24,6 +24,7 @@ from repro.dcc.serial import SerialExecutor
 from repro.sim.costs import CostModel, StorageProfile
 from repro.storage.engine import StorageEngine
 from repro.storage.wal import LogMode
+from repro.txn.transaction import TxnStatus
 
 #: bytes shipped per transaction command in an OE block (vs the ~1.5 KB
 #: endorsed read-write sets SOV ships — the Figures 15/16 asymmetry).
@@ -39,8 +40,8 @@ def decision_part(block_id: int, txns) -> str:
     """One block's share of :func:`decision_digest`: its committed and
     aborted TIDs — a run folds each block to this as it commits, so the
     block's transactions need not outlive it."""
-    committed = ",".join(str(t.tid) for t in txns if t.committed)
-    aborted = ",".join(str(t.tid) for t in txns if t.aborted)
+    committed = ",".join([str(t.tid) for t in txns if t.status is TxnStatus.COMMITTED])
+    aborted = ",".join([str(t.tid) for t in txns if t.status is TxnStatus.ABORTED])
     return f"{block_id}:{committed}|{aborted}"
 
 

@@ -160,7 +160,7 @@ def commit_survivors(txns: list[Txn]) -> "CommittedGraph":
     time and the commit step again later.
     """
     for txn in txns:
-        if not txn.aborted:
+        if txn.status is not TxnStatus.ABORTED:
             txn.mark_committed()
     return CommittedGraph(txns)
 

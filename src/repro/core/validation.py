@@ -45,10 +45,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import attrgetter
 
 from repro.core.dependencies import BlockDependencyIndex, CommittedGraph
 from repro.intervals import RangeIndex, SortedKeys
-from repro.txn.transaction import AbortReason, Txn
+from repro.txn.transaction import AbortReason, Txn, TxnStatus
 
 NEG_INF = float("-inf")
 
@@ -170,8 +171,8 @@ class HarmonyValidator:
             self._fold_inter_block_edges(txns, prev_records, inter_doomed)
 
         # --- commit-step checks, in TID order (deterministic).
-        for txn in sorted(txns, key=lambda t: t.tid):
-            if txn.aborted:  # e.g. execution error during simulation
+        for txn in sorted(txns, key=attrgetter("tid")):
+            if txn.status is TxnStatus.ABORTED:  # e.g. execution error during simulation
                 stats.aborted_tids.add(txn.tid)
                 continue
             if txn.min_out < txn.tid and txn.min_out <= txn.max_in:

@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 
 from repro.core.dependencies import CommittedGraph
 from repro.intervals import SortedKeys
-from repro.txn.transaction import Txn
+from repro.txn.transaction import Txn, TxnStatus
 
 
 def find_cycle(adjacency: dict[int, set[int]]) -> list[int] | None:
@@ -99,7 +99,7 @@ class SerializabilityOracle:
         abortee. A cyclic committed set makes every hypothetical graph
         cyclic, so it counts no false aborts.
         """
-        abortees = [t for t in txns if t.aborted]
+        abortees = [t for t in txns if t.status is TxnStatus.ABORTED]
         if not abortees:
             return 0
         if graph is None:

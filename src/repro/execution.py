@@ -24,7 +24,7 @@ from repro.storage.engine import StorageEngine
 from repro.storage.mvstore import TOMBSTONE, SnapshotView
 from repro.txn.context import SimulationContext
 from repro.txn.procedures import ProcedureRegistry
-from repro.txn.transaction import AbortReason, Txn
+from repro.txn.transaction import AbortReason, Txn, TxnStatus
 
 
 @dataclass
@@ -247,9 +247,10 @@ class DCCExecutor:
     def make_stats(self, block_id: int, txns: list[Txn]) -> BlockStats:
         stats = BlockStats(block_id=block_id)
         for txn in txns:
-            if txn.committed:
+            status = txn.status
+            if status is TxnStatus.COMMITTED:
                 stats.committed += 1
-            elif txn.aborted:
+            elif status is TxnStatus.ABORTED:
                 stats.aborted += 1
         return stats
 

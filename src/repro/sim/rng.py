@@ -21,10 +21,12 @@ class SeededRng:
         self._seed = seed
         self._stream = stream
         self._random = rng = random.Random(int.from_bytes(digest[:8], "big"))
-        # the hot primitives cost one frame a draw: ``random()`` is the
-        # bound C method, ``randbelow(n)`` the draw ``randrange`` and
-        # ``randint`` make — a uniform int in ``[0, n)``, for ``n >= 1``
-        # only (unchecked: ``n = 0`` never returns)
+        # the hot primitives cost one frame a draw or none: ``random()`` is
+        # the bound C method, ``randbelow(n)`` the stdlib's own draw (its
+        # one frame) that ``randrange``, ``randint`` and the affinity's
+        # ``pick_home`` / ``pick_other`` all reduce to — a uniform int in
+        # ``[0, n)``, for ``n >= 1`` only (unchecked: ``n = 0`` never
+        # returns). The spec generators bind both once per block.
         self.random = rng.random
         self.randbelow = rng._randbelow
 

@@ -118,6 +118,8 @@ class PipelineSimulator:
         self.snapshot_lag = snapshot_lag
 
     def simulate(self, blocks: list[BlockTiming]) -> PipelineResult:
+        # a task's ``max(a, b)`` is written ``b if b > a else a``: the same
+        # operand on ties (and on nan) as the builtin, without its call
         cores = [0.0] * self.num_cores  # core free times, a heap (all equal)
         heapreplace = heapq.heapreplace
         busy = 0.0
@@ -140,11 +142,13 @@ class PipelineSimulator:
             first_start = None
             for dur in block.sim_durations:
                 # the earliest-free core takes the task: one heap operation
-                start = max(ready, cores[0])
+                free = cores[0]
+                start = free if free > ready else ready
                 finish = start + dur
                 heapreplace(cores, finish)
                 busy += dur
-                sim_finish = max(sim_finish, finish)
+                if finish > sim_finish:
+                    sim_finish = finish
                 if first_start is None or start < first_start:
                     first_start = start
             sim_starts.append(first_start if first_start is not None else ready)
@@ -159,11 +163,13 @@ class PipelineSimulator:
             else:
                 finish = commit_ready
                 for dur in block.commit_durations:
-                    start = max(commit_ready, cores[0])
+                    free = cores[0]
+                    start = free if free > commit_ready else commit_ready
                     end = start + dur
                     heapreplace(cores, end)
                     busy += dur
-                    finish = max(finish, end)
+                    if end > finish:
+                        finish = end
             finish += block.post_commit_serial_us
             busy += block.post_commit_serial_us
             commit_finish.append(finish)

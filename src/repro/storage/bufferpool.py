@@ -5,6 +5,12 @@ charges write-back of dirty victims on eviction. This is where "the cost of
 masking I/O latency" (Section 5.8) lives: even on a RAMDisk the pool's
 bookkeeping cost remains, which is exactly the PGSQL(RAMDisk)-vs-memory-
 engine gap in Figure 21.
+
+Every simulated key access lands here, so the paths are flat: a miss is
+one :meth:`BufferPool.access` frame that charges the disk read, the
+eviction and the write-backs itself; :meth:`BufferPool.write_pages` and
+:meth:`HeapFile.access <repro.storage.heap.HeapFile.access>` inline the
+hit path and call ``access`` only on a miss.
 """
 
 from __future__ import annotations
@@ -46,18 +52,36 @@ class BufferPool:
         return page_id in self._frames
 
     def access(self, page_id: int, dirty: bool = False) -> float:
-        """Touch a page; returns the simulated cost of the access in us."""
+        """Touch a page; returns the simulated cost of the access in us.
+
+        A miss is charged in this one frame (a SmallBank run takes
+        thousands): the page read, then the eviction of least-recently-used
+        frames until one is free, each dirty victim written back. The
+        read and the write-backs bump the disk's counters at the disk's own
+        prices, and the write-backs are summed from 0.0 before they are
+        added to the read.
+        """
+        frames = self._frames
+        stats = self.stats
         cost = self._costs.buffer_admin_us + self._costs.dram_access_us
-        if page_id in self._frames:
-            self.stats.hits += 1
-            self._frames[page_id] = self._frames[page_id] or dirty
-            self._frames.move_to_end(page_id)
+        if page_id in frames:
+            stats.hits += 1
+            frames[page_id] = frames[page_id] or dirty
+            frames.move_to_end(page_id)
             return cost
-        self.stats.misses += 1
-        cost += self._disk.read_page(page_id)
-        cost += self._evict_if_needed()
-        self._frames[page_id] = dirty
-        return cost
+        stats.misses += 1
+        disk_costs, disk_stats = self._disk._costs, self._disk.stats
+        disk_stats.page_reads += 1
+        cost += disk_costs.page_read_us
+        evicted = 0.0
+        while len(frames) >= self.capacity:
+            stats.evictions += 1
+            if frames.popitem(last=False)[1]:
+                stats.dirty_writebacks += 1
+                disk_stats.page_writes += 1
+                evicted += disk_costs.page_write_us
+        frames[page_id] = dirty
+        return cost + evicted
 
     def write_pages(self, page_ids) -> list[float]:
         """``access(page_id, dirty=True)`` for every entry of ``page_ids``,
@@ -79,16 +103,6 @@ class BufferPool:
                 costs.append(self.access(page_id, dirty=True))
         self.stats.hits += hits
         return costs
-
-    def _evict_if_needed(self) -> float:
-        cost = 0.0
-        while len(self._frames) >= self.capacity:
-            victim, was_dirty = self._frames.popitem(last=False)
-            self.stats.evictions += 1
-            if was_dirty:
-                self.stats.dirty_writebacks += 1
-                cost += self._disk.write_page(victim)
-        return cost
 
     def flush_all(self) -> float:
         """Write back every dirty frame (checkpoint); returns cost in us."""

@@ -1,9 +1,12 @@
 """Simulated block device.
 
 The device does no data movement — pages live in Python objects — it only
-*meters* accesses: each read/write/fsync returns its simulated latency and
+*meters* accesses: each read/write/fsync costs a simulated latency and
 bumps counters the bench harness reports (I/O per committed transaction is
-one of Harmony's headline wins via update coalescence).
+one of Harmony's headline wins via update coalescence). A buffer-pool miss
+charges its page read and eviction write-backs on these counters inline
+(:meth:`BufferPool.access <repro.storage.bufferpool.BufferPool.access>`);
+a checkpoint's flush calls :meth:`SimulatedDisk.write_page`.
 """
 
 from __future__ import annotations
@@ -29,11 +32,6 @@ class SimulatedDisk:
     def __init__(self, costs: CostModel) -> None:
         self._costs = costs
         self.stats = DiskStats()
-
-    def read_page(self, page_id: int) -> float:
-        """Charge one random page read; returns latency in us."""
-        self.stats.page_reads += 1
-        return self._costs.page_read_us
 
     def write_page(self, page_id: int) -> float:
         """Charge one page write-back; returns latency in us."""

@@ -99,7 +99,8 @@ class HeapFile:
         here, with the pool's hit path inlined (every simulated read lands
         on this path): the same counters, LRU order and float additions as
         :meth:`BufferPool.access <repro.storage.bufferpool.BufferPool.access>`,
-        which a miss still goes through.
+        which a miss still goes through — one frame that charges the read,
+        the eviction and the write-backs itself.
         """
         costs = self._costs
         cost = costs.index_lookup_us

@@ -33,7 +33,9 @@ Hot-path notes:
   since the last call are re-hashed. The first call walks the version
   map itself, so nothing before it records stale keys, in bounded
   batches: one comprehension builds a batch's texts and a chain of C maps
-  hashes them.
+  hashes them. An ``int`` or integral ``float`` value (every SmallBank
+  balance, every YCSB value) is written in the comprehension, with no
+  ``encode`` frame; only other values and rows call it.
 
 Each of these is the only implementation. The per-key probes, linear
 visibility walks, every-chain walks, per-key ``insort`` load and
@@ -121,8 +123,21 @@ def _entry_digests(entries) -> list[int]:
     """The 256-bit contribution of each live ``(key, value)`` of ``entries``
     to the state hash, in order: the SHA-256 of ``key->value;`` in
     :mod:`repro.encoding`'s text. The texts are built in one comprehension
-    and hashed through a chain of C maps (no Python frame per digest)."""
-    texts = [f"{key_text(key)}->{encode(value)};".encode() for key, value in entries]
+    and hashed through a chain of C maps (no Python frame per digest).
+
+    A scalar value's text is written in the comprehension itself, as
+    :func:`~repro.encoding.encode` writes it: an exact ``int`` is its
+    digits, an integral ``float`` the digits of its ``int``. Every other
+    value (``bool``, a non-integral, ``nan`` or ``inf`` float, a row) goes
+    through ``encode``."""
+    texts = [
+        f"{key_text(key)}->{value};".encode()
+        if type(value) is int
+        else f"{key_text(key)}->{int(value)};".encode()
+        if type(value) is float and value.is_integer()
+        else f"{key_text(key)}->{encode(value)};".encode()
+        for key, value in entries
+    ]
     hashes = map(methodcaller("digest"), map(hashlib.sha256, texts))
     return list(map(int.from_bytes, hashes, repeat("big")))
 

@@ -34,6 +34,11 @@ class HotspotWorkload(Workload):
         fused: bool = True,
         affinity: ShardAffinity | None = None,
     ) -> None:
+        if num_keys < 2:
+            # one key is all hot (stride 1): no cold key to draw, and the
+            # cold redraw would never return; none at all, neither would
+            # ``randbelow(0)``
+            raise ValueError(f"the hotspot workload needs at least 2 keys, got {num_keys}")
         self.num_keys = num_keys
         self.statements_per_txn = statements_per_txn
         self.hotspot_probability = hotspot_probability

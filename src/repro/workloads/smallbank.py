@@ -10,10 +10,12 @@ the paper's protocols disagree on.
 
 from __future__ import annotations
 
+from bisect import bisect_left
+
 from repro.sim.rng import SeededRng
 from repro.txn.procedures import ProcedureRegistry
 from repro.txn.transaction import TxnSpec
-from repro.workloads.base import ShardAffinity, Workload, params, partition_of_index
+from repro.workloads.base import ShardAffinity, Workload, partition_of_index
 from repro.workloads.zipf import ZipfGenerator
 
 
@@ -126,44 +128,60 @@ class SmallbankWorkload(Workload):
                 return proc
         return self._mix_cdf[-1][1]
 
-    def _account(self, rng: SeededRng) -> int:
-        return self._zipf.sample(rng)
-
     def generate_block(self, size: int, rng: SeededRng) -> list[TxnSpec]:
+        """``size`` specs, each drawn in one loop body: the procedure
+        (:meth:`_pick_proc`, a method so a test may fix the mix), the zipf
+        account, the home partition, amounts and the second account, all
+        through the stream's bound ``random`` / ``randbelow`` in the order
+        :meth:`ShardAffinity.pick_home <repro.workloads.base.ShardAffinity.pick_home>`,
+        ``crosses``, ``pick_other`` and ``randint`` draw them. Params are
+        written in :func:`~repro.workloads.base.params`' sorted order."""
+        num_accounts = self.num_accounts
+        random, randbelow = rng.random, rng.randbelow
+        cdf = self._zipf._cdf
+        pick_proc = self._pick_proc
+        # partition-local draws only over more than one shard, folded into
+        # a partition's bounds as ShardAffinity.map_index folds them
         affinity = self.affinity
+        shards = affinity.num_shards if affinity is not None else 1
+        if shards > 1:
+            bounds = [affinity.partition_bounds(num_accounts, p) for p in range(shards)]
+            cross_ratio = affinity.cross_ratio
         specs = []
+        append = specs.append
         for _ in range(size):
-            proc = self._pick_proc(rng)
-            cid = self._account(rng)
-            home = None
-            if affinity is not None and affinity.num_shards > 1:
-                home = affinity.pick_home(rng)
-                cid = affinity.map_index(cid, home, self.num_accounts)
+            proc = pick_proc(rng)
+            cid = bisect_left(cdf, random())
+            if shards > 1:
+                home = randbelow(shards)
+                lo, hi = bounds[home]
+                cid = lo + cid % (hi - lo)
             if proc == "sb_balance":
-                spec = TxnSpec(proc, params(cid=cid))
+                spec = TxnSpec(proc, (("cid", cid),))
             elif proc == "sb_deposit_checking":
-                spec = TxnSpec(proc, params(cid=cid, amount=float(rng.randint(1, 100))))
+                spec = TxnSpec(proc, (("amount", float(1 + randbelow(100))), ("cid", cid)))
             elif proc == "sb_transact_savings":
-                spec = TxnSpec(proc, params(cid=cid, amount=float(rng.randint(-50, 100))))
+                spec = TxnSpec(proc, (("amount", float(randbelow(151) - 50)), ("cid", cid)))
             elif proc == "sb_write_check":
-                spec = TxnSpec(proc, params(cid=cid, amount=float(rng.randint(1, 50))))
+                spec = TxnSpec(proc, (("amount", float(1 + randbelow(50))), ("cid", cid)))
             else:
-                other = self._account(rng)
-                if home is not None:
+                other = bisect_left(cdf, random())
+                if shards > 1:
                     partition = home
-                    if affinity.crosses(rng):
-                        partition = affinity.pick_other(rng, home)
-                    other = affinity.map_index(other, partition, self.num_accounts)
+                    if random() < cross_ratio:
+                        partition = (home + 1 + randbelow(shards - 1)) % shards
+                    lo, hi = bounds[partition]
+                    other = lo + other % (hi - lo)
                 if other == cid:
                     other = self._bump_within_partition(other)
                 if proc == "sb_amalgamate":
-                    spec = TxnSpec(proc, params(cid_from=cid, cid_to=other))
+                    spec = TxnSpec(proc, (("cid_from", cid), ("cid_to", other)))
                 else:
+                    amount = float(1 + randbelow(50))
                     spec = TxnSpec(
-                        proc,
-                        params(cid_from=cid, cid_to=other, amount=float(rng.randint(1, 50))),
+                        proc, (("amount", amount), ("cid_from", cid), ("cid_to", other))
                     )
-            specs.append(spec)
+            append(spec)
         return specs
 
     def _bump_within_partition(self, cid: int) -> int:

@@ -40,10 +40,12 @@ class ZipfGenerator:
         """``k`` distinct ranks (used to avoid self-conflicts within a txn)."""
         if k > self.n:
             raise ValueError("cannot draw more distinct items than exist")
+        # :meth:`sample` inline: one bisection per draw, no frame
+        cdf, random = self._cdf, rng.random
         seen: set[int] = set()
         out: list[int] = []
         while len(out) < k:
-            rank = self.sample(rng)
+            rank = bisect_left(cdf, random())
             if rank not in seen:
                 seen.add(rank)
                 out.append(rank)

@@ -295,3 +295,13 @@ def aria_decisions(txns: list[Txn]) -> dict[int, AbortReason | None]:
         else:
             decisions[txn.tid] = None
     return decisions
+
+
+# ------------------------------------------------------------ chain/config
+def decision_part(block_id: int, txns: list[Txn]) -> str:
+    """One block's share of the decision digest, read through the
+    ``committed`` / ``aborted`` properties: ``block:committed|aborted``
+    TIDs in block order, pending transactions in neither list."""
+    committed = ",".join(str(t.tid) for t in txns if t.committed)
+    aborted = ",".join(str(t.tid) for t in txns if t.aborted)
+    return f"{block_id}:{committed}|{aborted}"

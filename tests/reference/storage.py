@@ -1,6 +1,7 @@
 """Storage-layer references (``storage/``, ``shard/federated`` and the
 execution overlay): every chain walked, every key probed, every key placed
-on its own, every checkpoint a full deep copy, every range materialized."""
+on its own, every pool miss charged step by step, every checkpoint a full
+deep copy, every range materialized."""
 
 from __future__ import annotations
 
@@ -11,6 +12,7 @@ from bisect import bisect_left, insort
 from repro.execution import OverlayView
 from repro.intervals import covers
 from repro.shard.federated import FederatedSnapshot
+from repro.storage.bufferpool import BufferPool
 from repro.storage.checkpoint import BlockLog, Checkpoint
 from repro.storage.heap import HeapFile
 from repro.storage.mvstore import (
@@ -133,6 +135,46 @@ def heap_load(heap: HeapFile, keys) -> None:
         page_id = len(heap._directory) // heap._records_per_page
         heap._directory[key] = page_id
         heap._pool.access(page_id, dirty=True)
+
+
+# ------------------------------------------------------ storage/bufferpool
+def pool_access(pool: BufferPool, page_id: int, dirty: bool = False) -> float:
+    """What ``pool.access(page_id, dirty)`` must charge, step by step: a
+    hit, or a miss that charges the disk read, then evicts least-recently
+    used frames until one is free — each dirty victim written back through
+    ``SimulatedDisk.write_page``, the write-backs summed from 0.0 — and
+    admits the page most recent."""
+    costs, frames = pool._costs, pool._frames
+    cost = costs.buffer_admin_us + costs.dram_access_us
+    if page_id in frames:
+        pool.stats.hits += 1
+        frames[page_id] = frames[page_id] or dirty
+        frames.move_to_end(page_id)
+        return cost
+    pool.stats.misses += 1
+    pool._disk.stats.page_reads += 1
+    cost += pool._disk._costs.page_read_us
+    evicted = 0.0
+    while len(frames) >= pool.capacity:
+        victim, was_dirty = frames.popitem(last=False)
+        pool.stats.evictions += 1
+        if was_dirty:
+            pool.stats.dirty_writebacks += 1
+            evicted += pool._disk.write_page(victim)
+    cost += evicted
+    frames[page_id] = dirty
+    return cost
+
+
+def heap_access(heap: HeapFile, key: object, write: bool = False) -> float:
+    """What ``heap.access(key, write)`` must charge: an index probe, and
+    for a placed key a latch plus one :func:`pool_access`."""
+    cost = heap._costs.index_lookup_us
+    page_id = heap._directory.get(key)
+    if page_id is None:
+        return cost
+    cost += heap._costs.latch_us
+    return cost + pool_access(heap._pool, page_id, dirty=write)
 
 
 # ------------------------------------------------------ storage/checkpoint

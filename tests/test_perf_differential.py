@@ -31,11 +31,14 @@ from repro.dcc.oracle import HistoryOracle, SerializabilityOracle, has_cycle
 from repro.encoding import encode
 from repro.execution import OverlayView
 from repro.intervals import RangeIndex, SortedKeys, covers
+from repro.chain.accounts import RunAccounts
 from repro.chain.block import GENESIS_HASH
 from repro.chain.ordering import OrderingService, ShardSequencer
 from repro.shard.federated import FederatedSnapshot, wire_federation
 from repro.shard.rebalance import MigrationRecord
 from repro.shard.router import ShardRouter
+from repro.sim.rng import SeededRng
+from repro.sim.scheduler import BlockTiming, PipelineSimulator
 from repro.storage import mvstore
 from repro.storage.mvstore import (
     MIGRATION_SEQ_BASE,
@@ -45,8 +48,10 @@ from repro.storage.mvstore import (
     _visible_at,
 )
 from repro.txn.commands import AddValue, DeleteValue, MulValue, SetValue, apply_safely
-from repro.txn.transaction import AbortReason, Txn, TxnSpec
-from repro.workloads.base import Workload
+from repro.txn.transaction import AbortReason, Txn, TxnSpec, TxnStatus
+from repro.workloads.base import ShardAffinity, Workload
+from repro.workloads.smallbank import SmallbankWorkload
+from repro.workloads.zipf import ZipfGenerator
 
 from tests import reference
 from tests.conftest import generic_registry, make_engine, make_txns
@@ -988,6 +993,164 @@ class TestOneLookupPath:
         assert store.state_hash() == reference.state_hash(store)
         store.apply_block(0, [(_key(0), TOMBSTONE), (_key(8), {"b": 2.0, "a": None})])
         assert store.state_hash() == reference.state_hash(store)
+
+
+_AFFINITIES = {
+    "none": None,
+    "1": ShardAffinity(1),
+    "4x0.1": ShardAffinity(4, 0.1),
+    "4x1.0": ShardAffinity(4, 1.0),
+}
+
+
+class _OnlyPayments(SmallbankWorkload):
+    """A mix fixed by overriding ``_pick_proc`` (as a test may): the
+    generator must still ask the method for every procedure."""
+
+    def _pick_proc(self, rng):
+        return "sb_send_payment" if rng.random() < 0.5 else "sb_amalgamate"
+
+
+#: tie-heavy schedule inputs: equal and zero (both signs) durations and
+#: arrivals, so a start equals a core's free time and a finish the block's
+#: running maximum; the texts compare -0.0 and 0.0 apart
+_TIED = st.sampled_from([0.0, -0.0, 1.0, 2.0])
+
+
+@st.composite
+def tied_stream(draw):
+    return [
+        BlockTiming(
+            arrival_us=draw(_TIED),
+            sim_durations=draw(st.lists(_TIED, max_size=8)),
+            commit_durations=draw(st.lists(_TIED, max_size=8)),
+            serial_commit=draw(st.booleans()),
+            pre_exec_serial_us=draw(_TIED),
+            post_commit_serial_us=draw(_TIED),
+        )
+        for _ in range(draw(st.integers(0, 5)))
+    ]
+
+
+def _texts(values) -> list[str]:
+    return [repr(v) for v in values]
+
+
+class TestShortTransactionPath:
+    """The short-transaction path's flattened steps against
+    ``tests/reference``: the one-body SmallBank spec draw, the one-frame
+    pool miss, the direct status reads, the task loop's comparisons in
+    place of ``max`` and the first hash's inline scalar texts."""
+
+    @pytest.mark.parametrize("num_accounts", [10, 50, 10_000])
+    @pytest.mark.parametrize("affinity", list(_AFFINITIES), ids=list(_AFFINITIES))
+    def test_smallbank_draw_matches_per_call_reference(self, affinity, num_accounts):
+        """Equal specs (texts included) and an equal stream state after
+        every block: a generator that drew the same values a different
+        number of times fails the state check."""
+        for cls in (SmallbankWorkload, _OnlyPayments):
+            workload = cls(num_accounts=num_accounts, affinity=_AFFINITIES[affinity])
+            for seed in (1, 7, 23):
+                ours, theirs = SeededRng(seed, "gen"), SeededRng(seed, "gen")
+                for size in (0, 1, 40, 120):
+                    specs = workload.generate_block(size, ours)
+                    expected = reference.smallbank_block(workload, size, theirs)
+                    assert specs == expected
+                    assert [s.canonical for s in specs] == [s.canonical for s in expected]
+                    assert ours._random.getstate() == theirs._random.getstate()
+
+    def test_zipf_distinct_matches_sample_loop(self):
+        zipf = ZipfGenerator(30, 0.99)
+        ours, theirs = SeededRng(5, "zipf"), SeededRng(5, "zipf")
+        for k in (0, 1, 5, 30):
+            assert zipf.sample_distinct(ours, k) == reference.zipf_distinct(zipf, theirs, k)
+            assert ours._random.getstate() == theirs._random.getstate()
+
+    @pytest.mark.parametrize("capacity", [1, 2, 7])
+    def test_pool_miss_matches_step_by_step_reference(self, capacity):
+        """Random page streams with dirty mixes through ``access``,
+        ``write_pages`` and ``HeapFile.access``: the same costs, both
+        stats objects and the frame order."""
+        rng = random.Random(capacity)
+        engines = [make_engine(200, pool_pages=capacity) for _ in range(2)]
+        ours, theirs = engines
+        for _ in range(300):
+            op = rng.randrange(3)
+            if op == 0:
+                page, dirty = rng.randrange(12), rng.random() < 0.4
+                assert ours.pool.access(page, dirty) == reference.pool_access(
+                    theirs.pool, page, dirty
+                )
+            elif op == 1:
+                pages = [rng.randrange(12) for _ in range(rng.randrange(6))]
+                assert ours.pool.write_pages(pages) == [
+                    reference.pool_access(theirs.pool, page, True) for page in pages
+                ]
+            else:
+                key, write = _key(rng.randrange(260)), rng.random() < 0.4
+                assert ours.heap.access(key, write) == reference.heap_access(
+                    theirs.heap, key, write
+                )
+            assert ours.pool.stats == theirs.pool.stats
+            assert ours.disk.stats == theirs.disk.stats
+            assert list(ours.pool._frames.items()) == list(theirs.pool._frames.items())
+        assert ours.pool.stats.evictions and ours.pool.stats.dirty_writebacks
+
+    @given(st.lists(st.sampled_from(list(TxnStatus)), min_size=1, max_size=12))
+    @settings(max_examples=100, deadline=None)
+    def test_status_reads_match_the_properties(self, statuses):
+        """The block fold, the decision text, the executor's stats, the
+        commit step's survivors and the oracle's abortees read ``status``
+        directly; the properties give the same answers."""
+        txns = make_txns([[("w", i)] for i in range(len(statuses))], block_id=3)
+        for txn, status in zip(txns, statuses):
+            txn.status = status
+        committed = sum(t.committed for t in txns)
+        aborted = sum(t.aborted for t in txns)
+        accounts = RunAccounts("harmony", "ops")
+        stats = accounts.absorb(3, txns, [], false_aborts=0, dangerous=0)
+        assert accounts.decision_parts == [reference.decision_part(3, txns)]
+        assert (stats.committed, stats.aborted) == (committed, aborted)
+        assert accounts.retry_queue == [t.spec for t in txns if t.aborted]
+        made = AriaExecutor(make_engine(4), generic_registry()).make_stats(3, txns)
+        assert (made.committed, made.aborted) == (committed, aborted)
+        graph = commit_survivors(txns)
+        assert [t.committed for t in txns] == [not t.aborted for t in txns]
+        assert graph.txns == [t for t in txns if t.committed]
+        assert SerializabilityOracle.count_false_aborts(txns) == reference.false_aborts(txns)
+
+    @given(tied_stream(), st.integers(1, 3), st.booleans(), st.integers(1, 2))
+    @settings(max_examples=300, deadline=None)
+    # a start at -0.0 ends at 0.0, a tie with the running finish of -0.0
+    # that max keeps: once in the simulation step, once in the commit step
+    @example([BlockTiming(-0.0, [0.0], [], False, -0.0, -0.0)], 1, False, 1)
+    @example([BlockTiming(-0.0, [], [0.0], False, -0.0, -0.0)], 1, False, 1)
+    def test_task_comparisons_keep_max_operand_on_ties(
+        self, blocks, cores, inter_block, lag
+    ):
+        result = PipelineSimulator(cores, inter_block, lag).simulate(blocks)
+        expected = reference.pipeline_schedule(blocks, cores, inter_block, lag)
+        assert _texts(result.sim_start_us) == _texts(expected.sim_start_us)
+        assert _texts(result.commit_finish_us) == _texts(expected.commit_finish_us)
+        assert repr(result.busy_core_us) == repr(expected.busy_core_us)
+        assert repr(result.makespan_us) == repr(expected.makespan_us)
+
+    def test_first_hash_scalar_texts(self):
+        """Exact ints and integral floats are written inline; ``bool``,
+        non-integral floats, ``nan``, ``inf`` and rows go through
+        ``encode``: every text is the reference's."""
+        class Money(float):
+            pass
+
+        values = [
+            0, -7, 10**30, -(10**40), True, False, 0.0, -0.0, 10.0, -3.0, 1e22,
+            2.0**70, 0.5, -1e-300, float("nan"), float("inf"), float("-inf"),
+            Money(3.0), Money(0.25), {"bal": 2.0, "n": None}, ("a", 1.0), "s",
+        ]  # fmt: skip
+        entries = [(_key(i), value) for i, value in enumerate(values)]
+        assert _entry_digests(entries) == [
+            reference.entry_digest(key, value) for key, value in entries
+        ]
 
 
 def _mixed_overlay() -> OverlayView:

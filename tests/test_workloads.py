@@ -331,6 +331,19 @@ class TestHotspot:
             for op in spec.param_dict["ops"]:
                 assert not wl.is_hot(op[1])
 
+    @pytest.mark.parametrize("num_keys", [0, 1])
+    def test_fewer_than_two_keys_raise(self, num_keys):
+        """One key is all hot, so a cold draw has nothing to find; no keys
+        leave nothing to draw at all. Both used to loop forever in
+        ``generate_block``; the constructor refuses them."""
+        with pytest.raises(ValueError, match="at least 2 keys"):
+            HotspotWorkload(num_keys=num_keys).generate_block(4, SeededRng(1, "h"))
+
+    def test_two_keys_draw_one_cold_key(self):
+        wl = HotspotWorkload(num_keys=2, statements_per_txn=2, hotspot_probability=0.0)
+        specs = wl.generate_block(5, SeededRng(1, "h"))
+        assert {op[1] for spec in specs for op in spec.param_dict["ops"]} == {1}
+
 
 class TestTPCCInvariants:
     """TPC-C semantic invariants over the conformance sweep: whatever an

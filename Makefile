@@ -3,12 +3,21 @@
 
 PY := PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH)) python
 
-.PHONY: test loc no-twins one-walk one-collector one-process one-claim-home one-encoding one-clock one-trace-record one-commit-pass one-contract one-owner options conformance figures perf-smoke perf faults-smoke faults obs-smoke rebalance-smoke e2e-smoke e2e e2e-pairs
+.PHONY: test hashseed loc no-twins one-walk one-collector one-process one-claim-home one-encoding one-clock one-trace-record one-commit-pass one-contract one-owner options conformance figures perf-smoke perf faults-smoke faults obs-smoke rebalance-smoke e2e-smoke e2e e2e-pairs
 
 # tier-1 verify: the whole default suite (perf/faults/tpcc/figures markers
 # excluded by pytest.ini)
 test:
 	$(PY) -m pytest -x -q
+
+# hash-seed independence: both goldens replay byte-identically under two
+# string-hash seeds, so no digest, hash or modeled number depends on the
+# iteration order of a set or dict of strings (~12 s)
+hashseed:
+	PYTHONHASHSEED=1 $(PY) tests/golden/driver_identity.py --check
+	PYTHONHASHSEED=1 $(PY) tests/golden/trace_identity.py --check
+	PYTHONHASHSEED=2 $(PY) tests/golden/driver_identity.py --check
+	PYTHONHASHSEED=2 $(PY) tests/golden/trace_identity.py --check
 
 # size ledger (informational, never fails): lines per package of src/repro,
 # their total, the chain/ + shard/ figure ROADMAP direction 4's acceptance
@@ -50,9 +59,10 @@ one-walk:
 
 # the collector has one switch: only src/repro/collector.py (collector_paused,
 # which the block-walking loops and the micro ledger's clocked sections enter)
-# turns the cyclic collector off or on, freezes it or tunes its thresholds
+# turns the cyclic collector off or on, freezes or unfreezes it or tunes its
+# thresholds
 one-collector:
-	@! grep -rnE --include='*.py' "gc\.(disable|enable|freeze|set_threshold)" src/repro | grep -v '^src/repro/collector\.py:'
+	@! grep -rnE --include='*.py' "gc\.(disable|enable|freeze|unfreeze|set_threshold)" src/repro | grep -v '^src/repro/collector\.py:'
 	@echo "one-collector: ok"
 
 # one prepare medium, one live schedule: blocks are prepared in the process

@@ -25,12 +25,11 @@ Modules:
 from repro.core.dependencies import BlockDependencyIndex, RWEdge
 from repro.core.harmony import BlockExecution, HarmonyConfig, HarmonyExecutor
 from repro.core.reordering import ReorderingResult, apply_write_sets
-from repro.core.validation import CommittedRecord, HarmonyValidator, ValidationStats
+from repro.core.validation import HarmonyValidator, ValidationStats
 
 __all__ = [
     "BlockDependencyIndex",
     "BlockExecution",
-    "CommittedRecord",
     "HarmonyConfig",
     "HarmonyExecutor",
     "HarmonyValidator",

@@ -63,9 +63,6 @@ class BlockDependencyIndex:
             for key in txn.write_set:
                 self._writers.setdefault(key, []).append(txn.tid)
 
-    def writers_of(self, key: object) -> list[int]:
-        return self._writers.get(key, [])
-
     def readers_of(self, key: object) -> list[int]:
         """Point readers plus range readers whose range covers ``key``.
 
@@ -165,6 +162,112 @@ def commit_survivors(txns: list[Txn]) -> "CommittedGraph":
     return CommittedGraph(txns)
 
 
+class Reach:
+    """A committed block's reachability closure, closed on first read.
+
+    ``bits[i]`` is the bitset of the positions reachable from position
+    ``i`` (see :class:`CommittedGraph`). One instance is shared by the
+    block's graph and the Rule-3 records built from it, so whichever
+    asks first — the false-abort oracle for an abortee, or the next
+    block's validation for a reader that closes a structure — pays for
+    the closure once, and a block nobody asks about never does. It
+    indexes, iterates, compares (with a tuple or list too) and pickles
+    as its sequence of bitsets.
+    """
+
+    __slots__ = ("_inputs", "_bits")
+
+    def __init__(self, inputs: tuple | None, bits: tuple[int, ...] | None = None) -> None:
+        #: :func:`_close`'s arguments until the first read, then ``None``
+        self._inputs = inputs
+        self._bits = bits
+
+    @property
+    def bits(self) -> tuple[int, ...]:
+        bits = self._bits
+        if bits is None:
+            bits = self._bits = _close(*self._inputs)
+            self._inputs = None  # the graph's containers are not kept
+        return bits
+
+    def rebase(self, chains: dict, point_readers: dict) -> None:
+        """Close over equal containers instead of the graph's own — the
+        Rule-3 records' copies — so that records a checkpoint keeps hold
+        one copy of them, not two, until the closure is read."""
+        if self._inputs is not None:
+            n, _, _, stab = self._inputs
+            self._inputs = (n, chains, point_readers, stab)
+
+    def __getitem__(self, pos: int) -> int:
+        return self.bits[pos]
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self.bits)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, (Reach, tuple, list)):
+            return self.bits == tuple(other)
+        return NotImplemented
+
+    def __reduce__(self):
+        return (Reach, (None, self.bits))
+
+
+def _close(
+    n: int,
+    chains: dict[object, list[int]],
+    point_readers: dict[object, list[int]],
+    stab: Callable[[object], list[int]] | None,
+) -> tuple[int, ...]:
+    """Collect each position's direct successors — the updater chains,
+    and reader -> every updater of a key it point-reads (``point_readers``)
+    or range-covers (``stab``) — and close them into the reach bitsets."""
+    bit = [1 << i for i in range(n)]
+    succ = [0] * n
+    read = bool(point_readers) or stab is not None
+    for key, chain in chains.items():
+        if len(chain) > 1:
+            for i in range(len(chain) - 1):
+                succ[chain[i]] |= bit[chain[i + 1]]
+        if not read:  # a block nobody reads in has chain edges only
+            continue
+        readers = point_readers.get(key, ())
+        ranged = stab(key) if stab is not None else ()
+        if readers or ranged:
+            updaters = 0
+            for pos in chain:
+                updaters |= bit[pos]
+            for pos in readers:
+                succ[pos] |= updaters
+            for pos in ranged:
+                succ[pos] |= updaters
+    backward = False  # some edge points to a lower position
+    for i in range(n):
+        succ[i] &= ~bit[i]  # a read-modify-write does not precede itself
+        if succ[i] & (bit[i] - 1):
+            backward = True
+
+    # Propagate in reverse position order: chain edges always point to
+    # higher positions, so this is near reverse-topological; iterate to
+    # a fixpoint so backward rw edges (and any cycles) close exactly.
+    # With every edge forward, one pass is exact: each successor's
+    # reach is final before it is read, so a second pass changes nothing.
+    reach = list(succ)
+    changed = True
+    while changed:
+        changed = False
+        for i in range(n - 1, -1, -1):
+            acc = bits = succ[i]
+            while bits:
+                low = bits & -bits
+                acc |= reach[low.bit_length() - 1]
+                bits ^= low
+            if acc != reach[i]:
+                reach[i] = acc
+                changed = backward
+    return tuple(reach)
+
+
 class CommittedGraph:
     """Dependency graph of one decided block's committed set, as bitsets.
 
@@ -181,7 +284,9 @@ class CommittedGraph:
     >= 1 edge as one Python int with bit ``j`` set for position ``j`` — so
     "does ``a`` reach any of these" is one AND, and the whole closure of
     an n-txn block is n ints rather than O(n^2) set members. Bit ``i`` of
-    ``reach[i]`` is set iff ``i`` lies on a cycle.
+    ``reach[i]`` is set iff ``i`` lies on a cycle. The closure is a
+    :class:`Reach`, closed on first read: a block nobody asks about (no
+    abortee for the oracle, no reader in the next block) is never closed.
 
     Four consumers read it: the commit step's
     :func:`~repro.core.reordering.apply_write_sets` (``chains`` *are* the
@@ -237,63 +342,15 @@ class CommittedGraph:
         self.range_index = RangeIndex(ranges)
         self._order_keys: list | None = None
         self._written_keys: SortedKeys | None = None
-        self._close()
-
-    def _close(self) -> None:
-        """Collect each position's direct successors and close them into
-        ``reach``."""
-        n = len(self.txns)
-        bit = [1 << i for i in range(n)]
-        succ = [0] * n
-        point_readers = self.point_readers
-        stab = self.range_index.stab if self.ranges else None
-        read = bool(point_readers) or stab is not None
-        for key, chain in self.chains.items():
-            if len(chain) > 1:
-                for i in range(len(chain) - 1):
-                    succ[chain[i]] |= bit[chain[i + 1]]
-            if not read:  # a block nobody reads in has chain edges only
-                continue
-            readers = point_readers.get(key, ())
-            ranged = stab(key) if stab is not None else ()
-            if readers or ranged:
-                updaters = 0
-                for pos in chain:
-                    updaters |= bit[pos]
-                for pos in readers:
-                    succ[pos] |= updaters
-                for pos in ranged:
-                    succ[pos] |= updaters
-        backward = False  # some edge points to a lower position
-        for i in range(n):
-            succ[i] &= ~bit[i]  # a read-modify-write does not precede itself
-            if succ[i] & (bit[i] - 1):
-                backward = True
-
-        # Propagate in reverse position order: chain edges always point to
-        # higher positions, so this is near reverse-topological; iterate to
-        # a fixpoint so backward rw edges (and any cycles) close exactly.
-        # With every edge forward, one pass is exact: each successor's
-        # reach is final before it is read, so a second pass changes nothing.
-        reach = list(succ)
-        changed = True
-        while changed:
-            changed = False
-            for i in range(n - 1, -1, -1):
-                acc = bits = succ[i]
-                while bits:
-                    low = bits & -bits
-                    acc |= reach[low.bit_length() - 1]
-                    bits ^= low
-                if acc != reach[i]:
-                    reach[i] = acc
-                    changed = backward
-        self.reach = reach
+        #: the closure, shared with the Rule-3 records built from this graph
+        self.reach = Reach(
+            (len(committed), chains, point_readers, self.range_index.stab if ranges else None)
+        )
 
     @property
     def cyclic(self) -> bool:
         """Whether the committed set itself is non-serializable."""
-        return any(reach >> i & 1 for i, reach in enumerate(self.reach))
+        return any(reach >> i & 1 for i, reach in enumerate(self.reach.bits))
 
     def closes_cycle(self, txn: Txn) -> bool:
         """Would hypothetically committing ``txn`` (an abortee of the same
@@ -348,7 +405,7 @@ class CommittedGraph:
                         out |= 1 << pos
         if out & into:
             return True
-        reach = self.reach
+        reach = self.reach.bits
         while out:
             low = out & -out
             if reach[low.bit_length() - 1] & into:

@@ -18,16 +18,23 @@ middle transaction aborts (same as Rule 1); when the closing edge comes from
 a later block, the later transaction aborts — so every replica, regardless
 of message timing, reaches the same decision (Figure 6).
 
-The implementation keeps a :class:`CommittedRecord` per committed updater
-of the previous block (its TID, final ``min_out`` and witness position),
-indexed by written key, next to the committed readers and the block's
-reachability closure (:class:`PrevBlockRecords`). Validation of block *i*
-consults those records for:
+The implementation keeps the previous block's committed facts by *witness
+position* (the block's serial witness order, ascending ``(min_out, tid)``):
+per written key the positions of its committed updaters, per point-read key
+the positions of its committed readers, the committed range reads, and per
+position the TID, the final ``min_out`` and the reachability closure
+(:class:`PrevBlockRecords`) — plain tuples, no per-transaction object.
+Validation of block *i* consults those records for:
 
 - (ii) incoming inter-block ww/wr dependencies that close a structure on a
   current-block middle transaction, and
 - (iii) outgoing inter-block rw edges into a previous-block transaction that
   was itself a structure middle (``min_out < tid``) — the Figure 6 case.
+
+Both start from a backward edge, i.e. from a read: a transaction that reads
+nothing closes no inter-block structure and is skipped, and a block in which
+nobody reads (fused blind updates, every ``ycsb-hotspot`` block) builds no
+rw index at all.
 
 Performance: the hot loops run against sorted-key / interval indexes —
 range reads slice the previous block's written keys with two bisects,
@@ -35,7 +42,8 @@ written keys stab the committed range readers, and the committed-block
 reachability closure comes from the block's one
 :class:`~repro.core.dependencies.CommittedGraph` and *stays* per-position
 bitsets in the records (a reachability probe is a shift and a mask; the
-records are O(n) ints to build, share, checkpoint and pickle). This is the
+records are O(n) ints to build, share, checkpoint and pickle), closed only
+when the oracle or a structure first asks for it. This is the
 only implementation; the quadratic scans it replaced are
 ``tests/reference`` (``reference_validate``, ``reachability``), which
 ``tests/test_perf_differential.py`` holds it bit-identical to.
@@ -47,25 +55,11 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from operator import attrgetter
 
-from repro.core.dependencies import BlockDependencyIndex, CommittedGraph
+from repro.core.dependencies import BlockDependencyIndex, CommittedGraph, Reach
 from repro.intervals import RangeIndex, SortedKeys
 from repro.txn.transaction import AbortReason, Txn, TxnStatus
 
 NEG_INF = float("-inf")
-
-
-@dataclass(frozen=True, slots=True)
-class CommittedRecord:
-    """What later blocks need to know about a committed updater."""
-
-    tid: int
-    min_out: int
-    #: position in the block's serial witness order (ascending min_out, tid)
-    witness_pos: int = 0
-
-    @property
-    def was_structure_middle(self) -> bool:
-        return self.min_out < self.tid
 
 
 class FrozenDict(dict):
@@ -87,21 +81,33 @@ class FrozenDict(dict):
 class PrevBlockRecords:
     """Committed-transaction facts of the previous block (Rule 3 inputs).
 
-    Immutable by construction: :meth:`HarmonyValidator.records_for` builds
-    a fresh one per block and the executor *replaces* its reference, so a
-    checkpoint and a recovered replica may hold the same object —
-    ``copy.deepcopy`` returns it unchanged.
+    Everything is indexed by *witness position* — the committed
+    transaction's place in the block's serial witness order, i.e. a
+    position of the block's :class:`~repro.core.dependencies.CommittedGraph`
+    — and built at C speed from that graph, with no per-transaction or
+    per-key object. Immutable by construction:
+    :meth:`HarmonyValidator.records_for` builds a fresh one per block and
+    the executor *replaces* its reference, so a checkpoint and a recovered
+    replica may hold the same object — ``copy.deepcopy`` returns it
+    unchanged.
     """
 
-    #: key -> committed records that wrote it
+    #: key -> witness positions of its committed updaters (ascending)
     writers: FrozenDict = field(default_factory=FrozenDict)
-    #: key -> witness_pos of each committed point reader
+    #: key -> witness positions of its committed point readers
     readers: FrozenDict = field(default_factory=FrozenDict)
-    #: (start, end, witness_pos) of each committed range read
+    #: (start, end, witness position) of each committed range read
     range_readers: tuple = ()
-    #: witness_pos -> bitset (bit j = witness_pos j) of what it reaches
-    #: through >= 1 edge of the committed block's dependency graph
-    reachable: tuple = ()
+    #: witness position -> TID
+    tids: tuple = ()
+    #: witness position -> final ``min_out`` (``min_out < tid``: the
+    #: transaction was a structure middle)
+    min_outs: tuple = ()
+    #: witness position -> bitset (bit j = position j) of what it reaches
+    #: through >= 1 edge of the committed block's dependency graph — the
+    #: graph's own :class:`~repro.core.dependencies.Reach`, closed on the
+    #: first structure that needs it
+    reachable: Reach | tuple = ()
 
     def __bool__(self) -> bool:
         return bool(self.writers or self.readers or self.range_readers)
@@ -119,7 +125,7 @@ class PrevBlockRecords:
 
     @cached_property
     def range_reader_index(self) -> RangeIndex:
-        """Stabbing index over committed range reads, payload = witness_pos."""
+        """Stabbing index over committed range reads, payload = position."""
         return RangeIndex(self.range_readers)
 
 
@@ -157,17 +163,22 @@ class HarmonyValidator:
         writer facts (only consulted when ``inter_block``).
         """
         stats = ValidationStats()
-        index = BlockDependencyIndex(txns)
 
         # --- simulation-step events: fold rw edges into the counters
         # (every on_seeing_rw_dependency event, fused: no per-edge object).
+        # A block nobody reads in has no rw edge: no index to build, and
+        # no inter-block structure to close either.
+        reads = False
         for txn in txns:
             txn.min_out = txn.tid + 1
             txn.max_in = NEG_INF
-        index.fold_rw_counters()
+            if txn.read_set or txn.read_ranges:
+                reads = True
+        if reads:
+            BlockDependencyIndex(txns).fold_rw_counters()
 
         inter_doomed: set[int] = set()
-        if self.inter_block and prev_records:
+        if reads and self.inter_block and prev_records:
             self._fold_inter_block_edges(txns, prev_records, inter_doomed)
 
         # --- commit-step checks, in TID order (deterministic).
@@ -212,8 +223,9 @@ class HarmonyValidator:
           ``T``). A cross-block cycle exists iff some backward target ``W``
           reaches some forward source ``S`` through the previous block's
           committed dependency graph (``T -> W ->* S -> T``); reachability
-          is precomputed in :meth:`HarmonyValidator.records_for`, so the
-          check here is exact, not a TID heuristic.
+          is the committed block's closure, handed on by
+          :meth:`HarmonyValidator.records_for` (and closed on the first
+          such check), so the check here is exact, not a TID heuristic.
 
         All inputs are committed facts of an already-decided block, so every
         replica reaches identical decisions regardless of message timing.
@@ -221,43 +233,48 @@ class HarmonyValidator:
         Each range read slices ``prev``'s written keys with two bisects;
         each written key stabs the committed-range-reader index —
         O((reads + writes) · log |prev| + hits) per transaction instead of
-        a full scan of ``prev`` per read range / written key.
+        a full scan of ``prev`` per read range / written key. Every
+        structure starts from a backward target, so a transaction that
+        reads nothing is skipped, and the forward sources are collected
+        only for one that has a backward target and is not already doomed.
         """
-        writer_keys = prev.writer_key_index
-        # stabbed per written key only when ``prev`` committed a range read
+        # the sorted written keys are built on the first range read; the
+        # range readers are stabbed per written key only when ``prev``
+        # committed a range read
         stab = prev.range_reader_index.stab if prev.range_readers else None
         prev_writers = prev.writers
         prev_readers = prev.readers
+        tids, min_outs = prev.tids, prev.min_outs
         for txn in txns:
+            read_set, read_ranges = txn.read_set, txn.read_ranges
+            if not read_set and not read_ranges:
+                continue
             backward_positions: set[int] = set()
+            for key in read_set:
+                positions = prev_writers.get(key)
+                if positions is not None:
+                    backward_positions.update(positions)
+            for start, end in read_ranges:
+                for key in prev.writer_key_index.in_range(start, end):
+                    backward_positions.update(prev_writers[key])
+            if not backward_positions:
+                continue
+            tid = txn.tid
+            for pos in backward_positions:
+                writer_tid = tids[pos]
+                if writer_tid < txn.min_out:
+                    txn.min_out = writer_tid
+                if min_outs[pos] < writer_tid:  # was a structure middle
+                    inter_doomed.add(tid)
+            if tid in inter_doomed:
+                continue
+
             forward_positions: set[int] = set()
-
-            # Backward targets (inlined — this runs once per committed
-            # writer hit).
-            for key in txn.read_set:
-                for record in prev_writers.get(key, ()):
-                    if record.tid < txn.min_out:
-                        txn.min_out = record.tid
-                    backward_positions.add(record.witness_pos)
-                    if record.min_out < record.tid:  # was a structure middle
-                        inter_doomed.add(txn.tid)
-            for start, end in txn.read_ranges:
-                for key in writer_keys.in_range(start, end):
-                    for record in prev_writers[key]:
-                        if record.tid < txn.min_out:
-                            txn.min_out = record.tid
-                        backward_positions.add(record.witness_pos)
-                        if record.min_out < record.tid:
-                            inter_doomed.add(txn.tid)
-
             for key in txn.write_set:
-                for record in prev_writers.get(key, ()):  # ww into T
-                    forward_positions.add(record.witness_pos)
-                for pos in prev_readers.get(key, ()):  # rw into T
-                    forward_positions.add(pos)
+                forward_positions.update(prev_writers.get(key, ()))  # ww into T
+                forward_positions.update(prev_readers.get(key, ()))  # rw into T
                 if stab is not None:
-                    for pos in stab(key):
-                        forward_positions.add(pos)
+                    forward_positions.update(stab(key))
 
             self._close_structure(
                 txn, prev, backward_positions, forward_positions, inter_doomed
@@ -314,24 +331,15 @@ class HarmonyValidator:
         """
         if graph is None:
             graph = CommittedGraph(txns)
-        committed = graph.txns
-        records = [
-            CommittedRecord(txn.tid, txn.min_out, pos) if txn.write_set else None
-            for pos, txn in enumerate(committed)
-        ]
+        committed, chains, point_readers = graph.txns, graph.chains, graph.point_readers
+        writers = FrozenDict(zip(chains, map(tuple, chains.values())))
+        readers = FrozenDict(zip(point_readers, map(tuple, point_readers.values())))
+        graph.reach.rebase(writers, readers)
         return PrevBlockRecords(
-            writers=FrozenDict(
-                {
-                    key: tuple([records[pos] for pos in chain])
-                    for key, chain in graph.chains.items()
-                }
-            ),
-            readers=FrozenDict(
-                {
-                    key: tuple(positions)
-                    for key, positions in graph.point_readers.items()
-                }
-            ),
+            writers=writers,
+            readers=readers,
             range_readers=tuple(graph.ranges),
-            reachable=tuple(graph.reach),
+            tids=tuple(map(attrgetter("tid"), committed)),
+            min_outs=tuple(map(attrgetter("min_out"), committed)),
+            reachable=graph.reach,
         )

@@ -17,7 +17,7 @@ from __future__ import annotations
 from repro.sim.rng import SeededRng
 from repro.txn.procedures import ProcedureRegistry
 from repro.txn.transaction import TxnSpec
-from repro.workloads.base import ShardAffinity, Workload, params
+from repro.workloads.base import ShardAffinity, Workload
 from repro.workloads.ycsb import key_of
 
 HOT_FRACTION = 0.01
@@ -121,7 +121,8 @@ class HotspotWorkload(Workload):
                     tries += 1
                 chosen.add(key)
                 ops.append((update_kind, key, 1 + randbelow(9)))
-            specs.append(TxnSpec("hotspot_txn", params(ops=tuple(ops))))
+            # ``params(ops=...)``, written out: one parameter, nothing to sort
+            specs.append(TxnSpec("hotspot_txn", (("ops", tuple(ops)),)))
         return specs
 
     # ---------------------------------------------------------- shard hints

@@ -93,17 +93,17 @@ def _fold_inter_block_edges(
 ) -> None:
     backward: set[int] = set()  # witness positions txn must precede
     forward: set[int] = set()  # witness positions that precede txn
-    for key, records in prev.writers.items():
+    for key, positions in prev.writers.items():
         if key in txn.read_set or any(
             covers(start, end, key) for start, end in txn.read_ranges
         ):
-            for record in records:
-                txn.min_out = min(txn.min_out, record.tid)
-                backward.add(record.witness_pos)
-                if record.was_structure_middle:
+            for pos in positions:
+                txn.min_out = min(txn.min_out, prev.tids[pos])
+                backward.add(pos)
+                if prev.min_outs[pos] < prev.tids[pos]:  # a structure middle
                     inter_doomed.add(txn.tid)
     for key in txn.write_set:
-        forward.update(record.witness_pos for record in prev.writers.get(key, ()))
+        forward.update(prev.writers.get(key, ()))
         forward.update(prev.readers.get(key, ()))
         forward.update(
             pos for start, end, pos in prev.range_readers if covers(start, end, key)

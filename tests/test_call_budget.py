@@ -1,15 +1,18 @@
-"""The short-transaction path's call budget.
+"""The short-transaction and read-free paths' call budgets.
 
 A SmallBank transaction touches one to three keys, so what it costs on the
 host clock is mostly the Python frames around its procedure: the spec draw,
 the page charge, the per-block status reads, the scheduler task and its
-state-hash entry. This test counts them deterministically — cProfile's
-``total_calls`` (Python frames and C calls alike) over one 10-block run
-shaped like the e2e benchmark's ``smallbank_1shard`` — and fails when a
-frame comes back, instead of waiting for a noisy wall-clock pairs run.
+state-hash entry. A ``ycsb-hotspot`` block is fused blind updates: nothing
+reads, so nothing on the reader side of validation (the rw index, the
+Rule-3 fold, the committed closure) should run at all. These tests count
+both deterministically — cProfile's ``total_calls`` (Python frames and C
+calls alike) over one 10-block run shaped like the e2e benchmark's
+``smallbank_1shard`` / ``ycsb_hotspot`` — and fail when a frame comes back,
+instead of waiting for a noisy wall-clock pairs run.
 
 The count depends on the interpreter (which builtins a call goes through),
-so the bound is stated for CPython 3.11, the version CI pins; other minor
+so the bounds are stated for CPython 3.11, the version CI pins; other minor
 versions skip.
 """
 
@@ -24,20 +27,25 @@ import pytest
 from repro.chain.system import OEBlockchain, OEConfig
 from repro.workloads import ShardAffinity, make_workload
 
-#: measured at 154.0 calls per attempted transaction on CPython 3.11.7
-#: (247.5 before the short-path levers); about 5 % headroom
-CALLS_PER_TXN_BOUND = 162
+#: measured at 148.9 calls per attempted transaction on CPython 3.11.7
+#: (247.5 before the short-path levers, 154.0 before the read-free ones);
+#: about 5 % headroom
+SMALLBANK_CALLS_PER_TXN_BOUND = 156
 
+#: measured at 191.9 calls per attempted transaction on CPython 3.11.7
+#: (230 while a read-free block still built the reader side); about 5 %
+#: headroom
+HOTSPOT_CALLS_PER_TXN_BOUND = 201
 
-@pytest.mark.skipif(
+only_cpython_311 = pytest.mark.skipif(
     sys.version_info[:2] != (3, 11),
     reason="the call count is interpreter-specific; the bound is for CPython 3.11",
 )
-def test_smallbank_short_path_call_budget():
-    chain = OEBlockchain(
-        OEConfig(block_size=100, num_blocks=10, seed=7),
-        make_workload("smallbank", affinity=ShardAffinity(4, 0.1)),
-    )
+
+
+def calls_per_txn(workload) -> float:
+    """cProfile calls per attempted transaction of one 10 x 100 run."""
+    chain = OEBlockchain(OEConfig(block_size=100, num_blocks=10, seed=7), workload)
     profiler = cProfile.Profile()
     profiler.enable()
     try:
@@ -45,8 +53,21 @@ def test_smallbank_short_path_call_budget():
     finally:
         profiler.disable()
     attempted = metrics.committed + metrics.aborted
-    calls = pstats.Stats(profiler).total_calls
     assert attempted == 1000
-    assert calls / attempted <= CALLS_PER_TXN_BOUND, (
-        f"{calls / attempted:.1f} calls per transaction, budget {CALLS_PER_TXN_BOUND}"
+    return pstats.Stats(profiler).total_calls / attempted
+
+
+@only_cpython_311
+def test_smallbank_short_path_call_budget():
+    calls = calls_per_txn(make_workload("smallbank", affinity=ShardAffinity(4, 0.1)))
+    assert calls <= SMALLBANK_CALLS_PER_TXN_BOUND, (
+        f"{calls:.1f} calls per transaction, budget {SMALLBANK_CALLS_PER_TXN_BOUND}"
+    )
+
+
+@only_cpython_311
+def test_hotspot_read_free_path_call_budget():
+    calls = calls_per_txn(make_workload("ycsb-hotspot"))
+    assert calls <= HOTSPOT_CALLS_PER_TXN_BOUND, (
+        f"{calls:.1f} calls per transaction, budget {HOTSPOT_CALLS_PER_TXN_BOUND}"
     )

@@ -334,10 +334,14 @@ class TestDeltaIsolation:
             stored.writers.update({})
         with pytest.raises((TypeError, AttributeError)):
             stored.writers[some_key].append(None)
+        with pytest.raises(TypeError):
+            stored.writers[some_key][0] = -1
         with pytest.raises(dataclasses.FrozenInstanceError):
             stored.reachable = ()
         with pytest.raises(dataclasses.FrozenInstanceError):
-            stored.writers[some_key][0].min_out = -1
+            stored.min_outs = ()
+        with pytest.raises(TypeError):
+            stored.min_outs[stored.writers[some_key][0]] = -1
         # ... yet still cross a process boundary intact
         assert pickle.loads(pickle.dumps(stored)) == stored
         assert isinstance(pickle.loads(pickle.dumps(stored)), PrevBlockRecords)

@@ -3,9 +3,11 @@
 Two contracts:
 
 - :func:`repro.collector.collector_paused` disables the collector for its
-  body, settles (one ``gc.collect(1)``) and re-enables on the way out, and
-  does nothing at all when it finds the collector already off — nested in
-  another pause, or under a caller who disabled it;
+  body, settles (``gc.freeze()`` + ``gc.unfreeze()``: the survivors move to
+  the oldest generation, no collection runs) and re-enables on the way out,
+  and does nothing at all when it finds the collector already off — nested
+  in another pause, or under a caller who disabled it. A caller holding
+  frozen objects gets one ``gc.collect(1)`` instead, and keeps them frozen;
 - **the pipeline is acyclic by construction**: with the collector off, a
   whole build → ``run()`` → replica replay → crash recovery of every
   registered workload x scheme, a sharded run, a traced run and fault
@@ -17,6 +19,7 @@ Two contracts:
 from __future__ import annotations
 
 import gc
+import weakref
 
 import pytest
 
@@ -67,6 +70,19 @@ def churn() -> list:
     return [[i] for i in range(4 * gc.get_threshold()[0])]
 
 
+class Ring:
+    """A reference cycle (the instance refers to itself) that a weak
+    reference can watch."""
+
+    def __init__(self) -> None:
+        self.me = self
+
+
+def young_count() -> int:
+    """Allocations since the last collection or settle (generation 0)."""
+    return gc.get_count()[0]
+
+
 class TestCollectorPaused:
     def test_pauses_settles_and_resumes(self, collections):
         with collector_paused():
@@ -74,16 +90,54 @@ class TestCollectorPaused:
             kept = churn()
             assert collections == []  # nothing ran while paused
         assert gc.isenabled()
-        assert collections == [1]  # the settle, once
+        assert collections == []  # and the settle walked nothing either
         del kept
 
     def test_leaves_no_collection_debt_to_the_caller(self, collections):
         with collector_paused():
             kept = churn()
-            assert gc.get_count()[0] > gc.get_threshold()[0]
+            assert young_count() > gc.get_threshold()[0]
         # the survivors were aged inside the section that allocated them:
         # the caller's next allocation does not pay for a pass over them
-        assert gc.get_count()[0] < gc.get_threshold()[0]
+        assert young_count() == 0
+        assert collections == []
+        del kept
+
+    def test_the_survivors_sit_in_the_oldest_generation(self, collections):
+        with collector_paused():
+            kept = churn()
+        ids = {id(obj) for obj in kept}
+        assert sum(id(obj) in ids for obj in gc.get_objects(generation=2)) == len(kept)
+        for young in (0, 1):
+            assert not any(id(obj) in ids for obj in gc.get_objects(generation=young))
+        assert gc.get_freeze_count() == 0  # nothing stays frozen
+        del kept
+
+    def test_a_cycle_left_in_a_section_is_freed_by_the_next_full_collection(
+        self, collections
+    ):
+        with collector_paused():
+            ring = weakref.ref(Ring())
+        assert collections == []
+        assert ring() is not None  # only the cyclic collector can free it ...
+        gc.collect()
+        assert ring() is None  # ... and the settle did not hide it from it
+
+    def test_a_caller_s_frozen_objects_stay_frozen(self, collections):
+        gc.freeze()
+        try:
+            held = gc.get_freeze_count()
+            assert held > 0
+            with collector_paused():
+                kept = churn()
+            assert gc.get_freeze_count() == held  # not released by the settle
+            assert collections == [1]  # which was one pass over the young
+            assert young_count() < gc.get_threshold()[0]
+            assert gc.isenabled()
+            ids = {id(obj) for obj in kept}
+            assert sum(id(obj) in ids for obj in gc.get_objects(generation=2)) == len(kept)
+        finally:
+            gc.unfreeze()
         del kept
 
     def test_a_collector_the_caller_disabled_stays_disabled(self, collections):
@@ -93,6 +147,7 @@ class TestCollectorPaused:
             kept = churn()
         assert not gc.isenabled()
         assert collections == []  # and nobody settled on its behalf
+        assert young_count() > gc.get_threshold()[0]
         del kept
 
     def test_nested_entries_do_nothing(self, collections):
@@ -102,34 +157,44 @@ class TestCollectorPaused:
             # the inner exit neither settled nor re-enabled
             assert not gc.isenabled()
             assert collections == []
+            assert young_count() > gc.get_threshold()[0]
             with collector_paused():
                 pass
             assert not gc.isenabled()
             assert collections == []
         assert gc.isenabled()
-        assert collections == [1]
+        assert young_count() == 0  # the outermost exit settled
+        assert collections == []
         del kept
 
     def test_an_exception_still_settles_and_resumes(self, collections):
         with pytest.raises(KeyError):
             with collector_paused():
+                kept = churn()
                 raise KeyError("boom")
         assert gc.isenabled()
-        assert collections == [1]
+        assert young_count() == 0
+        assert collections == []
+        del kept
 
     def test_decorated_function_is_paused_per_call(self, collections):
         @collector_paused()
         def walk(n: int) -> tuple:
-            return gc.isenabled(), n
+            kept = churn()
+            seen = gc.isenabled(), young_count() > gc.get_threshold()[0]
+            del kept
+            return (*seen, n)
 
-        assert walk(1) == (False, 1)
-        assert walk(2) == (False, 2)
+        assert walk(1) == (False, True, 1)
+        assert young_count() == 0
+        assert walk(2) == (False, True, 2)
         assert gc.isenabled()
-        assert collections == [1, 1]
+        assert collections == []
 
     def test_recovery_runs_paused(self, collections, monkeypatch):
         """Crash recovery walks blocks too: the engine rebuild and the
-        replay run with the collector off, and the caller sees one settle."""
+        replay run with the collector off, and the caller sees no
+        collection and no pending one."""
         import repro.shard.recovery as recovery
 
         chain = OEBlockchain(
@@ -147,7 +212,8 @@ class TestCollectorPaused:
         collections.clear()
         recovered = recover_node(chain.node)
         assert seen == [False]
-        assert collections == [1]
+        assert collections == []
+        assert young_count() == 0
         assert recovered.state_hash() == chain.node.state_hash()
 
     def test_scaling_guard_times_paused_and_hands_the_collector_back(self, collections):

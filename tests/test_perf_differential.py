@@ -235,6 +235,128 @@ class TestValidation:
         )
 
 
+#: the four kinds of transaction a Rule-3 skip must tell apart
+READ_KINDS = ("read_free", "miss", "hit", "range")
+
+
+@st.composite
+def mixed_block(draw, prev_written, first_tid: int, kinds):
+    """A block of read-free transactions, point reads that miss the
+    previous block's writes (keys past ``NUM_KEYS``, which no previous
+    block writes), point reads that hit them and range reads; every kind
+    writes anywhere, so it can also be a forward source's target."""
+    hits = sorted(prev_written) or [_key(0)]
+    txns = []
+    drawn = draw(st.lists(kinds, min_size=1, max_size=10))
+    for tid, kind in enumerate(drawn, start=first_tid):
+        txn = Txn(tid=tid, block_id=1, spec=TxnSpec("ops"))
+        if kind == "miss":
+            for i in draw(st.lists(st.integers(0, 5), min_size=1, max_size=3, unique=True)):
+                txn.read_set[_key(NUM_KEYS + i)] = None
+        elif kind == "hit":
+            for key in draw(st.lists(st.sampled_from(hits), min_size=1, max_size=3, unique=True)):
+                txn.read_set[key] = None
+        elif kind == "range":
+            start = draw(st.integers(0, NUM_KEYS - 1))
+            txn.read_ranges.append((_key(start), _key(start + draw(st.integers(1, 8)))))
+        for i in draw(st.lists(st.integers(0, NUM_KEYS - 1), max_size=3, unique=True)):
+            txn.record_update(_key(i), AddValue(1))
+        txns.append(txn)
+    return txns
+
+
+def _decided_records(prev_txns):
+    """``prev_txns`` validated, committed and turned into Rule-3 records."""
+    HarmonyValidator().validate(prev_txns)
+    return HarmonyValidator.records_for(prev_txns, graph=commit_survivors(prev_txns))
+
+
+def _assert_same_decisions(block, records):
+    """``validate`` and ``reference_validate`` agree on every status, reason
+    and counter, with Rule 3 on and off."""
+    for inter_block in (False, True):
+        a, b = clone_block(block), clone_block(block)
+        stats_ref = reference.reference_validate(a, records, inter_block=inter_block)
+        stats_fast = HarmonyValidator(inter_block=inter_block).validate(b, records)
+        assert stats_fast == stats_ref
+        assert [(t.status, t.abort_reason, t.min_out, t.max_in) for t in b] == [
+            (t.status, t.abort_reason, t.min_out, t.max_in) for t in a
+        ]
+
+
+class TestReaderSkips:
+    """The fold skips what no reader needs: a transaction that reads
+    nothing, one whose reads miss the previous block, one already doomed
+    by a backward hit, and the rw index of a block nobody reads in. Each
+    skip must decide exactly what the reference (which skips nothing)
+    decides."""
+
+    @pytest.mark.parametrize(
+        "kinds",
+        # every kind mixed; then blocks where a skip covers every
+        # transaction: nobody reads, every reader misses ``prev``, and no
+        # point read at all (the rw index is still built for the ranges)
+        [READ_KINDS, ("read_free",), ("read_free", "miss"), ("read_free", "range")],
+        ids=["mixed", "all_read_free", "readers_all_miss", "reads_all_ranges"],
+    )
+    @given(prev_txns=txn_block(), data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_identical_to_reference(self, kinds, prev_txns, data):
+        records = _decided_records(prev_txns)
+        block = data.draw(
+            mixed_block(records.writers, len(prev_txns) + 1, st.sampled_from(kinds))
+        )
+        _assert_same_decisions(block, records)
+
+    def test_the_kinds_reach_every_rule_3_outcome(self):
+        """The four kinds are not vacuous: over seeded draws of them the
+        two sides agree while meeting both Rule-3 abort paths — a backward
+        hit on a structure middle and a closed cross-block cycle — and
+        Rule 1 within the block."""
+        outcomes = set()
+        rng = random.Random(2024)
+        for _ in range(300):
+            prev = [
+                Txn(tid=tid, block_id=0, spec=TxnSpec("ops")) for tid in range(1, 9)
+            ]
+            for txn in prev:
+                for i in rng.sample(range(8), 2):
+                    txn.read_set[_key(i)] = None
+                for i in rng.sample(range(8), 2):
+                    txn.record_update(_key(i), AddValue(1))
+            records = _decided_records(prev)
+            block = []
+            for tid in range(9, 15):
+                txn = Txn(tid=tid, block_id=1, spec=TxnSpec("ops"))
+                kind = rng.choice(READ_KINDS)
+                if kind == "hit":
+                    txn.read_set[_key(rng.randrange(8))] = None
+                elif kind == "miss":
+                    txn.read_set[_key(NUM_KEYS)] = None
+                elif kind == "range":
+                    start = rng.randrange(8)
+                    txn.read_ranges.append((_key(start), _key(start + 2)))
+                for i in rng.sample(range(8), 2):
+                    txn.record_update(_key(i), AddValue(1))
+                block.append(txn)
+            _assert_same_decisions(block, records)
+            HarmonyValidator(inter_block=True).validate(block, records)
+            for txn in block:
+                if txn.abort_reason is AbortReason.INTER_BLOCK_STRUCTURE:
+                    read = [k for k in records.writers if txn.reads(k)]
+                    middle = any(
+                        records.min_outs[pos] < records.tids[pos]
+                        for key in read
+                        for pos in records.writers[key]
+                    )
+                    outcomes.add("middle hit" if middle else "cycle closed")
+                elif txn.aborted:
+                    outcomes.add(txn.abort_reason)
+        assert outcomes >= {
+            "middle hit", "cycle closed", AbortReason.BACKWARD_DANGEROUS_STRUCTURE
+        }
+
+
 @st.composite
 def oracle_history(draw):
     """A randomized multi-block committed history for the history oracle:

@@ -27,12 +27,15 @@ layer's ``self_s``, of ``chain.recovery.recover_s`` / ``.replayed_blocks``
 and of ``driver.py_calls_per_txn``. Read layer tables
 from this, not from one traced run: the box's speed drifts by ten percent
 within a second, so a single parent/change pair can show a layer slower on a
-change that is faster end to end. (A revision before PR 19 has a second
-source of the same: its ``run()`` holds 160-310 generation-0, 15-29
-generation-1 and 1-3 generation-2 collections — 15-22 % of its CPU seconds,
-``tools/gc_budget.py`` — each landing in whichever layer crosses an
-allocation threshold. Since PR 19 the walk pauses the collector and settles
-once on the way out, inside ``driver.self_s``.)
+change that is faster end to end. (A revision whose block walk runs with the
+collector on has a second source of the same: its ``run()`` holds 160-310
+generation-0, 15-29 generation-1 and 1-3 generation-2 collections — 15-22 %
+of its CPU seconds, ``tools/gc_budget.py`` — each landing in whichever layer
+crosses an allocation threshold. The walk now pauses the collector, and its
+settle on the way out, inside ``driver.self_s``, runs no collection: it
+moves the survivors to the oldest generation with ``gc.freeze()`` +
+``gc.unfreeze()``. A revision that settled with one ``gc.collect(1)`` pays
+that pass there, 3-8 % of a ``run()``.)
 """
 
 from __future__ import annotations

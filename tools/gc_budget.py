@@ -8,9 +8,12 @@ builds the workload the way the benchmark does (``benchmarks/e2e``'s
 and a full collection), hooks ``gc.callbacks`` around one ``run()`` and one
 ``consistency_check()``, and prints per section and generation: how many
 collections ran, the CPU seconds they took, how many objects they freed,
-and their share of the section's CPU seconds. Collections the program asks
-for itself (``repro.collector``'s settle on leaving a paused section) are
-counted like any other.
+and their share of the section's CPU seconds. Both sections run paused
+(``repro.collector``), so on a calm revision every row reads 0: the settle
+on leaving a paused section ages the survivors with ``gc.freeze()`` +
+``gc.unfreeze()`` and runs no collection. A collection the program asks for
+itself (the settle's one ``gc.collect(1)`` when the caller holds frozen
+objects, or an older revision's settle) is counted like any other.
 
 Then the retention table: a second build of the same seed, traced by the
 standard library's ``tracemalloc`` (on a build of its own, so the tracing

@@ -3,7 +3,7 @@
 
 PY := PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH)) python
 
-.PHONY: test hashseed loc no-twins one-walk one-collector one-process one-claim-home one-encoding one-clock one-trace-record one-commit-pass one-contract one-owner options conformance figures perf-smoke perf faults-smoke faults obs-smoke rebalance-smoke e2e-smoke e2e e2e-pairs
+.PHONY: test hashseed loc no-twins one-walk one-collector one-process one-claim-home one-encoding one-clock one-trace-record one-commit-pass one-contract one-owner one-cost-table options conformance figures perf-smoke perf faults-smoke faults obs-smoke rebalance-smoke e2e-smoke e2e e2e-pairs
 
 # tier-1 verify: the whole default suite (perf/faults/tpcc/figures markers
 # excluded by pytest.ini)
@@ -142,6 +142,18 @@ one-owner:
 	@! grep -nE "while lo < hi" src/repro/storage/mvstore.py
 	@! grep -nF "sorted(value.items())" src/repro/encoding.py
 	@echo "one-owner: ok"
+
+# one calibration table for the modeled clock: every cost, wire size and
+# network preset is a field of src/repro/sim/costs.py's CostModel, read from
+# DEFAULT_COSTS through cost_table() — nothing else under src/repro builds a
+# CostModel, builds a NetworkModel from numeric literals, defines a
+# module-level *_BYTES size or divides by a literal command size
+one-cost-table:
+	@! grep -rnE --include='*.py' "CostModel\(" src/repro | grep -v '^src/repro/sim/costs\.py:'
+	@! grep -rlPz --include='*.py' "NetworkModel\((?:[^)]*?[,=])?\s*[-+]?\.?[0-9]" src/repro
+	@! grep -rnE --include='*.py' "^[A-Z0-9_]*_BYTES\s*(:[^=]*)?=" src/repro | grep -v '^src/repro/sim/costs\.py:'
+	@! grep -rnF --include='*.py' "// 128" src/repro
+	@echo "one-cost-table: ok"
 
 # every option has a user: each field of the run configuration (RunConfig,
 # OEConfig, SOVConfig, ShardConfig, HarmonyConfig) is set by a caller outside

@@ -26,7 +26,7 @@ from repro.consensus.hotstuff import HotStuffConsensus
 from repro.consensus.network import NetworkModel, NetworkPreset
 from repro.core.harmony import HarmonyConfig
 from repro.shard.system import ShardConfig, ShardedBlockchain
-from repro.sim.costs import CostModel, StorageProfile
+from repro.sim.costs import StorageProfile, cost_table
 from repro.sim.metrics import RunMetrics
 from repro.workloads import make_workload as _registry_make_workload
 from repro.workloads.base import ShardAffinity
@@ -167,12 +167,13 @@ def figure1(scale: BenchScale | None = None) -> ExperimentResult:
     result.add("rbc (disk DB layer)", metrics.throughput_tps / 1000.0)
     metrics = run_oe("aria", "smallbank", scale, profile=StorageProfile.MEMORY)
     result.add("aria (memory DB layer)", metrics.throughput_tps / 1000.0)
-    costs = CostModel()
+    costs = cost_table()
     for preset, label in (
         (NetworkPreset.CLOUD_LAN_5G, "hotstuff 80 nodes (LAN)"),
         (NetworkPreset.CLOUD_WAN, "hotstuff 80 nodes (WAN)"),
     ):
-        consensus = HotStuffConsensus(NetworkModel.preset(preset), costs, num_nodes=80)
+        network = NetworkModel.preset(preset, costs)
+        consensus = HotStuffConsensus(network, costs, num_nodes=80)
         result.add(label, consensus.throughput_tps() / 1000.0)
     return result
 
@@ -593,16 +594,15 @@ def _bft(workload_name: str, scale: BenchScale | None) -> ExperimentResult:
     )
     for consensus in ("hotstuff", "kafka"):
         for nodes in REPLICA_COUNTS:
-            preset = (
-                NetworkPreset.CLOUD_WAN if nodes > 20 else NetworkPreset.CLOUD_LAN_5G
-            )
+            # the geo-distributed cloud is one region's LAN up to the cost
+            # table's nodes_per_region, WAN beyond it
             metrics = run_oe(
                 "harmony",
                 workload_name,
                 scale,
                 consensus=consensus,
                 num_replicas=nodes,
-                network=preset,
+                network=NetworkPreset.CLOUD_WAN,
             )
             result.add(consensus, nodes, metrics.throughput_tps, metrics.mean_latency_ms)
     return result
@@ -788,9 +788,9 @@ def figure21(scale: BenchScale | None = None) -> ExperimentResult:
     profiles = tuple(
         zip(ENGINES, (StorageProfile.SSD, StorageProfile.RAMDISK, StorageProfile.MEMORY))
     )
-    costs = CostModel()
+    costs = cost_table()
     consensus = HotStuffConsensus(
-        NetworkModel.preset(NetworkPreset.CLOUD_LAN_5G), costs, num_nodes=80
+        NetworkModel.preset(NetworkPreset.CLOUD_LAN_5G, costs), costs, num_nodes=80
     )
     for workload_name in F21_WORKLOADS:
         for label, profile in profiles:

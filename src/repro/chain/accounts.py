@@ -12,7 +12,6 @@ per-block latency and the io / state / ledger totals.
 from __future__ import annotations
 
 from repro.chain.config import decision_part, digest_parts
-from repro.sim.costs import REPLICA_CORES
 from repro.sim.metrics import BlockStats, RunMetrics
 from repro.sim.scheduler import PipelineSimulator, merge_shard_results
 from repro.storage.mvstore import combine_state_hashes
@@ -69,13 +68,14 @@ class RunAccounts:
         return stats
 
     def finish(
-        self, inter_block: bool, snapshot_lag: int, fixed_latency_us, reply_us, nodes
+        self, cores, inter_block: bool, snapshot_lag: int, fixed_latency_us, reply_us, nodes
     ) -> RunMetrics:
-        """Clock the lanes, price every committed transaction and total the
-        replicas; returns the run's metrics."""
+        """Clock the lanes (``cores`` wide each: one replica machine's),
+        price every committed transaction and total the replicas; returns
+        the run's metrics."""
         metrics = self.metrics
         scheduler = PipelineSimulator(
-            num_cores=REPLICA_CORES, inter_block=inter_block, snapshot_lag=snapshot_lag
+            num_cores=cores, inter_block=inter_block, snapshot_lag=snapshot_lag
         )
         results = [scheduler.simulate(timings) for timings in self.lanes]
         # lanes run on disjoint cores: one timeline, the slowest lane's

@@ -26,15 +26,6 @@ from repro.storage.engine import StorageEngine
 from repro.storage.wal import LogMode
 from repro.txn.transaction import TxnStatus
 
-#: bytes shipped per transaction command in an OE block (vs the ~1.5 KB
-#: endorsed read-write sets SOV ships — the Figures 15/16 asymmetry).
-COMMAND_BYTES = 128
-#: bytes of one batched remote-read round of a cross-shard simulation
-#: (request + values)
-CROSS_READ_BYTES = 256
-#: bytes of one prepare vote on the wire
-VOTE_BYTES = 64
-
 
 def decision_part(block_id: int, txns) -> str:
     """One block's share of :func:`decision_digest`: its committed and

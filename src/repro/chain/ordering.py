@@ -23,10 +23,6 @@ class OrderingService:
         self._prev_hash = GENESIS_HASH
         self._next_block_id = 0
 
-    @property
-    def next_block_id(self) -> int:
-        return self._next_block_id
-
     def form_block(self, specs: list[TxnSpec]) -> Block:
         """Cut one block from ``specs``; deterministic and hash-chained."""
         block = Block(

@@ -38,6 +38,7 @@ def rebuild_engine(
     checkpoint = old_engine.checkpoints.latest()
 
     engine = StorageEngine(
+        costs=old_engine.base_costs,
         profile=old_engine.profile,
         pool_pages=old_engine.pool.capacity,
         log_mode=LogMode.LOGICAL,

@@ -33,7 +33,7 @@ from repro.consensus.network import NetworkModel
 from repro.dcc.fabric import FabricValidator, endorsed_value_writes
 from repro.dcc.fastfabric import FastFabricOrderer, FastFabricValidator
 from repro.dcc.oracle import SerializabilityOracle
-from repro.sim.costs import CostModel
+from repro.sim.costs import cost_table
 from repro.sim.metrics import RunMetrics
 from repro.sim.rng import SeededRng
 from repro.sim.scheduler import BlockTiming
@@ -41,17 +41,9 @@ from repro.storage.wal import LogMode
 from repro.txn.context import SimulationContext
 from repro.txn.transaction import AbortReason, Txn
 
-#: fixed per-transaction endorsement overhead: x509 certificates and
-#: signatures for the endorsement policy
-ENDORSED_BASE_BYTES = 1200
-#: per read-/write-set entry: key, version, value, proof
-ENDORSED_RECORD_BYTES = 300
-#: replicas that simulate each transaction before the client reconciles
+#: replicas that simulate each transaction before the client reconciles —
+#: the endorsement policy, a protocol parameter rather than a calibration
 ENDORSERS = 2
-
-
-def endorsed_txn_bytes(records_per_txn: float) -> int:
-    return int(ENDORSED_BASE_BYTES + ENDORSED_RECORD_BYTES * records_per_txn)
 
 
 @dataclass
@@ -70,15 +62,15 @@ class SOVBlockchain:
     def __init__(self, config: SOVConfig, workload) -> None:
         self.config = config
         self.workload = workload
-        self.costs = CostModel()
-        self.network = NetworkModel.preset(config.network)
+        self.costs = cost_table()
+        self.network = NetworkModel.preset(config.network, self.costs)
         self.orderer_signer = Signer("ordering-service")
         self.ordering = OrderingService(self.orderer_signer)
         self.consensus = KafkaOrdering(self.network, self.costs)
         self.registry = self.workload.build_registry()
         self.node = self._build_node("replica-0")
         self.fast_orderer = (
-            FastFabricOrderer() if config.system == "fastfabric" else None
+            FastFabricOrderer(self.costs) if config.system == "fastfabric" else None
         )
 
     def _build_node(self, name: str) -> ReplicaNode:
@@ -162,13 +154,14 @@ class SOVBlockchain:
             # the rw-set broadcast paces block delivery (Figures 15/16)
             records = sum(len(t.read_set) + len(t.write_set) for t in txns)
             per_txn = records / max(1, len(txns))
-            block_bytes = len(txns) * endorsed_txn_bytes(per_txn)
+            txn_bytes = self.costs.endorsed_txn_bytes(per_txn)
+            block_bytes = len(txns) * txn_bytes
             if fixed_latency is None:
                 # two extra client round trips plus the rw-set upload, then
                 # consensus — both priced from the first block
                 fixed_latency = (
                     4 * self.network.one_way_us
-                    + self.network.transfer_us(endorsed_txn_bytes(per_txn))
+                    + self.network.transfer_us(txn_bytes)
                 ) + self.consensus.block_latency_us(block_bytes, config.num_replicas)
             timing = BlockTiming(
                 arrival_us=arrival,
@@ -191,6 +184,7 @@ class SOVBlockchain:
                 block_bytes, config.num_replicas
             )
         return accounts.finish(
+            cores=self.costs.replica_cores,
             inter_block=False,
             snapshot_lag=2,
             fixed_latency_us=fixed_latency,

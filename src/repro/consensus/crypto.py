@@ -53,9 +53,6 @@ class KeyRegistry:
         self._signers[identity] = signer
         return signer
 
-    def is_enrolled(self, identity: str) -> bool:
-        return identity in self._signers
-
     def verify(self, identity: str, payload: bytes | str, signature: str) -> bool:
         signer = self._signers.get(identity)
         if signer is None:

@@ -31,12 +31,10 @@ class HotStuffConsensus:
     network: NetworkModel
     costs: CostModel
     num_nodes: int
-    #: consensus batches are larger than database blocks; the ordering
-    #: service re-cuts them (the paper tunes block size per system).
+    #: a protocol parameter, not a calibration: consensus batches are
+    #: larger than database blocks and the ordering service re-cuts them
+    #: (the paper tunes block size per system)
     batch_size: int = 1000
-    #: bytes per transaction on the proposal critical path — hash-based
-    #: dissemination (payloads sync off the critical path).
-    proposal_bytes_per_txn: int = 32
 
     @property
     def quorum(self) -> int:
@@ -46,13 +44,15 @@ class HotStuffConsensus:
         """Per-round leader work: verify a quorum of votes, sign, hash."""
         verify_votes = self.quorum * self.costs.verify_us
         sign = self.costs.sign_us
-        batch_hash = self.batch_size * self.costs.hash_us * 0.05  # Merkle-ish, amortized
+        # Merkle-ish, amortized over the batch
+        batch_hash = self.batch_size * self.costs.hash_us * self.costs.batch_hash_share
         return verify_votes + sign + batch_hash
 
     def round_interval_us(self) -> float:
         """Steady-state spacing between consecutive committed batches."""
         cpu = self.leader_round_cpu_us()
-        proposal_bytes = self.batch_size * self.proposal_bytes_per_txn
+        # hash-based dissemination: payloads sync off the critical path
+        proposal_bytes = self.batch_size * self.costs.proposal_bytes_per_txn
         serialization = self.network.broadcast_us(proposal_bytes, self.num_nodes - 1)
         return max(cpu, serialization)
 
@@ -71,5 +71,5 @@ class HotStuffConsensus:
     def min_block_interval_us(self, block_bytes: int, num_replicas: int) -> float:
         """Interval scaled from consensus batches down to database blocks."""
         per_txn_us = self.round_interval_us() / self.batch_size
-        block_txns = max(1, block_bytes // 128)
+        block_txns = max(1, block_bytes // self.costs.command_bytes)
         return per_txn_us * block_txns

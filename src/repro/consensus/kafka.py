@@ -21,9 +21,6 @@ class KafkaOrdering:
 
     network: NetworkModel
     costs: CostModel
-    #: replication factor inside the ordering cluster (3 in the paper's
-    #: cloud experiments: "3 of them as the ordering service").
-    ordering_replicas: int = 3
 
     def block_latency_us(self, block_bytes: int, num_replicas: int) -> float:
         """Client -> orderer -> (intra-cluster replication) -> broadcast."""

@@ -3,17 +3,24 @@
 - ``DEFAULT_1G`` — the default 7-node cluster: 1 Gbps Ethernet.
 - ``CLOUD_LAN_5G`` — 80 t3.2xlarge instances in one region (5 Gbps).
 - ``CLOUD_WAN`` — the same instances across 4 continents (Ohio, Mumbai,
-  Sydney, Stockholm): cross-region one-way latency dominates.
+  Sydney, Stockholm): a deployment larger than one region pays the
+  cross-region one-way latency.
 
-Throughput ceilings come from uplink serialization (bytes × fan-out /
-bandwidth); latency terms come from one-way delays. Figures 15–18 are
-driven entirely by these two quantities.
+:meth:`NetworkModel.preset` derives all three from the calibration table
+(:mod:`repro.sim.costs`: ``lan_latency_us`` / ``bandwidth_mbps``,
+``cloud_latency_us`` / ``cloud_bandwidth_mbps``, ``wan_latency_us`` and
+``nodes_per_region``); no preset value lives here. Throughput ceilings come
+from uplink serialization (bytes × fan-out / bandwidth); latency terms come
+from one-way delays. Figures 15–18 are driven entirely by these two
+quantities.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+
+from repro.sim.costs import CostModel
 
 
 class NetworkPreset(enum.Enum):
@@ -28,26 +35,24 @@ class NetworkModel:
 
     one_way_us: float
     bandwidth_mbps: float
-    #: one-way latency between different regions (WAN); same as
-    #: ``one_way_us`` for single-region presets.
-    cross_region_one_way_us: float = None  # type: ignore[assignment]
-    regions: int = 1
-
-    def __post_init__(self) -> None:
-        if self.cross_region_one_way_us is None:
-            object.__setattr__(self, "cross_region_one_way_us", self.one_way_us)
+    #: nodes one region holds (``None``: one region, however many nodes);
+    #: the worst path of a larger deployment crosses regions
+    nodes_per_region: int | None = None
+    #: one-way latency between different regions (WAN)
+    cross_region_one_way_us: float | None = None
 
     @staticmethod
-    def preset(which: NetworkPreset) -> "NetworkModel":
+    def preset(which: NetworkPreset, costs: CostModel) -> "NetworkModel":
+        """One of the paper's clusters, as the cost table calibrates it."""
         if which is NetworkPreset.DEFAULT_1G:
-            return NetworkModel(one_way_us=150.0, bandwidth_mbps=1000.0)
+            return NetworkModel(costs.lan_latency_us, costs.bandwidth_mbps)
         if which is NetworkPreset.CLOUD_LAN_5G:
-            return NetworkModel(one_way_us=100.0, bandwidth_mbps=5000.0)
+            return NetworkModel(costs.cloud_latency_us, costs.cloud_bandwidth_mbps)
         return NetworkModel(
-            one_way_us=100.0,
-            bandwidth_mbps=5000.0,
-            cross_region_one_way_us=75_000.0,
-            regions=4,
+            costs.cloud_latency_us,
+            costs.cloud_bandwidth_mbps,
+            costs.nodes_per_region,
+            costs.wan_latency_us,
         )
 
     def transfer_us(self, nbytes: int) -> float:
@@ -59,16 +64,9 @@ class NetworkModel:
         return self.transfer_us(nbytes) * max(0, fanout)
 
     def worst_one_way_us(self, num_nodes: int) -> float:
-        """Worst one-way delay to reach ``num_nodes`` peers.
-
-        With a geo-distributed deployment the worst path crosses regions as
-        soon as nodes spill beyond one region (the paper places 20 per
-        region: more than 20 nodes => WAN latencies).
-        """
-        if self.regions <= 1:
-            return self.one_way_us
-        per_region = 20
-        if num_nodes <= per_region:
+        """Worst one-way delay to reach ``num_nodes`` peers: WAN as soon as
+        they spill beyond one region."""
+        if self.nodes_per_region is None or num_nodes <= self.nodes_per_region:
             return self.one_way_us
         return self.cross_region_one_way_us
 

@@ -53,7 +53,7 @@ class ReorderingResult:
 def apply_write_sets(
     txns: list[Txn],
     commit_inputs,
-    op_cpu_us: float = 1.0,
+    op_cpu_us: float,
     do_coalesce: bool = True,
     key_scope=None,
 ) -> ReorderingResult:

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 from repro.dcc.oracle import find_cycle
 from repro.execution import OverlayExecutor, OverlayView, PreparedBlock
+from repro.sim.costs import CostModel
 from repro.txn.commands import apply_safely
 from repro.txn.transaction import AbortReason, Txn
 
@@ -40,25 +41,18 @@ class OrderingOutcome:
 class FastFabricOrderer:
     """Builds, prunes and reorders the block dependency graph."""
 
-    def __init__(
-        self,
-        max_graph_txns: int = 150,
-        traversal_unit_us: float = 2.0,
-        build_unit_us: float = 15.0,
-        reorder_unit_us: float = 130.0,
-    ) -> None:
+    def __init__(self, costs: CostModel, max_graph_txns: int = 150) -> None:
+        #: the graph costs: ``graph_build_us`` per rw-set entry (deserialize,
+        #: hash, insert), ``graph_traversal_us`` per node and edge walked,
+        #: ``graph_reorder_us`` per (transaction x edge) of the abort-minimal
+        #: reordering, each unit rescanning two endorsed rw-sets — so YCSB's
+        #: 10-record graphs dominate the block (the paper's profiling: ~75%
+        #: of a transaction's runtime) while Smallbank's stay cheap
+        #: (FastFabric# > Fabric on Smallbank, < on YCSB; Figures 7/8)
+        self.costs = costs
+        #: a protocol parameter, not a calibration: the implementation's
+        #: graph cap (Section 5.3)
         self.max_graph_txns = max_graph_txns
-        self.traversal_unit_us = traversal_unit_us
-        #: serial per-rw-set-entry cost of building the conflict index at
-        #: the orderer (deserialize, hash, insert)
-        self.build_unit_us = build_unit_us
-        #: per (transaction x edge) cost of the abort-minimal reordering —
-        #: each unit rescans two endorsed rw-sets. Calibrated so that with
-        #: YCSB's 10-record transactions the traversal dominates the block
-        #: (the paper's profiling: ~75% of a transaction's runtime goes to
-        #: graph traversal), while Smallbank's sparse graphs stay cheap
-        #: (FastFabric# > Fabric on Smallbank, < on YCSB; Figures 7/8).
-        self.reorder_unit_us = reorder_unit_us
 
     def process(self, txns: list[Txn], state_view=None) -> OrderingOutcome:
         """Early validation + cycle elimination + topological reorder.
@@ -83,9 +77,10 @@ class FastFabricOrderer:
         adjacency = self._build_graph(active)
         edge_count = sum(len(v) for v in adjacency.values())
         entries = sum(len(t.read_set) + len(t.write_set) for t in active)
-        cost = self.traversal_unit_us * (len(active) + edge_count)
-        cost += self.build_unit_us * entries
-        cost += self.reorder_unit_us * len(active) * edge_count
+        costs = self.costs
+        cost = costs.graph_traversal_us * (len(active) + edge_count)
+        cost += costs.graph_build_us * entries
+        cost += costs.graph_reorder_us * len(active) * edge_count
 
         cycles = 0
         victims: set[int] = set()
@@ -102,7 +97,7 @@ class FastFabricOrderer:
             adjacency.pop(victim)
             for targets in adjacency.values():
                 targets.discard(victim)
-            cost += self.traversal_unit_us * (len(adjacency) + edge_count)
+            cost += costs.graph_traversal_us * (len(adjacency) + edge_count)
 
         by_tid = {t.tid: t for t in active}
         for tid in victims:

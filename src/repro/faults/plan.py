@@ -195,11 +195,6 @@ class FaultPlan:
             if e.shard == shard
         )
 
-    def max_block(self) -> int:
-        return max(
-            (e.block_id + e.blocks - 1 for e in self.events), default=-1
-        )
-
 
 def generate_chaos_plan(
     seed: int, num_blocks: int, num_shards: int, num_events: int = 3

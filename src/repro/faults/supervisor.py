@@ -54,7 +54,8 @@ class RetryPolicy:
 
     The schedule is a pure function of the policy — no clocks, no
     jitter — so every replica of the supervisor waits the same simulated
-    microseconds and gives up after the same round.
+    microseconds and gives up after the same round. Its values are the
+    supervisor's protocol parameters, not calibrations of the modeled clock.
     """
 
     max_attempts: int = 5

@@ -73,9 +73,6 @@ class OwnershipTable:
         """The newest epoch number (0 = static policy only)."""
         return len(self._heights) - 1
 
-    def height_of(self, epoch: int) -> int:
-        return self._heights[epoch]
-
     def append(self, height: int, moves) -> int:
         """Install a new epoch effective at ``height``; returns its number."""
         if height < self._heights[-1]:

@@ -42,9 +42,6 @@ from dataclasses import dataclass
 
 from repro.chain.accounts import RunAccounts
 from repro.chain.config import (
-    COMMAND_BYTES,
-    CROSS_READ_BYTES,
-    VOTE_BYTES,
     OEConfig,
     build_engine,
     build_executor,
@@ -67,7 +64,7 @@ from repro.shard.rebalance import (
 from repro.shard.replay import replay_blocks
 from repro.shard.router import ShardRouter
 from repro.shard.twopc import CertificateLog, derive_votes
-from repro.sim.costs import CostModel
+from repro.sim.costs import CostModel, cost_table
 from repro.sim.metrics import RunMetrics
 from repro.sim.rng import SeededRng
 from repro.sim.scheduler import BlockTiming
@@ -216,8 +213,8 @@ class ShardedBlockchain:
             raise ValueError("serial execution does not support num_shards > 1")
         self.config = config
         self.workload = workload
-        self.costs = CostModel()
-        self.network = NetworkModel.preset(config.network)
+        self.costs = cost_table()
+        self.network = NetworkModel.preset(config.network, self.costs)
         self.orderer_signer = Signer("ordering-service")
         self.ordering = OrderingService(self.orderer_signer)
         self.sequencer = ShardSequencer(config.num_shards, self.orderer_signer)
@@ -264,7 +261,7 @@ class ShardedBlockchain:
     def _remote_read_round_us(self) -> float:
         """One batched remote-read exchange of a cross-shard simulation."""
         return self.network.rtt_us(self.config.num_shards) + self.network.transfer_us(
-            CROSS_READ_BYTES
+            self.costs.cross_read_bytes
         )
 
     def _vote_exchange_us(self, num_cross_local: int) -> float:
@@ -272,7 +269,7 @@ class ShardedBlockchain:
         return 2.0 * self.network.worst_one_way_us(
             self.config.num_shards
         ) + self.network.broadcast_us(
-            VOTE_BYTES * num_cross_local, self.config.num_shards - 1
+            self.costs.vote_bytes * num_cross_local, self.config.num_shards - 1
         )
 
     # ---------------------------------------------------------- rebalancing
@@ -525,7 +522,7 @@ class ShardedBlockchain:
         """
         config = self.config
         accounts = RunAccounts(config.system, self.workload.name, lanes=config.num_shards)
-        block_bytes = config.block_size * COMMAND_BYTES
+        block_bytes = config.block_size * self.costs.command_bytes
         interval = self.consensus.min_block_interval_us(block_bytes, config.num_replicas)
         rng = SeededRng(config.seed, f"oe/{config.system}/{self.workload.name}")
         cross_txns = cross_aborted = 0
@@ -545,6 +542,7 @@ class ShardedBlockchain:
 
         inter_block = config.system == "harmony" and config.harmony.inter_block
         metrics = accounts.finish(
+            cores=self.costs.replica_cores,
             inter_block=inter_block,
             snapshot_lag=config.harmony.snapshot_lag if inter_block else 2,
             fixed_latency_us=self.consensus.block_latency_us(

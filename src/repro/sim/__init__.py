@@ -3,8 +3,9 @@
 This package provides the machinery that turns protocol decisions into
 performance numbers without touching real hardware:
 
-- :mod:`repro.sim.costs` — the cost model (disk, CPU, crypto, network) with
-  SSD / RAMDisk / in-memory profiles used by Figure 21.
+- :mod:`repro.sim.costs` — the one calibration table (disk, CPU, crypto,
+  network presets, wire sizes) with the SSD / RAMDisk / in-memory profiles
+  of Figure 21.
 - :mod:`repro.sim.scheduler` — a multi-core list scheduler that computes
   block makespans, pipelining (inter-block parallelism) and CPU utilization.
 - :mod:`repro.sim.metrics` — result containers shared by the bench harness.

@@ -1,19 +1,59 @@
-"""Cost model for the discrete-event simulation.
+"""The modeled clock's one calibration table.
 
-All costs are expressed in microseconds (us) of simulated time, or bytes for
-payload sizes. The constants are calibrated so the *relative* behaviour of
-the reproduced systems matches the paper (the claims beside each experiment
-in ``repro/bench/experiments.py``, deviations included); they are not
-claims about absolute hardware speed.
+Costs are microseconds (us) of simulated time, sizes bytes, calibrated so
+the *relative* behaviour of the reproduced systems matches the paper (the
+claims beside each experiment in ``repro/bench/experiments.py``, deviations
+included), not absolute hardware speed. :data:`DEFAULT_COSTS` is the table
+and :func:`cost_table` its one read: ``ShardedBlockchain``,
+``SOVBlockchain``, a ``StorageEngine`` built without a model and Figures 1
+and 21's HotStuff take their model there and hold it; a recovered engine
+keeps its crashed engine's. ``tests/test_costs.py`` fails on a field whose
+doubling moves no modeled quantity.
 
-Three storage profiles reproduce the Figure 21 axis:
+Each field, what reads it and what it drives. "Runs" is every modeled
+throughput / latency row (Figures 1, 7–12, 14–21, the sharded scale-out);
+Table 3 and Figure 13 count decisions, which no field moves::
 
-- ``SSD`` — the default disk-oriented setting (page I/O dominates).
-- ``RAMDISK`` — the same database engine but with near-zero device latency;
-  buffer-manager and locking overheads remain.
-- ``MEMORY`` — a main-memory engine: no device latency *and* no
-  buffer-manager/locking overhead (the "cost of masking I/O latency"
-  discussed by Stonebraker et al. and in Section 5.8).
+    page_read_us            BufferPool: a miss                           runs; 21 (SSD)
+    page_write_us           a dirty write-back; a checkpoint flush       runs; 21 (SSD)
+    fsync_us                WAL group commit per block; Kafka's append   runs; 21 (SSD)
+    dram_access_us          BufferPool, HeapFile: a hit                  runs
+    index_lookup_us         HeapFile, StorageEngine: a probe             runs
+    latch_us                HeapFile: a page latch                       runs
+    op_cpu_us               an op's CPU: simulate, validate, apply       runs
+    buffer_admin_us         BufferPool: bookkeeping per access           runs
+    hash_us                 ReplicaNode block hash; Kafka, HotStuff CPU  runs; 1, 21
+    batch_hash_share        HotStuff: share of its batch hashed per txn  1, 17/18, 21
+    sign_us                 HotStuff: leader signature per phase         1, 17/18, 21
+    verify_us               ReplicaNode, SOV endorsers, HotStuff votes   runs; 1, 21
+    lan_latency_us          preset DEFAULT_1G: one-way                   runs, not 15–18
+    bandwidth_mbps          preset DEFAULT_1G: uplink                    runs, not 15–18
+    cloud_latency_us        presets CLOUD_*: in-region one-way           1, 15–18, 21
+    cloud_bandwidth_mbps    presets CLOUD_*: uplink                      1, 15–18, 21
+    wan_latency_us          preset CLOUD_WAN: cross-region one-way       1, 17/18
+    nodes_per_region        preset CLOUD_WAN: nodes before paths go WAN  17/18
+    command_bytes           an OE block: Kafka, HotStuff per block       OE runs
+    cross_read_bytes        ShardedBlockchain: a remote-read round       scale-out
+    vote_bytes              ShardedBlockchain: a prepare vote            scale-out
+    endorsed_base_bytes     SOVBlockchain: an endorsed txn's fixed part  SOV runs
+    endorsed_record_bytes   SOVBlockchain: per read/write-set entry      SOV runs
+    proposal_bytes_per_txn  HotStuff: hash-based proposal per txn        1, 17/18, 21
+    ingest_us               OE, SOV: serial per-txn dispatch             runs
+    log_record_us           SOV's physical WAL record; Kafka per block   runs
+    replica_cores           RunAccounts: width of every pipeline lane    runs
+    graph_traversal_us      FastFabricOrderer: per node and edge walked  FastFabric#
+    graph_build_us          FastFabricOrderer: per read/write-set entry  FastFabric#
+    graph_reorder_us        FastFabricOrderer: per transaction x edge    FastFabric#
+    ramdisk_page_us         with_profile(RAMDISK): a page read or write  21
+    ramdisk_fsync_us        with_profile(RAMDISK): a flush               21
+    memory_latch_us         with_profile(MEMORY): a latch                1, 21
+    memory_index_lookup_us  with_profile(MEMORY): a probe                1, 21
+
+The storage profiles are Figure 21's axis. ``SSD`` is the table as it
+stands (page I/O dominates); ``RAMDISK`` the same engine at near-zero device
+latency, buffer-manager and locking overheads kept; ``MEMORY`` a
+main-memory engine with no device latency *and* no buffer-manager overhead
+(the "cost of masking I/O latency" of Stonebraker et al. and Section 5.8).
 """
 
 from __future__ import annotations
@@ -32,58 +72,62 @@ class StorageProfile(enum.Enum):
 
 @dataclass(frozen=True)
 class CostModel:
-    """Simulated costs, in microseconds unless stated otherwise.
+    """The calibration table; the module docstring describes every field."""
 
-    The model deliberately stays coarse: the paper's evaluation depends on
-    I/O counts, buffer hits, abort waste, serial-vs-parallel commit paths and
-    message sizes — all of which are explicit terms here.
-    """
-
-    # --- storage device ---
-    page_read_us: float = 100.0  # NVMe-SSD-class random page read
+    page_read_us: float = 100.0
     page_write_us: float = 100.0
-    fsync_us: float = 400.0  # group-commit flush
+    fsync_us: float = 400.0
 
-    # --- buffer manager / CPU path ---
-    dram_access_us: float = 0.2  # buffer-pool hit
-    index_lookup_us: float = 1.5  # B-tree/hash probe CPU cost
-    latch_us: float = 0.5  # page latch / lock-manager interaction
-    op_cpu_us: float = 1.0  # predicate eval, expression, tuple copy
-    buffer_admin_us: float = 1.0  # buffer-manager bookkeeping per access
+    dram_access_us: float = 0.2
+    index_lookup_us: float = 1.5
+    latch_us: float = 0.5
+    op_cpu_us: float = 1.0
+    buffer_admin_us: float = 1.0
 
-    # --- crypto ---
-    hash_us: float = 2.0  # SHA-256 over a transaction/command
-    sign_us: float = 60.0  # ECDSA-class signature
-    verify_us: float = 120.0  # signature verification
+    hash_us: float = 2.0
+    batch_hash_share: float = 0.05
+    sign_us: float = 60.0
+    verify_us: float = 120.0
 
-    # --- network ---
-    lan_latency_us: float = 150.0  # one-way, same rack / region
-    wan_latency_us: float = 75_000.0  # one-way, cross-continent
-    bandwidth_mbps: float = 1000.0  # per-NIC uplink (default cluster: 1Gbps)
+    lan_latency_us: float = 150.0
+    bandwidth_mbps: float = 1000.0
+    cloud_latency_us: float = 100.0
+    cloud_bandwidth_mbps: float = 5000.0
+    wan_latency_us: float = 75_000.0
+    nodes_per_region: int = 20
 
-    # --- transaction ingest ---
-    #: per-transaction dispatch cost at the replica (deserialize, route) —
-    #: a serial front-end term that is negligible for disk-bound layers but
-    #: caps a pure in-memory database layer below the consensus ceiling
-    #: (Figures 1 and 21)
+    command_bytes: int = 128
+    cross_read_bytes: int = 256
+    vote_bytes: int = 64
+    endorsed_base_bytes: int = 1200
+    endorsed_record_bytes: int = 300
+    proposal_bytes_per_txn: int = 32
+
     ingest_us: float = 8.0
+    log_record_us: float = 0.5
+    replica_cores: int = 8
 
-    # --- logging ---
-    log_record_us: float = 0.5  # CPU to format one log record
-    logical_log_bytes: int = 64  # a transaction command
-    physical_log_bytes: int = 640  # a read-write set / redo-undo record
+    graph_traversal_us: float = 2.0
+    graph_build_us: float = 15.0
+    graph_reorder_us: float = 130.0
 
-    def transfer_us(self, nbytes: int) -> float:
-        """Serialization delay of ``nbytes`` over this model's bandwidth."""
-        bits = nbytes * 8
-        return bits / self.bandwidth_mbps  # Mbps == bits per us
+    ramdisk_page_us: float = 1.0
+    ramdisk_fsync_us: float = 2.0
+    memory_latch_us: float = 0.1
+    memory_index_lookup_us: float = 0.5
+
+    def endorsed_txn_bytes(self, records_per_txn: float) -> int:
+        """Wire size of one endorsed SOV transaction."""
+        base, per_record = self.endorsed_base_bytes, self.endorsed_record_bytes
+        return int(base + per_record * records_per_txn)
 
     def with_profile(self, profile: StorageProfile) -> "CostModel":
         """Return a copy of this model adjusted to a storage profile."""
         if profile is StorageProfile.SSD:
             return self
         if profile is StorageProfile.RAMDISK:
-            return replace(self, page_read_us=1.0, page_write_us=1.0, fsync_us=2.0)
+            page, fsync = self.ramdisk_page_us, self.ramdisk_fsync_us
+            return replace(self, page_read_us=page, page_write_us=page, fsync_us=fsync)
         # MEMORY: no device latency and no buffer-manager masking costs.
         return replace(
             self,
@@ -91,15 +135,17 @@ class CostModel:
             page_write_us=0.0,
             fsync_us=0.0,
             buffer_admin_us=0.0,
-            latch_us=0.1,
-            index_lookup_us=0.5,
+            latch_us=self.memory_latch_us,
+            index_lookup_us=self.memory_index_lookup_us,
         )
 
 
-#: Default model used throughout the benchmarks (the paper's default cluster:
-#: SSD storage, 1 Gbps Ethernet).
+#: The calibration table: the paper's default cluster (SSD storage, 1 Gbps
+#: Ethernet). Read only through :func:`cost_table`.
 DEFAULT_COSTS = CostModel()
 
-#: cores of one replica machine: the width of every modeled pipeline lane —
-#: a live shard's, the SOV replica's, a recovering replica's replay
-REPLICA_CORES = 8
+
+def cost_table() -> CostModel:
+    """The table every modeled clock is built from — the one read of
+    :data:`DEFAULT_COSTS`, so replacing it there moves every consumer."""
+    return DEFAULT_COSTS

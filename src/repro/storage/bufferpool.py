@@ -112,7 +112,3 @@ class BufferPool:
                 cost += self._disk.write_page(page_id)
                 self._frames[page_id] = False
         return cost
-
-    @property
-    def resident_pages(self) -> int:
-        return len(self._frames)

@@ -21,7 +21,7 @@ argument, not a code path.
 
 from __future__ import annotations
 
-from repro.sim.costs import CostModel, StorageProfile
+from repro.sim.costs import CostModel, StorageProfile, cost_table
 from repro.storage.bufferpool import BufferPool
 from repro.storage.checkpoint import BlockLog, CheckpointManager
 from repro.storage.disk import SimulatedDisk
@@ -46,9 +46,11 @@ class StorageEngine:
         checkpoint_interval: int = 10,
         checkpoint_base_interval: int = 8,
     ) -> None:
-        base = costs or CostModel()
+        #: the table this engine was calibrated from, before its profile —
+        #: what a recovered replica is rebuilt with
+        self.base_costs = costs or cost_table()
         self.profile = profile
-        self.costs = base.with_profile(profile)
+        self.costs = self.base_costs.with_profile(profile)
         self.disk = SimulatedDisk(self.costs)
         self.pool = BufferPool(pool_pages, self.disk, self.costs)
         self.heap = HeapFile(self.pool, self.costs)

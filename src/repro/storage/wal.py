@@ -31,7 +31,6 @@ class LogMode(enum.Enum):
 @dataclass
 class WalStats:
     records: int = 0
-    bytes: int = 0
     group_commits: int = 0
 
 
@@ -44,17 +43,10 @@ class WriteAheadLog:
         self.mode = mode
         self.stats = WalStats()
 
-    @property
-    def record_bytes(self) -> int:
-        if self.mode is LogMode.PHYSICAL:
-            return self._costs.physical_log_bytes
-        return self._costs.logical_log_bytes
-
     def append(self) -> float:
         """Count one record into the group-commit buffer; returns the CPU cost
         of formatting it (us)."""
         self.stats.records += 1
-        self.stats.bytes += self.record_bytes
         return self._costs.log_record_us
 
     def group_commit(self) -> float:

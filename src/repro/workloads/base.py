@@ -175,11 +175,6 @@ class Workload:
         """The next ``size`` transaction specs."""
         raise NotImplementedError
 
-    # Convenience used by tests and examples.
-    def generate_blocks(self, num_blocks: int, size: int, rng: SeededRng):
-        for _ in range(num_blocks):
-            yield self.generate_block(size, rng)
-
 
 def params(**kwargs) -> tuple:
     """Freeze procedure parameters into the hashable TxnSpec form."""

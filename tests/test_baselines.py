@@ -215,7 +215,7 @@ class TestFastFabricOrderer:
         txns = endorsed_txns(
             [[("r", 1), ("set", 0, 1)], [("r", 0), ("set", 1, 2)]], engine
         )
-        outcome = FastFabricOrderer().process(txns)
+        outcome = FastFabricOrderer(engine.costs).process(txns)
         aborted = [t for t in txns if t.aborted]
         assert len(aborted) == 1
         assert aborted[0].abort_reason is AbortReason.GRAPH_CYCLE
@@ -224,7 +224,7 @@ class TestFastFabricOrderer:
     def test_no_cycle_no_aborts_and_reordered(self):
         engine = make_engine()
         txns = endorsed_txns([[("r", 0)], [("set", 0, 1)]], engine)
-        outcome = FastFabricOrderer().process(txns)
+        outcome = FastFabricOrderer(engine.costs).process(txns)
         assert [t.aborted for t in txns] == [False, False]
         # reader must be ordered before writer (rw edge)
         order = [t.tid for t in outcome.ordered_txns]
@@ -233,7 +233,7 @@ class TestFastFabricOrderer:
     def test_graph_cap_drops_excess(self):
         engine = make_engine()
         txns = endorsed_txns([[("set", i, 1)] for i in range(6)], engine)
-        outcome = FastFabricOrderer(max_graph_txns=4).process(txns)
+        outcome = FastFabricOrderer(engine.costs, max_graph_txns=4).process(txns)
         assert outcome.dropped == 2
         dropped = [t for t in txns if t.abort_reason is AbortReason.GRAPH_OVERFLOW]
         assert len(dropped) == 2
@@ -245,7 +245,7 @@ class TestFastFabricOrderer:
             [[("r", j, ) for j in range(4)] + [("set", i, 1)] for i in range(6)],
             engine,
         )
-        orderer = FastFabricOrderer()
+        orderer = FastFabricOrderer(engine.costs)
         assert (
             orderer.process(dense).traversal_cost_us
             > orderer.process(sparse).traversal_cost_us

@@ -117,7 +117,9 @@ def run_scheme(scheme: str, workload_name: str):
     engine.preload(workload.initial_state())
     registry = workload.build_registry()
     executor = build_scheme(scheme, engine, registry)
-    orderer = FastFabricOrderer(max_graph_txns=150) if scheme == "fastfabric" else None
+    orderer = None
+    if scheme == "fastfabric":
+        orderer = FastFabricOrderer(engine.costs, max_graph_txns=150)
 
     rng = SeededRng(11, f"conformance/{scheme}/{workload.name}")
     oracle = HistoryOracle()

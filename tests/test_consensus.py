@@ -7,64 +7,68 @@ import pytest
 from repro.consensus.hotstuff import HotStuffConsensus
 from repro.consensus.kafka import KafkaOrdering
 from repro.consensus.network import NetworkModel, NetworkPreset
-from repro.sim.costs import CostModel
+from repro.sim.costs import DEFAULT_COSTS as COSTS
 
-COSTS = CostModel()
+#: one OE command and one endorsed SOV transaction on the wire
+COMMAND = COSTS.command_bytes
+ENDORSED = COSTS.endorsed_txn_bytes(1)
 
 
 class TestNetworkModel:
     def test_presets_exist(self):
         for preset in NetworkPreset:
-            model = NetworkModel.preset(preset)
+            model = NetworkModel.preset(preset, COSTS)
             assert model.one_way_us > 0
 
     def test_transfer_scales_with_bytes(self):
-        net = NetworkModel.preset(NetworkPreset.DEFAULT_1G)
+        net = NetworkModel.preset(NetworkPreset.DEFAULT_1G, COSTS)
         assert net.transfer_us(2000) == pytest.approx(2 * net.transfer_us(1000))
 
     def test_broadcast_scales_with_fanout(self):
-        net = NetworkModel.preset(NetworkPreset.DEFAULT_1G)
+        net = NetworkModel.preset(NetworkPreset.DEFAULT_1G, COSTS)
         assert net.broadcast_us(1000, 10) == pytest.approx(10 * net.transfer_us(1000))
 
     def test_wan_latency_kicks_in_beyond_one_region(self):
-        wan = NetworkModel.preset(NetworkPreset.CLOUD_WAN)
-        assert wan.worst_one_way_us(20) == wan.one_way_us
-        assert wan.worst_one_way_us(21) == wan.cross_region_one_way_us
-        assert wan.worst_one_way_us(21) > 100 * wan.worst_one_way_us(20)
+        wan = NetworkModel.preset(NetworkPreset.CLOUD_WAN, COSTS)
+        region = COSTS.nodes_per_region
+        assert wan.worst_one_way_us(region) == wan.one_way_us
+        assert wan.worst_one_way_us(region + 1) == wan.cross_region_one_way_us
+        assert wan.worst_one_way_us(region + 1) > 100 * wan.worst_one_way_us(region)
 
     def test_lan_flat_in_node_count(self):
-        lan = NetworkModel.preset(NetworkPreset.CLOUD_LAN_5G)
+        lan = NetworkModel.preset(NetworkPreset.CLOUD_LAN_5G, COSTS)
         assert lan.worst_one_way_us(4) == lan.worst_one_way_us(80)
 
 
 class TestKafka:
     def test_latency_grows_with_replicas(self):
-        net = NetworkModel.preset(NetworkPreset.DEFAULT_1G)
+        net = NetworkModel.preset(NetworkPreset.DEFAULT_1G, COSTS)
         kafka = KafkaOrdering(net, COSTS)
         assert kafka.block_latency_us(10_000, 80) > kafka.block_latency_us(10_000, 4)
 
     def test_throughput_cap_shrinks_with_payload_and_fanout(self):
-        net = NetworkModel.preset(NetworkPreset.CLOUD_LAN_5G)
+        net = NetworkModel.preset(NetworkPreset.CLOUD_LAN_5G, COSTS)
         kafka = KafkaOrdering(net, COSTS)
-        small = kafka.throughput_cap_tps(100, 100 * 128, 4)
-        big_payload = kafka.throughput_cap_tps(100, 100 * 1500, 4)
-        many_replicas = kafka.throughput_cap_tps(100, 100 * 1500, 80)
+        small = kafka.throughput_cap_tps(100, 100 * COMMAND, 4)
+        big_payload = kafka.throughput_cap_tps(100, 100 * ENDORSED, 4)
+        many_replicas = kafka.throughput_cap_tps(100, 100 * ENDORSED, 80)
         assert small > big_payload > many_replicas
 
     def test_sov_uplink_saturates_at_scale(self):
         """The Figures 15/16 mechanism: 1.5KB endorsed rw-sets times 80
         replicas cap SOV throughput; 128B OE commands do not bind."""
-        net = NetworkModel.preset(NetworkPreset.CLOUD_LAN_5G)
+        net = NetworkModel.preset(NetworkPreset.CLOUD_LAN_5G, COSTS)
         kafka = KafkaOrdering(net, COSTS)
-        sov_cap = kafka.throughput_cap_tps(100, 100 * 1500, 80)
-        oe_cap = kafka.throughput_cap_tps(100, 100 * 128, 80)
+        sov_cap = kafka.throughput_cap_tps(100, 100 * ENDORSED, 80)
+        oe_cap = kafka.throughput_cap_tps(100, 100 * COMMAND, 80)
         assert sov_cap < 8000
         assert oe_cap > 30_000
 
 
 class TestHotStuff:
     def _consensus(self, nodes, preset=NetworkPreset.CLOUD_LAN_5G):
-        return HotStuffConsensus(NetworkModel.preset(preset), COSTS, num_nodes=nodes)
+        network = NetworkModel.preset(preset, COSTS)
+        return HotStuffConsensus(network, COSTS, num_nodes=nodes)
 
     def test_quorum_size(self):
         assert self._consensus(4).quorum == 3

@@ -190,13 +190,14 @@ class TestRecovery:
         assert recovered.state_hash() == node.state_hash()
 
     def test_logical_log_smaller_than_physical(self):
-        """Section 2.4: deterministic replay needs only input blocks."""
+        """Section 2.4: deterministic replay needs only input blocks — one
+        record per block, none per installed write."""
         node = build_node()
         feed_blocks(node, 6)
         from repro.storage.wal import LogMode
 
         assert node.engine.wal.mode is LogMode.LOGICAL
-        assert node.engine.wal.stats.bytes < 6 * 3 * 640  # << physical rwsets
+        assert node.engine.wal.stats.records == 6
 
 
 # --------------------------------------------------------------------------

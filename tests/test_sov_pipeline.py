@@ -5,7 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.chain.config import decision_digest
-from repro.chain.sov import SOVBlockchain, SOVConfig, endorsed_txn_bytes
+from repro.chain.sov import SOVBlockchain, SOVConfig
+from repro.sim.costs import cost_table
 from repro.sim.rng import SeededRng
 from repro.txn.transaction import AbortReason, Txn, TxnSpec
 from repro.workloads.ycsb import YCSBWorkload
@@ -55,7 +56,8 @@ class TestEndorsement:
         } or metrics.abort_rate == 0.0
 
     def test_endorsed_txn_bytes_scale_with_records(self):
-        assert endorsed_txn_bytes(10) > endorsed_txn_bytes(2) > 0
+        costs = cost_table()
+        assert costs.endorsed_txn_bytes(10) > costs.endorsed_txn_bytes(2) > 0
 
 
 class TestSOVSystemProperties:

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.chain import OEBlockchain, OEConfig
 from repro.chain.recovery import rebuild_engine
-from repro.sim.costs import CostModel, StorageProfile
+from repro.sim.costs import DEFAULT_COSTS as COSTS, StorageProfile
 from repro.storage.bufferpool import BufferPool
 from repro.storage.checkpoint import BlockLog, CheckpointManager
 from repro.storage.disk import SimulatedDisk
@@ -22,7 +22,6 @@ from repro.workloads import make_workload
 from tests import reference
 from tests.test_rebalance import AGGRESSIVE, run_chain, skewshift
 
-COSTS = CostModel()
 
 
 def make_pool(capacity=4):
@@ -235,11 +234,17 @@ class TestHeapLoad:
 
 
 class TestWal:
-    def test_logical_records_are_small(self):
-        disk = SimulatedDisk(COSTS)
-        logical = WriteAheadLog(disk, COSTS, LogMode.LOGICAL)
-        physical = WriteAheadLog(disk, COSTS, LogMode.PHYSICAL)
-        assert logical.record_bytes < physical.record_bytes
+    def test_physical_log_appends_every_write(self):
+        """A physical log formats one record per installed write; a
+        logical one (the input block is the log) none at commit."""
+        tails = {}
+        for mode in LogMode:
+            engine = StorageEngine(log_mode=mode)
+            engine.preload({"a": 1, "b": 2})
+            tails[mode] = engine.apply_block(0, [("a", 3), ("b", 4)])
+            assert engine.wal.stats.records == (2 if mode is LogMode.PHYSICAL else 0)
+        physical, logical = tails[LogMode.PHYSICAL], tails[LogMode.LOGICAL]
+        assert physical - logical == 2 * COSTS.log_record_us
 
     def test_group_commit_one_fsync(self):
         disk = SimulatedDisk(COSTS)
@@ -254,7 +259,7 @@ class TestWal:
         disk = SimulatedDisk(COSTS)
         wal = WriteAheadLog(disk, COSTS, LogMode.PHYSICAL)
         assert wal.append() == COSTS.log_record_us
-        assert (wal.stats.records, wal.stats.bytes) == (1, COSTS.physical_log_bytes)
+        assert wal.stats.records == 1
         assert wal.stats.group_commits == 0 and disk.stats.fsyncs == 0
 
 

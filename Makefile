@@ -3,7 +3,7 @@
 
 PY := PYTHONPATH=src$(if $(PYTHONPATH),:$(PYTHONPATH)) python
 
-.PHONY: test hashseed loc no-twins one-walk one-collector one-process one-claim-home one-encoding one-clock one-trace-record one-commit-pass one-contract one-owner one-cost-table options conformance figures perf-smoke perf faults-smoke faults obs-smoke rebalance-smoke e2e-smoke e2e e2e-pairs
+.PHONY: test hashseed loc gates options conformance figures perf-smoke perf faults-smoke faults obs-smoke rebalance-smoke e2e-smoke e2e e2e-pairs
 
 # tier-1 verify: the whole default suite (perf/faults/tpcc/figures markers
 # excluded by pytest.ini)
@@ -37,123 +37,12 @@ loc:
 	@printf '%7d tests total\n' "$$(find tests -name '*.py' | xargs cat | wc -l)"
 	@printf '%7d tests/reference/\n' "$$(cat tests/reference/*.py | wc -l)"
 
-# the twins stay retired: src/repro has no indexed= / incremental= selector,
-# no _naive function, no full-checkpoint path, no footprint-routing switch
-# (broadcast routing is what a workload without a footprint compiler gets),
-# and imports nothing from tests/ (each reference implementation lives once,
-# under tests/reference/)
-no-twins:
-	@! grep -rnE --include='*.py' "\bindexed\s*[:=]|\bincremental\s*(=|:\s*bool)|_naive\b|state_hash_full|checkpoint_incremental|incremental_checkpoints|force_checkpoint|maybe_checkpoint|use_footprints|scan_footprints" src/repro
-	@! grep -rnE --include='*.py' "^\s*(from|import)\s+(tests|reference)\b" src/repro
-	@echo "no-twins: ok"
-
-# the block walk stays one: outside shard/system.py nothing under src/repro
-# prepares, finishes or certifies a live block or borrows a stage's span
-# helper (the fault supervisor calls the chain's four stage methods), and
-# the chain has no crash hook or vote channel to arm —
-# a crashed shard is a shard a schedule leaves out of a stage
-one-walk:
-	@! grep -rnE --include='*.py' "group\.(prepare|finish)\(|cert_log\.append\(|_trace_(order|prepared|commits)\(" src/repro | grep -v '^src/repro/shard/system\.py:'
-	@! grep -rnE --include='*.py' "chain\.(fault_hook|vote_channel)|fault_hook=" src/repro
-	@echo "one-walk: ok"
-
-# the collector has one switch: only src/repro/collector.py (collector_paused,
-# which the block-walking loops and the micro ledger's clocked sections enter)
-# turns the cyclic collector off or on, freezes or unfreezes it or tunes its
-# thresholds
-one-collector:
-	@! grep -rnE --include='*.py' "gc\.(disable|enable|freeze|unfreeze|set_threshold)" src/repro | grep -v '^src/repro/collector\.py:'
-	@echo "one-collector: ok"
-
-# one prepare medium, one live schedule: blocks are prepared in the process
-# that commits them and run() commits block i before it forms block i+1 —
-# no worker pool, no backend / pipelined config field or keyword. The
-# paper's inter-block overlap lives on the modeled clock and in the trailing
-# replay (recover_shard_node(pipelined=)), the spelling this pattern lets
-# through next to HotStuff's "pipelined BFT"
-one-process:
-	@test ! -e src/repro/parallel
-	@! grep -rnE --include='*.py' "multiprocessing|concurrent\.futures|ProcessPoolExecutor|register_at_fork|repro\.parallel|\bbackend\b|close_backend|DeferredCommit|config\.pipelined|\"pipelined\"|\bpipelined\s*(=\s*True|:\s*bool\s*=\s*False)" src/repro
-	@echo "one-process: ok"
-
-# the claims have one home: no pytest-benchmark figure file under
-# benchmarks/ (outside e2e/), no ledger diff of modeled numbers, no
-# "simulated"-basis micro case — a modeled-clock comparison is an experiment
-# with claims in src/repro/bench/experiments.py, checked by make figures
-one-claim-home:
-	@test -z "$$(find benchmarks -name 'bench_*.py' -not -path 'benchmarks/e2e/*')"
-	@! grep -rn --include='*.py' "compare_last_runs" src/repro tests
-	@! grep -rn --include='*.py' '"simulated"' src/repro
-	@echo "one-claim-home: ok"
-
-# one text for every key and value: outside src/repro/encoding.py nothing
-# under src/repro calls repr, passes it as a sort key or formats with !r —
-# every digest, hash and sort key reads encode / key_text (the grammar is
-# docs/artifacts.md); error messages are exempt (tools/one_encoding.py)
-one-encoding:
-	python3 tools/one_encoding.py
-
-# one modeled clock for both dataflows: the Order-Execute driver and SOV
-# price their runs through src/repro/chain/accounts.py (RunAccounts) —
-# nothing else under src/repro builds a PipelineSimulator, merges lanes,
-# extends the latency sample or folds a block into RunMetrics (the
-# definitions in sim/ excepted)
-one-clock:
-	@! grep -rnE --include='*.py' "PipelineSimulator\(|merge_shard_results\(|latencies_us\.extend|\.merge_block\(" src/repro | grep -vE '^src/repro/(chain/accounts\.py:|sim/[a-z_]+\.py:[0-9]+:def )'
-	@echo "one-clock: ok"
-
-# one observability record: the span stream carries every traced fact and a
-# trace file is a meta header plus spans — no metrics registry, no write to
-# one, no "metrics" trace record type under src/repro
-one-trace-record:
-	@! grep -rnE --include='*.py' "MetricsRegistry|\.metrics\.(counter|gauge|histogram)\(|[\"']metrics[\"']" src/repro
-	@echo "one-trace-record: ok"
-
-# one pass per key, one object per update: the commit step returns one
-# duration and one (key, tids) chain per written key — no per-key KeyApply
-# record, no per-key duration list under src/repro — and no slots=True
-# dataclass calls a zero-argument super(), which names the class the
-# decorator replaced and raises TypeError (tools/slotted_super.py)
-one-commit-pass:
-	@! grep -rnE --include='*.py' "KeyApply|chain_durations_us" src/repro
-	@python3 tools/slotted_super.py
-	@echo "one-commit-pass: ok"
-
-# one executor contract, one key order: every scheme prepares, then commits
-# (DCCExecutor.execute_block is the one commit(prepare()) and nothing
-# overrides it; there is no two-phase flag or parallel_commit attribute to
-# branch on), Aria has no test-only switch, dcc/ no re-export shim, and the
-# key order has no fallback — intervals.py and execution.py compare keys
-# directly and let a mixed-type population raise TypeError
-one-contract:
-	@! grep -rnE --include='*.py' "supports_two_phase|parallel_commit|_scan_dict_merge|deterministic_reordering|repro\.dcc\.base" src/repro
-	@! grep -rnE --include='*.py' "def execute_block" src/repro | grep -v '^src/repro/execution\.py:'
-	@! grep -nE "except +TypeError" src/repro/intervals.py src/repro/execution.py
-	@echo "one-contract: ok"
-
-# one lookup per key access: the owner of a key is one subscript of the
-# router's static-owner map (StaticOwners) after the epoch's overrides —
-# no per-snapshot _owner frame, no key_scope lambda through shard_of; a
-# snapshot's visibility search is one C bisection, not a Python binary
-# search; a row's field names are sorted once per row shape, not per row
-one-owner:
-	@! grep -nE "def _owner\b" src/repro/shard/federated.py
-	@! grep -rnE --include='*.py' "lambda key: router\.shard_of" src/repro
-	@! grep -nE "while lo < hi" src/repro/storage/mvstore.py
-	@! grep -nF "sorted(value.items())" src/repro/encoding.py
-	@echo "one-owner: ok"
-
-# one calibration table for the modeled clock: every cost, wire size and
-# network preset is a field of src/repro/sim/costs.py's CostModel, read from
-# DEFAULT_COSTS through cost_table() — nothing else under src/repro builds a
-# CostModel, builds a NetworkModel from numeric literals, defines a
-# module-level *_BYTES size or divides by a literal command size
-one-cost-table:
-	@! grep -rnE --include='*.py' "CostModel\(" src/repro | grep -v '^src/repro/sim/costs\.py:'
-	@! grep -rlPz --include='*.py' "NetworkModel\((?:[^)]*?[,=])?\s*[-+]?\.?[0-9]" src/repro
-	@! grep -rnE --include='*.py' "^[A-Z0-9_]*_BYTES\s*(:[^=]*)?=" src/repro | grep -v '^src/repro/sim/costs\.py:'
-	@! grep -rnF --include='*.py' "// 128" src/repro
-	@echo "one-cost-table: ok"
+# the retired twins stay retired: one table of rows (tools/gates.py), each
+# a pattern, the paths it scans, what is exempt, a reason and a planted line
+# it must catch (tests/test_gates.py plants each one); a scanned or exempt
+# path that does not exist fails
+gates:
+	python3 tools/gates.py
 
 # every option has a user: each field of the run configuration (RunConfig,
 # OEConfig, SOVConfig, ShardConfig, HarmonyConfig) is set by a caller outside

@@ -7,7 +7,8 @@ collector passes a run used to trigger freed nothing
 (``tests/test_collector.py`` pins the invariant for every registered
 workload x scheme, sharded, traced, drilled, replayed and recovered). The
 loops that walk blocks therefore run with the collector off, and this
-module is the one place that switches it (``make one-collector``).
+module is the one place that switches it (row ``one-collector`` of
+``make gates``).
 """
 
 from __future__ import annotations

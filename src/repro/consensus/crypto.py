@@ -4,7 +4,7 @@ Real deployments use x509 identities and ECDSA; what the evaluation
 exercises is (a) hash chaining making tampering detectable and (b) the CPU
 cost of sign/verify on the critical path. We use SHA-256 for hashes and
 keyed HMAC-SHA256 as the signature primitive — cryptographically sound for
-the trust model we simulate (the key registry stands in for the CA).
+the trust model we simulate.
 """
 
 from __future__ import annotations
@@ -33,28 +33,3 @@ class Signer:
 
     def verify(self, payload: bytes | str, signature: str) -> bool:
         return hmac.compare_digest(self.sign(payload), signature)
-
-
-class KeyRegistry:
-    """Node authentication: only registered identities may participate.
-
-    Mirrors the paper's reuse of the consensus layer's authentication —
-    "only identified clients can submit transactions. The replicas are also
-    authenticated when connecting to the consensus layer."
-    """
-
-    def __init__(self) -> None:
-        self._signers: dict[str, Signer] = {}
-
-    def enroll(self, identity: str) -> Signer:
-        if identity in self._signers:
-            raise ValueError(f"identity {identity!r} already enrolled")
-        signer = Signer(identity)
-        self._signers[identity] = signer
-        return signer
-
-    def verify(self, identity: str, payload: bytes | str, signature: str) -> bool:
-        signer = self._signers.get(identity)
-        if signer is None:
-            return False
-        return signer.verify(payload, signature)

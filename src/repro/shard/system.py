@@ -26,8 +26,9 @@ between callers is the *schedule* of those calls: one after the other
 (:meth:`ShardedBlockchain.process_global_block`), or with crash marks, vote
 retries and recovery between the stages
 (:class:`repro.faults.supervisor.SupervisedShardGroup`). No one else
-prepares, certifies or commits a live block (``make one-walk``). The run
-is priced by :class:`~repro.chain.accounts.RunAccounts`, as SOV's is.
+prepares, certifies or commits a live block (the ``one-walk/*`` rows of
+``make gates``). The run is priced by
+:class:`~repro.chain.accounts.RunAccounts`, as SOV's is.
 
 ``num_shards=1`` is the unsharded chain
 (:class:`~repro.chain.system.OEBlockchain` is exactly that configuration):

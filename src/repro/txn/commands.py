@@ -27,7 +27,7 @@ class UpdateCommand:
     the discarded one and raises ``TypeError``, which :func:`apply_safely`
     and the simulation step would take for a no-op or an abort: the shared
     rule is called as ``UpdateCommand.merge_after(self, earlier)``
-    (``make one-commit-pass`` checks).
+    (row ``one-commit-pass/slotted-super`` of ``make gates`` checks).
     """
 
     __slots__ = ()

@@ -136,9 +136,3 @@ class SimulationContext:
 
     def add_fields(self, key: object, **deltas: float) -> None:
         self.update(key, AddFields(tuple(sorted(deltas.items()))))
-
-    # ------------------------------------------------------------- helpers
-    def read_for_update(self, key: object) -> object | None:
-        """Read that documents intent to update; identical bookkeeping to
-        :meth:`read` — the rw-dependency is what validation consumes."""
-        return self.read(key)

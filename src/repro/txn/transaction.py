@@ -124,15 +124,3 @@ class Txn:
     def mark_aborted(self, reason: AbortReason) -> None:
         self.status = TxnStatus.ABORTED
         self.abort_reason = reason
-
-    def reset_for_retry(self) -> None:
-        """Clear execution state (a fresh simulation in a later block)."""
-        self.read_set.clear()
-        self.read_ranges.clear()
-        self.write_set.clear()
-        self.updated_keys.clear()
-        self.output = None
-        self.status = TxnStatus.PENDING
-        self.abort_reason = None
-        self.sim_cost_us = 0.0
-        self.commit_cost_us = 0.0

@@ -3,8 +3,8 @@ code against — the seed's straightforward scans, probes and rebuilds, each
 kept exactly once, as a plain function over the production objects.
 
 ``src/repro`` has one implementation of everything on the decision,
-storage and checkpoint path and imports nothing from here (``make
-no-twins`` enforces both); only tests do. A reference is written to be
+storage and checkpoint path and imports nothing from here (the
+``no-twins/*`` rows of ``make gates`` enforce both); only tests do. A reference is written to be
 obviously right, never fast: linear scans where production bisects, a
 fresh graph per question where production keeps bitsets, a full deep copy
 where production appends a delta.

@@ -11,7 +11,7 @@ from repro.chain.block import GENESIS_HASH, Block
 from repro.chain.ledger import Ledger, TamperError
 from repro.chain.node import ReplicaNode
 from repro.chain.ordering import OrderingService
-from repro.consensus.crypto import KeyRegistry, Signer, sha256_hex
+from repro.consensus.crypto import Signer, sha256_hex
 from repro.core.harmony import HarmonyConfig, HarmonyExecutor
 from repro.txn.transaction import TxnSpec
 
@@ -44,14 +44,6 @@ class TestCrypto:
     def test_distinct_identities_distinct_signatures(self):
         assert Signer("a").sign("m") != Signer("b").sign("m")
 
-    def test_key_registry_authentication(self):
-        registry = KeyRegistry()
-        signer = registry.enroll("peer-1")
-        sig = signer.sign("hello")
-        assert registry.verify("peer-1", "hello", sig)
-        assert not registry.verify("stranger", "hello", sig)
-        with pytest.raises(ValueError):
-            registry.enroll("peer-1")
 
 
 class TestBlock:

@@ -7,7 +7,7 @@ import pytest
 from repro.execution import simulate_transactions
 from repro.sim.rng import SeededRng
 from repro.storage.engine import StorageEngine
-from repro.txn.commands import AddValue, SetValue
+from repro.txn.commands import AddValue
 from repro.txn.context import SimulationContext
 from repro.txn.procedures import ProcedureRegistry
 from repro.txn.transaction import AbortReason, Txn, TxnSpec, TxnStatus
@@ -106,10 +106,6 @@ class TestSimulationContext:
         ctx.mul(("k", 7), 2)
         assert len(txn.write_set) == 3
 
-    def test_read_for_update_is_a_read(self):
-        _, txn, ctx = setup_ctx()
-        ctx.read_for_update(("k", 4))
-        assert ("k", 4) in txn.read_set
 
 
 class TestProcedureRegistry:
@@ -168,14 +164,6 @@ class TestTxnRecord:
         assert txn.reads(("k", 5))
         assert not txn.reads(("k", 10))
 
-    def test_reset_for_retry(self):
-        txn = Txn(0, 0, TxnSpec("x"))
-        txn.read_set["a"] = None
-        txn.record_update("b", SetValue(1))
-        txn.mark_committed()
-        txn.reset_for_retry()
-        assert txn.read_set == {} and txn.write_set == {}
-        assert txn.status is TxnStatus.PENDING
 
 
 class TestSeededRng:

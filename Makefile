@@ -107,7 +107,9 @@ e2e:
 # PARENT revision's committed files (unpacked to a temporary directory) and
 # the working tree, benchmarks/e2e/run.py --trace 0 at the manifest's run
 # length; prints per-side median/quartiles, pair wins and per-seed equality
-# of the exact metrics. WORKLOAD is a comma-separated list or "all".
+# of the exact metrics; a significant loss reads LOSS (inside bound) or LOSS
+# (past bound), against the metric's BENCHMARK.json bound, and one past its
+# bound exits 1. WORKLOAD is a comma-separated list or "all".
 # LAYERS=1 runs the pairs at --trace 1 instead and prints per-layer self_s
 # medians (layer tables come from medians, never from one traced run)
 WORKLOAD ?= all

@@ -7,7 +7,7 @@ that driver at ``num_shards=1`` — one replica pipeline whose only "shard"
 owns the whole keyspace, so routing, sub-block splitting, vote exchange and
 remote reads have nothing to do (see ``docs/sharding.md``, "One driver").
 ``run()`` prices the run on the modeled clock, ``consistency_check()``
-replays the chain on a second replica and compares state hashes.
+replays the chain on a second replica and compares live entries per shard.
 """
 
 from __future__ import annotations

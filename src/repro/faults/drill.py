@@ -8,7 +8,8 @@ layer. A healing plan must leave the two **bit-identical**:
 
 - per-block commit/abort decisions (the first divergent block is named),
 - the decision digest over the whole run,
-- per-shard and combined state hashes,
+- every shard's live entries, compared per shard (a failure names the
+  shard, the first differing key and both values),
 - both certificate chains verify and share the head hash,
 - and the reference history is certified serializable by the
   :class:`~repro.dcc.oracle.HistoryOracle` — decision identity transfers
@@ -26,6 +27,7 @@ from dataclasses import dataclass, field
 from repro.chain.config import decision_digest
 from repro.collector import collector_paused
 from repro.dcc.oracle import HistoryOracle
+from repro.encoding import encode, key_text
 from repro.faults.inject import FaultInjector
 from repro.faults.plan import MIGRATION_KINDS, FaultPlan, standard_plans
 from repro.faults.supervisor import RetryPolicy, SupervisedShardGroup
@@ -223,14 +225,11 @@ def run_drill(
     if decision_digest(drill_records) != decision_digest(ref_records):
         fail("decision digests differ")
 
-    # --- state identity, per shard and combined
-    drill_hashes = disturbed.group.state_hashes()
-    ref_hashes = reference.group.state_hashes()
-    for shard, (got, want) in enumerate(zip(drill_hashes, ref_hashes)):
-        if got != want:
-            fail(f"shard {shard}: state hash {got[:12]} != {want[:12]}")
-    if disturbed.group.combined_state_hash() != reference.group.combined_state_hash():
-        fail("combined state hashes differ")
+    # --- state identity: the first live entry that differs, by shard and key
+    difference = disturbed.group.first_difference(reference.group)
+    if difference is not None:
+        shard, key, got, want = difference
+        fail(f"shard {shard}: key {key_text(key)}: drill {encode(got)} != reference {encode(want)}")
 
     # --- certificate chains intact and identical
     if not disturbed.cert_log.verify_chain():

@@ -19,6 +19,7 @@ from __future__ import annotations
 import pytest
 
 from repro.chain.config import decision_digest
+from repro.encoding import encode, key_text
 from repro.faults.drill import run_drill
 from repro.faults.inject import FaultInjector, FaultyVoteChannel
 from repro.faults.plan import (
@@ -221,6 +222,27 @@ class TestQuickDrills:
         assert result.stats["retry_rounds"] == 2
         assert result.stats["degraded_blocks"] == []
 
+    def test_a_planted_divergence_names_its_shard_key_and_values(self, monkeypatch):
+        """The disturbed chain ends one entry off the reference: the drill's
+        one state failure names that shard, the key and both values."""
+        finalize = SupervisedShardGroup.finalize
+        planted = {}
+
+        def finalize_then_plant(supervisor):
+            finalize(supervisor)
+            store = supervisor.chain.group.nodes[1].engine.store
+            key = planted["key"] = store.keys()[0]
+            planted["value"] = store.get_latest(key)[0]
+            store.apply_block(store.last_committed_block + 1, [(key, -7)])
+
+        monkeypatch.setattr(SupervisedShardGroup, "finalize", finalize_then_plant)
+        result = run_drill("harmony", 2, FaultPlan("unit-planted", 61, ()))
+        assert not result.ok
+        assert result.failures == [
+            f"shard 1: key {key_text(planted['key'])}: "
+            f"drill -7 != reference {encode(planted['value'])}"
+        ]
+
 
 class TestPartitionDegradation:
     def test_unhealed_partition_aborts_deterministically(self):
@@ -248,10 +270,7 @@ class TestPartitionDegradation:
         digest_a = decision_digest(sup_a.decision_records())
         digest_b = decision_digest(sup_b.decision_records())
         assert digest_a == digest_b
-        assert (
-            chain_a.group.combined_state_hash()
-            == chain_b.group.combined_state_hash()
-        )
+        assert chain_a.group.first_difference(chain_b.group) is None
         assert chain_a.cert_log.head_hash == chain_b.cert_log.head_hash
         assert sup_a.injected_delay_us == sup_b.injected_delay_us
 

@@ -15,10 +15,13 @@ goes first; ``S`` defaults to the manifest's ``run_seconds``. Printed per
 workload and end-to-end metric: each side's median and quartiles, the
 change/parent ratio of medians, and how many pairs the change won (ties
 count for neither). A host metric is marked ``GAIN`` / ``LOSS`` only by the
-rule ``docs/performance.md`` states: at least ten pairs, ahead in at least
-nine tenths of them *and* medians apart by more than the parent's
-inter-quartile distance. The modeled metrics and ``commit_rate`` must be identical per
-seed; any pair where they are not, any incorrect run and any rise in the
+rule ``docs/performance.md`` states: at least ten pairs, ahead (behind) in at
+least nine tenths of them *and* medians apart by more than the parent's
+inter-quartile distance. A ``LOSS`` reads ``(inside bound)`` while the change's
+median is worse than the parent's by at most the metric's ``BENCHMARK.json``
+bound (a share of the parent's median), ``(past bound)`` beyond it. The
+modeled metrics and ``commit_rate`` must be identical per seed; any pair where
+they are not, any loss past its bound, any incorrect run and any rise in the
 failed share make the command exit 1.
 
 ``--layers`` (``make e2e-pairs ... LAYERS=1``) runs the same alternating
@@ -115,7 +118,11 @@ def report(workload: str, runs: dict, metrics: list) -> bool:
         if apart and ahead >= 0.9 * pairs:
             verdict = "GAIN"
         elif apart and behind >= 0.9 * pairs:
-            verdict = "LOSS"
+            # the bound is the share of the parent's median a metric may lose
+            worse = (pmed - cmed) if higher else (cmed - pmed)
+            past = worse > metric["bound"] * pmed
+            ok &= not past
+            verdict = "LOSS (past bound)" if past else "LOSS (inside bound)"
         print(
             f"  {name:<24} parent {pq1:.6g} / {pmed:.6g} / {pq3:.6g}   "
             f"change {cq1:.6g} / {cmed:.6g} / {cq3:.6g}   "

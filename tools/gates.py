@@ -6,7 +6,8 @@ holds:
 
 ``name``
     ``<area>/<what>``; the area is the old ``make`` target the clause came
-    from (``one-owner``, ``no-twins``, ...).
+    from (``one-owner``, ``no-twins``, ...), or for a later row the
+    mechanism it keeps single (``one-state-compare``).
 ``kind`` and ``pattern``
     ``"regex"``: a Python regex (the ERE subset the patterns use) searched
     line by line, like ``grep -E``; ``"fixed"``: a substring, like
@@ -324,6 +325,13 @@ GATES = (
         (SRC,),
         "a message count divides by costs.command_bytes, not a literal command size",
         "messages = block_bytes // 128",
+    ),
+    Gate(
+        "one-state-compare/rehash", "regex", r"\bcombined_state_hash\b",
+        (SRC, "tests"),
+        "replicas are compared by their live entries, shard by shard"
+        " (ShardGroup.first_difference), not by a re-hash of the whole replica",
+        "return other.combined_state_hash() == self.group.combined_state_hash()",
     ),
 )
 

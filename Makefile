@@ -47,7 +47,7 @@ gates:
 # every option has a user: each field of the run configuration (RunConfig,
 # OEConfig, SOVConfig, ShardConfig, HarmonyConfig) is set by a caller outside
 # tests/, or by a test with a listed reason; prints the table and the option
-# count a PR states before -> after (34 since PR 24)
+# count a PR states before -> after (33 since ShardConfig.keep_history went)
 options:
 	python3 tools/option_census.py
 

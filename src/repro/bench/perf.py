@@ -237,9 +237,9 @@ SCALING_GUARDS = (
 def bench_obs_overhead(smoke: bool, seed: int) -> dict:
     """Overhead gate for the tracing/metrics subsystem.
 
-    The identical 2-shard Harmony YCSB stream runs untraced (the hooks at
-    their ``None`` defaults) and traced (:func:`repro.obs.trace.attach_tracer`
-    arms every emission site). Identity checks pin decisions, state and the
+    The identical 2-shard Harmony YCSB stream runs untraced (the chain's
+    one span hook at its ``None`` default) and traced (``chain.tracer`` set,
+    which arms every emission site). Identity checks pin decisions, state and the
     certificate head bit-equal — tracing observes, never perturbs — and the
     gate requires the traced run to stay within 5% of the untraced one.
 
@@ -251,7 +251,7 @@ def bench_obs_overhead(smoke: bool, seed: int) -> dict:
     drifts within a tenth of a second, so 75 such pairs read +-0.5 % where
     31 pairs of 80 ms runs read +-2 % and best-of-3 walls 1.0-1.7.
     """
-    from repro.obs.trace import Tracer, attach_tracer
+    from repro.obs.trace import Tracer
     from repro.shard.system import ShardConfig, ShardedBlockchain
     from repro.workloads.base import ShardAffinity
     from repro.workloads.ycsb import YCSBWorkload
@@ -271,9 +271,7 @@ def bench_obs_overhead(smoke: bool, seed: int) -> dict:
             num_keys=2_000, theta=0.1, affinity=ShardAffinity(2, 0.05)
         )
         chain = ShardedBlockchain(config, workload)
-        tracer = Tracer() if traced else None
-        if tracer is not None:
-            attach_tracer(chain, tracer)
+        chain.tracer = tracer = Tracer() if traced else None
         gc.collect()
         start = time.process_time()
         metrics = chain.run()

@@ -66,6 +66,7 @@ class BlockExecution:
     pre_exec_serial_us: float = 0.0
     #: serial tail (group commit fsync, hash chaining, checkpoint flush)
     post_commit_serial_us: float = 0.0
+    #: the block's decision counts (every executor's commit sets them)
     stats: BlockStats = None  # type: ignore[assignment]
     #: ``(key, updater tids in apply order)`` per written key (Harmony) —
     #: consumed by the history oracle
@@ -76,14 +77,6 @@ class BlockExecution:
     #: when the commit step built one (Harmony) — taken, not kept, by the
     #: driver's false-abort accounting
     committed_graph: object = None
-
-    @property
-    def committed_txns(self) -> list[Txn]:
-        return [t for t in self.txns if t.committed]
-
-    @property
-    def aborted_txns(self) -> list[Txn]:
-        return [t for t in self.txns if t.aborted]
 
 
 def simulate_transactions(

@@ -162,10 +162,7 @@ def run_drill(
     )
     rebalance = any(e.kind in MIGRATION_KINDS for e in plan.events)
     disturbed = _build_chain(scheme, num_shards, plan, block_size, workload, rebalance)
-    if tracer is not None:
-        from repro.obs.trace import attach_tracer
-
-        attach_tracer(disturbed, tracer)
+    disturbed.tracer = tracer
     reference = _build_chain(scheme, num_shards, plan, block_size, workload, rebalance)
     supervisor = SupervisedShardGroup(
         disturbed, FaultInjector(plan, num_shards), policy

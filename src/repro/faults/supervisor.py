@@ -5,13 +5,14 @@
 calls the chain's four stage methods (route, prepare, certify, commit) in
 the order ``process_global_block`` does, and owns only what happens
 between them — it neither prepares, certifies, commits nor emits a stage's
-spans itself. What it adds around the stages:
+spans itself; its own moments (crash, retry, recovery, catch-up) go to the
+chain's tracer like the stages'. What it adds around the stages:
 
 - **crashed shards** are rebuilt with
   :func:`~repro.shard.recovery.recover_shard_node` from their durable
   artifacts, re-joined to the fleet (the federation closures re-point at
-  the recovered store in place), re-armed, and caught up on any sub-block
-  their log never held;
+  the recovered store in place), re-armed with the fault seams, and caught
+  up on any sub-block their log never held;
 - **vote exchange** runs under bounded retry with deterministic
   exponential backoff (:class:`RetryPolicy`): every round retransmits the
   cast votes through the (possibly faulty) wire, and between rounds the
@@ -186,12 +187,7 @@ class SupervisedShardGroup:
                 # synthesize vetoes for every still-missing vote
                 self.degraded_blocks.append(bid)
                 if tracer is not None:
-                    tracer.fault(
-                        "degraded",
-                        block=bid,
-                        attempt=attempt,
-                        attrs={"missing": len(missing)},
-                    )
+                    tracer.degraded(bid, attempt, len(missing))
                 break
             self.retry_rounds += 1
             backoff_us = self.policy.backoff_us(attempt - 1)
@@ -199,13 +195,7 @@ class SupervisedShardGroup:
             self.injected_delay_us += backoff_us
             self.injected_delay_us += round_rtt_us
             if tracer is not None:
-                tracer.fault(
-                    "vote_retry",
-                    block=bid,
-                    attempt=attempt,
-                    sim_us=backoff_us + round_rtt_us,
-                    attrs={"missing": len(missing)},
-                )
+                tracer.vote_retried(bid, attempt, backoff_us + round_rtt_us, len(missing))
             # a shard that died before voting can be recovered mid-window:
             # its log holds only certified blocks, so replay is complete,
             # and re-entering the prepare stage for it alone delivers this
@@ -275,10 +265,7 @@ class SupervisedShardGroup:
             self.failed_recoveries += 1
             self.injected_delay_us += rtt_us
             if tracer is not None:
-                tracer.fault(
-                    "recovery_failed", block=block_id, shard=shard,
-                    sim_us=rtt_us,
-                )
+                tracer.recovery_failed(block_id, shard, rtt_us)
             return None
         recovery = recover_shard_node(
             corpse, shard, stores, chain.router, chain.cert_log
@@ -289,13 +276,7 @@ class SupervisedShardGroup:
         self.recoveries += 1
         self.injected_delay_us += rtt_us
         if tracer is not None:
-            tracer.fault(
-                "recovery",
-                block=block_id,
-                shard=shard,
-                sim_us=rtt_us,
-                attrs={"replayed": len(recovery.replayed_blocks)},
-            )
+            tracer.recovered(block_id, shard, rtt_us, len(recovery.replayed_blocks))
         for replayed_bid, txns in recovery.replayed_blocks:
             self._shard_block_txns.setdefault(
                 (shard, replayed_bid), {t.tid: t for t in txns}
@@ -306,10 +287,7 @@ class SupervisedShardGroup:
         """Mark ``shards`` dead from ``window`` of block ``bid`` on."""
         self._crashed |= shards
         if self.chain.tracer is not None:
-            for shard in sorted(shards):
-                self.chain.tracer.fault(
-                    "crash", block=bid, shard=shard, attrs={"window": window}
-                )
+            self.chain.tracer.crashed(bid, shards, window)
 
     def _recover_until_alive(self, shard: int, bid: int):
         """Recovery attempts until one survives, within the retry budget
@@ -346,12 +324,15 @@ class SupervisedShardGroup:
         skipped this store (watermark below the record's epoch — the store
         was behind the boundary when it fired)."""
         chain = self.chain
+        tracer = chain.tracer
         rtt_us = chain.network.rtt_us(chain.config.num_shards)
         from_block = len(node.ledger)
         caught_up = 0
 
         def delivered(block_id, executions) -> None:
             nonlocal caught_up
+            if tracer is not None:
+                tracer.checkpointed(shard, block_id, node.engine.checkpoints)
             self._shard_block_txns.setdefault(
                 (shard, block_id), {t.tid: t for t in executions[shard].txns}
             )
@@ -369,13 +350,8 @@ class SupervisedShardGroup:
             on_commit=delivered,
             watermarks=chain._store_mig_epochs,
         )
-        if caught_up and chain.tracer is not None:
-            chain.tracer.fault(
-                "catch_up",
-                shard=shard,
-                sim_us=caught_up * rtt_us,
-                attrs={"from_block": from_block, "blocks": caught_up},
-            )
+        if caught_up and tracer is not None:
+            tracer.caught_up(shard, caught_up * rtt_us, from_block, caught_up)
 
     def _heal_lagging(self, upto_block: int | None) -> None:
         """Catch up shards whose partition window closed before

@@ -4,8 +4,9 @@ The span stream is a run's one observability record: every traced fact is
 a span field, and :func:`det_digest` pins the deterministic part.
 
 - :mod:`repro.obs.trace` — :class:`Tracer` / :class:`Span`, the dual-clock
-  span stream and its deterministic digest; :func:`attach_tracer` arms a
-  chain through the zero-cost ``None``-default hooks.
+  span stream and its deterministic digest. The tracer builds every span,
+  one method per moment of a run; ``chain.tracer = tracer`` arms a chain
+  (the hook defaults to ``None``).
 - :mod:`repro.obs.export` — JSONL round-trip (:func:`export_jsonl` /
   :func:`load_trace`): a meta header, then the spans.
 - :mod:`repro.obs.analyze` — per-stage breakdowns, per-shard skew,
@@ -27,7 +28,6 @@ from repro.obs.export import TraceFile, TraceFileError, export_jsonl, load_trace
 from repro.obs.trace import (
     Span,
     Tracer,
-    attach_tracer,
     det_digest,
     det_events,
 )
@@ -37,7 +37,6 @@ __all__ = [
     "TraceFile",
     "TraceFileError",
     "Tracer",
-    "attach_tracer",
     "block_paths",
     "det_digest",
     "det_events",

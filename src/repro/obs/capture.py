@@ -1,15 +1,15 @@
 """Seeded traced runs: the capture surface behind ``python -m repro.obs``.
 
 :func:`trace_run` runs a sharded chain from the workload registry with a
-tracer armed end to end; :func:`trace_drill` arms a tracer on the
-disturbed side of a fault drill (:func:`repro.faults.drill.run_drill`),
-so supervision and injected-fault events land in the span stream next to
-the pipeline stages they disturbed.
+tracer armed; :func:`trace_drill` arms one on the disturbed side of a
+fault drill (:func:`repro.faults.drill.run_drill`), so supervision and
+injected-fault events land in the span stream next to the pipeline stages
+they disturbed.
 """
 
 from __future__ import annotations
 
-from repro.obs.trace import Tracer, attach_tracer
+from repro.obs.trace import Tracer
 
 
 def build_workload(name: str, num_shards: int):
@@ -50,7 +50,7 @@ def trace_run(
             "seed": seed,
         }
     )
-    attach_tracer(chain, tracer)
+    chain.tracer = tracer
     return tracer, chain.run()
 
 

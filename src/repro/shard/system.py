@@ -21,8 +21,9 @@ lane — under a single global ordering service. Per global block:
 block has one way through it: steps 1-4 are the four stage methods
 ``route_global_block`` / ``prepare_global_block`` / ``certify_global_block``
 / ``commit_global_block``, each filling its part of one
-:class:`GlobalBlockOutcome` and emitting its own spans. What differs
-between callers is the *schedule* of those calls: one after the other
+:class:`GlobalBlockOutcome` and handing its moment to the run's tracer
+(:class:`~repro.obs.trace.Tracer`, the one builder of spans). What
+differs between callers is the *schedule* of those calls: one after the other
 (:meth:`ShardedBlockchain.process_global_block`), or with crash marks, vote
 retries and recovery between the stages
 (:class:`repro.faults.supervisor.SupervisedShardGroup`). No one else
@@ -82,8 +83,6 @@ class ShardConfig(OEConfig):
     #: ``workload`` aligns with the workload's partition layout (``hash`` when
     #: it has no index hints); ``hash`` is the generic policy
     router_policy: str = "workload"
-    #: retain per-block executions + merged transactions (tests/oracles)
-    keep_history: bool = False
     #: live re-keying: ``"off"`` pins the epoch-0 static routing; ``"adaptive"``
     #: arms a :class:`~repro.shard.rebalance.RebalancePolicy` that watches
     #: decision-layer telemetry and re-keys hot keys mid-run
@@ -173,9 +172,6 @@ class ShardGroup:
         #: (by reference) — :meth:`rejoin` mutates slots in place so peers
         #: re-point at a recovered store without rewiring
         self._stores = [node.engine.store for node in self.nodes]
-        #: ``listener(shard, node)`` callbacks fired by :meth:`rejoin` —
-        #: a tracer re-arms the recovered node there
-        self.rejoin_listeners: list = []
         for shard, node in enumerate(self.nodes):
             wire_federation(node.executor, router, self._stores, shard)
 
@@ -192,8 +188,6 @@ class ShardGroup:
         self.nodes[shard] = node
         self._stores[shard] = node.engine.store
         wire_federation(node.executor, self.router, self._stores, shard)
-        for listener in self.rejoin_listeners:
-            listener(shard, node)
 
     def state_hashes(self) -> list[str]:
         return [node.state_hash() for node in self.nodes]
@@ -271,11 +265,9 @@ class ShardedBlockchain:
         #: supervisor's catch-up re-applies it from the certified record,
         #: keyed off this mark so nothing applies twice.
         self._store_mig_epochs = [0] * config.num_shards
-        #: every block's outcome, kept when ``config.keep_history`` is set
-        self.history: list[GlobalBlockOutcome] = []
-        #: span sink (:class:`~repro.obs.trace.Tracer`); ``None``
-        #: (the default) costs one attribute check per emission site.
-        #: Armed by :func:`repro.obs.trace.attach_tracer`.
+        #: the run's one span hook (:class:`~repro.obs.trace.Tracer`), read
+        #: by the stages and the fault supervisor; ``None`` (the default)
+        #: costs one attribute check per emission site
         self.tracer = None
 
     # ------------------------------------------------------------------ run
@@ -345,33 +337,15 @@ class ShardedBlockchain:
             self._store_mig_epochs,
             fates,
         )
-        tracer = self.tracer
-        if tracer is not None:
-            tracer.event(
-                "migrate",
-                block=record.block_id,
-                attrs={
-                    "epoch": record.epoch,
-                    "keys": len(record.moves),
-                    "shipped": len(record.deltas),
-                    "reason": record.reason,
-                },
-            )
-            if fates:
-                tracer.fault(
-                    "migration_fault",
-                    block=record.block_id,
-                    attrs={"fates": {s: fates[s] for s in sorted(fates)}},
-                )
+        if self.tracer is not None:
+            self.tracer.migrated(record, fates)
 
     # ------------------------------------------------------- the block walk
     # route -> prepare -> certify -> commit, written once. Both schedules
     # — process_global_block below, the fault supervisor's process_block —
     # are these four calls in this order on one GlobalBlockOutcome, and
-    # each stage emits its own spans. Deterministic span fields only carry
-    # decision-layer quantities; engine sim durations ride in the
-    # ``timing`` annotation dict. Per-shard spans go out in
-    # sorted shard order, independent of dict iteration order.
+    # each stage hands its moment to the tracer, which builds the spans
+    # (repro.obs.trace).
     def route_global_block(self, block, migration_barrier=None) -> GlobalBlockOutcome:
         """Stage one: decide/apply any due migration, route every spec,
         feed the policy telemetry and split the block.
@@ -409,24 +383,16 @@ class ShardedBlockchain:
                 for j, shards in enumerate(participants)
                 if len(shards) > 1
             }
-        sub_blocks = self.sequencer.split(block, participants)
-        if self.tracer is not None:
-            self.tracer.event(
-                "order",
-                block=block.block_id,
-                attrs={
-                    "size": block.size,
-                    "cross": len(expected),
-                    "sub_sizes": [sub_blocks[s].size for s in sorted(sub_blocks)],
-                },
-            )
-        return GlobalBlockOutcome(
+        outcome = GlobalBlockOutcome(
             block=block,
             participants=participants,
             expected=expected,
-            sub_blocks=sub_blocks,
+            sub_blocks=self.sequencer.split(block, participants),
             migration=migration,
         )
+        if self.tracer is not None:
+            self.tracer.ordered(outcome)
+        return outcome
 
     def prepare_global_block(
         self, outcome, skip: frozenset = frozenset(), attempt: int = 0
@@ -450,23 +416,13 @@ class ShardedBlockchain:
         }
         outcome.prepared = {**done, **fresh}
         if self.tracer is not None:
-            for shard in sorted(fresh):
-                prep = fresh[shard]
-                self.tracer.stage(
-                    "prepare",
-                    block=outcome.block_id,
-                    shard=shard,
-                    attempt=attempt,
-                    attrs={"txns": len(prep.txns)},
-                    timing={"sim_us": sum(prep.sim_durations_us)},
-                )
+            self.tracer.prepared(outcome.block_id, fresh, attempt)
 
     def certify_global_block(self, outcome, votes=None) -> None:
         """Stage three, the ordered vote exchange: the prepare outcomes
         become the block stream's commit certificate (deterministic all-yes
-        rule; :meth:`CertificateLog.append` emits the ``certify`` event).
-        From here on the block's decisions are final, though nothing is
-        applied yet.
+        rule). From here on the block's decisions are final, though nothing
+        is applied yet.
 
         ``votes`` defaults to every vote cast; a supervisor passes what its
         (faulty) wire delivered. The expected participant sets arm the
@@ -481,6 +437,8 @@ class ShardedBlockchain:
             expected=outcome.expected,
             migration=outcome.migration,
         )
+        if self.tracer is not None:
+            self.tracer.certified(outcome.certificate)
 
     def commit_global_block(self, outcome, skip: frozenset = frozenset()) -> None:
         """Stage four: apply the certified block on every prepared shard,
@@ -501,26 +459,13 @@ class ShardedBlockchain:
             for shard in sorted(prepared)
             if shard not in skip
         }
-        if self.tracer is not None:
-            for shard, execution in executions.items():
-                stats = execution.stats
-                self.tracer.stage(
-                    "commit",
-                    block=block_id,
-                    shard=shard,
-                    attrs={
-                        "committed": stats.committed
-                        if stats is not None
-                        else len(execution.committed_txns),
-                        "aborted": stats.aborted
-                        if stats is not None
-                        else len(execution.aborted_txns),
-                    },
-                    timing={
-                        "sim_us": sum(execution.commit_durations_us)
-                        + execution.post_commit_serial_us
-                    },
-                )
+        tracer = self.tracer
+        if tracer is not None:
+            # a boundary block's checkpoint went out inside finish_block:
+            # every shard's goes before the commit spans
+            for shard in executions:
+                tracer.checkpointed(shard, block_id, nodes[shard].engine.checkpoints)
+            tracer.committed(block_id, executions)
 
     def process_global_block(self, block) -> GlobalBlockOutcome:
         """The sequential schedule of the block walk: the four stages in
@@ -551,11 +496,7 @@ class ShardedBlockchain:
             specs, retries = accounts.next_specs(self.workload, config.block_size, rng)
             block = self.ordering.form_block(specs)
             if self.tracer is not None:
-                self.tracer.event(
-                    "enqueue",
-                    block=block.block_id,
-                    attrs={"retries": retries, "backlog": len(accounts.retry_queue)},
-                )
+                self.tracer.enqueued(block.block_id, retries, len(accounts.retry_queue))
             outcome = self.process_global_block(block)
             cross_txns += len(outcome.expected)
             cross_aborted += len(outcome.certificate.abort_tids)
@@ -583,25 +524,8 @@ class ShardedBlockchain:
             ownership_epoch=self.router.ownership_epoch,
             migrations=sum(1 for c in self.cert_log.certificates() if c.migration),
         )
-        tracer = self.tracer
-        if tracer is not None:
-            tracer.event(
-                "run_end",
-                attrs={
-                    "blocks": metrics.blocks,
-                    "committed": metrics.committed,
-                    "aborted": metrics.aborted,
-                    "decision_digest": extra["decision_digest"][:16],
-                    "cert_head": self.cert_log.head_hash[:16],
-                },
-            )
-            tracer.anno(
-                "run_summary",
-                timing={
-                    "makespan_us": metrics.sim_time_us,
-                    "cpu_utilization": metrics.cpu_utilization,
-                },
-            )
+        if self.tracer is not None:
+            self.tracer.run_ended(metrics)
         return metrics
 
     # ------------------------------------------------- run bookkeeping
@@ -683,33 +607,8 @@ class ShardedBlockchain:
             # transaction is validated at every participant)
             sum(e.stats.dangerous_structure_hits for e in executions.values()),
         )
-
-        tracer = self.tracer
-        if tracer is not None:
-            tracer.event(
-                "decide",
-                block=block.block_id,
-                attrs={
-                    "committed": stats.committed,
-                    "aborted": stats.aborted,
-                    "false_aborts": stats.false_aborts,
-                },
-            )
-            for shard in sorted(votes):
-                cross_here, vote_us = votes[shard]
-                tracer.stage(
-                    "vote_exchange",
-                    block=block.block_id,
-                    shard=shard,
-                    sim_us=vote_us,
-                    attrs={
-                        "cross": cross_here,
-                        "remote_read_us": cross_here * remote_round_us,
-                    },
-                )
-
-        if self.config.keep_history:
-            self.history.append(outcome)
+        if self.tracer is not None:
+            self.tracer.decided(outcome, stats, votes, remote_round_us)
 
     # -------------------------------------------------------------- checks
     @collector_paused()

@@ -175,8 +175,6 @@ class CertificateLog:
     """Append-only, hash-chained certificate stream (one per global block)."""
 
     _certs: list = field(default_factory=list)
-    #: span sink (:class:`repro.obs.trace.Tracer`); ``None`` = no tracing
-    tracer: object = None
 
     def __len__(self) -> int:
         return len(self._certs)
@@ -197,19 +195,6 @@ class CertificateLog:
     ) -> CommitCertificate:
         cert = make_certificate(block_id, votes, self.head_hash, expected, migration)
         self._certs.append(cert)
-        if self.tracer is not None:
-            attrs = {
-                "votes": len(cert.votes),
-                "aborts": len(cert.abort_tids),
-                "timeout_vetoes": sum(
-                    1 for v in cert.votes if v.reason == "vote-timeout"
-                ),
-                "head": cert.hash[:16],
-            }
-            if migration is not None:
-                attrs["migration_epoch"] = migration.epoch
-                attrs["migration_keys"] = len(migration.moves)
-            self.tracer.event("certify", block=block_id, attrs=attrs)
         return cert
 
     def verify_chain(self) -> bool:

@@ -189,16 +189,18 @@ class CheckpointManager:
         self.torn_latest = False
         #: fault-injection hook (``hook(block_id) -> "skip" | "tear" | None``):
         #: ``"skip"`` suppresses the checkpoint entirely (the crash landed
-        #: between the commit and the checkpoint write — the engine's delta
-        #: buffer fallback re-derives the interval on the next attempt);
+        #: between the commit and the checkpoint write; the shard is then
+        #: rebuilt from the chain before it, never checkpointed again as is);
         #: ``"tear"`` takes it but marks the chain tip torn (crash *during*
         #: the write — for a base compaction, the tip is the fresh base).
         #: ``None`` default costs one attribute check per checkpoint.
         self.fault_hook = None
-        #: span sink (:class:`repro.obs.trace.Tracer`); armed with
-        #: the owning shard id by :func:`repro.obs.trace.attach_tracer`.
-        self.tracer = None
-        self.trace_shard: int | None = None
+        #: ``(block_id, directive, blocks, writes, compacted)`` of the newest
+        #: :meth:`delta_checkpoint` call — the fault directive (``None``,
+        #: ``"skip"``, ``"tear"``), the interval's block and write counts and
+        #: whether a base compaction fired; read by the run's tracer
+        #: (:meth:`repro.obs.trace.Tracer.checkpointed`)
+        self.last_write: tuple | None = None
 
     def delta_checkpoint(
         self,
@@ -217,14 +219,10 @@ class CheckpointManager:
         copies, so compaction never touches the live store either.
         """
         fault = self.fault_hook(block_id) if self.fault_hook is not None else None
-        if fault is not None and self.tracer is not None:
-            self.tracer.fault(
-                "checkpoint_fault",
-                block=block_id,
-                shard=self.trace_shard,
-                attrs={"mode": "delta", "directive": fault},
-            )
+        blocks = len(interval_writes)
+        writes = sum(len(w) for _, w in interval_writes)
         if fault == "skip":
+            self.last_write = (block_id, fault, blocks, writes, False)
             return
         self._entries.append(
             DeltaCheckpoint(
@@ -245,18 +243,7 @@ class CheckpointManager:
             # recovers the identical state.
             self._entries.append(self._reconstruct(self._entries))
             self._deltas_since_base = 0
-        if self.tracer is not None:
-            self.tracer.event(
-                "checkpoint",
-                block=block_id,
-                shard=self.trace_shard,
-                attrs={
-                    "mode": "delta",
-                    "blocks": len(interval_writes),
-                    "writes": sum(len(w) for _, w in interval_writes),
-                    "compacted": compacted,
-                },
-            )
+        self.last_write = (block_id, fault, blocks, writes, compacted)
         self.last_checkpoint_block = block_id
         if fault == "tear":
             # crash mid-write: the chain tip (the fresh base when the

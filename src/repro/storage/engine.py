@@ -173,19 +173,15 @@ class StorageEngine:
 
         The durable record is one *delta* — the interval's buffered
         per-block writes, O(interval writes) — so no ``materialize`` /
-        deepcopy of the whole keyspace ever runs here.
+        deepcopy of the whole keyspace ever runs here. The delta must cover
+        every block since the last chain entry: a block installed behind the
+        engine's back (straight on the store) raises ``ValueError`` naming
+        it, before anything is flushed or drained.
         """
         if (block_id + 1) % self.checkpoints.interval_blocks != 0:
             return 0.0
-        cost = self.pool.flush_all()
         buffered = self._delta_writes
         taken = [entry for entry in buffered if entry[0] <= block_id]
-        self._delta_writes = [entry for entry in buffered if entry[0] > block_id]
-        # Blocks applied without going through engine.apply_block (tests,
-        # manual store pokes) never entered the buffer; the delta must
-        # still cover the *whole* interval since the last chain entry, so
-        # rescan the store for each missing block — only this degenerate
-        # path pays that.
         have = {entry[0] for entry in taken}
         missing = [
             bid
@@ -193,8 +189,12 @@ class StorageEngine:
             if bid not in have
         ]
         if missing:
-            taken.extend((bid, self.store.writes_in_block(bid)) for bid in missing)
-            taken.sort(key=lambda entry: entry[0])
+            raise ValueError(
+                f"checkpoint at block {block_id}: blocks {missing} were not applied"
+                " through the engine, so the delta cannot cover them"
+            )
+        cost = self.pool.flush_all()
+        self._delta_writes = [entry for entry in buffered if entry[0] > block_id]
         self.checkpoints.delta_checkpoint(block_id, taken, meta=meta)
         return cost
 

@@ -76,8 +76,8 @@ TOMBSTONE = _Tombstone()
 
 #: ``seq`` offset for ownership-migration loads: shipped key versions are
 #: installed *into* the boundary block ``H-1`` after the fact, and this
-#: base keeps them sorted after every real write of that block in
-#: :meth:`MVStore.writes_in_block` (blocks never carry 2**20 real writes).
+#: base keeps them after every real write of that block in a key's version
+#: chain, which snapshot reads bisect (blocks never carry 2**20 real writes).
 MIGRATION_SEQ_BASE = 1 << 20
 
 Version = tuple[int, int]
@@ -214,11 +214,6 @@ class MVStore:
         #: False until the first :meth:`state_hash`: before it every key
         #: counts as stale, so neither loads nor blocks record stale keys
         self._hashed = False
-        #: per-block key watermark: block_id -> keys that block wrote, so
-        #: :meth:`writes_in_block` walks only those chains instead of the
-        #: whole store. Grows like the block log (one entry per installed
-        #: write), which recovery retains anyway.
-        self._block_keys: dict[int, list[object]] = {}
 
     def __contains__(self, key: object) -> bool:
         value, _ = self.get_latest(key)
@@ -250,8 +245,8 @@ class MVStore:
         ``seq_start`` offsets the within-block ``seq`` tags: ownership
         migrations load shipped versions *into an already-applied block*
         (``MIGRATION_SEQ_BASE``), and they must sort after every real
-        write of that block in :meth:`writes_in_block` or replay would
-        interleave migration deltas before the block's own writes.
+        write of that block, or a key's version chain would hold the
+        migration delta before the block's own write.
 
         A load that would put a version behind a newer one raises
         ``ValueError`` before it changes anything.
@@ -267,7 +262,6 @@ class MVStore:
             self._sorted_keys = sorted(self._versions)
             if self._hashed:
                 self._stale_keys.update(self._versions)
-            self._block_keys.setdefault(block_id, []).extend(items)
             return
         for key in items:
             chain = versions.get(key)
@@ -289,7 +283,6 @@ class MVStore:
                 chain.append(((block_id, seq), value))
         if self._hashed:
             self._stale_keys.update(items)
-        self._block_keys.setdefault(block_id, []).extend(items)
         self._merge_new_keys(new_keys)
 
     def get_latest(self, key: object) -> tuple[object | None, Version | None]:
@@ -330,7 +323,6 @@ class MVStore:
                 f"block {block_id} is not after last committed {self.last_committed_block}"
             )
         versions = self._versions
-        block_keys = self._block_keys.setdefault(block_id, [])
         new_keys = []
         for seq, (key, value) in enumerate(writes):
             chain = versions.get(key)
@@ -339,9 +331,8 @@ class MVStore:
                 new_keys.append(key)
             else:
                 chain.append(((block_id, seq), value))
-            block_keys.append(key)
         if self._hashed:
-            self._stale_keys.update(block_keys)
+            self._stale_keys.update([key for key, _ in writes])
         self._merge_new_keys(new_keys)
         self.last_committed_block = block_id
 
@@ -457,32 +448,3 @@ class MVStore:
             if value is not TOMBSTONE:
                 state[key] = value
         return state
-
-    def writes_in_block(self, block_id: int) -> list[tuple[object, object]]:
-        """The writes ``block_id`` installed, in their original apply order.
-
-        TOMBSTONEs included: this is the exact ordered list the block
-        handed to :meth:`apply_block` (every version the block installed,
-        even if a caller wrote one key several times), so replaying it
-        through :meth:`apply_block` regenerates the block's version batch
-        with identical ``(block_id, seq)`` tags. Checkpoint recovery relies
-        on that exactness — a value diff of two materialized snapshots
-        cannot see a key rewritten with an unchanged value, and would leave
-        the recovered replica's version behind the one SOV-style checks
-        observe on an uncrashed replica.
-
-        Walks only the block's watermarked chains (``_block_keys``,
-        recorded at apply time) — O(block writes), never O(keyspace).
-        """
-        writes: list[tuple[int, object, object]] = []
-        # Dedup per call: a key written twice in the block appears twice in
-        # the watermark, but its chain holds both versions.
-        for key in dict.fromkeys(self._block_keys.get(block_id, ())):
-            chain = self._versions[key]
-            for version, value in reversed(chain):
-                if version[0] == block_id:
-                    writes.append((version[1], key, value))
-                elif version[0] < block_id:
-                    break
-        writes.sort(key=lambda entry: entry[0])
-        return [(key, value) for _seq, key, value in writes]

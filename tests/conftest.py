@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.obs.trace import Tracer
 from repro.storage.checkpoint import Checkpoint
 from repro.storage.engine import StorageEngine
 from repro.txn.commands import AddValue, MulValue, SetValue
@@ -99,6 +100,27 @@ def full_snapshot_at_boundary(engine: StorageEngine, block_id: int) -> Checkpoin
     )
     assert_checkpoints_identical(latest, snapshot)
     return snapshot
+
+
+class History(Tracer):
+    """A tracer that also keeps each decided block's
+    :class:`~repro.shard.system.GlobalBlockOutcome`. A run keeps none (a
+    block's transactions die with it), so a test that reads per-block
+    executions, participants or merged transactions arms one."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.outcomes: list = []
+
+    def decided(self, outcome, *args) -> None:
+        self.outcomes.append(outcome)
+        super().decided(outcome, *args)
+
+
+def run_with_history(chain) -> tuple:
+    """``chain.run()`` with a :class:`History` armed: ``(metrics, outcomes)``."""
+    chain.tracer = history = History()
+    return chain.run(), history.outcomes
 
 
 @pytest.fixture

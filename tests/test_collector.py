@@ -29,7 +29,7 @@ from repro.chain.system import OEBlockchain, OEConfig
 from repro.collector import collector_paused
 from repro.faults.drill import run_drill
 from repro.faults.plan import standard_plans
-from repro.obs.trace import Tracer, attach_tracer
+from repro.obs.trace import Tracer
 from repro.shard import ShardConfig, ShardedBlockchain, recover_shard_node
 from repro.workloads import REGISTRY, ShardAffinity, make_workload
 
@@ -261,7 +261,7 @@ def order_execute(name: str, scheme: str, traced: bool = False) -> None:
         OEConfig(system=scheme, **tiny(name)), make_workload(name, profile="conformance")
     )
     if traced:
-        attach_tracer(chain, Tracer())
+        chain.tracer = Tracer()
     metrics = chain.run()
     assert metrics.committed + metrics.aborted == 10 * chain.config.num_blocks
     assert chain.consistency_check()

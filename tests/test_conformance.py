@@ -39,6 +39,7 @@ from repro.txn.transaction import AbortReason, Txn
 from repro.workloads import REGISTRY, make_workload
 
 from tests import reference
+from tests.conftest import run_with_history
 
 NUM_BLOCKS = 5
 BLOCK_SIZE = 10
@@ -273,13 +274,12 @@ def run_sharded_scheme(
         num_blocks=NUM_BLOCKS,
         seed=11,
         num_shards=num_shards,
-        keep_history=True,
     )
     chain = ShardedBlockchain(config, workload)
-    metrics = chain.run()
+    metrics, history = run_with_history(chain)
 
     oracle = HistoryOracle()
-    for record in chain.history:
+    for record in history:
         if scheme == "harmony":
             apply_chains = [
                 item
@@ -302,7 +302,7 @@ def run_sharded_scheme(
 
     reasons = {
         t.abort_reason
-        for record in chain.history
+        for record in history
         for t in record.merged_txns
         if t.aborted
     }

@@ -28,6 +28,8 @@ from repro.shard.system import ShardConfig, ShardedBlockchain
 from repro.storage.mvstore import TOMBSTONE
 from repro.workloads import REGISTRY, ShardAffinity, make_workload
 
+from tests.conftest import run_with_history
+
 
 # ------------------------------------------------------------- the grammar
 def is_number(x) -> bool:
@@ -81,13 +83,12 @@ def census(name: str, rebalance: str):
         block_size=10,
         num_blocks=8,
         seed=11,
-        keep_history=True,
         rebalance=rebalance,
     )
     chain = ShardedBlockchain(config, workload)
-    chain.run()
+    _metrics, history = run_with_history(chain)
     stores = [node.engine.store for node in chain.group.nodes]
-    specs = [txn.spec for record in chain.history for txn in record.merged_txns]
+    specs = [txn.spec for record in history for txn in record.merged_txns]
     keys = {key for store in stores for key in store._versions}
     keys.update(chain.router._static_owners)
     values = [

@@ -9,9 +9,7 @@ full drill matrix (that lives in ``test_fault_drills.py`` behind the
 - vote reconciliation is idempotent under duplication, loud under
   equivocation, and degrades missing votes to timeout vetoes;
 - the partition-degradation policy aborts deterministically instead of
-  diverging;
-- ``MVStore.writes_in_block``'s watermark index matches the naive
-  every-chain walk (the satellite fix's differential).
+  diverging.
 """
 
 from __future__ import annotations
@@ -40,11 +38,9 @@ from repro.shard.twopc import (
     reconcile_votes,
 )
 from repro.sim.rng import SeededRng
-from repro.storage.mvstore import TOMBSTONE, MVStore
 from repro.workloads.base import ShardAffinity
 from repro.workloads.smallbank import SmallbankWorkload
 
-from tests import reference
 
 NUM_SHARDS = 2
 
@@ -172,31 +168,6 @@ class TestVoteReconciliation:
         assert len(channel.deliver(votes, 2)) == 3  # shard 1 duplicated
         assert [v.shard_id for v in channel.deliver(votes, 3, attempt=0)] == [1]
         assert [v.shard_id for v in channel.deliver(votes, 3, attempt=2)] == [0, 1]
-
-
-class TestWritesInBlockDifferential:
-    def test_indexed_walk_matches_naive_walk(self):
-        """Satellite fix: the per-block key watermark returns exactly what
-        the reference every-chain walk returns — repeated keys, tombstones,
-        all block heights — while touching only the block's own chains."""
-        store = MVStore()
-        store.load({f"k{i}": i for i in range(40)})
-        rng = SeededRng(3, "writes-in-block-differential")
-        for block_id in range(12):
-            writes = []
-            for _ in range(15):
-                key = f"k{rng.randint(0, 39)}"
-                if rng.random() < 0.15:
-                    writes.append((key, TOMBSTONE))
-                else:
-                    writes.append((key, rng.randint(0, 10_000)))
-            # repeated key in one block: both versions must replay in order
-            writes.append(writes[0])
-            store.apply_block(block_id, list(writes))
-        for block_id in range(-1, 13):
-            assert store.writes_in_block(block_id) == reference.writes_in_block(
-                store, block_id
-            )
 
 
 class TestQuickDrills:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import json
 
 import pytest
@@ -10,7 +11,6 @@ from repro.obs import (
     Span,
     TraceFileError,
     Tracer,
-    attach_tracer,
     block_paths,
     det_digest,
     det_events,
@@ -137,8 +137,10 @@ class TestDeterminism:
         assert a.det_digest() != b.det_digest()
 
     def test_disabled_tracing_is_identity(self):
-        """Hooks default to None and an untraced run decides identically
-        to a traced one — tracing observes, never perturbs."""
+        """The chain holds the run's one span hook — no certificate log,
+        checkpoint manager or other pipeline object has one — and it
+        defaults to None. An untraced run decides identically to a traced
+        one: tracing observes, never perturbs."""
         from repro.obs.capture import build_workload
         from repro.shard.system import ShardConfig, ShardedBlockchain
 
@@ -147,14 +149,35 @@ class TestDeterminism:
         )
         chain = ShardedBlockchain(config, build_workload("smallbank", 2))
         assert chain.tracer is None
-        assert chain.cert_log.tracer is None
-        assert chain.group.nodes[0].engine.checkpoints.tracer is None
         untraced = chain.run()
+        assert tracer_holders(chain) == [chain]
         traced_tracer, traced = trace_run(num_blocks=4, block_size=8)
         assert untraced.extra["decision_digest"] == traced.extra["decision_digest"]
         assert untraced.extra["state_hash"] == traced.extra["state_hash"]
         assert untraced.extra["cert_head"] == traced.extra["cert_head"]
         assert len(traced_tracer.spans) > 0
+
+
+def tracer_holders(root) -> list:
+    """Every object with a ``tracer`` attribute reachable from ``root``
+    through ``repro`` instances (their fields) and plain containers."""
+    seen, todo, holders = set(), [root], []
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, dict):
+            todo.extend(obj.values())
+        elif isinstance(obj, (list, tuple, set, frozenset)):
+            todo.extend(obj)
+        elif type(obj).__module__.startswith("repro."):
+            if hasattr(obj, "tracer"):
+                holders.append(obj)
+            todo.extend(
+                ref for ref in gc.get_referents(obj) if not isinstance(ref, type)
+            )
+    return holders
 
 
 # ------------------------------------------------------------ export + CLI
@@ -359,8 +382,7 @@ def traced_chain(workload, **cfg):
 
     config = ShardConfig(num_shards=2, block_size=16, num_blocks=8, seed=11, **cfg)
     chain = ShardedBlockchain(config, build_workload(workload, 2))
-    tracer = Tracer()
-    attach_tracer(chain, tracer)
+    chain.tracer = tracer = Tracer()
     return tracer, chain.run()
 
 
@@ -408,14 +430,44 @@ class TestFormerMetricsInSpans:
         from repro.storage.checkpoint import CheckpointManager
 
         manager = CheckpointManager(interval_blocks=2, base_interval=2)
-        manager.tracer, manager.trace_shard = Tracer(), 1
-        manager.delta_checkpoint(1, [(0, [("a", 1), ("b", 2)]), (1, [("a", 3)])])
-        manager.delta_checkpoint(3, [(2, []), (3, [("c", 4)])])
-        manager.delta_checkpoint(5, [(4, [("a", 5)]), (5, [("b", 6), ("c", 7)])])
+        tracer = Tracer()
+        for block_id, interval in (
+            (1, [(0, [("a", 1), ("b", 2)]), (1, [("a", 3)])]),
+            (3, [(2, []), (3, [("c", 4)])]),
+            (5, [(4, [("a", 5)]), (5, [("b", 6), ("c", 7)])]),
+        ):
+            manager.delta_checkpoint(block_id, interval)
+            tracer.checkpointed(1, block_id, manager)
+        tracer.checkpointed(1, 6, manager)  # block 6 wrote no checkpoint
         assert [
             (s.block, s.shard, s.attrs["writes"], s.attrs["compacted"])
-            for s in manager.tracer.spans
+            for s in tracer.spans
         ] == [(1, 1, 3, False), (3, 1, 1, True), (5, 1, 3, False)]
+
+    def test_a_skipped_checkpoint_emits_its_fault_and_no_delta(self):
+        """A ``"skip"`` directive is a fault span and nothing else; a
+        ``"tear"`` is a fault span, then the delta it tore."""
+        from repro.storage.checkpoint import CheckpointManager
+
+        manager = CheckpointManager(interval_blocks=2, base_interval=8)
+        manager.fault_hook = {1: "skip", 3: "tear"}.get
+        tracer = Tracer()
+        manager.delta_checkpoint(1, [(0, [("a", 1)]), (1, [])])
+        tracer.checkpointed(0, 1, manager)
+        assert manager.count == 0
+        manager.delta_checkpoint(3, [(2, [("b", 2)]), (3, [])])
+        tracer.checkpointed(0, 3, manager)
+        assert manager.torn_latest
+        assert [(s.name, s.kind, s.block, s.attrs) for s in tracer.spans] == [
+            ("checkpoint_fault", "fault", 1, {"mode": "delta", "directive": "skip"}),
+            ("checkpoint_fault", "fault", 3, {"mode": "delta", "directive": "tear"}),
+            (
+                "checkpoint",
+                "event",
+                3,
+                {"mode": "delta", "blocks": 2, "writes": 1, "compacted": False},
+            ),
+        ]
 
     def test_migrate_events_carry_each_ownership_epoch(self):
         tracer, metrics = traced_chain(

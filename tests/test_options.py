@@ -33,7 +33,7 @@ class TestOptionCensus:
         assert unset == []
         # the baseline ROADMAP's "No new knob" counts from: a PR that moves it
         # says so (before -> after) and moves it here
-        assert (len(rows), options) == (24, 34)
+        assert (len(rows), options) == (23, 33)
         test_only = {name for name, outside, _inside in rows if not outside}
         assert test_only == set(TOOL["TEST_ONLY"])
 

@@ -37,6 +37,7 @@ from repro.workloads.smallbank import SmallbankWorkload
 from repro.workloads.ycsb import YCSBWorkload, key_of
 
 from tests import reference
+from tests.conftest import History, run_with_history
 
 WORKLOADS = {
     "ycsb": lambda affinity=None: YCSBWorkload(num_keys=160, theta=0.6, affinity=affinity),
@@ -369,19 +370,17 @@ class TestSingleShardIdentity:
         assert oe.node is oe.group.nodes[0]
 
     def test_one_shard_has_nothing_to_route_split_or_vote_on(self):
-        chain = ShardedBlockchain(
-            shard_config(num_shards=1, keep_history=True), WORKLOADS["smallbank"]()
-        )
-        metrics = chain.run()
+        chain = ShardedBlockchain(shard_config(num_shards=1), WORKLOADS["smallbank"]())
+        metrics, history = run_with_history(chain)
         assert metrics.extra["cross_shard_txns"] == 0
-        for outcome in chain.history:
+        for outcome in history:
             # the sub-block is the global block, the ledger the global chain
             assert outcome.sub_blocks == {0: outcome.block}
             assert outcome.expected == {}
             assert outcome.certificate.votes == ()
             assert outcome.merged_txns is outcome.executions[0].txns
         assert chain.group.nodes[0].ledger.blocks() == [
-            outcome.block for outcome in chain.history
+            outcome.block for outcome in history
         ]
         assert chain.consistency_check()
 
@@ -398,11 +397,12 @@ def run_sharded(
     cross=0.4,
     **overrides,
 ):
+    """A traced run whose :class:`History` (``chain.tracer``) keeps every
+    block's outcome."""
     workload = WORKLOADS[workload_name](ShardAffinity(num_shards, cross))
-    config = shard_config(
-        system, num_shards=num_shards, keep_history=True, **overrides
-    )
+    config = shard_config(system, num_shards=num_shards, **overrides)
     chain = ShardedBlockchain(config, workload)
+    chain.tracer = History()
     metrics = chain.run()
     return chain, metrics
 
@@ -423,7 +423,7 @@ class TestCrossShardCommit:
         CROSS_SHARD_ABORT on shards whose local vote was commit."""
         chain, metrics = run_sharded(cross=0.8, num_blocks=6)
         saw_cross = saw_veto = 0
-        for record in chain.history:
+        for record in chain.tracer.outcomes:
             for j, participants in enumerate(record.participants):
                 if len(participants) <= 1:
                     continue
@@ -472,7 +472,7 @@ class TestCrossShardCommit:
                 workload_name=workload_name, cross=0.6, num_blocks=6
             )
             oracle = HistoryOracle()
-            for record in chain.history:
+            for record in chain.tracer.outcomes:
                 apply_chains = [
                     item
                     for shard in sorted(record.executions)
@@ -528,12 +528,10 @@ class TestScanFootprints:
             block_size=40,
             num_blocks=10,
             seed=30625,
-            keep_history=True,
         )
-        chain = ShardedBlockchain(config, workload)
-        metrics = chain.run()
+        metrics, history = run_with_history(ShardedBlockchain(config, workload))
         participants = sum(
-            len(shards) for record in chain.history for shards in record.participants
+            len(shards) for record in history for shards in record.participants
         )
         return metrics, participants
 

@@ -399,26 +399,27 @@ class TestStorageEngine:
         assert cp.state["a"] == 3
         assert cp.prev_state["a"] == 2
 
-    def test_incremental_checkpoint_covers_unbuffered_blocks(self):
+    def test_checkpoint_refuses_unbuffered_blocks(self):
         """Blocks applied behind the engine's back (directly on the store)
-        never enter the delta buffer — the checkpoint must rescan them, or
-        the folded state silently diverges from the full snapshot."""
+        never enter the delta buffer, and a delta without them would fold
+        to a state the store does not hold: the checkpoint names them and
+        takes nothing."""
         engine = StorageEngine(checkpoint_interval=2)
         engine.preload({"a": 1})
         engine.store.apply_block(0, [("a", 10)])  # bypasses the buffer
         engine.store.apply_block(1, [("b", 20)])
-        engine.checkpoint_if_due(1)
-        cp = engine.checkpoints.latest()
-        assert cp.block_id == 1
-        assert cp.state == engine.store.materialize()
-        assert cp.prev_state == engine.store.materialize_at(0)
-        # a buffered and an unbuffered block in one interval also folds right
-        engine.apply_block(2, [("a", 30)])
-        engine.store.apply_block(3, [("c", 40)])
-        engine.checkpoint_if_due(3)
-        cp = engine.checkpoints.latest()
-        assert cp.state == engine.store.materialize()
-        assert cp.prev_state == engine.store.materialize_at(2)
+        with pytest.raises(ValueError, match=r"blocks \[0, 1\]"):
+            engine.checkpoint_if_due(1)
+        # a buffered and an unbuffered block in one interval: only the
+        # unbuffered one is named, and the buffered one stays buffered
+        engine = StorageEngine(checkpoint_interval=2)
+        engine.preload({"a": 1})
+        engine.apply_block(0, [("a", 30)])
+        engine.store.apply_block(1, [("c", 40)])
+        with pytest.raises(ValueError, match=r"blocks \[1\]"):
+            engine.checkpoint_if_due(1)
+        assert engine.checkpoints.count == 0
+        assert [bid for bid, _ in engine._delta_writes] == [0]
 
 
 def reference_engine(like: StorageEngine, keys) -> StorageEngine:

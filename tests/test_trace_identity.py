@@ -26,7 +26,7 @@ from golden.trace_identity import (
     run_cases,
     traced_drill,
 )
-from repro.obs.trace import Tracer, attach_tracer
+from repro.obs.trace import Tracer
 from repro.sim.rng import SeededRng
 
 GOLDEN = json.loads(GOLDEN_PATH.read_text())
@@ -108,7 +108,8 @@ def test_supervised_walk_is_the_unsupervised_walk():
         _build_chain(DRILL["scheme"], DRILL["num_shards"], plan, DRILL["block_size"])
         for _ in range(2)
     ]
-    supervised, plain = (attach_tracer(chain, Tracer()) for chain in chains)
+    supervised, plain = Tracer(), Tracer()
+    chains[0].tracer, chains[1].tracer = supervised, plain
     supervisor = SupervisedShardGroup(
         chains[0], FaultInjector(plan, DRILL["num_shards"])
     )

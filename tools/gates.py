@@ -333,6 +333,29 @@ GATES = (
         " (ShardGroup.first_difference), not by a re-hash of the whole replica",
         "return other.combined_state_hash() == self.group.combined_state_hash()",
     ),
+    Gate(
+        "one-span-schema/emit", "regex", r"\.(stage|event|fault|anno|emit)\(",
+        (SRC,),
+        "obs/trace.py's Tracer builds every span, one method per moment of a run; a stage or"
+        " the supervisor calls the moment, never a span constructor",
+        'self.tracer.event("order", block=block.block_id)',
+        exempt=((f"{SRC}/obs", None),),
+    ),
+    Gate(
+        "one-span-schema/hook", "regex",
+        r"rejoin_listeners|trace_shard|keep_history|attach_tracer",
+        (SRC, "tests"),
+        "the chain's tracer is the run's one span hook, armed by one attribute: no tracer on the"
+        " certificate log or a checkpoint manager, no re-arming listener, no history option",
+        "chain.group.rejoin_listeners.append(rearm)",
+    ),
+    Gate(
+        "one-checkpoint-path/rescan", "regex", r"\bwrites_in_block\b|_block_keys",
+        (SRC,),
+        "a delta checkpoint covers the engine's buffered writes; a block applied around the"
+        " engine is an error, not a store rescan through a per-block key index",
+        "taken.extend((bid, self.store.writes_in_block(bid)) for bid in missing)",
+    ),
 )
 
 

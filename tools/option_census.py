@@ -17,7 +17,6 @@ OUTSIDE, INSIDE = ("src", "benchmarks", "examples", "tools"), ("tests",)
 TEST_ONLY = {
     "RunConfig.pool_pages": "a pool smaller than the working set: eviction, write-back",
     "SOVConfig.max_endorser_lag": "lag 0 and lag 3 bracket the endorsement-mismatch rate",
-    "ShardConfig.keep_history": "oracles read per-block executions a run does not retain",
     "HarmonyConfig.snapshot_lag": "the inter-block tests pin the lag they reason about",
 }
 

@@ -5,15 +5,22 @@ Both dataflows fold their blocks in here — the Order-Execute driver
 Simulate-Order-Validate (:class:`~repro.chain.sov.SOVBlockchain`, one lane)
 — so Figures 7, 13, 15 and 17 put numbers counted and clocked one way on
 one axis: the retry queue, the decision digest, the :class:`BlockStats`
-fold, the :class:`~repro.sim.scheduler.PipelineSimulator` lanes, the
-per-block latency and the io / state / ledger totals.
+fold with the run's one false-abort count
+(:meth:`~repro.dcc.oracle.SerializabilityOracle.count_false_aborts`) and
+dangerous-structure sum, one :class:`~repro.sim.scheduler.BlockTiming` per
+lane execution, the :class:`~repro.sim.scheduler.PipelineSimulator` lanes,
+the per-block latency and the io / state / ledger totals. What a block
+costs before it reaches here is its replica's
+(:meth:`~repro.chain.node.ReplicaNode.finish_block` prices the ingest) or,
+for remote reads and votes, the sharded driver's.
 """
 
 from __future__ import annotations
 
 from repro.chain.config import decision_part, digest_parts
+from repro.dcc.oracle import SerializabilityOracle
 from repro.sim.metrics import BlockStats, RunMetrics
-from repro.sim.scheduler import PipelineSimulator, merge_shard_results
+from repro.sim.scheduler import BlockTiming, PipelineSimulator, merge_shard_results
 from repro.storage.mvstore import combine_state_hashes
 from repro.txn.transaction import TxnStatus
 
@@ -41,13 +48,32 @@ class RunAccounts:
         return retries + fresh, len(retries)
 
     def absorb(
-        self, block_id: int, txns, timings, false_aborts: int, dangerous: int
+        self,
+        block_id: int,
+        txns,
+        executions,
+        arrival_us: float,
+        graph=None,
+        chain_order=None,
     ) -> BlockStats:
         """Fold one committed block: its decisions (``txns``, one record per
-        transaction), its aborts' resubmission and one timing per lane."""
+        transaction), its false aborts, its aborts' resubmission and one
+        timing per lane (``executions``, a
+        :class:`~repro.execution.BlockExecution` per lane in lane order, the
+        block arriving at ``arrival_us``). ``graph`` is the committed set's
+        graph when the caller holds the one built over these very ``txns``;
+        ``chain_order`` the per-key apply order the oracle assumes."""
         self.decision_parts.append(decision_part(block_id, txns))
         stats = BlockStats(
-            block_id, false_aborts=false_aborts, dangerous_structure_hits=dangerous
+            block_id,
+            false_aborts=SerializabilityOracle.count_false_aborts(
+                txns, chain_order=chain_order, graph=graph
+            ),
+            # validator events are per-lane observations (a cross-shard
+            # transaction is validated at every participant)
+            dangerous_structure_hits=sum(
+                e.stats.dangerous_structure_hits for e in executions
+            ),
         )
         # the per-transaction loops compare ``status`` directly: the
         # ``committed`` / ``aborted`` properties cost a frame per read
@@ -63,8 +89,17 @@ class RunAccounts:
         # clients resubmit aborted transactions: their aborts cost a
         # high-abort protocol the next blocks' slots
         self.retry_queue.extend(t.spec for t in txns if t.status is aborted)
-        for lane, timing in zip(self.lanes, timings):
-            lane.append(timing)
+        for lane, execution in zip(self.lanes, executions):
+            lane.append(
+                BlockTiming(
+                    arrival_us=arrival_us,
+                    sim_durations=execution.sim_durations_us,
+                    commit_durations=execution.commit_durations_us,
+                    serial_commit=execution.serial_commit,
+                    pre_exec_serial_us=execution.pre_exec_serial_us,
+                    post_commit_serial_us=execution.post_commit_serial_us,
+                )
+            )
         return stats
 
     def finish(

@@ -32,11 +32,9 @@ from repro.consensus.kafka import KafkaOrdering
 from repro.consensus.network import NetworkModel
 from repro.dcc.fabric import FabricValidator, endorsed_value_writes
 from repro.dcc.fastfabric import FastFabricOrderer, FastFabricValidator
-from repro.dcc.oracle import SerializabilityOracle
 from repro.sim.costs import cost_table
 from repro.sim.metrics import RunMetrics
 from repro.sim.rng import SeededRng
-from repro.sim.scheduler import BlockTiming
 from repro.storage.wal import LogMode
 from repro.txn.context import SimulationContext
 from repro.txn.transaction import AbortReason, Txn
@@ -149,7 +147,6 @@ class SOVBlockchain:
             block.endorsed_txns = ordered
             execution = self.node.process_block(block)
             execution.pre_exec_serial_us += pre_exec
-            execution.pre_exec_serial_us += block.size * self.costs.ingest_us
 
             # the rw-set broadcast paces block delivery (Figures 15/16)
             records = sum(len(t.read_set) + len(t.write_set) for t in txns)
@@ -163,22 +160,13 @@ class SOVBlockchain:
                     4 * self.network.one_way_us
                     + self.network.transfer_us(txn_bytes)
                 ) + self.consensus.block_latency_us(block_bytes, config.num_replicas)
-            timing = BlockTiming(
-                arrival_us=arrival,
-                sim_durations=execution.sim_durations_us,
-                commit_durations=execution.commit_durations_us,
-                serial_commit=execution.serial_commit,
-                pre_exec_serial_us=execution.pre_exec_serial_us,
-                post_commit_serial_us=execution.post_commit_serial_us,
-            )
+            # validation applied in TID order
             accounts.absorb(
                 block.block_id,
                 execution.txns,
-                [timing],
-                SerializabilityOracle.count_false_aborts(
-                    execution.txns, chain_order=lambda t: t.tid
-                ),
-                execution.stats.dangerous_structure_hits,
+                [execution],
+                arrival,
+                chain_order=lambda t: t.tid,
             )
             arrival += self.consensus.min_block_interval_us(
                 block_bytes, config.num_replicas

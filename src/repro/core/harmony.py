@@ -128,7 +128,7 @@ class HarmonyExecutor(DCCExecutor):
     def commit_block(
         self, prepared: PreparedBlock, abort_tids: frozenset = frozenset()
     ) -> BlockExecution:
-        block_id, txns, vstats = prepared.block_id, prepared.txns, prepared.payload
+        txns, vstats = prepared.txns, prepared.payload
         self.force_aborts(txns, abort_tids)
 
         # one pass over one structure: the committed set's graph orders the
@@ -143,28 +143,20 @@ class HarmonyExecutor(DCCExecutor):
         graph = reorder.graph
         self._prev_records = HarmonyValidator.records_for(txns, graph=graph)
 
-        tail_us = self.engine.apply_block(block_id, reorder.ordered_writes)
-        tail_us += self.engine.checkpoint_if_due(
-            block_id, meta={"prev_records": self._prev_records}
-        )
-
-        stats = self.make_stats(block_id, txns)
-        stats.dangerous_structure_hits = vstats.dangerous_structure_hits
-
         commit_durations = reorder.key_durations_us
         commit_durations.extend(reorder.txn_commit_cpu_us.values())
-        return BlockExecution(
-            block_id=block_id,
-            txns=txns,
-            sim_durations_us=prepared.sim_durations_us,
-            commit_durations_us=commit_durations,
+        execution = self.install(
+            prepared,
+            reorder.ordered_writes,
+            commit_durations,
             serial_commit=False,
-            post_commit_serial_us=tail_us,
-            stats=stats,
+            meta={"prev_records": self._prev_records},
             apply_chains=reorder.chains,
             snapshot_block_id=prepared.snapshot_block_id,
             committed_graph=graph,
         )
+        execution.stats.dangerous_structure_hits = vstats.dangerous_structure_hits
+        return execution
 
     def clone_args(self) -> tuple:
         return (self.config,)

@@ -97,9 +97,8 @@ class AriaExecutor(DCCExecutor):
     def commit_block(
         self, prepared: PreparedBlock, abort_tids: frozenset = frozenset()
     ) -> BlockExecution:
-        block_id, txns = prepared.block_id, prepared.txns
         snapshot, survivors = prepared.payload
-        self.force_aborts(txns, abort_tids)
+        self.force_aborts(prepared.txns, abort_tids)
 
         # Parallel commit: disjoint write sets, values evaluated against the
         # block snapshot (Aria ships values, not commands). Only locally
@@ -121,15 +120,4 @@ class AriaExecutor(DCCExecutor):
             commit_durations.append(cost)
 
         ordered_writes.sort(key=lambda kv: key_text(kv[0]))
-        tail = self.engine.apply_block(block_id, ordered_writes)
-        tail += self.engine.checkpoint_if_due(block_id)
-
-        return BlockExecution(
-            block_id=block_id,
-            txns=txns,
-            sim_durations_us=prepared.sim_durations_us,
-            commit_durations_us=commit_durations,
-            serial_commit=False,
-            post_commit_serial_us=tail,
-            stats=self.make_stats(block_id, txns),
-        )
+        return self.install(prepared, ordered_writes, commit_durations, serial_commit=False)

@@ -76,6 +76,18 @@ def has_cycle(adjacency: dict[int, set[int]]) -> bool:
     return find_cycle(adjacency) is not None
 
 
+def applies_in_order(txns) -> list[tuple]:
+    """Per-key ``(key, tids)`` apply chains of the committed transactions,
+    in list order — how a value-based scheme that reads the pre-block
+    snapshot applies its writes."""
+    chains: dict = {}
+    for txn in txns:
+        if txn.committed:
+            for key in txn.write_set:
+                chains.setdefault(key, []).append(txn.tid)
+    return list(chains.items())
+
+
 class SerializabilityOracle:
     """Per-block serializability checks and false-abort accounting."""
 
@@ -176,6 +188,22 @@ class HistoryOracle:
                 chain.append(_WritePosition(block_id, pos, tid))
         if new_keys and self._key_index is not None:
             self._key_index.extend(new_keys)
+
+    def record_decided(self, block_id: int, txns: list[Txn], executions: dict) -> None:
+        """Record one decided block: ``txns`` holds one record per
+        transaction in TID order (a chain's merged view), ``executions``
+        maps shard to its :class:`~repro.execution.BlockExecution`. An
+        execution that recorded its snapshot (Harmony) carries its own apply
+        chains, Rule 2's order; every other scheme applied in TID order
+        against the block before."""
+        first = executions[min(executions)]
+        if first.snapshot_block_id is None:
+            self.record_block(block_id, txns, applies_in_order(txns))
+            return
+        apply_chains = [
+            item for shard in sorted(executions) for item in executions[shard].apply_chains
+        ]
+        self.record_block(block_id, txns, apply_chains, first.snapshot_block_id)
 
     def _add_read_edges(
         self,

@@ -79,11 +79,11 @@ class RBCExecutor(DCCExecutor):
     def commit_block(
         self, prepared: PreparedBlock, abort_tids: frozenset = frozenset()
     ) -> BlockExecution:
-        block_id, txns = prepared.block_id, prepared.txns
+        txns = prepared.txns
         snapshot, validation_costs = prepared.payload
         self.force_aborts(txns, abort_tids)
 
-        overlay = OverlayView(snapshot, block_id)
+        overlay = OverlayView(snapshot, prepared.block_id)
         commit_durations: list[float] = []
         for i, txn in enumerate(sorted(txns, key=lambda t: t.tid)):
             if txn.aborted:
@@ -100,15 +100,6 @@ class RBCExecutor(DCCExecutor):
             txn.commit_cost_us = cost
             commit_durations.append(cost)
 
-        tail = self.engine.apply_block(block_id, overlay.ordered_writes())
-        tail += self.engine.checkpoint_if_due(block_id)
-
-        return BlockExecution(
-            block_id=block_id,
-            txns=txns,
-            sim_durations_us=prepared.sim_durations_us,
-            commit_durations_us=commit_durations,
-            serial_commit=True,
-            post_commit_serial_us=tail,
-            stats=self.make_stats(block_id, txns),
+        return self.install(
+            prepared, overlay.ordered_writes(), commit_durations, serial_commit=True
         )

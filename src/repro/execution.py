@@ -237,6 +237,34 @@ class DCCExecutor:
         transaction objects the commit later marks again). Executors
         without cross-block prepare state need nothing."""
 
+    def install(
+        self,
+        prepared: PreparedBlock,
+        ordered_writes,
+        commit_durations: list[float],
+        serial_commit: bool,
+        meta: dict | None = None,
+        **recorded,
+    ) -> BlockExecution:
+        """The tail of every ``commit_block``, once the block's decisions
+        and writes are fixed: install ``ordered_writes``, checkpoint if due
+        (``meta`` rides in the checkpoint), count the decisions. ``recorded``
+        fills the execution's optional fields (Harmony's apply chains,
+        snapshot and committed graph)."""
+        block_id, txns = prepared.block_id, prepared.txns
+        tail = self.engine.apply_block(block_id, ordered_writes)
+        tail += self.engine.checkpoint_if_due(block_id, meta=meta)
+        return BlockExecution(
+            block_id=block_id,
+            txns=txns,
+            sim_durations_us=prepared.sim_durations_us,
+            commit_durations_us=commit_durations,
+            serial_commit=serial_commit,
+            post_commit_serial_us=tail,
+            stats=self.make_stats(block_id, txns),
+            **recorded,
+        )
+
     def make_stats(self, block_id: int, txns: list[Txn]) -> BlockStats:
         stats = BlockStats(block_id=block_id)
         for txn in txns:
@@ -262,24 +290,12 @@ class OverlayExecutor(DCCExecutor):
     def commit_block(
         self, prepared: PreparedBlock, abort_tids: frozenset = frozenset()
     ) -> BlockExecution:
-        block_id, txns = prepared.block_id, prepared.txns
         overlay, durations = prepared.payload
         pending_vetos = [
-            t.tid for t in txns if t.tid in abort_tids and not t.aborted
+            t.tid for t in prepared.txns if t.tid in abort_tids and not t.aborted
         ]
         if pending_vetos:
             raise ValueError(
                 f"{self.name} execution cannot honour cross-shard vetos {pending_vetos}"
             )
-
-        tail = self.engine.apply_block(block_id, overlay.ordered_writes())
-        tail += self.engine.checkpoint_if_due(block_id)
-        return BlockExecution(
-            block_id=block_id,
-            txns=txns,
-            sim_durations_us=prepared.sim_durations_us,
-            commit_durations_us=durations,
-            serial_commit=True,
-            post_commit_serial_us=tail,
-            stats=self.make_stats(block_id, txns),
-        )
+        return self.install(prepared, overlay.ordered_writes(), durations, serial_commit=True)

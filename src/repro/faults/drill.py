@@ -87,17 +87,6 @@ class DrillResult:
         )
 
 
-def _applies_in_order(txns) -> list[tuple]:
-    """Per-key ``(key, tids)`` apply chains of committed transactions, in
-    list order — the pre-block-snapshot recording recipe (aria / rbc)."""
-    chains: dict = {}
-    for txn in txns:
-        if txn.committed:
-            for key in txn.write_set:
-                chains.setdefault(key, []).append(txn.tid)
-    return list(chains.items())
-
-
 def _build_chain(
     scheme: str,
     num_shards: int,
@@ -183,20 +172,7 @@ def run_drill(
         outcome = reference.process_global_block(block)
         merged = reference.merged_view(outcome)
         ref_records.append((block.block_id, merged))
-        if scheme == "harmony":
-            apply_chains = [
-                item
-                for shard in sorted(outcome.executions)
-                for item in outcome.executions[shard].apply_chains
-            ]
-            first = min(outcome.executions)
-            snapshot_id = outcome.executions[first].snapshot_block_id
-        else:
-            apply_chains = _applies_in_order(merged)
-            snapshot_id = block.block_id - 1
-        oracle.record_block(
-            block.block_id, merged, apply_chains, snapshot_block_id=snapshot_id
-        )
+        oracle.record_decided(block.block_id, merged, outcome.executions)
     supervisor.finalize()
 
     def fail(message: str) -> None:

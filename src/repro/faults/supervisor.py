@@ -98,17 +98,15 @@ class SupervisedShardGroup:
         self.policy = policy or RetryPolicy()
         self.channel = FaultyVoteChannel(injector.plan)
         injector.arm(chain)
-        #: every global block's sub-block split, for catch-up delivery
-        self.sub_block_log: list[dict] = []
+        #: every global block's :class:`~repro.shard.system.GlobalBlockOutcome`,
+        #: in block order: its sub-blocks feed catch-up, its executions — from
+        #: the live commit, recovery replay or catch-up, the first to land
+        #: wins — the decision records
+        self.outcomes: list = []
         #: shards currently dead (corpse still holds the durable artifacts)
         self._crashed: set[int] = set()
         #: partition windows already caught up, keyed (shard, start block)
         self._healed_windows: set = set()
-        #: (shard, block_id) -> {tid: txn} from live commits, recovery
-        #: replay and catch-up — the decision records' single source
-        self._shard_block_txns: dict = {}
-        #: per block: (block_id, [(tid, coordinator shard), ...])
-        self._rows: list = []
         # --- supervision accounting
         self.injected_delay_us = 0.0
         self.retry_rounds = 0
@@ -141,7 +139,7 @@ class SupervisedShardGroup:
             block, migration_barrier=_migration_barrier
         )
         expected = outcome.expected
-        self.sub_block_log.append(outcome.sub_blocks)
+        self.outcomes.append(outcome)
 
         # migration-family faults: the shard died while the boundary
         # shipment was in flight (its store load was skipped or torn by the
@@ -213,10 +211,6 @@ class SupervisedShardGroup:
 
         chain.certify_global_block(outcome, votes=arrived)
         chain.commit_global_block(outcome, skip=frozenset(self._crashed))
-        for shard, execution in outcome.executions.items():
-            self._shard_block_txns.setdefault(
-                (shard, bid), {t.tid: t for t in execution.txns}
-            )
 
         # crash-after-commit: committed, then died before the checkpoint
         # write survived (the armed checkpoint hook already skipped/tore it)
@@ -226,17 +220,6 @@ class SupervisedShardGroup:
         # certificate landed, so replay covers this block too.
         for shard in sorted(self._crashed):
             self._catch_up(shard, self._recover_until_alive(shard, bid))
-
-        participants = outcome.participants
-        self._rows.append(
-            (
-                bid,
-                [
-                    (block.first_tid + j, min(participants[j]))
-                    for j in range(block.size)
-                ],
-            )
-        )
         return outcome.executions
 
     def finalize(self) -> None:
@@ -277,10 +260,8 @@ class SupervisedShardGroup:
         self.injected_delay_us += rtt_us
         if tracer is not None:
             tracer.recovered(block_id, shard, rtt_us, len(recovery.replayed_blocks))
-        for replayed_bid, txns in recovery.replayed_blocks:
-            self._shard_block_txns.setdefault(
-                (shard, replayed_bid), {t.tid: t for t in txns}
-            )
+        for replayed_bid, execution in recovery.replayed_blocks:
+            self.outcomes[replayed_bid].executions.setdefault(shard, execution)
         return recovery.node
 
     def _crash(self, shards, bid: int, window: str) -> None:
@@ -317,7 +298,7 @@ class SupervisedShardGroup:
     def _catch_up(self, shard: int, node) -> None:
         """Deliver every logged-and-certified sub-block the replica's
         ledger doesn't cover yet (torn log tails, missed windows) — the one
-        replay loop, fed from the supervisor's sub-block log.
+        replay loop, fed from the outcomes' sub-blocks.
 
         Migration-aware: a certified re-key at block *b* re-applies its
         boundary shipment before block *b*'s replay iff the live shipment
@@ -333,18 +314,13 @@ class SupervisedShardGroup:
             nonlocal caught_up
             if tracer is not None:
                 tracer.checkpointed(shard, block_id, node.engine.checkpoints)
-            self._shard_block_txns.setdefault(
-                (shard, block_id), {t.tid: t for t in executions[shard].txns}
-            )
+            self.outcomes[block_id].executions.setdefault(shard, executions[shard])
             self.injected_delay_us += rtt_us
             caught_up += 1
 
         replay_blocks(
             {shard: node},
-            (
-                (b, self.sub_block_log[b])
-                for b in range(from_block, len(self.sub_block_log))
-            ),
+            ((o.block_id, o.sub_blocks) for o in self.outcomes[from_block:]),
             chain.cert_log,
             chain.router,
             on_commit=delivered,
@@ -370,19 +346,14 @@ class SupervisedShardGroup:
     # ------------------------------------------------------------ records
     def decision_records(self) -> list:
         """``(block_id, [txn, ...])`` per global block, each transaction's
-        record taken from its coordinator shard — the same merged view
-        the unsupervised ``run()`` builds. Raises if a shard never healed
-        (call :meth:`finalize` first)."""
-        out = []
-        for bid, pairs in self._rows:
-            txns = []
-            for tid, coordinator in pairs:
-                block_txns = self._shard_block_txns.get((coordinator, bid))
-                if block_txns is None or tid not in block_txns:
+        record taken from its coordinator shard — the chain's merged view,
+        the one the unsupervised ``run()`` builds. Raises if a shard never
+        healed (call :meth:`finalize` first)."""
+        for o in self.outcomes:
+            for j, shards in enumerate(o.participants):
+                if min(shards) not in o.executions:
                     raise RuntimeError(
-                        f"no decision record for tid {tid} "
-                        f"(shard {coordinator}, block {bid})"
+                        f"no decision record for tid {o.block.first_tid + j} "
+                        f"(shard {min(shards)}, block {o.block_id})"
                     )
-                txns.append(block_txns[tid])
-            out.append((bid, txns))
-        return out
+        return [(o.block_id, self.chain.merged_view(o)) for o in self.outcomes]

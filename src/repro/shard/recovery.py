@@ -45,9 +45,9 @@ class ShardRecovery:
     #: digest of the replayed blocks' commit/abort decisions — comparable
     #: against an uncrashed replica's decisions over the same block range
     decision_digest: str
-    #: the replayed ``(block_id, txns)`` pairs behind the digest — lets a
-    #: supervisor back-fill per-block decision records the crashed shard
-    #: never surfaced through the live pipeline
+    #: the replayed ``(block_id, BlockExecution)`` pairs behind the digest —
+    #: lets a supervisor back-fill the executions the crashed shard never
+    #: surfaced through the live pipeline
     replayed_blocks: list = None
 
 
@@ -101,11 +101,10 @@ def recover_shard_node(
         recovered.ledger.append(block)
         engine.block_log.append(block)
 
-    replayed: list[tuple[int, list]] = []
+    replayed: list[tuple[int, object]] = []
 
     def record(block_id, executions) -> None:
-        for execution in executions.values():
-            replayed.append((block_id, execution.txns))
+        replayed.append((block_id, executions[shard_id]))
 
     def prepare(sub_blocks):
         block = sub_blocks[shard_id]
@@ -126,6 +125,6 @@ def recover_shard_node(
     return ShardRecovery(
         node=recovered,
         replay_from=replay_from,
-        decision_digest=decision_digest(replayed),
+        decision_digest=decision_digest((b, e.txns) for b, e in replayed),
         replayed_blocks=replayed,
     )

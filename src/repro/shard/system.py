@@ -56,7 +56,6 @@ from repro.consensus.crypto import Signer
 from repro.consensus.hotstuff import HotStuffConsensus
 from repro.consensus.kafka import KafkaOrdering
 from repro.consensus.network import NetworkModel
-from repro.dcc.oracle import SerializabilityOracle
 from repro.encoding import encode
 from repro.shard.federated import wire_federation
 from repro.shard.rebalance import (
@@ -70,7 +69,6 @@ from repro.shard.twopc import CertificateLog, derive_votes
 from repro.sim.costs import CostModel, cost_table
 from repro.sim.metrics import RunMetrics
 from repro.sim.rng import SeededRng
-from repro.sim.scheduler import BlockTiming
 from repro.storage.mvstore import TOMBSTONE
 
 
@@ -491,16 +489,12 @@ class ShardedBlockchain:
         block_bytes = config.block_size * self.costs.command_bytes
         interval = self.consensus.min_block_interval_us(block_bytes, config.num_replicas)
         rng = SeededRng(config.seed, f"oe/{config.system}/{self.workload.name}")
-        cross_txns = cross_aborted = 0
         for i in range(config.num_blocks):
             specs, retries = accounts.next_specs(self.workload, config.block_size, rng)
             block = self.ordering.form_block(specs)
             if self.tracer is not None:
                 self.tracer.enqueued(block.block_id, retries, len(accounts.retry_queue))
-            outcome = self.process_global_block(block)
-            cross_txns += len(outcome.expected)
-            cross_aborted += len(outcome.certificate.abort_tids)
-            self._absorb_block(accounts, i * interval, outcome)
+            self._absorb_block(accounts, i * interval, self.process_global_block(block))
 
         inter_block = config.system == "harmony" and config.harmony.inter_block
         metrics = accounts.finish(
@@ -513,16 +507,18 @@ class ShardedBlockchain:
             reply_us=self.network.worst_one_way_us(config.num_replicas),
             nodes=self.group.nodes,
         )
-        extra = metrics.extra
-        extra.update(
+        # the certificate stream holds one vote per participant of every
+        # cross-shard transaction and the decisions
+        certificates = self.cert_log.certificates()
+        metrics.extra.update(
             shard_state_hashes=self.group.state_hashes(),
             num_shards=config.num_shards,
-            cross_shard_txns=cross_txns,
-            cross_shard_aborted=cross_aborted,
+            cross_shard_txns=sum(len({v.tid for v in c.votes}) for c in certificates),
+            cross_shard_aborted=sum(len(c.abort_tids) for c in certificates),
             certificates_ok=self.cert_log.verify_chain(),
             cert_head=self.cert_log.head_hash,
             ownership_epoch=self.router.ownership_epoch,
-            migrations=sum(1 for c in self.cert_log.certificates() if c.migration),
+            migrations=sum(1 for c in certificates if c.migration),
         )
         if self.tracer is not None:
             self.tracer.run_ended(metrics)
@@ -548,9 +544,8 @@ class ShardedBlockchain:
         self, accounts: RunAccounts, arrival_us: float, outcome: GlobalBlockOutcome
     ) -> None:
         """Fold a committed block into the run's accounts: the merged view's
-        decisions, and one timing per shard lane carrying the block's
-        remote reads and vote exchange."""
-        block = outcome.block
+        decisions, and one lane per shard carrying the block's remote reads
+        and vote exchange."""
         executions = outcome.executions
         expected = outcome.expected
         outcome.merged_txns = merged_txns = self.merged_view(outcome)
@@ -561,51 +556,29 @@ class ShardedBlockchain:
         for execution in executions.values():
             execution.committed_graph = None
         remote_round_us = self._remote_read_round_us() if expected else 0.0
-        timings = []
         votes = {}  # shard -> (cross-shard txns, vote exchange us)
-        for shard in sorted(executions):
-            execution = executions[shard]
-            # serial front-end: each shard ingests only its sub-block
-            execution.pre_exec_serial_us += (
-                outcome.sub_blocks[shard].size * self.costs.ingest_us
-            )
-            sim_durations = execution.sim_durations_us
+        for shard, execution in sorted(executions.items()) if expected else ():
+            # the cross-shard simulations wait one batched remote-read round
+            execution.sim_durations_us = sim_durations = list(execution.sim_durations_us)
             cross_here = 0
-            if expected:
-                sim_durations = list(sim_durations)
-                for idx, txn in enumerate(execution.txns):
-                    if txn.tid in expected:
-                        cross_here += 1
-                        if idx < len(sim_durations):
-                            # the cross-shard simulation waits one batched
-                            # remote-read round
-                            sim_durations[idx] += remote_round_us
-            post_commit = execution.post_commit_serial_us
+            for idx, txn in enumerate(execution.txns):
+                if txn.tid in expected:
+                    cross_here += 1
+                    if idx < len(sim_durations):
+                        sim_durations[idx] += remote_round_us
             if cross_here:
-                # the vote exchange separates prepare from commit; in
-                # the lane model the serial tail position is equivalent
+                # the vote exchange separates prepare from commit; in the
+                # lane model the serial tail position is equivalent
                 # (commit_finish shifts by the same amount either way)
                 vote_us = self._vote_exchange_us(cross_here)
                 votes[shard] = (cross_here, vote_us)
-                post_commit += vote_us
-            timings.append(
-                BlockTiming(
-                    arrival_us=arrival_us,
-                    sim_durations=sim_durations,
-                    commit_durations=execution.commit_durations_us,
-                    serial_commit=execution.serial_commit,
-                    pre_exec_serial_us=execution.pre_exec_serial_us,
-                    post_commit_serial_us=post_commit,
-                )
-            )
+                execution.post_commit_serial_us += vote_us
         stats = accounts.absorb(
-            block.block_id,
+            outcome.block_id,
             merged_txns,
-            timings,
-            SerializabilityOracle.count_false_aborts(merged_txns, graph=graph),
-            # validator events are per-shard observations (a cross-shard
-            # transaction is validated at every participant)
-            sum(e.stats.dangerous_structure_hits for e in executions.values()),
+            [executions[shard] for shard in sorted(executions)],
+            arrival_us,
+            graph=graph,
         )
         if self.tracer is not None:
             self.tracer.decided(outcome, stats, votes, remote_round_us)

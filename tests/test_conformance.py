@@ -30,7 +30,7 @@ from repro.core.harmony import HarmonyConfig, HarmonyExecutor
 from repro.dcc.aria import AriaExecutor
 from repro.dcc.fabric import FabricValidator, endorsed_value_writes
 from repro.dcc.fastfabric import FastFabricOrderer, FastFabricValidator
-from repro.dcc.oracle import HistoryOracle, SerializabilityOracle
+from repro.dcc.oracle import HistoryOracle, SerializabilityOracle, applies_in_order
 from repro.dcc.rbc import RBCExecutor
 from repro.dcc.serial import SerialExecutor
 from repro.sim.rng import SeededRng
@@ -69,17 +69,6 @@ WORKLOADS = {
     name: (lambda name=name: make_workload(name, profile="conformance"))
     for name in sorted(REGISTRY)
 }
-
-
-def applies_in_order(txns) -> list[tuple]:
-    """Per-key ``(key, tids)`` apply chains for committed transactions, in
-    list order."""
-    chains: dict = {}
-    for txn in txns:
-        if txn.committed:
-            for key in txn.write_set:
-                chains.setdefault(key, []).append(txn.tid)
-    return list(chains.items())
 
 
 def build_scheme(scheme: str, engine, registry):
@@ -280,23 +269,7 @@ def run_sharded_scheme(
 
     oracle = HistoryOracle()
     for record in history:
-        if scheme == "harmony":
-            apply_chains = [
-                item
-                for shard in sorted(record.executions)
-                for item in record.executions[shard].apply_chains
-            ]
-            snapshot_id = record.executions[0].snapshot_block_id
-        else:
-            # pre-block snapshot readers; per-key apply order is TID order
-            apply_chains = applies_in_order(record.merged_txns)
-            snapshot_id = record.block_id - 1
-        oracle.record_block(
-            record.block_id,
-            record.merged_txns,
-            apply_chains,
-            snapshot_block_id=snapshot_id,
-        )
+        oracle.record_decided(record.block_id, record.merged_txns, record.executions)
     assert oracle.build_graph() == reference.history_graph(oracle)
     assert oracle.is_serializable()
 

@@ -18,7 +18,7 @@ import pytest
 
 from repro.chain.config import decision_digest
 from repro.encoding import encode, key_text
-from repro.faults.drill import run_drill
+from repro.faults.drill import SMOKE_PLAN_NAMES, run_drill
 from repro.faults.inject import FaultInjector, FaultyVoteChannel
 from repro.faults.plan import (
     CRASH_AFTER_PREPARE,
@@ -293,3 +293,73 @@ class TestSupervisorAccounting:
         assert supervisor.recoveries == 1
         assert chain.group.ledgers_ok()
         assert chain.consistency_check()
+
+
+#: the smoke plans, the torn-log crash after prepare and a two-block
+#: partition window, on two shards
+OUTCOME_PLANS = [
+    plan
+    for plan in standard_plans(8, NUM_SHARDS, 61)
+    if plan.name in SMOKE_PLAN_NAMES | {"torn-log-tail"}
+] + [
+    FaultPlan(
+        "partition-window", 61, (FaultEvent(PARTITION, block_id=2, shard=1, blocks=2),)
+    )
+]
+
+
+def drilled_supervisor(monkeypatch, plan):
+    """``run_drill`` on ``plan``; returns its verdict and its supervisor,
+    taken once ``finalize`` has run."""
+    finalize = SupervisedShardGroup.finalize
+    seen = []
+
+    def finalize_and_keep(supervisor):
+        finalize(supervisor)
+        seen.append(supervisor)
+
+    monkeypatch.setattr(SupervisedShardGroup, "finalize", finalize_and_keep)
+    result = run_drill("harmony", NUM_SHARDS, plan)
+    return result, seen[0]
+
+
+class TestSupervisorOutcomes:
+    """The supervisor's one record per block is the block's outcome: every
+    shard's execution lands in it, a live commit first, else the replay
+    that recovery or catch-up ran."""
+
+    @pytest.mark.parametrize("plan", OUTCOME_PLANS, ids=[p.name for p in OUTCOME_PLANS])
+    def test_every_outcome_holds_every_shards_execution(self, monkeypatch, plan):
+        result, supervisor = drilled_supervisor(monkeypatch, plan)
+        # a window outlives the vote retries: its cross-shard transactions
+        # degrade to aborts the reference never takes
+        assert result.ok or plan.partition_windows(), result.failures
+        replayed = {
+            (e.block_id, e.shard) for e in plan.events if e.kind == CRASH_AFTER_PREPARE
+        }
+        assert [o.block_id for o in supervisor.outcomes] == list(range(8))
+        for o in supervisor.outcomes:
+            assert sorted(o.executions) == list(range(NUM_SHARDS))
+            for shard, execution in o.executions.items():
+                assert execution.block_id == o.block_id
+                if (o.block_id, shard) in replayed:
+                    # voted live, died before the commit: recovery's record
+                    assert execution.txns is not o.prepared[shard].txns
+                elif shard in o.prepared:
+                    assert execution.txns is o.prepared[shard].txns
+        if plan.partition_windows():
+            (window,) = plan.partition_windows()
+            for o in supervisor.outcomes[window.block_id : window.block_id + window.blocks]:
+                assert window.shard not in o.prepared  # caught up, never live
+
+    def test_a_missing_execution_is_named(self, monkeypatch):
+        _result, supervisor = drilled_supervisor(monkeypatch, FaultPlan("unit-none", 61, ()))
+        o = supervisor.outcomes[3]
+        coordinator = min(o.participants[0])
+        del o.executions[coordinator]
+        with pytest.raises(RuntimeError) as raised:
+            supervisor.decision_records()
+        assert str(raised.value) == (
+            f"no decision record for tid {o.block.first_tid} "
+            f"(shard {coordinator}, block 3)"
+        )

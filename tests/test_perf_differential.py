@@ -1230,7 +1230,7 @@ class TestShortTransactionPath:
         committed = sum(t.committed for t in txns)
         aborted = sum(t.aborted for t in txns)
         accounts = RunAccounts("harmony", "ops")
-        stats = accounts.absorb(3, txns, [], false_aborts=0, dangerous=0)
+        stats = accounts.absorb(3, txns, [], arrival_us=0.0)
         assert accounts.decision_parts == [reference.decision_part(3, txns)]
         assert (stats.committed, stats.aborted) == (committed, aborted)
         assert accounts.retry_queue == [t.spec for t in txns if t.aborted]

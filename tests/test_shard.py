@@ -30,7 +30,7 @@ from repro.shard.router import ShardRouter
 from repro.shard.system import ShardConfig, ShardedBlockchain
 from repro.shard.twopc import CertificateLog, ShardVote, decide, make_certificate
 from repro.txn.transaction import AbortReason, TxnSpec
-from repro.workloads import make_workload
+from repro.workloads import REGISTRY, make_workload
 from repro.workloads.base import ShardAffinity, Workload, partition_of_index
 from repro.workloads.hotspot import HotspotWorkload
 from repro.workloads.smallbank import SmallbankWorkload
@@ -473,17 +473,8 @@ class TestCrossShardCommit:
             )
             oracle = HistoryOracle()
             for record in chain.tracer.outcomes:
-                apply_chains = [
-                    item
-                    for shard in sorted(record.executions)
-                    for item in record.executions[shard].apply_chains
-                ]
-                snapshot_id = record.executions[0].snapshot_block_id
-                oracle.record_block(
-                    record.block_id,
-                    record.merged_txns,
-                    apply_chains,
-                    snapshot_block_id=snapshot_id,
+                oracle.record_decided(
+                    record.block_id, record.merged_txns, record.executions
                 )
             assert oracle.build_graph() == reference.history_graph(oracle)
             assert oracle.is_serializable()
@@ -504,6 +495,51 @@ class TestCrossShardCommit:
 
         one, four = run(1), run(4)
         assert four.throughput_tps >= 2.0 * one.throughput_tps
+
+
+# ---------------------------------------------------- cross-shard counters
+def assert_cross_counters_match_history(chain) -> dict:
+    """``chain.run()`` with a :class:`History`: the run's cross-shard
+    counters, read off the certificate stream, equal the blocks' own
+    expected-vote sets and certified vetoes, summed. Returns ``extra``."""
+    metrics, history = run_with_history(chain)
+    extra = metrics.extra
+    assert len(history) == chain.config.num_blocks
+    assert extra["cross_shard_txns"] == sum(len(o.expected) for o in history)
+    assert extra["cross_shard_aborted"] == sum(
+        len(o.certificate.abort_tids) for o in history
+    )
+    return extra
+
+
+class TestCrossShardCounters:
+    @pytest.mark.parametrize("num_shards", (2, 4))
+    @pytest.mark.parametrize("workload_name", sorted(REGISTRY))
+    def test_counters_equal_the_blocks_expected_and_vetoed(
+        self, workload_name, num_shards
+    ):
+        workload = make_workload(
+            workload_name, profile="gate", affinity=ShardAffinity(num_shards, 0.5)
+        )
+        chain = ShardedBlockchain(
+            shard_config(num_shards=num_shards, num_blocks=4), workload
+        )
+        assert assert_cross_counters_match_history(chain)["cross_shard_txns"] > 0
+
+    def test_counters_hold_across_a_migration(self):
+        workload = make_workload(
+            "adv-skewshift", profile="gate", affinity=ShardAffinity(2, 0.5)
+        )
+        config = shard_config(
+            num_shards=2,
+            num_blocks=6,
+            rebalance="adaptive",
+            rebalance_skew_threshold=1.0,
+            rebalance_cross_threshold=0.0,
+            rebalance_max_keys=8,
+        )
+        extra = assert_cross_counters_match_history(ShardedBlockchain(config, workload))
+        assert extra["migrations"] > 0
 
 
 # ------------------------------------------------------- footprint routing

@@ -350,6 +350,46 @@ GATES = (
         "chain.group.rejoin_listeners.append(rearm)",
     ),
     Gate(
+        "one-block-tail/timing", "regex", r"BlockTiming\(",
+        (SRC,),
+        "RunAccounts.absorb builds one BlockTiming per lane execution for both dataflows",
+        "timing = BlockTiming(arrival_us=arrival, sim_durations=durations)",
+        exempt=((f"{SRC}/chain/accounts.py", None),),
+    ),
+    Gate(
+        "one-block-tail/oracle", "regex", r"count_false_aborts\(",
+        (SRC,),
+        "a run counts its false aborts once, in RunAccounts.absorb; the micro ledger times the"
+        " oracle itself",
+        "false_aborts = SerializabilityOracle.count_false_aborts(merged_txns)",
+        exempt=(
+            (f"{SRC}/dcc/oracle.py", None),
+            (f"{SRC}/chain/accounts.py", None),
+            (f"{SRC}/bench/perf.py", None),
+        ),
+    ),
+    Gate(
+        "one-block-tail/install", "regex", r"checkpoint_if_due\(",
+        (SRC,),
+        "every executor's commit ends in DCCExecutor.install: apply, checkpoint, count",
+        "        tail += self.engine.checkpoint_if_due(block_id)",
+        exempt=((f"{SRC}/execution.py", None), (f"{SRC}/storage/engine.py", None)),
+    ),
+    Gate(
+        "one-block-tail/ingest", "regex", r"\bingest_us\b",
+        (SRC,),
+        "a replica prices its own ingest in ReplicaNode.finish_block; no driver charges it",
+        "execution.pre_exec_serial_us += block.size * self.costs.ingest_us",
+        exempt=((f"{SRC}/sim/costs.py", None), (f"{SRC}/chain/node.py", None)),
+    ),
+    Gate(
+        "one-block-tail/records", "regex", r"sub_block_log|_shard_block_txns",
+        (SRC, "tests"),
+        "the fault supervisor keeps each block's GlobalBlockOutcome, not side records of its"
+        " sub-blocks and transactions",
+        "self.sub_block_log.append(outcome.sub_blocks)",
+    ),
+    Gate(
         "one-checkpoint-path/rescan", "regex", r"\bwrites_in_block\b|_block_keys",
         (SRC,),
         "a delta checkpoint covers the engine's buffered writes; a block applied around the"

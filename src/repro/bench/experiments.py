@@ -439,16 +439,22 @@ F13_ABOVE_RBC = grid(workload=("ycsb",), skew=(0.6,), other=("rbc",)) + grid(
                                      if p not in F13_ABOVE_ARIA_FABRIC + F13_ABOVE_RBC)),
     Claim("ordering", "HarmonyBC's false-abort rate is lowest (+0.01) at YCSB skew 1.0",
           _false_aborts_below, F13_ABOVE_ARIA_FABRIC, expected=False,
-          reason="HarmonyBC reads 0.754 against AriaBC's 0.669 and Fabric's 0.674; the"
-          " oracle judges an abort against the block's own committed graph, which"
-          " cannot see what a Rule-3(ii) inter-block abort avoids - with"
+          reason="HarmonyBC reads 0.754 (264 of 350) against AriaBC's 0.669 and Fabric's"
+          " 0.674. By reason, 263 of its 264 false aborts are Rule-1 backward dangerous"
+          " structures (263 of 297 Rule-1 aborts close no cycle in the block's committed"
+          " graph: the test aborts without finding a cycle, as SSI does) and 1 is"
+          " Rule 3(ii) (1 of 1); AriaBC's are WAW 454/639 and RAW 14/17, Fabric's"
+          " endorsement mismatches 249/249 and stale reads 88/176. With"
           " inter_block=False this point reads 0.560 (196 of 350)"),
     Claim("ordering", "HarmonyBC's false-abort rate is at most RBC's (+0.01)",
           _false_aborts_below, F13_ABOVE_RBC, expected=False,
           reason="RBC runs blocks of 10 (OPTIMAL_BLOCK) to HarmonyBC's 25 and attempts"
-          " 140 transactions to its 350, fewer to conflict per block; HarmonyBC reads"
-          " 0.083 / 0.043 against RBC's 0.064 / 0.007, and 0.020 / 0.000 with"
-          " inter_block=False"),
+          " 140 transactions to its 350, fewer to conflict per block. HarmonyBC reads"
+          " 0.083 / 0.043 against RBC's 0.064 / 0.007. By reason, YCSB 0.6 is Rule 1"
+          " 18/18 and Rule 3(ii) 11/11 against RBC's SSI 2/2 and WAW 7/7; SmallBank 0.8"
+          " is Rule 1 3/8 and Rule 3(ii) 12/12 against RBC's WAW 1/1, so Rule 3(ii)"
+          " carries most of the SmallBank gap. With inter_block=False HarmonyBC reads"
+          " 0.020 / 0.000"),
     Claim("trend", "false aborts grow with contention (AriaBC on YCSB peaks past skew 0)",
           lambda r: peak(r, "skew", "false_abort_rate", workload="ycsb", system="aria") > 0),
 )

@@ -5,8 +5,8 @@ Both dataflows fold their blocks in here — the Order-Execute driver
 Simulate-Order-Validate (:class:`~repro.chain.sov.SOVBlockchain`, one lane)
 — so Figures 7, 13, 15 and 17 put numbers counted and clocked one way on
 one axis: the retry queue, the decision digest, the :class:`BlockStats`
-fold with the run's one false-abort count
-(:meth:`~repro.dcc.oracle.SerializabilityOracle.count_false_aborts`) and
+fold with the run's one false-abort count, split by abort reason and shard
+(:meth:`~repro.dcc.oracle.SerializabilityOracle.count_false_aborts`), and
 dangerous-structure sum, one :class:`~repro.sim.scheduler.BlockTiming` per
 lane execution, the :class:`~repro.sim.scheduler.PipelineSimulator` lanes,
 the per-block latency and the io / state / ledger totals. What a block
@@ -18,7 +18,7 @@ for remote reads and votes, the sharded driver's.
 from __future__ import annotations
 
 from repro.chain.config import decision_part, digest_parts
-from repro.dcc.oracle import SerializabilityOracle
+from repro.dcc.oracle import SerializabilityOracle, false_total
 from repro.sim.metrics import BlockStats, RunMetrics
 from repro.sim.scheduler import BlockTiming, PipelineSimulator, merge_shard_results
 from repro.storage.mvstore import combine_state_hashes
@@ -55,20 +55,25 @@ class RunAccounts:
         arrival_us: float,
         graph=None,
         chain_order=None,
+        participants=None,
     ) -> BlockStats:
         """Fold one committed block: its decisions (``txns``, one record per
-        transaction), its false aborts, its aborts' resubmission and one
-        timing per lane (``executions``, a
-        :class:`~repro.execution.BlockExecution` per lane in lane order, the
-        block arriving at ``arrival_us``). ``graph`` is the committed set's
-        graph when the caller holds the one built over these very ``txns``;
-        ``chain_order`` the per-key apply order the oracle assumes."""
+        transaction), its false aborts split by reason and coordinator shard
+        (``participants[j]``, the shards transaction ``j`` ran on; one lane
+        without it), its aborts' resubmission and one timing per lane
+        (``executions``, a :class:`~repro.execution.BlockExecution` per lane
+        in lane order, the block arriving at ``arrival_us``). ``graph`` is
+        the committed set's graph when the caller holds the one built over
+        these very ``txns``; ``chain_order`` the per-key apply order the
+        oracle assumes."""
         self.decision_parts.append(decision_part(block_id, txns))
+        split = SerializabilityOracle.count_false_aborts(
+            txns, chain_order=chain_order, graph=graph, participants=participants
+        )
         stats = BlockStats(
             block_id,
-            false_aborts=SerializabilityOracle.count_false_aborts(
-                txns, chain_order=chain_order, graph=graph
-            ),
+            false_aborts=false_total(split) if split else 0,
+            abort_split=split,
             # validator events are per-lane observations (a cross-shard
             # transaction is validated at every participant)
             dangerous_structure_hits=sum(

@@ -88,6 +88,12 @@ def applies_in_order(txns) -> list[tuple]:
     return list(chains.items())
 
 
+def false_total(split: dict) -> int:
+    """The false aborts of a :meth:`SerializabilityOracle.count_false_aborts`
+    split, over every reason and shard."""
+    return sum([false for _aborts, false in split.values()])
+
+
 class SerializabilityOracle:
     """Per-block serializability checks and false-abort accounting."""
 
@@ -100,8 +106,15 @@ class SerializabilityOracle:
         txns: list[Txn],
         chain_order=None,
         graph: CommittedGraph | None = None,
-    ) -> int:
-        """Aborts that perfect intra-block scheduling could have avoided.
+        participants=None,
+    ) -> dict:
+        """Aborts that perfect intra-block scheduling could have avoided,
+        split by why each abortee was aborted: ``(reason, shard) ->
+        [aborts, false aborts]``, ``reason`` the abortee's
+        :class:`~repro.txn.transaction.AbortReason` and ``shard`` its
+        coordinator, the lowest of ``participants[j]`` for the abortee at
+        position ``j`` (0 without ``participants``). The false counts sum
+        to the block's false aborts.
 
         Each abortee is answered from the bitsets of the block's
         :class:`~repro.core.dependencies.CommittedGraph` — ``graph`` when
@@ -111,14 +124,24 @@ class SerializabilityOracle:
         abortee. A cyclic committed set makes every hypothetical graph
         cyclic, so it counts no false aborts.
         """
-        abortees = [t for t in txns if t.status is TxnStatus.ABORTED]
+        aborted = TxnStatus.ABORTED
+        abortees = [j for j, txn in enumerate(txns) if txn.status is aborted]
         if not abortees:
-            return 0
+            return {}
         if graph is None:
             graph = CommittedGraph(txns, chain_order)
-        if graph.cyclic:
-            return 0
-        return sum(not graph.closes_cycle(txn) for txn in abortees)
+        judged = not graph.cyclic
+        split: dict = {}
+        for j in abortees:
+            txn = txns[j]
+            key = (txn.abort_reason, 0 if participants is None else min(participants[j]))
+            entry = split.get(key)
+            if entry is None:
+                entry = split[key] = [0, 0]
+            entry[0] += 1
+            if judged and not graph.closes_cycle(txn):
+                entry[1] += 1
+        return split
 
 
 @dataclass

@@ -17,11 +17,13 @@ a span field, and :func:`det_digest` pins the deterministic part.
 
 from repro.obs.analyze import (
     block_paths,
+    abort_reasons,
     fault_events,
     render_report,
     shard_skew,
     slowest_blocks,
     stage_breakdown,
+    veto_reasons,
 )
 from repro.obs.capture import trace_drill, trace_run
 from repro.obs.export import TraceFile, TraceFileError, export_jsonl, load_trace
@@ -37,6 +39,7 @@ __all__ = [
     "TraceFile",
     "TraceFileError",
     "Tracer",
+    "abort_reasons",
     "block_paths",
     "det_digest",
     "det_events",
@@ -49,4 +52,5 @@ __all__ = [
     "stage_breakdown",
     "trace_drill",
     "trace_run",
+    "veto_reasons",
 ]

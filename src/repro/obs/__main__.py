@@ -10,8 +10,9 @@ Usage::
 
 ``trace`` runs a seeded sharded run (or, with ``--plan``, the disturbed
 side of a fault drill) with tracing armed and exports the JSONL trace.
-``report`` renders per-stage breakdowns, per-shard load skew, per-block
-critical paths, and injected fault events. ``smoke`` exercises the whole
+``report`` renders per-stage breakdowns, per-shard load skew, aborts by
+reason x scheme x shard with each one's false share, per-block critical
+paths, and injected fault events. ``smoke`` exercises the whole
 loop — capture, export, round-trip, digest reproducibility, report — and
 exits non-zero on any failure.
 """
@@ -103,6 +104,7 @@ def _cmd_smoke(args) -> int:
         report = render_report(loaded.spans, meta=loaded.meta)
         check("report renders breakdown", "per-stage breakdown" in report)
         check("report renders skew table", "per-shard load skew" in report)
+        check("report renders abort reasons", "aborts by reason" in report)
 
     print("obs smoke: traced fault drill")
     drill_tracer, result = trace_drill(plan_name="crash-before-prepare")

@@ -110,6 +110,29 @@ def fault_events(spans: list[Span]) -> list[Span]:
     return [s for s in spans if s.kind == KIND_FAULT]
 
 
+def abort_reasons(spans: list[Span]) -> dict[tuple[str, int], list[int]]:
+    """``(reason, shard) -> [aborts, false aborts]`` summed over the
+    ``decide`` spans' split (a transaction counts at its coordinator shard)."""
+    out: dict[tuple[str, int], list[int]] = {}
+    for span in spans:
+        if span.name != "decide":
+            continue
+        for reason, shard, aborts, false in span.timing.get("abort_split", ()):
+            entry = out.setdefault((reason, shard), [0, 0])
+            entry[0] += aborts
+            entry[1] += false
+    return out
+
+
+def veto_reasons(spans: list[Span]) -> dict[str, int]:
+    """Why participants vetoed cross-shard transactions (the run summary's
+    certificate-stream histogram; empty for a trace without one)."""
+    for span in spans:
+        if span.name == "run_summary":
+            return dict(span.timing.get("veto_reasons", {}))
+    return {}
+
+
 # ------------------------------------------------------------- rendering
 def _table(headers: list[str], rows: list[list[str]]) -> str:
     widths = [
@@ -125,7 +148,8 @@ def _table(headers: list[str], rows: list[list[str]]) -> str:
 
 
 def render_report(spans: list[Span], meta: dict | None = None, top: int = 5) -> str:
-    """The full plain-text report: breakdown, skew, slowest blocks, faults."""
+    """The full plain-text report: breakdown, skew, abort reasons, slowest
+    blocks, faults."""
     sections: list[str] = []
     if meta:
         pairs = ", ".join(f"{k}={v}" for k, v in sorted(meta.items()))
@@ -183,6 +207,32 @@ def render_report(spans: list[Span], meta: dict | None = None, top: int = 5) -> 
             "ownership migrations (live re-keying)\n"
             + _table(["block", "epoch", "keys", "shipped", "reason"], rows)
         )
+
+    reasons = abort_reasons(spans)
+    if reasons:
+        scheme = str((meta or {}).get("scheme", "-"))
+        rows = [
+            [
+                reason,
+                scheme,
+                str(shard),
+                str(aborts),
+                str(false),
+                f"{false / aborts * 100.0:.1f}%",
+            ]
+            for (reason, shard), (aborts, false) in sorted(reasons.items())
+        ]
+        section = "aborts by reason (false: a perfect scheduler avoids it)\n" + _table(
+            ["reason", "scheme", "shard", "aborts", "false", "false share"], rows
+        )
+        vetoes = veto_reasons(spans)
+        if vetoes:
+            section += "\ncross-shard vetoes by the voter's reason: " + ", ".join(
+                f"{reason}={count}" for reason, count in sorted(vetoes.items())
+            )
+        sections.append(section)
+    else:
+        sections.append("aborts by reason: none")
 
     ranked = slowest_blocks(spans, top)
     if ranked:

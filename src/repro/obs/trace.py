@@ -81,6 +81,17 @@ class Span:
         )
 
 
+def split_rows(abort_split: dict) -> list[list]:
+    """A :attr:`~repro.sim.metrics.BlockStats.abort_split` as JSON rows
+    ``[reason, shard, aborts, false]``, sorted; ``reason`` is the
+    :class:`~repro.txn.transaction.AbortReason` value (``unknown`` for an
+    abort that recorded none)."""
+    return sorted(
+        [reason.value if reason is not None else "unknown", shard, aborts, false]
+        for (reason, shard), (aborts, false) in abort_split.items()
+    )
+
+
 def det_events(spans: list[Span]) -> list[dict]:
     """The decision-relevant span stream: every non-anno span's
     deterministic fields, in emission order (``seq`` and ``timing`` are
@@ -275,7 +286,9 @@ class Tracer:
         """A committed block folded into the run's accounts: its decision
         counts (``stats``, a BlockStats) and, per shard that held
         cross-shard transactions, ``votes[shard] = (cross txns, vote
-        exchange us)``."""
+        exchange us)``. The block's false-abort split rides as an
+        annotation, ``[reason, shard, aborts, false]`` rows: counts the
+        span stream's pinned digest predates."""
         block_id = outcome.block_id
         self.event(
             "decide",
@@ -285,6 +298,7 @@ class Tracer:
                 "aborted": stats.aborted,
                 "false_aborts": stats.false_aborts,
             },
+            timing={"abort_split": split_rows(stats.abort_split)},
         )
         for shard in sorted(votes):
             cross_here, vote_us = votes[shard]
@@ -299,8 +313,10 @@ class Tracer:
                 },
             )
 
-    def run_ended(self, metrics) -> None:
-        """The run's totals; the modeled makespan rides as an annotation."""
+    def run_ended(self, metrics, veto_reasons: dict) -> None:
+        """The run's totals; the modeled makespan and the certificate
+        stream's veto reasons (``ShardedBlockchain.cross_shard_abort_reasons``)
+        ride as annotations."""
         extra = metrics.extra
         self.event(
             "run_end",
@@ -317,6 +333,7 @@ class Tracer:
             timing={
                 "makespan_us": metrics.sim_time_us,
                 "cpu_utilization": metrics.cpu_utilization,
+                "veto_reasons": dict(sorted(veto_reasons.items())),
             },
         )
 

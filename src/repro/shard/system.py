@@ -521,7 +521,7 @@ class ShardedBlockchain:
             migrations=sum(1 for c in certificates if c.migration),
         )
         if self.tracer is not None:
-            self.tracer.run_ended(metrics)
+            self.tracer.run_ended(metrics, self.cross_shard_abort_reasons())
         return metrics
 
     # ------------------------------------------------- run bookkeeping
@@ -579,6 +579,7 @@ class ShardedBlockchain:
             [executions[shard] for shard in sorted(executions)],
             arrival_us,
             graph=graph,
+            participants=outcome.participants,
         )
         if self.tracer is not None:
             self.tracer.decided(outcome, stats, votes, remote_round_us)
@@ -599,7 +600,10 @@ class ShardedBlockchain:
 
     # ------------------------------------------------------------ reporting
     def cross_shard_abort_reasons(self) -> dict:
-        """Histogram of veto reasons recorded in the certificate stream."""
+        """Histogram of veto reasons recorded in the certificate stream:
+        why a participant voted no (its local abort reason, or
+        ``vote-timeout``) — what a ``cross-shard-abort`` stands for in the
+        trace report's reason table."""
         reasons: dict[str, int] = {}
         for cert in self.cert_log.certificates():
             for vote in cert.votes:

@@ -31,6 +31,10 @@ class BlockStats:
     aborted: int = 0
     false_aborts: int = 0
     dangerous_structure_hits: int = 0
+    #: ``(AbortReason, coordinator shard) -> [aborts, false aborts]``
+    #: (:meth:`~repro.dcc.oracle.SerializabilityOracle.count_false_aborts`);
+    #: its false counts sum to ``false_aborts``
+    abort_split: dict = field(default_factory=dict)
 
     @property
     def total(self) -> int:
@@ -55,6 +59,8 @@ class RunMetrics:
     buffer_misses: int = 0
     dangerous_structure_hits: int = 0
     blocks: int = 0
+    #: the run's :attr:`BlockStats.abort_split`, summed over its blocks
+    abort_split: dict = field(default_factory=dict)
     extra: dict = field(default_factory=dict)
     #: block ids already folded in — the double-merge guard
     _seen_blocks: set = field(default_factory=set, repr=False, compare=False)
@@ -117,5 +123,9 @@ class RunMetrics:
         self.committed += stats.committed
         self.aborted += stats.aborted
         self.false_aborts += stats.false_aborts
+        for key, (aborts, false) in stats.abort_split.items():
+            entry = self.abort_split.setdefault(key, [0, 0])
+            entry[0] += aborts
+            entry[1] += false
         self.dangerous_structure_hits += stats.dangerous_structure_hits
         self.blocks += 1

@@ -221,16 +221,19 @@ def block_dependency_graph(
     return adjacency
 
 
-def false_aborts(txns: list[Txn], chain_order=None) -> int:
-    """Aborts perfect intra-block scheduling could have avoided: one graph
-    rebuild and one DFS per abortee over (committed + that abortee)."""
+def false_aborts(txns: list[Txn], chain_order=None) -> dict:
+    """Aborts perfect intra-block scheduling could have avoided, per abort
+    reason: ``(reason, 0) -> [aborts, false aborts]``, one graph rebuild
+    and one DFS per abortee over (committed + that abortee)."""
     order = chain_order or witness_order
     committed = [t for t in txns if t.committed]
-    return sum(
-        not has_cycle(block_dependency_graph(committed + [txn], order))
-        for txn in txns
-        if txn.aborted
-    )
+    split: dict = {}
+    for txn in txns:
+        if txn.aborted:
+            entry = split.setdefault((txn.abort_reason, 0), [0, 0])
+            entry[0] += 1
+            entry[1] += not has_cycle(block_dependency_graph(committed + [txn], order))
+    return split
 
 
 def history_graph(oracle: HistoryOracle) -> dict[int, set[int]]:

@@ -30,7 +30,12 @@ from repro.core.harmony import HarmonyConfig, HarmonyExecutor
 from repro.dcc.aria import AriaExecutor
 from repro.dcc.fabric import FabricValidator, endorsed_value_writes
 from repro.dcc.fastfabric import FastFabricOrderer, FastFabricValidator
-from repro.dcc.oracle import HistoryOracle, SerializabilityOracle, applies_in_order
+from repro.dcc.oracle import (
+    HistoryOracle,
+    SerializabilityOracle,
+    applies_in_order,
+    false_total,
+)
 from repro.dcc.rbc import RBCExecutor
 from repro.dcc.serial import SerialExecutor
 from repro.sim.rng import SeededRng
@@ -138,8 +143,8 @@ def run_scheme(scheme: str, workload_name: str):
         execution = executor.execute_block(block_id, ordered)
 
         chain_order = (lambda t: t.tid) if scheme in ("fabric", "fastfabric") else None
-        false_aborts = SerializabilityOracle.count_false_aborts(
-            execution.txns, chain_order=chain_order
+        false_aborts = false_total(
+            SerializabilityOracle.count_false_aborts(execution.txns, chain_order=chain_order)
         )
         outcomes["committed"] += sum(1 for t in txns if t.committed)
         outcomes["aborted"] += sum(1 for t in txns if t.aborted)

@@ -11,6 +11,7 @@ from repro.obs import (
     Span,
     TraceFileError,
     Tracer,
+    abort_reasons,
     block_paths,
     det_digest,
     det_events,
@@ -22,7 +23,9 @@ from repro.obs import (
     stage_breakdown,
     trace_drill,
     trace_run,
+    veto_reasons,
 )
+from repro.obs.trace import split_rows
 
 
 # ------------------------------------------------------------------- tracer
@@ -416,6 +419,35 @@ class TestFormerMetricsInSpans:
         assert sum(s.attrs["aborted"] for s in decides) == metrics.aborted
         (run_end,) = [s for s in tracer.spans if s.name == "run_end"]
         assert run_end.attrs["committed"] == metrics.committed
+
+    def test_decide_abort_split_sums_to_the_run_split(self):
+        """Each ``decide`` span's reason split (an annotation) adds up to
+        the run's ``abort_split``: every abort once, at its coordinator
+        shard, the false counts to ``false_aborts``; the report prints it
+        reason x scheme x shard, next to the certificate stream's vetoes."""
+        from repro.obs.capture import build_workload
+        from repro.shard.system import ShardConfig, ShardedBlockchain
+
+        config = ShardConfig(num_shards=2, block_size=16, num_blocks=8, seed=11)
+        chain = ShardedBlockchain(config, build_workload("ycsb", 2))
+        chain.tracer = tracer = Tracer()
+        metrics = chain.run()
+        reasons = abort_reasons(tracer.spans)
+        assert split_rows(metrics.abort_split) == [
+            [reason, shard, *counts] for (reason, shard), counts in sorted(reasons.items())
+        ]
+        assert sum(a for a, _f in reasons.values()) == metrics.aborted > 0
+        assert sum(f for _a, f in reasons.values()) == metrics.false_aborts > 0
+        assert {shard for _reason, shard in reasons} == {0, 1}
+        vetoes = veto_reasons(tracer.spans)
+        assert vetoes == chain.cross_shard_abort_reasons() and vetoes
+        report = render_report(tracer.spans, meta={"scheme": "harmony"})
+        assert "cross-shard vetoes by the voter's reason" in report
+        (reason, shard), (aborts, false) = sorted(reasons.items())[0]
+        assert any(
+            line.split()[:5] == [reason, "harmony", str(shard), str(aborts), str(false)]
+            for line in report.splitlines()
+        )
 
     def test_checkpoint_events_follow_the_cadence(self, checkpointed):
         tracer, _ = checkpointed

@@ -3,9 +3,16 @@
 from __future__ import annotations
 
 import networkx as nx
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.dcc.oracle import HistoryOracle, SerializabilityOracle, find_cycle, has_cycle
+from repro.dcc.oracle import (
+    HistoryOracle,
+    SerializabilityOracle,
+    false_total,
+    find_cycle,
+    has_cycle,
+)
 from repro.txn.commands import AddValue
 from repro.txn.transaction import AbortReason, Txn, TxnSpec
 
@@ -93,17 +100,21 @@ class TestFalseAborts:
     def test_harmless_abort_is_false(self):
         committed = txn_with(1, writes=["x"])
         aborted = txn_with(2, reads=["y"], committed=False)
-        assert SerializabilityOracle.count_false_aborts([committed, aborted]) == 1
+        assert SerializabilityOracle.count_false_aborts([committed, aborted]) == {
+            (AbortReason.WAW, 0): [1, 1]
+        }
 
     def test_cycle_closing_abort_is_real(self):
         t1 = txn_with(1, reads=["y"], writes=["x"])
         t2 = txn_with(2, reads=["x"], writes=["y"], committed=False)
         t1.min_out, t2.min_out = 2, 1
-        assert SerializabilityOracle.count_false_aborts([t1, t2]) == 0
+        assert SerializabilityOracle.count_false_aborts([t1, t2]) == {
+            (AbortReason.WAW, 0): [1, 0]
+        }
 
     def test_committed_only_blocks_have_no_false_aborts(self):
         txns = [txn_with(i, writes=[f"k{i}"]) for i in range(1, 4)]
-        assert SerializabilityOracle.count_false_aborts(txns) == 0
+        assert SerializabilityOracle.count_false_aborts(txns) == {}
 
 
 class TestHistoryOracle:
@@ -133,3 +144,37 @@ class TestHistoryOracle:
         oracle.record_block(0, [t1], [("x", [1])], snapshot_block_id=-1)
         assert oracle.is_serializable()
         assert oracle.build_graph() == {}
+
+
+#: the abort reasons each scheme's validator can give (its run's split keys)
+SCHEME_REASONS = {
+    "serial": set(),
+    "aria": {AbortReason.WAW, AbortReason.RAW},
+    "rbc": {AbortReason.WAW, AbortReason.SSI_DANGEROUS_STRUCTURE},
+    "harmony": {AbortReason.BACKWARD_DANGEROUS_STRUCTURE, AbortReason.INTER_BLOCK_STRUCTURE},
+    "fabric": {AbortReason.STALE_READ, AbortReason.ENDORSEMENT_MISMATCH},
+    "fastfabric": {
+        AbortReason.STALE_READ,
+        AbortReason.ENDORSEMENT_MISMATCH,
+        AbortReason.GRAPH_CYCLE,
+        AbortReason.GRAPH_OVERFLOW,
+    },
+}
+
+
+@pytest.mark.parametrize("system", sorted(SCHEME_REASONS))
+def test_every_scheme_splits_its_false_aborts_by_reason(system):
+    """The run's one false-abort count comes split by abort reason for all
+    six schemes: every abort once, under a reason its validator gives, and
+    the false counts sum to ``false_aborts``."""
+    from repro.bench.experiments import run_any
+
+    metrics = run_any(system, "ycsb", skew=0.9)
+    split = metrics.abort_split
+    assert sum(aborts for aborts, _false in split.values()) == metrics.aborted
+    assert false_total(split) == metrics.false_aborts
+    assert {reason for reason, _shard in split} <= SCHEME_REASONS[system]
+    assert {shard for _reason, shard in split} <= {0}
+    assert all(0 <= false <= aborts for aborts, false in split.values())
+    if system != "serial":
+        assert metrics.aborted > 0

@@ -17,6 +17,20 @@ from repro.txn.transaction import Txn
 GENESIS_HASH = "0" * 64
 
 
+def header_bytes(block_id: int, first_tid: int, prev_hash: str, specs, tids=None) -> bytes:
+    """A block header's bytes: a join of the texts the specs carry
+    (``TxnSpec.canonical``, derived once per spec) after the block's id,
+    first TID and predecessor hash, then a sub-block's global TIDs. The
+    ordering service serialises a header once where it cuts the block and
+    hashes and signs those bytes; a verifier serialises it again."""
+    body = ";".join([spec.canonical for spec in specs])
+    header = f"{block_id}|{first_tid}|{prev_hash}|{body}"
+    if tids is not None:
+        # sub-blocks commit to their global TID assignment too
+        header += "|" + ",".join(map(str, tids))
+    return header.encode()
+
+
 @dataclass
 class Block:
     """One ordered, hash-chained batch."""
@@ -45,16 +59,11 @@ class Block:
             self.hash = self.compute_hash()
 
     def header_bytes(self) -> bytes:
-        """The serialised header every hash and signature covers: a join of
-        the texts the specs carry (``TxnSpec.canonical``, derived once per
-        spec), read from whatever spec objects the block holds *now* —
-        swapping ``specs`` after the fact changes these bytes."""
-        body = ";".join([spec.canonical for spec in self.specs])
-        header = f"{self.block_id}|{self.first_tid}|{self.prev_hash}|{body}"
-        if self.tids is not None:
-            # sub-blocks commit to their global TID assignment too
-            header += "|" + ",".join(map(str, self.tids))
-        return header.encode()
+        """The serialised header every hash and signature covers
+        (:func:`header_bytes`), read from whatever spec objects the block
+        holds *now* — swapping ``specs`` after the fact changes these
+        bytes."""
+        return header_bytes(self.block_id, self.first_tid, self.prev_hash, self.specs, self.tids)
 
     def tid_of(self, index: int) -> int:
         return self.tids[index] if self.tids is not None else self.first_tid + index

@@ -9,8 +9,8 @@ throughput ceilings.
 
 from __future__ import annotations
 
-from repro.chain.block import GENESIS_HASH, Block
-from repro.consensus.crypto import Signer
+from repro.chain.block import GENESIS_HASH, Block, header_bytes
+from repro.consensus.crypto import Signer, sha256_hex
 from repro.txn.transaction import TxnSpec
 
 
@@ -24,14 +24,18 @@ class OrderingService:
         self._next_block_id = 0
 
     def form_block(self, specs: list[TxnSpec]) -> Block:
-        """Cut one block from ``specs``; deterministic and hash-chained."""
+        """Cut one block from ``specs``; deterministic and hash-chained.
+        Its header is serialised once, and hashed and signed as such."""
+        specs = tuple(specs)
+        header = header_bytes(self._next_block_id, self._next_tid, self._prev_hash, specs)
         block = Block(
             block_id=self._next_block_id,
-            specs=tuple(specs),
+            specs=specs,
             prev_hash=self._prev_hash,
             first_tid=self._next_tid,
+            signature=self._signer.sign(header),
+            hash=sha256_hex(header),
         )
-        block.signature = self._signer.sign(block.header_bytes())
         self._next_block_id += 1
         self._next_tid += len(specs)
         self._prev_hash = block.hash
@@ -60,39 +64,40 @@ class ShardSequencer:
         self._signer = signer or Signer("ordering-service")
         self._prev_hashes = [GENESIS_HASH] * num_shards
 
-    def split(self, block: Block, participants: list) -> dict[int, Block]:
+    def split(self, block: Block, cuts) -> dict[int, Block]:
         """Cut one sub-block per shard from a global block.
 
-        ``participants[i]`` is the set of shard ids transaction *i* runs on
-        (every shard owning a key it statically touches). A cross-shard
-        transaction appears in each participant's sub-block under the same
-        global TID.
+        ``cuts[shard]`` is the shard's ``(specs, tids)`` in block order
+        (:attr:`repro.shard.router.BlockRoute.cuts`): every transaction
+        whose participant set holds the shard, under its global TID, so a
+        cross-shard transaction appears in each participant's sub-block.
+        On one shard ``cuts`` is not read.
         """
-        if len(participants) != len(block.specs):
-            raise ValueError(
-                f"block {block.block_id}: {len(participants)} assignments "
-                f"for {len(block.specs)} specs"
-            )
         if self.num_shards == 1:
             # the only shard hosts every transaction: its sub-block *is*
             # the global block, and its ledger the global chain
             return {0: block}
-        cuts = [([], []) for _ in range(self.num_shards)]
-        for tid, (spec, shards) in enumerate(zip(block.specs, participants), block.first_tid):
-            for shard in shards:
-                specs, tids = cuts[shard]
-                specs.append(spec)
-                tids.append(tid)
+        if len(cuts) != self.num_shards:
+            raise ValueError(
+                f"block {block.block_id}: {len(cuts)} cuts for {self.num_shards} shards"
+            )
+        block_id = block.block_id
+        sign = self._signer.sign
+        prev_hashes = self._prev_hashes
         per_shard: dict[int, Block] = {}
         for shard, (specs, tids) in enumerate(cuts):
+            specs, tids = tuple(specs), tuple(tids)
+            first_tid = tids[0] if tids else block.first_tid
+            header = header_bytes(block_id, first_tid, prev_hashes[shard], specs, tids)
             sub = Block(
-                block_id=block.block_id,
-                specs=tuple(specs),
-                prev_hash=self._prev_hashes[shard],
-                first_tid=tids[0] if tids else block.first_tid,
-                tids=tuple(tids),
+                block_id=block_id,
+                specs=specs,
+                prev_hash=prev_hashes[shard],
+                first_tid=first_tid,
+                tids=tids,
+                signature=sign(header),
+                hash=sha256_hex(header),
             )
-            sub.signature = self._signer.sign(sub.header_bytes())
-            self._prev_hashes[shard] = sub.hash
+            prev_hashes[shard] = sub.hash
             per_shard[shard] = sub
         return per_shard

@@ -161,7 +161,7 @@ class SupervisedShardGroup:
         chain.prepare_global_block(
             outcome, skip=frozenset(self._crashed | plan.lagging_shards(bid))
         )
-        cast = derive_votes(outcome.prepared, expected)
+        cast = derive_votes(outcome.prepared, outcome.cross_slots)
 
         # crash-after-prepare: the vote hit the wire, then the shard died
         # (with ``tear_log`` the log write behind the vote also tore).
@@ -207,7 +207,7 @@ class SupervisedShardGroup:
                 chain.prepare_global_block(
                     outcome, skip=everyone_else, attempt=attempt
                 )
-                cast = derive_votes(outcome.prepared, expected)
+                cast = derive_votes(outcome.prepared, outcome.cross_slots)
 
         chain.certify_global_block(outcome, votes=arrived)
         chain.commit_global_block(outcome, skip=frozenset(self._crashed))

@@ -21,7 +21,7 @@ On top of the static policy sits the **ownership-epoch layer**
 (:class:`~repro.shard.rebalance.OwnershipTable`): epoch 0 is the static
 policy, later epochs add per-key overrides effective from an exact block
 height. The router keeps a *height cursor* (:meth:`advance_to`) so the
-hot single-argument lookups (``shard_of``, ``route_spec``, the executors'
+hot single-argument lookups (``shard_of``, ``route_block``, the executors'
 ``key_scope`` predicates) stay cursor-relative, while height-explicit
 callers (replay, migration splits) use :meth:`shard_of_at` and a snapshot
 binds its epoch's override map once
@@ -42,7 +42,7 @@ from bisect import bisect_right
 
 from repro.encoding import key_text
 from repro.shard.rebalance import OwnershipTable
-from repro.workloads.base import partition_split_points
+from repro.workloads.base import Workload, partition_split_points
 
 
 class StaticOwners(dict):
@@ -76,12 +76,72 @@ class StaticOwners(dict):
     def __missing__(self, key: object) -> int:
         if self.num_shards == 1:
             return 0
-        owner = self[key] = self.evaluate(key)
+        # :meth:`evaluate` inline: a first touch costs this one frame
+        bounds = self._index_bounds
+        position = None if bounds is None else self._index_fn(key)
+        owner = self[key] = (
+            self.evaluate(key) if position is None else bisect_right(bounds, position)
+        )
         return owner
 
 
+def _has_footprint(workload) -> bool:
+    """Whether ``workload``'s class compiles scan footprints (overrides
+    :meth:`~repro.workloads.base.Workload.spec_footprint`)."""
+    method = getattr(type(workload), "spec_footprint", None)
+    return method is not None and method is not Workload.spec_footprint
+
+
+class BlockRoute:
+    """One global block's routing facts, each derived once
+    (:meth:`ShardRouter.route_block`).
+
+    ``participants[j]`` is the shard set of the block's ``j``-th
+    transaction and ``cross`` maps the global TID of every multi-shard one
+    to its set. ``cuts[shard]`` is that shard's sub-block as ``(specs,
+    tids)`` lists in block order; ``records[j]`` is ``(coordinator, index)``,
+    where transaction ``j``'s coordinator record sits in its lowest
+    participant's sub-block; ``cross_slots[shard]`` the sub-block indexes
+    of the shard's cross-shard transactions. ``routed[j]`` holds the
+    transaction's ``(key, shard)`` pairs when the caller asked for them.
+    """
+
+    __slots__ = ("participants", "routed", "cross", "cuts", "records", "cross_slots")
+
+    def __init__(self, participants, specs, first_tid, num_shards, routed=None) -> None:
+        self.participants = participants
+        self.routed = routed
+        cut_specs = [[] for _ in range(num_shards)]
+        cut_tids = [[] for _ in range(num_shards)]
+        cross_slots = [[] for _ in range(num_shards)]
+        records = []
+        cross = {}
+        tid = first_tid
+        for spec, parts in zip(specs, participants):
+            if len(parts) == 1:
+                (shard,) = parts
+                these = cut_specs[shard]
+                records.append((shard, len(these)))
+                these.append(spec)
+                cut_tids[shard].append(tid)
+            else:
+                cross[tid] = parts
+                coordinator = min(parts)
+                records.append((coordinator, len(cut_specs[coordinator])))
+                for shard in parts:
+                    these = cut_specs[shard]
+                    cross_slots[shard].append(len(these))
+                    these.append(spec)
+                    cut_tids[shard].append(tid)
+            tid += 1
+        self.cross = cross
+        self.cuts = list(zip(cut_specs, cut_tids))
+        self.records = records
+        self.cross_slots = cross_slots
+
+
 class ShardRouter:
-    """Deterministic key -> shard mapping plus spec-level participant sets."""
+    """Deterministic key -> shard mapping plus block-level routing."""
 
     def __init__(
         self,
@@ -115,8 +175,7 @@ class ShardRouter:
         self._cursor_height = 0
         self._cur_overrides = self.ownership.overrides_at(0)
         #: key -> static-policy owner, filled as keys are first routed
-        #: (never by :meth:`split_state`: a bulk load touches every key
-        #: once, so remembering them would only cost set-up and memory)
+        #: (never by :meth:`split_state`, see there)
         self._static_owners = StaticOwners(num_shards, index_fn, self._index_bounds)
 
     @classmethod
@@ -190,47 +249,63 @@ class ShardRouter:
             return override
         return self._static_owners[key]
 
-    def route_spec(self, workload, spec) -> tuple[frozenset, list]:
-        """``(participants, routed (key, shard) pairs)`` in one pass.
+    def route_block(self, workload, specs, first_tid: int, pairs: bool = False) -> BlockRoute:
+        """Every routing fact of one global block, derived in one pass.
 
-        Participant sets may be supersets of the true owners (a spare
-        participant prepares an empty local footprint and votes commit);
-        they must never be undersets, or a cross-shard conflict would go
-        unvalidated. Resolution order:
+        A transaction's participant set may be a superset of its true
+        owners (a spare participant prepares an empty local footprint and
+        votes commit); it must never be an underset, or a cross-shard
+        conflict would go unvalidated. Per spec, in this order:
 
         1. A compiled :class:`~repro.workloads.base.ScanFootprint`
-           (``spec_footprint``): exact point keys plus index-space scan
-           ranges, covered via the static split points *and* a stab of
-           every ownership override inside the ranges — true participant
-           sets for scans instead of a broadcast.
+           (``spec_footprint``, consulted only when the workload's class
+           defines one): exact point keys plus index-space scan ranges,
+           covered via the static split points *and* a stab of every
+           ownership override inside the ranges — true participant sets
+           for scans instead of a broadcast.
         2. A static key footprint (``spec_keys``).
         3. Neither (``None``/empty): broadcast to every shard —
            conservative, always correct.
-        """
-        footprint = workload.spec_footprint(spec)
-        if footprint is not None:
-            pairs = self._route(footprint.points)
-            shards = {shard for _key, shard in pairs}
-            shards.update(self._range_shards(footprint))
-            if shards:
-                return frozenset(shards), pairs
-            return frozenset(range(self.num_shards)), pairs
-        keys = workload.spec_keys(spec)
-        if not keys:
-            return frozenset(range(self.num_shards)), []
-        pairs = self._route(keys)
-        return frozenset(shard for _key, shard in pairs), pairs
 
-    def _route(self, keys) -> list:
-        """``(key, shard_of(key))`` for every key of ``keys``, the owner
-        read inline."""
+        The owner map is read inline (the epoch's overrides first, while
+        there are any). ``pairs`` asks for each spec's routed ``(key,
+        shard)`` pairs too — the rebalance policy's telemetry.
+        """
         owners = self._static_owners
         overrides = self._cur_overrides
         if overrides:
-            return [
-                (key, overrides[key] if key in overrides else owners[key]) for key in keys
+            def owner(key):
+                shard = overrides.get(key)
+                return owners[key] if shard is None else shard
+        else:
+            owner = owners.__getitem__
+        everyone = frozenset(range(self.num_shards))
+        spec_keys = workload.spec_keys
+        routed = None
+        if not pairs and not _has_footprint(workload):
+            participants = [
+                frozenset(map(owner, keys)) if (keys := spec_keys(spec)) else everyone
+                for spec in specs
             ]
-        return [(key, owners[key]) for key in keys]
+        else:
+            footprint_of = workload.spec_footprint if _has_footprint(workload) else None
+            participants, routed = [], [] if pairs else None
+            for spec in specs:
+                footprint = None if footprint_of is None else footprint_of(spec)
+                if footprint is not None:
+                    keys = footprint.points
+                    shards = list(map(owner, keys))
+                    parts = set(shards)
+                    parts.update(self._range_shards(footprint))
+                    parts = frozenset(parts) if parts else everyone
+                else:
+                    keys = spec_keys(spec) or ()
+                    shards = list(map(owner, keys))
+                    parts = frozenset(shards) if shards else everyone
+                participants.append(parts)
+                if pairs:
+                    routed.append(list(zip(keys, shards)))
+        return BlockRoute(participants, specs, first_tid, self.num_shards, routed)
 
     def _range_shards(self, footprint) -> set:
         """Shards whose ownership intersects the footprint's index ranges."""
@@ -257,18 +332,22 @@ class ShardRouter:
                     shards.add(shard)
         return shards
 
-    def participants_of(self, workload, spec) -> frozenset:
-        """Shards a transaction runs on, from its static footprint."""
-        return self.route_spec(workload, spec)[0]
-
     def split_state(self, state: dict) -> list[dict]:
         """Partition an initial-state map into per-shard slices. Genesis
         belongs to epoch 0 — the static policy — wherever the cursor is:
-        a replica built mid-run replays the migrations itself."""
+        a replica built mid-run replays the migrations itself.
+
+        The policy is evaluated inline, once per key, and the owner map
+        keeps none of the answers: a bulk load touches every key once, and
+        remembering all of them costs the run more memory than the first
+        touches they would save."""
         if self.num_shards == 1:
             return [state]
         shards: list[dict] = [{} for _ in range(self.num_shards)]
-        static_shard = self._static_owners.evaluate
+        bounds, index_fn = self._index_bounds, self._index_fn
+        evaluate = self._static_owners.evaluate
         for key, value in state.items():
-            shards[static_shard(key)][key] = value
+            position = None if bounds is None else index_fn(key)
+            owner = evaluate(key) if position is None else bisect_right(bounds, position)
+            shards[owner][key] = value
         return shards

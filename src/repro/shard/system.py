@@ -121,6 +121,10 @@ class GlobalBlockOutcome:
     sub_blocks: dict
     #: the ownership change certified at this block, if one was due
     migration: object = None
+    #: the block's :class:`~repro.shard.router.BlockRoute` (``None`` on one
+    #: shard): where each transaction's coordinator record and each
+    #: shard's cross-shard transactions sit in the sub-blocks
+    route: object = None
     #: shard -> PreparedBlock; a shard left out of the prepare stage has no
     #: entry — it never logged the sub-block and casts no vote
     prepared: dict = None
@@ -135,6 +139,12 @@ class GlobalBlockOutcome:
     @property
     def block_id(self) -> int:
         return self.block.block_id
+
+    @property
+    def cross_slots(self):
+        """Per shard, where its cross-shard transactions sit in its
+        sub-block; empty on one shard."""
+        return self.route.cross_slots if self.route is not None else ()
 
 
 class ShardGroup:
@@ -353,11 +363,12 @@ class ShardedBlockchain:
         boundary height first.
         """
         migration = None
-        expected = {}
+        route = None
         policy = self.rebalance_policy
         if self.config.num_shards == 1:
             # the one shard hosts every transaction; none is cross-shard
             participants = [frozenset({0})] * block.size
+            expected = {}
         else:
             if policy is not None:
                 proposal = self.plan_rebalance(block.block_id)
@@ -366,27 +377,20 @@ class ShardedBlockchain:
                         migration_barrier()
                     migration = self.commit_rebalance(block.block_id, proposal)
                 policy.begin_block(block.block_id)
-                participants = []
-                for spec in block.specs:
-                    parts, routed = self.router.route_spec(self.workload, spec)
-                    participants.append(parts)
+            route = self.router.route_block(
+                self.workload, block.specs, block.first_tid, pairs=policy is not None
+            )
+            if policy is not None:
+                for routed, parts in zip(route.routed, route.participants):
                     policy.observe_txn(routed, parts)
-            else:
-                participants = [
-                    self.router.participants_of(self.workload, spec)
-                    for spec in block.specs
-                ]
-            expected = {
-                block.first_tid + j: shards
-                for j, shards in enumerate(participants)
-                if len(shards) > 1
-            }
+            participants, expected = route.participants, route.cross
         outcome = GlobalBlockOutcome(
             block=block,
             participants=participants,
             expected=expected,
-            sub_blocks=self.sequencer.split(block, participants),
+            sub_blocks=self.sequencer.split(block, route and route.cuts),
             migration=migration,
+            route=route,
         )
         if self.tracer is not None:
             self.tracer.ordered(outcome)
@@ -428,7 +432,7 @@ class ShardedBlockchain:
         full vote set they change nothing.
         """
         if votes is None:
-            votes = derive_votes(outcome.prepared, outcome.expected)
+            votes = derive_votes(outcome.prepared, outcome.cross_slots)
         outcome.certificate = self.cert_log.append(
             votes,
             outcome.block_id,
@@ -527,18 +531,13 @@ class ShardedBlockchain:
     # ------------------------------------------------- run bookkeeping
     def merged_view(self, outcome: GlobalBlockOutcome) -> list:
         """One runtime record per transaction of a committed block, from
-        its coordinator shard (lowest participant id)."""
+        its coordinator shard (lowest participant id), taken by its
+        position in that shard's sub-block."""
         executions = outcome.executions
         if self.config.num_shards == 1:
             return executions[0].txns  # the sub-block is the block
-        block, participants = outcome.block, outcome.participants
-        by_shard_tid = {
-            shard: {t.tid: t for t in e.txns} for shard, e in executions.items()
-        }
-        return [
-            by_shard_tid[min(participants[j])][block.first_tid + j]
-            for j in range(block.size)
-        ]
+        txns_of = [executions[shard].txns for shard in range(self.config.num_shards)]
+        return [txns_of[shard][index] for shard, index in outcome.route.records]
 
     def _absorb_block(
         self, accounts: RunAccounts, arrival_us: float, outcome: GlobalBlockOutcome
@@ -557,22 +556,22 @@ class ShardedBlockchain:
             execution.committed_graph = None
         remote_round_us = self._remote_read_round_us() if expected else 0.0
         votes = {}  # shard -> (cross-shard txns, vote exchange us)
-        for shard, execution in sorted(executions.items()) if expected else ():
+        for shard, slots in enumerate(outcome.cross_slots) if expected else ():
+            if not slots or shard not in executions:
+                continue
             # the cross-shard simulations wait one batched remote-read round
+            execution = executions[shard]
             execution.sim_durations_us = sim_durations = list(execution.sim_durations_us)
-            cross_here = 0
-            for idx, txn in enumerate(execution.txns):
-                if txn.tid in expected:
-                    cross_here += 1
-                    if idx < len(sim_durations):
-                        sim_durations[idx] += remote_round_us
-            if cross_here:
-                # the vote exchange separates prepare from commit; in the
-                # lane model the serial tail position is equivalent
-                # (commit_finish shifts by the same amount either way)
-                vote_us = self._vote_exchange_us(cross_here)
-                votes[shard] = (cross_here, vote_us)
-                execution.post_commit_serial_us += vote_us
+            simulated = len(sim_durations)
+            for idx in slots:
+                if idx < simulated:
+                    sim_durations[idx] += remote_round_us
+            # the vote exchange separates prepare from commit; in the lane
+            # model the serial tail position is equivalent (commit_finish
+            # shifts by the same amount either way)
+            vote_us = self._vote_exchange_us(len(slots))
+            votes[shard] = (len(slots), vote_us)
+            execution.post_commit_serial_us += vote_us
         stats = accounts.absorb(
             outcome.block_id,
             merged_txns,

@@ -83,28 +83,33 @@ def decide(votes) -> frozenset:
     return frozenset(v.tid for v in votes if not v.commit)
 
 
-def derive_votes(prepared: dict, cross_tids) -> list[ShardVote]:
+def derive_votes(prepared: dict, cross_slots) -> list[ShardVote]:
     """Each shard's prepare outcomes, folded into cross-shard votes.
 
     ``prepared`` maps shard id to its :class:`~repro.execution.PreparedBlock`;
-    a vote is cast per (cross-shard tid, participant) — one code path for
-    the vote stream however the prepares ran. A block without cross-shard
-    transactions (every block of a one-shard chain) casts none.
+    ``cross_slots[shard]`` lists where the shard's cross-shard transactions
+    sit in its sub-block (:attr:`repro.shard.router.BlockRoute.cross_slots`).
+    A vote is cast per (cross-shard tid, participant), in shard then
+    sub-block order — one code path for the vote stream however the
+    prepares ran. A block without cross-shard transactions (every block of
+    a one-shard chain, whose ``cross_slots`` is empty) casts none.
     """
-    if not cross_tids:
-        return []
     votes: list[ShardVote] = []
+    if not cross_slots:
+        return votes
     for shard, prep in prepared.items():
-        for txn in prep.txns:
-            if txn.tid in cross_tids:
-                votes.append(
-                    ShardVote(
-                        tid=txn.tid,
-                        shard_id=shard,
-                        commit=not txn.aborted,
-                        reason=txn.abort_reason.value if txn.aborted else None,
-                    )
+        txns = prep.txns
+        for idx in cross_slots[shard]:
+            txn = txns[idx]
+            aborted = txn.aborted
+            votes.append(
+                ShardVote(
+                    tid=txn.tid,
+                    shard_id=shard,
+                    commit=not aborted,
+                    reason=txn.abort_reason.value if aborted else None,
                 )
+            )
     return votes
 
 

@@ -20,9 +20,11 @@ where production appends a delta.
   per-key heap bring-up, the pool miss charged step by step, the
   block-log cut, the eager cross-shard union, the full deep-copy
   checkpoint and the overlay scan's dict merge.
-- :mod:`tests.reference.shard` — ``shard/router`` and the sequencer's
-  split: every owner from the static policy and the migration list, every
-  sub-block by a per-shard filter.
+- :mod:`tests.reference.shard` — ``shard/router``, the sequencer's split
+  and the driver's merged view: every owner from the static policy and the
+  migration list, every participant set spec by spec, every sub-block by a
+  per-shard filter and its header from the grammar, every coordinator
+  record by its TID.
 - :mod:`tests.reference.encoding` — ``repro/encoding.py``: the value
   text's recursive definition.
 - :mod:`tests.reference.sim` — ``sim/``: the pipeline schedule with a heap
@@ -45,7 +47,7 @@ from tests.reference.decision import (
     rw_edges,
 )
 from tests.reference.encoding import encode
-from tests.reference.shard import owner_at, split
+from tests.reference.shard import header_bytes, merged_view, owner_at, route_spec, split
 from tests.reference.sim import pipeline_schedule
 from tests.reference.storage import (
     blocks_after,
@@ -73,6 +75,7 @@ __all__ = [
     "blocks_after",
     "decision_part",
     "encode",
+    "header_bytes",
     "entry_digest",
     "false_aborts",
     "federated_scan",
@@ -83,6 +86,7 @@ __all__ = [
     "load",
     "materialize",
     "materialize_at",
+    "merged_view",
     "overlay_scan",
     "owner_at",
     "pipeline_schedule",
@@ -91,6 +95,7 @@ __all__ = [
     "readers_of",
     "reference_commit",
     "reference_validate",
+    "route_spec",
     "rw_edges",
     "scan",
     "smallbank_block",

@@ -36,7 +36,7 @@ from repro.chain.block import GENESIS_HASH
 from repro.chain.ordering import OrderingService, ShardSequencer
 from repro.shard.federated import FederatedSnapshot, wire_federation
 from repro.shard.rebalance import MigrationRecord
-from repro.shard.router import ShardRouter
+from repro.shard.router import BlockRoute, ShardRouter
 from repro.sim.rng import SeededRng
 from repro.sim.scheduler import BlockTiming, PipelineSimulator
 from repro.storage import mvstore
@@ -1017,7 +1017,7 @@ class TestOneLookupPath:
     def test_owner_map_matches_static_policy_and_overrides(
         self, num_shards, by_index, migrations
     ):
-        """``shard_of`` at every cursor height, ``shard_of_at``, ``route_spec``,
+        """``shard_of`` at every cursor height, ``shard_of_at``, ``route_block``,
         the executors' ``key_scope`` and a ``FederatedSnapshot`` at ``h``
         (routing by the owner at ``h + 1``) all name the owner derived from
         scratch, with half the keys' static owners remembered before the
@@ -1065,7 +1065,9 @@ class TestOneLookupPath:
             expected = [(key, owner(key, at)) for key in keys]
             assert [(key, router.shard_of(key)) for key in keys] == expected
             assert [(key, router.shard_of_at(key, at)) for key in keys] == expected
-            assert router.route_spec(Keys(), TxnSpec("keys"))[1] == expected
+            assert router.route_block(Keys(), [TxnSpec("keys")], 0, pairs=True).routed == [
+                expected
+            ]
             assert [executor.key_scope(key) for key in keys] == [o == 0 for _k, o in expected]
             snapshot = FederatedSnapshot(router, stores, at)
             assert [snapshot.get(key)[0] for key in keys] == [owner(key, at + 1) for key in keys]
@@ -1089,11 +1091,12 @@ class TestOneLookupPath:
             ]
             specs = [TxnSpec("p", (("i", i),)) for i in range(len(participants))]
             block = ordering.form_block(specs)
-            subs = sequencer.split(block, participants)
+            cuts = BlockRoute(participants, block.specs, block.first_tid, num_shards).cuts
+            reference_cuts = reference.split(block, participants, num_shards)
+            assert [(tuple(s), tuple(t)) for s, t in cuts] == reference_cuts
+            subs = sequencer.split(block, cuts)
             assert sorted(subs) == list(range(num_shards))
-            for shard, (specs, tids) in enumerate(
-                reference.split(block, participants, num_shards)
-            ):
+            for shard, (specs, tids) in enumerate(reference_cuts):
                 sub = subs[shard]
                 assert sub.specs == specs
                 assert [sub.tid_of(i) for i in range(len(specs))] == list(tids)

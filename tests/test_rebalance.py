@@ -219,9 +219,9 @@ class TestOwnershipTable:
                 assert router.shard_of_at(key, height) == owners[key]
             router.advance_to(height)
             assert {key: router.shard_of(key) for key in keys} == owners
-            participants, routed = router.route_spec(Keys(), TxnSpec("keys"))
-            assert routed == list(owners.items())
-            assert participants == frozenset(owners.values())
+            route = router.route_block(Keys(), [TxnSpec("keys")], 0, pairs=True)
+            assert route.routed == [list(owners.items())]
+            assert route.participants == [frozenset(owners.values())]
         assert router._static_owners == static  # no override ever leaked in
         assert all(router._static_owners[key] == static[key] for key in keys)
 

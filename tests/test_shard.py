@@ -26,7 +26,7 @@ from repro.chain.ordering import OrderingService, ShardSequencer
 from repro.chain.system import OEBlockchain, OEConfig
 from repro.consensus.crypto import Signer
 from repro.dcc.oracle import HistoryOracle
-from repro.shard.router import ShardRouter
+from repro.shard.router import BlockRoute, ShardRouter
 from repro.shard.system import ShardConfig, ShardedBlockchain
 from repro.shard.twopc import CertificateLog, ShardVote, decide, make_certificate
 from repro.txn.transaction import AbortReason, TxnSpec
@@ -98,19 +98,18 @@ class TestShardRouter:
         router = ShardRouter.for_workload(workload, 4)
         spec = workload.generate_block(1, _rng())[0]
         keys = workload.spec_keys(spec)
-        participants, routed = router.route_spec(workload, spec)
-        assert routed == [(key, router.shard_of(key)) for key in keys]
-        assert participants == router.participants_of(workload, spec)
-        assert participants == frozenset(router.shard_of(key) for key in keys)
+        route = router.route_block(workload, [spec], 0, pairs=True)
+        assert route.routed == [[(key, router.shard_of(key)) for key in keys]]
+        assert route.participants == router.route_block(workload, [spec], 0).participants
+        assert route.participants == [frozenset(router.shard_of(key) for key in keys)]
 
     def test_unknown_footprint_routes_everywhere(self):
         class Opaque(Workload):
             name = "opaque"
 
         router = ShardRouter(4, policy="hash")
-        assert router.participants_of(Opaque(), TxnSpec("anything")) == frozenset(
-            range(4)
-        )
+        route = router.route_block(Opaque(), [TxnSpec("anything")], 0)
+        assert route.participants == [frozenset(range(4))]
 
     def test_empty_footprint_routes_everywhere(self):
         """A transaction with a (valid) empty static footprint must still
@@ -123,7 +122,8 @@ class TestShardRouter:
                 return []
 
         router = ShardRouter(4, policy="hash")
-        assert router.participants_of(NoOp(), TxnSpec("noop")) == frozenset(range(4))
+        route = router.route_block(NoOp(), [TxnSpec("noop")], 0)
+        assert route.participants == [frozenset(range(4))]
 
     def test_split_state_partitions_exactly(self):
         workload = WORKLOADS["ycsb"]()
@@ -167,6 +167,24 @@ class TestShardRouter:
         single = ShardRouter.for_workload(workload, 1)
         assert {single.shard_of(key) for key in keys} == {0}
         assert single._static_owners == {}
+
+    def test_split_matches_the_policy_off_the_index_space(self):
+        """``split_state`` evaluates the policy inline: keys outside the
+        workload's index space take the hash, a hash-policy router's split
+        is the hash, and neither remembers an owner."""
+        keys = [("k", i) for i in range(30)] + [("x", i) for i in range(30)]
+        for policy, index_fn in (("workload", lambda k: k[1] if k[0] == "k" else None),
+                                 ("hash", None)):
+            router = ShardRouter(
+                4, policy=policy, index_fn=index_fn, index_space=30 if index_fn else None
+            )
+            parts = router.split_state(dict.fromkeys(keys, 0))
+            owners = router._static_owners
+            assert owners == {}
+            assert [sorted(part) for part in parts] == [
+                sorted(key for key in keys if owners.evaluate(key) == shard)
+                for shard in range(4)
+            ]
 
 
 def _rng():
@@ -279,6 +297,11 @@ class TestFederatedScan:
 
 
 # ------------------------------------------------------------------ sequencer
+def cuts_of(block, participants, num_shards):
+    """The per-shard ``(specs, tids)`` cuts of ``block`` under ``participants``."""
+    return BlockRoute(participants, block.specs, block.first_tid, num_shards).cuts
+
+
 class TestShardSequencer:
     def _global_block(self, size=8):
         ordering = OrderingService(Signer("ordering-service"))
@@ -295,7 +318,7 @@ class TestShardSequencer:
                 [TxnSpec("noop", (("i", i),)) for i in range(6)]
             )
             participants = [frozenset({i % 3}) if i % 2 else frozenset({i % 3, (i + 1) % 3}) for i in range(6)]
-            subs = sequencer.split(block, participants)
+            subs = sequencer.split(block, cuts_of(block, participants, 3))
             for shard, sub in subs.items():
                 assert sub.block_id == block.block_id
                 expected = [
@@ -312,22 +335,21 @@ class TestShardSequencer:
     def test_cross_shard_txn_appears_on_every_participant(self):
         block = self._global_block(4)
         sequencer = ShardSequencer(2)
-        subs = sequencer.split(
-            block, [frozenset({0}), frozenset({0, 1}), frozenset({1}), frozenset({0, 1})]
-        )
+        participants = [frozenset({0}), frozenset({0, 1}), frozenset({1}), frozenset({0, 1})]
+        subs = sequencer.split(block, cuts_of(block, participants, 2))
         assert list(subs[0].tids) == [block.first_tid, block.first_tid + 1, block.first_tid + 3]
         assert list(subs[1].tids) == [block.first_tid + 1, block.first_tid + 2, block.first_tid + 3]
 
     def test_empty_sub_blocks_still_chain(self):
         block = self._global_block(2)
         sequencer = ShardSequencer(2)
-        subs = sequencer.split(block, [frozenset({0}), frozenset({0})])
+        subs = sequencer.split(block, cuts_of(block, [frozenset({0}), frozenset({0})], 2))
         assert subs[1].size == 0 and subs[1].tids == ()
 
-    def test_assignment_length_mismatch_rejected(self):
+    def test_cut_count_mismatch_rejected(self):
         block = self._global_block(3)
         with pytest.raises(ValueError):
-            ShardSequencer(2).split(block, [frozenset({0})])
+            ShardSequencer(2).split(block, cuts_of(block, [frozenset({0})] * 3, 1))
 
 
 # ----------------------------------------------------------------------- 2pc
@@ -546,7 +568,7 @@ class TestCrossShardCounters:
 class TestScanFootprints:
     """Compiled scan footprints against broadcast routing of the same
     stream. The broadcast side is ``adv-scan`` compiling no footprint —
-    the path ``route_spec`` takes for any workload without one: ``spec_keys``
+    the path ``route_block`` takes for any workload without one: ``spec_keys``
     is ``None`` for a wide scan, so it goes to every shard. A spare
     participant prepares an empty footprint and votes commit, so decisions
     and state must not move; only the participant sets and the 2PC cost do."""

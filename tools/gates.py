@@ -288,6 +288,20 @@ GATES = (
         "scope = lambda key: router.shard_of(key)",
     ),
     Gate(
+        "one-route/per-spec", "regex", r"\bparticipants_of\b|\broute_spec\b",
+        (SRC,),
+        "a global block is routed once, by ShardRouter.route_block; the per-spec derivation is"
+        " the reference in tests/reference",
+        "parts = self.router.participants_of(self.workload, spec)",
+    ),
+    Gate(
+        "one-route/header-once", "regex", r"sign\(.*header_bytes\(\)",
+        (f"{SRC}/chain/ordering.py",),
+        "the ordering service serialises a header once where it cuts a block, and hashes and"
+        " signs those bytes; only a verifier serialises it again",
+        "        block.signature = self._signer.sign(block.header_bytes())",
+    ),
+    Gate(
         "one-owner/bisect", "regex", r"while lo < hi",
         (f"{SRC}/storage/mvstore.py",),
         "a snapshot's visibility search is one C bisect_left, not a Python binary search",

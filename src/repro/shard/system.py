@@ -388,7 +388,7 @@ class ShardedBlockchain:
             block=block,
             participants=participants,
             expected=expected,
-            sub_blocks=self.sequencer.split(block, route and route.cuts),
+            sub_blocks=self.sequencer.split(block, route.cuts if route else None),
             migration=migration,
             route=route,
         )

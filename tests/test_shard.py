@@ -168,24 +168,6 @@ class TestShardRouter:
         assert {single.shard_of(key) for key in keys} == {0}
         assert single._static_owners == {}
 
-    def test_split_matches_the_policy_off_the_index_space(self):
-        """``split_state`` evaluates the policy inline: keys outside the
-        workload's index space take the hash, a hash-policy router's split
-        is the hash, and neither remembers an owner."""
-        keys = [("k", i) for i in range(30)] + [("x", i) for i in range(30)]
-        for policy, index_fn in (("workload", lambda k: k[1] if k[0] == "k" else None),
-                                 ("hash", None)):
-            router = ShardRouter(
-                4, policy=policy, index_fn=index_fn, index_space=30 if index_fn else None
-            )
-            parts = router.split_state(dict.fromkeys(keys, 0))
-            owners = router._static_owners
-            assert owners == {}
-            assert [sorted(part) for part in parts] == [
-                sorted(key for key in keys if owners.evaluate(key) == shard)
-                for shard in range(4)
-            ]
-
 
 def _rng():
     from repro.sim.rng import SeededRng

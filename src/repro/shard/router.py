@@ -28,9 +28,10 @@ binds its epoch's override map once
 (:class:`~repro.shard.federated.FederatedSnapshot`).
 
 The static owner of a key never changes for the life of a router, so it
-lives in one owner map (:class:`StaticOwners`) that evaluates the policy
-on a key's first lookup and remembers it: every hot lookup is one
-subscript of that map, after a ``dict.get`` on the epoch's overrides only
+lives in one owner map (:class:`StaticOwners`): the genesis split fills it
+with every initial key's owner, and any other key's owner is evaluated on
+its first lookup and remembered. Every hot lookup is one subscript of that
+map, after a ``dict.get`` on the epoch's overrides only
 while there are any. Only the *static* answer is ever stored, so
 installing an epoch or moving the cursor invalidates nothing.
 """
@@ -46,7 +47,9 @@ from repro.workloads.base import Workload, partition_split_points
 
 
 class StaticOwners(dict):
-    """key -> static-policy owner, filled on a key's first lookup.
+    """key -> static-policy owner, filled for the genesis keys by
+    :meth:`ShardRouter.split_state` and for any other key on its first
+    lookup.
 
     ``owners[key]`` is the routing hot path: a remembered key costs one
     subscript, a new one a ``__missing__`` call that evaluates the policy
@@ -76,8 +79,8 @@ class StaticOwners(dict):
     def __missing__(self, key: object) -> int:
         if self.num_shards == 1:
             return 0
-        # :meth:`evaluate` inline for a key in the index space: a run's
-        # first touches (7 414 on smallbank_4shard) cost this one frame
+        # :meth:`evaluate` inline for a key in the index space: a key
+        # outside genesis costs this one frame on its first touch
         bounds = self._index_bounds
         position = None if bounds is None else self._index_fn(key)
         owner = self[key] = (
@@ -175,10 +178,8 @@ class ShardRouter:
         #: the height cursor single-argument lookups resolve against
         self._cursor_height = 0
         self._cur_overrides = self.ownership.overrides_at(0)
-        #: key -> static-policy owner, filled as keys are first routed
-        #: (never by :meth:`split_state`: keeping every genesis key's owner
-        #: spares a run its first touches but holds the whole keyspace,
-        #: +0.2 MB peak RSS on smallbank_4shard and +0.8 MB on tpcc_4shard)
+        #: key -> static-policy owner: every genesis key's, filled by
+        #: :meth:`split_state`, then any other key's on its first lookup
         self._static_owners = StaticOwners(num_shards, index_fn, self._index_bounds)
 
     @classmethod
@@ -338,11 +339,27 @@ class ShardRouter:
     def split_state(self, state: dict) -> list[dict]:
         """Partition an initial-state map into per-shard slices. Genesis
         belongs to epoch 0 — the static policy — wherever the cursor is:
-        a replica built mid-run replays the migrations itself."""
+        a replica built mid-run replays the migrations itself. Every
+        genesis key's owner is evaluated here anyway, so the owner map
+        keeps it: a run's first touch of a key, and a fresh replica's
+        split on this router, read the map."""
         if self.num_shards == 1:
             return [state]
+        owners = self._static_owners
         shards: list[dict] = [{} for _ in range(self.num_shards)]
-        static_shard = self._static_owners.evaluate
+        if owners:
+            # a router that has routed or split before: one subscript per
+            # key, a key it has not seen evaluated on the way
+            for key, value in state.items():
+                shards[owners[key]][key] = value
+            return shards
+        # the first split: the policy evaluated inline, one frame fewer per
+        # key than a first lookup, each answer remembered
+        bounds, index_fn, evaluate = self._index_bounds, self._index_fn, owners.evaluate
         for key, value in state.items():
-            shards[static_shard(key)][key] = value
+            position = None if bounds is None else index_fn(key)
+            owner = owners[key] = (
+                evaluate(key) if position is None else bisect_right(bounds, position)
+            )
+            shards[owner][key] = value
         return shards

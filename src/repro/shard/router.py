@@ -286,14 +286,14 @@ class ShardRouter:
         everyone = frozenset(range(self.num_shards))
         spec_keys = workload.spec_keys
         footprint_of = workload.spec_footprint if _has_footprint(workload) else None
-        routed = None
-        if not pairs and footprint_of is None:
+        routed = [] if pairs else None
+        if routed is None and footprint_of is None:
             participants = [
                 frozenset(map(owner, keys)) if (keys := spec_keys(spec)) else everyone
                 for spec in specs
             ]
         else:
-            participants, routed = [], [] if pairs else None
+            participants = []
             for spec in specs:
                 footprint = None if footprint_of is None else footprint_of(spec)
                 if footprint is not None:
@@ -307,7 +307,7 @@ class ShardRouter:
                     shards = list(map(owner, keys))
                     parts = frozenset(shards) if shards else everyone
                 participants.append(parts)
-                if pairs:
+                if routed is not None:
                     routed.append(list(zip(keys, shards)))
         return BlockRoute(participants, specs, first_tid, self.num_shards, routed)
 

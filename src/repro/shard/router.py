@@ -28,10 +28,9 @@ binds its epoch's override map once
 (:class:`~repro.shard.federated.FederatedSnapshot`).
 
 The static owner of a key never changes for the life of a router, so it
-lives in one owner map (:class:`StaticOwners`): the genesis split fills it
-with every initial key's owner, and any other key's owner is evaluated on
-its first lookup and remembered. Every hot lookup is one subscript of that
-map, after a ``dict.get`` on the epoch's overrides only
+lives in one owner map (:class:`StaticOwners`) that evaluates the policy
+on a key's first lookup and remembers it: every hot lookup is one
+subscript of that map, after a ``dict.get`` on the epoch's overrides only
 while there are any. Only the *static* answer is ever stored, so
 installing an epoch or moving the cursor invalidates nothing.
 """
@@ -47,9 +46,7 @@ from repro.workloads.base import Workload, partition_split_points
 
 
 class StaticOwners(dict):
-    """key -> static-policy owner, filled for the genesis keys by
-    :meth:`ShardRouter.split_state` and for any other key on its first
-    lookup.
+    """key -> static-policy owner, filled on a key's first lookup.
 
     ``owners[key]`` is the routing hot path: a remembered key costs one
     subscript, a new one a ``__missing__`` call that evaluates the policy
@@ -79,13 +76,7 @@ class StaticOwners(dict):
     def __missing__(self, key: object) -> int:
         if self.num_shards == 1:
             return 0
-        # :meth:`evaluate` inline for a key in the index space: a key
-        # outside genesis costs this one frame on its first touch
-        bounds = self._index_bounds
-        position = None if bounds is None else self._index_fn(key)
-        owner = self[key] = (
-            self.evaluate(key) if position is None else bisect_right(bounds, position)
-        )
+        owner = self[key] = self.evaluate(key)
         return owner
 
 
@@ -178,8 +169,10 @@ class ShardRouter:
         #: the height cursor single-argument lookups resolve against
         self._cursor_height = 0
         self._cur_overrides = self.ownership.overrides_at(0)
-        #: key -> static-policy owner: every genesis key's, filled by
-        #: :meth:`split_state`, then any other key's on its first lookup
+        #: key -> static-policy owner, filled as keys are first routed
+        #: (never by :meth:`split_state`: a bulk load touches every key
+        #: once, so remembering them would only move their evaluation from
+        #: the run into set-up and hold the untouched ones in memory)
         self._static_owners = StaticOwners(num_shards, index_fn, self._index_bounds)
 
     @classmethod
@@ -287,28 +280,19 @@ class ShardRouter:
         spec_keys = workload.spec_keys
         footprint_of = workload.spec_footprint if _has_footprint(workload) else None
         routed = [] if pairs else None
-        if routed is None and footprint_of is None:
-            participants = [
-                frozenset(map(owner, keys)) if (keys := spec_keys(spec)) else everyone
-                for spec in specs
-            ]
-        else:
-            participants = []
-            for spec in specs:
-                footprint = None if footprint_of is None else footprint_of(spec)
-                if footprint is not None:
-                    keys = footprint.points
-                    shards = list(map(owner, keys))
-                    parts = set(shards)
-                    parts.update(self._range_shards(footprint))
-                    parts = frozenset(parts) if parts else everyone
-                else:
-                    keys = spec_keys(spec) or ()
-                    shards = list(map(owner, keys))
-                    parts = frozenset(shards) if shards else everyone
-                participants.append(parts)
-                if routed is not None:
-                    routed.append(list(zip(keys, shards)))
+        participants = []
+        for spec in specs:
+            footprint = None if footprint_of is None else footprint_of(spec)
+            if footprint is None:
+                keys = spec_keys(spec) or ()
+                parts = shards = list(map(owner, keys))
+            else:
+                keys = footprint.points
+                shards = list(map(owner, keys))
+                parts = self._range_shards(footprint).union(shards)
+            participants.append(frozenset(parts) if parts else everyone)
+            if routed is not None:
+                routed.append(list(zip(keys, shards)))
         return BlockRoute(participants, specs, first_tid, self.num_shards, routed)
 
     def _range_shards(self, footprint) -> set:
@@ -339,27 +323,11 @@ class ShardRouter:
     def split_state(self, state: dict) -> list[dict]:
         """Partition an initial-state map into per-shard slices. Genesis
         belongs to epoch 0 — the static policy — wherever the cursor is:
-        a replica built mid-run replays the migrations itself. Every
-        genesis key's owner is evaluated here anyway, so the owner map
-        keeps it: a run's first touch of a key, and a fresh replica's
-        split on this router, read the map."""
+        a replica built mid-run replays the migrations itself."""
         if self.num_shards == 1:
             return [state]
-        owners = self._static_owners
         shards: list[dict] = [{} for _ in range(self.num_shards)]
-        if owners:
-            # a router that has routed or split before: one subscript per
-            # key, a key it has not seen evaluated on the way
-            for key, value in state.items():
-                shards[owners[key]][key] = value
-            return shards
-        # the first split: the policy evaluated inline, one frame fewer per
-        # key than a first lookup, each answer remembered
-        bounds, index_fn, evaluate = self._index_bounds, self._index_fn, owners.evaluate
+        static_shard = self._static_owners.evaluate
         for key, value in state.items():
-            position = None if bounds is None else index_fn(key)
-            owner = owners[key] = (
-                evaluate(key) if position is None else bisect_right(bounds, position)
-            )
-            shards[owner][key] = value
+            shards[static_shard(key)][key] = value
         return shards

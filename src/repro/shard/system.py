@@ -101,6 +101,10 @@ def build_router(config: ShardConfig, workload) -> ShardRouter:
     return ShardRouter(config.num_shards, policy=config.router_policy)
 
 
+#: the participant set of every transaction on a one-shard chain
+ONLY_SHARD = frozenset({0})
+
+
 @dataclass
 class GlobalBlockOutcome:
     """One global block on its way through the block walk.
@@ -113,17 +117,13 @@ class GlobalBlockOutcome:
     """
 
     block: object
-    #: per transaction, the set of shards it runs on
-    participants: list
-    #: tid -> participant set of every cross-shard transaction: the votes
-    #: the certificate waits for (a missing one degrades to a veto)
-    expected: dict
     sub_blocks: dict
     #: the ownership change certified at this block, if one was due
     migration: object = None
     #: the block's :class:`~repro.shard.router.BlockRoute` (``None`` on one
-    #: shard): where each transaction's coordinator record and each
-    #: shard's cross-shard transactions sit in the sub-blocks
+    #: shard): each transaction's participant set, the cross-shard ones,
+    #: and where each coordinator record and each shard's cross-shard
+    #: transactions sit in the sub-blocks
     route: object = None
     #: shard -> PreparedBlock; a shard left out of the prepare stage has no
     #: entry — it never logged the sub-block and casts no vote
@@ -141,10 +141,24 @@ class GlobalBlockOutcome:
         return self.block.block_id
 
     @property
+    def participants(self) -> list:
+        """Per transaction, the set of shards it runs on."""
+        if self.route is None:
+            return [ONLY_SHARD] * self.block.size
+        return self.route.participants
+
+    @property
+    def expected(self) -> dict:
+        """tid -> participant set of every cross-shard transaction: the
+        votes the certificate waits for (a missing one degrades to a veto);
+        empty on one shard."""
+        return {} if self.route is None else self.route.cross
+
+    @property
     def cross_slots(self):
         """Per shard, where its cross-shard transactions sit in its
         sub-block; empty on one shard."""
-        return self.route.cross_slots if self.route is not None else ()
+        return () if self.route is None else self.route.cross_slots
 
 
 class ShardGroup:
@@ -365,11 +379,9 @@ class ShardedBlockchain:
         migration = None
         route = None
         policy = self.rebalance_policy
-        if self.config.num_shards == 1:
-            # the one shard hosts every transaction; none is cross-shard
-            participants = [frozenset({0})] * block.size
-            expected = {}
-        else:
+        # on one shard the one shard hosts every transaction and none is
+        # cross-shard: there is nothing to route
+        if self.config.num_shards > 1:
             if policy is not None:
                 proposal = self.plan_rebalance(block.block_id)
                 if proposal is not None:
@@ -383,11 +395,8 @@ class ShardedBlockchain:
             if policy is not None:
                 for routed, parts in zip(route.routed, route.participants):
                     policy.observe_txn(routed, parts)
-            participants, expected = route.participants, route.cross
         outcome = GlobalBlockOutcome(
             block=block,
-            participants=participants,
-            expected=expected,
             sub_blocks=self.sequencer.split(block, route.cuts if route else None),
             migration=migration,
             route=route,
@@ -536,8 +545,7 @@ class ShardedBlockchain:
         executions = outcome.executions
         if self.config.num_shards == 1:
             return executions[0].txns  # the sub-block is the block
-        txns_of = [executions[shard].txns for shard in range(self.config.num_shards)]
-        return [txns_of[shard][index] for shard, index in outcome.route.records]
+        return [executions[shard].txns[index] for shard, index in outcome.route.records]
 
     def _absorb_block(
         self, accounts: RunAccounts, arrival_us: float, outcome: GlobalBlockOutcome

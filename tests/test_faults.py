@@ -363,3 +363,18 @@ class TestSupervisorOutcomes:
             f"no decision record for tid {o.block.first_tid} "
             f"(shard {coordinator}, block 3)"
         )
+
+    def test_a_missing_non_coordinator_execution_is_not_read(self):
+        """The merged view reads each transaction's record from its
+        coordinator shard alone, so a shard that coordinates none of a
+        block's transactions may lack its execution."""
+        _chain, supervisor = run_supervised(FaultPlan("unit-none", 61, ()), num_shards=4)
+        records = supervisor.decision_records()
+        for o in supervisor.outcomes:
+            idle = set(o.executions) - {min(shards) for shards in o.participants}
+            if idle:
+                break
+        else:
+            pytest.fail("every shard coordinates a transaction of every block")
+        del o.executions[max(idle)]
+        assert supervisor.decision_records() == records

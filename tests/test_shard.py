@@ -138,12 +138,9 @@ class TestShardRouter:
 
 
     def test_static_owner_is_evaluated_once_per_key(self):
-        """The owner map remembers the static policy's answer per key:
-        ``split_state`` evaluates every genesis key once and keeps the
-        answers, a second split on the same router (a fresh replica) and
-        every later lookup read them, and a key outside genesis is
-        evaluated on its first touch. A one-shard router (nothing to
-        decide) remembers nothing."""
+        """The owner map remembers the static policy's answer per
+        touched key; ``split_state`` (a bulk pass over every key, once) and
+        a one-shard router (nothing to decide) remember nothing."""
         workload = WORKLOADS["ycsb"]()
         calls = []
 
@@ -156,42 +153,20 @@ class TestShardRouter:
         )
         reference = ShardRouter.for_workload(workload, 4)
         state = workload.initial_state()
-        genesis = {key: state[key] for key in list(state)[:-40]}
-        assert router.split_state(genesis) == reference.split_state(genesis)
-        assert calls == list(genesis)
-        assert router._static_owners == {
-            key: reference._static_owners.evaluate(key) for key in genesis
-        }
+        assert router.split_state(state) == reference.split_state(state)
+        assert router._static_owners == {} and len(calls) == len(state)
+        keys = list(state)[:40]
         del calls[:]
-        assert router.split_state(genesis) == reference.split_state(genesis)
-        assert calls == []
-        keys = list(state)[-50:]  # 10 genesis keys, then 40 the split never saw
         for _ in range(3):
             for key in keys:
                 assert router.shard_of(key) == reference._static_owners.evaluate(key)
                 assert router._static_owners[key] == router.shard_of_at(key, 9)
-        assert calls == keys[10:]  # one evaluation per new key, in first-touch order
-        assert set(router._static_owners) == set(state)
+        assert calls == keys  # one evaluation per key, in first-touch order
+        assert set(router._static_owners) == set(keys)
 
         single = ShardRouter.for_workload(workload, 1)
-        assert single.split_state(genesis) == [genesis]
         assert {single.shard_of(key) for key in keys} == {0}
         assert single._static_owners == {}
-
-    def test_genesis_fill_matches_the_policy_off_the_index_space(self):
-        """Keys outside the workload's index space take the hash in the
-        split's inline evaluation too, and a hash-policy router's fill is
-        the hash."""
-        keys = [("k", i) for i in range(30)] + [("x", i) for i in range(30)]
-        for policy, index_fn in (("workload", lambda k: k[1] if k[0] == "k" else None),
-                                 ("hash", None)):
-            router = ShardRouter(
-                4, policy=policy, index_fn=index_fn, index_space=30 if index_fn else None
-            )
-            parts = router.split_state(dict.fromkeys(keys, 0))
-            owners = router._static_owners
-            assert owners == {key: owners.evaluate(key) for key in keys}
-            assert all(owners[key] == shard for shard, part in enumerate(parts) for key in part)
 
 
 def _rng():
